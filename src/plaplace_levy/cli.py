@@ -247,6 +247,9 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
     values = cfg.converge_values()
     probe = cfg.get("converge", "probe")
     refine = cfg._int("converge", "ref_refine")
+    if refine < 2:
+        # the reference run must be strictly finer than every sweep point
+        raise ConfigError(f"[converge] ref_refine must be >= 2, got {refine}")
     if len(values) < 2:
         raise ConfigError("[converge] values needs at least two sweep points")
 
@@ -385,8 +388,10 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except NonConvergence as err:
-        step = f" at step {err.step}" if err.step is not None else ""
-        print(f"solver failure{step}: {err}", file=sys.stderr)
+        where = f" at step {err.step}" if err.step is not None else ""
+        if err.seed is not None:
+            where += f" of path seed {err.seed}"
+        print(f"solver failure{where}: {err}", file=sys.stderr)
         return 3
 
 

@@ -67,16 +67,10 @@ class RunConfig:
             raise ConfigError(f"missing config key [{section}] {key}")
 
     def _float(self, section, key):
-        try:
-            return float(self.get(section, key))
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be a number")
+        return _number(self.get(section, key), f"[{section}] {key}")
 
     def _int(self, section, key):
-        try:
-            return int(self.get(section, key))
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be an integer")
+        return _number(self.get(section, key), f"[{section}] {key}", int)
 
     # -- builders ----------------------------------------------------------
 
@@ -128,9 +122,9 @@ class RunConfig:
         if kind == "zero":
             eta = eta_zero()
         elif kind == "linear":
-            eta = eta_linear(float(arg or lam_star))
+            eta = eta_linear(_number(arg, "[levy] eta coefficient") if arg else lam_star)
         elif kind == "sine":
-            eta = eta_sine(float(arg or lam_star))
+            eta = eta_sine(_number(arg, "[levy] eta coefficient") if arg else lam_star)
         else:
             raise ConfigError(f"unknown eta kind {kind!r}")
 
@@ -175,10 +169,7 @@ class RunConfig:
             raise ConfigError(str(err))
 
     def build_initial(self, grid: Grid) -> Field:
-        u0 = _parse_field(self.get("initial", "u0"), grid, "zero_boundary")
-        if not np.all(np.isfinite(u0.values)):
-            raise ConfigError("A1 violated: initial data must be finite")
-        return u0
+        return _parse_field(self.get("initial", "u0"), grid, "zero_boundary")
 
     def build_basis(self, grid: Grid) -> list:
         spec = self.get("initial", "basis")
@@ -186,7 +177,7 @@ class RunConfig:
         if kind == "none":
             return []
         if kind == "sine":
-            return sine_basis(grid, int(arg or 2))
+            return sine_basis(grid, _number(arg, "[initial] basis size", int) if arg else 2)
         raise ConfigError(f"unknown control basis {kind!r}")
 
     def build_control(self, grid: Grid) -> Field:
@@ -214,7 +205,7 @@ class RunConfig:
         elif kind == "l2":
             fn, lip = psi_l2()
         elif kind == "l2_clip":
-            fn, lip = psi_l2(cap=float(arg or 1.0))
+            fn, lip = psi_l2(cap=_number(arg, "[cost] psi cap") if arg else 1.0)
         else:
             raise ConfigError(f"unknown psi kind {kind!r}")
         return CostSpec(
@@ -259,21 +250,37 @@ def _parse_floats(text: str) -> list:
         raise ConfigError(f"expected a comma list of numbers, got {text!r}")
 
 
+def _number(text: str, what: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got {text!r}") from None
+
+
+def _field_number(text: str, preset: str, kind=float):
+    """A numeric parameter of a field preset; A1 requires finite data."""
+    value = _number(text, f"field preset {preset!r}", kind)
+    if not np.isfinite(value):
+        raise ConfigError(f"A1 violated: field preset {preset!r} must be finite")
+    return value
+
+
 def _parse_field(preset: str, grid: Grid, tag: str) -> Field:
     kind, _, arg = preset.partition(":")
     if kind == "zero":
         return Field.zeros(grid, tag)
     if kind == "sine":
         params = _parse_kv(arg)
-        amp = float(params.get("amplitude", 1.0))
-        mode = int(params.get("mode", 1))
+        amp = _field_number(params.get("amplitude", "1.0"), preset)
+        mode = _field_number(params.get("mode", "1"), preset, int)
         if grid.dim == 1:
             fn = lambda x: amp * np.sin(mode * np.pi * x)
         else:
             fn = lambda x, y: amp * np.sin(mode * np.pi * x) * np.sin(mode * np.pi * y)
         return Field.from_function(grid, fn, tag)
     if kind == "constant":
-        vals = np.full(grid.node_shape, float(arg or 1.0))
+        vals = np.full(grid.node_shape, _field_number(arg, preset) if arg else 1.0)
         if tag == "zero_boundary":
             flat = vals.ravel()
             flat[grid.boundary_nodes] = 0.0

@@ -126,6 +126,37 @@ class Grid:
         gy = build(node(ci, cj + 1), node(ci + 1, cj + 1), node(ci, cj), node(ci + 1, cj))
         return (gx, gy)
 
+    def cell_gradient(self, v: np.ndarray) -> np.ndarray:
+        """Per-cell gradient components of the flattened nodal vector v,
+        shape (dim, n_cells_total): the action of `grad_ops` as a stencil."""
+        n, h = self.n_cells, self.h
+        if self.dim == 1:
+            return ((v[1:] - v[:-1]) / h)[None, :]
+        V = v.reshape(n + 1, n + 1)
+        diag = V[1:, 1:] - V[:-1, :-1]
+        anti = V[1:, :-1] - V[:-1, 1:]
+        c = 0.5 / h
+        return np.stack([(c * (diag + anti)).ravel(), (c * (diag - anti)).ravel()])
+
+    def cell_gradient_adjoint(self, q: np.ndarray) -> np.ndarray:
+        """Flattened nodal vector sum_d grad_ops[d].T @ q[d] for per-cell
+        components q of shape (dim, n_cells_total)."""
+        n, h = self.n_cells, self.h
+        if self.dim == 1:
+            out = np.zeros(n + 1)
+            out[:-1] -= q[0]
+            out[1:] += q[0]
+            return out / h
+        c = 0.5 / h
+        qx, qy = c * q[0].reshape(n, n), c * q[1].reshape(n, n)
+        diag, anti = qx + qy, qx - qy
+        out = np.zeros((n + 1, n + 1))
+        out[1:, 1:] += diag
+        out[:-1, :-1] -= diag
+        out[1:, :-1] += anti
+        out[:-1, 1:] -= anti
+        return out.ravel()
+
     @cached_property
     def conv_edges(self) -> tuple:
         """Per-axis edge lists (idx_a, idx_b, weight) for the conservative
@@ -265,7 +296,7 @@ def _check_same_grid(f: Field, g: Field):
 
 def gradient(f: Field) -> np.ndarray:
     """Per-cell gradient, shape (n_cells_total, dim)."""
-    return np.column_stack([g @ f.flat for g in f.grid.grad_ops])
+    return f.grid.cell_gradient(f.flat).T
 
 
 def div_flux(grid: Grid, cell_flux: np.ndarray) -> Field:
@@ -279,9 +310,7 @@ def div_flux(grid: Grid, cell_flux: np.ndarray) -> Field:
     cell_flux = np.asarray(cell_flux, dtype=float)
     if cell_flux.shape != (grid.n_cells_total, grid.dim):
         raise ValueError("cell_flux must have shape (n_cells_total, dim)")
-    acc = np.zeros(grid.n_nodes)
-    for d, g in enumerate(grid.grad_ops):
-        acc += g.T @ cell_flux[:, d]
+    acc = grid.cell_gradient_adjoint(cell_flux.T)
     # acc[i] = (1/h^dim) * d/dphi_i [ sum_cells G . grad(phi) h^dim ]; negate
     # and zero the boundary rows to land in the zero-boundary space.
     vals = np.zeros(grid.n_nodes)

@@ -21,13 +21,15 @@ Residuals are measured as the L^2 norm of their nodal Riesz representer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgtsv
 
 from .grid import (
+    FREE_BOUNDARY,
     ZERO_BOUNDARY,
     Field,
     Grid,
@@ -44,10 +46,11 @@ LIFT_BOUNDARY = "lift_boundary"
 class NonConvergence(RuntimeError):
     """Nonlinear step solver exhausted its iteration budget."""
 
-    def __init__(self, message, residual=None, step=None):
+    def __init__(self, message, residual=None, step=None, seed=None):
         super().__init__(message)
         self.residual = residual
         self.step = step
+        self.seed = seed
 
 
 @dataclass(frozen=True)
@@ -150,16 +153,6 @@ class SchemeConfig:
 # per-step nonlinear solve
 
 
-def _flux_and_energy(grid: Grid, v: np.ndarray, p: float):
-    """Per-cell gradient, exact p-flux q = |g|^(p-2) g, and sum |g|^p."""
-    comps = [g @ v for g in grid.grad_ops]
-    sq = sum(c * c for c in comps)
-    mag = np.sqrt(sq)
-    coef = mag ** (p - 2.0)
-    q = [coef * c for c in comps]
-    return comps, q, float(np.sum(mag**p))
-
-
 def _divided_difference(F, f, a, b):
     """(F(b)-F(a))/(b-a) with the f(midpoint) limit on tiny gaps."""
     gap = b - a
@@ -208,8 +201,9 @@ class _StepSolver:
     """Assembles residual/Jacobian of one implicit step on full nodal
     vectors; unknowns are the interior nodes, boundary values stay fixed.
 
-    1D Jacobians are tridiagonal and solved banded; 2D falls back to a
-    sparse direct solve.
+    Residual and energy come from one slice-stencil gradient pass per
+    iterate.  1D Jacobians are tridiagonal and solved by LAPACK gtsv; 2D
+    falls back to a sparse direct solve.
     """
 
     def __init__(self, grid: Grid, p: float, dt: float, flux: FluxModel,
@@ -222,30 +216,30 @@ class _StepSolver:
         self.idx = grid.interior_nodes
         self.wc = grid.cell_weight
 
-    def residual(self, v: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        grid, p, dt = self.grid, self.p, self.dt
-        _, q, _ = _flux_and_energy(grid, v, p)
-        r = self.wc * (v - rhs)
-        for d, g in enumerate(grid.grad_ops):
-            r += dt * self.wc * (g.T @ q[d])
-        if not self.flux.is_zero:
+    def evaluate(self, v: np.ndarray, rhs: np.ndarray) -> tuple:
+        """Interior residual, its norm, and the convex step energy (None
+        unless the convection flux is zero, where it is the descent merit),
+        all from one gradient pass over v."""
+        grid, p, dt, wc = self.grid, self.p, self.dt, self.wc
+        comps = grid.cell_gradient(v)
+        sq = (comps * comps).sum(axis=0)
+        coef = sq ** ((p - 2.0) / 2.0)  # |g|^(p-2), so coef * g is the p-flux
+        diff = v - rhs
+        r = wc * diff + (dt * wc) * grid.cell_gradient_adjoint(coef * comps)
+        energy = None
+        if self.flux.is_zero:
+            d_int = diff[self.idx]
+            gp = float(np.dot(coef, sq))  # sum |g|^p
+            energy = 0.5 * wc * float(np.dot(d_int, d_int)) + (dt / p) * wc * gp
+        else:
             r += dt * _conv_residual(grid, self.flux, v)
-        return r[self.idx]
-
-    def residual_norm(self, r_int: np.ndarray) -> float:
-        # L^2 norm of the nodal Riesz representer of the residual functional
-        rho = r_int / self.wc
-        return float(np.sqrt(np.sum(rho * rho) * self.wc))
-
-    def energy(self, v: np.ndarray, rhs: np.ndarray) -> float:
-        # valid descent merit only when the convection flux is zero
-        diff = (v - rhs)[self.idx]
-        _, _, gp = _flux_and_energy(self.grid, v, self.p)
-        return 0.5 * float(np.sum(diff * diff)) * self.wc + (self.dt / self.p) * self.wc * gp
+        r_int = r[self.idx]
+        # L^2 norm of the nodal Riesz representer r_int / wc
+        return r_int, float(np.sqrt(np.dot(r_int, r_int) / wc)), energy
 
     def _pcoefs(self, v: np.ndarray, newton: bool):
-        comps = [g @ v for g in self.grid.grad_ops]
-        s = sum(c * c for c in comps) + self.reg**2
+        comps = self.grid.cell_gradient(v)
+        s = (comps * comps).sum(axis=0) + self.reg**2
         c0 = s ** ((self.p - 2.0) / 2.0)
         if not newton:
             return comps, c0, None
@@ -254,13 +248,13 @@ class _StepSolver:
     def newton_step(self, v: np.ndarray, r_int: np.ndarray) -> np.ndarray:
         """Solve J(v) delta = -r for the interior increment."""
         if self.grid.dim == 1:
-            return self._solve_banded_1d(v, -r_int, newton=True)
+            return self._solve_tridiag(v, -r_int, newton=True)
         return spla.spsolve(self._sparse_matrix(v, newton=True), -r_int)
 
     def picard_solve(self, v: np.ndarray, b_int: np.ndarray) -> np.ndarray:
         """Solve the frozen-coefficient linearization A(v) w = b."""
         if self.grid.dim == 1:
-            return self._solve_banded_1d(v, b_int, newton=False)
+            return self._solve_tridiag(v, b_int, newton=False)
         return spla.spsolve(self._sparse_matrix(v, newton=False), b_int)
 
     def _tridiags(self, v: np.ndarray, newton: bool):
@@ -290,14 +284,16 @@ class _StepSolver:
             lower += self.dt * dq_da
         return lower, diag, upper
 
-    def _solve_banded_1d(self, v, b_int, newton):
+    def _solve_tridiag(self, v, b_int, newton):
         n = self.grid.n_cells
         lower, diag, upper = self._tridiags(v, newton)
-        ab = np.zeros((3, n - 1))
-        ab[0, 1:] = upper[1 : n - 1]
-        ab[1, :] = diag[1:n]
-        ab[2, :-1] = lower[1 : n - 1]
-        return sla.solve_banded((1, 1), ab, b_int)
+        # gtsv's wrapper sizes the off-diagonals max(m - 1, 1) for m unknowns;
+        # with one unknown the extra entry is never read
+        hi = max(n - 1, 2)
+        *_, x, info = dgtsv(lower[1:hi], diag[1:n], upper[1:hi], b_int)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"singular tridiagonal Newton system (gtsv info {info})")
+        return x
 
     def _sparse_matrix(self, v: np.ndarray, newton: bool) -> sp.csc_matrix:
         grid, dt = self.grid, self.dt
@@ -342,26 +338,23 @@ def _newton(solver: _StepSolver, v: np.ndarray, rhs: np.ndarray,
             tol: float, max_iters: int) -> np.ndarray:
     idx = solver.idx
     use_energy = solver.flux.is_zero
-    r = solver.residual(v, rhs)
-    rnorm = solver.residual_norm(r)
+    r, rnorm, energy = solver.evaluate(v, rhs)
     for it in range(max_iters):
         if rnorm <= tol:
             return v
         delta = solver.newton_step(v, r)
-        merit0 = solver.energy(v, rhs) if use_energy else rnorm
         slope = float(np.dot(r, delta)) if use_energy else None
         alpha, accepted = 1.0, False
         for _ in range(40):
             v_try = v.copy()
             v_try[idx] += alpha * delta
-            r_try = solver.residual(v_try, rhs)
-            rnorm_try = solver.residual_norm(r_try)
+            r_try, rnorm_try, energy_try = solver.evaluate(v_try, rhs)
             if use_energy:
-                ok = solver.energy(v_try, rhs) <= merit0 + 1e-4 * alpha * slope
+                ok = energy_try <= energy + 1e-4 * alpha * slope
             else:
                 ok = rnorm_try <= (1.0 - 1e-4 * alpha) * rnorm
             if ok or rnorm_try <= tol:
-                v, r, rnorm, accepted = v_try, r_try, rnorm_try, True
+                v, r, rnorm, energy, accepted = v_try, r_try, rnorm_try, energy_try, True
                 break
             alpha *= 0.5
         if not accepted:
@@ -370,10 +363,9 @@ def _newton(solver: _StepSolver, v: np.ndarray, rhs: np.ndarray,
             # boundary values are respected)
             v_new = v.copy()
             v_new[idx] += solver.picard_solve(v, -r)
-            r_new = solver.residual(v_new, rhs)
-            rnorm_new = solver.residual_norm(r_new)
+            r_new, rnorm_new, energy_new = solver.evaluate(v_new, rhs)
             if rnorm_new < rnorm:
-                v, r, rnorm = v_new, r_new, rnorm_new
+                v, r, rnorm, energy = v_new, r_new, rnorm_new, energy_new
             else:
                 raise NonConvergence(
                     f"step solver stagnated at residual {rnorm:.3e}", residual=rnorm
@@ -399,16 +391,26 @@ def prepare_initial(u0: Field, U: Field, dt: float, p: float, *,
     and return v + U.  The minimizer satisfies
     1/2 ||v||^2 + dt ||grad v||_p^p <= 1/2 ||u0||^2 (checked, with slack for
     the solver residual).  U must already carry the boundary handling chosen
-    by the caller."""
+    by the caller.
+
+    The smoothed state is memoized on the values of (u0, dt, p, newton_tol,
+    max_iters), so the paths of an ensemble and the candidates of a control
+    search share one solve; failures are not cached."""
     _check_same_grid(u0, U)
+    return _smoothed(u0.grid, u0.values.tobytes(), dt, p, newton_tol, max_iters) + U
+
+
+@lru_cache(maxsize=16)
+def _smoothed(grid: Grid, u0_bytes: bytes, dt: float, p: float, newton_tol: float,
+              max_iters: int) -> Field:
+    u0 = Field(grid, np.frombuffer(u0_bytes).reshape(grid.node_shape), FREE_BOUNDARY)
     report = initial_smoothing(u0, dt, p, newton_tol=newton_tol, max_iters=max_iters)
-    v = report["smoothed"]
     if not report["satisfied"]:
         raise NonConvergence(
             "initial smoothing violated its energy estimate: "
             f"lhs={report['lhs']:.6e} > rhs={report['rhs']:.6e}"
         )
-    return v + U
+    return report["smoothed"]
 
 
 def initial_smoothing(u0: Field, dt: float, p: float, *,
@@ -494,7 +496,7 @@ def simulate_path(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
         try:
             hats.append(step_solve(hats[k], inc, cfg))
         except NonConvergence as err:
-            raise NonConvergence(str(err), residual=err.residual, step=k) from err
+            raise NonConvergence(str(err), residual=err.residual, step=k, seed=seed) from err
         partials.append(partials[k] + inc)
     return Trajectory(
         hats=tuple(hats), prm=path, martingale_partials=tuple(partials), config=cfg
@@ -511,7 +513,6 @@ class Interpolants:
     u_step   : right-continuous, equals hats[k+1] on [t_k, t_{k+1})
     u_left   : left-continuous, equals hats[k] on (t_k, t_{k+1}], hats[0] at 0
     u_affine : affine on each [t_k, t_{k+1}] through the nodal states
-    b_affine : same affine construction through the martingale sums
     """
 
     def __init__(self, traj: Trajectory):
@@ -541,19 +542,14 @@ class Interpolants:
         self._locate(t)
         return self.traj.hats[k]
 
-    def _affine(self, series, t: float) -> Field:
+    def u_affine(self, t: float) -> Field:
+        hats = self.traj.hats
         if t >= self.T:
             self._locate(t)
-            return series[-1]
+            return hats[-1]
         k, s = self._locate(t)
         lam = s / self.dt
-        return series[k] * (1.0 - lam) + series[k + 1] * lam
-
-    def u_affine(self, t: float) -> Field:
-        return self._affine(self.traj.hats, t)
-
-    def b_affine(self, t: float) -> Field:
-        return self._affine(self.traj.martingale_partials, t)
+        return hats[k] * (1.0 - lam) + hats[k + 1] * lam
 
     def gap_sq_exact(self) -> float:
         """||u_step - u_affine||^2 over space-time, integrated exactly

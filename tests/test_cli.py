@@ -184,7 +184,28 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
     cfg_path = write(tmp_path, text)
     code = run_cli(["simulate", "--config", cfg_path, "--out", str(tmp_path / "o")])
     assert code == 3
-    assert "solver failure" in capsys.readouterr().err
+    assert "solver failure at step 0 of path seed 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, command, named",
+    [
+        ("eta = linear:0.5", "eta = linear:abc", "simulate", "[levy] eta"),
+        ("u0 = sine:amplitude=0.5,mode=1", "u0 = constant:nan", "simulate", "A1"),
+        ("basis = sine:2", "basis = sine:x", "simulate", "[initial] basis"),
+        ("out_dir = out", "out_dir = out\n[cost]\npsi = l2_clip:abc", "optimize", "[cost] psi"),
+        ("out_dir = out", "out_dir = out\n[converge]\nprobe = self\nref_refine = 0",
+         "converge", "[converge] ref_refine"),
+    ],
+    ids=["eta", "u0_nan", "basis", "psi", "ref_refine"],
+)
+def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys, old, new, command, named):
+    text = REFERENCE.replace(old, new)
+    assert text != REFERENCE
+    cfg_path = write(tmp_path, text)
+    assert run_cli([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_cli_verify_zero_preset_passes(tmp_path):

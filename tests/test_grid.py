@@ -123,6 +123,19 @@ def test_norms_vanish_only_at_zero():
     assert l2_norm(Field.zeros(g)) == l1_norm(Field.zeros(g)) == 0.0
 
 
+@pytest.mark.parametrize("dim, n", [(1, 2), (1, 9), (2, 2), (2, 7)])
+def test_stencils_match_grad_ops(dim, n):
+    rng = np.random.default_rng(31 + 10 * dim + n)
+    g = Grid(dim, n)
+    for _ in range(5):
+        v = rng.normal(size=g.n_nodes)
+        q = rng.normal(size=(dim, g.n_cells_total))
+        grad_ref = np.stack([op @ v for op in g.grad_ops])
+        adj_ref = sum(op.T @ q[d] for d, op in enumerate(g.grad_ops))
+        assert np.max(np.abs(g.cell_gradient(v) - grad_ref)) <= 1e-12
+        assert np.max(np.abs(g.cell_gradient_adjoint(q) - adj_ref)) <= 1e-12
+
+
 def test_integration_by_parts_exact():
     rng = np.random.default_rng(5)
     for dim in (1, 2):

@@ -9,8 +9,10 @@ from plaplace_levy import (
     LevyModel,
     NonConvergence,
     SchemeConfig,
+    apriori_check,
     eta_linear,
     eta_zero,
+    generate_ensemble,
     initial_smoothing,
     interpolants,
     l2_inner,
@@ -43,6 +45,7 @@ def zero_model():
 # independent convex-energy oracle (1D, zero convection flux): see _oracles
 
 from _oracles import oracle_energy, oracle_gradient, oracle_minimize
+from plaplace_levy.scheme import _conv_residual, _smoothed, _StepSolver
 
 
 def test_oracle_gradient_matches_finite_differences():
@@ -224,6 +227,7 @@ def test_nonconvergence_reports_step_index():
     with pytest.raises(NonConvergence) as exc:
         simulate_path(u0, Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=1)
     assert exc.value.step is not None
+    assert exc.value.seed == 1
 
 
 def test_interpolants_node_values_and_constant():
@@ -293,3 +297,190 @@ def test_lift_boundary_mode_keeps_control_trace():
     traj_c = simulate_path(u0, U, zero_model(), cfg_clamp, seed=0)
     for f in traj_c.hats:
         assert f.values[0] == 0.0 and f.values[-1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# pinned solver outputs: values recorded from the sparse-matvec solver that
+# preceded the stencil kernels; any solver refactor must reproduce them to a
+# tolerance derived from newton_tol.  The 1D sine-flux case is the only guard
+# on the convection branch of the tridiagonal Newton system.
+
+PIN_1D_ZERO = [
+    0.01161323193928, 0.02302249334812, 0.03401621625153, 0.04436548428543,
+    0.05380837300641, 0.06201878926775, 0.06852525844083, 0.07234975571832,
+    0.06852525844083, 0.06201878926775, 0.05380837300641, 0.04436548428543,
+    0.03401621625153, 0.02302249334812, 0.01161323193928,
+]
+PIN_1D_SINE = [
+    0.01592319628244, 0.0303102124171, 0.04295345904756, 0.05357980984132,
+    0.06178188869493, 0.06675274305598, 0.06397147520424, 0.05843419070796,
+    0.05158705430854, 0.04398858460798, 0.03600843073285, 0.02794122287908,
+    0.0200484680703, 0.01258147998144, 0.005800406533839,
+]
+PIN_2D_SINE = [
+    [0.01209063501789, 0.01606358021094, 0.01531150866597, 0.005602830197653,
+     -0.009162733319978, -0.01455640098437, -0.01318400457392],
+    [0.0145521915672, 0.02885820897177, 0.02137225122072, 0.00574879951224,
+     -0.009184521363308, -0.02526990746263, -0.01605030193212],
+    [0.01700067691846, 0.03033202643195, 0.02285963722749, 0.007237496470479,
+     -0.01178827317631, -0.0249713547267, -0.01761228077037],
+    [0.01639863857536, 0.03061057214093, 0.02290855325369, 0.006350758371347,
+     -0.01062041052672, -0.02603697427857, -0.01712539470602],
+    [0.01527283997681, 0.02784082351926, 0.02098043886911, 0.006413938665923,
+     -0.0107802793497, -0.02368062443309, -0.0164951339182],
+    [0.01208372048487, 0.02146440603193, 0.01696723696407, 0.00468784649817,
+     -0.008220090853302, -0.01968876823986, -0.01351975914603],
+    [0.007979618234541, 0.00928264835359, 0.009851540859108, 0.003422558947121,
+     -0.006513202879538, -0.008248083745532, -0.008854502232296],
+]
+PIN_1D_NOISY = [
+    0.02023504010353, 0.04011469029912, 0.05927032092544, 0.07730307060284,
+    0.09375655891529, 0.1080625901354, 0.1193996450182, 0.126063569615,
+    0.1193996450182, 0.1080625901354, 0.09375655891529, 0.07730307060284,
+    0.05927032092544, 0.04011469029912, 0.02023504010353,
+]
+PIN_ENSEMBLE = {
+    "fitted_C": 0.3529177004148,
+    "sup_E_l2": 0.03929248978288,
+    "E_incr_sq_sum": 0.003732268187991,
+}
+
+
+def pinned_u0_1d(grid):
+    return Field.from_function(
+        grid, lambda x: 0.5 * np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x)
+    )
+
+
+@pytest.mark.parametrize(
+    "flux, pinned",
+    [(zero_flux(1), PIN_1D_ZERO), (sine_flux([0.7]), PIN_1D_SINE)],
+    ids=["zero", "sine"],
+)
+def test_pinned_terminal_state_1d(flux, pinned):
+    grid = Grid(1, 16)
+    cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=16, flux=flux)
+    traj = simulate_path(
+        pinned_u0_1d(grid), Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=0
+    )
+    tol = 100 * cfg.newton_tol
+    assert traj.hats[-1].values[1:-1] == pytest.approx(pinned, abs=tol)
+
+
+def test_pinned_terminal_state_2d_sine_flux():
+    grid = Grid(2, 8)
+    u0 = Field.from_function(grid, lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y))
+    cfg = SchemeConfig(p=3.0, dt=1 / 16, n_steps=4, flux=sine_flux([0.5, -0.3]))
+    traj = simulate_path(u0, Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=0)
+    tol = 100 * cfg.newton_tol
+    assert traj.hats[-1].values[1:-1, 1:-1] == pytest.approx(np.array(PIN_2D_SINE), abs=tol)
+
+
+def test_pinned_noisy_path_and_ensemble_statistics():
+    grid = Grid(1, 16)
+    U = Field.zeros(grid, "free_boundary")
+    cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=16, flux=zero_flux(1))
+    tol = 100 * cfg.newton_tol
+    traj = simulate_path(pinned_u0_1d(grid), U, reference_model(), cfg, seed=3)
+    assert traj.hats[-1].values[1:-1] == pytest.approx(PIN_1D_NOISY, abs=tol)
+    ens = generate_ensemble(pinned_u0_1d(grid), U, reference_model(), cfg, 20, 0)
+    stats = apriori_check(ens, pinned_u0_1d(grid), U).statistics
+    for key, value in PIN_ENSEMBLE.items():
+        assert stats[key] == pytest.approx(value, abs=tol), key
+
+
+# ---------------------------------------------------------------------------
+# stencil step kernel against assembled-matrix references
+
+
+def assembled_residual(grid, v, rhs, p, dt, flux):
+    """wc (v - rhs) + dt wc sum_d G_d^T (|g|^(p-2) g_d) + dt Conv(v), interior."""
+    wc = grid.cell_weight
+    comps = [g @ v for g in grid.grad_ops]
+    mag = np.sqrt(sum(c * c for c in comps))
+    r = wc * (v - rhs)
+    for g, c in zip(grid.grad_ops, comps):
+        r = r + dt * wc * (g.T @ (mag ** (p - 2) * c))
+    if not flux.is_zero:
+        r = r + dt * _conv_residual(grid, flux, v)
+    energy = 0.5 * wc * np.sum((v - rhs)[grid.interior_nodes] ** 2) + dt / p * wc * np.sum(mag**p)
+    return r[grid.interior_nodes], energy
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("flux_kind", ["zero", "linear", "sine"])
+def test_fused_evaluation_matches_assembled_reference(dim, flux_kind):
+    rng = np.random.default_rng(37 + dim)
+    grid = Grid(dim, 9)
+    coefs = [0.6, -0.4][:dim]
+    flux = {"zero": zero_flux(dim), "linear": linear_flux(coefs), "sine": sine_flux(coefs)}[flux_kind]
+    solver = _StepSolver(grid, 3.5, 0.07, flux, 1e-8)
+    for _ in range(4):
+        v, rhs = zb(grid, rng).flat, zb(grid, rng).flat
+        r, rnorm, energy = solver.evaluate(v, rhs)
+        r_ref, energy_ref = assembled_residual(grid, v, rhs, 3.5, 0.07, flux)
+        assert np.max(np.abs(r - r_ref)) <= 1e-12 * max(1.0, np.max(np.abs(r_ref)))
+        wc = grid.cell_weight
+        assert rnorm == pytest.approx(np.sqrt(np.sum((r_ref / wc) ** 2) * wc), rel=1e-12)
+        if flux.is_zero:
+            assert energy == pytest.approx(energy_ref, rel=1e-12)
+        else:
+            assert energy is None
+
+
+@pytest.mark.parametrize(
+    "flux", [zero_flux(1), linear_flux([0.8]), sine_flux([0.8])], ids=["zero", "linear", "sine"]
+)
+def test_tridiagonal_jacobian_matches_finite_differences(flux):
+    rng = np.random.default_rng(41)
+    grid = Grid(1, 12)
+    m = len(grid.interior_nodes)
+    solver = _StepSolver(grid, 3.0, 0.05, flux, 1e-8)
+    v, rhs = zb(grid, rng).flat, zb(grid, rng).flat
+    lower, diag, upper = solver._tridiags(v, newton=True)
+    n = grid.n_cells
+    J = np.diag(diag[1:n]) + np.diag(lower[1 : n - 1], -1) + np.diag(upper[1 : n - 1], 1)
+    eps = 1e-6
+    fd = np.empty((m, m))
+    for j, node in enumerate(grid.interior_nodes):
+        vp, vm = v.copy(), v.copy()
+        vp[node] += eps
+        vm[node] -= eps
+        fd[:, j] = (solver.evaluate(vp, rhs)[0] - solver.evaluate(vm, rhs)[0]) / (2 * eps)
+    assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(fd))
+    # the Newton increment solves the same tridiagonal system
+    r = solver.evaluate(v, rhs)[0]
+    assert J @ solver.newton_step(v, r) == pytest.approx(-r, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# memoized initial smoothing
+
+
+def test_prepare_initial_memo_is_bitwise_fresh_solve():
+    grid = Grid(1, 16)
+    u0 = pinned_u0_1d(grid)
+    U = Field.from_function(grid, lambda x: 0.2 * np.sin(2 * np.pi * x), "free_boundary")
+    fresh = initial_smoothing(u0, 0.03, 3.0)["smoothed"] + U
+    first = prepare_initial(u0, U, 0.03, 3.0)
+    misses = _smoothed.cache_info().misses
+    again = prepare_initial(u0.copy(), U, 0.03, 3.0)
+    assert _smoothed.cache_info().misses == misses
+    assert np.array_equal(first.values, fresh.values)
+    assert np.array_equal(again.values, fresh.values)
+    assert again.space_tag == fresh.space_tag
+
+    changed = u0.values.copy()
+    changed[5] += 1e-3
+    u1 = Field(grid, changed)
+    out = prepare_initial(u1, U, 0.03, 3.0)
+    assert _smoothed.cache_info().misses == misses + 1
+    assert np.array_equal(out.values, (initial_smoothing(u1, 0.03, 3.0)["smoothed"] + U).values)
+
+
+def test_prepare_initial_failures_are_not_cached():
+    grid = Grid(1, 16)
+    u0 = pinned_u0_1d(grid)
+    for _ in range(2):
+        with pytest.raises(NonConvergence):
+            prepare_initial(u0, Field.zeros(grid), 0.03, 3.0, max_iters=1)
