@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 ZERO_BOUNDARY = "zero_boundary"
 FREE_BOUNDARY = "free_boundary"
@@ -28,8 +27,8 @@ class GridMismatchError(ValueError):
 class Grid:
     """Uniform tensor grid on (0,1)^dim.
 
-    Nodes carry the unknowns; cells carry gradient values.  All operator
-    matrices act on the flattened (C-order) nodal vector and are cached on
+    Nodes carry the unknowns; cells carry gradient values.  Operators act on
+    the flattened (C-order) nodal vector; their index tables are cached on
     first use, so a Grid can be shared read-only between concurrent runs.
     """
 
@@ -65,16 +64,14 @@ class Grid:
         return self.h**self.dim
 
     @cached_property
+    def _coords(self) -> np.ndarray:
+        """(dim, n_nodes) integer lattice coordinates of the flattened nodes."""
+        return np.indices(self.node_shape).reshape(self.dim, -1)
+
+    @cached_property
     def boundary_mask(self) -> np.ndarray:
         """Boolean mask over flattened nodes, True on the boundary."""
-        n = self.n_cells
-        if self.dim == 1:
-            mask = np.zeros(n + 1, dtype=bool)
-            mask[0] = mask[n] = True
-            return mask
-        mask = np.zeros((n + 1, n + 1), dtype=bool)
-        mask[0, :] = mask[n, :] = mask[:, 0] = mask[:, n] = True
-        return mask.ravel()
+        return np.any((self._coords == 0) | (self._coords == self.n_cells), axis=0)
 
     @cached_property
     def interior_nodes(self) -> np.ndarray:
@@ -87,119 +84,160 @@ class Grid:
     @cached_property
     def node_coords(self) -> np.ndarray:
         """Coordinates of all nodes, shape (n_nodes, dim), C-order."""
-        n = self.n_cells
-        axis = np.linspace(0.0, 1.0, n + 1)
-        if self.dim == 1:
-            return axis[:, None]
-        x, y = np.meshgrid(axis, axis, indexing="ij")
-        return np.column_stack([x.ravel(), y.ravel()])
-
-    @cached_property
-    def grad_ops(self) -> tuple:
-        """Sparse matrices (one per axis) mapping nodal values to per-cell
-        gradient components.
-
-        In 1D the cell value is the forward difference (f[i+1]-f[i])/h.  In 2D
-        it is the gradient of the bilinear interpolant at the cell center,
-        i.e. the mean of the two forward differences across the cell.
-        """
-        n, h = self.n_cells, self.h
-        if self.dim == 1:
-            rows = np.repeat(np.arange(n), 2)
-            cols = np.column_stack([np.arange(n), np.arange(1, n + 1)]).ravel()
-            vals = np.tile([-1.0 / h, 1.0 / h], n)
-            return (sp.csr_matrix((vals, (rows, cols)), shape=(n, n + 1)),)
-
-        node = lambda i, j: i * (n + 1) + j
-        ci, cj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        ci, cj = ci.ravel(), cj.ravel()
-        cell = np.arange(n * n)
-        c = 0.5 / h
-
-        def build(plus_a, plus_b, minus_a, minus_b):
-            rows = np.repeat(cell, 4)
-            cols = np.column_stack([plus_a, plus_b, minus_a, minus_b]).ravel()
-            vals = np.tile([c, c, -c, -c], n * n)
-            return sp.csr_matrix((vals, (rows, cols)), shape=(n * n, (n + 1) ** 2))
-
-        gx = build(node(ci + 1, cj), node(ci + 1, cj + 1), node(ci, cj), node(ci, cj + 1))
-        gy = build(node(ci, cj + 1), node(ci + 1, cj + 1), node(ci, cj), node(ci + 1, cj))
-        return (gx, gy)
+        return self._coords.T / self.n_cells
 
     def cell_gradient(self, v: np.ndarray) -> np.ndarray:
         """Per-cell gradient components of the flattened nodal vector v,
-        shape (dim, n_cells_total): the action of `grad_ops` as a stencil."""
-        n, h = self.n_cells, self.h
-        if self.dim == 1:
-            return ((v[1:] - v[:-1]) / h)[None, :]
-        V = v.reshape(n + 1, n + 1)
-        diag = V[1:, 1:] - V[:-1, :-1]
-        anti = V[1:, :-1] - V[:-1, 1:]
-        c = 0.5 / h
-        return np.stack([(c * (diag + anti)).ravel(), (c * (diag - anti)).ravel()])
+        shape (dim, n_cells_total).  In 1D the cell value is the forward
+        difference (v[i+1]-v[i])/h; in 2D it is the gradient of the bilinear
+        interpolant at the cell center, the mean of the two forward
+        differences across the cell."""
+        return self.local_gradient @ v[self.cell_nodes].T
 
     def cell_gradient_adjoint(self, q: np.ndarray) -> np.ndarray:
-        """Flattened nodal vector sum_d grad_ops[d].T @ q[d] for per-cell
+        """Adjoint of `cell_gradient`: the flattened nodal vector that
+        scatters G^T q[:, c] to the corners of each cell c, for per-cell
         components q of shape (dim, n_cells_total)."""
-        n, h = self.n_cells, self.h
-        if self.dim == 1:
-            out = np.zeros(n + 1)
-            out[:-1] -= q[0]
-            out[1:] += q[0]
-            return out / h
-        c = 0.5 / h
-        qx, qy = c * q[0].reshape(n, n), c * q[1].reshape(n, n)
-        diag, anti = qx + qy, qx - qy
-        out = np.zeros((n + 1, n + 1))
-        out[1:, 1:] += diag
-        out[:-1, :-1] -= diag
-        out[1:, :-1] += anti
-        out[:-1, 1:] -= anti
-        return out.ravel()
+        w = q.T @ self.local_gradient
+        return np.bincount(self.cell_nodes.ravel(), w.ravel(), self.n_nodes)
 
     @cached_property
     def conv_edges(self) -> tuple:
-        """Per-axis edge lists (idx_a, idx_b, weight) for the conservative
-        convection form  sum_e w_e * q_e(u) * (phi[b]-phi[a]).
+        """Edges (nodes, slots, w) of the conservative convection form
+        sum_e w_e * q_e(u) * (phi[b]-phi[a]), axes concatenated.
 
-        Edge weights are h^(dim-1) with trapezoidal halving on transverse
-        boundary lines; this makes the form telescope exactly along grid
-        lines, so the convection integral vanishes for zero-boundary fields.
+        nodes (2, n_edges) holds the a and b ends, b one step past a along
+        the edge's axis d; slots holds the same ends as flat indices
+        d * n_nodes + node into a (dim, n_nodes) stack of per-axis nodal
+        values.  Edge weights are h^(dim-1) with trapezoidal halving on
+        transverse boundary lines; this makes the form telescope exactly
+        along grid lines, so the convection integral vanishes for
+        zero-boundary fields.  Edges with both ends on the boundary touch
+        only boundary rows and are left out.
         """
-        n, h = self.n_cells, self.h
-        if self.dim == 1:
-            a = np.arange(n)
-            return ((a, a + 1, np.ones(n)),)
-
-        node = lambda i, j: i * (n + 1) + j
+        n, dim = self.n_cells, self.dim
         theta = np.ones(n + 1)
-        theta[0] = theta[n] = 0.5
-        # x-edges: i -> i+1 along each node row j
-        i, j = np.meshgrid(np.arange(n), np.arange(n + 1), indexing="ij")
-        wx = (theta[j] * h).ravel()
-        ax, bx = node(i, j).ravel(), node(i + 1, j).ravel()
-        # y-edges: j -> j+1 along each node column i
-        i, j = np.meshgrid(np.arange(n + 1), np.arange(n), indexing="ij")
-        wy = (theta[i] * h).ravel()
-        ay, by = node(i, j).ravel(), node(i, j + 1).ravel()
-        return ((ax, bx, wx), (ay, by, wy))
+        theta[[0, n]] = 0.5
+        coords = self._coords
+        parts = []
+        for d in range(dim):
+            a = np.flatnonzero(coords[d] < n)
+            w = self.h ** (dim - 1) * np.prod(theta[np.delete(coords[:, a], d, 0)], axis=0)
+            parts.append((a, a + (n + 1) ** (dim - 1 - d), w, np.full(a.size, d)))
+        a, b, w, axis = (np.concatenate(x) for x in zip(*parts))
+        keep = ~(self.boundary_mask[a] & self.boundary_mask[b])
+        nodes = np.stack([a, b])[:, keep]
+        return nodes, nodes + axis[keep] * self.n_nodes, w[keep]
 
     @cached_property
-    def _laplacian_lu(self):
-        """Factorized interior discrete Laplacian (for Poisson seeds)."""
-        wc = self.cell_weight
-        L = sum(g.T @ (wc * g) for g in self.grad_ops).tocsc()
-        idx = self.interior_nodes
-        return spla.splu(L[np.ix_(idx, idx)])
+    def interior_index(self) -> np.ndarray:
+        """Number of each flattened node among the interior unknowns (C order);
+        -1 on the boundary."""
+        return np.where(self.boundary_mask, -1, np.cumsum(~self.boundary_mask) - 1)
+
+    @cached_property
+    def _corner_bits(self) -> np.ndarray:
+        """(dim, 2^dim): cell corner k lies at offset bit (dim-1-d) of k along axis d."""
+        return (np.arange(2**self.dim) >> np.arange(self.dim - 1, -1, -1)[:, None]) & 1
+
+    @cached_property
+    def cell_nodes(self) -> np.ndarray:
+        """(n_cells_total, 2^dim) corner nodes of each cell, cells in
+        `cell_gradient` order."""
+        n, dim = self.n_cells, self.dim
+        stride = (n + 1) ** np.arange(dim - 1, -1, -1)
+        lower = np.indices((n,) * dim).reshape(dim, -1).T @ stride
+        return lower[:, None] + stride @ self._corner_bits
+
+    @cached_property
+    def local_gradient(self) -> np.ndarray:
+        """(dim, 2^dim) matrix G with cell_gradient(v)[:, c] = G @ v[cell_nodes[c]]."""
+        return (2.0 * self._corner_bits - 1.0) / (2 ** (self.dim - 1) * self.h)
+
+    @cached_property
+    def local_block_basis(self) -> np.ndarray:
+        """(1 + dim^2, 4^dim) raveled G^T G and G_d^T G_e (row 1 + dim d + e)
+        for the `local_gradient` G, so that the per-cell blocks
+        G^T (c0 I + c1 g g^T) G are the product [c0, c1 g_d g_e] @ basis."""
+        G = self.local_gradient
+        outer = G[:, None, :, None] * G[None, :, None, :]  # [d, e, k, l] = G_dk G_el
+        return np.vstack([(G.T @ G).ravel(), outer.reshape(self.dim**2, -1)])
+
+    @cached_property
+    def step_band(self) -> "BandScatter":
+        """Scatter of the interior step matrix into LAPACK gbsv band storage."""
+        tables, idx = [], self.interior_index
+        for nodes in (self.cell_nodes, self.conv_edges[0].T):
+            i, j = (x.ravel() for x in np.broadcast_arrays(
+                idx[nodes[:, :, None]], idx[nodes[:, None, :]]))
+            take = np.flatnonzero((i >= 0) & (j >= 0))
+            tables.append((take, i[take], j[take]))
+        kl = max(int(np.abs(i - j).max(initial=0)) for _, i, j in tables)
+        # gbsv (kl = ku) keeps A[i, j] at row 2 kl + i - j of column j
+        pos = np.concatenate([j * (3 * kl + 1) + 2 * kl + i - j for _, i, j in tables])
+        # entry (r, c) of edge e's block is -+ w_e d q_e / d(end c), rows
+        # r = a, b of the form sum_e w_e q_e (phi[b] - phi[a])
+        take = tables[1][0]
+        e, r, c = take // 4, take // 2 % 2, take % 2
+        return BandScatter(
+            kl=kl,
+            m=self.interior_nodes.size,
+            cell_take=tables[0][0],
+            edge_src=c * self.conv_edges[0].shape[1] + e,
+            edge_scale=(2.0 * r - 1.0) * self.conv_edges[2][e],
+            pos=pos,
+        )
+
+    @cached_property
+    def _laplacian_lu(self) -> tuple:
+        """gbtrf factors of the interior discrete Laplacian sum_cells wc G^T G
+        (for Poisson seeds), assembled through `step_band`."""
+        band = self.step_band
+        blocks = np.tile(self.cell_weight * self.local_block_basis[0], self.n_cells_total)
+        lub, piv, _ = dgbtrf(band.assemble(blocks[band.cell_take]), band.kl, band.kl)
+        return lub, piv
 
     def poisson_solve(self, rhs_interior: np.ndarray) -> np.ndarray:
         """Solve the interior nodal system -div(grad(phi)) = rhs, phi = 0 on
         the boundary; returns the full nodal vector."""
+        kl = self.step_band.kl
+        lub, piv = self._laplacian_lu
         out = np.zeros(self.n_nodes)
-        out[self.interior_nodes] = self._laplacian_lu.solve(
-            rhs_interior * self.cell_weight
-        )
+        out[self.interior_nodes] = dgbtrs(lub, kl, kl, rhs_interior * self.cell_weight, piv)[0]
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class BandScatter:
+    """Fixed value scatter of the interior step matrix into LAPACK gbsv band
+    storage, kept only for entries whose two nodes are interior.
+
+    Coupled interior unknowns (C order) are at most kl apart: 1 in 1D and
+    n_cells in 2D, 0 with a single unknown.  The band array has
+    ldab = 3 kl + 1 rows and m columns and is held flat in column-major order.
+    `cell_take` picks the kept entries of the raveled per-cell
+    (2^dim x 2^dim) blocks; edge entry k is `edge_scale[k]` times element
+    `edge_src[k]` of the raveled (dq/da, dq/db) rows over `Grid.conv_edges`.
+    `pos` holds the band positions of the cell entries, then the edge entries.
+    """
+
+    kl: int
+    m: int
+    cell_take: np.ndarray
+    edge_src: np.ndarray
+    edge_scale: np.ndarray
+    pos: np.ndarray
+
+    @property
+    def ldab(self) -> int:
+        return 3 * self.kl + 1
+
+    def assemble(self, vals: np.ndarray, diag: float = 0.0) -> np.ndarray:
+        """(ldab, m) band array summing `vals` (the cell entries, optionally
+        followed by the edge entries) at `pos`, plus `diag` on the diagonal."""
+        ab = np.bincount(self.pos[: vals.size], vals, self.ldab * self.m)
+        ab[2 * self.kl :: self.ldab] += diag
+        return ab.reshape(self.m, self.ldab).T
 
 
 class Field:

@@ -32,7 +32,8 @@ class LevyModel:
     """Jump model: intensity measure, noise coefficient eta(u; z), and the
     contraction constant lambda_star of eta in u.
 
-    eta must be vectorized in its first argument (nodal arrays) and satisfy
+    eta must broadcast over both arguments (it is evaluated on the
+    (nodes x marks) outer grid) and satisfy
     eta(0; z) = 0 and |eta(u;z) - eta(v;z)| <= lambda_star |u-v| (1 ^ |z|)
     with 0 < lambda_star < 1; `validate` spot-checks both.
     """
@@ -88,18 +89,12 @@ class LevyModel:
     def compensator(self, u: np.ndarray) -> np.ndarray:
         """integral eta(u; z) m(dz) over the truncated measure, per node."""
         z, lam = self.atoms
-        out = np.zeros_like(u, dtype=float)
-        for zz, ll in zip(z, lam):
-            out += ll * self.eta(u, zz)
-        return out
+        return _eta_outer(self.eta, u, z) @ lam
 
     def eta_sq_compensator(self, u: np.ndarray) -> np.ndarray:
         """integral eta(u; z)^2 m(dz), per node (isometry right-hand side)."""
         z, lam = self.atoms
-        out = np.zeros_like(u, dtype=float)
-        for zz, ll in zip(z, lam):
-            out += ll * self.eta(u, zz) ** 2
-        return out
+        return _eta_outer(self.eta, u, z) ** 2 @ lam
 
     def validate(self, rng_seed: int = 0, n_checks: int = 200):
         """Spot-check the structural assumptions; raises ValueError naming
@@ -131,18 +126,23 @@ class LevyModel:
         return self
 
 
+def _eta_outer(eta, u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """eta on the (nodes x marks) outer grid: entry [i, j] = eta(u_i; z_j)."""
+    return eta(u[:, None], z[None, :])
+
+
 def eta_zero():
-    return lambda u, z: np.zeros_like(u, dtype=float)
+    return lambda u, z: np.zeros(np.broadcast_shapes(np.shape(u), np.shape(z)))
 
 
 def eta_linear(coef: float):
     """eta(u; z) = coef * u * (1 ^ |z|); Lipschitz constant coef."""
-    return lambda u, z: coef * np.asarray(u, dtype=float) * min(1.0, abs(z))
+    return lambda u, z: coef * np.asarray(u, dtype=float) * np.minimum(1.0, np.abs(z))
 
 
 def eta_sine(coef: float):
     """eta(u; z) = coef * sin(u) * (1 ^ |z|); Lipschitz constant coef."""
-    return lambda u, z: coef * np.sin(u) * min(1.0, abs(z))
+    return lambda u, z: coef * np.sin(u) * np.minimum(1.0, np.abs(z))
 
 
 @dataclass(frozen=True)
@@ -226,12 +226,11 @@ def compensated_increment(model: LevyModel, u: Field, path: PrmPath, k: int) -> 
     vals = np.zeros(u.grid.n_nodes)
     idx = u.grid.interior_nodes
     u_int = u.flat[idx]
-    acc = np.zeros_like(u_int)
     _, marks = path.events[k]
-    for z in marks:
-        acc += model.eta(u_int, z)
-    acc -= path.dt * model.compensator(u_int)
-    vals[idx] = acc
+    z, lam = model.atoms
+    # jumps and compensator in one evaluation over (nodes x (marks, atoms))
+    weights = np.concatenate([np.ones(marks.size), -path.dt * lam])
+    vals[idx] = _eta_outer(model.eta, u_int, np.concatenate([marks, z])) @ weights
     return Field(u.grid, vals.reshape(u.grid.node_shape), ZERO_BOUNDARY)
 
 

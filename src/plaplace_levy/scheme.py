@@ -16,6 +16,9 @@ The solver is damped Newton with an Armijo line search on the convex step
 energy when the convection flux vanishes, a residual-norm line search
 otherwise, and a frozen-coefficient (Picard) rescue step on stagnation.
 Residuals are measured as the L^2 norm of their nodal Riesz representer.
+Both linearizations are assembled per iterate from per-cell and per-edge
+local blocks, scattered through the grid's fixed table straight into LAPACK
+band storage, and solved by gbsv; one code path serves 1D and 2D.
 """
 
 from __future__ import annotations
@@ -24,9 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgbsv
 
 from .grid import (
     FREE_BOUNDARY,
@@ -153,57 +154,51 @@ class SchemeConfig:
 # per-step nonlinear solve
 
 
-def _divided_difference(F, f, a, b):
-    """(F(b)-F(a))/(b-a) with the f(midpoint) limit on tiny gaps."""
+def _edge_quotients(grid: Grid, flux: FluxModel, v: np.ndarray) -> np.ndarray:
+    """Rows (q, dq/da, dq/db) over the convection edges a -> b along axis d
+    (`Grid.conv_edges` order): the divided difference
+    q = (F_d(b) - F_d(a)) / (b - a) of the flux antiderivative and its chord
+    derivatives dq/da = (q - f_d(a)) / (b - a), dq/db = (f_d(b) - q) / (b - a).
+    Gaps below 1e-9 take the limits q = f_d(mid), dq/da = dq/db = f_d'(mid) / 2,
+    evaluated as end-value means (f_d' by central difference); their O(gap^2)
+    error is far below the rounding error of the quotients there."""
+    nodes, (ia, ib), _ = grid.conv_edges
+    Fv = np.concatenate([F(v) for F in flux.F])  # per-axis nodal values
+    fv = np.concatenate([f(v) for f in flux.f])
+    a, b = v[nodes]
     gap = b - a
-    tiny = np.abs(gap) < 1e-12
-    safe = np.where(tiny, 1.0, gap)
-    dd = (F(b) - F(a)) / safe
-    return np.where(tiny, f(0.5 * (a + b)), dd)
-
-
-def _conv_residual(grid: Grid, flux: FluxModel, v: np.ndarray) -> np.ndarray:
-    """Nodal functional of the conservative convection form."""
-    out = np.zeros(grid.n_nodes)
-    for d, (ia, ib, w) in enumerate(grid.conv_edges):
-        q = _divided_difference(flux.F[d], flux.f[d], v[ia], v[ib])
-        np.add.at(out, ib, w * q)
-        np.add.at(out, ia, -w * q)
+    near = np.abs(gap) < 1e-9
+    safe = np.where(near, 1.0, gap)
+    fa, fb = fv[ia], fv[ib]
+    out = np.empty((3, gap.size))
+    q, dq_da, dq_db = out
+    np.divide(Fv[ib] - Fv[ia], safe, out=q)
+    np.divide(q - fa, safe, out=dq_da)
+    np.divide(fb - q, safe, out=dq_db)
+    if near.any():
+        df = np.concatenate([(f(v + 1e-6) - f(v - 1e-6)) / 2e-6 for f in flux.f])
+        q[near] = 0.5 * (fa + fb)[near]
+        dq_da[near] = dq_db[near] = 0.25 * (df[ia] + df[ib])[near]
     return out
 
 
-def _conv_jacobian(grid: Grid, flux: FluxModel, v: np.ndarray) -> sp.csr_matrix:
-    rows, cols, vals = [], [], []
-    for d, (ia, ib, w) in enumerate(grid.conv_edges):
-        a, b = v[ia], v[ib]
-        gap = b - a
-        tiny = np.abs(gap) < 1e-9
-        safe = np.where(tiny, 1.0, gap)
-        q = _divided_difference(flux.F[d], flux.f[d], a, b)
-        fa, fb = flux.f[d](a), flux.f[d](b)
-        mid = 0.5 * (a + b)
-        # chord-slope derivative; central-difference f' at the merge point
-        dfd = (flux.f[d](mid + 1e-6) - flux.f[d](mid - 1e-6)) / 2e-6
-        dq_db = np.where(tiny, 0.5 * dfd, (fb - q) / safe)
-        dq_da = np.where(tiny, 0.5 * dfd, (q - fa) / safe)
-        for r, sgn in ((ib, 1.0), (ia, -1.0)):
-            rows.extend([r, r])
-            cols.extend([ia, ib])
-            vals.extend([sgn * w * dq_da, sgn * w * dq_db])
-    rows = np.concatenate([np.asarray(r) for r in rows])
-    cols = np.concatenate([np.asarray(c) for c in cols])
-    vals = np.concatenate([np.asarray(x) for x in vals])
-    n = grid.n_nodes
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+def _conv_residual(grid: Grid, flux: FluxModel, v: np.ndarray) -> np.ndarray:
+    """Nodal functional of the conservative convection form
+    sum_e w_e q_e(v) (phi[b] - phi[a]); exact on interior rows (edges with
+    both ends on the boundary are left out)."""
+    nodes, _, w = grid.conv_edges
+    wq = w * _edge_quotients(grid, flux, v)[0]
+    return np.bincount(nodes.ravel(), np.concatenate([-wq, wq]), grid.n_nodes)
 
 
 class _StepSolver:
     """Assembles residual/Jacobian of one implicit step on full nodal
     vectors; unknowns are the interior nodes, boundary values stay fixed.
 
-    Residual and energy come from one slice-stencil gradient pass per
-    iterate.  1D Jacobians are tridiagonal and solved by LAPACK gtsv; 2D
-    falls back to a sparse direct solve.
+    Residual and energy come from one gradient pass per iterate.  The
+    Newton and frozen-coefficient matrices are assembled per iterate
+    straight into LAPACK band storage through the grid's fixed scatter
+    (`Grid.step_band`) and solved by gbsv, in 1D and 2D alike.
     """
 
     def __init__(self, grid: Grid, p: float, dt: float, flux: FluxModel,
@@ -237,82 +232,42 @@ class _StepSolver:
         # L^2 norm of the nodal Riesz representer r_int / wc
         return r_int, float(np.sqrt(np.dot(r_int, r_int) / wc)), energy
 
-    def _pcoefs(self, v: np.ndarray, newton: bool):
-        comps = self.grid.cell_gradient(v)
-        s = (comps * comps).sum(axis=0) + self.reg**2
-        c0 = s ** ((self.p - 2.0) / 2.0)
-        if not newton:
-            return comps, c0, None
-        return comps, c0, (self.p - 2.0) * s ** ((self.p - 4.0) / 2.0)
-
     def newton_step(self, v: np.ndarray, r_int: np.ndarray) -> np.ndarray:
         """Solve J(v) delta = -r for the interior increment."""
-        if self.grid.dim == 1:
-            return self._solve_tridiag(v, -r_int, newton=True)
-        return spla.spsolve(self._sparse_matrix(v, newton=True), -r_int)
+        return self._band_solve(self._band_matrix(v, newton=True), -r_int)
 
     def picard_solve(self, v: np.ndarray, b_int: np.ndarray) -> np.ndarray:
         """Solve the frozen-coefficient linearization A(v) w = b."""
-        if self.grid.dim == 1:
-            return self._solve_tridiag(v, b_int, newton=False)
-        return spla.spsolve(self._sparse_matrix(v, newton=False), b_int)
+        return self._band_solve(self._band_matrix(v, newton=False), b_int)
 
-    def _tridiags(self, v: np.ndarray, newton: bool):
-        n, h = self.grid.n_cells, self.grid.h
-        comps, c0, c1 = self._pcoefs(v, newton)
-        a = c0 + (c1 * comps[0] ** 2 if newton else 0.0)
-        w = self.dt * self.wc / (h * h)
-        diag = np.full(n + 1, self.wc)
-        diag[:-1] += w * a
-        diag[1:] += w * a
-        lower = -w * a  # J[i+1, i], length n
-        upper = -w * a.copy()  # J[i, i+1]
+    def _band_matrix(self, v: np.ndarray, newton: bool) -> np.ndarray:
+        """wc I + dt sum_cells wc G^T (c0 I + c1 g g^T) G (+ dt times the
+        convection derivative) on the interior unknowns, in gbsv band storage
+        of shape (ldab, m).  c0 = s^((p-2)/2) and c1 = (p-2) c0 / s with
+        s = |g|^2 + reg^2 give the regularized Newton matrix; the
+        frozen-coefficient matrix has c1 = 0 and no convection term."""
+        grid, p, band = self.grid, self.p, self.grid.step_band
+        comps = grid.cell_gradient(v)
+        s = (comps * comps).sum(axis=0) + self.reg**2
+        c0 = s ** ((p - 2.0) / 2.0)
+        c1 = (p - 2.0) * c0 / s if newton else np.zeros_like(s)
+        # per-cell blocks G^T (c0 I + c1 g g^T) G = [c0, c1 g_d g_e] @ local_block_basis
+        coef = np.empty((1 + grid.dim**2, comps.shape[1]))
+        coef[0] = c0
+        coef[1:] = (comps[:, None, :] * (c1 * comps)[None, :, :]).reshape(grid.dim**2, -1)
+        blocks = coef.T @ grid.local_block_basis
+        vals = (self.dt * self.wc) * blocks.ravel()[band.cell_take]
         if newton and not self.flux.is_zero:
-            flux = self.flux
-            aa, bb = v[:-1], v[1:]
-            gap = bb - aa
-            tiny = np.abs(gap) < 1e-9
-            safe = np.where(tiny, 1.0, gap)
-            q = _divided_difference(flux.F[0], flux.f[0], aa, bb)
-            mid = 0.5 * (aa + bb)
-            dfd = (flux.f[0](mid + 1e-6) - flux.f[0](mid - 1e-6)) / 2e-6
-            dq_db = np.where(tiny, 0.5 * dfd, (flux.f[0](bb) - q) / safe)
-            dq_da = np.where(tiny, 0.5 * dfd, (q - flux.f[0](aa)) / safe)
-            diag[:-1] -= self.dt * dq_da
-            diag[1:] += self.dt * dq_db
-            upper -= self.dt * dq_db
-            lower += self.dt * dq_da
-        return lower, diag, upper
+            dq = _edge_quotients(grid, self.flux, v)[1:].ravel()
+            vals = np.concatenate([vals, self.dt * band.edge_scale * dq[band.edge_src]])
+        return band.assemble(vals, self.wc)
 
-    def _solve_tridiag(self, v, b_int, newton):
-        n = self.grid.n_cells
-        lower, diag, upper = self._tridiags(v, newton)
-        # gtsv's wrapper sizes the off-diagonals max(m - 1, 1) for m unknowns;
-        # with one unknown the extra entry is never read
-        hi = max(n - 1, 2)
-        *_, x, info = dgtsv(lower[1:hi], diag[1:n], upper[1:hi], b_int)
+    def _band_solve(self, ab: np.ndarray, b_int: np.ndarray) -> np.ndarray:
+        kl = self.grid.step_band.kl
+        *_, x, info = dgbsv(kl, kl, ab, b_int, overwrite_ab=True)
         if info != 0:
-            raise np.linalg.LinAlgError(f"singular tridiagonal Newton system (gtsv info {info})")
+            raise np.linalg.LinAlgError(f"singular Newton system (gbsv info {info})")
         return x
-
-    def _sparse_matrix(self, v: np.ndarray, newton: bool) -> sp.csc_matrix:
-        grid, dt = self.grid, self.dt
-        comps, c0, c1 = self._pcoefs(v, newton)
-        blocks = None
-        for a in range(grid.dim):
-            ga = grid.grad_ops[a]
-            rng = range(grid.dim) if newton else (a,)
-            for b in rng:
-                gb = grid.grad_ops[b]
-                coef = c1 * comps[a] * comps[b] if newton else 0.0
-                if a == b:
-                    coef = coef + c0
-                term = ga.T @ sp.diags(coef * self.wc) @ gb
-                blocks = term if blocks is None else blocks + term
-        J = sp.identity(grid.n_nodes, format="csr") * self.wc + dt * blocks
-        if newton and not self.flux.is_zero:
-            J = J + dt * _conv_jacobian(grid, self.flux, v)
-        return J[np.ix_(self.idx, self.idx)].tocsc()
 
 
 def step_solve(u_prev: Field, noise_inc: Field, cfg: SchemeConfig,

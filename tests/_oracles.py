@@ -6,6 +6,7 @@ different computational path.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def oracle_energy(v, rhs, h, dt, p):
@@ -47,3 +48,36 @@ def oracle_minimize(rhs, h, dt, p, gtol):
         denom = float(np.dot(sv, sg))
         step = float(np.dot(sv, sv)) / denom if denom > 0 else 1e-3
     return v
+
+
+def grad_ops(grid):
+    """Sparse matrices (one per axis) mapping nodal values to per-cell
+    gradient components, built entry by entry: the reference for the
+    package's cell gradient and band assembly.
+
+    In 1D the cell value is the forward difference (f[i+1]-f[i])/h.  In 2D
+    it is the gradient of the bilinear interpolant at the cell center,
+    i.e. the mean of the two forward differences across the cell.
+    """
+    n, h = grid.n_cells, grid.h
+    if grid.dim == 1:
+        rows = np.repeat(np.arange(n), 2)
+        cols = np.column_stack([np.arange(n), np.arange(1, n + 1)]).ravel()
+        vals = np.tile([-1.0 / h, 1.0 / h], n)
+        return (sp.csr_matrix((vals, (rows, cols)), shape=(n, n + 1)),)
+
+    node = lambda i, j: i * (n + 1) + j
+    ci, cj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    ci, cj = ci.ravel(), cj.ravel()
+    cell = np.arange(n * n)
+    c = 0.5 / h
+
+    def build(plus_a, plus_b, minus_a, minus_b):
+        rows = np.repeat(cell, 4)
+        cols = np.column_stack([plus_a, plus_b, minus_a, minus_b]).ravel()
+        vals = np.tile([c, c, -c, -c], n * n)
+        return sp.csr_matrix((vals, (rows, cols)), shape=(n * n, (n + 1) ** 2))
+
+    gx = build(node(ci + 1, cj), node(ci + 1, cj + 1), node(ci, cj), node(ci, cj + 1))
+    gy = build(node(ci, cj + 1), node(ci + 1, cj + 1), node(ci, cj), node(ci + 1, cj))
+    return (gx, gy)

@@ -17,6 +17,7 @@ from plaplace_levy import (
     w1p_norm,
 )
 from plaplace_levy.scheme import _conv_residual, linear_flux, sine_flux
+from _oracles import grad_ops
 
 
 def random_zero_boundary(grid, rng, scale=1.0):
@@ -130,10 +131,21 @@ def test_stencils_match_grad_ops(dim, n):
     for _ in range(5):
         v = rng.normal(size=g.n_nodes)
         q = rng.normal(size=(dim, g.n_cells_total))
-        grad_ref = np.stack([op @ v for op in g.grad_ops])
-        adj_ref = sum(op.T @ q[d] for d, op in enumerate(g.grad_ops))
+        grad_ref = np.stack([op @ v for op in grad_ops(g)])
+        adj_ref = sum(op.T @ q[d] for d, op in enumerate(grad_ops(g)))
         assert np.max(np.abs(g.cell_gradient(v) - grad_ref)) <= 1e-12
         assert np.max(np.abs(g.cell_gradient_adjoint(q) - adj_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim, n", [(1, 2), (1, 9), (2, 2), (2, 7)])
+def test_poisson_solve_inverts_assembled_laplacian(dim, n):
+    g = Grid(dim, n)
+    idx = g.interior_nodes
+    L = sum(op.T @ (g.cell_weight * op) for op in grad_ops(g)).toarray()[np.ix_(idx, idx)]
+    rhs = np.random.default_rng(dim + n).normal(size=idx.size)
+    phi = g.poisson_solve(rhs)
+    assert np.all(phi[g.boundary_nodes] == 0.0)
+    assert L @ phi[idx] == pytest.approx(rhs * g.cell_weight, rel=1e-12, abs=1e-14)
 
 
 def test_integration_by_parts_exact():
@@ -154,6 +166,23 @@ def test_convection_form_zero_mean():
         v = random_zero_boundary(g, rng, scale=2.0)
         form = float(np.dot(_conv_residual(g, flux, v.flat), v.flat))
         assert form == pytest.approx(0.0, abs=1e-12)
+
+
+def test_convection_quotients_accurate_for_near_equal_values():
+    # gaps of 1e-11 between neighbours: the divided difference of F cancels
+    # most digits there; for the sine flux it has the stable closed form
+    # (F(b) - F(a)) / (b - a) = c sin(mid) sin(gap/2) / (gap/2)
+    rng = np.random.default_rng(1)
+    g = Grid(1, 40)
+    v = np.zeros(g.n_nodes)
+    v[g.interior_nodes] = 0.3 + 1e-11 * rng.normal(size=g.interior_nodes.size)
+    gap, mid = np.diff(v), 0.5 * (v[1:] + v[:-1])
+    q = 0.6 * np.sin(mid) * np.sin(gap / 2) / (gap / 2)
+    ref = np.zeros(g.n_nodes)
+    ref[1:] += q
+    ref[:-1] -= q
+    err = (_conv_residual(g, sine_flux([0.6]), v) - ref)[g.interior_nodes]
+    assert np.max(np.abs(err)) <= 1e-14
 
 
 def test_w1p_norm_scaling_and_positivity():
@@ -200,7 +229,7 @@ def brute_force_dual_norm(g_field, p, rng, trials=120_000):
     batch = trials // 12
     center = rng.normal(size=dims)
     scale, best = 1.0, 0.0
-    gmat = np.column_stack([grid.grad_ops[0][:, idx].toarray()])
+    gmat = np.column_stack([grad_ops(grid)[0][:, idx].toarray()])
     for _ in range(12):
         cand = center[None, :] + scale * rng.normal(size=(batch, dims))
         grads = cand @ gmat.T

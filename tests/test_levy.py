@@ -10,6 +10,7 @@ from plaplace_levy import (
     LevyModel,
     compensated_increment,
     eta_linear,
+    eta_sine,
     eta_zero,
     isometry_rhs,
     sample_prm,
@@ -167,3 +168,25 @@ def test_linear_growth_bound():
     for z in rng.uniform(-4, 4, 10):
         bound = model.lambda_star * np.abs(u) * min(1.0, abs(z))
         assert np.all(np.abs(model.eta(u, z)) <= bound + 1e-12)
+
+
+@pytest.mark.parametrize("measure", ["point", "invsq"])
+@pytest.mark.parametrize(
+    "eta", [eta_linear(0.5), eta_sine(0.4), eta_zero()], ids=["linear", "sine", "zero"]
+)
+def test_compensator_matches_per_atom_loop(measure, eta):
+    if measure == "point":
+        model = LevyModel(eta=eta, lambda_star=0.5, point_masses=((1.0, 1.5), (-0.3, 2.0)))
+    else:
+        model = LevyModel(eta=eta, lambda_star=0.5, density=lambda z: abs(z) ** -2, eps=0.01)
+    g = Grid(2, 6)
+    u = Field.from_function(g, lambda x, y: 3.0 * np.sin(np.pi * x) * np.cos(2 * y))
+    u_int = u.flat[g.interior_nodes]
+    comp, comp_sq = np.zeros_like(u_int), np.zeros_like(u_int)
+    for z, lam in zip(*model.atoms):
+        comp += lam * eta(u_int, float(z))
+        comp_sq += lam * eta(u_int, float(z)) ** 2
+    assert model.compensator(u_int) == pytest.approx(comp, rel=1e-13, abs=0.0)
+    assert model.eta_sq_compensator(u_int) == pytest.approx(comp_sq, rel=1e-13, abs=0.0)
+    rhs = 0.05 * np.sum(comp_sq) * g.cell_weight
+    assert isometry_rhs(model, u, 0.05) == pytest.approx(rhs, rel=1e-13, abs=0.0)

@@ -44,7 +44,7 @@ def zero_model():
 # ---------------------------------------------------------------------------
 # independent convex-energy oracle (1D, zero convection flux): see _oracles
 
-from _oracles import oracle_energy, oracle_gradient, oracle_minimize
+from _oracles import grad_ops, oracle_energy, oracle_gradient, oracle_minimize
 from plaplace_levy.scheme import _conv_residual, _smoothed, _StepSolver
 
 
@@ -302,8 +302,8 @@ def test_lift_boundary_mode_keeps_control_trace():
 # ---------------------------------------------------------------------------
 # pinned solver outputs: values recorded from the sparse-matvec solver that
 # preceded the stencil kernels; any solver refactor must reproduce them to a
-# tolerance derived from newton_tol.  The 1D sine-flux case is the only guard
-# on the convection branch of the tridiagonal Newton system.
+# tolerance derived from newton_tol.  The sine-flux cases guard the
+# convection entries of the banded Newton system.
 
 PIN_1D_ZERO = [
     0.01161323193928, 0.02302249334812, 0.03401621625153, 0.04436548428543,
@@ -390,16 +390,16 @@ def test_pinned_noisy_path_and_ensemble_statistics():
 
 
 # ---------------------------------------------------------------------------
-# stencil step kernel against assembled-matrix references
+# step kernel and banded Newton matrices against assembled-matrix references
 
 
 def assembled_residual(grid, v, rhs, p, dt, flux):
     """wc (v - rhs) + dt wc sum_d G_d^T (|g|^(p-2) g_d) + dt Conv(v), interior."""
     wc = grid.cell_weight
-    comps = [g @ v for g in grid.grad_ops]
+    comps = [g @ v for g in grad_ops(grid)]
     mag = np.sqrt(sum(c * c for c in comps))
     r = wc * (v - rhs)
-    for g, c in zip(grid.grad_ops, comps):
+    for g, c in zip(grad_ops(grid), comps):
         r = r + dt * wc * (g.T @ (mag ** (p - 2) * c))
     if not flux.is_zero:
         r = r + dt * _conv_residual(grid, flux, v)
@@ -428,18 +428,38 @@ def test_fused_evaluation_matches_assembled_reference(dim, flux_kind):
             assert energy is None
 
 
-@pytest.mark.parametrize(
-    "flux", [zero_flux(1), linear_flux([0.8]), sine_flux([0.8])], ids=["zero", "linear", "sine"]
-)
-def test_tridiagonal_jacobian_matches_finite_differences(flux):
-    rng = np.random.default_rng(41)
-    grid = Grid(1, 12)
+def dense_from_band(grid, ab):
+    """Dense interior matrix of gbsv band storage: A[i, j] = ab[2 kl + i - j, j]."""
+    kl, m = grid.step_band.kl, grid.step_band.m
+    J = np.zeros((m, m))
+    for j in range(m):
+        for i in range(max(0, j - kl), min(m, j + kl + 1)):
+            J[i, j] = ab[2 * kl + i - j, j]
+    return J
+
+
+def frozen_coefficient_matrix(grid, v, p, dt, reg):
+    """wc I + dt wc sum_d G_d^T diag((|g|^2 + reg^2)^((p-2)/2)) G_d from grad_ops."""
+    wc, idx = grid.cell_weight, grid.interior_nodes
+    comps = [g @ v for g in grad_ops(grid)]
+    c0 = (sum(c * c for c in comps) + reg**2) ** ((p - 2) / 2)
+    A = wc * np.eye(grid.n_nodes)
+    for g in grad_ops(grid):
+        A = A + dt * wc * (g.T @ (c0[:, None] * g.toarray()))
+    return A[np.ix_(idx, idx)]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("flux_kind", ["zero", "linear", "sine"])
+def test_banded_jacobian_matches_finite_differences(dim, flux_kind):
+    rng = np.random.default_rng(41 + dim)
+    grid = Grid(dim, 12 if dim == 1 else 6)
+    coefs = [0.8, -0.5][:dim]
+    flux = {"zero": zero_flux(dim), "linear": linear_flux(coefs), "sine": sine_flux(coefs)}[flux_kind]
     m = len(grid.interior_nodes)
     solver = _StepSolver(grid, 3.0, 0.05, flux, 1e-8)
     v, rhs = zb(grid, rng).flat, zb(grid, rng).flat
-    lower, diag, upper = solver._tridiags(v, newton=True)
-    n = grid.n_cells
-    J = np.diag(diag[1:n]) + np.diag(lower[1 : n - 1], -1) + np.diag(upper[1 : n - 1], 1)
+    J = dense_from_band(grid, solver._band_matrix(v, newton=True))
     eps = 1e-6
     fd = np.empty((m, m))
     for j, node in enumerate(grid.interior_nodes):
@@ -448,9 +468,31 @@ def test_tridiagonal_jacobian_matches_finite_differences(flux):
         vm[node] -= eps
         fd[:, j] = (solver.evaluate(vp, rhs)[0] - solver.evaluate(vm, rhs)[0]) / (2 * eps)
     assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(fd))
-    # the Newton increment solves the same tridiagonal system
+    # the Newton increment solves the same banded system
     r = solver.evaluate(v, rhs)[0]
     assert J @ solver.newton_step(v, r) == pytest.approx(-r, abs=1e-12)
+    # the frozen-coefficient (Picard) matrix drops c1 g g^T and the convection
+    A = dense_from_band(grid, solver._band_matrix(v, newton=False))
+    A_ref = frozen_coefficient_matrix(grid, v, 3.0, 0.05, 1e-8)
+    assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
+    assert A_ref @ solver.picard_solve(v, r) == pytest.approx(r, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("flux_kind", ["zero", "sine"])
+def test_single_interior_unknown_steps(dim, flux_kind):
+    grid = Grid(dim, 2)
+    assert grid.step_band.m == 1
+    flux = zero_flux(dim) if flux_kind == "zero" else sine_flux([0.7, -0.4][:dim])
+    cfg = SchemeConfig(p=3.0, dt=0.1, n_steps=1, flux=flux)
+    u = zb(grid, np.random.default_rng(3))
+    out = step_solve(u, Field.zeros(grid), cfg)
+    solver = _StepSolver(grid, cfg.p, cfg.dt, flux, cfg.jacobian_reg)
+    assert solver.evaluate(out.flat, u.flat)[1] <= cfg.newton_tol
+    # the only interior node couples to boundary values alone: convection
+    # cancels, and the p-flux pulls the centre value toward zero
+    centre = out.flat[grid.interior_nodes[0]]
+    assert 0.0 < centre / u.flat[grid.interior_nodes[0]] < 1.0
 
 
 # ---------------------------------------------------------------------------
