@@ -11,6 +11,7 @@ from .grid import (
     GridMismatchError,
     div_flux,
     dual_norm_estimate,
+    dual_norm_estimates,
     gradient,
     l1_norm,
     l2_inner,
@@ -23,6 +24,7 @@ from .levy import (
     LevyModel,
     PrmPath,
     compensated_increment,
+    compensated_increments,
     eta_linear,
     eta_sine,
     eta_zero,
@@ -42,7 +44,9 @@ from .scheme import (
     linear_flux,
     prepare_initial,
     project_control,
+    sample_path,
     simulate_path,
+    simulate_paths,
     sine_flux,
     step_solve,
     zero_flux,

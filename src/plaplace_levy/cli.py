@@ -327,8 +327,8 @@ def _eps_sweep(cfg: RunConfig, u0, U, scheme, eps_values, refine):
             raw={**cfg.raw, "levy": {**cfg.raw["levy"], "eps": repr(eps)}}
         ).build_levy()
         vals = [
-            l2_norm(simulate_path(u0, U, model, scheme, cfg.seed + i).hats[-1]) ** 2
-            for i in range(cfg.n_paths)
+            l2_norm(traj.state(-1)) ** 2
+            for traj in generate_ensemble(u0, U, model, scheme, cfg.n_paths, cfg.seed)
         ]
         return float(np.mean(vals))
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .grid import Field, Grid, l2_norm, w1p_norm
+from .grid import Field, Grid, _check_same_grid, l2_norm, w1p_norm
 from .levy import LevyModel
-from .scheme import NonConvergence, SchemeConfig, simulate_path
+from .scheme import NonConvergence, SchemeConfig, sample_path, simulate_paths
 
 FREE = "free_boundary"
 
@@ -85,16 +85,19 @@ def cost_J(trajectories, U: Field, spec: CostSpec, p: float) -> tuple:
     cfg = trajectories[0].config
     if len(spec.u_tar) != cfg.n_steps + 1:
         raise ValueError("target profile does not match the scheme time grid")
+    grid = trajectories[0].grid
+    targets = np.array([f.flat for f in spec.u_tar[1:]])
     tracking = 0.0
     terminal = 0.0
     for traj in trajectories:
         if traj.config.n_steps != cfg.n_steps or traj.config.dt != cfg.dt:
             raise ValueError("ensemble mixes time grids")
-        tracking += sum(
-            cfg.dt * l2_norm(traj.hats[k + 1] - spec.u_tar[k + 1]) ** 2
-            for k in range(cfg.n_steps)
-        )
-        terminal += spec.psi(traj.hats[-1])
+        _check_same_grid(traj.hat0, spec.u_tar[0])
+        # dt l2_norm(u(t_{k+1}) - u_tar(t_{k+1}))^2 per step, summed in step order
+        gaps = grid.take("interior", traj.states[1:] - targets)
+        norms = np.sqrt(np.vecdot(gaps, gaps) * grid.cell_weight)
+        tracking += sum((cfg.dt * norms**2).tolist())
+        terminal += spec.psi(traj.state(-1))
     tracking /= len(trajectories)
     terminal /= len(trajectories)
     control = w1p_norm(U, p) ** p
@@ -189,6 +192,8 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
         raise ValueError("n_paths must be >= 1")
     seeds = [base_seed + i for i in range(n_paths)]
     spec.validate(cfg.n_steps)
+    # common random numbers: each seed's jump path serves every candidate
+    paths = [sample_path(model, cfg, s) for s in seeds]
 
     history = []
     state = {"best": np.inf, "coeffs": None, "evals": 0, "parts": None}
@@ -197,7 +202,7 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
         state["evals"] += 1
         U = ControlParam(basis=basis, coeffs=coeffs).build()
         try:
-            trajs = [simulate_path(u0, U, model, cfg, s) for s in seeds]
+            trajs = simulate_paths(u0, U, model, cfg, paths)
             val, parts = cost_J(trajs, U, spec, cfg.p)
         except NonConvergence:
             val, parts = np.inf, None

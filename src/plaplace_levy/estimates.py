@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Field, dual_norm_estimate, l1_norm, l2_norm, lp_grad_norm, w1p_norm
-from .levy import LevyModel, compensated_increment, isometry_rhs, sample_prm
-from .scheme import SchemeConfig, Trajectory, project_control, simulate_path
+from .grid import Field, dual_norm_estimates, l2_norm, lp_grad_norm, w1p_norm
+from .levy import LevyModel, isometry_rhs, jump_sums, step_marks
+from .scheme import SchemeConfig, project_control, sample_path, simulate_paths
 
 
 class DegenerateRegressionError(ValueError):
@@ -144,9 +144,10 @@ def apriori_check(trajectories, u0: Field, U: Field) -> EnsembleReport:
 
 def generate_ensemble(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
                       n_paths: int, base_seed: int) -> list:
-    return [
-        simulate_path(u0, U, model, cfg, seed=base_seed + i) for i in range(n_paths)
-    ]
+    """Trajectories of the path seeds base_seed .. base_seed + n_paths - 1,
+    solved as one batch."""
+    paths = [sample_path(model, cfg, base_seed + i) for i in range(n_paths)]
+    return simulate_paths(u0, U, model, cfg, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +181,13 @@ class ScalingReport:
 
 
 def _series_at(series_values: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """Affine-in-time evaluation of a per-step series (exact for integrals
-    of piecewise-constant integrands)."""
-    n = len(series_values) - 1
+    """Affine-in-time evaluation of per-step series (time on axis -2, so one
+    series (n_steps + 1, n_nodes) or a stack of them); exact for integrals
+    of piecewise-constant integrands."""
+    n = series_values.shape[-2] - 1
     k = min(int(np.floor(t / dt)), n - 1)
     lam = (t - k * dt) / dt
-    return (1 - lam) * series_values[k] + lam * series_values[k + 1]
+    return (1 - lam) * series_values[..., k, :] + lam * series_values[..., k + 1, :]
 
 
 def aldous_scaling(trajectories, probe: str, theta_grid, tau: float = 0.0,
@@ -212,20 +214,15 @@ def aldous_scaling(trajectories, probe: str, theta_grid, tau: float = 0.0,
 
     alpha = 1.0 if probe == "T1" else 2.0
     zeta = 0.5 if probe == "T1" else 1.0
+    # (paths, times, nodes) stack of the probed series, built once
+    series = np.array([traj.sums for traj in trajectories])
+    if probe == "T1":
+        hats = np.array([traj.states for traj in trajectories])
+        series = hats - hats[:, :1] - series
     measured = []
     for theta in theta_grid:
-        vals = []
-        for traj in trajectories:
-            grid = traj.grid
-            hats = np.array([f.flat for f in traj.hats])
-            bparts = np.array([f.flat for f in traj.martingale_partials])
-            if probe == "T1":
-                series = hats - hats[0] - bparts
-            else:
-                series = bparts
-            inc = _series_at(series, tau + theta, cfg.dt) - _series_at(series, tau, cfg.dt)
-            inc_field = Field(grid, inc.reshape(grid.node_shape))
-            vals.append(dual_norm_estimate(inc_field, p, iters=dual_iters) ** alpha)
+        inc = _series_at(series, tau + theta, cfg.dt) - _series_at(series, tau, cfg.dt)
+        vals = dual_norm_estimates(trajectories[0].grid, inc, p, iters=dual_iters) ** alpha
         measured.append(float(np.mean(vals)))
 
     if max(measured) == 0.0:
@@ -255,8 +252,8 @@ def interp_gap_scaling(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
         n_steps = int(round(T / dt))
         cfg_dt = replace(cfg, dt=dt, n_steps=n_steps)
         gaps = [
-            (dt / 3.0) * simulate_path(u0, U, model, cfg_dt, base_seed + i).increments_sq_sum()
-            for i in range(n_paths)
+            (dt / 3.0) * traj.increments_sq_sum()
+            for traj in generate_ensemble(u0, U, model, cfg_dt, n_paths, base_seed)
         ]
         measured.append(float(np.mean(gaps)))
     if max(measured) == 0.0:
@@ -308,15 +305,17 @@ def uniqueness_check(model: LevyModel, cfg: SchemeConfig, u0_a: Field, u0_b: Fie
     """
     identical = np.array_equal(u0_a.values, u0_b.values)
     n_times = cfg.n_steps + 1
-    dists = np.empty((n_paths, n_times))
-    for i in range(n_paths):
-        seed = base_seed + i
-        ta = simulate_path(u0_a, U, model, cfg, seed)
-        tb = simulate_path(u0_b, U, model, cfg, seed)
-        dists[i] = [l1_norm(fa - fb) for fa, fb in zip(ta.hats, tb.hats)]
+    grid = u0_a.grid
+    paths = [sample_path(model, cfg, base_seed + i) for i in range(n_paths)]
+    # one batch per initial datum; l1_norm of each paired difference
+    a, b = (
+        np.array([traj.states for traj in simulate_paths(u0, U, model, cfg, paths)])
+        for u0 in (u0_a, u0_b)
+    )
+    diff = grid.take("interior", (a - b).reshape(-1, grid.n_nodes))
+    dists = (np.sum(np.abs(diff), axis=-1) * grid.cell_weight).reshape(n_paths, n_times)
     mean = dists.mean(axis=0)
     se = dists.std(ddof=1, axis=0) / np.sqrt(n_paths) if n_paths > 1 else np.zeros(n_times)
-    grid = u0_a.grid
     if identical:
         threshold = 10.0 * cfg.newton_tol * grid.n_nodes
         passed = bool(dists.max() <= threshold)
@@ -365,6 +364,10 @@ class IsometryReport:
         }
 
 
+# samples per vectorized pass of `isometry_check`
+_ISOMETRY_CHUNK = 2048
+
+
 def isometry_check(model: LevyModel, u: Field, dt: float, n_samples: int,
                    base_seed: int = 0) -> IsometryReport:
     """Monte Carlo second moment of single-step compensated increments with
@@ -373,13 +376,15 @@ def isometry_check(model: LevyModel, u: Field, dt: float, n_samples: int,
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
     grid = u.grid
-    idx = grid.interior_nodes
+    u_int = u.flat[grid.interior_nodes]
+    # the integrand is frozen, so the compensator is computed once; the
+    # draws are bitwise those of sample_prm(model, dt, dt, seed)
+    compensator = dt * model.compensator(u_int)
     vals = np.empty(n_samples)
-    for i in range(n_samples):
-        path = sample_prm(model, dt, dt, base_seed + i)
-        inc = compensated_increment(model, u, path, 0)
-        v = inc.flat[idx]
-        vals[i] = np.dot(v, v) * grid.cell_weight
+    for start in range(0, n_samples, _ISOMETRY_CHUNK):
+        seeds = range(base_seed + start, base_seed + min(start + _ISOMETRY_CHUNK, n_samples))
+        inc = jump_sums(model, u_int, step_marks(model, dt, seeds)) - compensator
+        vals[start : start + len(inc)] = np.vecdot(inc, inc) * grid.cell_weight
     exact = isometry_rhs(model, u, dt)
     mc = float(vals.mean())
     if exact == 0.0:

@@ -9,6 +9,7 @@ discrete integration by parts holds to round-off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +22,44 @@ FREE_BOUNDARY = "free_boundary"
 
 class GridMismatchError(ValueError):
     """Two fields from different grids were combined."""
+
+
+class _RowTable:
+    """A fixed index table applied to each row of a stack whose rows lie
+    `stride` apart in memory: gathers and bincount scatters of every row go
+    through one 1-D index, the table repeated with offsets r * stride, which
+    costs far less than 2-D fancy indexing on short rows.  The repeated
+    index for r rows is a prefix of the one for more rows; its capacity
+    doubles as stacks grow, and each row count keeps its prefix."""
+
+    def __init__(self, index: np.ndarray, stride: int):
+        self.index = index
+        self.stride = stride
+        self._full = index.ravel()
+        self._rows = {}  # row count -> (repeated index, stacked shape)
+
+    def _for(self, rows: int) -> tuple:
+        entry = self._rows.get(rows)
+        if entry is None:
+            if self._full.size < rows * self.index.size:
+                capacity = max(rows, 2 * self._full.size // self.index.size)
+                offsets = self.stride * np.arange(capacity)[:, None]
+                self._full = (offsets + self.index.ravel()).ravel()
+            entry = (self._full[: rows * self.index.size], (rows, *self.index.shape))
+            self._rows[rows] = entry
+        return entry
+
+    def take(self, x: np.ndarray) -> np.ndarray:
+        """x[..., index] for x of shape (stride,) or (M, stride)."""
+        if x.ndim == 1:
+            return x[self.index]
+        flat, shape = self._for(len(x))
+        return x.take(flat).reshape(shape)
+
+    def scatter(self, w: np.ndarray, rows: int) -> np.ndarray:
+        """Per-row sums of w (rows * index.size values, row by row) at the
+        table's positions: flat array of rows * stride values."""
+        return np.bincount(self._for(rows)[0], w.ravel(), rows * self.stride)
 
 
 @dataclass(frozen=True)
@@ -87,19 +126,47 @@ class Grid:
         return self._coords.T / self.n_cells
 
     def cell_gradient(self, v: np.ndarray) -> np.ndarray:
-        """Per-cell gradient components of the flattened nodal vector v,
-        shape (dim, n_cells_total).  In 1D the cell value is the forward
-        difference (v[i+1]-v[i])/h; in 2D it is the gradient of the bilinear
-        interpolant at the cell center, the mean of the two forward
-        differences across the cell."""
-        return self.local_gradient @ v[self.cell_nodes].T
+        """Per-cell gradient components of a flattened nodal vector v
+        (n_nodes,), shape (dim, n_cells_total), or of each row of a stack
+        v (M, n_nodes), shape (M, dim, n_cells_total).  In 1D the cell value
+        is the forward difference (v[i+1]-v[i])/h; in 2D it is the gradient
+        of the bilinear interpolant at the cell center, the mean of the two
+        forward differences across the cell."""
+        return self.local_gradient @ self.take("corners", v)
 
     def cell_gradient_adjoint(self, q: np.ndarray) -> np.ndarray:
-        """Adjoint of `cell_gradient`: the flattened nodal vector that
-        scatters G^T q[:, c] to the corners of each cell c, for per-cell
-        components q of shape (dim, n_cells_total)."""
-        w = q.T @ self.local_gradient
-        return np.bincount(self.cell_nodes.ravel(), w.ravel(), self.n_nodes)
+        """Adjoint of `cell_gradient`: the flattened nodal vector(s) that
+        scatter G^T q[..., :, c] to the corners of each cell c, for per-cell
+        components q of shape (dim, n_cells_total) or (M, dim, n_cells_total)."""
+        return self.scatter_nodes("corners", self.local_gradient.T @ q)
+
+    def take(self, table: str, v: np.ndarray) -> np.ndarray:
+        """Values of a nodal vector v (n_nodes,), or of each row of a stack
+        v (M, n_nodes), at a fixed node table: "corners" (2^dim,
+        n_cells_total), the corner nodes of each cell, corner by corner;
+        "interior" (m,); "edges" (2, n_edges), the convection edge ends of
+        `conv_edges`.  "slots" (2, n_edges) takes the edge ends from per-axis
+        stacks of nodal values (dim n_nodes,) instead."""
+        return self._tables[table].take(v)
+
+    def scatter_nodes(self, table: str, w: np.ndarray) -> np.ndarray:
+        """Nodal sums of weights w at the nodes of a `take` table ("corners"
+        or "edges"; w of the table's shape, or a stack of them), one bincount
+        for all rows: shape (n_nodes,) or (M, n_nodes)."""
+        nodes = self._tables[table]
+        lead = w.shape[: w.ndim - nodes.index.ndim]
+        return nodes.scatter(w, math.prod(lead)).reshape(*lead, self.n_nodes)
+
+    @cached_property
+    def _tables(self) -> dict:
+        nodes, slots, _ = self.conv_edges
+        n = self.n_nodes
+        return {
+            "corners": _RowTable(np.ascontiguousarray(self.cell_nodes.T), n),
+            "interior": _RowTable(self.interior_nodes, n),
+            "edges": _RowTable(nodes, n),
+            "slots": _RowTable(slots, self.dim * n),
+        }
 
     @cached_property
     def conv_edges(self) -> tuple:
@@ -128,6 +195,11 @@ class Grid:
         keep = ~(self.boundary_mask[a] & self.boundary_mask[b])
         nodes = np.stack([a, b])[:, keep]
         return nodes, nodes + axis[keep] * self.n_nodes, w[keep]
+
+    @cached_property
+    def edge_axis(self) -> np.ndarray:
+        """Axis d of each convection edge of `conv_edges`."""
+        return self.conv_edges[1][0] // self.n_nodes
 
     @cached_property
     def interior_index(self) -> np.ndarray:
@@ -179,13 +251,17 @@ class Grid:
         # r = a, b of the form sum_e w_e q_e (phi[b] - phi[a])
         take = tables[1][0]
         e, r, c = take // 4, take // 2 % 2, take % 2
+        n_edges = self.conv_edges[0].shape[1]
+        m = self.interior_nodes.size
+        n_cell = tables[0][0].size
         return BandScatter(
             kl=kl,
-            m=self.interior_nodes.size,
-            cell_take=tables[0][0],
-            edge_src=c * self.conv_edges[0].shape[1] + e,
+            m=m,
+            cell_take=_RowTable(tables[0][0], self.cell_nodes.size * 2**self.dim),
+            edge_take=_RowTable(c * n_edges + e, 2 * n_edges),
             edge_scale=(2.0 * r - 1.0) * self.conv_edges[2][e],
-            pos=pos,
+            cell_pos=_RowTable(pos[:n_cell], (3 * kl + 1) * m),
+            pos=_RowTable(pos, (3 * kl + 1) * m),
         )
 
     @cached_property
@@ -194,17 +270,19 @@ class Grid:
         (for Poisson seeds), assembled through `step_band`."""
         band = self.step_band
         blocks = np.tile(self.cell_weight * self.local_block_basis[0], self.n_cells_total)
-        lub, piv, _ = dgbtrf(band.assemble(blocks[band.cell_take]), band.kl, band.kl)
+        lub, piv, _ = dgbtrf(band.assemble(band.cell_take.take(blocks)), band.kl, band.kl)
         return lub, piv
 
     def poisson_solve(self, rhs_interior: np.ndarray) -> np.ndarray:
         """Solve the interior nodal system -div(grad(phi)) = rhs, phi = 0 on
-        the boundary; returns the full nodal vector."""
+        the boundary, for each row of rhs_interior (..., m); returns the full
+        nodal vectors (..., n_nodes) from one gbtrs call."""
         kl = self.step_band.kl
         lub, piv = self._laplacian_lu
-        out = np.zeros(self.n_nodes)
-        out[self.interior_nodes] = dgbtrs(lub, kl, kl, rhs_interior * self.cell_weight, piv)[0]
-        return out
+        rhs = rhs_interior.reshape(-1, self.step_band.m)
+        out = np.zeros((rhs.shape[0], self.n_nodes))
+        out[:, self.interior_nodes] = dgbtrs(lub, kl, kl, rhs.T * self.cell_weight, piv)[0].T
+        return out.reshape(*rhs_interior.shape[:-1], self.n_nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,31 +291,40 @@ class BandScatter:
     storage, kept only for entries whose two nodes are interior.
 
     Coupled interior unknowns (C order) are at most kl apart: 1 in 1D and
-    n_cells in 2D, 0 with a single unknown.  The band array has
-    ldab = 3 kl + 1 rows and m columns and is held flat in column-major order.
-    `cell_take` picks the kept entries of the raveled per-cell
-    (2^dim x 2^dim) blocks; edge entry k is `edge_scale[k]` times element
-    `edge_src[k]` of the raveled (dq/da, dq/db) rows over `Grid.conv_edges`.
-    `pos` holds the band positions of the cell entries, then the edge entries.
+    n_cells in 2D, 0 with a single unknown.  The band array of one system
+    has ldab = 3 kl + 1 rows and m columns and is held flat in column-major
+    order.  `cell_take` picks the kept entries of the raveled per-cell
+    (2^dim x 2^dim) blocks; edge entry k is `edge_scale[k]` times the entry
+    `edge_take` picks from the raveled (dq/da, dq/db) rows over
+    `Grid.conv_edges`.  `pos` holds the band positions of the cell entries,
+    then the edge entries; `cell_pos` is its cell part.  All tables act on
+    each row of a stack of systems.
     """
 
     kl: int
     m: int
-    cell_take: np.ndarray
-    edge_src: np.ndarray
+    cell_take: _RowTable
+    edge_take: _RowTable
     edge_scale: np.ndarray
-    pos: np.ndarray
+    cell_pos: _RowTable
+    pos: _RowTable
 
     @property
     def ldab(self) -> int:
         return 3 * self.kl + 1
 
     def assemble(self, vals: np.ndarray, diag: float = 0.0) -> np.ndarray:
-        """(ldab, m) band array summing `vals` (the cell entries, optionally
-        followed by the edge entries) at `pos`, plus `diag` on the diagonal."""
-        ab = np.bincount(self.pos[: vals.size], vals, self.ldab * self.m)
+        """Band array of shape (ldab, M m) holding M systems as diagonal
+        blocks, one per row of `vals` (M, n): each row sums its cell entries,
+        optionally followed by its edge entries, at `pos`, plus `diag` on the
+        diagonal.  Blocks share kl and nothing couples them, so gbsv's
+        partial pivoting never leaves a block and factors each as it would
+        alone.  A 1-D `vals` is one system."""
+        rows = 1 if vals.ndim == 1 else len(vals)
+        pos = self.cell_pos if vals.size == rows * self.cell_pos.index.size else self.pos
+        ab = pos.scatter(vals, rows)
         ab[2 * self.kl :: self.ldab] += diag
-        return ab.reshape(self.m, self.ldab).T
+        return ab.reshape(rows * self.m, self.ldab).T
 
 
 class Field:
@@ -257,13 +344,12 @@ class Field:
             raise ValueError(
                 f"values shape {values.shape} does not match grid nodes {grid.node_shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("field values must be finite")
         if space_tag not in (ZERO_BOUNDARY, FREE_BOUNDARY):
             raise ValueError(f"unknown space_tag {space_tag!r}")
         if space_tag == ZERO_BOUNDARY:
-            flat = values.ravel()
-            if np.any(flat[grid.boundary_nodes] != 0.0):
+            if values.ravel()[grid.boundary_nodes].any():  # -0.0 counts as zero
                 raise ValueError("zero_boundary field has nonzero boundary values")
         self.grid = grid
         self.values = values
@@ -361,9 +447,14 @@ def lp_grad_norm(f: Field, p: float) -> float:
     W_0^{1,p} norm.  Rejects p <= 1."""
     if p <= 1:
         raise ValueError(f"p must be > 1, got {p}")
-    g = gradient(f)
-    mag = np.sqrt(np.sum(g * g, axis=1)) if f.grid.dim > 1 else np.abs(g[:, 0])
-    return float(np.sum(mag**p) * f.grid.cell_weight) ** (1.0 / p)
+    return float(_lp_grad_norms(f.grid, f.flat, p))
+
+
+def _lp_grad_norms(grid: Grid, v: np.ndarray, p: float) -> np.ndarray:
+    """`lp_grad_norm` of each row of the nodal vectors v (..., n_nodes)."""
+    g = grid.cell_gradient(v)
+    mag = np.sqrt(np.sum(g * g, axis=-2)) if grid.dim > 1 else np.abs(g[..., 0, :])
+    return (np.sum(mag**p, axis=-1) * grid.cell_weight) ** (1.0 / p)
 
 
 def l2_inner(f: Field, g: Field) -> float:
@@ -412,56 +503,60 @@ def dual_norm_estimate(g: Field, p: float, iters: int = 30) -> float:
 
         sup { l2_inner(g, phi) / lp_grad_norm(phi, p) : phi zero-boundary }
 
-    by normalized gradient ascent.  The iterate path is deterministic and
-    scale-equivariant in g, so the estimate is exactly homogeneous; it is
-    nondecreasing in `iters` because the best value seen is returned.
+    by normalized gradient ascent (`dual_norm_estimates` on one row).  The
+    iterate path is deterministic and scale-equivariant in g, so the
+    estimate is exactly homogeneous; it is nondecreasing in `iters` because
+    the best value seen is returned.
     """
+    if g.space_tag != ZERO_BOUNDARY:
+        raise ValueError("dual norm is defined for zero-boundary fields")
+    return float(dual_norm_estimates(g.grid, g.flat, p, iters)[0])
+
+
+def dual_norm_estimates(grid: Grid, g: np.ndarray, p: float, iters: int = 30) -> np.ndarray:
+    """`dual_norm_estimate` of each row of the nodal vectors g (M, n_nodes),
+    which must vanish on the boundary.  One ascent runs over all rows, each
+    with its own step length, acceptance and best value, so a row's result
+    does not depend on the other rows."""
     if p <= 1:
         raise ValueError(f"p must be > 1, got {p}")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    if g.space_tag != ZERO_BOUNDARY:
+    g = np.atleast_2d(g)
+    if g[:, grid.boundary_nodes].any():
         raise ValueError("dual norm is defined for zero-boundary fields")
-    grid = g.grid
-    g_int = g.flat[grid.interior_nodes]
-    if not np.any(g_int):
-        return 0.0
+    idx = grid.interior_nodes
+    g_int = g[:, idx]
 
-    def normalized(vec: np.ndarray) -> np.ndarray | None:
-        phi = Field(grid, vec.reshape(grid.node_shape), ZERO_BOUNDARY)
-        nrm = lp_grad_norm(phi, p)
-        if nrm == 0.0:
-            return None
-        return vec / nrm
+    def normalized(vec: np.ndarray) -> tuple:
+        nrm = _lp_grad_norms(grid, vec, p)
+        ok = nrm != 0.0
+        return np.divide(vec, nrm[:, None], out=np.zeros_like(vec), where=ok[:, None]), ok
 
-    def pairing(vec: np.ndarray) -> float:
-        return abs(float(np.dot(vec[grid.interior_nodes], g_int) * grid.cell_weight))
+    def pairing(vec: np.ndarray) -> np.ndarray:
+        return np.abs(np.sum(vec[:, idx] * g_int, axis=-1) * grid.cell_weight)
 
     # seed with the discrete Poisson solution (exact maximizer at p = 2) and
     # ascend along the scale-free direction of g itself
-    phi = normalized(grid.poisson_solve(g_int))
-    if phi is None:
-        phi = normalized(_embed_interior(grid, g_int))
-    if phi is None:
-        return 0.0
-    ascent = normalized(_embed_interior(grid, g_int))
-    best = pairing(phi)
-    step = 1.0
+    nonzero = g_int.any(axis=-1)
+    ascent, live = normalized(_embed_interior(grid, g_int))
+    phi, seeded = normalized(grid.poisson_solve(g_int))
+    phi[~seeded] = ascent[~seeded]
+    best = np.where((seeded | live) & nonzero, pairing(phi), 0.0)
+    live &= nonzero
+    step = np.ones(len(g))
     for _ in range(iters - 1):
-        if ascent is None:
-            break
-        sgn = 1.0 if np.dot(phi[grid.interior_nodes], g_int) >= 0 else -1.0
-        cand = normalized(phi + step * sgn * ascent)
-        if cand is not None and pairing(cand) > best:
-            best = pairing(cand)
-            phi = cand
-            step *= 1.5
-        else:
-            step *= 0.5
+        sgn = np.where(np.sum(phi[:, idx] * g_int, axis=-1) >= 0, 1.0, -1.0)
+        cand, ok = normalized(phi + (step * sgn)[:, None] * ascent)
+        value = pairing(cand)
+        up = live & ok & (value > best)
+        best = np.where(up, value, best)
+        phi[up] = cand[up]
+        step *= np.where(up, 1.5, 0.5)
     return best
 
 
 def _embed_interior(grid: Grid, interior_vals: np.ndarray) -> np.ndarray:
-    out = np.zeros(grid.n_nodes)
-    out[grid.interior_nodes] = interior_vals
+    out = np.zeros(interior_vals.shape[:-1] + (grid.n_nodes,))
+    out[..., grid.interior_nodes] = interior_vals
     return out

@@ -127,8 +127,8 @@ class LevyModel:
 
 
 def _eta_outer(eta, u: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """eta on the (nodes x marks) outer grid: entry [i, j] = eta(u_i; z_j)."""
-    return eta(u[:, None], z[None, :])
+    """eta on the (nodes x marks) outer grid: entry [..., i, j] = eta(u[..., i]; z_j)."""
+    return eta(u[..., None], z)
 
 
 def eta_zero():
@@ -170,10 +170,45 @@ class PrmPath:
         return len(self.events[k][0])
 
 
-def _step_rng(seed: int, step: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, _KEY_SALT], dtype=np.uint64)
-    counter = np.array([step, 0, 0, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+class _StepDraws:
+    """Per-step jump events of counter-based paths: step k of the path with
+    seed s draws from Philox keyed by s with counter k, so its events depend
+    on (s, k) alone.  One bit generator is re-keyed per draw, which gives
+    the same stream as a fresh one at a fraction of the set-up cost."""
+
+    def __init__(self, model: LevyModel, dt: float):
+        z, lam = model.atoms
+        self.total = float(lam.sum()) if len(lam) else 0.0
+        if not np.isfinite(self.total):
+            raise InfiniteMassError("truncated measure has infinite mass")
+        self.z = z
+        self.probs = lam / self.total if self.total > 0 else None
+        self.dt = dt
+        self.bits = np.random.Philox()
+        self.rng = np.random.Generator(self.bits)
+
+    def events(self, seed: int, k: int) -> tuple:
+        """(times, marks) of step k: a Poisson(total_mass dt) count, then
+        sorted uniform times in (t_k, t_{k+1}], then marks drawn i.i.d.
+        proportional to the (discretized) measure."""
+        if self.total == 0.0:
+            return np.array([]), np.array([])
+        self.bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([k, 0, 0, 0], dtype=np.uint64),
+                      "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, _KEY_SALT], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+        rng, dt = self.rng, self.dt
+        count = int(rng.poisson(self.total * dt))
+        if count == 0:
+            return np.array([]), np.array([])
+        # uniform in (t_k, t_{k+1}]: 1 - U with U in [0, 1)
+        times = k * dt + dt * np.sort(1.0 - rng.random(count))
+        if len(self.z) == 1:
+            return times, np.full(count, self.z[0])
+        return times, self.z[rng.choice(len(self.z), size=count, p=self.probs)]
 
 
 def sample_prm(model: LevyModel, T: float, dt: float, seed: int) -> PrmPath:
@@ -187,29 +222,42 @@ def sample_prm(model: LevyModel, T: float, dt: float, seed: int) -> PrmPath:
     n_steps = int(round(T / dt))
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError(f"T/dt must be a positive integer, got T={T}, dt={dt}")
-    z, lam = model.atoms
-    total = float(lam.sum()) if len(lam) else 0.0
-    if not np.isfinite(total):
-        raise InfiniteMassError("truncated measure has infinite mass")
-    probs = lam / total if total > 0 else None
-    events = []
-    for k in range(n_steps):
-        if total == 0.0:
-            events.append((np.array([]), np.array([])))
-            continue
-        rng = _step_rng(seed, k)
-        count = int(rng.poisson(total * dt))
-        if count == 0:
-            events.append((np.array([]), np.array([])))
-            continue
-        # uniform in (t_k, t_{k+1}]: 1 - U with U in [0, 1)
-        times = k * dt + dt * np.sort(1.0 - rng.random(count))
-        if len(z) == 1:
-            marks = np.full(count, z[0])
-        else:
-            marks = z[rng.choice(len(z), size=count, p=probs)]
-        events.append((times, marks))
-    return PrmPath(dt=dt, n_steps=n_steps, seed=seed, eps=model.eps, events=tuple(events))
+    draws = _StepDraws(model, dt)
+    events = tuple(draws.events(seed, k) for k in range(n_steps))
+    return PrmPath(dt=dt, n_steps=n_steps, seed=seed, eps=model.eps, events=events)
+
+
+def step_marks(model: LevyModel, dt: float, seeds, k: int = 0) -> list:
+    """Jump marks of step k of each seed's path, bitwise those of
+    sample_prm(model, T, dt, seed).events[k][1] for any horizon T > k dt."""
+    draws = _StepDraws(model, dt)
+    return [draws.events(seed, k)[1] for seed in seeds]
+
+
+def compensated_increments(model: LevyModel, u_int: np.ndarray, marks: list,
+                           dt: float) -> np.ndarray:
+    """Interior increments of the compensated jump integral over one step,
+    one row per entry of `marks`, with the integrand frozen at the rows of
+    u_int (M, m) (or at u_int (m,) for every row):
+
+        sum_{z in marks[i]} eta(u_int[i]; z)  -  dt * integral eta(u_int[i]; z) m(dz)
+    """
+    drift = dt * model.compensator(u_int)
+    if any(map(len, marks)):
+        return jump_sums(model, u_int, marks) - drift
+    return np.broadcast_to(-drift, (len(marks), u_int.shape[-1]))  # no row jumps
+
+
+def jump_sums(model: LevyModel, u_int: np.ndarray, marks: list) -> np.ndarray:
+    """(M, m) sums of eta(u_int[i]; z) over the marks z of row i, for
+    integrands u_int of shape (M, m) or one shared u_int of shape (m,); one
+    eta evaluation over all marks and one scatter into the rows."""
+    m = u_int.shape[-1]
+    rows = np.repeat(np.arange(len(marks)), [len(z) for z in marks])
+    z = np.concatenate(marks)
+    jumps = model.eta(u_int if u_int.ndim == 1 else u_int[rows], z[:, None])
+    index = (m * rows[:, None] + np.arange(m)).ravel()
+    return np.bincount(index, jumps.ravel(), len(marks) * m).reshape(len(marks), m)
 
 
 def compensated_increment(model: LevyModel, u: Field, path: PrmPath, k: int) -> Field:
@@ -225,12 +273,7 @@ def compensated_increment(model: LevyModel, u: Field, path: PrmPath, k: int) -> 
         raise IndexError(f"step {k} outside path range 0..{path.n_steps - 1}")
     vals = np.zeros(u.grid.n_nodes)
     idx = u.grid.interior_nodes
-    u_int = u.flat[idx]
-    _, marks = path.events[k]
-    z, lam = model.atoms
-    # jumps and compensator in one evaluation over (nodes x (marks, atoms))
-    weights = np.concatenate([np.ones(marks.size), -path.dt * lam])
-    vals[idx] = _eta_outer(model.eta, u_int, np.concatenate([marks, z])) @ weights
+    vals[idx] = compensated_increments(model, u.flat[idx], [path.events[k][1]], path.dt)[0]
     return Field(u.grid, vals.reshape(u.grid.node_shape), ZERO_BOUNDARY)
 
 

@@ -24,7 +24,7 @@ band storage, and solved by gbsv; one code path serves 1D and 2D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv
@@ -37,8 +37,9 @@ from .grid import (
     l2_norm,
     lp_grad_norm,
     _check_same_grid,
+    _embed_interior,
 )
-from .levy import LevyModel, PrmPath, compensated_increment, sample_prm
+from .levy import LevyModel, PrmPath, compensated_increments, sample_prm
 
 CLAMP_BOUNDARY = "clamp_boundary"
 LIFT_BOUNDARY = "lift_boundary"
@@ -154,51 +155,75 @@ class SchemeConfig:
 # per-step nonlinear solve
 
 
-def _edge_quotients(grid: Grid, flux: FluxModel, v: np.ndarray) -> np.ndarray:
-    """Rows (q, dq/da, dq/db) over the convection edges a -> b along axis d
-    (`Grid.conv_edges` order): the divided difference
-    q = (F_d(b) - F_d(a)) / (b - a) of the flux antiderivative and its chord
-    derivatives dq/da = (q - f_d(a)) / (b - a), dq/db = (f_d(b) - q) / (b - a).
-    Gaps below 1e-9 take the limits q = f_d(mid), dq/da = dq/db = f_d'(mid) / 2,
-    evaluated as end-value means (f_d' by central difference); their O(gap^2)
-    error is far below the rounding error of the quotients there."""
-    nodes, (ia, ib), _ = grid.conv_edges
-    Fv = np.concatenate([F(v) for F in flux.F])  # per-axis nodal values
-    fv = np.concatenate([f(v) for f in flux.f])
-    a, b = v[nodes]
+# Below this gap the divided differences switch to their end-value-mean
+# limits, whose error is about |f''| gap^2 / 12.  The quotient's rounding
+# error is about eps |F| / gap, and F can itself carry an absolute rounding
+# error of eps (sine flux: 1 - cos u near u = 0).  At the former 1e-9, one
+# edge with a gap of 2e-9 put a noise floor of 1e-9 on the residual norm of
+# a 2D n=32 step, above newton_tol, and the step stagnated; at 1e-6 that
+# floor is about 1e-12.
+_NEAR_GAP = 1e-6
+
+
+def _edge_quotients(grid: Grid, flux: FluxModel, v: np.ndarray,
+                    slopes: bool = False) -> np.ndarray:
+    """Divided differences q = (F_d(b) - F_d(a)) / (b - a) of the flux
+    antiderivative over the convection edges a -> b along axis d
+    (`Grid.conv_edges` order), shape (n_edges,) for a nodal vector v or
+    (M, n_edges) for a stack of them.  With `slopes`, instead the chord
+    derivatives dq/da = (q - f_d(a)) / (b - a) and
+    dq/db = (f_d(b) - q) / (b - a), stacked as (..., 2, n_edges).  Gaps below
+    _NEAR_GAP take the limits q = f_d(mid), dq/da = dq/db = f_d'(mid) / 2,
+    evaluated as end-value means (f_d' by central difference)."""
+    def at_ends(fns, x):  # per-axis nodal values of fns, gathered to edge ends
+        ends = grid.take("slots", np.concatenate([fn(x) for fn in fns], axis=-1))
+        return ends[..., 0, :], ends[..., 1, :]
+
+    ends = grid.take("edges", v)
+    a, b = ends[..., 0, :], ends[..., 1, :]
     gap = b - a
-    near = np.abs(gap) < 1e-9
-    safe = np.where(near, 1.0, gap)
-    fa, fb = fv[ia], fv[ib]
-    out = np.empty((3, gap.size))
-    q, dq_da, dq_db = out
-    np.divide(Fv[ib] - Fv[ia], safe, out=q)
-    np.divide(q - fa, safe, out=dq_da)
-    np.divide(fb - q, safe, out=dq_db)
+    near = np.abs(gap) < _NEAR_GAP
+    Fa, Fb = at_ends(flux.F, v)
+    q = (Fb - Fa) / np.where(near, 1.0, gap)
+    if slopes:
+        fa, fb = at_ends(flux.f, v)
+        out = np.stack([q - fa, fb - q], axis=-2) / np.where(near, 1.0, gap)[..., None, :]
     if near.any():
-        df = np.concatenate([(f(v + 1e-6) - f(v - 1e-6)) / 2e-6 for f in flux.f])
-        q[near] = 0.5 * (fa + fb)[near]
-        dq_da[near] = dq_db[near] = 0.25 * (df[ia] + df[ib])[near]
-    return out
+        # the few near edges evaluate f_d at their own end values only (and
+        # f_d' by central difference): one call of each f_d for all of them
+        axis = np.broadcast_to(grid.edge_axis, near.shape)[near]
+        x = np.concatenate([a[near], b[near]])
+        if slopes:
+            x = np.concatenate([x, x + 1e-6, x - 1e-6])
+        pick = (np.tile(axis, x.size // axis.size), np.arange(x.size))
+        f_x = np.stack([f(x) for f in flux.f])[pick]
+        k = axis.size
+        q[near] = 0.5 * (f_x[:k] + f_x[k : 2 * k])
+        if slopes:
+            df = (f_x[2 * k : 4 * k] - f_x[4 * k :]) / 2e-6
+            out[..., 0, :][near] = out[..., 1, :][near] = 0.25 * (df[:k] + df[k:])
+    return out if slopes else q
 
 
 def _conv_residual(grid: Grid, flux: FluxModel, v: np.ndarray) -> np.ndarray:
     """Nodal functional of the conservative convection form
-    sum_e w_e q_e(v) (phi[b] - phi[a]); exact on interior rows (edges with
-    both ends on the boundary are left out)."""
-    nodes, _, w = grid.conv_edges
-    wq = w * _edge_quotients(grid, flux, v)[0]
-    return np.bincount(nodes.ravel(), np.concatenate([-wq, wq]), grid.n_nodes)
+    sum_e w_e q_e(v) (phi[b] - phi[a]) of a nodal vector v or of each row of
+    a stack; exact on interior rows (edges with both ends on the boundary
+    are left out)."""
+    wq = grid.conv_edges[2] * _edge_quotients(grid, flux, v)
+    return grid.scatter_nodes("edges", np.stack([-wq, wq], axis=-2))
 
 
 class _StepSolver:
-    """Assembles residual/Jacobian of one implicit step on full nodal
-    vectors; unknowns are the interior nodes, boundary values stay fixed.
+    """Residual and linearizations of one implicit step for a stack of M
+    paths, held as nodal arrays (M, n_nodes); unknowns are the interior
+    nodes, boundary values stay fixed.  Every operation acts row by row.
 
-    Residual and energy come from one gradient pass per iterate.  The
-    Newton and frozen-coefficient matrices are assembled per iterate
-    straight into LAPACK band storage through the grid's fixed scatter
-    (`Grid.step_band`) and solved by gbsv, in 1D and 2D alike.
+    Residual and energy come from one gradient pass per iterate, and the
+    Newton matrix reuses that gradient.  The Newton and frozen-coefficient
+    matrices of all rows are assembled per iterate as the diagonal blocks of
+    one band matrix, through the grid's fixed scatter (`Grid.step_band`),
+    and solved by one gbsv call, in 1D and 2D alike.
     """
 
     def __init__(self, grid: Grid, p: float, dt: float, flux: FluxModel,
@@ -208,73 +233,81 @@ class _StepSolver:
         self.dt = dt
         self.flux = flux
         self.reg = reg
-        self.idx = grid.interior_nodes
         self.wc = grid.cell_weight
 
     def evaluate(self, v: np.ndarray, rhs: np.ndarray) -> tuple:
-        """Interior residual, its norm, and the convex step energy (None
-        unless the convection flux is zero, where it is the descent merit),
-        all from one gradient pass over v."""
+        """Per row of v, rhs (M, n_nodes), which agree on the boundary: the
+        interior residual (M, m), its norm (M,), the convex step energy (M,)
+        (None unless the convection flux is zero, where it is the descent
+        merit), and the cell gradient of v (M, dim, n_cells_total) for the
+        Newton matrix at the same iterate."""
         grid, p, dt, wc = self.grid, self.p, self.dt, self.wc
         comps = grid.cell_gradient(v)
-        sq = (comps * comps).sum(axis=0)
+        sq = (comps * comps).sum(axis=-2)
         coef = sq ** ((p - 2.0) / 2.0)  # |g|^(p-2), so coef * g is the p-flux
         diff = v - rhs
-        r = wc * diff + (dt * wc) * grid.cell_gradient_adjoint(coef * comps)
+        r = wc * diff + (dt * wc) * grid.cell_gradient_adjoint(coef[:, None, :] * comps)
         energy = None
         if self.flux.is_zero:
-            d_int = diff[self.idx]
-            gp = float(np.dot(coef, sq))  # sum |g|^p
-            energy = 0.5 * wc * float(np.dot(d_int, d_int)) + (dt / p) * wc * gp
+            # 1/2 |v - rhs|^2 wc + dt/p sum |g|^p wc; diff vanishes on the
+            # boundary, where v keeps the values of rhs
+            energy = (0.5 * wc) * np.vecdot(diff, diff) + (dt / p * wc) * np.vecdot(coef, sq)
         else:
             r += dt * _conv_residual(grid, self.flux, v)
-        r_int = r[self.idx]
+        r_int = grid.take("interior", r)
         # L^2 norm of the nodal Riesz representer r_int / wc
-        return r_int, float(np.sqrt(np.dot(r_int, r_int) / wc)), energy
+        return r_int, np.sqrt(np.vecdot(r_int, r_int) / wc), energy, comps
 
-    def newton_step(self, v: np.ndarray, r_int: np.ndarray) -> np.ndarray:
-        """Solve J(v) delta = -r for the interior increment."""
-        return self._band_solve(self._band_matrix(v, newton=True), -r_int)
+    def newton_step(self, v: np.ndarray, comps: np.ndarray, r_int: np.ndarray) -> np.ndarray:
+        """Solve J(v) delta = -r row by row for the interior increments; comps
+        is the cell gradient of v from `evaluate`."""
+        return self._band_solve(self._band_matrix(v, comps, newton=True), -r_int)
 
-    def picard_solve(self, v: np.ndarray, b_int: np.ndarray) -> np.ndarray:
-        """Solve the frozen-coefficient linearization A(v) w = b."""
-        return self._band_solve(self._band_matrix(v, newton=False), b_int)
+    def picard_solve(self, v: np.ndarray, comps: np.ndarray, b_int: np.ndarray) -> np.ndarray:
+        """Solve the frozen-coefficient linearizations A(v) w = b row by row."""
+        return self._band_solve(self._band_matrix(v, comps, newton=False), b_int)
 
-    def _band_matrix(self, v: np.ndarray, newton: bool) -> np.ndarray:
+    def _band_matrix(self, v: np.ndarray, comps: np.ndarray, newton: bool) -> np.ndarray:
         """wc I + dt sum_cells wc G^T (c0 I + c1 g g^T) G (+ dt times the
-        convection derivative) on the interior unknowns, in gbsv band storage
-        of shape (ldab, m).  c0 = s^((p-2)/2) and c1 = (p-2) c0 / s with
-        s = |g|^2 + reg^2 give the regularized Newton matrix; the
-        frozen-coefficient matrix has c1 = 0 and no convection term."""
+        convection derivative) on the interior unknowns of each row, as the
+        diagonal blocks of one gbsv band array (ldab, M m).
+        c0 = s^((p-2)/2) and c1 = (p-2) c0 / s with s = |g|^2 + reg^2 give
+        the regularized Newton matrix; the frozen-coefficient matrix has
+        c1 = 0 and no convection term."""
         grid, p, band = self.grid, self.p, self.grid.step_band
-        comps = grid.cell_gradient(v)
-        s = (comps * comps).sum(axis=0) + self.reg**2
+        g = comps.transpose(1, 0, 2).reshape(grid.dim, -1)  # all rows' cells side by side
+        s = (g * g).sum(axis=0) + self.reg**2
         c0 = s ** ((p - 2.0) / 2.0)
-        c1 = (p - 2.0) * c0 / s if newton else np.zeros_like(s)
         # per-cell blocks G^T (c0 I + c1 g g^T) G = [c0, c1 g_d g_e] @ local_block_basis
-        coef = np.empty((1 + grid.dim**2, comps.shape[1]))
+        coef = np.empty((1 + grid.dim**2, s.size))
         coef[0] = c0
-        coef[1:] = (comps[:, None, :] * (c1 * comps)[None, :, :]).reshape(grid.dim**2, -1)
-        blocks = coef.T @ grid.local_block_basis
-        vals = (self.dt * self.wc) * blocks.ravel()[band.cell_take]
+        if newton:
+            c1g = ((p - 2.0) * c0 / s) * g
+            coef[1:] = (g[:, None, :] * c1g[None, :, :]).reshape(grid.dim**2, -1)
+        else:
+            coef[1:] = 0.0
+        blocks = (coef.T @ grid.local_block_basis).reshape(len(v), -1)
+        vals = (self.dt * self.wc) * band.cell_take.take(blocks)
         if newton and not self.flux.is_zero:
-            dq = _edge_quotients(grid, self.flux, v)[1:].ravel()
-            vals = np.concatenate([vals, self.dt * band.edge_scale * dq[band.edge_src]])
+            slopes = _edge_quotients(grid, self.flux, v, slopes=True)
+            dq = band.edge_take.take(slopes.reshape(len(v), -1))
+            vals = np.concatenate([vals, (self.dt * band.edge_scale) * dq], axis=1)
         return band.assemble(vals, self.wc)
 
     def _band_solve(self, ab: np.ndarray, b_int: np.ndarray) -> np.ndarray:
         kl = self.grid.step_band.kl
-        *_, x, info = dgbsv(kl, kl, ab, b_int, overwrite_ab=True)
+        *_, x, info = dgbsv(kl, kl, ab, b_int.ravel(), overwrite_ab=True)
         if info != 0:
             raise np.linalg.LinAlgError(f"singular Newton system (gbsv info {info})")
-        return x
+        return x.reshape(b_int.shape)
 
 
 def step_solve(u_prev: Field, noise_inc: Field, cfg: SchemeConfig,
                initial_guess: Field = None) -> Field:
     """Solve one implicit step for u_next given u_prev and the noise
-    increment; raises NonConvergence (with the final residual attached) when
-    the iteration budget runs out."""
+    increment (the one-path case of the batched step engine); raises
+    NonConvergence (with the final residual attached) when the iteration
+    budget runs out."""
     _check_same_grid(u_prev, noise_inc)
     if noise_inc.space_tag != ZERO_BOUNDARY:
         raise ValueError("noise increment must be a zero-boundary field")
@@ -284,53 +317,113 @@ def step_solve(u_prev: Field, noise_inc: Field, cfg: SchemeConfig,
     v = (initial_guess.flat if initial_guess is not None else u_prev.flat).copy()
     # boundary stays at u_prev's trace (zero unless a lifted control is used)
     v[grid.boundary_nodes] = u_prev.flat[grid.boundary_nodes]
-    v = _newton(solver, v, rhs, cfg.newton_tol, cfg.newton_max_iters)
-    tag = u_prev.space_tag if np.any(v[grid.boundary_nodes]) else ZERO_BOUNDARY
-    return Field(grid, v.reshape(grid.node_shape), tag)
+    v, failures = _newton(solver, v[None], rhs[None], cfg.newton_tol, cfg.newton_max_iters)
+    if failures:
+        raise failures[0][1]
+    tag = u_prev.space_tag if v[0, grid.boundary_nodes].any() else ZERO_BOUNDARY
+    return Field(grid, v[0].reshape(grid.node_shape), tag)
 
 
 def _newton(solver: _StepSolver, v: np.ndarray, rhs: np.ndarray,
-            tol: float, max_iters: int) -> np.ndarray:
-    idx = solver.idx
-    use_energy = solver.flux.is_zero
-    r, rnorm, energy = solver.evaluate(v, rhs)
-    for it in range(max_iters):
-        if rnorm <= tol:
-            return v
-        delta = solver.newton_step(v, r)
-        slope = float(np.dot(r, delta)) if use_energy else None
-        alpha, accepted = 1.0, False
-        for _ in range(40):
-            v_try = v.copy()
-            v_try[idx] += alpha * delta
-            r_try, rnorm_try, energy_try = solver.evaluate(v_try, rhs)
-            if use_energy:
-                ok = energy_try <= energy + 1e-4 * alpha * slope
-            else:
-                ok = rnorm_try <= (1.0 - 1e-4 * alpha) * rnorm
-            if ok or rnorm_try <= tol:
-                v, r, rnorm, energy, accepted = v_try, r_try, rnorm_try, energy_try, True
-                break
-            alpha *= 0.5
-        if not accepted:
+            tol: float, max_iters: int) -> tuple:
+    """Damped Newton on each row of v (M, n_nodes): an Armijo line search on
+    the step energy (zero flux) or on the residual norm, and a
+    frozen-coefficient rescue where 40 halvings fail.  Rows run under
+    active masks with their own step lengths and rescues, so a row's
+    iterates do not depend on the other rows.  Returns the final rows and
+    the (row, NonConvergence) pairs of the rows that failed, in row order;
+    a failed row stops iterating."""
+    state = [v, *solver.evaluate(v, rhs)]  # v, r, rnorm, energy, comps
+    live = np.ones(len(v), dtype=bool)
+    failures = []
+
+    def fail(rows, message):
+        for i in rows:
+            rn = float(state[2][i])
+            failures.append((i, NonConvergence(message.format(rn), residual=rn)))
+        live[rows] = False
+
+    for _ in range(max_iters):
+        act = state[2] > tol
+        if failures:
+            act &= live
+        n_act = np.count_nonzero(act)
+        if n_act == 0:
+            break
+        # all rows active: work on the full arrays, no gather or scatter
+        rows = None if n_act == len(act) else np.flatnonzero(act)
+        cur = state if rows is None else _take(state, rows)
+        b = rhs if rows is None else rhs[rows]
+        cur, stuck = _line_search(solver, cur, b, tol)
+        if stuck.size:
             # frozen-coefficient rescue: SPD approximation of the Jacobian
             # applied to the exact residual (increment form, so fixed
             # boundary values are respected)
-            v_new = v.copy()
-            v_new[idx] += solver.picard_solve(v, -r)
-            r_new, rnorm_new, energy_new = solver.evaluate(v_new, rhs)
-            if rnorm_new < rnorm:
-                v, r, rnorm, energy = v_new, r_new, rnorm_new, energy_new
-            else:
-                raise NonConvergence(
-                    f"step solver stagnated at residual {rnorm:.3e}", residual=rnorm
-                )
-    if rnorm <= tol:
-        return v
-    raise NonConvergence(
-        f"step solver exhausted {max_iters} iterations at residual {rnorm:.3e}",
-        residual=rnorm,
-    )
+            v_s, r_s, rn_s, _, g_s = _take(cur, stuck)
+            v_new = v_s + _embed_interior(solver.grid, solver.picard_solve(v_s, g_s, -r_s))
+            trial = [v_new, *solver.evaluate(v_new, b[stuck])]
+            better = trial[2] < rn_s
+            _put(cur, stuck[better], trial, better)
+            stuck = stuck[~better]
+        if rows is None:
+            state = cur
+        else:
+            _put(state, rows, cur, slice(None))
+            stuck = rows[stuck]
+        if stuck.size:
+            fail(stuck, "step solver stagnated at residual {:.3e}")
+    else:
+        fail(np.flatnonzero(live & (state[2] > tol)),
+             f"step solver exhausted {max_iters} iterations at residual {{:.3e}}")
+    failures.sort(key=lambda f: f[0])
+    return state[0], failures
+
+
+def _line_search(solver: _StepSolver, cur: list, rhs: np.ndarray, tol: float) -> tuple:
+    """One Newton step with backtracking for the rows of cur = [v, r,
+    rnorm, energy, comps]: alpha = 1, 1/2, ... while a row's merit does not
+    drop enough.  Returns the updated rows and the indices of the rows that
+    exhausted 40 halvings."""
+    use_energy = solver.flux.is_zero
+    v, r, rnorm, energy, comps = cur
+    delta = solver.newton_step(v, comps, r)
+    slope = np.vecdot(r, delta) if use_energy else None
+    delta = _embed_interior(solver.grid, delta)
+    pend = None  # rows still backtracking; None while that is all of them
+    alpha = 1.0
+    for _ in range(40):
+        sub = slice(None) if pend is None else pend
+        v_try = v[sub] + alpha * delta[sub]
+        trial = [v_try, *solver.evaluate(v_try, rhs[sub])]
+        if use_energy:
+            ok = trial[3] <= energy[sub] + 1e-4 * alpha * slope[sub]
+        else:
+            ok = trial[2] <= (1.0 - 1e-4 * alpha) * rnorm[sub]
+        if pend is None:
+            if ok.all():
+                return trial, _NO_ROWS
+            pend = np.arange(len(v))
+        ok |= trial[2] <= tol
+        _put(cur, pend[ok], trial, ok)
+        pend = pend[~ok]
+        if pend.size == 0:
+            break
+        alpha *= 0.5
+    return cur, pend
+
+
+_NO_ROWS = np.empty(0, dtype=int)
+
+
+def _take(state: list, rows) -> list:
+    return [None if x is None else x[rows] for x in state]
+
+
+def _put(state: list, rows, src: list, sel):
+    """state[j][rows] = src[j][sel] for every array of the state."""
+    for dst, x in zip(state, src):
+        if dst is not None:
+            dst[rows] = x[sel]
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +470,10 @@ def initial_smoothing(u0: Field, dt: float, p: float, *,
     solver = _StepSolver(grid, p, p * dt, cfg_flux, 1e-8)
     rhs = u0.flat.copy()
     rhs[grid.boundary_nodes] = 0.0
-    v = np.zeros(grid.n_nodes)
-    v = _newton(solver, v, rhs, newton_tol, max_iters)
-    smoothed = Field(grid, v.reshape(grid.node_shape), ZERO_BOUNDARY)
+    v, failures = _newton(solver, np.zeros((1, grid.n_nodes)), rhs[None], newton_tol, max_iters)
+    if failures:
+        raise failures[0][1]
+    smoothed = Field(grid, v[0].reshape(grid.node_shape), ZERO_BOUNDARY)
     lhs = 0.5 * l2_norm(smoothed) ** 2 + dt * lp_grad_norm(smoothed, p) ** p
     rhs_val = 0.5 * l2_norm(u0) ** 2
     slack = 10.0 * newton_tol * max(1.0, l2_norm(smoothed))
@@ -400,23 +494,45 @@ def project_control(U: Field, mode: str) -> Field:
     raise ValueError(f"unknown control projection {mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """One simulated path: nodal states hats[k] at t_k = k dt, the jump path
-    that drove it, and the running martingale sums B(t_k)."""
+    that drove it, and the running martingale sums B(t_k).  The path is
+    held as the arrays `states` and `sums` of shape (n_steps + 1, n_nodes),
+    with states[0] the initial state hat0; the Fields of `hats` and
+    `martingale_partials` are built on first use."""
 
-    hats: tuple
+    states: np.ndarray
+    sums: np.ndarray
     prm: PrmPath
-    martingale_partials: tuple
     config: SchemeConfig
+    hat0: Field
 
     def __post_init__(self):
-        if len(self.hats) != self.config.n_steps + 1:
+        if len(self.states) != self.config.n_steps + 1:
             raise ValueError("trajectory length must be n_steps + 1")
 
     @property
     def grid(self) -> Grid:
-        return self.hats[0].grid
+        return self.hat0.grid
+
+    def state(self, k: int) -> Field:
+        """hats[k] alone.  Steps keep the boundary trace of hat0, so they
+        share its space tag unless that trace is zero."""
+        k = range(len(self.states))[k]
+        if k == 0:
+            return self.hat0
+        grid = self.grid
+        tag = self.hat0.space_tag if self.states[0, grid.boundary_nodes].any() else ZERO_BOUNDARY
+        return Field(grid, self.states[k].reshape(grid.node_shape), tag)
+
+    @cached_property
+    def hats(self) -> tuple:
+        return tuple(self.state(k) for k in range(len(self.states)))
+
+    @cached_property
+    def martingale_partials(self) -> tuple:
+        return tuple(Field(self.grid, b.reshape(self.grid.node_shape)) for b in self.sums)
 
     @property
     def times(self) -> np.ndarray:
@@ -433,29 +549,86 @@ class Trajectory:
         )
 
 
+def sample_path(model: LevyModel, cfg: SchemeConfig, seed: int) -> PrmPath:
+    """The jump path of `seed` on the scheme's step grid (no events when
+    n_steps = 0)."""
+    if cfg.n_steps == 0:
+        return PrmPath(dt=cfg.dt, n_steps=0, seed=seed, eps=model.eps, events=())
+    return sample_prm(model, cfg.T, cfg.dt, seed)
+
+
 def simulate_path(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
                   seed: int) -> Trajectory:
     """Run the full scheme for one noise path: initial smoothing, then
     n_steps implicit solves with per-step compensated jump increments
-    (noise explicit, diffusion implicit).  Deterministic in seed."""
+    (noise explicit, diffusion implicit).  Deterministic in seed; the
+    one-path case of `simulate_paths`."""
+    return simulate_paths(u0, U, model, cfg, [sample_path(model, cfg, seed)])[0]
+
+
+# Byte budget of the band array of one batched Newton system.  Larger path
+# stacks are marched in chunks that fit it: 1D n=16 takes up to 17,476
+# paths per chunk, 2D n=32 takes 11.  Rows are independent, so the chunking
+# does not change results.
+_BAND_BUDGET = 8 << 20
+
+
+def simulate_paths(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
+                   paths) -> list:
+    """`simulate_path` for each jump path in `paths` (from `sample_path`),
+    all from the same data: one initial smoothing, then the paths advance
+    together as an (M, n_nodes) stack, one batched solve per step.  A path's
+    trajectory does not depend on which paths share the call.
+
+    A path whose step solver fails drops out of the stack, with the paths
+    after it; the paths before it run on, and NonConvergence is raised for
+    the first failing path in `paths` order, with its step and seed: the
+    error a path-by-path loop raises."""
     _check_same_grid(u0, U)
+    grid = u0.grid
     U_used = project_control(U, cfg.control_projection)
     hat0 = prepare_initial(u0, U_used, cfg.effective_smoothing_dt, cfg.p)
-    path = sample_prm(model, cfg.T, cfg.dt, seed) if cfg.n_steps > 0 else PrmPath(
-        dt=cfg.dt, n_steps=0, seed=seed, eps=model.eps, events=()
-    )
-    hats = [hat0]
-    partials = [Field.zeros(u0.grid)]
+    band = grid.step_band
+    chunk = max(1, _BAND_BUDGET // (8 * band.ldab * band.m))
+    trajectories = []
+    for start in range(0, len(paths), chunk):
+        part = paths[start : start + chunk]
+        states, sums = _march(hat0, model, cfg, part)
+        trajectories += map(partial(Trajectory, config=cfg, hat0=hat0), states, sums, part)
+    return trajectories
+
+
+def _march(hat0: Field, model: LevyModel, cfg: SchemeConfig, paths) -> tuple:
+    """Nodal states and martingale sums (M, n_steps + 1, n_nodes) of the
+    paths from hat0; raises NonConvergence for the first failing path."""
+    grid = hat0.grid
+    idx = grid.interior_nodes
+    solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux, cfg.jacobian_reg)
+    states = np.empty((len(paths), cfg.n_steps + 1, grid.n_nodes))
+    states[:, 0] = hat0.flat
+    sums = np.zeros_like(states)
+    alive = np.arange(len(paths))
+    rows = slice(None)  # the alive paths, as a slice while that is all of them
+    failures = []
     for k in range(cfg.n_steps):
-        inc = compensated_increment(model, hats[k], path, k)
-        try:
-            hats.append(step_solve(hats[k], inc, cfg))
-        except NonConvergence as err:
-            raise NonConvergence(str(err), residual=err.residual, step=k, seed=seed) from err
-        partials.append(partials[k] + inc)
-    return Trajectory(
-        hats=tuple(hats), prm=path, martingale_partials=tuple(partials), config=cfg
-    )
+        prev = states[rows, k]
+        inc = np.zeros_like(prev)
+        marks = [paths[i].events[k][1] for i in alive]
+        inc[:, idx] = compensated_increments(model, grid.take("interior", prev), marks, cfg.dt)
+        states[rows, k + 1], failed = _newton(
+            solver, prev.copy(), prev + inc, cfg.newton_tol, cfg.newton_max_iters
+        )
+        sums[rows, k + 1] = sums[rows, k] + inc
+        if failed:
+            failures += [(alive[row], k, err) for row, err in failed]
+            # only paths before the first failing one can still change the error
+            alive = rows = alive[alive < min(f[0] for f in failures)]
+            if alive.size == 0:
+                break
+    if failures:
+        i, k, err = min(failures, key=lambda f: f[0])
+        raise NonConvergence(str(err), residual=err.residual, step=k, seed=paths[i].seed) from err
+    return states, sums
 
 
 # ---------------------------------------------------------------------------

@@ -223,3 +223,40 @@ def test_interp_gap_halving_factor():
     )
     for coarse, fine in zip(rep.measured, rep.measured[1:]):
         assert 1.4 <= coarse / fine <= 2.6
+
+
+@pytest.mark.parametrize("measure", ["point", "invsq"])
+def test_isometry_check_matches_per_sample_loop(measure):
+    from plaplace_levy import compensated_increment, eta_sine, sample_prm
+
+    if measure == "point":
+        model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5, point_masses=((1.0, 3.0), (-0.4, 2.0)))
+    else:
+        model = LevyModel(eta=eta_sine(0.5), lambda_star=0.5, density=lambda z: abs(z) ** -2, eps=0.05)
+    u = sine_field(GRID, amp=0.8)
+    dt, n = 1 / 16, 2500
+    vals = []
+    for seed in range(11, 11 + n):
+        inc = compensated_increment(model, u, sample_prm(model, dt, dt, seed), 0)
+        vals.append(l2_norm(inc) ** 2)
+    rep = isometry_check(model, u, dt, n, base_seed=11)
+    assert rep.mc_value == pytest.approx(np.mean(vals), rel=1e-12)
+    assert rep.n_samples == n
+
+
+def test_dual_norm_estimates_match_per_row_loop():
+    from plaplace_levy import dual_norm_estimate, dual_norm_estimates
+
+    rng = np.random.default_rng(41)
+    for grid in (Grid(1, 16), Grid(2, 6)):
+        rows = np.zeros((9, grid.n_nodes))
+        rows[:, grid.interior_nodes] = rng.normal(size=(9, grid.interior_nodes.size))
+        rows[3] = 0.0  # a zero row reads 0
+        rows[5] *= 1e-3
+        batched = dual_norm_estimates(grid, rows, 3.0, iters=25)
+        for row, value in zip(rows, batched):
+            one = dual_norm_estimate(Field(grid, row.reshape(grid.node_shape)), 3.0, iters=25)
+            assert value == pytest.approx(one, rel=1e-13, abs=0.0)
+        assert batched[3] == 0.0
+    with pytest.raises(ValueError):
+        dual_norm_estimates(grid, np.ones((2, grid.n_nodes)), 3.0)

@@ -185,6 +185,25 @@ def test_convection_quotients_accurate_for_near_equal_values():
     assert np.max(np.abs(err)) <= 1e-14
 
 
+@pytest.mark.parametrize("gap", [2e-9, 1e-7, 5e-7, 2e-6])
+def test_convection_quotients_accurate_near_the_limit_switch(gap):
+    # small values and small gaps: 1 - cos u loses absolute digits near
+    # u = 0 and the quotient divides that loss by the gap; both sides of the
+    # switch to the end-value means must stay accurate
+    g = Grid(1, 40)
+    v = np.zeros(g.n_nodes)
+    v[g.interior_nodes] = 0.0255 + gap * np.cos(np.arange(g.interior_nodes.size))
+    gaps, mid = np.diff(v), 0.5 * (v[1:] + v[:-1])
+    q = 0.6 * np.sin(mid) * np.sinc(gaps / (2 * np.pi))
+    ref = np.zeros(g.n_nodes)
+    ref[1:] += q
+    ref[:-1] -= q
+    err = (_conv_residual(g, sine_flux([0.6]), v) - ref)[g.interior_nodes]
+    # quotient side: 2 edges x 2 eps |F| / 1e-6 with |F| ~ 0.6 from the
+    # cancellation in 1 - cos u; limit side: |f''| gap^2 / 12
+    assert np.max(np.abs(err)) <= 3e-10
+
+
 def test_w1p_norm_scaling_and_positivity():
     rng = np.random.default_rng(13)
     g = Grid(1, 8)

@@ -9,12 +9,14 @@ from plaplace_levy import (
     InfiniteMassError,
     LevyModel,
     compensated_increment,
+    compensated_increments,
     eta_linear,
     eta_sine,
     eta_zero,
     isometry_rhs,
     sample_prm,
 )
+from plaplace_levy.levy import step_marks
 
 
 def unit_delta_model(lam=1.0, coef=0.5, lam_star=0.5):
@@ -190,3 +192,47 @@ def test_compensator_matches_per_atom_loop(measure, eta):
     assert model.eta_sq_compensator(u_int) == pytest.approx(comp_sq, rel=1e-13, abs=0.0)
     rhs = 0.05 * np.sum(comp_sq) * g.cell_weight
     assert isometry_rhs(model, u, 0.05) == pytest.approx(rhs, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("measure", ["point", "invsq"])
+def test_step_draws_match_freshly_keyed_generators(measure):
+    # one re-keyed bit generator per sample_prm call must reproduce, draw for
+    # draw, a fresh Philox keyed by (seed, salt) with counter (step, 0, 0, 0)
+    if measure == "point":
+        model = unit_delta_model(lam=9.0)
+    else:
+        model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5,
+                          density=lambda z: abs(z) ** -2, eps=0.05)
+    z, lam = model.atoms
+    total = lam.sum()
+    dt = 0.25
+    for seed in (0, 7, 2**40 + 3, 1_000_003 * 15 + 7919):
+        path = sample_prm(model, 1.0, dt, seed)
+        for k, (times, marks) in enumerate(path.events):
+            key = np.array([seed, 0x9E3779B97F4A7C15], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(
+                counter=np.array([k, 0, 0, 0], dtype=np.uint64), key=key))
+            count = int(rng.poisson(total * dt))
+            ref_times = k * dt + dt * np.sort(1.0 - rng.random(count))
+            if count == 0:
+                ref_marks = np.array([])
+            elif len(z) == 1:
+                ref_marks = np.full(count, z[0])
+            else:
+                ref_marks = z[rng.choice(len(z), size=count, p=lam / total)]
+            assert np.array_equal(times, ref_times) and np.array_equal(marks, ref_marks)
+            assert np.array_equal(step_marks(model, dt, [seed], k)[0], ref_marks)
+
+
+def test_compensated_increments_rows_match_single_increments():
+    model = LevyModel(eta=eta_sine(0.4), lambda_star=0.5, point_masses=((1.0, 6.0), (-0.5, 3.0)))
+    g = Grid(1, 10)
+    rng = np.random.default_rng(5)
+    fields = [Field(g, np.where(g.boundary_mask, 0.0, rng.normal(size=g.n_nodes))) for _ in range(5)]
+    paths = [sample_prm(model, 0.5, 0.25, seed) for seed in range(5)]
+    rows = compensated_increments(
+        model, np.stack([f.flat[g.interior_nodes] for f in fields]),
+        [p.events[1][1] for p in paths], 0.25)
+    for f, p, row in zip(fields, paths, rows):
+        single = compensated_increment(model, f, p, 1).flat[g.interior_nodes]
+        assert row == pytest.approx(single, rel=1e-14, abs=1e-16)

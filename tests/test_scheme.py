@@ -20,7 +20,9 @@ from plaplace_levy import (
     linear_flux,
     lp_grad_norm,
     prepare_initial,
+    sample_path,
     simulate_path,
+    simulate_paths,
     sine_flux,
     step_solve,
     zero_flux,
@@ -415,22 +417,25 @@ def test_fused_evaluation_matches_assembled_reference(dim, flux_kind):
     coefs = [0.6, -0.4][:dim]
     flux = {"zero": zero_flux(dim), "linear": linear_flux(coefs), "sine": sine_flux(coefs)}[flux_kind]
     solver = _StepSolver(grid, 3.5, 0.07, flux, 1e-8)
-    for _ in range(4):
-        v, rhs = zb(grid, rng).flat, zb(grid, rng).flat
-        r, rnorm, energy = solver.evaluate(v, rhs)
-        r_ref, energy_ref = assembled_residual(grid, v, rhs, 3.5, 0.07, flux)
-        assert np.max(np.abs(r - r_ref)) <= 1e-12 * max(1.0, np.max(np.abs(r_ref)))
-        wc = grid.cell_weight
-        assert rnorm == pytest.approx(np.sqrt(np.sum((r_ref / wc) ** 2) * wc), rel=1e-12)
+    # four rows evaluated as one stack, each against its own reference
+    v = np.stack([zb(grid, rng).flat for _ in range(4)])
+    rhs = np.stack([zb(grid, rng).flat for _ in range(4)])
+    r, rnorm, energy, comps = solver.evaluate(v, rhs)
+    wc = grid.cell_weight
+    for i in range(4):
+        r_ref, energy_ref = assembled_residual(grid, v[i], rhs[i], 3.5, 0.07, flux)
+        assert np.max(np.abs(r[i] - r_ref)) <= 1e-12 * max(1.0, np.max(np.abs(r_ref)))
+        assert rnorm[i] == pytest.approx(np.sqrt(np.sum((r_ref / wc) ** 2) * wc), rel=1e-12)
+        assert np.array_equal(comps[i], grid.cell_gradient(v[i]))
         if flux.is_zero:
-            assert energy == pytest.approx(energy_ref, rel=1e-12)
-        else:
-            assert energy is None
+            assert energy[i] == pytest.approx(energy_ref, rel=1e-12)
+    if not flux.is_zero:
+        assert energy is None
 
 
 def dense_from_band(grid, ab):
-    """Dense interior matrix of gbsv band storage: A[i, j] = ab[2 kl + i - j, j]."""
-    kl, m = grid.step_band.kl, grid.step_band.m
+    """Dense matrix of gbsv band storage: A[i, j] = ab[2 kl + i - j, j]."""
+    kl, m = grid.step_band.kl, ab.shape[1]
     J = np.zeros((m, m))
     for j in range(m):
         for i in range(max(0, j - kl), min(m, j + kl + 1)):
@@ -458,24 +463,47 @@ def test_banded_jacobian_matches_finite_differences(dim, flux_kind):
     flux = {"zero": zero_flux(dim), "linear": linear_flux(coefs), "sine": sine_flux(coefs)}[flux_kind]
     m = len(grid.interior_nodes)
     solver = _StepSolver(grid, 3.0, 0.05, flux, 1e-8)
-    v, rhs = zb(grid, rng).flat, zb(grid, rng).flat
-    J = dense_from_band(grid, solver._band_matrix(v, newton=True))
+    v, rhs = zb(grid, rng).flat[None], zb(grid, rng).flat[None]
+    r, _, _, comps = solver.evaluate(v, rhs)
+    J = dense_from_band(grid, solver._band_matrix(v, comps, newton=True))
     eps = 1e-6
     fd = np.empty((m, m))
     for j, node in enumerate(grid.interior_nodes):
         vp, vm = v.copy(), v.copy()
-        vp[node] += eps
-        vm[node] -= eps
-        fd[:, j] = (solver.evaluate(vp, rhs)[0] - solver.evaluate(vm, rhs)[0]) / (2 * eps)
+        vp[0, node] += eps
+        vm[0, node] -= eps
+        fd[:, j] = (solver.evaluate(vp, rhs)[0] - solver.evaluate(vm, rhs)[0])[0] / (2 * eps)
     assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(fd))
     # the Newton increment solves the same banded system
-    r = solver.evaluate(v, rhs)[0]
-    assert J @ solver.newton_step(v, r) == pytest.approx(-r, abs=1e-12)
+    assert J @ solver.newton_step(v, comps, r)[0] == pytest.approx(-r[0], abs=1e-12)
     # the frozen-coefficient (Picard) matrix drops c1 g g^T and the convection
-    A = dense_from_band(grid, solver._band_matrix(v, newton=False))
-    A_ref = frozen_coefficient_matrix(grid, v, 3.0, 0.05, 1e-8)
+    A = dense_from_band(grid, solver._band_matrix(v, comps, newton=False))
+    A_ref = frozen_coefficient_matrix(grid, v[0], 3.0, 0.05, 1e-8)
     assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
-    assert A_ref @ solver.picard_solve(v, r) == pytest.approx(r, abs=1e-12)
+    assert A_ref @ solver.picard_solve(v, comps, r)[0] == pytest.approx(r[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("flux_kind", ["zero", "sine"])
+def test_stacked_systems_are_diagonal_blocks(dim, flux_kind):
+    rng = np.random.default_rng(43 + dim)
+    grid = Grid(dim, 7)
+    flux = zero_flux(dim) if flux_kind == "zero" else sine_flux([0.8, -0.5][:dim])
+    solver = _StepSolver(grid, 3.0, 0.05, flux, 1e-8)
+    v = np.stack([zb(grid, rng).flat for _ in range(3)])
+    r, _, _, comps = solver.evaluate(v, np.zeros_like(v))
+    m = grid.step_band.m
+    for newton in (True, False):
+        J = dense_from_band(grid, solver._band_matrix(v, comps, newton))
+        for i in range(3):
+            one = dense_from_band(grid, solver._band_matrix(v[i : i + 1], comps[i : i + 1], newton))
+            block = J[i * m : (i + 1) * m]
+            assert np.max(np.abs(block[:, i * m : (i + 1) * m] - one)) <= 1e-15 * np.max(np.abs(one))
+            assert not np.delete(block, np.s_[i * m : (i + 1) * m], axis=1).any()
+    steps = solver.newton_step(v, comps, r)
+    for i in range(3):
+        one = solver.newton_step(v[i : i + 1], comps[i : i + 1], r[i : i + 1])[0]
+        assert steps[i] == pytest.approx(one, rel=1e-13, abs=1e-15)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -488,7 +516,7 @@ def test_single_interior_unknown_steps(dim, flux_kind):
     u = zb(grid, np.random.default_rng(3))
     out = step_solve(u, Field.zeros(grid), cfg)
     solver = _StepSolver(grid, cfg.p, cfg.dt, flux, cfg.jacobian_reg)
-    assert solver.evaluate(out.flat, u.flat)[1] <= cfg.newton_tol
+    assert solver.evaluate(out.flat[None], u.flat[None])[1][0] <= cfg.newton_tol
     # the only interior node couples to boundary values alone: convection
     # cancels, and the p-flux pulls the centre value toward zero
     centre = out.flat[grid.interior_nodes[0]]
@@ -526,3 +554,111 @@ def test_prepare_initial_failures_are_not_cached():
     for _ in range(2):
         with pytest.raises(NonConvergence):
             prepare_initial(u0, Field.zeros(grid), 0.03, 3.0, max_iters=1)
+
+
+# ---------------------------------------------------------------------------
+# batched path engine: rows independent of batch size and composition
+
+
+@pytest.mark.parametrize("case", ["zero-1d", "sine-1d", "sine-2d"])
+def test_batched_paths_match_single_path_solves(case):
+    if case == "sine-2d":
+        grid = Grid(2, 8)
+        u0 = Field.from_function(grid, lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y))
+        cfg = SchemeConfig(p=3.0, dt=1 / 16, n_steps=4, flux=sine_flux([0.5, -0.3]))
+    else:
+        grid = Grid(1, 16)
+        u0 = pinned_u0_1d(grid)
+        flux = zero_flux(1) if case == "zero-1d" else sine_flux([0.7])
+        cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=16, flux=flux)
+    U = Field.zeros(grid, "free_boundary")
+    model = reference_model()
+    batch = simulate_paths(u0, U, model, cfg, [sample_path(model, cfg, s) for s in range(37)])
+    for seed in (0, 17, 36):
+        alone = simulate_path(u0, U, model, cfg, seed)
+        for a, b in zip(batch[seed].hats, alone.hats):
+            assert np.max(np.abs(a.values - b.values)) <= 10 * cfg.newton_tol
+        for a, b in zip(batch[seed].martingale_partials, alone.martingale_partials):
+            assert np.max(np.abs(a.values - b.values)) <= 10 * cfg.newton_tol
+
+
+def test_batch_mixes_a_picard_rescue_with_plain_newton_rows(monkeypatch):
+    # row 1 of the first Newton round is sent uphill, so its 40 halvings fail
+    # and it alone takes the frozen-coefficient rescue; every row must end
+    # where it ends when solved alone (to solver tolerance: the stacked
+    # products may round differently from the one-row ones)
+    import plaplace_levy.scheme as scheme
+
+    grid = Grid(1, 12)
+    rng = np.random.default_rng(29)
+    cfg = SchemeConfig(p=3.0, dt=0.05, n_steps=1, flux=zero_flux(1))
+    v0 = np.stack([zb(grid, rng).flat for _ in range(3)])
+    newton_step, picard_solve = _StepSolver.newton_step, _StepSolver.picard_solve
+    seen = {"rounds": 0, "picard_rows": []}
+
+    def solve(v, sabotage):
+        def uphill_first(self, v, comps, r):
+            delta = newton_step(self, v, comps, r)
+            if seen["rounds"] == 0 and sabotage is not None:
+                delta[sabotage] *= -1.0
+            seen["rounds"] += 1
+            return delta
+
+        def picard(self, v, comps, b):
+            seen["picard_rows"].append(len(v))
+            return picard_solve(self, v, comps, b)
+
+        monkeypatch.setattr(_StepSolver, "newton_step", uphill_first)
+        monkeypatch.setattr(_StepSolver, "picard_solve", picard)
+        seen["rounds"], seen["picard_rows"] = 0, []
+        solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux, cfg.jacobian_reg)
+        out, failures = scheme._newton(solver, v.copy(), v.copy(), cfg.newton_tol, cfg.newton_max_iters)
+        assert failures == []
+        assert np.all(solver.evaluate(out, v)[1] <= cfg.newton_tol)
+        return out, list(seen["picard_rows"])
+
+    batch, rescued = solve(v0, sabotage=1)
+    assert rescued == [1]
+    for i in range(3):
+        alone, _ = solve(v0[i : i + 1], sabotage=0 if i == 1 else None)
+        assert np.max(np.abs(batch[i] - alone[0])) <= 10 * cfg.newton_tol
+
+
+def test_batch_failure_reports_first_failing_path():
+    # alone, seed 9 fails at step 3 and seed 3 at step 1: the batch
+    # (9, 4, 3, 10) must report seed 9, the error a path-by-path loop meets
+    # first, although seed 3 fails earlier in time
+    grid = Grid(1, 12)
+    model = LevyModel(eta=eta_linear(0.9), lambda_star=0.95, point_masses=((1.0, 20.0),))
+    cfg = SchemeConfig(p=4.0, dt=0.1, n_steps=8, flux=zero_flux(1), newton_max_iters=5)
+    u0 = Field.from_function(grid, lambda x: 2 * np.sin(np.pi * x))
+    U = Field.zeros(grid, "free_boundary")
+    expected = {}
+    for seed in (9, 4, 3, 10):
+        try:
+            simulate_path(u0, U, model, cfg, seed)
+        except NonConvergence as err:
+            expected[seed] = err
+    assert sorted(expected) == [3, 9] and expected[3].step < expected[9].step
+    with pytest.raises(NonConvergence) as exc:
+        simulate_paths(u0, U, model, cfg, [sample_path(model, cfg, s) for s in (9, 4, 3, 10)])
+    assert (exc.value.seed, exc.value.step) == (9, expected[9].step)
+    assert exc.value.residual == expected[9].residual
+    assert str(exc.value) == str(expected[9])
+
+
+def test_chunked_batches_match_one_batch(monkeypatch):
+    import plaplace_levy.scheme as scheme
+
+    grid = Grid(1, 16)
+    cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=8, flux=sine_flux([0.7]))
+    model = reference_model()
+    U = Field.zeros(grid, "free_boundary")
+    paths = [sample_path(model, cfg, s) for s in range(12)]
+    whole = simulate_paths(pinned_u0_1d(grid), U, model, cfg, paths)
+    band = grid.step_band
+    monkeypatch.setattr(scheme, "_BAND_BUDGET", 5 * 8 * band.ldab * band.m)  # 5 paths a chunk
+    chunked = simulate_paths(pinned_u0_1d(grid), U, model, cfg, paths)
+    for a, b in zip(whole, chunked):
+        assert np.max(np.abs(a.states - b.states)) <= 10 * cfg.newton_tol
+        assert a.prm is b.prm
