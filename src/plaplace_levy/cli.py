@@ -64,7 +64,7 @@ from .estimates import (
     isometry_check,
     uniqueness_check,
 )
-from .grid import Field, l2_norm, lp_grad_norm
+from .grid import Field, l2_norm
 from .levy import LevyModel
 from .scheme import NonConvergence, simulate_path
 
@@ -140,16 +140,10 @@ def _write_path_csv(path: str, traj):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "l2_norm", "grad_lp_p", "jump_count"])
-        for k, f in enumerate(traj.hats):
+        l2, grad_pow = traj.state_norms(cfg.p)
+        for k, (l2_k, gp_k) in enumerate(zip(l2.tolist(), grad_pow.tolist())):
             jumps = traj.prm.jump_count(k - 1) if k > 0 else 0
-            writer.writerow(
-                [
-                    repr(k * cfg.dt),
-                    repr(l2_norm(f)),
-                    repr(lp_grad_norm(f, cfg.p) ** cfg.p),
-                    jumps,
-                ]
-            )
+            writer.writerow([repr(k * cfg.dt), repr(l2_k), repr(gp_k), jumps])
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
@@ -254,6 +248,15 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
         raise ConfigError("[converge] values needs at least two sweep points")
 
     if sweep == "dt":
+        for dt in values:
+            # the sweep runs each dt for round(T / dt) steps: the horizons
+            # must agree
+            n = scheme.T / dt if dt > 0 else 0.0
+            if n < 0.5 or abs(n - round(n)) > 1e-9 * n:
+                raise ConfigError(
+                    f"[converge] values: dt = {dt!r} must be a positive step dividing "
+                    f"T = {scheme.T!r}"
+                )
         if probe == "gap":
             rep = interp_gap_scaling(u0, U, model, scheme, values, cfg.n_paths, cfg.seed)
         elif probe == "self":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import constant_target, psi_l2, psi_zero, sine_basis
+from .control import ControlParam, CostSpec, constant_target, psi_l2, psi_zero, sine_basis
 from .grid import FREE_BOUNDARY, Field, Grid
 from .levy import LevyModel, eta_linear, eta_sine, eta_zero
 from .scheme import SchemeConfig, linear_flux, sine_flux, zero_flux
@@ -189,14 +189,12 @@ class RunConfig:
             raise ConfigError(
                 f"control_coeffs has {len(coefs)} entries, basis has {len(basis)}"
             )
-        vals = np.zeros(grid.node_shape)
-        for c, phi in zip(coefs, basis):
-            vals = vals + c * phi.values
-        return Field(grid, vals, FREE_BOUNDARY)
+        try:
+            return ControlParam(basis, coefs).build()
+        except ValueError as err:
+            raise ConfigError(f"[initial] control_coeffs: {err}")
 
-    def build_cost(self, grid: Grid, n_steps: int):
-        from .control import CostSpec
-
+    def build_cost(self, grid: Grid, n_steps: int) -> CostSpec:
         tar = _parse_field(self.get("cost", "u_tar"), grid, "zero_boundary")
         psi_spec = self.get("cost", "psi")
         kind, _, arg = psi_spec.partition(":")
@@ -231,10 +229,11 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         grid = self.build_grid()
-        self.build_scheme(grid.dim)
+        scheme = self.build_scheme(grid.dim)
         self.build_levy()
         self.build_initial(grid)
         self.build_control(grid)
+        self.build_cost(grid, scheme.n_steps)
         if self.n_paths < 1:
             raise ConfigError("[run] n_paths must be >= 1")
         return self

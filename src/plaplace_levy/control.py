@@ -17,13 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
-from .grid import Field, Grid, _check_same_grid, l2_norm, w1p_norm
+from .grid import FREE_BOUNDARY, Field, Grid, _check_same_grid, l2_norm, w1p_norm
 from .levy import LevyModel
-from .scheme import NonConvergence, SchemeConfig, sample_path, simulate_paths
-
-FREE = "free_boundary"
+from .scheme import NonConvergence, SchemeConfig, sample_path, simulate_controls
 
 
 def psi_zero():
@@ -128,7 +125,7 @@ class ControlParam:
         vals = np.zeros(grid.node_shape)
         for c, phi in zip(self.coeffs, self.basis):
             vals = vals + c * phi.values
-        return Field(grid, vals, FREE)
+        return Field(grid, vals, FREE_BOUNDARY)
 
 
 def sine_basis(grid: Grid, size: int) -> list:
@@ -138,7 +135,7 @@ def sine_basis(grid: Grid, size: int) -> list:
     if grid.dim == 1:
         for j in range(1, size + 1):
             out.append(
-                Field.from_function(grid, lambda x, j=j: np.sin(j * np.pi * x), FREE)
+                Field.from_function(grid, lambda x, j=j: np.sin(j * np.pi * x), FREE_BOUNDARY)
             )
         return out
     modes = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]
@@ -147,7 +144,7 @@ def sine_basis(grid: Grid, size: int) -> list:
             Field.from_function(
                 grid,
                 lambda x, y, i=i, j=j: np.sin(i * np.pi * x) * np.sin(j * np.pi * y),
-                FREE,
+                FREE_BOUNDARY,
             )
         )
     return out
@@ -175,6 +172,121 @@ class SAAResult:
         }
 
 
+class _BudgetSpent(Exception):
+    """A Nelder-Mead search asked for an evaluation past maxfev."""
+
+
+def nelder_mead(evaluate, consume, simplex, maxfev: int, xatol: float,
+                fatol: float, speculate: bool) -> tuple:
+    """Nelder-Mead simplex search, step for step the arithmetic and control
+    flow of SciPy's minimize(method="Nelder-Mead") given an initial
+    simplex, maxfev and xatol/fatol (reflection 1, expansion 2, contraction
+    and shrink 1/2): an evaluation asked for past maxfev stops the search,
+    even in the middle of a shrink.
+
+    Evaluation is batched.  evaluate(points) solves for the objective at
+    every row of points (k, N); consume(i) then gives the value at row i of
+    the latest batch.  The initial simplex is one call and each shrink one
+    call.  With speculate, each iteration is one call for all of its trial
+    points (reflection, expansion, outside and inside contraction), of
+    which the search consumes only the values SciPy's sequence uses, in
+    that order; the other rows are discarded and not counted.  Without it,
+    each trial point is evaluated alone when the sequence asks for it,
+    which pays when a call's cost grows with its rows.  Returns the final
+    simplex (sim, fsim), sorted by value, and the number of values used."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    sim = np.array(simplex, dtype=float)
+    N = sim.shape[1]
+    if sim.shape != (N + 1, N):
+        raise ValueError("simplex must have shape (N + 1, N)")
+    fsim = np.full(N + 1, np.inf)
+    nfev = 0
+
+    def take(i):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return consume(i)
+
+    def tried(i):  # value of trial point i
+        if speculate:
+            return take(i)
+        if nfev < maxfev:
+            evaluate(trial[i][None])
+        return take(0)
+
+    def order(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    evaluate(sim[: min(N + 1, maxfev)])
+    try:
+        for k in range(N + 1):
+            fsim[k] = take(k)
+    except _BudgetSpent:
+        pass
+    # SciPy sorts twice here; argsort need not be stable, so keep both
+    sim, fsim = order(*order(sim, fsim))
+    while nfev < maxfev:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            trial = [
+                (1 + rho) * xbar - rho * sim[-1],  # reflection
+                (1 + rho * chi) * xbar - rho * chi * sim[-1],  # expansion
+                (1 + psi * rho) * xbar - psi * rho * sim[-1],  # outside contraction
+                (1 - psi) * xbar + psi * sim[-1],  # inside contraction
+            ]
+            if speculate:
+                # one value left: only the reflection can be used
+                evaluate(np.array(trial[: 1 if maxfev - nfev == 1 else 4]))
+            fxr = tried(0)
+            doshrink = False
+            if fxr < fsim[0]:
+                fxe = tried(1)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = trial[1], fxe
+                else:
+                    sim[-1], fsim[-1] = trial[0], fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = trial[0], fxr
+            elif fxr < fsim[-1]:
+                fxc = tried(2)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = trial[2], fxc
+                else:
+                    doshrink = True
+            else:
+                fxcc = tried(3)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = trial[3], fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                shrunk = sim[0] + sigma * (sim[1:] - sim[0])
+                if nfev < maxfev:
+                    evaluate(shrunk[: maxfev - nfev])
+                for j in range(1, N + 1):
+                    sim[j] = shrunk[j - 1]
+                    fsim[j] = take(j - 1)
+        except _BudgetSpent:
+            pass
+        sim, fsim = order(sim, fsim)
+    return sim, fsim, nfev
+
+
+# Speculative trial evaluation (see `nelder_mead`) solves about twice the
+# rows the search uses, in about half the calls.  It pays while a call's
+# fixed cost dominates, that is while a candidate has few rows: measured
+# crossovers were 8-16 paths on a 1D n=16 grid (17 nodes), 2 paths on 2D
+# n=8 (81 nodes), below 1 path on 2D n=16 (289 nodes).  So the search
+# speculates up to this many nodal values per candidate (n_paths x nodes).
+_SPECULATE_NODES = 200
+
+
 def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
                  basis: list, n_paths: int, budget: int = 200, base_seed: int = 0,
                  restarts: int = 3, initial_coeffs=None, simplex_scale: float = 0.5,
@@ -184,6 +296,14 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
 
     The zero control is always evaluated, so best_J <= J(0).  A candidate
     whose path solve diverges scores +inf and the search continues.
+
+    The search is `nelder_mead`: it visits the candidates scipy's
+    Nelder-Mead would, and solves each batch of candidates (x common seed)
+    as one stack; only the candidates the search uses count toward
+    n_evaluations and J_history and can become the incumbent.  Trial
+    points are evaluated speculatively while a candidate has at most
+    _SPECULATE_NODES nodal values (n_paths x grid nodes), one at a time
+    above that.
     """
     dim = len(basis)
     if budget < dim + 1:
@@ -194,43 +314,46 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     spec.validate(cfg.n_steps)
     # common random numbers: each seed's jump path serves every candidate
     paths = [sample_path(model, cfg, s) for s in seeds]
+    speculate = n_paths * u0.grid.n_nodes <= _SPECULATE_NODES
 
     history = []
     state = {"best": np.inf, "coeffs": None, "evals": 0, "parts": None}
+    batch = {}
 
-    def objective(coeffs) -> float:
-        state["evals"] += 1
-        U = ControlParam(basis=basis, coeffs=coeffs).build()
+    def evaluate(points):
+        """Solve every candidate of a batch as one stack."""
+        controls = [ControlParam(basis=basis, coeffs=c).build() for c in points]
         try:
-            trajs = simulate_paths(u0, U, model, cfg, paths)
-            val, parts = cost_J(trajs, U, spec, cfg.p)
-        except NonConvergence:
+            runs = simulate_controls(u0, controls, model, cfg, paths)
+        except NonConvergence:  # the initial smoothing, shared by every candidate
+            runs = [None] * len(controls)
+        batch.update(points=points, controls=controls, runs=runs)
+
+    def consume(i) -> float:
+        """J of candidate i of the batch; +inf if its path solve diverged."""
+        state["evals"] += 1
+        trajs = batch["runs"][i]
+        if isinstance(trajs, list):
+            val, parts = cost_J(trajs, batch["controls"][i], spec, cfg.p)
+        else:
             val, parts = np.inf, None
         if val < state["best"]:
-            state["best"], state["coeffs"], state["parts"] = val, np.array(coeffs), parts
+            state["best"], state["coeffs"], state["parts"] = val, np.array(batch["points"][i]), parts
         history.append(state["best"])
         return val
 
     x0 = np.zeros(dim) if initial_coeffs is None else np.asarray(initial_coeffs, dtype=float)
     if np.any(x0 != 0.0):
-        objective(np.zeros(dim))  # anchor the zero-control candidate
+        evaluate(np.zeros((1, dim)))  # anchor the zero-control candidate
+        consume(0)
     scale = simplex_scale
     for _ in range(restarts):
         remaining = budget - state["evals"]
         if remaining < dim + 1:
             break
         simplex = np.vstack([x0] + [x0 + scale * np.eye(dim)[j] for j in range(dim)])
-        scipy.optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxfev": remaining,
-                "initial_simplex": simplex,
-                "xatol": 1e-10,
-                "fatol": 1e-12,
-            },
-        )
+        nelder_mead(evaluate, consume, simplex, remaining, xatol=1e-10, fatol=1e-12,
+                    speculate=speculate)
         if state["coeffs"] is None:
             raise NonConvergence(
                 "every control candidate diverged in the step solver"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Field, dual_norm_estimates, l2_norm, lp_grad_norm, w1p_norm
+from .grid import Field, dual_norm_estimates, l2_norm, w1p_norm
 from .levy import LevyModel, isometry_rhs, jump_sums, step_marks
 from .scheme import SchemeConfig, project_control, sample_path, simulate_paths
 
@@ -91,10 +91,9 @@ def apriori_check(trajectories, u0: Field, U: Field) -> EnsembleReport:
         tc = traj.config
         if (tc.p, tc.dt, tc.n_steps) != (cfg.p, cfg.dt, cfg.n_steps):
             raise ValueError("ensemble mixes scheme configurations")
-        sq[i] = [l2_norm(f) ** 2 for f in traj.hats]
-        grad_int[i] = cfg.dt * sum(
-            lp_grad_norm(f, cfg.p) ** cfg.p for f in traj.hats[1:]
-        )
+        l2, grad_pow = traj.state_norms(cfg.p)
+        sq[i] = l2**2
+        grad_int[i] = cfg.dt * sum(grad_pow[1:].tolist())
         incr_sq[i] = traj.increments_sq_sum()
 
     mean_sq_t = sq.mean(axis=0)

@@ -447,14 +447,15 @@ def lp_grad_norm(f: Field, p: float) -> float:
     W_0^{1,p} norm.  Rejects p <= 1."""
     if p <= 1:
         raise ValueError(f"p must be > 1, got {p}")
-    return float(_lp_grad_norms(f.grid, f.flat, p))
+    return float(_lp_grad_pows(f.grid, f.flat, p) ** (1.0 / p))
 
 
-def _lp_grad_norms(grid: Grid, v: np.ndarray, p: float) -> np.ndarray:
-    """`lp_grad_norm` of each row of the nodal vectors v (..., n_nodes)."""
+def _lp_grad_pows(grid: Grid, v: np.ndarray, p: float) -> np.ndarray:
+    """`lp_grad_norm` ** p of each row of the nodal vectors v (..., n_nodes):
+    sum_cells |grad v|^p h^dim, without the root."""
     g = grid.cell_gradient(v)
     mag = np.sqrt(np.sum(g * g, axis=-2)) if grid.dim > 1 else np.abs(g[..., 0, :])
-    return (np.sum(mag**p, axis=-1) * grid.cell_weight) ** (1.0 / p)
+    return np.sum(mag**p, axis=-1) * grid.cell_weight
 
 
 def l2_inner(f: Field, g: Field) -> float:
@@ -465,9 +466,14 @@ def l2_inner(f: Field, g: Field) -> float:
 
 
 def l2_norm(f: Field) -> float:
-    idx = f.grid.interior_nodes
-    v = f.flat[idx]
-    return float(np.sqrt(np.dot(v, v) * f.grid.cell_weight))
+    return float(_l2_norms(f.grid, f.flat))
+
+
+def _l2_norms(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """`l2_norm` of each row of the nodal vectors v (..., n_nodes): interior
+    nodes, weight h^dim."""
+    x = v.take(grid.interior_nodes, axis=-1)
+    return np.sqrt(np.vecdot(x, x) * grid.cell_weight)
 
 
 def l1_norm(f: Field) -> float:
@@ -529,7 +535,7 @@ def dual_norm_estimates(grid: Grid, g: np.ndarray, p: float, iters: int = 30) ->
     g_int = g[:, idx]
 
     def normalized(vec: np.ndarray) -> tuple:
-        nrm = _lp_grad_norms(grid, vec, p)
+        nrm = _lp_grad_pows(grid, vec, p) ** (1.0 / p)
         ok = nrm != 0.0
         return np.divide(vec, nrm[:, None], out=np.zeros_like(vec), where=ok[:, None]), ok
 

@@ -38,6 +38,8 @@ from .grid import (
     lp_grad_norm,
     _check_same_grid,
     _embed_interior,
+    _l2_norms,
+    _lp_grad_pows,
 )
 from .levy import LevyModel, PrmPath, compensated_increments, sample_prm
 
@@ -542,11 +544,15 @@ class Trajectory:
         b = self.martingale_partials
         return [b[k + 1] - b[k] for k in range(len(b) - 1)]
 
+    def state_norms(self, p: float) -> tuple:
+        """`l2_norm` and `lp_grad_norm` ** p of every state, (n_steps + 1,)
+        each, in one row-wise pass over `states`."""
+        return _l2_norms(self.grid, self.states), _lp_grad_pows(self.grid, self.states, p)
+
     def increments_sq_sum(self) -> float:
-        return sum(
-            l2_norm(self.hats[k + 1] - self.hats[k]) ** 2
-            for k in range(self.config.n_steps)
-        )
+        """sum_k l2_norm(hats[k + 1] - hats[k])^2, summed in step order."""
+        norms = _l2_norms(self.grid, np.diff(self.states, axis=0))
+        return sum((norms**2).tolist())
 
 
 def sample_path(model: LevyModel, cfg: SchemeConfig, seed: int) -> PrmPath:
@@ -580,36 +586,72 @@ def simulate_paths(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
     together as an (M, n_nodes) stack, one batched solve per step.  A path's
     trajectory does not depend on which paths share the call.
 
-    A path whose step solver fails drops out of the stack, with the paths
-    after it; the paths before it run on, and NonConvergence is raised for
-    the first failing path in `paths` order, with its step and seed: the
-    error a path-by-path loop raises."""
-    _check_same_grid(u0, U)
+    Raises NonConvergence for the first failing path in `paths` order, with
+    its step and seed: the error a path-by-path loop raises."""
+    (result,) = simulate_controls(u0, [U], model, cfg, paths)
+    if isinstance(result, NonConvergence):
+        raise result
+    return result
+
+
+def simulate_controls(u0: Field, controls, model: LevyModel, cfg: SchemeConfig,
+                      paths) -> list:
+    """`simulate_paths` for each control U in `controls` on the common jump
+    paths `paths`, as one stack of (control x path) rows, control-major.
+    Returns, per control, its list of trajectories, or the NonConvergence of
+    its first failing path in `paths` order (with step and seed).  A failing
+    row drops out of the stack with the later rows of its control; the rows
+    of the other controls march on."""
     grid = u0.grid
-    U_used = project_control(U, cfg.control_projection)
-    hat0 = prepare_initial(u0, U_used, cfg.effective_smoothing_dt, cfg.p)
+    hat0s = []
+    for U in controls:
+        _check_same_grid(u0, U)
+        U_used = project_control(U, cfg.control_projection)
+        hat0s.append(prepare_initial(u0, U_used, cfg.effective_smoothing_dt, cfg.p))
+    n_paths = len(paths)
+    n_rows = len(controls) * n_paths
     band = grid.step_band
     chunk = max(1, _BAND_BUDGET // (8 * band.ldab * band.m))
-    trajectories = []
-    for start in range(0, len(paths), chunk):
-        part = paths[start : start + chunk]
-        states, sums = _march(hat0, model, cfg, part)
-        trajectories += map(partial(Trajectory, config=cfg, hat0=hat0), states, sums, part)
-    return trajectories
+    states, sums, errors = [None] * n_rows, [None] * n_rows, [None] * n_rows
+    failed = set()  # controls with a failed row: their later rows are not needed
+    for start in range(0, n_rows, chunk):
+        rows = [r for r in range(start, min(start + chunk, n_rows)) if r // n_paths not in failed]
+        if not rows:
+            continue
+        groups = np.array(rows) // n_paths
+        starts = np.array([hat0s[c].flat for c in groups])
+        part = [paths[r % n_paths] for r in rows]
+        s, b, e = _march(grid, starts, model, cfg, part, groups)
+        for r, c, s_r, b_r, e_r in zip(rows, groups.tolist(), s, b, e):
+            states[r], sums[r], errors[r] = s_r, b_r, e_r
+            if e_r is not None:
+                failed.add(c)
+    results = []
+    for c, hat0 in enumerate(hat0s):
+        rows = slice(c * n_paths, (c + 1) * n_paths)
+        failed = [err for err in errors[rows] if err is not None]
+        results.append(failed[0] if failed else list(
+            map(partial(Trajectory, config=cfg, hat0=hat0), states[rows], sums[rows], paths)
+        ))
+    return results
 
 
-def _march(hat0: Field, model: LevyModel, cfg: SchemeConfig, paths) -> tuple:
+def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
+           paths, groups: np.ndarray) -> tuple:
     """Nodal states and martingale sums (M, n_steps + 1, n_nodes) of the
-    paths from hat0; raises NonConvergence for the first failing path."""
-    grid = hat0.grid
+    paths, row i from the nodal state starts[i], and per row None or the
+    NonConvergence (with step and seed) of its step solver.  A failed row
+    stops marching (its later states are undefined), and so do the rows
+    after it with the same groups[i], which can no longer change the first
+    error of that group; the other rows run on."""
     idx = grid.interior_nodes
     solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux, cfg.jacobian_reg)
     states = np.empty((len(paths), cfg.n_steps + 1, grid.n_nodes))
-    states[:, 0] = hat0.flat
+    states[:, 0] = starts
     sums = np.zeros_like(states)
     alive = np.arange(len(paths))
     rows = slice(None)  # the alive paths, as a slice while that is all of them
-    failures = []
+    errors = [None] * len(paths)
     for k in range(cfg.n_steps):
         prev = states[rows, k]
         inc = np.zeros_like(prev)
@@ -620,15 +662,16 @@ def _march(hat0: Field, model: LevyModel, cfg: SchemeConfig, paths) -> tuple:
         )
         sums[rows, k + 1] = sums[rows, k] + inc
         if failed:
-            failures += [(alive[row], k, err) for row, err in failed]
-            # only paths before the first failing one can still change the error
-            alive = rows = alive[alive < min(f[0] for f in failures)]
+            drop = np.zeros(len(alive), dtype=bool)
+            for row, err in failed:
+                i = alive[row]
+                err.step, err.seed = k, paths[i].seed
+                errors[i] = err
+                drop |= (alive >= i) & (groups[alive] == groups[i])
+            alive = rows = alive[~drop]
             if alive.size == 0:
                 break
-    if failures:
-        i, k, err = min(failures, key=lambda f: f[0])
-        raise NonConvergence(str(err), residual=err.residual, step=k, seed=paths[i].seed) from err
-    return states, sums
+    return states, sums, errors
 
 
 # ---------------------------------------------------------------------------

@@ -81,3 +81,41 @@ def grad_ops(grid):
     gx = build(node(ci + 1, cj), node(ci + 1, cj + 1), node(ci, cj), node(ci, cj + 1))
     gy = build(node(ci, cj + 1), node(ci + 1, cj + 1), node(ci, cj), node(ci + 1, cj))
     return (gx, gy)
+
+
+def saa_minimize_scipy(model, cfg, u0, spec, basis, n_paths, budget=200, base_seed=0,
+                       restarts=3, simplex_scale=0.5):
+    """The control search driven by scipy.optimize.minimize(method=
+    "Nelder-Mead"), one candidate per objective call, each solved alone:
+    the reference for the package's speculative batched search."""
+    import scipy.optimize
+
+    from plaplace_levy import ControlParam, NonConvergence, cost_J, sample_path, simulate_paths
+
+    dim = len(basis)
+    paths = [sample_path(model, cfg, base_seed + i) for i in range(n_paths)]
+    history = []
+    state = {"best": np.inf, "coeffs": None, "evals": 0}
+
+    def objective(coeffs):
+        state["evals"] += 1
+        U = ControlParam(basis=basis, coeffs=coeffs).build()
+        try:
+            val = cost_J(simulate_paths(u0, U, model, cfg, paths), U, spec, cfg.p)[0]
+        except NonConvergence:
+            val = np.inf
+        if val < state["best"]:
+            state["best"], state["coeffs"] = val, np.array(coeffs)
+        history.append(state["best"])
+        return val
+
+    x0, scale = np.zeros(dim), simplex_scale
+    for _ in range(restarts):
+        remaining = budget - state["evals"]
+        if remaining < dim + 1:
+            break
+        simplex = np.vstack([x0] + [x0 + scale * np.eye(dim)[j] for j in range(dim)])
+        scipy.optimize.minimize(objective, x0, method="Nelder-Mead", options={
+            "maxfev": remaining, "initial_simplex": simplex, "xatol": 1e-10, "fatol": 1e-12})
+        x0, scale = state["coeffs"].copy(), scale * 0.3
+    return history, state["evals"], state["best"], state["coeffs"]

@@ -194,10 +194,19 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
         ("u0 = sine:amplitude=0.5,mode=1", "u0 = constant:nan", "simulate", "A1"),
         ("basis = sine:2", "basis = sine:x", "simulate", "[initial] basis"),
         ("out_dir = out", "out_dir = out\n[cost]\npsi = l2_clip:abc", "optimize", "[cost] psi"),
+        ("out_dir = out", "out_dir = out\n[cost]\npsi = l2_clip:abc", "simulate", "[cost] psi"),
+        ("out_dir = out", "out_dir = out\n[cost]\npsi = l2_clip:abc", "verify", "[cost] psi"),
+        ("out_dir = out", "out_dir = out\n[cost]\npsi = l2_clip:abc", "converge", "[cost] psi"),
+        ("control_coeffs = 0.25,0.0", "control_coeffs = nan,0.0", "simulate",
+         "[initial] control_coeffs"),
         ("out_dir = out", "out_dir = out\n[converge]\nprobe = self\nref_refine = 0",
          "converge", "[converge] ref_refine"),
+        # T = 0.5: 0.3 and 0.07 give round(T / dt) = 2 and 7 steps, other horizons
+        ("out_dir = out", "out_dir = out\n[converge]\nsweep = dt\nvalues = 0.3,0.07\nprobe = gap",
+         "converge", "[converge] values"),
     ],
-    ids=["eta", "u0_nan", "basis", "psi", "ref_refine"],
+    ids=["eta", "u0_nan", "basis", "psi", "psi_simulate", "psi_verify", "psi_converge",
+         "control_coeffs_nan", "ref_refine", "dt_not_dividing_T"],
 )
 def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys, old, new, command, named):
     text = REFERENCE.replace(old, new)

@@ -1,5 +1,9 @@
 """Cost functional and sample-average minimizer tests."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -24,7 +28,9 @@ from plaplace_levy import (
     w1p_norm,
     zero_flux,
 )
+from plaplace_levy.control import nelder_mead
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRID = Grid(1, 12)
 CFG = SchemeConfig(p=3, dt=1 / 16, n_steps=8, flux=zero_flux(1))
 
@@ -203,3 +209,189 @@ def test_saa_all_divergent_candidates_raises():
     with pytest.raises(NonConvergence):
         saa_minimize(zero_noise_model(), hard, u0, spec, sine_basis(GRID, 2),
                      n_paths=1, budget=20, base_seed=0)
+
+
+def _rosenbrock(x):
+    x = np.asarray(x, dtype=float)
+    return np.sum(100.0 * (x[..., 1:] - x[..., :-1] ** 2) ** 2 + (1.0 - x[..., :-1]) ** 2, axis=-1)
+
+
+def _inf_on_half_plane(x):
+    # +inf where x0 + x1 > 0.5: the search must step back out of that region
+    x = np.asarray(x, dtype=float)
+    return np.where(x[..., 0] + x[..., 1] > 0.5, np.inf, _rosenbrock(x))
+
+
+def _staircase(x):
+    # piecewise constant: ties between trial values decide the branches
+    return 4.0 * np.floor(_rosenbrock(x) / 4.0)
+
+
+def _in_house_search(fun, simplex, maxfev, xatol, fatol, speculate=True):
+    """nelder_mead on fun, recording the points it uses and its batch sizes."""
+    latest, used, batches = {}, [], []
+
+    def evaluate(points):
+        batches.append((len(used), len(points)))
+        latest["points"], latest["values"] = points.copy(), fun(points)
+
+    def consume(i):
+        used.append(latest["points"][i])
+        return latest["values"][i]
+
+    sim, fsim, nfev = nelder_mead(evaluate, consume, simplex, maxfev, xatol=xatol, fatol=fatol,
+                                  speculate=speculate)
+    return sim, fsim, nfev, used, batches
+
+
+_SEARCH_CASES = {
+    "rosen2": (_rosenbrock, np.full(2, -0.7)),
+    "rosen3": (_rosenbrock, np.full(3, -0.7)),
+    # the simplex straddles the boundary and the search runs along it
+    "inf_half_plane": (_inf_on_half_plane, np.zeros(2)),
+    "staircase_ties": (_staircase, np.full(2, -0.7)),
+    "maxfev_mid_shrink": (_inf_on_half_plane, np.zeros(2)),
+}
+
+
+@pytest.mark.parametrize("case", list(_SEARCH_CASES))
+def test_nelder_mead_matches_scipy_bitwise(case):
+    import scipy.optimize
+
+    fun, x0 = _SEARCH_CASES[case]
+    N = len(x0)
+    simplex = np.vstack([x0] + [x0 + 0.5 * np.eye(N)[j] for j in range(N)])
+    xatol, fatol = 1e-10, 1e-12
+    maxfev = 300
+    if case == "maxfev_mid_shrink":
+        *_, batches = _in_house_search(fun, simplex, 400, xatol, fatol)
+        # run out after the first point of the first shrink (N points in one
+        # batch after the initial simplex)
+        shrinks = [used for used, size in batches[1:] if size == N]
+        assert shrinks, "the search never shrinks on this objective"
+        maxfev = shrinks[0] + 1
+    seen = []
+
+    def objective(x):
+        seen.append(x.copy())
+        return float(fun(x))
+
+    ref = scipy.optimize.minimize(objective, x0, method="Nelder-Mead", options={
+        "maxfev": maxfev, "initial_simplex": simplex, "xatol": xatol, "fatol": fatol})
+    for speculate in (True, False):
+        sim, fsim, nfev, used, batches = _in_house_search(fun, simplex, maxfev, xatol, fatol,
+                                                          speculate)
+        assert nfev == ref.nfev == len(seen) == len(used)
+        assert np.array_equal(np.array(used), np.array(seen))
+        assert np.array_equal(sim, ref.final_simplex[0])
+        assert np.array_equal(fsim, ref.final_simplex[1])
+        if not speculate:
+            # one trial point a call: every evaluated point is used
+            assert sum(size for _, size in batches) == nfev
+        if case == "maxfev_mid_shrink":
+            # the shrink was the last batch, asked for with one evaluation left
+            assert nfev == maxfev and batches[-1][0] == maxfev - 1
+    if case == "inf_half_plane":
+        assert np.isinf(fun(np.array(seen))).any()
+
+
+@pytest.mark.parametrize("n_paths", [1, 3, 12])
+def test_saa_matches_scipy_driven_search(n_paths, monkeypatch):
+    import plaplace_levy.control as control
+    from _oracles import saa_minimize_scipy
+    from plaplace_levy.config import parse_config
+
+    modes = set()
+    real = control.nelder_mead
+
+    def spy(*args, speculate, **kwargs):
+        modes.add(speculate)
+        return real(*args, speculate=speculate, **kwargs)
+
+    monkeypatch.setattr(control, "nelder_mead", spy)
+
+    cfg = parse_config(os.path.join(REPO, "sample_config.ini"))
+    grid = cfg.build_grid()
+    scheme = cfg.build_scheme(grid.dim)
+    args = (cfg.build_levy(), scheme, cfg.build_initial(grid),
+            cfg.build_cost(grid, scheme.n_steps), cfg.build_basis(grid), n_paths)
+    history, n_evaluations, best_J, _ = saa_minimize_scipy(*args, budget=200, base_seed=4)
+    res = saa_minimize(*args, budget=200, base_seed=4)
+    assert res.n_evaluations == n_evaluations == 200
+    assert len(res.J_history) == len(history)
+    tol = 10 * scheme.newton_tol
+    assert np.allclose(res.J_history, history, rtol=tol, atol=0.0)
+    assert res.best_J == pytest.approx(best_J, rel=tol, abs=0.0)
+    # 17 nodes a path: 12 paths are past the speculation limit
+    assert modes == {n_paths * grid.n_nodes <= control._SPECULATE_NODES} == {n_paths < 12}
+
+
+def test_diverged_candidate_scores_inf_and_spares_its_batch(monkeypatch):
+    # with 6 Newton iterations the 50-amplitude candidate cannot finish its
+    # first step; the others converge in the same stack
+    import plaplace_levy.control as control
+    from dataclasses import replace
+    from plaplace_levy import NonConvergence, sample_path, simulate_paths
+    from plaplace_levy.scheme import simulate_controls
+
+    cfg = replace(CFG, newton_max_iters=6)
+    model = reference_model()
+    basis = sine_basis(GRID, 2)
+    u0 = Field.from_function(GRID, lambda x: 0.4 * np.sin(np.pi * x))
+    paths = [sample_path(model, cfg, s) for s in range(3)]
+    coeffs = [[0.1, -0.2], [50.0, -0.2], [0.5, -0.2], [2.0, -0.2]]
+    controls = [ControlParam(basis=basis, coeffs=c).build() for c in coeffs]
+    runs = simulate_controls(u0, controls, model, cfg, paths)
+    assert isinstance(runs[1], NonConvergence)
+    with pytest.raises(NonConvergence) as alone:
+        simulate_paths(u0, controls[1], model, cfg, paths)
+    assert (runs[1].step, runs[1].seed, str(runs[1])) == (
+        alone.value.step, alone.value.seed, str(alone.value))
+    for c in (0, 2, 3):
+        for traj, path in zip(runs[c], paths):
+            (single,) = simulate_paths(u0, controls[c], model, cfg, [path])
+            assert np.max(np.abs(traj.states - single.states)) <= 10 * cfg.newton_tol
+
+    # the search scores it +inf and keeps its batch-mates' values
+    scored = []
+    real = control.nelder_mead
+
+    def spy(evaluate, consume, *args, **kwargs):
+        batch = {}
+
+        def evaluate_points(points):
+            batch["points"] = points.copy()
+            evaluate(points)
+
+        def consume_value(i):
+            val = consume(i)
+            scored.append((batch["points"][i], val))
+            return val
+
+        return real(evaluate_points, consume_value, *args, **kwargs)
+
+    monkeypatch.setattr(control, "nelder_mead", spy)
+    spec = make_spec()
+    res = saa_minimize(model, cfg, u0, spec, basis, n_paths=3, budget=4,
+                       initial_coeffs=coeffs[0], simplex_scale=49.9, restarts=1)
+    # the initial simplex, after the zero-control anchor
+    assert len(scored) == 3 and np.allclose([x for x, _ in scored[:2]], coeffs[:2], atol=1e-12)
+    assert scored[1][1] == np.inf and np.isfinite(scored[0][1])
+    for x, val in scored:
+        U = ControlParam(basis=basis, coeffs=x).build()
+        try:
+            alone_J = cost_J(simulate_paths(u0, U, model, cfg, paths), U, spec, cfg.p)[0]
+        except NonConvergence:
+            alone_J = np.inf
+        assert val == pytest.approx(alone_J, rel=10 * cfg.newton_tol, abs=0.0)
+    assert res.n_evaluations == 4 and res.best_J == min(res.J_history) < np.inf
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the package's own search replaced scipy.optimize; importing it would
+    # cost about a third of the CLI's start-up time
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import plaplace_levy.cli; "
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, os.path.join(REPO, "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

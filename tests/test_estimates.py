@@ -260,3 +260,34 @@ def test_dual_norm_estimates_match_per_row_loop():
         assert batched[3] == 0.0
     with pytest.raises(ValueError):
         dual_norm_estimates(grid, np.ones((2, grid.n_nodes)), 3.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_row_wise_state_norms_match_per_field_norms(dim):
+    from plaplace_levy import lp_grad_norm, sine_flux
+    from plaplace_levy.estimates import _mean_se
+
+    grid = Grid(dim, 16 if dim == 1 else 8)
+    cfg = SchemeConfig(p=3, dt=1 / 32, n_steps=8, flux=sine_flux([0.7] * dim))
+    u0 = Field.from_function(grid, lambda *x: 0.5 * np.prod(np.sin(np.pi * np.array(x)), axis=0))
+    ens = generate_ensemble(u0, Field.zeros(grid, "free_boundary"), reference_model(), cfg, 3, 5)
+
+    def close(a, b):
+        assert np.allclose(a, b, rtol=1e-13, atol=0.0)
+
+    # the per-Field loop each row-wise pass replaces
+    sq, grad_int, incr_sq = [], [], []
+    for traj in ens:
+        l2, lp = traj.state_norms(cfg.p)
+        close(l2, [l2_norm(f) for f in traj.hats])
+        close(lp, [lp_grad_norm(f, cfg.p) ** cfg.p for f in traj.hats])
+        incr = sum(l2_norm(traj.hats[k + 1] - traj.hats[k]) ** 2 for k in range(cfg.n_steps))
+        close(traj.increments_sq_sum(), incr)
+        sq.append([l2_norm(f) ** 2 for f in traj.hats])
+        grad_int.append(cfg.dt * sum(lp_grad_norm(f, cfg.p) ** cfg.p for f in traj.hats[1:]))
+        incr_sq.append(incr)
+    stats = apriori_check(ens, u0, Field.zeros(grid, "free_boundary")).statistics
+    close(stats["sup_E_l2"], np.max(np.mean(sq, axis=0)))
+    close(stats["E_sup_l2"], _mean_se(np.max(sq, axis=1))[0])
+    close(stats["E_grad_lp_time_integral"], _mean_se(grad_int)[0])
+    close(stats["E_incr_sq_sum"], _mean_se(incr_sq)[0])

@@ -647,6 +647,42 @@ def test_batch_failure_reports_first_failing_path():
     assert str(exc.value) == str(expected[9])
 
 
+def test_failing_row_stops_the_later_rows_of_its_control(monkeypatch):
+    # the setup of the test above: alone, seed 3 fails at step 1 and seed 9
+    # at step 3
+    import plaplace_levy.scheme as scheme
+
+    grid = Grid(1, 12)
+    model = LevyModel(eta=eta_linear(0.9), lambda_star=0.95, point_masses=((1.0, 20.0),))
+    cfg = SchemeConfig(p=4.0, dt=0.1, n_steps=8, flux=zero_flux(1), newton_max_iters=5)
+    u0 = Field.from_function(grid, lambda x: 2 * np.sin(np.pi * x))
+    U = Field.zeros(grid, "free_boundary")
+    paths = {s: sample_path(model, cfg, s) for s in (3, 4, 9)}
+    hat0 = prepare_initial(u0, U, cfg.effective_smoothing_dt, cfg.p).flat
+    # rows (3, 9, 4) of control 0 and seed 9 of control 1: control 0's seed
+    # 9 stops with its seed 3, control 1's runs on to its own failure
+    rows = [paths[s] for s in (3, 9, 4, 9)]
+    _, _, errors = scheme._march(grid, np.array([hat0] * 4), model, cfg, rows,
+                                 np.array([0, 0, 0, 1]))
+    assert [e is not None for e in errors] == [True, False, False, True]
+    assert (errors[0].seed, errors[0].step, errors[3].seed, errors[3].step) == (3, 1, 9, 3)
+
+    # one row a chunk: a control's rows after its failed one are not marched
+    marched = []
+    real = scheme._march
+
+    def spy(grid, starts, model, cfg, part, groups):
+        marched.extend((int(g), p.seed) for g, p in zip(groups, part))
+        return real(grid, starts, model, cfg, part, groups)
+
+    band = grid.step_band
+    monkeypatch.setattr(scheme, "_BAND_BUDGET", 8 * band.ldab * band.m)
+    monkeypatch.setattr(scheme, "_march", spy)
+    runs = scheme.simulate_controls(u0, [U, U], model, cfg, [paths[s] for s in (3, 9)])
+    assert marched == [(0, 3), (1, 3)]
+    assert [(r.seed, r.step) for r in runs] == [(3, 1), (3, 1)]
+
+
 def test_chunked_batches_match_one_batch(monkeypatch):
     import plaplace_levy.scheme as scheme
 
