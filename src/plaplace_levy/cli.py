@@ -5,8 +5,8 @@ Every command loads one INI config (``--config``), applies the optional
 (RFC-4180 CSV, JSON with stable key order and a schema_version field) that
 are bitwise-reproducible from (config, seed).
 
-Exit codes: 0 success, 1 verification checks failed, 2 invalid config,
-3 step-solver failure.
+Exit codes: 0 success, 1 checks failed (a `verify` check or the `converge`
+report's `passed`), 2 invalid config, 3 step-solver failure.
 
 Output schemas (all JSON objects carry ``schema_version``):
 
@@ -54,7 +54,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, parse_config, serialize_config
+from .config import ConfigError, RunConfig, check_jump_rate, parse_config, serialize_config
 from .control import saa_minimize
 from .estimates import (
     aldous_scaling,
@@ -252,11 +252,12 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
             # the sweep runs each dt for round(T / dt) steps: the horizons
             # must agree
             n = scheme.T / dt if dt > 0 else 0.0
-            if n < 0.5 or abs(n - round(n)) > 1e-9 * n:
+            if not 0.5 <= n < np.inf or abs(n - round(n)) > 1e-9 * n:
                 raise ConfigError(
                     f"[converge] values: dt = {dt!r} must be a positive step dividing "
                     f"T = {scheme.T!r}"
                 )
+            check_jump_rate(model, dt, "[converge] values")
         if probe == "gap":
             rep = interp_gap_scaling(u0, U, model, scheme, values, cfg.n_paths, cfg.seed)
         elif probe == "self":
@@ -274,7 +275,7 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
         f"converge: {sweep}/{rep.probe} slope={rep.fitted_slope:.3f} "
         f"passed={rep.passed} -> {out_dir}"
     )
-    return 0
+    return 0 if rep.passed else 1
 
 
 def _self_convergence(u0, U, model: LevyModel, scheme, dt_values, refine, seed):
@@ -329,6 +330,7 @@ def _eps_sweep(cfg: RunConfig, u0, U, scheme, eps_values, refine):
         model = RunConfig(
             raw={**cfg.raw, "levy": {**cfg.raw["levy"], "eps": repr(eps)}}
         ).build_levy()
+        check_jump_rate(model, scheme.dt, "[converge] values")
         vals = [
             l2_norm(traj.state(-1)) ** 2
             for traj in generate_ensemble(u0, U, model, scheme, cfg.n_paths, cfg.seed)

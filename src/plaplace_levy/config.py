@@ -10,12 +10,13 @@ from __future__ import annotations
 import configparser
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .control import ControlParam, CostSpec, constant_target, psi_l2, psi_zero, sine_basis
-from .grid import FREE_BOUNDARY, Field, Grid
+from .grid import FREE_BOUNDARY, Field, Grid, l2_norm, w1p_norm
 from .levy import LevyModel, eta_linear, eta_sine, eta_zero
 from .scheme import SchemeConfig, linear_flux, sine_flux, zero_flux
 
@@ -23,6 +24,23 @@ from .scheme import SchemeConfig, linear_flux, sine_flux, zero_flux
 class ConfigError(ValueError):
     """Invalid run configuration; message names the violated assumption
     when one of A1..A4 fails."""
+
+
+# A step's jump events are held in memory and each jump is evaluated at
+# every node, so the expected jump count per step is capped far below the
+# 9.2e18 that numpy's Poisson sampler accepts.
+MAX_JUMPS_PER_STEP = 1e6
+
+
+def check_jump_rate(model: LevyModel, dt: float, what: str) -> None:
+    """Reject a measure whose expected jump count per step, total mass * dt,
+    is not finite or exceeds MAX_JUMPS_PER_STEP; `what` names the key."""
+    rate = model.total_mass * dt
+    if not rate <= MAX_JUMPS_PER_STEP:
+        raise ConfigError(
+            f"A4 violated: {what} gives total mass * dt = {rate!r} expected jumps per "
+            f"step, more than {MAX_JUMPS_PER_STEP:g}"
+        )
 
 
 _DEFAULTS = {
@@ -143,8 +161,11 @@ class RunConfig:
                 raise ConfigError(
                     "point measure must look like point:z@mass[,z@mass...]"
                 )
-            if any(lam < 0 for _, lam in point_masses):
-                raise ConfigError("A4 violated: point masses must be nonnegative")
+            if not all(math.isfinite(z) and 0.0 <= lam < math.inf for z, lam in point_masses):
+                raise ConfigError(
+                    "A4 violated: [levy] measure point masses must be finite and nonnegative, "
+                    "at finite marks"
+                )
         elif mkind == "density":
             if marg == "invsq":
                 density = lambda z: abs(z) ** -2 if z != 0 else 0.0
@@ -230,9 +251,15 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         grid = self.build_grid()
         scheme = self.build_scheme(grid.dim)
-        self.build_levy()
-        self.build_initial(grid)
-        self.build_control(grid)
+        check_jump_rate(self.build_levy(), scheme.dt, "[levy] measure")
+        initial = {"u0": self.build_initial(grid), "control_coeffs": self.build_control(grid)}
+        for key, f in initial.items():
+            with np.errstate(over="ignore"):
+                finite = math.isfinite(l2_norm(f)) and math.isfinite(w1p_norm(f, scheme.p))
+            if not finite:
+                raise ConfigError(
+                    f"A1 violated: [initial] {key} gives data whose L2 or W^1,p norm is not finite"
+                )
         self.build_cost(grid, scheme.n_steps)
         if self.n_paths < 1:
             raise ConfigError("[run] n_paths must be >= 1")
@@ -250,19 +277,20 @@ def _parse_floats(text: str) -> list:
 
 
 def _number(text: str, what: str, kind=float):
+    """A finite number parsed from text, or a ConfigError naming `what`."""
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{what} must be {noun}, got {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {text!r}")
+    return value
 
 
 def _field_number(text: str, preset: str, kind=float):
     """A numeric parameter of a field preset; A1 requires finite data."""
-    value = _number(text, f"field preset {preset!r}", kind)
-    if not np.isfinite(value):
-        raise ConfigError(f"A1 violated: field preset {preset!r} must be finite")
-    return value
+    return _number(text, f"A1 violated: field preset {preset!r}", kind)
 
 
 def _parse_field(preset: str, grid: Grid, tag: str) -> Field:

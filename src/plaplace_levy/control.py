@@ -18,13 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FREE_BOUNDARY, Field, Grid, _check_same_grid, l2_norm, w1p_norm
+from .grid import FREE_BOUNDARY, Field, Grid, _check_same_grid, _l2_norms, w1p_norm
 from .levy import LevyModel
 from .scheme import NonConvergence, SchemeConfig, sample_path, simulate_controls
 
 
+# A terminal payoff psi(grid, rows) scores each row of a stack of nodal
+# vectors (M, n_nodes) on `grid`, returning M floats.
+
 def psi_zero():
-    fn = lambda f: 0.0
+    fn = lambda grid, rows: np.zeros(len(rows))
     return fn, 0.0
 
 
@@ -32,14 +35,15 @@ def psi_l2(cap: float = None):
     """Terminal payoff ||v||_{L^2}, optionally clipped at cap; Lipschitz
     constant 1 either way."""
     if cap is None:
-        return (lambda f: l2_norm(f)), 1.0
-    return (lambda f: min(l2_norm(f), float(cap))), 1.0
+        return _l2_norms, 1.0
+    return (lambda grid, rows: np.minimum(_l2_norms(grid, rows), float(cap))), 1.0
 
 
 @dataclass
 class CostSpec:
     """Deterministic target profile (one field per scheme time point),
-    terminal payoff, and its Lipschitz constant."""
+    terminal payoff psi(grid, rows) of a stack of terminal states, and its
+    Lipschitz constant."""
 
     u_tar: list
     psi: callable
@@ -54,19 +58,14 @@ class CostSpec:
             raise ValueError("psi Lipschitz constant must be finite")
         grid = self.u_tar[0].grid
         rng = np.random.default_rng(rng_seed)
-        for _ in range(n_checks):
-            a = _random_zb(grid, rng)
-            b = _random_zb(grid, rng)
-            gap = abs(self.psi(a) - self.psi(b))
-            if gap > self.psi_lipschitz * l2_norm(a - b) + 1e-9:
-                raise ValueError("psi exceeds its declared Lipschitz constant")
+        # pairs (a, b) of random zero-boundary states
+        a, b = np.zeros((2, n_checks, grid.n_nodes))
+        a[:, grid.interior_nodes], b[:, grid.interior_nodes] = rng.normal(
+            size=(2, n_checks, grid.interior_nodes.size))
+        gap = np.abs(self.psi(grid, a) - self.psi(grid, b))
+        if np.any(gap > self.psi_lipschitz * _l2_norms(grid, a - b) + 1e-9):
+            raise ValueError("psi exceeds its declared Lipschitz constant")
         return self
-
-
-def _random_zb(grid: Grid, rng) -> Field:
-    vals = np.zeros(grid.n_nodes)
-    vals[grid.interior_nodes] = rng.normal(size=len(grid.interior_nodes))
-    return Field(grid, vals.reshape(grid.node_shape))
 
 
 def constant_target(grid: Grid, n_steps: int, value_field: Field = None) -> list:
@@ -85,7 +84,6 @@ def cost_J(trajectories, U: Field, spec: CostSpec, p: float) -> tuple:
     grid = trajectories[0].grid
     targets = np.array([f.flat for f in spec.u_tar[1:]])
     tracking = 0.0
-    terminal = 0.0
     for traj in trajectories:
         if traj.config.n_steps != cfg.n_steps or traj.config.dt != cfg.dt:
             raise ValueError("ensemble mixes time grids")
@@ -94,7 +92,10 @@ def cost_J(trajectories, U: Field, spec: CostSpec, p: float) -> tuple:
         gaps = grid.take("interior", traj.states[1:] - targets)
         norms = np.sqrt(np.vecdot(gaps, gaps) * grid.cell_weight)
         tracking += sum((cfg.dt * norms**2).tolist())
-        terminal += spec.psi(traj.state(-1))
+    scores = spec.psi(grid, np.array([traj.states[-1] for traj in trajectories]))
+    terminal = 0.0
+    for score in scores.tolist():  # in path order, as a per-path sum would add them
+        terminal += score
     tracking /= len(trajectories)
     terminal /= len(trajectories)
     control = w1p_norm(U, p) ** p

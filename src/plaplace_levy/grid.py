@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+
+from ._lapack import dgbtrf, dgbtrs
 
 ZERO_BOUNDARY = "zero_boundary"
 FREE_BOUNDARY = "free_boundary"

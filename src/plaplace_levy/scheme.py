@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
+from ._lapack import dgbsv
 from .grid import (
     FREE_BOUNDARY,
     ZERO_BOUNDARY,

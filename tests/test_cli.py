@@ -1,10 +1,14 @@
 """Config parsing/validation and CLI subcommand tests."""
 
 import json
+import math
 import os
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from plaplace_levy.cli import main
 from plaplace_levy.config import (
@@ -204,9 +208,21 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
         # T = 0.5: 0.3 and 0.07 give round(T / dt) = 2 and 7 steps, other horizons
         ("out_dir = out", "out_dir = out\n[converge]\nsweep = dt\nvalues = 0.3,0.07\nprobe = gap",
          "converge", "[converge] values"),
+        # T / 1e-320 overflows to inf steps
+        ("out_dir = out",
+         "out_dir = out\n[converge]\nsweep = dt\nvalues = 1e-320,0.0625\nprobe = gap",
+         "converge", "[converge] values"),
+        ("dt = 0.03125", "dt = nan", "simulate", "[scheme] dt must be finite"),
+        ("dt = 0.03125", "dt = inf", "simulate", "[scheme] dt must be finite"),
+        ("p = 3.0", "p = inf", "simulate", "[scheme] p must be finite"),
+        ("measure = point:1.0@1.0", "measure = point:1.0@1e300", "simulate",
+         "A4 violated: [levy] measure"),
+        ("control_coeffs = 0.25,0.0", "control_coeffs = 1e300,0", "simulate",
+         "A1 violated: [initial] control_coeffs"),
     ],
     ids=["eta", "u0_nan", "basis", "psi", "psi_simulate", "psi_verify", "psi_converge",
-         "control_coeffs_nan", "ref_refine", "dt_not_dividing_T"],
+         "control_coeffs_nan", "ref_refine", "dt_not_dividing_T", "dt_sweep_overflow", "dt_nan",
+         "dt_inf", "p_inf", "jump_rate_too_large", "control_norm_infinite"],
 )
 def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys, old, new, command, named):
     text = REFERENCE.replace(old, new)
@@ -271,6 +287,18 @@ def test_cli_converge_gap_probe(tmp_path):
     assert rep["fitted_slope"] >= 0.8 and rep["passed"]
 
 
+def test_cli_converge_failed_check_exits_1(tmp_path, monkeypatch):
+    import plaplace_levy.cli as cli
+
+    real = cli.interp_gap_scaling
+    monkeypatch.setattr(cli, "interp_gap_scaling",
+                        lambda *args: replace(real(*args), passed=False))
+    text = REFERENCE + "\n[converge]\nsweep = dt\nvalues = 0.0625,0.03125\nprobe = gap\n"
+    cfg_path, out = write(tmp_path, text), str(tmp_path / "out")
+    assert run_cli(["converge", "--config", cfg_path, "--out", out, "--paths", "4"]) == 1
+    assert json.load(open(os.path.join(out, "converge_report.json")))["passed"] is False
+
+
 def test_cli_seed_override_changes_output(tmp_path):
     cfg_path = write(tmp_path, REFERENCE)
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
@@ -307,3 +335,77 @@ def test_cli_simulate_2d(tmp_path):
     assert run_cli(["simulate", "--config", cfg_path, "--out", out]) == 0
     summary = json.load(open(os.path.join(out, "simulate_summary.json")))
     assert summary["ensemble"]["statistics"]["sup_E_l2"] > 0
+
+
+# values that break an unguarded parse: not numbers in the usual sense,
+# signs, zero and a float near the top of the range
+_ODD = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, -1e300]
+
+
+def _fuzz_float(lo, hi):
+    """One of `_ODD` about one draw in eight, otherwise a float in [lo, hi],
+    so that some drawn configs are valid in every key and run."""
+    return st.tuples(st.integers(0, 7), st.sampled_from(_ODD), st.floats(lo, hi)).map(
+        lambda t: t[1] if t[0] == 0 else t[2])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    command=st.sampled_from(["simulate", "verify", "optimize", "converge"]),
+    n_cells=st.integers(2, 5),
+    dt=_fuzz_float(1e-3, 0.25),
+    p=_fuzz_float(2.5, 6.0),
+    lambda_star=_fuzz_float(0.5, 0.99),
+    eta=st.tuples(st.sampled_from(["linear", "sine"]), _fuzz_float(-0.5, 0.5)),
+    atoms=st.lists(st.tuples(_fuzz_float(-3.0, 3.0), _fuzz_float(0.0, 10.0)),
+                   min_size=1, max_size=3),
+    coeffs=st.lists(_fuzz_float(-5.0, 5.0), min_size=2, max_size=2),
+)
+def test_cli_config_values_fuzz_end_in_documented_exit_codes(
+        command, n_cells, dt, p, lambda_star, eta, atoms, coeffs):
+    measure = ",".join(f"{z!r}@{mass!r}" for z, mass in atoms)
+    text = f"""
+[grid]
+dim = 1
+n_cells = {n_cells}
+
+[scheme]
+p = {p!r}
+dt = {dt!r}
+n_steps = 8
+
+[levy]
+measure = point:{measure}
+eta = {eta[0]}:{eta[1]!r}
+lambda_star = {lambda_star!r}
+
+[initial]
+u0 = sine:amplitude=0.5,mode=1
+basis = sine:2
+control_coeffs = {coeffs[0]!r},{coeffs[1]!r}
+
+[run]
+n_paths = 2
+seed = 0
+
+[converge]
+sweep = dt
+values = {2 * dt!r},{dt!r}
+probe = gap
+"""
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "run.ini")
+        with open(cfg_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "out")
+        code = run_cli([command, "--config", cfg_path, "--out", out])
+        assert code in (0, 1, 2, 3)
+        for name in os.listdir(out) if os.path.isdir(out) else []:
+            if name.endswith(".json"):  # strict JSON: no NaN or Infinity tokens
+                with open(os.path.join(out, name), encoding="utf-8") as fh:
+                    json.load(fh, parse_constant=_reject_constant)
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")

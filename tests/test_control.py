@@ -95,6 +95,30 @@ def test_cost_rejects_mismatched_time_grid():
         cost_J(ens, Field.zeros(GRID, "free_boundary"), bad, CFG.p)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("kind", ["zero", "l2", "l2_clip"])
+def test_cost_terminal_rows_match_per_field_payoff_bitwise(dim, kind):
+    grid = Grid(dim, 12 if dim == 1 else 5)
+    cfg = SchemeConfig(p=3, dt=1 / 16, n_steps=4, flux=zero_flux(dim))
+    u0 = Field.from_function(grid, lambda *x: 0.5 * np.prod(np.sin(np.pi * np.array(x)), axis=0))
+    U = Field.zeros(grid, "free_boundary")
+    model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5, point_masses=((1.0, 6.0), (-0.5, 6.0)))
+    ens = generate_ensemble(u0, U, model, cfg, 7, base_seed=0)
+    norms = [l2_norm(traj.state(-1)) for traj in ens]
+    assert len(set(norms)) == len(norms)
+    cap = float(np.median(norms))  # binds on some paths, not on others
+    psi = {"zero": psi_zero(), "l2": psi_l2(), "l2_clip": psi_l2(cap=cap)}[kind]
+    spec = CostSpec(u_tar=constant_target(grid, cfg.n_steps), psi=psi[0], psi_lipschitz=psi[1])
+    total, parts = cost_J(ens, U, spec, cfg.p)
+    # the per-path payoff on one terminal Field at a time, added in path order
+    terminal = 0.0
+    for v in norms:
+        terminal += {"zero": 0.0, "l2": v, "l2_clip": min(v, cap)}[kind]
+    terminal /= len(ens)
+    assert parts["terminal"] == terminal
+    assert total == parts["tracking"] + parts["control"] + terminal
+
+
 def test_cost_spec_validation():
     spec = make_spec(psi=psi_l2())
     spec.validate(CFG.n_steps)
@@ -388,10 +412,12 @@ def test_diverged_candidate_scores_inf_and_spares_its_batch(monkeypatch):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # the package's own search replaced scipy.optimize; importing it would
-    # cost about a third of the CLI's start-up time
+    # the package's own search replaced scipy.optimize, and its LAPACK routines
+    # load without scipy/__init__ or scipy.linalg: importing any of these
+    # would cost more than the rest of the CLI's start-up
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import plaplace_levy.cli; "
-            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'")
+            "loaded = [m for m in ('scipy', 'scipy.linalg', 'scipy.optimize', 'scipy.sparse') "
+            "if m in sys.modules]; assert not loaded, loaded")
     proc = subprocess.run([sys.executable, "-I", "-c", code, os.path.join(REPO, "src")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
