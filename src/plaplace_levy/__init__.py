@@ -23,7 +23,6 @@ from .levy import (
     InfiniteMassError,
     LevyModel,
     PrmPath,
-    compensated_increment,
     compensated_increments,
     eta_linear,
     eta_sine,
@@ -35,12 +34,10 @@ from .scheme import (
     CLAMP_BOUNDARY,
     LIFT_BOUNDARY,
     FluxModel,
-    Interpolants,
     NonConvergence,
     SchemeConfig,
     Trajectory,
     initial_smoothing,
-    interpolants,
     linear_flux,
     prepare_initial,
     project_control,

@@ -6,7 +6,9 @@ Every command loads one INI config (``--config``), applies the optional
 are bitwise-reproducible from (config, seed).
 
 Exit codes: 0 success, 1 checks failed (a `verify` check or the `converge`
-report's `passed`), 2 invalid config, 3 step-solver failure.
+report's `passed`), 2 invalid config, 3 step-solver failure.  `simulate`
+solves all its paths as one batch before it writes any, so when a path
+fails no path CSV is written, not even those of the paths before it.
 
 Output schemas (all JSON objects carry ``schema_version``):
 
@@ -50,23 +52,19 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, check_jump_rate, parse_config, serialize_config
+from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .control import saa_minimize
 from .estimates import (
-    aldous_scaling,
     apriori_check,
+    converge_study,
     generate_ensemble,
-    interp_gap_scaling,
-    isometry_check,
-    uniqueness_check,
+    theta_ladder,
+    verify_study,
 )
-from .grid import Field, l2_norm
-from .levy import LevyModel
-from .scheme import NonConvergence, simulate_path
+from .scheme import NonConvergence
 
 SCHEMA_VERSION = 1
 
@@ -107,19 +105,14 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
         raise ConfigError("simulate needs [run] n_paths >= 2 for ensemble statistics")
     grid = cfg.build_grid()
     scheme = cfg.build_scheme(grid.dim)
-    model = cfg.build_levy()
     u0 = cfg.build_initial(grid)
     U = cfg.build_control(grid)
+    trajectories = generate_ensemble(u0, U, cfg.build_levy(), scheme, cfg.n_paths, cfg.seed)
+
     paths_dir = os.path.join(out_dir, "paths")
     os.makedirs(paths_dir, exist_ok=True)
-
-    trajectories = []
-    for i in range(cfg.n_paths):
-        traj = simulate_path(u0, U, model, scheme, seed=cfg.seed + i)
-        trajectories.append(traj)
+    for i, traj in enumerate(trajectories):
         _write_path_csv(os.path.join(paths_dir, f"path_{i:05d}.csv"), traj)
-
-    report = apriori_check(trajectories, u0, U)
     summary = {
         "command": "simulate",
         "n_paths": cfg.n_paths,
@@ -127,7 +120,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
         "dt": scheme.dt,
         "n_steps": scheme.n_steps,
         "p": scheme.p,
-        "ensemble": report.to_dict(),
+        "ensemble": apriori_check(trajectories, u0, U).to_dict(),
         "total_jumps": sum(t.prm.jump_count() for t in trajectories),
     }
     _write_json(os.path.join(out_dir, "simulate_summary.json"), summary)
@@ -151,62 +144,21 @@ def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
         raise ConfigError("verify needs [run] n_paths >= 2 for ensemble statistics")
     grid = cfg.build_grid()
     scheme = cfg.build_scheme(grid.dim)
-    model = cfg.build_levy()
-    u0 = cfg.build_initial(grid)
-    U = cfg.build_control(grid)
-
-    ensemble = generate_ensemble(u0, U, model, scheme, cfg.n_paths, cfg.seed)
-    results = {}
-
-    results["apriori"] = apriori_check(ensemble, u0, U).to_dict()
-    results["apriori"]["passed"] = not results["apriori"]["violation"]
-
-    tau = scheme.T / 4.0
-    thetas = [scheme.dt * 2**j for j in range(5) if tau + scheme.dt * 2**j <= scheme.T]
-    if len(thetas) < 4:  # short runs: linear ladder instead of dyadic
-        thetas = [scheme.dt * k for k in range(1, 5) if tau + scheme.dt * k <= scheme.T]
-    if len(thetas) < 4:
+    if len(theta_ladder(scheme)) < 4:
         raise ConfigError("scheme too short for increment scaling (needs n_steps >= 6)")
-    for probe in ("T1", "T2"):
-        rep = aldous_scaling(ensemble, probe, thetas, tau=tau)
-        results[f"aldous_{probe.lower()}"] = rep.to_dict()
-
-    iso_u = u0 if np.any(u0.values) else _default_bump(grid)
-    iso = isometry_check(model, iso_u, scheme.dt, 10_000, base_seed=cfg.seed + 7919)
-    results["isometry"] = iso.to_dict()
-
-    same = uniqueness_check(model, scheme, u0, u0.copy(), U,
-                            n_paths=min(cfg.n_paths, 20), base_seed=cfg.seed)
-    bump = _default_bump(grid)
-    diff = uniqueness_check(model, scheme, u0, u0 + bump, U,
-                            n_paths=cfg.n_paths, base_seed=cfg.seed)
-    results["uniqueness"] = {
-        "identical": same.to_dict(),
-        "distinct": diff.to_dict(),
-        "passed": same.passed and diff.passed,
-    }
-
-    all_passed = all(
-        results[name].get("passed", True)
-        for name in ("apriori", "aldous_t1", "aldous_t2", "isometry", "uniqueness")
+    results, all_passed = verify_study(
+        cfg.build_initial(grid), cfg.build_control(grid), cfg.build_levy(), scheme,
+        cfg.n_paths, cfg.seed,
     )
     for name, payload in results.items():
         _write_json(os.path.join(out_dir, f"verify_{name}.json"), payload)
     _write_json(
         os.path.join(out_dir, "verify_summary.json"),
         {"command": "verify", "all_passed": all_passed,
-         "checks": {k: results[k].get("passed", True) for k in results}},
+         "checks": {name: payload["passed"] for name, payload in results.items()}},
     )
     print(f"verify: all_passed={all_passed} -> {out_dir}")
     return 0 if all_passed else 1
-
-
-def _default_bump(grid) -> Field:
-    if grid.dim == 1:
-        return Field.from_function(grid, lambda x: 0.3 * np.sin(3 * np.pi * x))
-    return Field.from_function(
-        grid, lambda x, y: 0.3 * np.sin(3 * np.pi * x) * np.sin(np.pi * y)
-    )
 
 
 def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
@@ -235,40 +187,20 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
     grid = cfg.build_grid()
     scheme = cfg.build_scheme(grid.dim)
     model = cfg.build_levy()
-    u0 = cfg.build_initial(grid)
-    U = cfg.build_control(grid)
     sweep = cfg.get("converge", "sweep")
-    values = cfg.converge_values()
     probe = cfg.get("converge", "probe")
-    refine = cfg._int("converge", "ref_refine")
-    if refine < 2:
-        # the reference run must be strictly finer than every sweep point
-        raise ConfigError(f"[converge] ref_refine must be >= 2, got {refine}")
-    if len(values) < 2:
-        raise ConfigError("[converge] values needs at least two sweep points")
-
-    if sweep == "dt":
-        for dt in values:
-            # the sweep runs each dt for round(T / dt) steps: the horizons
-            # must agree
-            n = scheme.T / dt if dt > 0 else 0.0
-            if not 0.5 <= n < np.inf or abs(n - round(n)) > 1e-9 * n:
-                raise ConfigError(
-                    f"[converge] values: dt = {dt!r} must be a positive step dividing "
-                    f"T = {scheme.T!r}"
-                )
-            check_jump_rate(model, dt, "[converge] values")
-        if probe == "gap":
-            rep = interp_gap_scaling(u0, U, model, scheme, values, cfg.n_paths, cfg.seed)
-        elif probe == "self":
-            rep = _self_convergence(u0, U, model, scheme, values, refine, cfg.seed)
-        else:
-            raise ConfigError(f"unknown converge probe {probe!r}")
-    elif sweep == "eps":
-        rep = _eps_sweep(cfg, u0, U, scheme, values, refine)
-    else:
-        raise ConfigError(f"unknown sweep parameter {sweep!r}")
-
+    values = cfg.converge_values()
+    # RunConfig.validate has checked each value; these needs are converge's own
+    if len(values) < 2 or len(set(values)) < len(values):
+        raise ConfigError("[converge] values needs at least two distinct sweep points")
+    if sweep == "eps" and model.density is None:
+        raise ConfigError("eps sweep needs a density measure")
+    if sweep == "dt" and probe == "self" and model.total_mass > 0 and not model.eta_is_zero:
+        raise ConfigError("converge probe 'self' requires eta = zero")
+    rep = converge_study(
+        cfg.build_initial(grid), cfg.build_control(grid), model, scheme, sweep, probe,
+        values, cfg._int("converge", "ref_refine"), cfg.n_paths, cfg.seed,
+    )
     payload = {"command": "converge", "sweep": sweep, **rep.to_dict()}
     _write_json(os.path.join(out_dir, "converge_report.json"), payload)
     print(
@@ -276,78 +208,6 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
         f"passed={rep.passed} -> {out_dir}"
     )
     return 0 if rep.passed else 1
-
-
-def _self_convergence(u0, U, model: LevyModel, scheme, dt_values, refine, seed):
-    """Terminal-state error against a refined-step reference run; only
-    meaningful without noise (jump paths cannot be coupled across dt)."""
-    from .estimates import ScalingReport, _loglog_fit
-
-    if model.total_mass > 0 and not _eta_is_zero(model):
-        raise ConfigError("converge probe 'self' requires eta = zero")
-    T = scheme.T
-    dt_values = sorted((float(v) for v in dt_values), reverse=True)
-    dt_ref = min(dt_values) / refine
-    # fixed smoothing weight across the sweep: the study measures the march
-    smooth = min(dt_values)
-    ref = simulate_path(
-        u0, U, model,
-        replace(scheme, dt=dt_ref, n_steps=int(round(T / dt_ref)), smoothing_dt=smooth),
-        seed,
-    )
-    errors = []
-    for dt in dt_values:
-        traj = simulate_path(
-            u0, U, model,
-            replace(scheme, dt=dt, n_steps=int(round(T / dt)), smoothing_dt=smooth),
-            seed,
-        )
-        errors.append(l2_norm(traj.hats[-1] - ref.hats[-1]))
-    slope, r2 = _loglog_fit(dt_values, errors)
-    return ScalingReport(
-        probe="self", grid=dt_values, measured=errors, fitted_slope=slope,
-        r_squared=r2, target_slope=1.0, passed=abs(slope - 1.0) <= 0.2,
-    )
-
-
-def _eta_is_zero(model: LevyModel) -> bool:
-    probe = np.linspace(-2, 2, 9)
-    return all(
-        not np.any(model.eta(probe, z)) for z in (0.5, 1.0, 2.0)
-    )
-
-
-def _eps_sweep(cfg: RunConfig, u0, U, scheme, eps_values, refine):
-    """Weak-error proxy for the small-jump truncation: difference of the
-    mean terminal second moment against the finest-eps reference."""
-    from .estimates import ScalingReport, _loglog_fit
-
-    eps_values = sorted((float(v) for v in eps_values), reverse=True)
-    if cfg.get("levy", "measure").partition(":")[0] != "density":
-        raise ConfigError("eps sweep needs a density measure")
-
-    def mean_sq(eps: float) -> float:
-        model = RunConfig(
-            raw={**cfg.raw, "levy": {**cfg.raw["levy"], "eps": repr(eps)}}
-        ).build_levy()
-        check_jump_rate(model, scheme.dt, "[converge] values")
-        vals = [
-            l2_norm(traj.state(-1)) ** 2
-            for traj in generate_ensemble(u0, U, model, scheme, cfg.n_paths, cfg.seed)
-        ]
-        return float(np.mean(vals))
-
-    ref = mean_sq(min(eps_values) / refine)
-    measured = [abs(mean_sq(eps) - ref) for eps in eps_values]
-    try:
-        slope, r2 = _loglog_fit(eps_values, measured)
-    except ValueError:
-        slope, r2 = 0.0, 1.0
-    return ScalingReport(
-        probe="eps", grid=eps_values, measured=measured, fitted_slope=slope,
-        r_squared=r2, target_slope=0.0, passed=True,
-        extra={"note": "informational sweep; no rate asserted"},
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import configparser
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class RunConfig:
 
     def build_flux(self, dim: int):
         kind = self.get("scheme", "flux")
-        coefs = _parse_floats(self.get("scheme", "flux_coefs"))
+        coefs = _parse_floats(self.get("scheme", "flux_coefs"), "[scheme] flux_coefs")
         if kind == "zero":
             flux = zero_flux(dim)
         elif kind in ("linear", "sine"):
@@ -117,21 +117,19 @@ class RunConfig:
             raise ConfigError(str(err))
 
     def build_scheme(self, dim: int) -> SchemeConfig:
-        p = self._float("scheme", "p")
-        if p <= 2:
-            raise ConfigError(f"scheme requires p > 2, got {p}")
+        fields = dict(
+            p=self._float("scheme", "p"),
+            dt=self._float("scheme", "dt"),
+            n_steps=self._int("scheme", "n_steps"),
+            flux=self.build_flux(dim),
+            newton_tol=self._float("scheme", "newton_tol"),
+            newton_max_iters=self._int("scheme", "newton_max_iters"),
+            control_projection=self.get("scheme", "control_projection"),
+        )
         try:
-            return SchemeConfig(
-                p=p,
-                dt=self._float("scheme", "dt"),
-                n_steps=self._int("scheme", "n_steps"),
-                flux=self.build_flux(dim),
-                newton_tol=self._float("scheme", "newton_tol"),
-                newton_max_iters=self._int("scheme", "newton_max_iters"),
-                control_projection=self.get("scheme", "control_projection"),
-            )
-        except ValueError as err:
-            raise ConfigError(str(err))
+            return SchemeConfig(**fields)
+        except ValueError as err:  # SchemeConfig names the field
+            raise ConfigError(f"[scheme] {err}")
 
     def build_levy(self) -> LevyModel:
         lam_star = self._float("levy", "lambda_star")
@@ -203,7 +201,7 @@ class RunConfig:
 
     def build_control(self, grid: Grid) -> Field:
         basis = self.build_basis(grid)
-        coefs = _parse_floats(self.get("initial", "control_coeffs"))
+        coefs = _parse_floats(self.get("initial", "control_coeffs"), "[initial] control_coeffs")
         if not basis or not coefs:
             return Field.zeros(grid, FREE_BOUNDARY)
         if len(coefs) != len(basis):
@@ -246,12 +244,13 @@ class RunConfig:
         return self.get("run", "out_dir")
 
     def converge_values(self) -> list:
-        return _parse_floats(self.get("converge", "values"))
+        return _parse_floats(self.get("converge", "values"), "[converge] values")
 
     def validate(self) -> "RunConfig":
         grid = self.build_grid()
         scheme = self.build_scheme(grid.dim)
-        check_jump_rate(self.build_levy(), scheme.dt, "[levy] measure")
+        model = self.build_levy()
+        check_jump_rate(model, scheme.dt, "[levy] measure")
         initial = {"u0": self.build_initial(grid), "control_coeffs": self.build_control(grid)}
         for key, f in initial.items():
             with np.errstate(over="ignore"):
@@ -263,17 +262,48 @@ class RunConfig:
         self.build_cost(grid, scheme.n_steps)
         if self.n_paths < 1:
             raise ConfigError("[run] n_paths must be >= 1")
+        self._validate_converge(scheme, model)
         return self
 
+    def _validate_converge(self, scheme: SchemeConfig, model: LevyModel) -> None:
+        """Each given [converge] value must make a runnable study: a dt must
+        divide T (the sweep runs round(T / dt) steps, so the horizons must
+        agree), and the jump rate must stay within bounds at each dt, or at
+        each eps and at the reference eps min(values) / ref_refine."""
+        sweep, probe = self.get("converge", "sweep"), self.get("converge", "probe")
+        if sweep not in ("dt", "eps"):
+            raise ConfigError(f"[converge] sweep must be dt or eps, got {sweep!r}")
+        if probe not in ("gap", "self"):
+            raise ConfigError(f"[converge] probe must be gap or self, got {probe!r}")
+        refine = self._int("converge", "ref_refine")
+        if refine < 2:
+            # the reference run must be strictly finer than every sweep point
+            raise ConfigError(f"[converge] ref_refine must be >= 2, got {refine}")
+        values = self.converge_values()
+        if sweep == "dt":
+            for dt in values:
+                n = scheme.T / dt if dt > 0 else 0.0
+                if not 0.5 <= n < math.inf or abs(n - round(n)) > 1e-9 * n:
+                    raise ConfigError(
+                        f"[converge] values: dt = {dt!r} must be a positive step dividing "
+                        f"T = {scheme.T!r}"
+                    )
+                check_jump_rate(model, dt, "[converge] values")
+        elif values:
+            for eps in [*values, min(values) / refine]:
+                try:
+                    eps_model = replace(model, eps=eps).validate()
+                except ValueError as err:
+                    raise ConfigError(f"[converge] values: eps = {eps!r}: {err}")
+                check_jump_rate(eps_model, scheme.dt, "[converge] values")
 
-def _parse_floats(text: str) -> list:
+
+def _parse_floats(text: str, what: str) -> list:
+    """The finite numbers of a comma list, or a ConfigError naming `what`."""
     text = text.strip()
     if not text:
         return []
-    try:
-        return [float(tok) for tok in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"expected a comma list of numbers, got {text!r}")
+    return [_number(tok, what) for tok in text.split(",")]
 
 
 def _number(text: str, what: str, kind=float):

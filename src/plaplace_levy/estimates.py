@@ -1,7 +1,8 @@
 """Monte Carlo verification harness for the scheme's quantitative structure:
 moment bounds, interpolant-gap scaling, increment (tightness-style) scalings,
 the second-moment identity of compensated increments, and L^1 stability of
-paired paths.
+paired paths; and the studies the `verify` and `converge` commands run on
+them (`verify_study`, `converge_study`).
 
 Pass criteria follow the shape of the underlying estimates: decay slopes and
 stability of fitted constants, never absolute thresholds with unknowable
@@ -15,9 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import Field, dual_norm_estimates, l2_norm, w1p_norm
+from .grid import Field, Grid, dual_norm_estimates, l2_norm, w1p_norm
 from .levy import LevyModel, isometry_rhs, jump_sums, step_marks
-from .scheme import SchemeConfig, project_control, sample_path, simulate_paths
+from .scheme import SchemeConfig, project_control, sample_path, simulate_path, simulate_paths
 
 
 class DegenerateRegressionError(ValueError):
@@ -87,6 +88,7 @@ def apriori_check(trajectories, u0: Field, U: Field) -> EnsembleReport:
     sq = np.empty((M, n_times))
     grad_int = np.empty(M)
     incr_sq = np.empty(M)
+    gap = np.empty(M)
     for i, traj in enumerate(trajectories):
         tc = traj.config
         if (tc.p, tc.dt, tc.n_steps) != (cfg.p, cfg.dt, cfg.n_steps):
@@ -95,6 +97,7 @@ def apriori_check(trajectories, u0: Field, U: Field) -> EnsembleReport:
         sq[i] = l2**2
         grad_int[i] = cfg.dt * sum(grad_pow[1:].tolist())
         incr_sq[i] = traj.increments_sq_sum()
+        gap[i] = traj.interp_gap_sq()
 
     mean_sq_t = sq.mean(axis=0)
     k_star = int(np.argmax(mean_sq_t))
@@ -103,7 +106,7 @@ def apriori_check(trajectories, u0: Field, U: Field) -> EnsembleReport:
     E_sup_l2, se_esup = _mean_se(sq.max(axis=1))
     E_grad, se_grad = _mean_se(grad_int)
     E_incr, se_incr = _mean_se(incr_sq)
-    E_gap, se_gap = _mean_se(cfg.dt / 3.0 * incr_sq)
+    E_gap, se_gap = _mean_se(gap)
 
     base = l2_norm(u0) ** 2 + w1p_norm(project_control(U, cfg.control_projection), cfg.p) ** cfg.p
     combined = sup_E_l2 + E_incr + E_grad
@@ -251,7 +254,7 @@ def interp_gap_scaling(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
         n_steps = int(round(T / dt))
         cfg_dt = replace(cfg, dt=dt, n_steps=n_steps)
         gaps = [
-            (dt / 3.0) * traj.increments_sq_sum()
+            traj.interp_gap_sq()
             for traj in generate_ensemble(u0, U, model, cfg_dt, n_paths, base_seed)
         ]
         measured.append(float(np.mean(gaps)))
@@ -395,3 +398,123 @@ def isometry_check(model: LevyModel, u: Field, dt: float, n_samples: int,
     se = vals.std(ddof=1) / np.sqrt(n_samples)
     tol = max(3.0 * se / exact, 3.0 / np.sqrt(n_samples))
     return IsometryReport(mc, exact, rel, tol, n_samples, rel <= tol)
+
+
+# ---------------------------------------------------------------------------
+# the studies of the `verify` and `converge` commands
+
+
+def theta_ladder(cfg: SchemeConfig) -> list:
+    """Window sizes of `verify`'s increment scalings at tau = T / 4: the
+    dyadic steps dt 2^j (j < 5) whose windows end by T, or, when fewer than
+    four do, the steps dt k (k <= 4) that do.  Fewer than four remain when
+    n_steps < 6."""
+    tau = cfg.T / 4.0
+    thetas = [cfg.dt * 2**j for j in range(5) if tau + cfg.dt * 2**j <= cfg.T]
+    if len(thetas) < 4:  # short runs: linear ladder instead of dyadic
+        thetas = [cfg.dt * k for k in range(1, 5) if tau + cfg.dt * k <= cfg.T]
+    return thetas
+
+
+def default_bump(grid: Grid) -> Field:
+    """The smooth zero-boundary perturbation `verify_study` pairs with u0 (and
+    probes the isometry at when u0 = 0)."""
+    if grid.dim == 1:
+        return Field.from_function(grid, lambda x: 0.3 * np.sin(3 * np.pi * x))
+    return Field.from_function(
+        grid, lambda x, y: 0.3 * np.sin(3 * np.pi * x) * np.sin(np.pi * y)
+    )
+
+
+def verify_study(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
+                 n_paths: int, base_seed: int) -> tuple:
+    """Every check of `verify` on the path seeds base_seed ..
+    base_seed + n_paths - 1: the moment bounds, both increment scalings over
+    `theta_ladder` at tau = T / 4, the isometry on 10,000 single-step draws,
+    and L^1 uniqueness of identical (at most 20 paths) and of bumped initial
+    data.  Returns ({check name: report dict with a `passed` flag},
+    whether all passed)."""
+    ensemble = generate_ensemble(u0, U, model, cfg, n_paths, base_seed)
+    results = {"apriori": apriori_check(ensemble, u0, U).to_dict()}
+    results["apriori"]["passed"] = not results["apriori"]["violation"]
+    for probe in ("T1", "T2"):
+        rep = aldous_scaling(ensemble, probe, theta_ladder(cfg), tau=cfg.T / 4.0)
+        results[f"aldous_{probe.lower()}"] = rep.to_dict()
+    bump = default_bump(u0.grid)
+    iso_u = u0 if np.any(u0.values) else bump
+    results["isometry"] = isometry_check(
+        model, iso_u, cfg.dt, 10_000, base_seed=base_seed + 7919).to_dict()
+    same = uniqueness_check(model, cfg, u0, u0.copy(), U, n_paths=min(n_paths, 20),
+                            base_seed=base_seed)
+    diff = uniqueness_check(model, cfg, u0, u0 + bump, U, n_paths=n_paths,
+                            base_seed=base_seed)
+    results["uniqueness"] = {
+        "identical": same.to_dict(),
+        "distinct": diff.to_dict(),
+        "passed": same.passed and diff.passed,
+    }
+    return results, all(r["passed"] for r in results.values())
+
+
+def converge_study(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
+                   sweep: str, probe: str, values, refine: int, n_paths: int,
+                   base_seed: int) -> ScalingReport:
+    """The study of `converge`: `eps_sweep` for sweep "eps"; for sweep "dt"
+    the probe "gap" (`interp_gap_scaling`) or "self" (`self_convergence`)."""
+    if sweep == "eps":
+        return eps_sweep(u0, U, model, cfg, values, refine, n_paths, base_seed)
+    if sweep != "dt" or probe not in ("gap", "self"):
+        raise ValueError(f"unknown converge study: sweep {sweep!r}, probe {probe!r}")
+    if probe == "gap":
+        return interp_gap_scaling(u0, U, model, cfg, values, n_paths, base_seed)
+    return self_convergence(u0, U, model, cfg, values, refine, base_seed)
+
+
+def self_convergence(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
+                     dt_values, refine: int, seed: int) -> ScalingReport:
+    """Terminal-state L^2 error at each dt against a run with step
+    min(dt_values) / refine, all on path `seed`; only meaningful without
+    noise (jump paths are not coupled across dt).  The smoothing weight is
+    pinned to min(dt_values), so the sweep measures the order of the time
+    march; pass rule |slope - 1| <= 0.2."""
+    dt_values = sorted((float(v) for v in dt_values), reverse=True)
+    smooth = min(dt_values)
+
+    def terminal(dt: float) -> Field:
+        run = replace(cfg, dt=dt, n_steps=int(round(cfg.T / dt)), smoothing_dt=smooth)
+        return simulate_path(u0, U, model, run, seed).state(-1)
+
+    ref = terminal(min(dt_values) / refine)
+    errors = [l2_norm(terminal(dt) - ref) for dt in dt_values]
+    slope, r2 = _loglog_fit(dt_values, errors)
+    return ScalingReport(
+        probe="self", grid=dt_values, measured=errors, fitted_slope=slope,
+        r_squared=r2, target_slope=1.0, passed=abs(slope - 1.0) <= 0.2,
+    )
+
+
+def eps_sweep(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig, eps_values,
+              refine: int, n_paths: int, base_seed: int) -> ScalingReport:
+    """Weak-error proxy for the small-jump truncation of a density measure:
+    per eps, the distance of the mean terminal second moment E||u(T)||^2
+    from its value at eps = min(eps_values) / refine, each over the path
+    seeds base_seed .. base_seed + n_paths - 1.  Informational: no rate is
+    asserted."""
+    eps_values = sorted((float(v) for v in eps_values), reverse=True)
+
+    def mean_sq(eps: float) -> float:
+        ensemble = generate_ensemble(u0, U, replace(model, eps=eps).validate(), cfg,
+                                     n_paths, base_seed)
+        return float(np.mean([l2_norm(traj.state(-1)) ** 2 for traj in ensemble]))
+
+    ref = mean_sq(min(eps_values) / refine)
+    measured = [abs(mean_sq(eps) - ref) for eps in eps_values]
+    try:
+        slope, r2 = _loglog_fit(eps_values, measured)
+    except ValueError:
+        slope, r2 = 0.0, 1.0
+    return ScalingReport(
+        probe="eps", grid=eps_values, measured=measured, fitted_slope=slope,
+        r_squared=r2, target_slope=0.0, passed=True,
+        extra={"note": "informational sweep; no rate asserted"},
+    )

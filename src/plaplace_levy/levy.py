@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Field, ZERO_BOUNDARY
+from .grid import Field
 
 _KEY_SALT = 0x9E3779B97F4A7C15
 
@@ -84,7 +84,15 @@ class LevyModel:
         z, lam = self.atoms
         if len(z) == 0:
             return 0.0
-        return float(np.sum(np.minimum(1.0, z * z) * lam))
+        clip = np.minimum(1.0, np.abs(z))  # (1 ^ |z|)^2 = 1 ^ z^2, without overflow
+        return float(np.sum(clip * clip * lam))
+
+    @property
+    def eta_is_zero(self) -> bool:
+        """eta vanishes on a probe grid of states at the marks 0.5, 1 and 2,
+        which tells the preset `eta_zero` from the nonzero presets."""
+        probe = np.linspace(-2, 2, 9)
+        return all(not np.any(self.eta(probe, z)) for z in (0.5, 1.0, 2.0))
 
     def compensator(self, u: np.ndarray) -> np.ndarray:
         """integral eta(u; z) m(dz) over the truncated measure, per node."""
@@ -258,23 +266,6 @@ def jump_sums(model: LevyModel, u_int: np.ndarray, marks: list) -> np.ndarray:
     jumps = model.eta(u_int if u_int.ndim == 1 else u_int[rows], z[:, None])
     index = (m * rows[:, None] + np.arange(m)).ravel()
     return np.bincount(index, jumps.ravel(), len(marks) * m).reshape(len(marks), m)
-
-
-def compensated_increment(model: LevyModel, u: Field, path: PrmPath, k: int) -> Field:
-    """Nodal increment of the compensated jump integral over step k with the
-    integrand frozen at u:
-
-        sum_{jumps in step k} eta(u(x); z_i)  -  dt * integral eta(u(x); z) m(dz)
-
-    Returns a zero-boundary Field (eta(0; z) = 0 keeps the boundary flat; the
-    boundary rows are zeroed explicitly so lifted traces stay untouched).
-    """
-    if not 0 <= k < path.n_steps:
-        raise IndexError(f"step {k} outside path range 0..{path.n_steps - 1}")
-    vals = np.zeros(u.grid.n_nodes)
-    idx = u.grid.interior_nodes
-    vals[idx] = compensated_increments(model, u.flat[idx], [path.events[k][1]], path.dt)[0]
-    return Field(u.grid, vals.reshape(u.grid.node_shape), ZERO_BOUNDARY)
 
 
 def isometry_rhs(model: LevyModel, u: Field, dt: float) -> float:

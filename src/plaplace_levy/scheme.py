@@ -77,6 +77,8 @@ class FluxModel:
 
     def validate(self, rng_seed: int = 0, n_checks: int = 200):
         """Spot-check f(0) = 0 and the Lipschitz bound (assumption A2)."""
+        if not np.isfinite(self.c_f):
+            raise ValueError("A2 violated: flux Lipschitz constant must be finite")
         for fd in self.f:
             if abs(float(np.asarray(fd(np.zeros(1))).ravel()[0])) > 1e-14:
                 raise ValueError("A2 violated: flux must satisfy f(0) = 0")
@@ -133,10 +135,12 @@ class SchemeConfig:
     smoothing_dt: float = None
 
     def __post_init__(self):
-        if self.p <= 2:
-            raise ValueError(f"p must exceed 2, got {self.p}")
-        if self.dt <= 0 or self.n_steps < 0:
-            raise ValueError("dt must be positive and n_steps nonnegative")
+        if not self.p > 2:
+            raise ValueError(f"p must satisfy p > 2, got {self.p!r}")
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        if self.n_steps < 0:
+            raise ValueError(f"n_steps must be nonnegative, got {self.n_steps!r}")
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
         if self.control_projection not in (CLAMP_BOUNDARY, LIFT_BOUNDARY):
@@ -346,7 +350,7 @@ def _newton(solver: _StepSolver, v: np.ndarray, rhs: np.ndarray,
         live[rows] = False
 
     for _ in range(max_iters):
-        act = state[2] > tol
+        act = ~(state[2] <= tol)  # a NaN residual is not converged
         if failures:
             act &= live
         n_act = np.count_nonzero(act)
@@ -375,7 +379,7 @@ def _newton(solver: _StepSolver, v: np.ndarray, rhs: np.ndarray,
         if stuck.size:
             fail(stuck, "step solver stagnated at residual {:.3e}")
     else:
-        fail(np.flatnonzero(live & (state[2] > tol)),
+        fail(np.flatnonzero(live & ~(state[2] <= tol)),
              f"step solver exhausted {max_iters} iterations at residual {{:.3e}}")
     failures.sort(key=lambda f: f[0])
     return state[0], failures
@@ -501,8 +505,8 @@ class Trajectory:
     """One simulated path: nodal states hats[k] at t_k = k dt, the jump path
     that drove it, and the running martingale sums B(t_k).  The path is
     held as the arrays `states` and `sums` of shape (n_steps + 1, n_nodes),
-    with states[0] the initial state hat0; the Fields of `hats` and
-    `martingale_partials` are built on first use."""
+    with states[0] the initial state hat0; the Fields of `hats` are built on
+    first use."""
 
     states: np.ndarray
     sums: np.ndarray
@@ -532,18 +536,6 @@ class Trajectory:
     def hats(self) -> tuple:
         return tuple(self.state(k) for k in range(len(self.states)))
 
-    @cached_property
-    def martingale_partials(self) -> tuple:
-        return tuple(Field(self.grid, b.reshape(self.grid.node_shape)) for b in self.sums)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.config.n_steps + 1) * self.config.dt
-
-    def noise_increments(self):
-        b = self.martingale_partials
-        return [b[k + 1] - b[k] for k in range(len(b) - 1)]
-
     def state_norms(self, p: float) -> tuple:
         """`l2_norm` and `lp_grad_norm` ** p of every state, (n_steps + 1,)
         each, in one row-wise pass over `states`."""
@@ -553,6 +545,12 @@ class Trajectory:
         """sum_k l2_norm(hats[k + 1] - hats[k])^2, summed in step order."""
         norms = _l2_norms(self.grid, np.diff(self.states, axis=0))
         return sum((norms**2).tolist())
+
+    def interp_gap_sq(self) -> float:
+        """||u_step - u_affine||^2 over space-time, integrated exactly: on
+        step k the gap is (1 - lam) (hats[k + 1] - hats[k]) at t = t_k +
+        lam dt, so it integrates to dt / 3 * increments_sq_sum()."""
+        return (self.config.dt / 3.0) * self.increments_sq_sum()
 
 
 def sample_path(model: LevyModel, cfg: SchemeConfig, seed: int) -> PrmPath:
@@ -672,63 +670,3 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
             if alive.size == 0:
                 break
     return states, sums, errors
-
-
-# ---------------------------------------------------------------------------
-# interpolants in time
-
-
-class Interpolants:
-    """Step and affine interpolants of a trajectory.
-
-    u_step   : right-continuous, equals hats[k+1] on [t_k, t_{k+1})
-    u_left   : left-continuous, equals hats[k] on (t_k, t_{k+1}], hats[0] at 0
-    u_affine : affine on each [t_k, t_{k+1}] through the nodal states
-    """
-
-    def __init__(self, traj: Trajectory):
-        self.traj = traj
-        self.dt = traj.config.dt
-        self.T = traj.config.T
-
-    def _locate(self, t: float):
-        if not 0.0 <= t <= self.T + 1e-12 * max(self.T, 1.0):
-            raise ValueError(f"query time {t} outside [0, {self.T}]")
-        k = min(int(np.floor(t / self.dt)), self.traj.config.n_steps - 1)
-        return max(k, 0), t - max(k, 0) * self.dt
-
-    def u_step(self, t: float) -> Field:
-        if t >= self.T:
-            self._locate(t)  # range check
-            return self.traj.hats[-1]
-        k, _ = self._locate(t)
-        return self.traj.hats[k + 1]
-
-    def u_left(self, t: float) -> Field:
-        if t <= 0.0:
-            self._locate(t)
-            return self.traj.hats[0]
-        k = int(np.ceil(t / self.dt)) - 1
-        k = min(k, self.traj.config.n_steps - 1)
-        self._locate(t)
-        return self.traj.hats[k]
-
-    def u_affine(self, t: float) -> Field:
-        hats = self.traj.hats
-        if t >= self.T:
-            self._locate(t)
-            return hats[-1]
-        k, s = self._locate(t)
-        lam = s / self.dt
-        return hats[k] * (1.0 - lam) + hats[k + 1] * lam
-
-    def gap_sq_exact(self) -> float:
-        """||u_step - u_affine||^2 over space-time, integrated exactly
-        (the in-step profile is quadratic in t)."""
-        return (self.dt / 3.0) * self.traj.increments_sq_sum()
-
-
-def interpolants(traj: Trajectory) -> Interpolants:
-    if traj.config.n_steps < 1:
-        raise ValueError("interpolants need at least one step")
-    return Interpolants(traj)

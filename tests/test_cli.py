@@ -3,7 +3,9 @@
 import json
 import math
 import os
+import re
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -113,6 +115,28 @@ def test_config_flux_coefs_checked():
         parse_config_text(text).validate()
 
 
+@pytest.mark.parametrize(
+    "converge, named",
+    [
+        ("sweep = time", "[converge] sweep"),
+        ("probe = fast", "[converge] probe"),
+        ("sweep = eps\nvalues = 5e-6,2e-5", "[converge] values: eps = 2e-05"),
+        # both eps values keep the jump rate bounded; the reference eps
+        # 2e-6 / 1000 does not
+        ("sweep = eps\nvalues = 5e-6,2e-6\nref_refine = 1000", "A4 violated: [converge] values"),
+    ],
+    ids=["sweep", "probe", "eps_above_z_max", "reference_eps_rate"],
+)
+def test_config_validate_checks_converge_section(converge, named):
+    # loading checks [converge] whatever the command, so simulate rejects it too
+    text = REFERENCE.replace(
+        "measure = point:1.0@1.0", "measure = density:invsq\neps = 1e-6\nz_max = 1e-5"
+    ) + f"\n[converge]\n{converge}\n"
+    parse_config_text(text.replace(f"\n[converge]\n{converge}\n", "")).validate()
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        parse_config_text(text).validate()
+
+
 def test_nodal_csv_initial_data(tmp_path):
     rows = ["value"] + ["0.0"] + [f"{0.1 * i}" for i in range(1, 8)] + ["0.0"]
     csv_path = tmp_path / "u0.csv"
@@ -219,16 +243,31 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
          "A4 violated: [levy] measure"),
         ("control_coeffs = 0.25,0.0", "control_coeffs = 1e300,0", "simulate",
          "A1 violated: [initial] control_coeffs"),
+        ("dt = 0.03125", "dt = 0", "simulate", "[scheme] dt must be positive"),
+        ("dt = 0.03125", "dt = -0.03125", "simulate", "[scheme] dt must be positive"),
+        ("p = 3.0", "p = 1.5", "simulate", "[scheme] p must satisfy p > 2"),
+        ("control_coeffs = 0.25,0.0", "control_coeffs = inf,0", "simulate",
+         "[initial] control_coeffs must be finite"),
+        ("n_steps = 16", "n_steps = 16\nflux = linear\nflux_coefs = inf", "simulate",
+         "[scheme] flux_coefs must be finite"),
+        ("out_dir = out", "out_dir = out\n[converge]\nsweep = dt\nvalues = nan,0.0625",
+         "converge", "[converge] values must be finite"),
+        ("out_dir = out", "out_dir = out\n[converge]\nsweep = dt\nvalues = 0.0625,0.0625\n"
+         "probe = gap", "converge", "[converge] values needs at least two distinct"),
     ],
     ids=["eta", "u0_nan", "basis", "psi", "psi_simulate", "psi_verify", "psi_converge",
          "control_coeffs_nan", "ref_refine", "dt_not_dividing_T", "dt_sweep_overflow", "dt_nan",
-         "dt_inf", "p_inf", "jump_rate_too_large", "control_norm_infinite"],
+         "dt_inf", "p_inf", "jump_rate_too_large", "control_norm_infinite", "dt_zero",
+         "dt_negative", "p_below_2", "control_coeffs_inf", "flux_coefs_inf",
+         "converge_values_nan", "converge_values_repeated"],
 )
 def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys, old, new, command, named):
     text = REFERENCE.replace(old, new)
     assert text != REFERENCE
     cfg_path = write(tmp_path, text)
-    assert run_cli([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
 
@@ -288,10 +327,10 @@ def test_cli_converge_gap_probe(tmp_path):
 
 
 def test_cli_converge_failed_check_exits_1(tmp_path, monkeypatch):
-    import plaplace_levy.cli as cli
+    import plaplace_levy.estimates as estimates
 
-    real = cli.interp_gap_scaling
-    monkeypatch.setattr(cli, "interp_gap_scaling",
+    real = estimates.interp_gap_scaling
+    monkeypatch.setattr(estimates, "interp_gap_scaling",
                         lambda *args: replace(real(*args), passed=False))
     text = REFERENCE + "\n[converge]\nsweep = dt\nvalues = 0.0625,0.03125\nprobe = gap\n"
     cfg_path, out = write(tmp_path, text), str(tmp_path / "out")
@@ -361,10 +400,14 @@ def _fuzz_float(lo, hi):
     atoms=st.lists(st.tuples(_fuzz_float(-3.0, 3.0), _fuzz_float(0.0, 10.0)),
                    min_size=1, max_size=3),
     coeffs=st.lists(_fuzz_float(-5.0, 5.0), min_size=2, max_size=2),
+    flux=st.sampled_from(["zero", "linear", "sine"]),
+    flux_coef=_fuzz_float(-1.0, 1.0),
 )
 def test_cli_config_values_fuzz_end_in_documented_exit_codes(
-        command, n_cells, dt, p, lambda_star, eta, atoms, coeffs):
+        command, n_cells, dt, p, lambda_star, eta, atoms, coeffs, flux, flux_coef):
     measure = ",".join(f"{z!r}@{mass!r}" for z, mass in atoms)
+    drawn = [dt, p, lambda_star, eta[1], *(x for atom in atoms for x in atom), *coeffs,
+             flux_coef]
     text = f"""
 [grid]
 dim = 1
@@ -374,6 +417,8 @@ n_cells = {n_cells}
 p = {p!r}
 dt = {dt!r}
 n_steps = 8
+flux = {flux}
+flux_coefs = {flux_coef!r}
 
 [levy]
 measure = point:{measure}
@@ -399,8 +444,14 @@ probe = gap
         with open(cfg_path, "w", encoding="utf-8") as fh:
             fh.write(text)
         out = os.path.join(tmp, "out")
-        code = run_cli([command, "--config", cfg_path, "--out", out])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli([command, "--config", cfg_path, "--out", out])
         assert code in (0, 1, 2, 3)
+        if not all(map(math.isfinite, drawn)):
+            assert code == 2
+        if code == 2:  # rejected before any arithmetic on the bad value
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         for name in os.listdir(out) if os.path.isdir(out) else []:
             if name.endswith(".json"):  # strict JSON: no NaN or Infinity tokens
                 with open(os.path.join(out, name), encoding="utf-8") as fh:

@@ -227,7 +227,7 @@ def test_interp_gap_halving_factor():
 
 @pytest.mark.parametrize("measure", ["point", "invsq"])
 def test_isometry_check_matches_per_sample_loop(measure):
-    from plaplace_levy import compensated_increment, eta_sine, sample_prm
+    from plaplace_levy import compensated_increments, eta_sine, sample_prm
 
     if measure == "point":
         model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5, point_masses=((1.0, 3.0), (-0.4, 2.0)))
@@ -235,10 +235,12 @@ def test_isometry_check_matches_per_sample_loop(measure):
         model = LevyModel(eta=eta_sine(0.5), lambda_star=0.5, density=lambda z: abs(z) ** -2, eps=0.05)
     u = sine_field(GRID, amp=0.8)
     dt, n = 1 / 16, 2500
+    u_int = u.flat[GRID.interior_nodes]
     vals = []
     for seed in range(11, 11 + n):
-        inc = compensated_increment(model, u, sample_prm(model, dt, dt, seed), 0)
-        vals.append(l2_norm(inc) ** 2)
+        marks = sample_prm(model, dt, dt, seed).events[0][1]
+        (inc,) = compensated_increments(model, u_int, [marks], dt)
+        vals.append(np.sum(inc**2) * GRID.cell_weight)
     rep = isometry_check(model, u, dt, n, base_seed=11)
     assert rep.mc_value == pytest.approx(np.mean(vals), rel=1e-12)
     assert rep.n_samples == n

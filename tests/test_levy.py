@@ -8,7 +8,6 @@ from plaplace_levy import (
     Grid,
     InfiniteMassError,
     LevyModel,
-    compensated_increment,
     compensated_increments,
     eta_linear,
     eta_sine,
@@ -119,14 +118,22 @@ def test_sample_prm_times_within_step_and_increasing():
         sample_prm(model, 1.0, 0.3, seed=1)  # T/dt not integral
 
 
+def test_c_eta_of_huge_marks_does_not_overflow():
+    # 1 ^ z^2 is 1 for any |z| >= 1; squaring first would overflow at 1e300
+    model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5,
+                      point_masses=((1e300, 2.0), (-0.5, 4.0)))
+    with np.errstate(all="raise"):
+        assert model.c_eta == 2.0 + 0.25 * 4.0
+
+
 def test_compensated_increment_zero_field():
     g = Grid(1, 8)
-    model = unit_delta_model()
-    path = sample_prm(model, 0.5, 0.25, seed=2)
-    inc = compensated_increment(model, Field.zeros(g), path, 0)
-    assert np.all(inc.values == 0.0)
-    with pytest.raises(IndexError):
-        compensated_increment(model, Field.zeros(g), path, 2)
+    model = unit_delta_model(lam=20.0)
+    paths = [sample_prm(model, 0.5, 0.25, seed) for seed in range(4)]
+    marks = [p.events[0][1] for p in paths]
+    assert any(map(len, marks))
+    inc = compensated_increments(model, np.zeros(len(g.interior_nodes)), marks, 0.25)
+    assert inc.shape == (4, len(g.interior_nodes)) and np.all(inc == 0.0)
 
 
 def test_compensated_increment_martingale_mean_zero():
@@ -135,11 +142,9 @@ def test_compensated_increment_martingale_mean_zero():
     model = unit_delta_model(lam=2.0)
     dt = 0.05
     n = 40_000
-    node = g.n_cells // 2
-    acc = np.zeros(n)
-    for seed in range(n):
-        path = sample_prm(model, dt, dt, seed)
-        acc[seed] = compensated_increment(model, u, path, 0).values[node]
+    node = list(g.interior_nodes).index(g.n_cells // 2)
+    marks = [sample_prm(model, dt, dt, seed).events[0][1] for seed in range(n)]
+    acc = compensated_increments(model, u.flat[g.interior_nodes], marks, dt)[:, node]
     se = acc.std() / np.sqrt(n)
     assert abs(acc.mean()) <= 3 * se
 
@@ -150,12 +155,9 @@ def test_compensated_increment_isometry_variance():
     model = unit_delta_model(lam=1.0, coef=0.5)
     dt = 0.01
     n = 30_000
-    vals = np.empty(n)
-    for seed in range(n):
-        path = sample_prm(model, dt, dt, seed)
-        inc = compensated_increment(model, u, path, 0)
-        idx = g.interior_nodes
-        vals[seed] = np.sum(inc.flat[idx] ** 2) * g.cell_weight
+    marks = [sample_prm(model, dt, dt, seed).events[0][1] for seed in range(n)]
+    inc = compensated_increments(model, u.flat[g.interior_nodes], marks, dt)
+    vals = np.sum(inc**2, axis=1) * g.cell_weight
     rhs = isometry_rhs(model, u, dt)
     from plaplace_levy.grid import l2_norm
 
@@ -234,5 +236,5 @@ def test_compensated_increments_rows_match_single_increments():
         model, np.stack([f.flat[g.interior_nodes] for f in fields]),
         [p.events[1][1] for p in paths], 0.25)
     for f, p, row in zip(fields, paths, rows):
-        single = compensated_increment(model, f, p, 1).flat[g.interior_nodes]
+        (single,) = compensated_increments(model, f.flat[g.interior_nodes], [p.events[1][1]], 0.25)
         assert row == pytest.approx(single, rel=1e-14, abs=1e-16)

@@ -1,10 +1,11 @@
-"""Per-step solver, initial smoothing, path simulation, and interpolants."""
+"""Per-step solver, initial smoothing, path simulation, and time interpolation."""
 
 import numpy as np
 import pytest
 
 from plaplace_levy import (
     Field,
+    FluxModel,
     Grid,
     LevyModel,
     NonConvergence,
@@ -14,7 +15,6 @@ from plaplace_levy import (
     eta_zero,
     generate_ensemble,
     initial_smoothing,
-    interpolants,
     l2_inner,
     l2_norm,
     linear_flux,
@@ -27,6 +27,7 @@ from plaplace_levy import (
     step_solve,
     zero_flux,
 )
+from plaplace_levy.estimates import _series_at
 
 
 def zb(grid, rng, scale=1.0):
@@ -117,6 +118,26 @@ def test_step_solve_nonconvergence_carries_residual():
     assert exc.value.residual is not None and exc.value.residual > 0
 
 
+def test_nan_residual_is_not_converged():
+    # a NaN residual fails every `rnorm <= tol` test, so it must end in
+    # NonConvergence rather than return the start iterate as the solution
+    grid = Grid(1, 8)
+    nan = lambda u: np.full_like(np.asarray(u, dtype=float), np.nan)
+    flux = FluxModel(f=(nan,), F=(nan,), c_f=1.0)
+    cfg = SchemeConfig(p=3, dt=0.1, n_steps=1, flux=flux, newton_max_iters=5)
+    u = Field.from_function(grid, lambda x: np.sin(np.pi * x))
+    with np.errstate(invalid="ignore"), pytest.raises(NonConvergence):
+        step_solve(u, Field.zeros(grid), cfg)
+
+
+@pytest.mark.parametrize("c", [np.inf, np.nan])
+def test_flux_validate_rejects_non_finite_lipschitz_constant(c):
+    # inf * gap bounds every difference and f(0) = inf * 0 is NaN, so the
+    # spot checks alone would pass such a flux
+    with pytest.raises(ValueError, match="A2"):
+        linear_flux([c]).validate()
+
+
 def test_step_energy_identity():
     # testing the solved step against itself: the discrete energy balance
     # holds with equality up to the solver residual
@@ -126,12 +147,12 @@ def test_step_energy_identity():
     cfg = SchemeConfig(p=3, dt=1 / 32, n_steps=8, flux=linear_flux([0.3]))
     u0 = Field.from_function(grid, lambda x: np.sin(np.pi * x))
     traj = simulate_path(u0, Field.zeros(grid, "free_boundary"), model, cfg, seed=5)
-    incs = traj.noise_increments()
+    incs = np.diff(traj.sums, axis=0)
     for k in range(cfg.n_steps):
         a, b = traj.hats[k + 1], traj.hats[k]
         lhs = 0.5 * (l2_norm(a) ** 2 - l2_norm(b) ** 2 + l2_norm(a - b) ** 2)
         lhs += cfg.dt * lp_grad_norm(a, cfg.p) ** cfg.p
-        rhs = l2_inner(incs[k], a)
+        rhs = l2_inner(Field(grid, incs[k].reshape(grid.node_shape)), a)
         assert lhs == pytest.approx(rhs, abs=50 * cfg.newton_tol * max(1.0, l2_norm(a)))
 
 
@@ -196,7 +217,7 @@ def test_initial_smoothing_monotone_for_incompatible_trace():
 
 
 # ---------------------------------------------------------------------------
-# full paths and interpolants
+# full paths and their time interpolation
 
 
 def test_simulate_path_zero_data_stays_zero():
@@ -233,21 +254,18 @@ def test_nonconvergence_reports_step_index():
 
 
 def test_interpolants_node_values_and_constant():
+    # the affine interpolation of the state series (estimates._series_at)
+    # passes through the nodal states and is affine in between
     grid = Grid(1, 8)
     cfg = SchemeConfig(p=3, dt=0.25, n_steps=4, flux=zero_flux(1))
     u0 = Field.from_function(grid, lambda x: np.sin(np.pi * x))
     traj = simulate_path(u0, Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=0)
-    ip = interpolants(traj)
     for k in range(cfg.n_steps + 1):
-        assert np.allclose(ip.u_affine(k * cfg.dt).values, traj.hats[k].values)
-    assert np.array_equal(ip.u_step(0.0).values, traj.hats[1].values)
-    assert np.array_equal(ip.u_step(cfg.T).values, traj.hats[-1].values)
-    assert np.array_equal(ip.u_left(0.0).values, traj.hats[0].values)
-    assert np.array_equal(ip.u_left(cfg.dt).values, traj.hats[0].values)
-    with pytest.raises(ValueError):
-        ip.u_step(cfg.T + 0.5)
-    with pytest.raises(ValueError):
-        ip.u_affine(-0.1)
+        assert np.allclose(_series_at(traj.states, k * cfg.dt, cfg.dt), traj.states[k])
+    mid = 0.5 * (traj.states[1] + traj.states[2])
+    assert np.allclose(_series_at(traj.states, 1.5 * cfg.dt, cfg.dt), mid)
+    stack = np.stack([traj.states, 2 * traj.states])  # (paths, times, nodes)
+    assert np.allclose(_series_at(stack, 0.6, cfg.dt)[1], 2 * _series_at(traj.states, 0.6, cfg.dt))
 
 
 def test_interpolant_gap_inequality_pathwise():
@@ -255,31 +273,33 @@ def test_interpolant_gap_inequality_pathwise():
     cfg = SchemeConfig(p=3, dt=1 / 16, n_steps=16, flux=zero_flux(1))
     u0 = Field.from_function(grid, lambda x: np.sin(np.pi * x))
     traj = simulate_path(u0, Field.zeros(grid, "free_boundary"), reference_model(), cfg, seed=9)
-    ip = interpolants(traj)
-    # independent quadrature of the space-time gap
+    hats = traj.hats
+    # independent quadrature of the space-time gap between the step
+    # interpolant (hats[k + 1] on [t_k, t_k+1)) and the affine one
     n_sub = 64
     quad = 0.0
     for k in range(cfg.n_steps):
         for j in range(n_sub):
-            t = (k + (j + 0.5) / n_sub) * cfg.dt
-            quad += l2_norm(ip.u_step(t) - ip.u_affine(t)) ** 2 * (cfg.dt / n_sub)
+            lam = (j + 0.5) / n_sub
+            affine = hats[k] * (1.0 - lam) + hats[k + 1] * lam
+            quad += l2_norm(hats[k + 1] - affine) ** 2 * (cfg.dt / n_sub)
     bound = cfg.dt * traj.increments_sq_sum()
-    assert quad == pytest.approx(ip.gap_sq_exact(), rel=1e-3)
+    assert quad == pytest.approx(traj.interp_gap_sq(), rel=1e-3)
     assert quad <= bound + 1e-12
 
 
 def test_constant_trajectory_interpolants():
-    # zero dynamics with zero noise keeps every interpolant at the constant
+    # zero dynamics with zero noise keeps the states, their interpolation
+    # and the gap at zero
     grid = Grid(1, 6)
     cfg = SchemeConfig(p=3, dt=0.5, n_steps=2, flux=zero_flux(1))
     traj = simulate_path(
         Field.zeros(grid), Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=0
     )
-    ip = interpolants(traj)
+    assert np.all(traj.states == 0.0) and np.all(traj.sums == 0.0)
     for t in (0.0, 0.3, 0.5, 0.99, 1.0):
-        assert np.all(ip.u_step(t).values == 0.0)
-        assert np.all(ip.u_affine(t).values == 0.0)
-        assert np.all(ip.u_left(t).values == 0.0)
+        assert np.all(_series_at(traj.states, t, cfg.dt) == 0.0)
+    assert traj.interp_gap_sq() == 0.0
 
 
 def test_lift_boundary_mode_keeps_control_trace():
@@ -578,8 +598,7 @@ def test_batched_paths_match_single_path_solves(case):
         alone = simulate_path(u0, U, model, cfg, seed)
         for a, b in zip(batch[seed].hats, alone.hats):
             assert np.max(np.abs(a.values - b.values)) <= 10 * cfg.newton_tol
-        for a, b in zip(batch[seed].martingale_partials, alone.martingale_partials):
-            assert np.max(np.abs(a.values - b.values)) <= 10 * cfg.newton_tol
+        assert np.max(np.abs(batch[seed].sums - alone.sums)) <= 10 * cfg.newton_tol
 
 
 def test_batch_mixes_a_picard_rescue_with_plain_newton_rows(monkeypatch):
