@@ -33,10 +33,10 @@ from .levy import (
 from .scheme import (
     CLAMP_BOUNDARY,
     LIFT_BOUNDARY,
+    Ensemble,
     FluxModel,
     NonConvergence,
     SchemeConfig,
-    Trajectory,
     initial_smoothing,
     linear_flux,
     prepare_initial,

@@ -2,8 +2,10 @@
 
 Every command loads one INI config (``--config``), applies the optional
 ``--seed/--paths/--out`` overrides, and writes machine-readable outputs
-(RFC-4180 CSV, JSON with stable key order and a schema_version field) that
-are bitwise-reproducible from (config, seed).
+(RFC-4180 CSV, strict JSON with stable key order and a schema_version
+field) that are bitwise-reproducible from (config, seed).  JSON has no token
+for inf or NaN, so a number that is not finite is written as null (for
+example `fitted_C` when the data size ||u0||^2 + ||U||^p underflows to 0).
 
 Exit codes: 0 success, 1 checks failed (a `verify` check or the `converge`
 report's `passed`), 2 invalid config, 3 step-solver failure.  `simulate`
@@ -50,8 +52,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -69,24 +73,25 @@ from .scheme import NonConvergence
 SCHEMA_VERSION = 1
 
 
-def _np_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def _jsonable(obj):
+    """obj with numpy scalars and arrays as Python values and non-finite
+    floats as None: strict JSON has no token for inf or NaN."""
+    if isinstance(obj, dict):
+        return {key: _jsonable(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return [_jsonable(val) for val in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
+    return obj
 
 
 def _write_json(path: str, payload: dict):
-    payload = dict(payload)
+    payload = _jsonable(payload)
     payload["schema_version"] = SCHEMA_VERSION
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False,
-                  default=_np_default)
+        json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
         fh.write("\n")
 
 
@@ -107,12 +112,19 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     scheme = cfg.build_scheme(grid.dim)
     u0 = cfg.build_initial(grid)
     U = cfg.build_control(grid)
-    trajectories = generate_ensemble(u0, U, cfg.build_levy(), scheme, cfg.n_paths, cfg.seed)
+    ensemble = generate_ensemble(u0, U, cfg.build_levy(), scheme, cfg.n_paths, cfg.seed)
 
     paths_dir = os.path.join(out_dir, "paths")
     os.makedirs(paths_dir, exist_ok=True)
-    for i, traj in enumerate(trajectories):
-        _write_path_csv(os.path.join(paths_dir, f"path_{i:05d}.csv"), traj)
+    l2, grad_pow = ensemble.state_norms(scheme.p)
+    times = [repr(k * scheme.dt) for k in range(scheme.n_steps + 1)]
+    for i, (prm, l2_i, gp_i) in enumerate(zip(ensemble.paths, l2.tolist(), grad_pow.tolist())):
+        jumps = [0] + [prm.jump_count(k) for k in range(scheme.n_steps)]
+        with open(os.path.join(paths_dir, f"path_{i:05d}.csv"), "w", encoding="utf-8",
+                  newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "l2_norm", "grad_lp_p", "jump_count"])
+            writer.writerows(zip(times, map(repr, l2_i), map(repr, gp_i), jumps))
     summary = {
         "command": "simulate",
         "n_paths": cfg.n_paths,
@@ -120,23 +132,12 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
         "dt": scheme.dt,
         "n_steps": scheme.n_steps,
         "p": scheme.p,
-        "ensemble": apriori_check(trajectories, u0, U).to_dict(),
-        "total_jumps": sum(t.prm.jump_count() for t in trajectories),
+        "ensemble": asdict(apriori_check(ensemble, u0, U)),
+        "total_jumps": sum(prm.jump_count() for prm in ensemble.paths),
     }
     _write_json(os.path.join(out_dir, "simulate_summary.json"), summary)
     print(f"simulate: {cfg.n_paths} paths -> {out_dir}")
     return 0
-
-
-def _write_path_csv(path: str, traj):
-    cfg = traj.config
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "l2_norm", "grad_lp_p", "jump_count"])
-        l2, grad_pow = traj.state_norms(cfg.p)
-        for k, (l2_k, gp_k) in enumerate(zip(l2.tolist(), grad_pow.tolist())):
-            jumps = traj.prm.jump_count(k - 1) if k > 0 else 0
-            writer.writerow([repr(k * cfg.dt), repr(l2_k), repr(gp_k), jumps])
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
@@ -174,7 +175,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
         model, scheme, u0, spec, basis, n_paths=cfg.n_paths, budget=200,
         base_seed=cfg.seed,
     )
-    payload = {"command": "optimize", **result.to_dict()}
+    payload = {"command": "optimize", **asdict(result)}
     _write_json(os.path.join(out_dir, "optimize_result.json"), payload)
     print(
         f"optimize: best_J={result.best_J:.6e} after {result.n_evaluations} "
@@ -201,7 +202,7 @@ def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
         cfg.build_initial(grid), cfg.build_control(grid), model, scheme, sweep, probe,
         values, cfg._int("converge", "ref_refine"), cfg.n_paths, cfg.seed,
     )
-    payload = {"command": "converge", "sweep": sweep, **rep.to_dict()}
+    payload = {"command": "converge", "sweep": sweep, **asdict(rep)}
     _write_json(os.path.join(out_dir, "converge_report.json"), payload)
     print(
         f"converge: {sweep}/{rep.probe} slope={rep.fitted_slope:.3f} "

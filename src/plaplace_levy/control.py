@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FREE_BOUNDARY, Field, Grid, _check_same_grid, _l2_norms, w1p_norm
+from .grid import FREE_BOUNDARY, Field, Grid, GridMismatchError, _l2_norms, w1p_norm
 from .levy import LevyModel
-from .scheme import NonConvergence, SchemeConfig, sample_path, simulate_controls
+from .scheme import Ensemble, NonConvergence, SchemeConfig, sample_path, simulate_controls
 
 
 # A terminal payoff psi(grid, rows) scores each row of a stack of nodal
@@ -49,7 +49,8 @@ class CostSpec:
     psi: callable
     psi_lipschitz: float
 
-    def validate(self, n_steps: int, rng_seed: int = 0, n_checks: int = 20):
+    def validate(self, n_steps: int):
+        """Check the target length and spot-check psi's Lipschitz bound."""
         if len(self.u_tar) != n_steps + 1:
             raise ValueError(
                 f"target profile has {len(self.u_tar)} entries, scheme needs {n_steps + 1}"
@@ -57,11 +58,11 @@ class CostSpec:
         if not np.isfinite(self.psi_lipschitz):
             raise ValueError("psi Lipschitz constant must be finite")
         grid = self.u_tar[0].grid
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(0)
         # pairs (a, b) of random zero-boundary states
-        a, b = np.zeros((2, n_checks, grid.n_nodes))
+        a, b = np.zeros((2, 20, grid.n_nodes))
         a[:, grid.interior_nodes], b[:, grid.interior_nodes] = rng.normal(
-            size=(2, n_checks, grid.interior_nodes.size))
+            size=(2, 20, grid.interior_nodes.size))
         gap = np.abs(self.psi(grid, a) - self.psi(grid, b))
         if np.any(gap > self.psi_lipschitz * _l2_norms(grid, a - b) + 1e-9):
             raise ValueError("psi exceeds its declared Lipschitz constant")
@@ -73,31 +74,28 @@ def constant_target(grid: Grid, n_steps: int, value_field: Field = None) -> list
     return [f] * (n_steps + 1)
 
 
-def cost_J(trajectories, U: Field, spec: CostSpec, p: float) -> tuple:
+def cost_J(ensemble: Ensemble, U: Field, spec: CostSpec, p: float) -> tuple:
     """Sample-average cost of U over the ensemble; returns (total, parts)
-    with parts = {tracking, control, terminal}."""
-    if not trajectories:
+    with parts = {tracking, control, terminal}.  Each path's tracking sum
+    runs in step order, and the paths' sums and payoffs add in path order."""
+    if not len(ensemble):
         raise ValueError("empty ensemble")
-    cfg = trajectories[0].config
+    cfg, grid = ensemble.config, ensemble.grid
     if len(spec.u_tar) != cfg.n_steps + 1:
         raise ValueError("target profile does not match the scheme time grid")
-    grid = trajectories[0].grid
-    targets = np.array([f.flat for f in spec.u_tar[1:]])
+    if spec.u_tar[0].grid != grid:
+        raise GridMismatchError("target profile lives on a different grid")
+    targets = np.array([f.flat for f in spec.u_tar[1:]]).reshape(cfg.n_steps, grid.n_nodes)
+    # dt l2_norm(u(t_{k+1}) - u_tar(t_{k+1}))^2 per path and step
+    sq = cfg.dt * _l2_norms(grid, ensemble.states[:, 1:] - targets) ** 2
     tracking = 0.0
-    for traj in trajectories:
-        if traj.config.n_steps != cfg.n_steps or traj.config.dt != cfg.dt:
-            raise ValueError("ensemble mixes time grids")
-        _check_same_grid(traj.hat0, spec.u_tar[0])
-        # dt l2_norm(u(t_{k+1}) - u_tar(t_{k+1}))^2 per step, summed in step order
-        gaps = grid.take("interior", traj.states[1:] - targets)
-        norms = np.sqrt(np.vecdot(gaps, gaps) * grid.cell_weight)
-        tracking += sum((cfg.dt * norms**2).tolist())
-    scores = spec.psi(grid, np.array([traj.states[-1] for traj in trajectories]))
+    for row in sq.tolist():
+        tracking += sum(row)
     terminal = 0.0
-    for score in scores.tolist():  # in path order, as a per-path sum would add them
+    for score in spec.psi(grid, ensemble.states[:, -1]).tolist():
         terminal += score
-    tracking /= len(trajectories)
-    terminal /= len(trajectories)
+    tracking /= len(ensemble)
+    terminal /= len(ensemble)
     control = w1p_norm(U, p) ** p
     parts = {"tracking": tracking, "control": control, "terminal": terminal}
     return tracking + control + terminal, parts
@@ -160,17 +158,6 @@ class SAAResult:
     common_seeds: list
     n_evaluations: int
     parts: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "best_coeffs": np.asarray(self.best_coeffs).tolist(),
-            "best_J": self.best_J,
-            "J_history": list(self.J_history),
-            "n_paths": self.n_paths,
-            "common_seeds": list(self.common_seeds),
-            "n_evaluations": self.n_evaluations,
-            "parts": dict(self.parts),
-        }
 
 
 class _BudgetSpent(Exception):
@@ -333,9 +320,9 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     def consume(i) -> float:
         """J of candidate i of the batch; +inf if its path solve diverged."""
         state["evals"] += 1
-        trajs = batch["runs"][i]
-        if isinstance(trajs, list):
-            val, parts = cost_J(trajs, batch["controls"][i], spec, cfg.p)
+        run = batch["runs"][i]
+        if isinstance(run, Ensemble):
+            val, parts = cost_J(run, batch["controls"][i], spec, cfg.p)
         else:
             val, parts = np.inf, None
         if val < state["best"]:

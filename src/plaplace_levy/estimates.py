@@ -12,13 +12,14 @@ order, so reports are deterministic given the seed set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .grid import Field, Grid, dual_norm_estimates, l2_norm, w1p_norm
+from .grid import Field, Grid, _l2_norms, dual_norm_estimates, l2_norm, w1p_norm
 from .levy import LevyModel, isometry_rhs, jump_sums, step_marks
-from .scheme import SchemeConfig, project_control, sample_path, simulate_path, simulate_paths
+from .scheme import (Ensemble, SchemeConfig, project_control, sample_path, simulate_path,
+                     simulate_paths)
 
 
 class DegenerateRegressionError(ValueError):
@@ -50,7 +51,7 @@ def _loglog_fit(x, y):
 
 @dataclass
 class EnsembleReport:
-    """Monte Carlo moment statistics of an ensemble of trajectories and the
+    """Monte Carlo moment statistics of an ensemble of paths and the
     fitted constant of the combined moment bound against the data size
     ||u0||^2 + E ||U||_{W^{1,p}}^p."""
 
@@ -61,18 +62,8 @@ class EnsembleReport:
     bound_base: float
     violation: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "dt": self.dt,
-            "statistics": dict(self.statistics),
-            "standard_errors": dict(self.standard_errors),
-            "bound_base": self.bound_base,
-            "violation": self.violation,
-        }
 
-
-def apriori_check(trajectories, u0: Field, U: Field) -> EnsembleReport:
+def apriori_check(ensemble: Ensemble, u0: Field, U: Field) -> EnsembleReport:
     """Moment statistics of the ensemble: sup-in-time of the mean squared
     L^2 norm, mean of the pathwise sup, the time-integrated gradient p-norm,
     the exact interpolant gap, and the fitted constant of the combined bound.
@@ -80,24 +71,16 @@ def apriori_check(trajectories, u0: Field, U: Field) -> EnsembleReport:
     The violation flag triggers when a statistic exceeds its fitted bound by
     more than three standard errors.
     """
-    if len(trajectories) < 2:
+    M = len(ensemble)
+    if M < 2:
         raise ValueError("moment statistics need at least two paths")
-    cfg = trajectories[0].config
-    M = len(trajectories)
-    n_times = cfg.n_steps + 1
-    sq = np.empty((M, n_times))
-    grad_int = np.empty(M)
-    incr_sq = np.empty(M)
-    gap = np.empty(M)
-    for i, traj in enumerate(trajectories):
-        tc = traj.config
-        if (tc.p, tc.dt, tc.n_steps) != (cfg.p, cfg.dt, cfg.n_steps):
-            raise ValueError("ensemble mixes scheme configurations")
-        l2, grad_pow = traj.state_norms(cfg.p)
-        sq[i] = l2**2
-        grad_int[i] = cfg.dt * sum(grad_pow[1:].tolist())
-        incr_sq[i] = traj.increments_sq_sum()
-        gap[i] = traj.interp_gap_sq()
+    cfg = ensemble.config
+    l2, grad_pow = ensemble.state_norms(cfg.p)
+    sq = l2**2
+    # each path's time integral summed in step order
+    grad_int = np.array([cfg.dt * sum(row) for row in grad_pow[:, 1:].tolist()], dtype=float)
+    incr_sq = ensemble.increments_sq_sums
+    gap = ensemble.interp_gap_sq()
 
     mean_sq_t = sq.mean(axis=0)
     k_star = int(np.argmax(mean_sq_t))
@@ -145,8 +128,8 @@ def apriori_check(trajectories, u0: Field, U: Field) -> EnsembleReport:
 
 
 def generate_ensemble(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
-                      n_paths: int, base_seed: int) -> list:
-    """Trajectories of the path seeds base_seed .. base_seed + n_paths - 1,
+                      n_paths: int, base_seed: int) -> Ensemble:
+    """The ensemble of the path seeds base_seed .. base_seed + n_paths - 1,
     solved as one batch."""
     paths = [sample_path(model, cfg, base_seed + i) for i in range(n_paths)]
     return simulate_paths(u0, U, model, cfg, paths)
@@ -168,19 +151,6 @@ class ScalingReport:
     trivial: bool = False
     extra: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "probe": self.probe,
-            "grid": list(self.grid),
-            "measured": list(self.measured),
-            "fitted_slope": self.fitted_slope,
-            "r_squared": self.r_squared,
-            "target_slope": self.target_slope,
-            "passed": self.passed,
-            "trivial": self.trivial,
-            "extra": dict(self.extra),
-        }
-
 
 def _series_at(series_values: np.ndarray, t: float, dt: float) -> np.ndarray:
     """Affine-in-time evaluation of per-step series (time on axis -2, so one
@@ -192,15 +162,16 @@ def _series_at(series_values: np.ndarray, t: float, dt: float) -> np.ndarray:
     return (1 - lam) * series_values[..., k, :] + lam * series_values[..., k + 1, :]
 
 
-def aldous_scaling(trajectories, probe: str, theta_grid, tau: float = 0.0,
-                   dual_iters: int = 25) -> ScalingReport:
+def aldous_scaling(ensemble: Ensemble, probe: str, theta_grid,
+                   tau: float = 0.0) -> ScalingReport:
     """Scaling in theta of process increments at deterministic times.
 
     probe "T1": mean dual norm of the drift-integral increment; target decay
     at least theta^(1/2).  probe "T2": mean squared dual norm of the
     martingale increment; target decay at least theta^1 (reported slope must
     stay within a band around 1 for nontrivial noise).  Slopes are log-log
-    fits; the pass rule is slope >= target - 0.25.
+    fits; the pass rule is slope >= target - 0.25.  Dual norms are
+    `dual_norm_estimates` with 25 ascent iterations.
     """
     if probe not in ("T1", "T2"):
         raise ValueError(f"unknown probe {probe!r}")
@@ -209,22 +180,21 @@ def aldous_scaling(trajectories, probe: str, theta_grid, tau: float = 0.0,
         raise ValueError("theta_grid needs at least four distinct values")
     if theta_grid[-1] <= 0:
         raise ValueError("theta values must be positive")
-    cfg = trajectories[0].config
+    cfg = ensemble.config
     p = cfg.p
     if tau < 0 or tau + theta_grid[0] > cfg.T + 1e-12:
         raise ValueError("tau + max(theta) must stay within [0, T]")
 
     alpha = 1.0 if probe == "T1" else 2.0
     zeta = 0.5 if probe == "T1" else 1.0
-    # (paths, times, nodes) stack of the probed series, built once
-    series = np.array([traj.sums for traj in trajectories])
+    # (paths, times, nodes) stack of the probed series
+    series = ensemble.sums
     if probe == "T1":
-        hats = np.array([traj.states for traj in trajectories])
-        series = hats - hats[:, :1] - series
+        series = ensemble.states - ensemble.states[:, :1] - series
     measured = []
     for theta in theta_grid:
         inc = _series_at(series, tau + theta, cfg.dt) - _series_at(series, tau, cfg.dt)
-        vals = dual_norm_estimates(trajectories[0].grid, inc, p, iters=dual_iters) ** alpha
+        vals = dual_norm_estimates(ensemble.grid, inc, p, iters=25) ** alpha
         measured.append(float(np.mean(vals)))
 
     if max(measured) == 0.0:
@@ -248,16 +218,11 @@ def interp_gap_scaling(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
     dt_grid = sorted((float(d) for d in dt_grid), reverse=True)
     if len(dt_grid) < 2 or len(set(dt_grid)) != len(dt_grid):
         raise ValueError("dt grid needs at least two distinct values")
-    T = cfg.T
     measured = []
     for dt in dt_grid:
-        n_steps = int(round(T / dt))
-        cfg_dt = replace(cfg, dt=dt, n_steps=n_steps)
-        gaps = [
-            traj.interp_gap_sq()
-            for traj in generate_ensemble(u0, U, model, cfg_dt, n_paths, base_seed)
-        ]
-        measured.append(float(np.mean(gaps)))
+        cfg_dt = replace(cfg, dt=dt, n_steps=int(round(cfg.T / dt)))
+        ensemble = generate_ensemble(u0, U, model, cfg_dt, n_paths, base_seed)
+        measured.append(float(np.mean(ensemble.interp_gap_sq())))
     if max(measured) == 0.0:
         return ScalingReport(
             probe="interp_gap", grid=dt_grid, measured=measured, fitted_slope=0.0,
@@ -284,21 +249,10 @@ class UniquenessReport:
     threshold: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "times": list(self.times),
-            "mean_l1": list(self.mean_l1),
-            "se_l1": list(self.se_l1),
-            "max_l1": self.max_l1,
-            "identical_inputs": self.identical_inputs,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
-
 
 def uniqueness_check(model: LevyModel, cfg: SchemeConfig, u0_a: Field, u0_b: Field,
                      U: Field, n_paths: int, base_seed: int = 0) -> UniquenessReport:
-    """Pair trajectories on identical jump paths and track the L^1 distance.
+    """Pair paths on identical jump paths and track the L^1 distance.
 
     Identical initial data: the distance must stay below
     10 * newton_tol * n_nodes at every time (pathwise uniqueness at solver
@@ -310,10 +264,7 @@ def uniqueness_check(model: LevyModel, cfg: SchemeConfig, u0_a: Field, u0_b: Fie
     grid = u0_a.grid
     paths = [sample_path(model, cfg, base_seed + i) for i in range(n_paths)]
     # one batch per initial datum; l1_norm of each paired difference
-    a, b = (
-        np.array([traj.states for traj in simulate_paths(u0, U, model, cfg, paths)])
-        for u0 in (u0_a, u0_b)
-    )
+    a, b = (simulate_paths(u0, U, model, cfg, paths).states for u0 in (u0_a, u0_b))
     diff = grid.take("interior", (a - b).reshape(-1, grid.n_nodes))
     dists = (np.sum(np.abs(diff), axis=-1) * grid.cell_weight).reshape(n_paths, n_times)
     mean = dists.mean(axis=0)
@@ -354,16 +305,6 @@ class IsometryReport:
     tolerance: float
     n_samples: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "mc_value": self.mc_value,
-            "exact_value": self.exact_value,
-            "rel_error": self.rel_error,
-            "tolerance": self.tolerance,
-            "n_samples": self.n_samples,
-            "passed": self.passed,
-        }
 
 
 # samples per vectorized pass of `isometry_check`
@@ -435,22 +376,22 @@ def verify_study(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
     data.  Returns ({check name: report dict with a `passed` flag},
     whether all passed)."""
     ensemble = generate_ensemble(u0, U, model, cfg, n_paths, base_seed)
-    results = {"apriori": apriori_check(ensemble, u0, U).to_dict()}
+    results = {"apriori": asdict(apriori_check(ensemble, u0, U))}
     results["apriori"]["passed"] = not results["apriori"]["violation"]
     for probe in ("T1", "T2"):
         rep = aldous_scaling(ensemble, probe, theta_ladder(cfg), tau=cfg.T / 4.0)
-        results[f"aldous_{probe.lower()}"] = rep.to_dict()
+        results[f"aldous_{probe.lower()}"] = asdict(rep)
     bump = default_bump(u0.grid)
     iso_u = u0 if np.any(u0.values) else bump
-    results["isometry"] = isometry_check(
-        model, iso_u, cfg.dt, 10_000, base_seed=base_seed + 7919).to_dict()
+    results["isometry"] = asdict(isometry_check(
+        model, iso_u, cfg.dt, 10_000, base_seed=base_seed + 7919))
     same = uniqueness_check(model, cfg, u0, u0.copy(), U, n_paths=min(n_paths, 20),
                             base_seed=base_seed)
     diff = uniqueness_check(model, cfg, u0, u0 + bump, U, n_paths=n_paths,
                             base_seed=base_seed)
     results["uniqueness"] = {
-        "identical": same.to_dict(),
-        "distinct": diff.to_dict(),
+        "identical": asdict(same),
+        "distinct": asdict(diff),
         "passed": same.passed and diff.passed,
     }
     return results, all(r["passed"] for r in results.values())
@@ -480,12 +421,12 @@ def self_convergence(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
     dt_values = sorted((float(v) for v in dt_values), reverse=True)
     smooth = min(dt_values)
 
-    def terminal(dt: float) -> Field:
+    def terminal(dt: float) -> np.ndarray:
         run = replace(cfg, dt=dt, n_steps=int(round(cfg.T / dt)), smoothing_dt=smooth)
-        return simulate_path(u0, U, model, run, seed).state(-1)
+        return simulate_path(u0, U, model, run, seed).states[0, -1]
 
     ref = terminal(min(dt_values) / refine)
-    errors = [l2_norm(terminal(dt) - ref) for dt in dt_values]
+    errors = [float(_l2_norms(u0.grid, terminal(dt) - ref)) for dt in dt_values]
     slope, r2 = _loglog_fit(dt_values, errors)
     return ScalingReport(
         probe="self", grid=dt_values, measured=errors, fitted_slope=slope,
@@ -505,7 +446,8 @@ def eps_sweep(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig, eps_valu
     def mean_sq(eps: float) -> float:
         ensemble = generate_ensemble(u0, U, replace(model, eps=eps).validate(), cfg,
                                      n_paths, base_seed)
-        return float(np.mean([l2_norm(traj.state(-1)) ** 2 for traj in ensemble]))
+        norms = _l2_norms(ensemble.grid, ensemble.states[:, -1]).tolist()
+        return float(np.mean([v**2 for v in norms]))
 
     ref = mean_sq(min(eps_values) / refine)
     measured = [abs(mean_sq(eps) - ref) for eps in eps_values]

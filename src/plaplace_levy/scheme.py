@@ -24,7 +24,7 @@ band storage, and solved by gbsv; one code path serves 1D and 2D.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -75,16 +75,16 @@ class FluxModel:
     def is_zero(self) -> bool:
         return self.c_f == 0.0
 
-    def validate(self, rng_seed: int = 0, n_checks: int = 200):
+    def validate(self):
         """Spot-check f(0) = 0 and the Lipschitz bound (assumption A2)."""
         if not np.isfinite(self.c_f):
             raise ValueError("A2 violated: flux Lipschitz constant must be finite")
         for fd in self.f:
             if abs(float(np.asarray(fd(np.zeros(1))).ravel()[0])) > 1e-14:
                 raise ValueError("A2 violated: flux must satisfy f(0) = 0")
-        rng = np.random.default_rng(rng_seed)
-        u = rng.normal(0, 3, n_checks)
-        v = rng.normal(0, 3, n_checks)
+        rng = np.random.default_rng(0)
+        u = rng.normal(0, 3, 200)
+        v = rng.normal(0, 3, 200)
         gap = np.abs(u - v)
         for fd in self.f:
             if np.any(np.abs(fd(u) - fd(v)) > self.c_f * gap + 1e-10):
@@ -131,7 +131,6 @@ class SchemeConfig:
     newton_tol: float = 1e-10
     newton_max_iters: int = 50
     control_projection: str = CLAMP_BOUNDARY
-    jacobian_reg: float = 1e-8
     smoothing_dt: float = None
 
     def __post_init__(self):
@@ -169,6 +168,10 @@ class SchemeConfig:
 # a 2D n=32 step, above newton_tol, and the step stagnated; at 1e-6 that
 # floor is about 1e-12.
 _NEAR_GAP = 1e-6
+
+# The Newton matrix takes its p-flux coefficients at |g|^2 + _JACOBIAN_REG^2,
+# so cells with a vanishing gradient keep an invertible system.
+_JACOBIAN_REG = 1e-8
 
 
 def _edge_quotients(grid: Grid, flux: FluxModel, v: np.ndarray,
@@ -232,13 +235,11 @@ class _StepSolver:
     and solved by one gbsv call, in 1D and 2D alike.
     """
 
-    def __init__(self, grid: Grid, p: float, dt: float, flux: FluxModel,
-                 reg: float):
+    def __init__(self, grid: Grid, p: float, dt: float, flux: FluxModel):
         self.grid = grid
         self.p = p
         self.dt = dt
         self.flux = flux
-        self.reg = reg
         self.wc = grid.cell_weight
 
     def evaluate(self, v: np.ndarray, rhs: np.ndarray) -> tuple:
@@ -277,12 +278,12 @@ class _StepSolver:
         """wc I + dt sum_cells wc G^T (c0 I + c1 g g^T) G (+ dt times the
         convection derivative) on the interior unknowns of each row, as the
         diagonal blocks of one gbsv band array (ldab, M m).
-        c0 = s^((p-2)/2) and c1 = (p-2) c0 / s with s = |g|^2 + reg^2 give
-        the regularized Newton matrix; the frozen-coefficient matrix has
+        c0 = s^((p-2)/2) and c1 = (p-2) c0 / s with s = |g|^2 + _JACOBIAN_REG^2
+        give the regularized Newton matrix; the frozen-coefficient matrix has
         c1 = 0 and no convection term."""
         grid, p, band = self.grid, self.p, self.grid.step_band
         g = comps.transpose(1, 0, 2).reshape(grid.dim, -1)  # all rows' cells side by side
-        s = (g * g).sum(axis=0) + self.reg**2
+        s = (g * g).sum(axis=0) + _JACOBIAN_REG**2
         c0 = s ** ((p - 2.0) / 2.0)
         # per-cell blocks G^T (c0 I + c1 g g^T) G = [c0, c1 g_d g_e] @ local_block_basis
         coef = np.empty((1 + grid.dim**2, s.size))
@@ -318,7 +319,7 @@ def step_solve(u_prev: Field, noise_inc: Field, cfg: SchemeConfig,
     if noise_inc.space_tag != ZERO_BOUNDARY:
         raise ValueError("noise increment must be a zero-boundary field")
     grid = u_prev.grid
-    solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux, cfg.jacobian_reg)
+    solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
     rhs = u_prev.flat + noise_inc.flat
     v = (initial_guess.flat if initial_guess is not None else u_prev.flat).copy()
     # boundary stays at u_prev's trace (zero unless a lifted control is used)
@@ -472,8 +473,7 @@ def initial_smoothing(u0: Field, dt: float, p: float, *,
     """Run the proximal smoothing solve and report both sides of its energy
     estimate (lhs = 1/2||v||^2 + dt||grad v||_p^p, rhs = 1/2||u0||^2)."""
     grid = u0.grid
-    cfg_flux = zero_flux(grid.dim)
-    solver = _StepSolver(grid, p, p * dt, cfg_flux, 1e-8)
+    solver = _StepSolver(grid, p, p * dt, zero_flux(grid.dim))
     rhs = u0.flat.copy()
     rhs[grid.boundary_nodes] = 0.0
     v, failures = _newton(solver, np.zeros((1, grid.n_nodes)), rhs[None], newton_tol, max_iters)
@@ -501,56 +501,45 @@ def project_control(U: Field, mode: str) -> Field:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """One simulated path: nodal states hats[k] at t_k = k dt, the jump path
-    that drove it, and the running martingale sums B(t_k).  The path is
-    held as the arrays `states` and `sums` of shape (n_steps + 1, n_nodes),
-    with states[0] the initial state hat0; the Fields of `hats` are built on
-    first use."""
+class Ensemble:
+    """Simulated paths of one scheme configuration, stacked: the nodal
+    states and the running martingale sums B(t_k), both of shape
+    (paths, n_steps + 1, n_nodes), with states[:, 0] the initial state, and
+    the jump paths that drove them, in row order."""
 
     states: np.ndarray
     sums: np.ndarray
-    prm: PrmPath
+    paths: tuple
     config: SchemeConfig
-    hat0: Field
+    grid: Grid
 
     def __post_init__(self):
-        if len(self.states) != self.config.n_steps + 1:
-            raise ValueError("trajectory length must be n_steps + 1")
+        if self.states.shape[1] != self.config.n_steps + 1:
+            raise ValueError("ensemble paths must have n_steps + 1 states")
 
-    @property
-    def grid(self) -> Grid:
-        return self.hat0.grid
-
-    def state(self, k: int) -> Field:
-        """hats[k] alone.  Steps keep the boundary trace of hat0, so they
-        share its space tag unless that trace is zero."""
-        k = range(len(self.states))[k]
-        if k == 0:
-            return self.hat0
-        grid = self.grid
-        tag = self.hat0.space_tag if self.states[0, grid.boundary_nodes].any() else ZERO_BOUNDARY
-        return Field(grid, self.states[k].reshape(grid.node_shape), tag)
-
-    @cached_property
-    def hats(self) -> tuple:
-        return tuple(self.state(k) for k in range(len(self.states)))
+    def __len__(self) -> int:
+        return len(self.states)
 
     def state_norms(self, p: float) -> tuple:
-        """`l2_norm` and `lp_grad_norm` ** p of every state, (n_steps + 1,)
-        each, in one row-wise pass over `states`."""
-        return _l2_norms(self.grid, self.states), _lp_grad_pows(self.grid, self.states, p)
+        """`l2_norm` and `lp_grad_norm` ** p of every state, (paths,
+        n_steps + 1) each, in one row-wise pass over `states`."""
+        rows = self.states.reshape(-1, self.grid.n_nodes)
+        return (_l2_norms(self.grid, self.states),
+                _lp_grad_pows(self.grid, rows, p).reshape(self.states.shape[:2]))
 
-    def increments_sq_sum(self) -> float:
-        """sum_k l2_norm(hats[k + 1] - hats[k])^2, summed in step order."""
-        norms = _l2_norms(self.grid, np.diff(self.states, axis=0))
-        return sum((norms**2).tolist())
+    @cached_property
+    def increments_sq_sums(self) -> np.ndarray:
+        """Per path, sum_k l2_norm(states[k + 1] - states[k])^2, summed in
+        step order; computed once per ensemble."""
+        norms = _l2_norms(self.grid, np.diff(self.states, axis=1))
+        return np.array([sum(row) for row in (norms**2).tolist()], dtype=float)
 
-    def interp_gap_sq(self) -> float:
-        """||u_step - u_affine||^2 over space-time, integrated exactly: on
-        step k the gap is (1 - lam) (hats[k + 1] - hats[k]) at t = t_k +
-        lam dt, so it integrates to dt / 3 * increments_sq_sum()."""
-        return (self.config.dt / 3.0) * self.increments_sq_sum()
+    def interp_gap_sq(self) -> np.ndarray:
+        """Per path, ||u_step - u_affine||^2 over space-time, integrated
+        exactly: on step k the gap is (1 - lam) (states[k + 1] - states[k])
+        at t = t_k + lam dt, so it integrates to dt / 3 times the path's
+        `increments_sq_sums`."""
+        return (self.config.dt / 3.0) * self.increments_sq_sums
 
 
 def sample_path(model: LevyModel, cfg: SchemeConfig, seed: int) -> PrmPath:
@@ -562,12 +551,12 @@ def sample_path(model: LevyModel, cfg: SchemeConfig, seed: int) -> PrmPath:
 
 
 def simulate_path(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
-                  seed: int) -> Trajectory:
+                  seed: int) -> Ensemble:
     """Run the full scheme for one noise path: initial smoothing, then
     n_steps implicit solves with per-step compensated jump increments
     (noise explicit, diffusion implicit).  Deterministic in seed; the
     one-path case of `simulate_paths`."""
-    return simulate_paths(u0, U, model, cfg, [sample_path(model, cfg, seed)])[0]
+    return simulate_paths(u0, U, model, cfg, [sample_path(model, cfg, seed)])
 
 
 # Byte budget of the band array of one batched Newton system.  Larger path
@@ -578,11 +567,11 @@ _BAND_BUDGET = 8 << 20
 
 
 def simulate_paths(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
-                   paths) -> list:
+                   paths) -> Ensemble:
     """`simulate_path` for each jump path in `paths` (from `sample_path`),
     all from the same data: one initial smoothing, then the paths advance
     together as an (M, n_nodes) stack, one batched solve per step.  A path's
-    trajectory does not depend on which paths share the call.
+    row does not depend on which paths share the call.
 
     Raises NonConvergence for the first failing path in `paths` order, with
     its step and seed: the error a path-by-path loop raises."""
@@ -596,42 +585,42 @@ def simulate_controls(u0: Field, controls, model: LevyModel, cfg: SchemeConfig,
                       paths) -> list:
     """`simulate_paths` for each control U in `controls` on the common jump
     paths `paths`, as one stack of (control x path) rows, control-major.
-    Returns, per control, its list of trajectories, or the NonConvergence of
-    its first failing path in `paths` order (with step and seed).  A failing
-    row drops out of the stack with the later rows of its control; the rows
-    of the other controls march on."""
+    Returns, per control, its Ensemble, or the NonConvergence of its first
+    failing path in `paths` order (with step and seed).  A failing row drops
+    out of the stack with the later rows of its control; the rows of the
+    other controls march on.  The stack is marched in chunks, each written
+    into the call's one states array and one sums array as it finishes."""
     grid = u0.grid
     hat0s = []
     for U in controls:
         _check_same_grid(u0, U)
         U_used = project_control(U, cfg.control_projection)
-        hat0s.append(prepare_initial(u0, U_used, cfg.effective_smoothing_dt, cfg.p))
+        hat0s.append(prepare_initial(u0, U_used, cfg.effective_smoothing_dt, cfg.p).flat)
+    paths = tuple(paths)
     n_paths = len(paths)
     n_rows = len(controls) * n_paths
     band = grid.step_band
     chunk = max(1, _BAND_BUDGET // (8 * band.ldab * band.m))
-    states, sums, errors = [None] * n_rows, [None] * n_rows, [None] * n_rows
-    failed = set()  # controls with a failed row: their later rows are not needed
+    states = np.empty((n_rows, cfg.n_steps + 1, grid.n_nodes))
+    sums = np.empty_like(states)
+    errors = [None] * len(controls)  # first failure of each control, in path order
     for start in range(0, n_rows, chunk):
-        rows = [r for r in range(start, min(start + chunk, n_rows)) if r // n_paths not in failed]
+        rows = [r for r in range(start, min(start + chunk, n_rows))
+                if errors[r // n_paths] is None]
         if not rows:
             continue
         groups = np.array(rows) // n_paths
-        starts = np.array([hat0s[c].flat for c in groups])
         part = [paths[r % n_paths] for r in rows]
-        s, b, e = _march(grid, starts, model, cfg, part, groups)
-        for r, c, s_r, b_r, e_r in zip(rows, groups.tolist(), s, b, e):
-            states[r], sums[r], errors[r] = s_r, b_r, e_r
-            if e_r is not None:
-                failed.add(c)
-    results = []
-    for c, hat0 in enumerate(hat0s):
-        rows = slice(c * n_paths, (c + 1) * n_paths)
-        failed = [err for err in errors[rows] if err is not None]
-        results.append(failed[0] if failed else list(
-            map(partial(Trajectory, config=cfg, hat0=hat0), states[rows], sums[rows], paths)
-        ))
-    return results
+        states[rows], sums[rows], chunk_errors = _march(
+            grid, np.array([hat0s[c] for c in groups]), model, cfg, part, groups)
+        for c, err in zip(groups.tolist(), chunk_errors):
+            if err is not None and errors[c] is None:
+                errors[c] = err
+    return [
+        errors[c] or Ensemble(states[c * n_paths : (c + 1) * n_paths],
+                              sums[c * n_paths : (c + 1) * n_paths], paths, cfg, grid)
+        for c in range(len(controls))
+    ]
 
 
 def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
@@ -643,7 +632,7 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
     after it with the same groups[i], which can no longer change the first
     error of that group; the other rows run on."""
     idx = grid.interior_nodes
-    solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux, cfg.jacobian_reg)
+    solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
     states = np.empty((len(paths), cfg.n_steps + 1, grid.n_nodes))
     states[:, 0] = starts
     sums = np.zeros_like(states)

@@ -119,3 +119,52 @@ def saa_minimize_scipy(model, cfg, u0, spec, basis, n_paths, budget=200, base_se
             "maxfev": remaining, "initial_simplex": simplex, "xatol": 1e-10, "fatol": 1e-12})
         x0, scale = state["coeffs"].copy(), scale * 0.3
     return history, state["evals"], state["best"], state["coeffs"]
+
+
+def state_fields(ensemble, i=0):
+    """The states of path i of an ensemble as Fields, one per time point."""
+    from plaplace_levy import FREE_BOUNDARY, ZERO_BOUNDARY, Field
+
+    grid, rows = ensemble.grid, ensemble.states[i]
+    tag = FREE_BOUNDARY if rows[:, grid.boundary_nodes].any() else ZERO_BOUNDARY
+    return [Field(grid, row.reshape(grid.node_shape), tag) for row in rows]
+
+
+# The reductions below are those of the per-path code that preceded the
+# stacked ensemble: a loop over paths, one (n_steps + 1, n_nodes) state array
+# at a time.  The stacked code must add in the same order, so its results
+# equal these bitwise.
+
+
+def per_path_cost_sums(states, targets, psi, grid, dt):
+    """cost_J's tracking and terminal means, path by path: each path's
+    dt ||u(t_{k+1}) - u_tar(t_{k+1})||^2 summed in step order and added to a
+    running total, then the payoffs of the terminal rows added in path
+    order."""
+    idx = grid.interior_nodes
+    tracking = 0.0
+    for path in states:
+        gaps = np.take(path[1:] - targets, idx, axis=-1)  # contiguous rows, as dot sees them
+        norms = np.sqrt(np.vecdot(gaps, gaps) * grid.cell_weight)
+        tracking += sum((dt * norms**2).tolist())
+    terminal = 0.0
+    for score in psi(grid, np.array([path[-1] for path in states])).tolist():
+        terminal += score
+    return tracking / len(states), terminal / len(states)
+
+
+def per_path_moments(states, grid, p, dt):
+    """apriori_check's per-path statistics, path by path: squared L^2 norms
+    (paths, n_steps + 1), the time-integrated gradient p-norm, the sum of
+    squared increments and the exact interpolant gap, each summed in step
+    order."""
+    from plaplace_levy.grid import _l2_norms, _lp_grad_pows
+
+    sq = np.empty(states.shape[:2])
+    grad_int, incr_sq, gap = (np.empty(len(states)) for _ in range(3))
+    for i, path in enumerate(states):
+        sq[i] = _l2_norms(grid, path) ** 2
+        grad_int[i] = dt * sum(_lp_grad_pows(grid, path, p)[1:].tolist())
+        incr_sq[i] = sum((_l2_norms(grid, np.diff(path, axis=0)) ** 2).tolist())
+        gap[i] = (dt / 3.0) * incr_sq[i]
+    return sq, grad_int, incr_sq, gap

@@ -44,7 +44,7 @@ from plaplace_levy import (
 )
 from plaplace_levy.cli import main as cli_main
 
-from _oracles import oracle_minimize
+from _oracles import oracle_minimize, state_fields
 
 
 def report(number, name, t0, budget, detail=""):
@@ -91,10 +91,10 @@ def test_criterion_01_zero_fixed_point():
     grid = Grid(1, 16)
     model = reference_model()
     cfg = SchemeConfig(p=3, dt=1 / 16, n_steps=16, flux=zero_flux(1))
-    traj = simulate_path(
+    ens = simulate_path(
         Field.zeros(grid), Field.zeros(grid, "free_boundary"), model, cfg, seed=7
     )
-    for f in traj.hats:
+    for f in state_fields(ens):
         assert np.all(f.values == 0.0), "zero data must stay exactly zero"
     report(1, "zero fixed point", t0, 1.0)
 
@@ -148,7 +148,7 @@ def test_criterion_04_deterministic_self_convergence():
             p=3, dt=dt, n_steps=int(round(0.5 / dt)), flux=zero_flux(1),
             smoothing_dt=smooth,
         )
-        return simulate_path(u0, U, model, cfg, seed=0).hats[-1]
+        return state_fields(simulate_path(u0, U, model, cfg, seed=0))[-1]
 
     ref = run(dts[-1] / 32)
     errs = [l2_norm(run(dt) - ref) for dt in dts]
@@ -161,7 +161,7 @@ def test_criterion_05_interpolant_gap_scaling(reference_ensembles):
     t0 = time.time()
     dts = sorted(reference_ensembles)
     gaps = [
-        float(np.mean([(dt / 3.0) * tr.increments_sq_sum() for tr in reference_ensembles[dt]]))
+        float(np.mean((dt / 3.0) * reference_ensembles[dt].increments_sq_sums))
         for dt in dts
     ]
     slope = float(np.polyfit(np.log(dts), np.log(gaps), 1)[0])
@@ -232,8 +232,8 @@ def test_criterion_10_control_sanity():
     c_star = np.array([0.4, -0.3])
     U_star = ControlParam(basis=basis, coeffs=c_star).build()
     planted = simulate_path(u0, U_star, det_model, cfg, seed=0)
-    spec = CostSpec(u_tar=list(planted.hats), psi=psi_zero()[0], psi_lipschitz=0.0)
-    j_star = cost_J([planted], U_star, spec, cfg.p)[0]
+    spec = CostSpec(u_tar=state_fields(planted), psi=psi_zero()[0], psi_lipschitz=0.0)
+    j_star = cost_J(planted, U_star, spec, cfg.p)[0]
     res = saa_minimize(det_model, cfg, u0, spec, basis, n_paths=1, budget=250, base_seed=0)
     assert res.best_J <= j_star + 1e-6, (
         f"recovered J {res.best_J:.8f} exceeds planted J {j_star:.8f} + 1e-6"

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from plaplace_levy.cli import main
 from plaplace_levy.config import (
@@ -299,6 +299,19 @@ def test_cli_optimize_zero_target(tmp_path):
     assert all(b <= a for a, b in zip(hist, hist[1:]))
 
 
+def test_cli_optimize_zero_steps_has_empty_tracking_sum(tmp_path, capsys):
+    # T = 0: the tracking term is the empty sum and the cost is control plus
+    # terminal payoff of the smoothed initial state
+    text = REFERENCE.replace("n_steps = 16", "n_steps = 0") + "\n[cost]\npsi = l2\n"
+    cfg_path = write(tmp_path, text)
+    out = str(tmp_path / "out")
+    assert run_cli(["optimize", "--config", cfg_path, "--out", out, "--paths", "3"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    res = json.load(open(os.path.join(out, "optimize_result.json")))
+    assert res["parts"]["tracking"] == 0.0 and res["parts"]["terminal"] > 0.0
+    assert res["best_J"] == pytest.approx(sum(res["parts"].values()), rel=1e-15)
+
+
 def test_cli_converge_self_and_validation(tmp_path):
     text = (
         REFERENCE.replace("eta = linear:0.5", "eta = zero")
@@ -393,21 +406,42 @@ def _fuzz_float(lo, hi):
 @given(
     command=st.sampled_from(["simulate", "verify", "optimize", "converge"]),
     n_cells=st.integers(2, 5),
+    n_steps=st.integers(0, 8),
     dt=_fuzz_float(1e-3, 0.25),
     p=_fuzz_float(2.5, 6.0),
     lambda_star=_fuzz_float(0.5, 0.99),
     eta=st.tuples(st.sampled_from(["linear", "sine"]), _fuzz_float(-0.5, 0.5)),
+    measure=st.sampled_from(["point", "density:invsq", "density:uniform", "none"]),
     atoms=st.lists(st.tuples(_fuzz_float(-3.0, 3.0), _fuzz_float(0.0, 10.0)),
                    min_size=1, max_size=3),
+    u0=st.tuples(st.sampled_from(["zero", "sine", "constant"]), _fuzz_float(-2.0, 2.0)),
     coeffs=st.lists(_fuzz_float(-5.0, 5.0), min_size=2, max_size=2),
     flux=st.sampled_from(["zero", "linear", "sine"]),
     flux_coef=_fuzz_float(-1.0, 1.0),
 )
+# a valid config with T = 0, which the derandomized draws do not reach for
+# optimize: its tracking term is the empty sum
+@example(command="optimize", n_cells=4, n_steps=0, dt=0.125, p=3.0, lambda_star=0.5,
+         eta=("sine", 0.3), measure="density:invsq", atoms=[(1.0, 1.0)],
+         u0=("constant", 0.7), coeffs=[0.2, -0.1], flux="sine", flux_coef=0.4)
+# ||U||^p underflows to 0 while ||U||^2 does not: the moment-bound constant
+# is then not finite, and strict JSON writes it as null
+@example(command="simulate", n_cells=3, n_steps=0, dt=0.125, p=3.0, lambda_star=0.5,
+         eta=("linear", 0.0), measure="point", atoms=[(0.0, 0.0)], u0=("zero", 0.0),
+         coeffs=[0.0, 5.723423712571871e-140], flux="zero", flux_coef=0.0)
 def test_cli_config_values_fuzz_end_in_documented_exit_codes(
-        command, n_cells, dt, p, lambda_star, eta, atoms, coeffs, flux, flux_coef):
-    measure = ",".join(f"{z!r}@{mass!r}" for z, mass in atoms)
-    drawn = [dt, p, lambda_star, eta[1], *(x for atom in atoms for x in atom), *coeffs,
-             flux_coef]
+        command, n_cells, n_steps, dt, p, lambda_star, eta, measure, atoms, u0, coeffs, flux,
+        flux_coef):
+    drawn = [dt, p, lambda_star, eta[1], *coeffs, flux_coef]
+    if measure == "point":
+        measure = "point:" + ",".join(f"{z!r}@{mass!r}" for z, mass in atoms)
+        drawn += [x for atom in atoms for x in atom]
+    u0_preset = {"zero": "zero", "sine": f"sine:amplitude={u0[1]!r},mode=1",
+                 "constant": f"constant:{u0[1]!r}"}[u0[0]]
+    if u0[0] != "zero":
+        drawn.append(u0[1])
+    # steps that divide T = n_steps dt; no step divides T = 0
+    values = f"{dt!r},{dt / 2!r}" if n_steps else ""
     text = f"""
 [grid]
 dim = 1
@@ -416,17 +450,17 @@ n_cells = {n_cells}
 [scheme]
 p = {p!r}
 dt = {dt!r}
-n_steps = 8
+n_steps = {n_steps}
 flux = {flux}
 flux_coefs = {flux_coef!r}
 
 [levy]
-measure = point:{measure}
+measure = {measure}
 eta = {eta[0]}:{eta[1]!r}
 lambda_star = {lambda_star!r}
 
 [initial]
-u0 = sine:amplitude=0.5,mode=1
+u0 = {u0_preset}
 basis = sine:2
 control_coeffs = {coeffs[0]!r},{coeffs[1]!r}
 
@@ -436,7 +470,7 @@ seed = 0
 
 [converge]
 sweep = dt
-values = {2 * dt!r},{dt!r}
+values = {values}
 probe = gap
 """
     with tempfile.TemporaryDirectory() as tmp:

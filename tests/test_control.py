@@ -23,12 +23,16 @@ from plaplace_levy import (
     psi_l2,
     psi_zero,
     saa_minimize,
+    sample_path,
     simulate_path,
+    simulate_paths,
     sine_basis,
     w1p_norm,
     zero_flux,
 )
 from plaplace_levy.control import nelder_mead
+
+from _oracles import state_fields
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRID = Grid(1, 12)
@@ -98,17 +102,23 @@ def test_cost_rejects_mismatched_time_grid():
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("kind", ["zero", "l2", "l2_clip"])
 def test_cost_terminal_rows_match_per_field_payoff_bitwise(dim, kind):
+    from _oracles import per_path_cost_sums
+
     grid = Grid(dim, 12 if dim == 1 else 5)
-    cfg = SchemeConfig(p=3, dt=1 / 16, n_steps=4, flux=zero_flux(dim))
+    # enough steps and paths that numpy's sums (sequential only below 8
+    # terms) would add in another order than the per-path loop
+    cfg = SchemeConfig(p=3, dt=1 / 16, n_steps=16, flux=zero_flux(dim))
     u0 = Field.from_function(grid, lambda *x: 0.5 * np.prod(np.sin(np.pi * np.array(x)), axis=0))
     U = Field.zeros(grid, "free_boundary")
     model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5, point_masses=((1.0, 6.0), (-0.5, 6.0)))
-    ens = generate_ensemble(u0, U, model, cfg, 7, base_seed=0)
-    norms = [l2_norm(traj.state(-1)) for traj in ens]
+    ens = generate_ensemble(u0, U, model, cfg, 20, base_seed=0)
+    norms = [l2_norm(Field(grid, row.reshape(grid.node_shape))) for row in ens.states[:, -1]]
     assert len(set(norms)) == len(norms)
     cap = float(np.median(norms))  # binds on some paths, not on others
     psi = {"zero": psi_zero(), "l2": psi_l2(), "l2_clip": psi_l2(cap=cap)}[kind]
-    spec = CostSpec(u_tar=constant_target(grid, cfg.n_steps), psi=psi[0], psi_lipschitz=psi[1])
+    tar = Field.from_function(grid, lambda *x: 0.3 * np.prod(np.sin(2 * np.pi * np.array(x)), axis=0))
+    spec = CostSpec(u_tar=constant_target(grid, cfg.n_steps, tar), psi=psi[0],
+                    psi_lipschitz=psi[1])
     total, parts = cost_J(ens, U, spec, cfg.p)
     # the per-path payoff on one terminal Field at a time, added in path order
     terminal = 0.0
@@ -117,6 +127,11 @@ def test_cost_terminal_rows_match_per_field_payoff_bitwise(dim, kind):
     terminal /= len(ens)
     assert parts["terminal"] == terminal
     assert total == parts["tracking"] + parts["control"] + terminal
+    # the per-path loop over the rows of the stack, in its summation order
+    targets = np.array([f.flat for f in spec.u_tar[1:]])
+    assert (parts["tracking"], parts["terminal"]) == per_path_cost_sums(
+        ens.states, targets, psi[0], grid, cfg.dt)
+    assert parts["tracking"] > 0.0
 
 
 def test_cost_spec_validation():
@@ -160,12 +175,11 @@ def test_objective_continuity_surrogate():
     u0 = Field.from_function(GRID, lambda x: 0.4 * np.sin(np.pi * x))
     spec = make_spec()
     model = reference_model()
-    seeds = [11, 12, 13]
+    paths = [sample_path(model, CFG, s) for s in (11, 12, 13)]
 
     def J(coeffs):
         U = ControlParam(basis=basis, coeffs=coeffs).build()
-        trajs = [simulate_path(u0, U, model, CFG, s) for s in seeds]
-        return cost_J(trajs, U, spec, CFG.p)[0]
+        return cost_J(simulate_paths(u0, U, model, CFG, paths), U, spec, CFG.p)[0]
 
     c_star = np.array([0.3, -0.2])
     j_star = J(c_star)
@@ -216,8 +230,8 @@ def test_saa_inverse_crime_recovery():
     c_star = np.array([0.4, -0.3])
     U_star = ControlParam(basis=basis, coeffs=c_star).build()
     planted = simulate_path(u0, U_star, model, CFG, seed=0)
-    spec = CostSpec(u_tar=list(planted.hats), psi=psi_zero()[0], psi_lipschitz=0.0)
-    j_star = cost_J([planted], U_star, spec, CFG.p)[0]
+    spec = CostSpec(u_tar=state_fields(planted), psi=psi_zero()[0], psi_lipschitz=0.0)
+    j_star = cost_J(planted, U_star, spec, CFG.p)[0]
     res = saa_minimize(model, CFG, u0, spec, basis, n_paths=1, budget=250, base_seed=0)
     assert res.best_J <= j_star + 1e-6
 
@@ -372,9 +386,9 @@ def test_diverged_candidate_scores_inf_and_spares_its_batch(monkeypatch):
     assert (runs[1].step, runs[1].seed, str(runs[1])) == (
         alone.value.step, alone.value.seed, str(alone.value))
     for c in (0, 2, 3):
-        for traj, path in zip(runs[c], paths):
-            (single,) = simulate_paths(u0, controls[c], model, cfg, [path])
-            assert np.max(np.abs(traj.states - single.states)) <= 10 * cfg.newton_tol
+        for row, path in zip(runs[c].states, paths):
+            single = simulate_paths(u0, controls[c], model, cfg, [path]).states[0]
+            assert np.max(np.abs(row - single)) <= 10 * cfg.newton_tol
 
     # the search scores it +inf and keeps its batch-mates' values
     scored = []

@@ -1,6 +1,8 @@
 """Verification-harness tests: moment bounds, increment scalings, isometry,
 and L^1 stability."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from plaplace_levy import (
     uniqueness_check,
     zero_flux,
 )
+
+from _oracles import per_path_moments, state_fields
 
 
 def reference_model(coef=0.5):
@@ -69,9 +73,9 @@ def test_apriori_reports_moments_and_constant():
 def test_apriori_deterministic_case_dissipates():
     ens = generate_ensemble(U0, Field.zeros(GRID, "free_boundary"),
                             zero_noise_model(), CFG, 1, base_seed=0)
-    traj = ens[0]
-    sup_val = max(l2_norm(f) ** 2 for f in traj.hats)
-    assert sup_val <= l2_norm(traj.hats[0]) ** 2 + 1e-12
+    hats = state_fields(ens)
+    sup_val = max(l2_norm(f) ** 2 for f in hats)
+    assert sup_val <= l2_norm(hats[0]) ** 2 + 1e-12
 
 
 def test_apriori_constant_stable_under_dt_halving():
@@ -200,7 +204,7 @@ def test_reports_deterministic_given_seeds():
     ens2 = generate_ensemble(U0, UCTL, reference_model(), CFG, 10, base_seed=5)
     r1 = apriori_check(ens1, U0, UCTL)
     r2 = apriori_check(ens2, U0, UCTL)
-    assert r1.to_dict() == r2.to_dict()
+    assert asdict(r1) == asdict(r2)
 
 
 def test_scaling_report_grid_strictly_decreasing():
@@ -270,26 +274,47 @@ def test_row_wise_state_norms_match_per_field_norms(dim):
     from plaplace_levy.estimates import _mean_se
 
     grid = Grid(dim, 16 if dim == 1 else 8)
-    cfg = SchemeConfig(p=3, dt=1 / 32, n_steps=8, flux=sine_flux([0.7] * dim))
+    # enough steps that numpy's sums (sequential only below 8 terms) would
+    # add in another order than the per-path loop
+    cfg = SchemeConfig(p=3, dt=1 / 32, n_steps=16, flux=sine_flux([0.7] * dim))
     u0 = Field.from_function(grid, lambda *x: 0.5 * np.prod(np.sin(np.pi * np.array(x)), axis=0))
-    ens = generate_ensemble(u0, Field.zeros(grid, "free_boundary"), reference_model(), cfg, 3, 5)
+    ens = generate_ensemble(u0, Field.zeros(grid, "free_boundary"), reference_model(), cfg, 12, 5)
 
     def close(a, b):
         assert np.allclose(a, b, rtol=1e-13, atol=0.0)
 
     # the per-Field loop each row-wise pass replaces
     sq, grad_int, incr_sq = [], [], []
-    for traj in ens:
-        l2, lp = traj.state_norms(cfg.p)
-        close(l2, [l2_norm(f) for f in traj.hats])
-        close(lp, [lp_grad_norm(f, cfg.p) ** cfg.p for f in traj.hats])
-        incr = sum(l2_norm(traj.hats[k + 1] - traj.hats[k]) ** 2 for k in range(cfg.n_steps))
-        close(traj.increments_sq_sum(), incr)
-        sq.append([l2_norm(f) ** 2 for f in traj.hats])
-        grad_int.append(cfg.dt * sum(lp_grad_norm(f, cfg.p) ** cfg.p for f in traj.hats[1:]))
+    l2_rows, lp_rows = ens.state_norms(cfg.p)
+    for i, (l2, lp, incr_row) in enumerate(zip(l2_rows, lp_rows, ens.increments_sq_sums)):
+        hats = state_fields(ens, i)
+        close(l2, [l2_norm(f) for f in hats])
+        close(lp, [lp_grad_norm(f, cfg.p) ** cfg.p for f in hats])
+        incr = sum(l2_norm(hats[k + 1] - hats[k]) ** 2 for k in range(cfg.n_steps))
+        close(incr_row, incr)
+        sq.append([l2_norm(f) ** 2 for f in hats])
+        grad_int.append(cfg.dt * sum(lp_grad_norm(f, cfg.p) ** cfg.p for f in hats[1:]))
         incr_sq.append(incr)
-    stats = apriori_check(ens, u0, Field.zeros(grid, "free_boundary")).statistics
+    rep = apriori_check(ens, u0, Field.zeros(grid, "free_boundary"))
+    stats = rep.statistics
     close(stats["sup_E_l2"], np.max(np.mean(sq, axis=0)))
     close(stats["E_sup_l2"], _mean_se(np.max(sq, axis=1))[0])
     close(stats["E_grad_lp_time_integral"], _mean_se(grad_int)[0])
     close(stats["E_incr_sq_sum"], _mean_se(incr_sq)[0])
+
+    # bitwise: the stacked passes add in the order of the per-path loop
+    sq, grad_int, incr_sq, gap = per_path_moments(ens.states, grid, cfg.p, cfg.dt)
+    assert np.array_equal(l2_rows**2, sq)
+    assert np.array_equal(ens.increments_sq_sums, incr_sq)
+    assert np.array_equal(ens.interp_gap_sq(), gap)
+    k_star = int(np.argmax(sq.mean(axis=0)))
+    expected = {
+        "sup_E_l2": (float(sq.mean(axis=0)[k_star]),
+                     float(sq[:, k_star].std(ddof=1) / np.sqrt(len(sq)))),
+        "E_sup_l2": _mean_se(sq.max(axis=1)),
+        "E_grad_lp_time_integral": _mean_se(grad_int),
+        "E_incr_sq_sum": _mean_se(incr_sq),
+        "E_interp_gap_sq": _mean_se(gap),
+    }
+    for key, (mean, se) in expected.items():
+        assert (stats[key], rep.standard_errors[key]) == (mean, se), key

@@ -47,7 +47,7 @@ def zero_model():
 # ---------------------------------------------------------------------------
 # independent convex-energy oracle (1D, zero convection flux): see _oracles
 
-from _oracles import grad_ops, oracle_energy, oracle_gradient, oracle_minimize
+from _oracles import grad_ops, oracle_energy, oracle_gradient, oracle_minimize, state_fields
 from plaplace_levy.scheme import _conv_residual, _smoothed, _StepSolver
 
 
@@ -146,10 +146,11 @@ def test_step_energy_identity():
     model = reference_model()
     cfg = SchemeConfig(p=3, dt=1 / 32, n_steps=8, flux=linear_flux([0.3]))
     u0 = Field.from_function(grid, lambda x: np.sin(np.pi * x))
-    traj = simulate_path(u0, Field.zeros(grid, "free_boundary"), model, cfg, seed=5)
-    incs = np.diff(traj.sums, axis=0)
+    ens = simulate_path(u0, Field.zeros(grid, "free_boundary"), model, cfg, seed=5)
+    hats = state_fields(ens)
+    incs = np.diff(ens.sums[0], axis=0)
     for k in range(cfg.n_steps):
-        a, b = traj.hats[k + 1], traj.hats[k]
+        a, b = hats[k + 1], hats[k]
         lhs = 0.5 * (l2_norm(a) ** 2 - l2_norm(b) ** 2 + l2_norm(a - b) ** 2)
         lhs += cfg.dt * lp_grad_norm(a, cfg.p) ** cfg.p
         rhs = l2_inner(Field(grid, incs[k].reshape(grid.node_shape)), a)
@@ -223,11 +224,10 @@ def test_initial_smoothing_monotone_for_incompatible_trace():
 def test_simulate_path_zero_data_stays_zero():
     grid = Grid(1, 8)
     cfg = SchemeConfig(p=3, dt=0.1, n_steps=10, flux=sine_flux([0.5]))
-    traj = simulate_path(
+    ens = simulate_path(
         Field.zeros(grid), Field.zeros(grid, "free_boundary"), reference_model(), cfg, seed=3
     )
-    for f in traj.hats:
-        assert np.all(f.values == 0.0)
+    assert np.all(ens.states == 0.0)
 
 
 def test_simulate_path_deterministic():
@@ -237,8 +237,7 @@ def test_simulate_path_deterministic():
     U = Field.from_function(grid, lambda x: 0.2 * np.sin(2 * np.pi * x), "free_boundary")
     a = simulate_path(u0, U, reference_model(), cfg, seed=77)
     b = simulate_path(u0, U, reference_model(), cfg, seed=77)
-    for fa, fb in zip(a.hats, b.hats):
-        assert np.array_equal(fa.values, fb.values)
+    assert np.array_equal(a.states, b.states)
 
 
 def test_nonconvergence_reports_step_index():
@@ -259,21 +258,21 @@ def test_interpolants_node_values_and_constant():
     grid = Grid(1, 8)
     cfg = SchemeConfig(p=3, dt=0.25, n_steps=4, flux=zero_flux(1))
     u0 = Field.from_function(grid, lambda x: np.sin(np.pi * x))
-    traj = simulate_path(u0, Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=0)
+    states = simulate_path(u0, Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=0).states[0]
     for k in range(cfg.n_steps + 1):
-        assert np.allclose(_series_at(traj.states, k * cfg.dt, cfg.dt), traj.states[k])
-    mid = 0.5 * (traj.states[1] + traj.states[2])
-    assert np.allclose(_series_at(traj.states, 1.5 * cfg.dt, cfg.dt), mid)
-    stack = np.stack([traj.states, 2 * traj.states])  # (paths, times, nodes)
-    assert np.allclose(_series_at(stack, 0.6, cfg.dt)[1], 2 * _series_at(traj.states, 0.6, cfg.dt))
+        assert np.allclose(_series_at(states, k * cfg.dt, cfg.dt), states[k])
+    mid = 0.5 * (states[1] + states[2])
+    assert np.allclose(_series_at(states, 1.5 * cfg.dt, cfg.dt), mid)
+    stack = np.stack([states, 2 * states])  # (paths, times, nodes)
+    assert np.allclose(_series_at(stack, 0.6, cfg.dt)[1], 2 * _series_at(states, 0.6, cfg.dt))
 
 
 def test_interpolant_gap_inequality_pathwise():
     grid = Grid(1, 12)
     cfg = SchemeConfig(p=3, dt=1 / 16, n_steps=16, flux=zero_flux(1))
     u0 = Field.from_function(grid, lambda x: np.sin(np.pi * x))
-    traj = simulate_path(u0, Field.zeros(grid, "free_boundary"), reference_model(), cfg, seed=9)
-    hats = traj.hats
+    ens = simulate_path(u0, Field.zeros(grid, "free_boundary"), reference_model(), cfg, seed=9)
+    hats = state_fields(ens)
     # independent quadrature of the space-time gap between the step
     # interpolant (hats[k + 1] on [t_k, t_k+1)) and the affine one
     n_sub = 64
@@ -283,8 +282,8 @@ def test_interpolant_gap_inequality_pathwise():
             lam = (j + 0.5) / n_sub
             affine = hats[k] * (1.0 - lam) + hats[k + 1] * lam
             quad += l2_norm(hats[k + 1] - affine) ** 2 * (cfg.dt / n_sub)
-    bound = cfg.dt * traj.increments_sq_sum()
-    assert quad == pytest.approx(traj.interp_gap_sq(), rel=1e-3)
+    bound = cfg.dt * ens.increments_sq_sums[0]
+    assert quad == pytest.approx(ens.interp_gap_sq()[0], rel=1e-3)
     assert quad <= bound + 1e-12
 
 
@@ -293,13 +292,13 @@ def test_constant_trajectory_interpolants():
     # and the gap at zero
     grid = Grid(1, 6)
     cfg = SchemeConfig(p=3, dt=0.5, n_steps=2, flux=zero_flux(1))
-    traj = simulate_path(
+    ens = simulate_path(
         Field.zeros(grid), Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=0
     )
-    assert np.all(traj.states == 0.0) and np.all(traj.sums == 0.0)
+    assert np.all(ens.states == 0.0) and np.all(ens.sums == 0.0)
     for t in (0.0, 0.3, 0.5, 0.99, 1.0):
-        assert np.all(_series_at(traj.states, t, cfg.dt) == 0.0)
-    assert traj.interp_gap_sq() == 0.0
+        assert np.all(_series_at(ens.states[0], t, cfg.dt) == 0.0)
+    assert ens.interp_gap_sq()[0] == 0.0
 
 
 def test_lift_boundary_mode_keeps_control_trace():
@@ -310,14 +309,14 @@ def test_lift_boundary_mode_keeps_control_trace():
     )
     U = Field(grid, np.full(grid.node_shape, 0.4), "free_boundary")
     u0 = Field.from_function(grid, lambda x: np.sin(np.pi * x))
-    traj = simulate_path(u0, U, zero_model(), cfg, seed=0)
-    for f in traj.hats:
+    ens = simulate_path(u0, U, zero_model(), cfg, seed=0)
+    for f in state_fields(ens):
         assert f.values[0] == pytest.approx(0.4)
         assert f.values[-1] == pytest.approx(0.4)
     # clamped run of the same data stays in the zero-boundary space
     cfg_clamp = SchemeConfig(p=3, dt=0.05, n_steps=6, flux=zero_flux(1))
-    traj_c = simulate_path(u0, U, zero_model(), cfg_clamp, seed=0)
-    for f in traj_c.hats:
+    ens_c = simulate_path(u0, U, zero_model(), cfg_clamp, seed=0)
+    for f in state_fields(ens_c):
         assert f.values[0] == 0.0 and f.values[-1] == 0.0
 
 
@@ -382,20 +381,20 @@ def pinned_u0_1d(grid):
 def test_pinned_terminal_state_1d(flux, pinned):
     grid = Grid(1, 16)
     cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=16, flux=flux)
-    traj = simulate_path(
+    ens = simulate_path(
         pinned_u0_1d(grid), Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=0
     )
     tol = 100 * cfg.newton_tol
-    assert traj.hats[-1].values[1:-1] == pytest.approx(pinned, abs=tol)
+    assert state_fields(ens)[-1].values[1:-1] == pytest.approx(pinned, abs=tol)
 
 
 def test_pinned_terminal_state_2d_sine_flux():
     grid = Grid(2, 8)
     u0 = Field.from_function(grid, lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y))
     cfg = SchemeConfig(p=3.0, dt=1 / 16, n_steps=4, flux=sine_flux([0.5, -0.3]))
-    traj = simulate_path(u0, Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=0)
+    ens = simulate_path(u0, Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=0)
     tol = 100 * cfg.newton_tol
-    assert traj.hats[-1].values[1:-1, 1:-1] == pytest.approx(np.array(PIN_2D_SINE), abs=tol)
+    assert state_fields(ens)[-1].values[1:-1, 1:-1] == pytest.approx(np.array(PIN_2D_SINE), abs=tol)
 
 
 def test_pinned_noisy_path_and_ensemble_statistics():
@@ -403,8 +402,8 @@ def test_pinned_noisy_path_and_ensemble_statistics():
     U = Field.zeros(grid, "free_boundary")
     cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=16, flux=zero_flux(1))
     tol = 100 * cfg.newton_tol
-    traj = simulate_path(pinned_u0_1d(grid), U, reference_model(), cfg, seed=3)
-    assert traj.hats[-1].values[1:-1] == pytest.approx(PIN_1D_NOISY, abs=tol)
+    ens = simulate_path(pinned_u0_1d(grid), U, reference_model(), cfg, seed=3)
+    assert state_fields(ens)[-1].values[1:-1] == pytest.approx(PIN_1D_NOISY, abs=tol)
     ens = generate_ensemble(pinned_u0_1d(grid), U, reference_model(), cfg, 20, 0)
     stats = apriori_check(ens, pinned_u0_1d(grid), U).statistics
     for key, value in PIN_ENSEMBLE.items():
@@ -436,7 +435,7 @@ def test_fused_evaluation_matches_assembled_reference(dim, flux_kind):
     grid = Grid(dim, 9)
     coefs = [0.6, -0.4][:dim]
     flux = {"zero": zero_flux(dim), "linear": linear_flux(coefs), "sine": sine_flux(coefs)}[flux_kind]
-    solver = _StepSolver(grid, 3.5, 0.07, flux, 1e-8)
+    solver = _StepSolver(grid, 3.5, 0.07, flux)
     # four rows evaluated as one stack, each against its own reference
     v = np.stack([zb(grid, rng).flat for _ in range(4)])
     rhs = np.stack([zb(grid, rng).flat for _ in range(4)])
@@ -482,7 +481,7 @@ def test_banded_jacobian_matches_finite_differences(dim, flux_kind):
     coefs = [0.8, -0.5][:dim]
     flux = {"zero": zero_flux(dim), "linear": linear_flux(coefs), "sine": sine_flux(coefs)}[flux_kind]
     m = len(grid.interior_nodes)
-    solver = _StepSolver(grid, 3.0, 0.05, flux, 1e-8)
+    solver = _StepSolver(grid, 3.0, 0.05, flux)
     v, rhs = zb(grid, rng).flat[None], zb(grid, rng).flat[None]
     r, _, _, comps = solver.evaluate(v, rhs)
     J = dense_from_band(grid, solver._band_matrix(v, comps, newton=True))
@@ -509,7 +508,7 @@ def test_stacked_systems_are_diagonal_blocks(dim, flux_kind):
     rng = np.random.default_rng(43 + dim)
     grid = Grid(dim, 7)
     flux = zero_flux(dim) if flux_kind == "zero" else sine_flux([0.8, -0.5][:dim])
-    solver = _StepSolver(grid, 3.0, 0.05, flux, 1e-8)
+    solver = _StepSolver(grid, 3.0, 0.05, flux)
     v = np.stack([zb(grid, rng).flat for _ in range(3)])
     r, _, _, comps = solver.evaluate(v, np.zeros_like(v))
     m = grid.step_band.m
@@ -535,7 +534,7 @@ def test_single_interior_unknown_steps(dim, flux_kind):
     cfg = SchemeConfig(p=3.0, dt=0.1, n_steps=1, flux=flux)
     u = zb(grid, np.random.default_rng(3))
     out = step_solve(u, Field.zeros(grid), cfg)
-    solver = _StepSolver(grid, cfg.p, cfg.dt, flux, cfg.jacobian_reg)
+    solver = _StepSolver(grid, cfg.p, cfg.dt, flux)
     assert solver.evaluate(out.flat[None], u.flat[None])[1][0] <= cfg.newton_tol
     # the only interior node couples to boundary values alone: convection
     # cancels, and the p-flux pulls the centre value toward zero
@@ -596,9 +595,8 @@ def test_batched_paths_match_single_path_solves(case):
     batch = simulate_paths(u0, U, model, cfg, [sample_path(model, cfg, s) for s in range(37)])
     for seed in (0, 17, 36):
         alone = simulate_path(u0, U, model, cfg, seed)
-        for a, b in zip(batch[seed].hats, alone.hats):
-            assert np.max(np.abs(a.values - b.values)) <= 10 * cfg.newton_tol
-        assert np.max(np.abs(batch[seed].sums - alone.sums)) <= 10 * cfg.newton_tol
+        assert np.max(np.abs(batch.states[seed] - alone.states[0])) <= 10 * cfg.newton_tol
+        assert np.max(np.abs(batch.sums[seed] - alone.sums[0])) <= 10 * cfg.newton_tol
 
 
 def test_batch_mixes_a_picard_rescue_with_plain_newton_rows(monkeypatch):
@@ -630,7 +628,7 @@ def test_batch_mixes_a_picard_rescue_with_plain_newton_rows(monkeypatch):
         monkeypatch.setattr(_StepSolver, "newton_step", uphill_first)
         monkeypatch.setattr(_StepSolver, "picard_solve", picard)
         seen["rounds"], seen["picard_rows"] = 0, []
-        solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux, cfg.jacobian_reg)
+        solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
         out, failures = scheme._newton(solver, v.copy(), v.copy(), cfg.newton_tol, cfg.newton_max_iters)
         assert failures == []
         assert np.all(solver.evaluate(out, v)[1] <= cfg.newton_tol)
@@ -714,6 +712,7 @@ def test_chunked_batches_match_one_batch(monkeypatch):
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 5 * 8 * band.ldab * band.m)  # 5 paths a chunk
     chunked = simulate_paths(pinned_u0_1d(grid), U, model, cfg, paths)
-    for a, b in zip(whole, chunked):
-        assert np.max(np.abs(a.states - b.states)) <= 10 * cfg.newton_tol
-        assert a.prm is b.prm
+    for a, b in zip(whole.states, chunked.states):
+        assert np.max(np.abs(a - b)) <= 10 * cfg.newton_tol
+    assert len(whole.paths) == len(chunked.paths) == len(paths)
+    assert all(a is b is path for a, b, path in zip(whole.paths, chunked.paths, paths))
