@@ -29,6 +29,7 @@ from .levy import (
     eta_zero,
     isometry_rhs,
     sample_prm,
+    sample_prms,
 )
 from .scheme import (
     CLAMP_BOUNDARY,
@@ -42,6 +43,7 @@ from .scheme import (
     prepare_initial,
     project_control,
     sample_path,
+    sample_paths,
     simulate_path,
     simulate_paths,
     sine_flux,

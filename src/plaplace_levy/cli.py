@@ -116,10 +116,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
 
     paths_dir = os.path.join(out_dir, "paths")
     os.makedirs(paths_dir, exist_ok=True)
-    l2, grad_pow = ensemble.state_norms(scheme.p)
+    l2, grad_pow = ensemble.state_norms
     times = [repr(k * scheme.dt) for k in range(scheme.n_steps + 1)]
     for i, (prm, l2_i, gp_i) in enumerate(zip(ensemble.paths, l2.tolist(), grad_pow.tolist())):
-        jumps = [0] + [prm.jump_count(k) for k in range(scheme.n_steps)]
+        jumps = [0, *prm.counts.tolist()]
         with open(os.path.join(paths_dir, f"path_{i:05d}.csv"), "w", encoding="utf-8",
                   newline="") as fh:
             writer = csv.writer(fh)

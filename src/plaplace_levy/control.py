@@ -20,7 +20,7 @@ import numpy as np
 
 from .grid import FREE_BOUNDARY, Field, Grid, GridMismatchError, _l2_norms, w1p_norm
 from .levy import LevyModel
-from .scheme import Ensemble, NonConvergence, SchemeConfig, sample_path, simulate_controls
+from .scheme import Ensemble, NonConvergence, SchemeConfig, sample_paths, simulate_controls
 
 
 # A terminal payoff psi(grid, rows) scores each row of a stack of nodal
@@ -301,7 +301,7 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     seeds = [base_seed + i for i in range(n_paths)]
     spec.validate(cfg.n_steps)
     # common random numbers: each seed's jump path serves every candidate
-    paths = [sample_path(model, cfg, s) for s in seeds]
+    paths = sample_paths(model, cfg, seeds)
     speculate = n_paths * u0.grid.n_nodes <= _SPECULATE_NODES
 
     history = []

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .grid import Field, Grid, _l2_norms, dual_norm_estimates, l2_norm, w1p_norm
-from .levy import LevyModel, isometry_rhs, jump_sums, step_marks
-from .scheme import (Ensemble, SchemeConfig, project_control, sample_path, simulate_path,
+from .levy import LevyModel, isometry_rhs, jump_sums, step_events
+from .scheme import (Ensemble, SchemeConfig, project_control, sample_paths, simulate_path,
                      simulate_paths)
 
 
@@ -75,7 +75,7 @@ def apriori_check(ensemble: Ensemble, u0: Field, U: Field) -> EnsembleReport:
     if M < 2:
         raise ValueError("moment statistics need at least two paths")
     cfg = ensemble.config
-    l2, grad_pow = ensemble.state_norms(cfg.p)
+    l2, grad_pow = ensemble.state_norms
     sq = l2**2
     # each path's time integral summed in step order
     grad_int = np.array([cfg.dt * sum(row) for row in grad_pow[:, 1:].tolist()], dtype=float)
@@ -131,7 +131,7 @@ def generate_ensemble(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
                       n_paths: int, base_seed: int) -> Ensemble:
     """The ensemble of the path seeds base_seed .. base_seed + n_paths - 1,
     solved as one batch."""
-    paths = [sample_path(model, cfg, base_seed + i) for i in range(n_paths)]
+    paths = sample_paths(model, cfg, range(base_seed, base_seed + n_paths))
     return simulate_paths(u0, U, model, cfg, paths)
 
 
@@ -262,7 +262,7 @@ def uniqueness_check(model: LevyModel, cfg: SchemeConfig, u0_a: Field, u0_b: Fie
     identical = np.array_equal(u0_a.values, u0_b.values)
     n_times = cfg.n_steps + 1
     grid = u0_a.grid
-    paths = [sample_path(model, cfg, base_seed + i) for i in range(n_paths)]
+    paths = sample_paths(model, cfg, range(base_seed, base_seed + n_paths))
     # one batch per initial datum; l1_norm of each paired difference
     a, b = (simulate_paths(u0, U, model, cfg, paths).states for u0 in (u0_a, u0_b))
     diff = grid.take("interior", (a - b).reshape(-1, grid.n_nodes))
@@ -323,11 +323,14 @@ def isometry_check(model: LevyModel, u: Field, dt: float, n_samples: int,
     # the integrand is frozen, so the compensator is computed once; the
     # draws are bitwise those of sample_prm(model, dt, dt, seed)
     compensator = dt * model.compensator(u_int)
+    counts, _, marks = step_events(model, dt, range(base_seed, base_seed + n_samples), [0])
+    first = np.concatenate([[0], np.cumsum(counts)])
     vals = np.empty(n_samples)
     for start in range(0, n_samples, _ISOMETRY_CHUNK):
-        seeds = range(base_seed + start, base_seed + min(start + _ISOMETRY_CHUNK, n_samples))
-        inc = jump_sums(model, u_int, step_marks(model, dt, seeds)) - compensator
-        vals[start : start + len(inc)] = np.vecdot(inc, inc) * grid.cell_weight
+        stop = min(start + _ISOMETRY_CHUNK, n_samples)
+        inc = jump_sums(model, u_int, counts[start:stop],
+                        marks[first[start] : first[stop]]) - compensator
+        vals[start:stop] = np.vecdot(inc, inc) * grid.cell_weight
     exact = isometry_rhs(model, u, dt)
     mc = float(vals.mean())
     if exact == 0.0:

@@ -8,11 +8,15 @@ once by a composite midpoint rule (_N_QUAD = 256 nodes) on
 compensator integral and the jump-mark sampler, so the two stay consistent.
 
 Sampling is counter-based (Philox keyed by the path seed, counter = step), so
-paths are reproducible bitwise and independent across steps.
+paths are reproducible bitwise and a step's events depend on (seed, step)
+alone.  The draws of a whole batch of (seed, step) lanes are decoded from
+vectorized Philox4x64-10 blocks, bitwise what numpy's Generator draws from a
+Philox keyed per lane.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -156,70 +160,197 @@ def eta_sine(coef: float):
 class PrmPath:
     """Sampled jump events of one noise path on a uniform step grid.
 
-    events[k] is a pair (times, marks) of equal-length arrays with
-    t in (t_k, t_{k+1}], times strictly increasing.  Regenerating with the
-    same (model, T, dt, seed) reproduces the path bitwise.
+    counts[k] is the number of jumps in step k; times and marks hold the
+    jumps of every step, step by step, with t in (t_k, t_{k+1}] and times
+    strictly increasing within a step.  Regenerating with the same
+    (model, T, dt, seed) reproduces the path bitwise.
     """
 
     dt: float
     n_steps: int
     seed: int
     eps: float
-    events: tuple = field(repr=False)
+    counts: np.ndarray = field(repr=False)
+    times: np.ndarray = field(repr=False)
+    marks: np.ndarray = field(repr=False)
 
     @property
     def T(self) -> float:
         return self.dt * self.n_steps
 
+    @cached_property
+    def events(self) -> tuple:
+        """events[k] is the pair (times, marks) of step k."""
+        return tuple(zip(_split(self.times, self.counts), _split(self.marks, self.counts)))
+
     def jump_count(self, k: int = None) -> int:
-        if k is None:
-            return sum(len(t) for t, _ in self.events)
-        return len(self.events[k][0])
+        return int(self.counts.sum() if k is None else self.counts[k])
 
 
-class _StepDraws:
-    """Per-step jump events of counter-based paths: step k of the path with
-    seed s draws from Philox keyed by s with counter k, so its events depend
-    on (s, k) alone.  One bit generator is re-keyed per draw, which gives
-    the same stream as a fresh one at a fraction of the set-up cost."""
+def _split(flat: np.ndarray, counts: np.ndarray) -> list:
+    """flat cut into consecutive pieces of lengths counts."""
+    return np.split(flat, np.cumsum(counts))[:-1]
 
-    def __init__(self, model: LevyModel, dt: float):
-        z, lam = model.atoms
-        self.total = float(lam.sum()) if len(lam) else 0.0
-        if not np.isfinite(self.total):
-            raise InfiniteMassError("truncated measure has infinite mass")
-        self.z = z
-        self.probs = lam / self.total if self.total > 0 else None
-        self.dt = dt
-        self.bits = np.random.Philox()
-        self.rng = np.random.Generator(self.bits)
 
-    def events(self, seed: int, k: int) -> tuple:
-        """(times, marks) of step k: a Poisson(total_mass dt) count, then
-        sorted uniform times in (t_k, t_{k+1}], then marks drawn i.i.d.
-        proportional to the (discretized) measure."""
-        if self.total == 0.0:
-            return np.array([]), np.array([])
-        self.bits.state = {
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011) with numpy's multipliers and key increments, as (2, 1)
+# columns: a round multiplies counter words 0 and 2, stacked on a leading
+# axis, in one operation (a trailing axis of two is several times slower)
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_MASK64 = (1 << 64) - 1
+_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _32
+
+
+def _mulhilo(x: np.ndarray) -> tuple:
+    """High and low words of the 128-bit products _PHILOX_M * x, from 32-bit
+    halves."""
+    x_lo, x_hi = x & _LO32, x >> _32
+    t = x_lo * _M_LO
+    u = x_hi * _M_LO + (t >> _32)
+    v = x_lo * _M_HI + (u & _LO32)
+    return x_hi * _M_HI + (u >> _32) + (v >> _32), x * _PHILOX_M
+
+
+def _philox(ctr: tuple, key: tuple) -> np.ndarray:
+    """The Philox4x64-10 blocks at the counters ctr = (c0, c1, c2, c3) under
+    the keys key = (k0, k1), words that broadcast, as uint64 (..., 4):
+    numpy's Philox(counter=c, key=k).random_raw(4) for the counter c + 1."""
+    words = np.broadcast_arrays(*(np.asarray(w, dtype=np.uint64) for w in (*ctr, *key)))
+    c0, c1, c2, c3, k0, k1 = (w.ravel() for w in words)
+    even, odd, key = np.stack([c0, c2]), np.stack([c1, c3]), np.stack([k0, k1])
+    for r in range(10):
+        if r:
+            key = key + _PHILOX_W
+        hi, lo = _mulhilo(even)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    return np.stack([even[0], odd[0], even[1], odd[1]], axis=-1).reshape(*words[0].shape, 4)
+
+
+def _uniforms(keys: np.ndarray, steps: np.ndarray, n_blocks: int) -> np.ndarray:
+    """The first 4 n_blocks doubles (lanes, 4 n_blocks) that numpy's
+    Generator draws from the Philox keyed by (keys[i], _KEY_SALT) with
+    counter (steps[i], 0, 0, 0): its stream starts at block steps[i] + 1, so
+    from the second block on step k's stream is step k + 1's (see the
+    README's numerical notes).  A double is (raw >> 11) 2^-53."""
+    ctr = (steps[:, None] + np.arange(1, n_blocks + 1, dtype=np.uint64), 0, 0, 0)
+    raw = _philox(ctr, (keys[:, None], _KEY_SALT))
+    return (raw.reshape(len(keys), 4 * n_blocks) >> np.uint64(11)) * 2.0**-53
+
+
+# A Philox pass decodes at most this many (lane, block) pairs (512 KB of
+# doubles); a call with more is decoded in chunks of lanes.
+_PASS_BLOCKS = 1 << 14
+
+
+def _decoded_events(keys: np.ndarray, steps: np.ndarray, lam: float, dt: float,
+                    cdf: np.ndarray, z: np.ndarray, per_jump: int, n_blocks: int) -> tuple:
+    """(counts, times, marks) of the lanes (keys[i], steps[i]) for a Poisson
+    mean lam < 10, decoded from numpy's draw order: the count by the
+    multiplication method (the first index at which the running product of
+    the doubles is <= exp(-lam)), then one double per jump for its time,
+    then, with more than one atom, one per jump for its mark (the inverse of
+    cdf); per_jump doubles per jump in all.  Lanes whose draws run past
+    n_blocks blocks take another pass."""
+    enlam = math.exp(-lam)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    passes = []
+    todo = np.arange(len(keys))
+    while todo.size:
+        u = _uniforms(keys[todo], steps[todo], n_blocks)
+        hit = np.cumprod(u, axis=1) <= enlam
+        c = hit.argmax(axis=1)
+        need = 1 + per_jump * c
+        done = hit.any(axis=1) & (need <= u.shape[1])
+        counts[todo[done]] = c[done]
+        passes.append((todo[done], u[done]))
+        todo = todo[~done]
+        n_blocks = max(2 * n_blocks, -(-int(need.max()) // 4))
+    first = np.cumsum(counts) - counts
+    lane = np.repeat(np.arange(len(keys)), counts)
+    spans = np.empty(len(lane))  # 1 - U of each jump time, U in [0, 1)
+    draws = np.empty(len(lane))  # U of each mark
+    for lanes, u in passes:
+        c = counts[lanes]
+        row = np.repeat(np.arange(len(lanes)), c)
+        j = np.arange(len(row)) - np.repeat(np.cumsum(c) - c, c)
+        at = first[lanes][row] + j
+        spans[at] = 1.0 - u[row, c[row] + 1 + j]
+        if per_jump == 3:
+            draws[at] = u[row, 2 * c[row] + 1 + j]
+    times = steps[lane] * dt + dt * spans[np.lexsort((spans, lane))]
+    if per_jump == 2:
+        return counts, times, np.full(len(lane), z[0])
+    return counts, times, z[cdf.searchsorted(draws, side="right")]
+
+
+def _generated_events(keys: np.ndarray, steps: np.ndarray, lam: float, dt: float,
+                      probs: np.ndarray, z: np.ndarray) -> tuple:
+    """(counts, times, marks) of the lanes from numpy's Generator, one
+    re-keyed Philox per lane: for a Poisson mean lam >= 10, where numpy
+    draws the count by rejection (PTRS) and `_decoded_events` does not
+    apply."""
+    bits = np.random.Philox()
+    rng = np.random.Generator(bits)
+    counts, times, marks = [], [np.empty(0)], [np.empty(0)]
+    for key, k in zip(keys.tolist(), steps.tolist()):
+        bits.state = {
             "bit_generator": "Philox",
             "state": {"counter": np.array([k, 0, 0, 0], dtype=np.uint64),
-                      "key": np.array([seed & 0xFFFFFFFFFFFFFFFF, _KEY_SALT], dtype=np.uint64)},
+                      "key": np.array([key, _KEY_SALT], dtype=np.uint64)},
             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
             "has_uint32": 0, "uinteger": 0,
         }
-        rng, dt = self.rng, self.dt
-        count = int(rng.poisson(self.total * dt))
-        if count == 0:
-            return np.array([]), np.array([])
-        # uniform in (t_k, t_{k+1}]: 1 - U with U in [0, 1)
-        times = k * dt + dt * np.sort(1.0 - rng.random(count))
-        if len(self.z) == 1:
-            return times, np.full(count, self.z[0])
-        return times, self.z[rng.choice(len(self.z), size=count, p=self.probs)]
+        count = int(rng.poisson(lam))
+        counts.append(count)
+        times.append(k * dt + dt * np.sort(1.0 - rng.random(count)))
+        marks.append(z[rng.choice(len(z), size=count, p=probs)] if len(z) > 1
+                      else np.full(count, z[0]))
+    return np.array(counts, dtype=np.int64), np.concatenate(times), np.concatenate(marks)
 
 
-def sample_prm(model: LevyModel, T: float, dt: float, seed: int) -> PrmPath:
-    """Sample the truncated jump measure on [0, T] with step dt.
+def step_events(model: LevyModel, dt: float, seeds, steps) -> tuple:
+    """Jump events of the steps `steps` of each seed's path.  Lane (s, k)
+    is step k of seed s; lanes run seed by seed, and by `steps` within a
+    seed.  Returns the per-lane counts and the lanes' times and marks, flat
+    in lane order.
+
+    Lane (s, k) draws what numpy's Generator draws from the Philox keyed by
+    (s mod 2^64, _KEY_SALT) with counter (k, 0, 0, 0), bitwise: a
+    Poisson(total_mass dt) count, then sorted uniform times in
+    (t_k, t_{k+1}], then marks drawn i.i.d. proportional to the
+    (discretized) measure.  Its events depend on (s, k) alone."""
+    z, lam = model.atoms
+    total = float(lam.sum()) if len(lam) else 0.0
+    if not np.isfinite(total):
+        raise InfiniteMassError("truncated measure has infinite mass")
+    if np.any(lam < 0):
+        raise ValueError("jump masses must be nonnegative")
+    steps = np.asarray(steps, dtype=np.uint64)
+    keys = np.array([s & _MASK64 for s in seeds], dtype=np.uint64)
+    keys, steps = np.repeat(keys, len(steps)), np.tile(steps, len(keys))
+    if total == 0.0 or len(keys) == 0:
+        return np.zeros(len(keys), dtype=np.int64), np.empty(0), np.empty(0)
+    mean = total * dt
+    probs = lam / total
+    if mean >= 10.0:
+        return _generated_events(keys, steps, mean, dt, probs, z)
+    cdf = probs.cumsum()  # as Generator.choice forms it
+    cdf /= cdf[-1]
+    per_jump = 3 if len(z) > 1 else 2  # doubles per jump: Poisson, time, mark
+    # the first pass holds a count up to mean + 3 sqrt(mean) + 1, which a
+    # lane exceeds with a chance below 0.5% (about mean^2 / 2 if small)
+    n_blocks = -(-(1 + per_jump * int(mean + 3.0 * math.sqrt(mean) + 1.0)) // 4)
+    chunk = max(1, _PASS_BLOCKS // n_blocks)
+    parts = [_decoded_events(keys[i : i + chunk], steps[i : i + chunk], mean, dt, cdf, z,
+                             per_jump, n_blocks) for i in range(0, len(keys), chunk)]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def sample_prms(model: LevyModel, T: float, dt: float, seeds) -> list:
+    """Sample the truncated jump measure on [0, T] with step dt, one path
+    per seed, every step of every path from one `step_events` call.
 
     Per step the jump count is Poisson(total_mass * dt) and marks are drawn
     i.i.d. proportional to the (discretized) measure.  T/dt must be integral.
@@ -229,16 +360,26 @@ def sample_prm(model: LevyModel, T: float, dt: float, seed: int) -> PrmPath:
     n_steps = int(round(T / dt))
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError(f"T/dt must be a positive integer, got T={T}, dt={dt}")
-    draws = _StepDraws(model, dt)
-    events = tuple(draws.events(seed, k) for k in range(n_steps))
-    return PrmPath(dt=dt, n_steps=n_steps, seed=seed, eps=model.eps, events=events)
+    seeds = list(seeds)
+    counts, times, marks = step_events(model, dt, seeds, range(n_steps))
+    counts = counts.reshape(len(seeds), n_steps)
+    per_path = counts.sum(axis=1)
+    return [PrmPath(dt=dt, n_steps=n_steps, seed=s, eps=model.eps, counts=c, times=t, marks=m)
+            for s, c, t, m in zip(seeds, counts, _split(times, per_path),
+                                  _split(marks, per_path))]
+
+
+def sample_prm(model: LevyModel, T: float, dt: float, seed: int) -> PrmPath:
+    """The path of one seed: `sample_prms` for [seed]."""
+    (path,) = sample_prms(model, T, dt, [seed])
+    return path
 
 
 def step_marks(model: LevyModel, dt: float, seeds, k: int = 0) -> list:
     """Jump marks of step k of each seed's path, bitwise those of
     sample_prm(model, T, dt, seed).events[k][1] for any horizon T > k dt."""
-    draws = _StepDraws(model, dt)
-    return [draws.events(seed, k)[1] for seed in seeds]
+    counts, _, marks = step_events(model, dt, seeds, [k])
+    return _split(marks, counts)
 
 
 def compensated_increments(model: LevyModel, u_int: np.ndarray, marks: list,
@@ -250,21 +391,22 @@ def compensated_increments(model: LevyModel, u_int: np.ndarray, marks: list,
         sum_{z in marks[i]} eta(u_int[i]; z)  -  dt * integral eta(u_int[i]; z) m(dz)
     """
     drift = dt * model.compensator(u_int)
-    if any(map(len, marks)):
-        return jump_sums(model, u_int, marks) - drift
+    counts = [len(z) for z in marks]
+    if any(counts):
+        return jump_sums(model, u_int, counts, np.concatenate(marks)) - drift
     return np.broadcast_to(-drift, (len(marks), u_int.shape[-1]))  # no row jumps
 
 
-def jump_sums(model: LevyModel, u_int: np.ndarray, marks: list) -> np.ndarray:
-    """(M, m) sums of eta(u_int[i]; z) over the marks z of row i, for
-    integrands u_int of shape (M, m) or one shared u_int of shape (m,); one
-    eta evaluation over all marks and one scatter into the rows."""
+def jump_sums(model: LevyModel, u_int: np.ndarray, counts, marks: np.ndarray) -> np.ndarray:
+    """(M, m) sums of eta(u_int[i]; z) over the counts[i] marks z of row i
+    (marks flat, row by row), for integrands u_int of shape (M, m) or one
+    shared u_int of shape (m,); one eta evaluation over all marks and one
+    scatter into the rows."""
     m = u_int.shape[-1]
-    rows = np.repeat(np.arange(len(marks)), [len(z) for z in marks])
-    z = np.concatenate(marks)
-    jumps = model.eta(u_int if u_int.ndim == 1 else u_int[rows], z[:, None])
+    rows = np.repeat(np.arange(len(counts)), counts)
+    jumps = model.eta(u_int if u_int.ndim == 1 else u_int[rows], marks[:, None])
     index = (m * rows[:, None] + np.arange(m)).ravel()
-    return np.bincount(index, jumps.ravel(), len(marks) * m).reshape(len(marks), m)
+    return np.bincount(index, jumps.ravel(), len(counts) * m).reshape(len(counts), m)
 
 
 def isometry_rhs(model: LevyModel, u: Field, dt: float) -> float:

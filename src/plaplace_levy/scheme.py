@@ -41,7 +41,7 @@ from .grid import (
     _l2_norms,
     _lp_grad_pows,
 )
-from .levy import LevyModel, PrmPath, compensated_increments, sample_prm
+from .levy import LevyModel, PrmPath, compensated_increments, sample_prms
 
 CLAMP_BOUNDARY = "clamp_boundary"
 LIFT_BOUNDARY = "lift_boundary"
@@ -520,12 +520,14 @@ class Ensemble:
     def __len__(self) -> int:
         return len(self.states)
 
-    def state_norms(self, p: float) -> tuple:
-        """`l2_norm` and `lp_grad_norm` ** p of every state, (paths,
-        n_steps + 1) each, in one row-wise pass over `states`."""
+    @cached_property
+    def state_norms(self) -> tuple:
+        """`l2_norm` and `lp_grad_norm` ** config.p of every state, (paths,
+        n_steps + 1) each, in one row-wise pass over `states`; computed once
+        per ensemble."""
         rows = self.states.reshape(-1, self.grid.n_nodes)
         return (_l2_norms(self.grid, self.states),
-                _lp_grad_pows(self.grid, rows, p).reshape(self.states.shape[:2]))
+                _lp_grad_pows(self.grid, rows, self.config.p).reshape(self.states.shape[:2]))
 
     @cached_property
     def increments_sq_sums(self) -> np.ndarray:
@@ -542,12 +544,21 @@ class Ensemble:
         return (self.config.dt / 3.0) * self.increments_sq_sums
 
 
-def sample_path(model: LevyModel, cfg: SchemeConfig, seed: int) -> PrmPath:
-    """The jump path of `seed` on the scheme's step grid (no events when
-    n_steps = 0)."""
+def sample_paths(model: LevyModel, cfg: SchemeConfig, seeds) -> list:
+    """The jump paths of `seeds` on the scheme's step grid, drawn as one
+    batch (no events when n_steps = 0)."""
     if cfg.n_steps == 0:
-        return PrmPath(dt=cfg.dt, n_steps=0, seed=seed, eps=model.eps, events=())
-    return sample_prm(model, cfg.T, cfg.dt, seed)
+        none = np.empty(0)
+        return [PrmPath(dt=cfg.dt, n_steps=0, seed=s, eps=model.eps,
+                        counts=np.zeros(0, dtype=np.int64), times=none, marks=none)
+                for s in seeds]
+    return sample_prms(model, cfg.T, cfg.dt, seeds)
+
+
+def sample_path(model: LevyModel, cfg: SchemeConfig, seed: int) -> PrmPath:
+    """The jump path of `seed`: `sample_paths` for [seed]."""
+    (path,) = sample_paths(model, cfg, [seed])
+    return path
 
 
 def simulate_path(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
@@ -568,7 +579,7 @@ _BAND_BUDGET = 8 << 20
 
 def simulate_paths(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
                    paths) -> Ensemble:
-    """`simulate_path` for each jump path in `paths` (from `sample_path`),
+    """`simulate_path` for each jump path in `paths` (from `sample_paths`),
     all from the same data: one initial smoothing, then the paths advance
     together as an (M, n_nodes) stack, one batched solve per step.  A path's
     row does not depend on which paths share the call.

@@ -393,45 +393,61 @@ def test_cli_simulate_2d(tmp_path):
 # signs, zero and a float near the top of the range
 _ODD = [math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300, -1e300]
 
-
-def _fuzz_float(lo, hi):
-    """One of `_ODD` about one draw in eight, otherwise a float in [lo, hi],
-    so that some drawn configs are valid in every key and run."""
-    return st.tuples(st.integers(0, 7), st.sampled_from(_ODD), st.floats(lo, hi)).map(
-        lambda t: t[1] if t[0] == 0 else t[2])
+# the drawn float values by key (the first atom's mark and mass for the
+# point measure, the u0 preset's value), and the range of each usual draw
+_FLOAT_KEYS = {
+    "dt": (1e-3, 0.25), "p": (2.5, 6.0), "lambda_star": (0.5, 0.99), "eta": (-0.5, 0.5),
+    "atom_z": (-3.0, 3.0), "atom_mass": (0.0, 10.0), "u0": (-2.0, 2.0),
+    "coeff_0": (-5.0, 5.0), "coeff_1": (-5.0, 5.0), "flux_coef": (-1.0, 1.0),
+}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     command=st.sampled_from(["simulate", "verify", "optimize", "converge"]),
-    n_cells=st.integers(2, 5),
-    n_steps=st.integers(0, 8),
-    dt=_fuzz_float(1e-3, 0.25),
-    p=_fuzz_float(2.5, 6.0),
-    lambda_star=_fuzz_float(0.5, 0.99),
-    eta=st.tuples(st.sampled_from(["linear", "sine"]), _fuzz_float(-0.5, 0.5)),
+    # listed so that the simplest draws, which hypothesis favours, are 4 cells
+    # and 8 steps (verify needs 6); 2 cells make sine:2 linearly dependent
+    n_cells=st.sampled_from([4, 5, 3, 2]),
+    n_steps=st.sampled_from([8, 7, 6, 5, 4, 3, 2, 1, 0]),
+    dt=st.floats(*_FLOAT_KEYS["dt"]),
+    p=st.floats(*_FLOAT_KEYS["p"]),
+    lambda_star=st.floats(*_FLOAT_KEYS["lambda_star"]),
+    eta=st.tuples(st.sampled_from(["linear", "sine"]), st.floats(*_FLOAT_KEYS["eta"])),
     measure=st.sampled_from(["point", "density:invsq", "density:uniform", "none"]),
-    atoms=st.lists(st.tuples(_fuzz_float(-3.0, 3.0), _fuzz_float(0.0, 10.0)),
-                   min_size=1, max_size=3),
-    u0=st.tuples(st.sampled_from(["zero", "sine", "constant"]), _fuzz_float(-2.0, 2.0)),
-    coeffs=st.lists(_fuzz_float(-5.0, 5.0), min_size=2, max_size=2),
+    atoms=st.lists(st.tuples(st.floats(*_FLOAT_KEYS["atom_z"]),
+                             st.floats(*_FLOAT_KEYS["atom_mass"])), min_size=1, max_size=3),
+    u0=st.tuples(st.sampled_from(["zero", "sine", "constant"]), st.floats(*_FLOAT_KEYS["u0"])),
+    coeffs=st.lists(st.floats(*_FLOAT_KEYS["coeff_0"]), min_size=2, max_size=2),
     flux=st.sampled_from(["zero", "linear", "sine"]),
-    flux_coef=_fuzz_float(-1.0, 1.0),
+    flux_coef=st.floats(*_FLOAT_KEYS["flux_coef"]),
+    # at most one odd value per example, first its key, then the value, so
+    # that most drawn configs are valid
+    odd=st.one_of(st.none(), st.none(),
+                  st.tuples(st.sampled_from(sorted(_FLOAT_KEYS)), st.sampled_from(_ODD))),
 )
 # a valid config with T = 0, which the derandomized draws do not reach for
 # optimize: its tracking term is the empty sum
 @example(command="optimize", n_cells=4, n_steps=0, dt=0.125, p=3.0, lambda_star=0.5,
          eta=("sine", 0.3), measure="density:invsq", atoms=[(1.0, 1.0)],
-         u0=("constant", 0.7), coeffs=[0.2, -0.1], flux="sine", flux_coef=0.4)
+         u0=("constant", 0.7), coeffs=[0.2, -0.1], flux="sine", flux_coef=0.4, odd=None)
 # ||U||^p underflows to 0 while ||U||^2 does not: the moment-bound constant
 # is then not finite, and strict JSON writes it as null
 @example(command="simulate", n_cells=3, n_steps=0, dt=0.125, p=3.0, lambda_star=0.5,
          eta=("linear", 0.0), measure="point", atoms=[(0.0, 0.0)], u0=("zero", 0.0),
-         coeffs=[0.0, 5.723423712571871e-140], flux="zero", flux_coef=0.0)
+         coeffs=[0.0, 5.723423712571871e-140], flux="zero", flux_coef=0.0, odd=None)
 def test_cli_config_values_fuzz_end_in_documented_exit_codes(
         command, n_cells, n_steps, dt, p, lambda_star, eta, measure, atoms, u0, coeffs, flux,
-        flux_coef):
+        flux_coef, odd):
+    value = dict(dt=dt, p=p, lambda_star=lambda_star, eta=eta[1], atom_z=atoms[0][0],
+                 atom_mass=atoms[0][1], u0=u0[1], coeff_0=coeffs[0], coeff_1=coeffs[1],
+                 flux_coef=flux_coef)
+    if odd is not None:
+        value[odd[0]] = odd[1]
+    dt, p, lambda_star, flux_coef = (value[k] for k in ("dt", "p", "lambda_star", "flux_coef"))
+    eta, u0 = (eta[0], value["eta"]), (u0[0], value["u0"])
+    coeffs = [value["coeff_0"], value["coeff_1"]]
+    atoms = [(value["atom_z"], value["atom_mass"]), *atoms[1:]]
     drawn = [dt, p, lambda_star, eta[1], *coeffs, flux_coef]
     if measure == "point":
         measure = "point:" + ",".join(f"{z!r}@{mass!r}" for z, mass in atoms)

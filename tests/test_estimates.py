@@ -285,7 +285,7 @@ def test_row_wise_state_norms_match_per_field_norms(dim):
 
     # the per-Field loop each row-wise pass replaces
     sq, grad_int, incr_sq = [], [], []
-    l2_rows, lp_rows = ens.state_norms(cfg.p)
+    l2_rows, lp_rows = ens.state_norms
     for i, (l2, lp, incr_row) in enumerate(zip(l2_rows, lp_rows, ens.increments_sq_sums)):
         hats = state_fields(ens, i)
         close(l2, [l2_norm(f) for f in hats])

@@ -14,6 +14,7 @@ from plaplace_levy import (
     eta_zero,
     isometry_rhs,
     sample_prm,
+    sample_prms,
 )
 from plaplace_levy.levy import step_marks
 
@@ -83,7 +84,7 @@ def test_density_without_truncation_rejected():
 
 def test_sample_prm_rate_one_mean_count():
     model = unit_delta_model(lam=1.0)
-    counts = [sample_prm(model, 1.0, 0.1, seed).jump_count() for seed in range(100_000)]
+    counts = [path.jump_count() for path in sample_prms(model, 1.0, 0.1, range(100_000))]
     assert np.mean(counts) == pytest.approx(1.0, abs=0.02)
 
 
@@ -143,7 +144,7 @@ def test_compensated_increment_martingale_mean_zero():
     dt = 0.05
     n = 40_000
     node = list(g.interior_nodes).index(g.n_cells // 2)
-    marks = [sample_prm(model, dt, dt, seed).events[0][1] for seed in range(n)]
+    marks = step_marks(model, dt, range(n))  # step 0 of sample_prm(model, dt, dt, seed)
     acc = compensated_increments(model, u.flat[g.interior_nodes], marks, dt)[:, node]
     se = acc.std() / np.sqrt(n)
     assert abs(acc.mean()) <= 3 * se
@@ -155,7 +156,7 @@ def test_compensated_increment_isometry_variance():
     model = unit_delta_model(lam=1.0, coef=0.5)
     dt = 0.01
     n = 30_000
-    marks = [sample_prm(model, dt, dt, seed).events[0][1] for seed in range(n)]
+    marks = step_marks(model, dt, range(n))  # step 0 of sample_prm(model, dt, dt, seed)
     inc = compensated_increments(model, u.flat[g.interior_nodes], marks, dt)
     vals = np.sum(inc**2, axis=1) * g.cell_weight
     rhs = isometry_rhs(model, u, dt)
@@ -238,3 +239,115 @@ def test_compensated_increments_rows_match_single_increments():
     for f, p, row in zip(fields, paths, rows):
         (single,) = compensated_increments(model, f.flat[g.interior_nodes], [p.events[1][1]], 0.25)
         assert row == pytest.approx(single, rel=1e-14, abs=1e-16)
+
+
+_SALT = 0x9E3779B97F4A7C15
+
+
+def test_philox_blocks_match_random_raw():
+    from plaplace_levy.levy import _philox
+
+    rng = np.random.default_rng(17)
+    ctr = rng.integers(0, 2**63, (4, 6), dtype=np.uint64)
+    key = rng.integers(0, 2**63, (2, 6), dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    # numpy's Philox increments the counter before each block
+    got = _philox((ctr[0] + np.uint64(1), *ctr[1:]), tuple(key))
+    for i in range(6):
+        ref = np.random.Philox(counter=ctr[:, i], key=key[:, i]).random_raw(4)
+        assert np.array_equal(got[i], ref)
+
+
+def _fresh_events(model, dt, seed, k):
+    """Step k of seed's path from a freshly keyed Generator."""
+    z, lam = model.atoms
+    total = lam.sum()
+    rng = np.random.Generator(np.random.Philox(
+        counter=np.array([k, 0, 0, 0], dtype=np.uint64),
+        key=np.array([seed & (2**64 - 1), _SALT], dtype=np.uint64)))
+    count = int(rng.poisson(total * dt))
+    times = k * dt + dt * np.sort(1.0 - rng.random(count))
+    if count == 0:
+        return times, np.array([])
+    if len(z) == 1:
+        return times, np.full(count, z[0])
+    return times, z[rng.choice(len(z), size=count, p=lam / total)]
+
+
+_MEASURES = {
+    "one_atom": LevyModel(eta=eta_linear(0.5), lambda_star=0.5, point_masses=((1.0, 0.3),)),
+    "two_atoms": LevyModel(eta=eta_linear(0.5), lambda_star=0.5,
+                           point_masses=((1.0, 0.2), (-0.5, 0.1))),
+    "invsq": LevyModel(eta=eta_linear(0.5), lambda_star=0.5,
+                       density=lambda z: 0.01 * abs(z) ** -2, eps=0.05),
+}
+_SEEDS = (0, -1, 2**63 + 5, 2**64 + 3)
+
+
+# lam dt = 0 by underflow, exp(-lam dt) = 1, then numpy's multiplication
+# method up to 9.5 and its rejection sampler (the per-lane fallback) at 12
+@pytest.mark.parametrize("mean", ["underflow", 1e-20, 0.031, 2.25, 9.5, 12.0])
+@pytest.mark.parametrize("measure", sorted(_MEASURES))
+def test_step_events_match_freshly_keyed_generators(measure, mean, monkeypatch):
+    from plaplace_levy import levy
+
+    model = _MEASURES[measure]
+    total = model.total_mass
+    dt = 5e-324 if mean == "underflow" else mean / total
+    assert (total * dt == 0.0) == (mean == "underflow")
+    n_steps = 6
+    ref = [_fresh_events(model, dt, s, k) for s in _SEEDS for k in range(n_steps)]
+    ref_counts = [len(t) for t, _ in ref]
+    counts, times, marks = levy.step_events(model, dt, _SEEDS, range(n_steps))
+    assert counts.tolist() == ref_counts
+    assert np.array_equal(times, np.concatenate([t for t, _ in ref]))
+    assert np.array_equal(marks, np.concatenate([m for _, m in ref]))
+    paths = sample_prms(model, n_steps * dt, dt, _SEEDS)
+    for i, path in enumerate(paths):
+        assert path.seed == _SEEDS[i] and path.jump_count() == sum(ref_counts[6 * i : 6 * i + 6])
+        for k, (t, m) in enumerate(path.events):
+            ref_t, ref_m = ref[n_steps * i + k]
+            assert np.array_equal(t, ref_t) and np.array_equal(m, ref_m)
+            assert path.jump_count(k) == len(ref_t)
+    # decoded in chunks of a few lanes: the same draws
+    monkeypatch.setattr(levy, "_PASS_BLOCKS", 3)
+    chunked = levy.step_events(model, dt, _SEEDS, range(n_steps))
+    assert all(np.array_equal(a, b) for a, b in zip(chunked, (counts, times, marks)))
+
+
+def test_sample_prms_match_per_seed_sample_prm():
+    model = _MEASURES["invsq"]
+    seeds = [5, -1, 2**64 + 3, 0, 5, 2**40, 3]
+    dt = 1.5 / model.total_mass
+    batch = sample_prms(model, 8 * dt, dt, seeds)
+    assert [p.seed for p in batch] == seeds
+    for seed, path in zip(seeds, batch):
+        single = sample_prm(model, 8 * dt, dt, seed)
+        assert np.array_equal(path.counts, single.counts)
+        for (t, m), (ts, ms) in zip(path.events, single.events, strict=True):
+            assert np.array_equal(t, ts) and np.array_equal(m, ms)
+
+
+def test_lanes_past_a_one_block_pass_take_a_second_pass():
+    from plaplace_levy.levy import _decoded_events
+
+    model = _MEASURES["two_atoms"]
+    z, lam = model.atoms
+    cdf = (lam / lam.sum()).cumsum()
+    cdf /= cdf[-1]
+    dt = 2.25 / model.total_mass
+    keys = np.repeat(np.array([s & (2**64 - 1) for s in _SEEDS], dtype=np.uint64), 5)
+    steps = np.tile(np.arange(5, dtype=np.uint64), len(_SEEDS))
+    counts, times, marks = _decoded_events(keys, steps, 2.25, dt, cdf, z, 3, 1)
+    # one block holds 4 doubles: only counts 0 and 1 fit
+    assert counts.max() >= 2
+    ref = [_fresh_events(model, dt, s, k) for s in _SEEDS for k in range(5)]
+    assert counts.tolist() == [len(t) for t, _ in ref]
+    assert np.array_equal(times, np.concatenate([t for t, _ in ref]))
+    assert np.array_equal(marks, np.concatenate([m for _, m in ref]))
+
+
+def test_negative_jump_masses_rejected():
+    model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5,
+                      point_masses=((1.0, 2.0), (-0.5, -1.0)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_prm(model, 1.0, 0.25, seed=1)
