@@ -10,7 +10,6 @@ from .grid import (
     Grid,
     GridMismatchError,
     div_flux,
-    dual_norm_estimate,
     dual_norm_estimates,
     gradient,
     l1_norm,
@@ -28,7 +27,6 @@ from .levy import (
     eta_sine,
     eta_zero,
     isometry_rhs,
-    sample_prm,
     sample_prms,
 )
 from .scheme import (
@@ -42,12 +40,8 @@ from .scheme import (
     linear_flux,
     prepare_initial,
     project_control,
-    sample_path,
-    sample_paths,
-    simulate_path,
     simulate_paths,
     sine_flux,
-    step_solve,
     zero_flux,
 )
 from .estimates import (

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .control import ControlParam, CostSpec, constant_target, psi_l2, psi_zero, sine_basis
+from .estimates import _ISOMETRY_CHUNK, _VERIFY_ISOMETRY_SAMPLES
 from .grid import FREE_BOUNDARY, Field, Grid, l2_norm, w1p_norm
 from .levy import LevyModel, eta_linear, eta_sine, eta_zero
 from .scheme import SchemeConfig, linear_flux, sine_flux, zero_flux
@@ -26,21 +27,30 @@ class ConfigError(ValueError):
     when one of A1..A4 fails."""
 
 
-# A step's jump events are held in memory and each jump is evaluated at
-# every node, so the expected jump count per step is capped far below the
-# 9.2e18 that numpy's Poisson sampler accepts.
-MAX_JUMPS_PER_STEP = 1e6
+# Bound on the float values one run holds at once (2^27, 1 GiB of float64):
+# the stacked states and martingale sums, the jump times and marks of every
+# path and of `verify`'s isometry draws, and one step's eta evaluation at
+# every jump and interior node.  validate() rejects a config above it before
+# any array is built.
+MAX_RUN_VALUES = 2**27
 
 
-def check_jump_rate(model: LevyModel, dt: float, what: str) -> None:
-    """Reject a measure whose expected jump count per step, total mass * dt,
-    is not finite or exceeds MAX_JUMPS_PER_STEP; `what` names the key."""
-    rate = model.total_mass * dt
-    if not rate <= MAX_JUMPS_PER_STEP:
-        raise ConfigError(
-            f"A4 violated: {what} gives total mass * dt = {rate!r} expected jumps per "
-            f"step, more than {MAX_JUMPS_PER_STEP:g}"
-        )
+def check_run_size(n_paths: int, n_steps: int, grid: Grid, model: LevyModel, dt: float,
+                   steps_key: str, rate_key: str) -> None:
+    """Reject a run of n_paths paths of n_steps steps of size dt that would
+    hold more than MAX_RUN_VALUES values, naming `steps_key` when its states
+    alone would, else `rate_key`, the key that sets its jump rate."""
+    states = 2 * n_paths * (n_steps + 1) * grid.n_nodes  # exact, however large
+    if states > MAX_RUN_VALUES:
+        raise ConfigError(f"[run] n_paths, {steps_key} and [grid] n_cells give {states} "
+                          f"state values, more than {MAX_RUN_VALUES}")
+    rate = model.total_mass * dt  # expected jumps per step
+    jumps = rate * (2 * (n_paths * n_steps + _VERIFY_ISOMETRY_SAMPLES)
+                    + (n_paths + _ISOMETRY_CHUNK) * (grid.n_cells - 1) ** grid.dim)
+    if not states + jumps <= MAX_RUN_VALUES:
+        raise ConfigError(f"A4 violated: {rate_key} gives total mass * dt = {rate!r} expected "
+                          f"jumps per step, so the run would hold {states + jumps:.3g} values, "
+                          f"more than {MAX_RUN_VALUES}")
 
 
 _DEFAULTS = {
@@ -196,7 +206,11 @@ class RunConfig:
         if kind == "none":
             return []
         if kind == "sine":
-            return sine_basis(grid, _number(arg, "[initial] basis size", int) if arg else 2)
+            size = _number(arg, "[initial] basis size", int) if arg else 2
+            try:
+                return sine_basis(grid, size)
+            except ValueError as err:
+                raise ConfigError(f"[initial] basis: {err}")
         raise ConfigError(f"unknown control basis {kind!r}")
 
     def build_control(self, grid: Grid) -> Field:
@@ -250,7 +264,10 @@ class RunConfig:
         grid = self.build_grid()
         scheme = self.build_scheme(grid.dim)
         model = self.build_levy()
-        check_jump_rate(model, scheme.dt, "[levy] measure")
+        if self.n_paths < 1:
+            raise ConfigError("[run] n_paths must be >= 1")
+        check_run_size(self.n_paths, scheme.n_steps, grid, model, scheme.dt,
+                       "[scheme] n_steps", "[levy] measure")
         initial = {"u0": self.build_initial(grid), "control_coeffs": self.build_control(grid)}
         for key, f in initial.items():
             with np.errstate(over="ignore"):
@@ -260,16 +277,15 @@ class RunConfig:
                     f"A1 violated: [initial] {key} gives data whose L2 or W^1,p norm is not finite"
                 )
         self.build_cost(grid, scheme.n_steps)
-        if self.n_paths < 1:
-            raise ConfigError("[run] n_paths must be >= 1")
-        self._validate_converge(scheme, model)
+        self._validate_converge(grid, scheme, model)
         return self
 
-    def _validate_converge(self, scheme: SchemeConfig, model: LevyModel) -> None:
+    def _validate_converge(self, grid: Grid, scheme: SchemeConfig, model: LevyModel) -> None:
         """Each given [converge] value must make a runnable study: a dt must
         divide T (the sweep runs round(T / dt) steps, so the horizons must
-        agree), and the jump rate must stay within bounds at each dt, or at
-        each eps and at the reference eps min(values) / ref_refine."""
+        agree), and each run of the study must fit MAX_RUN_VALUES: at each dt
+        and the self probe's reference dt, or at each eps and the reference
+        eps (min(values) / ref_refine)."""
         sweep, probe = self.get("converge", "sweep"), self.get("converge", "probe")
         if sweep not in ("dt", "eps"):
             raise ConfigError(f"[converge] sweep must be dt or eps, got {sweep!r}")
@@ -288,14 +304,20 @@ class RunConfig:
                         f"[converge] values: dt = {dt!r} must be a positive step dividing "
                         f"T = {scheme.T!r}"
                     )
-                check_jump_rate(model, dt, "[converge] values")
+                check_run_size(self.n_paths, round(n), grid, model, dt, "[converge] values",
+                               "[converge] values")
+            if values and probe == "self":
+                check_run_size(1, round(scheme.T / min(values)) * refine, grid, model,
+                               min(values) / refine, "[converge] ref_refine",
+                               "[converge] ref_refine")
         elif values:
             for eps in [*values, min(values) / refine]:
                 try:
                     eps_model = replace(model, eps=eps).validate()
                 except ValueError as err:
                     raise ConfigError(f"[converge] values: eps = {eps!r}: {err}")
-                check_jump_rate(eps_model, scheme.dt, "[converge] values")
+                check_run_size(self.n_paths, scheme.n_steps, grid, eps_model, scheme.dt,
+                               "[scheme] n_steps", "[converge] values")
 
 
 def _parse_floats(text: str, what: str) -> list:

@@ -14,13 +14,14 @@ recorded best-so-far history is monotone and runs reproduce bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import FREE_BOUNDARY, Field, Grid, GridMismatchError, _l2_norms, w1p_norm
-from .levy import LevyModel
-from .scheme import Ensemble, NonConvergence, SchemeConfig, sample_paths, simulate_controls
+from .levy import LevyModel, sample_prms
+from .scheme import Ensemble, NonConvergence, SchemeConfig, simulate_controls
 
 
 # A terminal payoff psi(grid, rows) scores each row of a stack of nodal
@@ -127,26 +128,24 @@ class ControlParam:
         return Field(grid, vals, FREE_BOUNDARY)
 
 
+_MODES_2D = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1))
+
+
 def sine_basis(grid: Grid, size: int) -> list:
-    """Low sine modes (tensorized in 2D); smooth elements of the control
-    space with zero trace, so boundary projection never distorts them."""
-    out = []
-    if grid.dim == 1:
-        for j in range(1, size + 1):
-            out.append(
-                Field.from_function(grid, lambda x, j=j: np.sin(j * np.pi * x), FREE_BOUNDARY)
-            )
-        return out
-    modes = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)]
-    for i, j in modes[:size]:
-        out.append(
-            Field.from_function(
-                grid,
-                lambda x, y, i=i, j=j: np.sin(i * np.pi * x) * np.sin(j * np.pi * y),
-                FREE_BOUNDARY,
-            )
-        )
-    return out
+    """The `size` lowest sine modes (in 2D the first of six tensorized
+    ones); smooth elements of the control space with zero trace, so
+    boundary projection never distorts them.  A mode of index n_cells
+    vanishes at every node, so the indices stay below n_cells, where the
+    modes are linearly independent."""
+    n_modes = (grid.n_cells - 1 if grid.dim == 1
+               else sum(max(mode) < grid.n_cells for mode in _MODES_2D))
+    if not 1 <= size <= n_modes:
+        raise ValueError(f"a sine basis on {grid.n_cells} cells in {grid.dim}D has 1 to "
+                         f"{n_modes} modes, got {size}")
+    modes = [(j,) for j in range(1, size + 1)] if grid.dim == 1 else _MODES_2D[:size]
+    return [Field.from_function(grid, lambda *x, m=m: math.prod(
+                np.sin(j * np.pi * xd) for j, xd in zip(m, x)), FREE_BOUNDARY)
+            for m in modes]
 
 
 @dataclass
@@ -301,7 +300,7 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     seeds = [base_seed + i for i in range(n_paths)]
     spec.validate(cfg.n_steps)
     # common random numbers: each seed's jump path serves every candidate
-    paths = sample_paths(model, cfg, seeds)
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, seeds)
     speculate = n_paths * u0.grid.n_nodes <= _SPECULATE_NODES
 
     history = []

@@ -17,9 +17,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .grid import Field, Grid, _l2_norms, dual_norm_estimates, l2_norm, w1p_norm
-from .levy import LevyModel, isometry_rhs, jump_sums, step_events
-from .scheme import (Ensemble, SchemeConfig, project_control, sample_paths, simulate_path,
-                     simulate_paths)
+from .levy import LevyModel, compensated_increments, isometry_rhs, sample_prms, step_events
+from .scheme import Ensemble, SchemeConfig, project_control, simulate_paths
 
 
 class DegenerateRegressionError(ValueError):
@@ -131,7 +130,7 @@ def generate_ensemble(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
                       n_paths: int, base_seed: int) -> Ensemble:
     """The ensemble of the path seeds base_seed .. base_seed + n_paths - 1,
     solved as one batch."""
-    paths = sample_paths(model, cfg, range(base_seed, base_seed + n_paths))
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(base_seed, base_seed + n_paths))
     return simulate_paths(u0, U, model, cfg, paths)
 
 
@@ -250,22 +249,26 @@ class UniquenessReport:
     passed: bool
 
 
-def uniqueness_check(model: LevyModel, cfg: SchemeConfig, u0_a: Field, u0_b: Field,
-                     U: Field, n_paths: int, base_seed: int = 0) -> UniquenessReport:
-    """Pair paths on identical jump paths and track the L^1 distance.
+def uniqueness_check(a: Ensemble, b: Ensemble) -> UniquenessReport:
+    """L^1 distance of paired paths: row i of b against row i of a, for the
+    first len(b) rows of a, which must be driven by the same path seeds
+    under the same scheme configuration (else ValueError).
 
-    Identical initial data: the distance must stay below
+    Identical inputs (equal initial states): the distance must stay below
     10 * newton_tol * n_nodes at every time (pathwise uniqueness at solver
-    resolution).  Distinct data: the mean distance must be non-increasing in
-    time up to three standard errors of each increment plus solver slack.
+    resolution).  Distinct inputs: the mean distance must be non-increasing
+    in time up to three standard errors of each increment plus solver slack.
     """
-    identical = np.array_equal(u0_a.values, u0_b.values)
+    n_paths = len(b)
+    if [p.seed for p in a.paths[:n_paths]] != [p.seed for p in b.paths]:
+        raise ValueError("uniqueness_check pairs ensembles on the same path seeds")
+    if a.config != b.config or a.grid != b.grid:
+        raise ValueError("uniqueness_check pairs ensembles of the same scheme configuration")
+    cfg, grid, states_a = a.config, a.grid, a.states[:n_paths]
+    identical = np.array_equal(states_a[:, 0], b.states[:, 0])
     n_times = cfg.n_steps + 1
-    grid = u0_a.grid
-    paths = sample_paths(model, cfg, range(base_seed, base_seed + n_paths))
-    # one batch per initial datum; l1_norm of each paired difference
-    a, b = (simulate_paths(u0, U, model, cfg, paths).states for u0 in (u0_a, u0_b))
-    diff = grid.take("interior", (a - b).reshape(-1, grid.n_nodes))
+    # l1_norm of each paired difference
+    diff = grid.take("interior", (states_a - b.states).reshape(-1, grid.n_nodes))
     dists = (np.sum(np.abs(diff), axis=-1) * grid.cell_weight).reshape(n_paths, n_times)
     mean = dists.mean(axis=0)
     se = dists.std(ddof=1, axis=0) / np.sqrt(n_paths) if n_paths > 1 else np.zeros(n_times)
@@ -307,8 +310,9 @@ class IsometryReport:
     passed: bool
 
 
-# samples per vectorized pass of `isometry_check`
+# samples per vectorized pass of `isometry_check`, and those `verify` draws
 _ISOMETRY_CHUNK = 2048
+_VERIFY_ISOMETRY_SAMPLES = 10_000
 
 
 def isometry_check(model: LevyModel, u: Field, dt: float, n_samples: int,
@@ -320,16 +324,14 @@ def isometry_check(model: LevyModel, u: Field, dt: float, n_samples: int,
         raise ValueError("need at least 1000 samples")
     grid = u.grid
     u_int = u.flat[grid.interior_nodes]
-    # the integrand is frozen, so the compensator is computed once; the
-    # draws are bitwise those of sample_prm(model, dt, dt, seed)
-    compensator = dt * model.compensator(u_int)
+    # sample i is step 0 of the path of seed base_seed + i
     counts, _, marks = step_events(model, dt, range(base_seed, base_seed + n_samples), [0])
     first = np.concatenate([[0], np.cumsum(counts)])
     vals = np.empty(n_samples)
     for start in range(0, n_samples, _ISOMETRY_CHUNK):
         stop = min(start + _ISOMETRY_CHUNK, n_samples)
-        inc = jump_sums(model, u_int, counts[start:stop],
-                        marks[first[start] : first[stop]]) - compensator
+        inc = compensated_increments(model, u_int, counts[start:stop],
+                                     marks[first[start] : first[stop]], dt)
         vals[start:stop] = np.vecdot(inc, inc) * grid.cell_weight
     exact = isometry_rhs(model, u, dt)
     mc = float(vals.mean())
@@ -375,8 +377,9 @@ def verify_study(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
     """Every check of `verify` on the path seeds base_seed ..
     base_seed + n_paths - 1: the moment bounds, both increment scalings over
     `theta_ladder` at tau = T / 4, the isometry on 10,000 single-step draws,
-    and L^1 uniqueness of identical (at most 20 paths) and of bumped initial
-    data.  Returns ({check name: report dict with a `passed` flag},
+    and L^1 uniqueness of identical (first min(n_paths, 20) seeds) and of
+    bumped data against the moment ensemble: 2 n_paths + min(n_paths, 20)
+    path solves.  Returns ({check name: report dict with a `passed` flag},
     whether all passed)."""
     ensemble = generate_ensemble(u0, U, model, cfg, n_paths, base_seed)
     results = {"apriori": asdict(apriori_check(ensemble, u0, U))}
@@ -387,11 +390,11 @@ def verify_study(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
     bump = default_bump(u0.grid)
     iso_u = u0 if np.any(u0.values) else bump
     results["isometry"] = asdict(isometry_check(
-        model, iso_u, cfg.dt, 10_000, base_seed=base_seed + 7919))
-    same = uniqueness_check(model, cfg, u0, u0.copy(), U, n_paths=min(n_paths, 20),
-                            base_seed=base_seed)
-    diff = uniqueness_check(model, cfg, u0, u0 + bump, U, n_paths=n_paths,
-                            base_seed=base_seed)
+        model, iso_u, cfg.dt, _VERIFY_ISOMETRY_SAMPLES, base_seed=base_seed + 7919))
+    # the moment ensemble is side a of both pairings
+    same = uniqueness_check(ensemble, simulate_paths(u0.copy(), U, model, cfg,
+                                                     ensemble.paths[: min(n_paths, 20)]))
+    diff = uniqueness_check(ensemble, simulate_paths(u0 + bump, U, model, cfg, ensemble.paths))
     results["uniqueness"] = {
         "identical": asdict(same),
         "distinct": asdict(diff),
@@ -426,7 +429,7 @@ def self_convergence(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
 
     def terminal(dt: float) -> np.ndarray:
         run = replace(cfg, dt=dt, n_steps=int(round(cfg.T / dt)), smoothing_dt=smooth)
-        return simulate_path(u0, U, model, run, seed).states[0, -1]
+        return generate_ensemble(u0, U, model, run, 1, seed).states[0, -1]
 
     ref = terminal(min(dt_values) / refine)
     errors = [float(_l2_norms(u0.grid, terminal(dt) - ref)) for dt in dt_values]

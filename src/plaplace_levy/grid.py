@@ -505,26 +505,18 @@ def w1p_norm(f: Field, p: float) -> float:
     return (val + lp_grad_norm(f, p) ** p) ** (1.0 / p)
 
 
-def dual_norm_estimate(g: Field, p: float, iters: int = 30) -> float:
+def dual_norm_estimates(grid: Grid, g: np.ndarray, p: float, iters: int = 30) -> np.ndarray:
     """Lower bound for the negative-order dual norm
 
         sup { l2_inner(g, phi) / lp_grad_norm(phi, p) : phi zero-boundary }
 
-    by normalized gradient ascent (`dual_norm_estimates` on one row).  The
-    iterate path is deterministic and scale-equivariant in g, so the
-    estimate is exactly homogeneous; it is nondecreasing in `iters` because
-    the best value seen is returned.
-    """
-    if g.space_tag != ZERO_BOUNDARY:
-        raise ValueError("dual norm is defined for zero-boundary fields")
-    return float(dual_norm_estimates(g.grid, g.flat, p, iters)[0])
-
-
-def dual_norm_estimates(grid: Grid, g: np.ndarray, p: float, iters: int = 30) -> np.ndarray:
-    """`dual_norm_estimate` of each row of the nodal vectors g (M, n_nodes),
-    which must vanish on the boundary.  One ascent runs over all rows, each
-    with its own step length, acceptance and best value, so a row's result
-    does not depend on the other rows."""
+    of each row of the nodal vectors g (M, n_nodes), which must vanish on
+    the boundary, by normalized gradient ascent.  One ascent runs over all
+    rows, each with its own step length, acceptance and best value, so a
+    row's result does not depend on the other rows.  The iterate path is
+    deterministic and scale-equivariant in g, so the estimate is exactly
+    homogeneous; it is nondecreasing in `iters` because the best value seen
+    is returned."""
     if p <= 1:
         raise ValueError(f"p must be > 1, got {p}")
     if iters < 1:

@@ -162,34 +162,17 @@ class PrmPath:
 
     counts[k] is the number of jumps in step k; times and marks hold the
     jumps of every step, step by step, with t in (t_k, t_{k+1}] and times
-    strictly increasing within a step.  Regenerating with the same
-    (model, T, dt, seed) reproduces the path bitwise.
+    strictly increasing within a step.  Sampling the same (model, dt, seed)
+    again reproduces the path bitwise.
     """
 
-    dt: float
-    n_steps: int
     seed: int
-    eps: float
     counts: np.ndarray = field(repr=False)
     times: np.ndarray = field(repr=False)
     marks: np.ndarray = field(repr=False)
 
-    @property
-    def T(self) -> float:
-        return self.dt * self.n_steps
-
-    @cached_property
-    def events(self) -> tuple:
-        """events[k] is the pair (times, marks) of step k."""
-        return tuple(zip(_split(self.times, self.counts), _split(self.marks, self.counts)))
-
     def jump_count(self, k: int = None) -> int:
         return int(self.counts.sum() if k is None else self.counts[k])
-
-
-def _split(flat: np.ndarray, counts: np.ndarray) -> list:
-    """flat cut into consecutive pieces of lengths counts."""
-    return np.split(flat, np.cumsum(counts))[:-1]
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
@@ -348,65 +331,44 @@ def step_events(model: LevyModel, dt: float, seeds, steps) -> tuple:
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def sample_prms(model: LevyModel, T: float, dt: float, seeds) -> list:
-    """Sample the truncated jump measure on [0, T] with step dt, one path
-    per seed, every step of every path from one `step_events` call.
+def sample_prms(model: LevyModel, dt: float, n_steps: int, seeds) -> list:
+    """Sample the truncated jump measure on n_steps steps of size dt, one
+    path per seed, every step of every path from one `step_events` call
+    (no events when n_steps = 0).
 
     Per step the jump count is Poisson(total_mass * dt) and marks are drawn
-    i.i.d. proportional to the (discretized) measure.  T/dt must be integral.
+    i.i.d. proportional to the (discretized) measure.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    n_steps = int(round(T / dt))
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError(f"T/dt must be a positive integer, got T={T}, dt={dt}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     seeds = list(seeds)
     counts, times, marks = step_events(model, dt, seeds, range(n_steps))
     counts = counts.reshape(len(seeds), n_steps)
-    per_path = counts.sum(axis=1)
-    return [PrmPath(dt=dt, n_steps=n_steps, seed=s, eps=model.eps, counts=c, times=t, marks=m)
-            for s, c, t, m in zip(seeds, counts, _split(times, per_path),
-                                  _split(marks, per_path))]
+    ends = np.cumsum(counts.sum(axis=1))[:-1]
+    return [PrmPath(seed=s, counts=c, times=t, marks=m)
+            for s, c, t, m in zip(seeds, counts, np.split(times, ends), np.split(marks, ends))]
 
 
-def sample_prm(model: LevyModel, T: float, dt: float, seed: int) -> PrmPath:
-    """The path of one seed: `sample_prms` for [seed]."""
-    (path,) = sample_prms(model, T, dt, [seed])
-    return path
-
-
-def step_marks(model: LevyModel, dt: float, seeds, k: int = 0) -> list:
-    """Jump marks of step k of each seed's path, bitwise those of
-    sample_prm(model, T, dt, seed).events[k][1] for any horizon T > k dt."""
-    counts, _, marks = step_events(model, dt, seeds, [k])
-    return _split(marks, counts)
-
-
-def compensated_increments(model: LevyModel, u_int: np.ndarray, marks: list,
-                           dt: float) -> np.ndarray:
+def compensated_increments(model: LevyModel, u_int: np.ndarray, counts: np.ndarray,
+                           marks: np.ndarray, dt: float) -> np.ndarray:
     """Interior increments of the compensated jump integral over one step,
-    one row per entry of `marks`, with the integrand frozen at the rows of
+    one row per entry of `counts`, with the integrand frozen at the rows of
     u_int (M, m) (or at u_int (m,) for every row):
 
-        sum_{z in marks[i]} eta(u_int[i]; z)  -  dt * integral eta(u_int[i]; z) m(dz)
-    """
+        sum_{z in marks of row i} eta(u_int[i]; z)  -  dt * integral eta(u_int[i]; z) m(dz)
+
+    where row i has counts[i] of the flat `marks`, row by row: one eta
+    evaluation over all marks, one bincount into the rows."""
     drift = dt * model.compensator(u_int)
-    counts = [len(z) for z in marks]
-    if any(counts):
-        return jump_sums(model, u_int, counts, np.concatenate(marks)) - drift
-    return np.broadcast_to(-drift, (len(marks), u_int.shape[-1]))  # no row jumps
-
-
-def jump_sums(model: LevyModel, u_int: np.ndarray, counts, marks: np.ndarray) -> np.ndarray:
-    """(M, m) sums of eta(u_int[i]; z) over the counts[i] marks z of row i
-    (marks flat, row by row), for integrands u_int of shape (M, m) or one
-    shared u_int of shape (m,); one eta evaluation over all marks and one
-    scatter into the rows."""
     m = u_int.shape[-1]
+    if not len(marks):
+        return np.broadcast_to(-drift, (len(counts), m))  # no row jumps
     rows = np.repeat(np.arange(len(counts)), counts)
     jumps = model.eta(u_int if u_int.ndim == 1 else u_int[rows], marks[:, None])
     index = (m * rows[:, None] + np.arange(m)).ravel()
-    return np.bincount(index, jumps.ravel(), len(counts) * m).reshape(len(counts), m)
+    return np.bincount(index, jumps.ravel(), len(counts) * m).reshape(len(counts), m) - drift
 
 
 def isometry_rhs(model: LevyModel, u: Field, dt: float) -> float:

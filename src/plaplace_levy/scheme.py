@@ -41,7 +41,7 @@ from .grid import (
     _l2_norms,
     _lp_grad_pows,
 )
-from .levy import LevyModel, PrmPath, compensated_increments, sample_prms
+from .levy import LevyModel, compensated_increments
 
 CLAMP_BOUNDARY = "clamp_boundary"
 LIFT_BOUNDARY = "lift_boundary"
@@ -309,28 +309,6 @@ class _StepSolver:
         return x.reshape(b_int.shape)
 
 
-def step_solve(u_prev: Field, noise_inc: Field, cfg: SchemeConfig,
-               initial_guess: Field = None) -> Field:
-    """Solve one implicit step for u_next given u_prev and the noise
-    increment (the one-path case of the batched step engine); raises
-    NonConvergence (with the final residual attached) when the iteration
-    budget runs out."""
-    _check_same_grid(u_prev, noise_inc)
-    if noise_inc.space_tag != ZERO_BOUNDARY:
-        raise ValueError("noise increment must be a zero-boundary field")
-    grid = u_prev.grid
-    solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
-    rhs = u_prev.flat + noise_inc.flat
-    v = (initial_guess.flat if initial_guess is not None else u_prev.flat).copy()
-    # boundary stays at u_prev's trace (zero unless a lifted control is used)
-    v[grid.boundary_nodes] = u_prev.flat[grid.boundary_nodes]
-    v, failures = _newton(solver, v[None], rhs[None], cfg.newton_tol, cfg.newton_max_iters)
-    if failures:
-        raise failures[0][1]
-    tag = u_prev.space_tag if v[0, grid.boundary_nodes].any() else ZERO_BOUNDARY
-    return Field(grid, v[0].reshape(grid.node_shape), tag)
-
-
 def _newton(solver: _StepSolver, v: np.ndarray, rhs: np.ndarray,
             tol: float, max_iters: int) -> tuple:
     """Damped Newton on each row of v (M, n_nodes): an Armijo line search on
@@ -544,32 +522,6 @@ class Ensemble:
         return (self.config.dt / 3.0) * self.increments_sq_sums
 
 
-def sample_paths(model: LevyModel, cfg: SchemeConfig, seeds) -> list:
-    """The jump paths of `seeds` on the scheme's step grid, drawn as one
-    batch (no events when n_steps = 0)."""
-    if cfg.n_steps == 0:
-        none = np.empty(0)
-        return [PrmPath(dt=cfg.dt, n_steps=0, seed=s, eps=model.eps,
-                        counts=np.zeros(0, dtype=np.int64), times=none, marks=none)
-                for s in seeds]
-    return sample_prms(model, cfg.T, cfg.dt, seeds)
-
-
-def sample_path(model: LevyModel, cfg: SchemeConfig, seed: int) -> PrmPath:
-    """The jump path of `seed`: `sample_paths` for [seed]."""
-    (path,) = sample_paths(model, cfg, [seed])
-    return path
-
-
-def simulate_path(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
-                  seed: int) -> Ensemble:
-    """Run the full scheme for one noise path: initial smoothing, then
-    n_steps implicit solves with per-step compensated jump increments
-    (noise explicit, diffusion implicit).  Deterministic in seed; the
-    one-path case of `simulate_paths`."""
-    return simulate_paths(u0, U, model, cfg, [sample_path(model, cfg, seed)])
-
-
 # Byte budget of the band array of one batched Newton system.  Larger path
 # stacks are marched in chunks that fit it: 1D n=16 takes up to 17,476
 # paths per chunk, 2D n=32 takes 11.  Rows are independent, so the chunking
@@ -579,10 +531,11 @@ _BAND_BUDGET = 8 << 20
 
 def simulate_paths(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
                    paths) -> Ensemble:
-    """`simulate_path` for each jump path in `paths` (from `sample_paths`),
-    all from the same data: one initial smoothing, then the paths advance
-    together as an (M, n_nodes) stack, one batched solve per step.  A path's
-    row does not depend on which paths share the call.
+    """The scheme on each jump path in `paths` (from `sample_prms`), all
+    from the same data: one initial smoothing, then n_steps implicit steps
+    (noise explicit, diffusion implicit) with the paths advancing together
+    as an (M, n_nodes) stack, one batched solve per step.  A path's row
+    does not depend on which paths share the call.
 
     Raises NonConvergence for the first failing path in `paths` order, with
     its step and seed: the error a path-by-path loop raises."""
@@ -647,14 +600,20 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
     states = np.empty((len(paths), cfg.n_steps + 1, grid.n_nodes))
     states[:, 0] = starts
     sums = np.zeros_like(states)
+    counts = np.array([path.counts for path in paths]).reshape(len(paths), cfg.n_steps)
+    marks = np.concatenate([path.marks for path in paths])
+    first = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)  # offsets into marks
+    jumps = counts.any(axis=0).tolist()  # whether any row jumps in step k
     alive = np.arange(len(paths))
     rows = slice(None)  # the alive paths, as a slice while that is all of them
     errors = [None] * len(paths)
     for k in range(cfg.n_steps):
         prev = states[rows, k]
         inc = np.zeros_like(prev)
-        marks = [paths[i].events[k][1] for i in alive]
-        inc[:, idx] = compensated_increments(model, grid.take("interior", prev), marks, cfg.dt)
+        c = counts[rows, k]  # step k's jump counts of the alive rows; their marks by offset
+        at = np.repeat(first[rows, k] - np.cumsum(c) + c, c) if jumps[k] else _NO_ROWS
+        inc[:, idx] = compensated_increments(model, grid.take("interior", prev), c,
+                                             marks[at + np.arange(at.size)], cfg.dt)
         states[rows, k + 1], failed = _newton(
             solver, prev.copy(), prev + inc, cfg.newton_tol, cfg.newton_max_iters
         )

@@ -90,10 +90,10 @@ def saa_minimize_scipy(model, cfg, u0, spec, basis, n_paths, budget=200, base_se
     the reference for the package's speculative batched search."""
     import scipy.optimize
 
-    from plaplace_levy import ControlParam, NonConvergence, cost_J, sample_path, simulate_paths
+    from plaplace_levy import ControlParam, NonConvergence, cost_J, sample_prms, simulate_paths
 
     dim = len(basis)
-    paths = [sample_path(model, cfg, base_seed + i) for i in range(n_paths)]
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(base_seed, base_seed + n_paths))
     history = []
     state = {"best": np.inf, "coeffs": None, "evals": 0}
 
@@ -119,6 +119,26 @@ def saa_minimize_scipy(model, cfg, u0, spec, basis, n_paths, budget=200, base_se
             "maxfev": remaining, "initial_simplex": simplex, "xatol": 1e-10, "fatol": 1e-12})
         x0, scale = state["coeffs"].copy(), scale * 0.3
     return history, state["evals"], state["best"], state["coeffs"]
+
+
+def step_solve(u_prev, noise_inc, cfg, initial_guess=None):
+    """One implicit step for u_next given u_prev and the noise increment,
+    solved by the package's step engine (`_StepSolver` and `_newton`) on a
+    one-row stack, from initial_guess (default u_prev) with the boundary
+    held at u_prev's trace; raises the row's NonConvergence."""
+    from plaplace_levy import ZERO_BOUNDARY, Field
+    from plaplace_levy.scheme import _newton, _StepSolver
+
+    grid = u_prev.grid
+    solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
+    v = (u_prev if initial_guess is None else initial_guess).flat.copy()
+    v[grid.boundary_nodes] = u_prev.flat[grid.boundary_nodes]
+    rhs = u_prev.flat + noise_inc.flat
+    v, failures = _newton(solver, v[None], rhs[None], cfg.newton_tol, cfg.newton_max_iters)
+    if failures:
+        raise failures[0][1]
+    tag = u_prev.space_tag if v[0, grid.boundary_nodes].any() else ZERO_BOUNDARY
+    return Field(grid, v[0].reshape(grid.node_shape), tag)
 
 
 def state_fields(ensemble, i=0):

@@ -36,15 +36,14 @@ from plaplace_levy import (
     l2_norm,
     psi_zero,
     saa_minimize,
-    simulate_path,
+    simulate_paths,
     sine_basis,
-    step_solve,
     uniqueness_check,
     zero_flux,
 )
 from plaplace_levy.cli import main as cli_main
 
-from _oracles import oracle_minimize, state_fields
+from _oracles import oracle_minimize, state_fields, step_solve
 
 
 def report(number, name, t0, budget, detail=""):
@@ -91,8 +90,8 @@ def test_criterion_01_zero_fixed_point():
     grid = Grid(1, 16)
     model = reference_model()
     cfg = SchemeConfig(p=3, dt=1 / 16, n_steps=16, flux=zero_flux(1))
-    ens = simulate_path(
-        Field.zeros(grid), Field.zeros(grid, "free_boundary"), model, cfg, seed=7
+    ens = generate_ensemble(
+        Field.zeros(grid), Field.zeros(grid, "free_boundary"), model, cfg, 1, 7
     )
     for f in state_fields(ens):
         assert np.all(f.values == 0.0), "zero data must stay exactly zero"
@@ -148,7 +147,7 @@ def test_criterion_04_deterministic_self_convergence():
             p=3, dt=dt, n_steps=int(round(0.5 / dt)), flux=zero_flux(1),
             smoothing_dt=smooth,
         )
-        return state_fields(simulate_path(u0, U, model, cfg, seed=0))[-1]
+        return state_fields(generate_ensemble(u0, U, model, cfg, 1, 0))[-1]
 
     ref = run(dts[-1] / 32)
     errs = [l2_norm(run(dt) - ref) for dt in dts]
@@ -210,10 +209,12 @@ def test_criterion_09_pathwise_uniqueness_and_l1_stability():
     t0 = time.time()
     model = reference_model()
     cfg = reference_config(1 / 32)
-    same = uniqueness_check(model, cfg, U0, U0.copy(), UCTL, n_paths=50, base_seed=0)
+    # one 500-path ensemble is side a of both pairings
+    base = generate_ensemble(U0, UCTL, model, cfg, 500, base_seed=0)
+    same = uniqueness_check(base, simulate_paths(U0.copy(), UCTL, model, cfg, base.paths[:50]))
     assert same.passed, f"identical-input L1 distance {same.max_l1:.2e} > {same.threshold:.2e}"
     bump = Field.from_function(GRID, lambda x: 0.3 * np.sin(3 * np.pi * x))
-    diff = uniqueness_check(model, cfg, U0, U0 + bump, UCTL, n_paths=500, base_seed=0)
+    diff = uniqueness_check(base, simulate_paths(U0 + bump, UCTL, model, cfg, base.paths))
     assert diff.passed, "mean L1 distance increased beyond 3 standard errors"
     report(9, "pathwise uniqueness / L1 stability", t0, 300.0,
            f"(max identical {same.max_l1:.1e}, D(0)->D(T) "
@@ -231,7 +232,7 @@ def test_criterion_10_control_sanity():
     u0 = Field.from_function(grid, lambda x: 0.3 * np.sin(np.pi * x))
     c_star = np.array([0.4, -0.3])
     U_star = ControlParam(basis=basis, coeffs=c_star).build()
-    planted = simulate_path(u0, U_star, det_model, cfg, seed=0)
+    planted = generate_ensemble(u0, U_star, det_model, cfg, 1, 0)
     spec = CostSpec(u_tar=state_fields(planted), psi=psi_zero()[0], psi_lipschitz=0.0)
     j_star = cost_J(planted, U_star, spec, cfg.p)[0]
     res = saa_minimize(det_model, cfg, u0, spec, basis, n_paths=1, budget=250, base_seed=0)

@@ -120,21 +120,52 @@ def test_config_flux_coefs_checked():
     [
         ("sweep = time", "[converge] sweep"),
         ("probe = fast", "[converge] probe"),
-        ("sweep = eps\nvalues = 5e-6,2e-5", "[converge] values: eps = 2e-05"),
-        # both eps values keep the jump rate bounded; the reference eps
-        # 2e-6 / 1000 does not
-        ("sweep = eps\nvalues = 5e-6,2e-6\nref_refine = 1000", "A4 violated: [converge] values"),
+        ("sweep = eps\nvalues = 5e-3,2e-2", "[converge] values: eps = 0.02"),
+        # both eps values keep the run within bounds; the reference eps
+        # 2e-3 / 1000 does not
+        ("sweep = eps\nvalues = 5e-3,2e-3\nref_refine = 1000", "A4 violated: [converge] values"),
     ],
     ids=["sweep", "probe", "eps_above_z_max", "reference_eps_rate"],
 )
 def test_config_validate_checks_converge_section(converge, named):
     # loading checks [converge] whatever the command, so simulate rejects it too
     text = REFERENCE.replace(
-        "measure = point:1.0@1.0", "measure = density:invsq\neps = 1e-6\nz_max = 1e-5"
+        "measure = point:1.0@1.0", "measure = density:invsq\neps = 1e-3\nz_max = 1e-2"
     ) + f"\n[converge]\n{converge}\n"
     parse_config_text(text.replace(f"\n[converge]\n{converge}\n", "")).validate()
     with pytest.raises(ConfigError, match=re.escape(named)):
         parse_config_text(text).validate()
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        (("dim = 1", "n_cells = 16"), ("dim = 2", "n_cells = 100000"), "[grid] n_cells"),
+        ("n_steps = 16", "n_steps = 100000000", "[scheme] n_steps"),
+        ("n_paths = 5", "n_paths = 100000000", "[run] n_paths"),
+        # 1e5 expected jumps a step, within the former per-step cap of 1e6
+        ("measure = point:1.0@1.0", "measure = point:1.0@3.2e6", "A4 violated: [levy] measure"),
+        # the self probe's reference run takes 16 * 1e8 steps
+        ("out_dir = out", "out_dir = out\n[converge]\nvalues = 0.0625,0.03125\nprobe = self\n"
+         "ref_refine = 100000000", "[converge] ref_refine"),
+    ],
+    ids=["grid", "n_steps", "n_paths", "jump_rate", "ref_refine"],
+)
+def test_config_rejects_runs_too_large_to_hold(old, new, named):
+    # rejected by validate() before any array is built, so this needs no memory
+    text = REFERENCE
+    for o, n in zip(*((old, new) if isinstance(old, tuple) else ((old,), (new,)))):
+        assert o in text
+        text = text.replace(o, n)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        parse_config_text(text).validate()
+
+
+def test_shipped_configs_fit_the_run_bound():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    for path in ("sample_config.ini", "perfbench/configs/sample.ini",
+                 "perfbench/configs/simulate-2d.ini"):
+        parse_config(os.path.join(root, path)).validate()
 
 
 def test_nodal_csv_initial_data(tmp_path):
@@ -254,16 +285,25 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
          "converge", "[converge] values must be finite"),
         ("out_dir = out", "out_dir = out\n[converge]\nsweep = dt\nvalues = 0.0625,0.0625\n"
          "probe = gap", "converge", "[converge] values needs at least two distinct"),
+        # mode 16 vanishes at every node of 16 cells
+        ("basis = sine:2\ncontrol_coeffs = 0.25,0.0", "basis = sine:16\ncontrol_coeffs =",
+         "optimize", "[initial] basis"),
+        # 2D has six modes
+        (("dim = 1", "basis = sine:2"), ("dim = 2", "basis = sine:9"), "optimize",
+         "[initial] basis"),
     ],
     ids=["eta", "u0_nan", "basis", "psi", "psi_simulate", "psi_verify", "psi_converge",
          "control_coeffs_nan", "ref_refine", "dt_not_dividing_T", "dt_sweep_overflow", "dt_nan",
          "dt_inf", "p_inf", "jump_rate_too_large", "control_norm_infinite", "dt_zero",
          "dt_negative", "p_below_2", "control_coeffs_inf", "flux_coefs_inf",
-         "converge_values_nan", "converge_values_repeated"],
+         "converge_values_nan", "converge_values_repeated", "basis_mode_vanishes",
+         "basis_2d_past_six_modes"],
 )
 def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys, old, new, command, named):
-    text = REFERENCE.replace(old, new)
-    assert text != REFERENCE
+    text = REFERENCE
+    for o, n in zip(*((old, new) if isinstance(old, tuple) else ((old,), (new,)))):
+        assert o in text
+        text = text.replace(o, n)
     cfg_path = write(tmp_path, text)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -409,7 +449,8 @@ _FLOAT_KEYS = {
     # listed so that the simplest draws, which hypothesis favours, are 4 cells
     # and 8 steps (verify needs 6); 2 cells make sine:2 linearly dependent
     n_cells=st.sampled_from([4, 5, 3, 2]),
-    n_steps=st.sampled_from([8, 7, 6, 5, 4, 3, 2, 1, 0]),
+    # 10**12 steps exceed the bound on what a run holds
+    n_steps=st.sampled_from([8, 7, 6, 5, 4, 3, 2, 1, 0, 10**12]),
     dt=st.floats(*_FLOAT_KEYS["dt"]),
     p=st.floats(*_FLOAT_KEYS["p"]),
     lambda_star=st.floats(*_FLOAT_KEYS["lambda_star"]),
@@ -498,7 +539,7 @@ probe = gap
             warnings.simplefilter("always")
             code = run_cli([command, "--config", cfg_path, "--out", out])
         assert code in (0, 1, 2, 3)
-        if not all(map(math.isfinite, drawn)):
+        if not all(map(math.isfinite, drawn)) or n_steps > 8:
             assert code == 2
         if code == 2:  # rejected before any arithmetic on the bad value
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -23,8 +23,7 @@ from plaplace_levy import (
     psi_l2,
     psi_zero,
     saa_minimize,
-    sample_path,
-    simulate_path,
+    sample_prms,
     simulate_paths,
     sine_basis,
     w1p_norm,
@@ -175,7 +174,7 @@ def test_objective_continuity_surrogate():
     u0 = Field.from_function(GRID, lambda x: 0.4 * np.sin(np.pi * x))
     spec = make_spec()
     model = reference_model()
-    paths = [sample_path(model, CFG, s) for s in (11, 12, 13)]
+    paths = sample_prms(model, CFG.dt, CFG.n_steps, (11, 12, 13))
 
     def J(coeffs):
         U = ControlParam(basis=basis, coeffs=coeffs).build()
@@ -229,7 +228,7 @@ def test_saa_inverse_crime_recovery():
     model = zero_noise_model()
     c_star = np.array([0.4, -0.3])
     U_star = ControlParam(basis=basis, coeffs=c_star).build()
-    planted = simulate_path(u0, U_star, model, CFG, seed=0)
+    planted = generate_ensemble(u0, U_star, model, CFG, 1, 0)
     spec = CostSpec(u_tar=state_fields(planted), psi=psi_zero()[0], psi_lipschitz=0.0)
     j_star = cost_J(planted, U_star, spec, CFG.p)[0]
     res = saa_minimize(model, CFG, u0, spec, basis, n_paths=1, budget=250, base_seed=0)
@@ -369,14 +368,14 @@ def test_diverged_candidate_scores_inf_and_spares_its_batch(monkeypatch):
     # first step; the others converge in the same stack
     import plaplace_levy.control as control
     from dataclasses import replace
-    from plaplace_levy import NonConvergence, sample_path, simulate_paths
+    from plaplace_levy import NonConvergence
     from plaplace_levy.scheme import simulate_controls
 
     cfg = replace(CFG, newton_max_iters=6)
     model = reference_model()
     basis = sine_basis(GRID, 2)
     u0 = Field.from_function(GRID, lambda x: 0.4 * np.sin(np.pi * x))
-    paths = [sample_path(model, cfg, s) for s in range(3)]
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(3))
     coeffs = [[0.1, -0.2], [50.0, -0.2], [0.5, -0.2], [2.0, -0.2]]
     controls = [ControlParam(basis=basis, coeffs=c).build() for c in coeffs]
     runs = simulate_controls(u0, controls, model, cfg, paths)

@@ -21,7 +21,6 @@ from plaplace_levy import (
     isometry_check,
     l2_norm,
     linear_flux,
-    simulate_path,
     uniqueness_check,
     zero_flux,
 )
@@ -144,10 +143,14 @@ def test_interp_gap_scaling_slope():
         interp_gap_scaling(U0, UCTL, reference_model(), CFG, [1 / 16], 4, 0)
 
 
+def paired(model, cfg, u0_a, u0_b, U, n_paths, base_seed=0):
+    """uniqueness_check of the ensembles of u0_a and u0_b on common seeds."""
+    a, b = (generate_ensemble(u0, U, model, cfg, n_paths, base_seed) for u0 in (u0_a, u0_b))
+    return uniqueness_check(a, b)
+
+
 def test_uniqueness_identical_inputs():
-    rep = uniqueness_check(
-        reference_model(), CFG, U0, U0.copy(), UCTL, n_paths=8, base_seed=0
-    )
+    rep = paired(reference_model(), CFG, U0, U0.copy(), UCTL, n_paths=8)
     assert rep.identical_inputs and rep.passed
     assert rep.max_l1 <= rep.threshold
 
@@ -156,18 +159,14 @@ def test_uniqueness_zero_steps_exact():
     from dataclasses import replace
 
     cfg0 = replace(CFG, n_steps=0)
-    rep = uniqueness_check(
-        reference_model(), cfg0, U0, U0.copy(), UCTL, n_paths=3, base_seed=0
-    )
+    rep = paired(reference_model(), cfg0, U0, U0.copy(), UCTL, n_paths=3)
     assert rep.max_l1 == 0.0 and rep.passed
 
 
 def test_uniqueness_deterministic_contraction():
     bump = sine_field(GRID, amp=0.3, mode=3)
-    rep = uniqueness_check(
-        zero_noise_model(), CFG, U0, U0 + bump, Field.zeros(GRID, "free_boundary"),
-        n_paths=1, base_seed=0,
-    )
+    rep = paired(zero_noise_model(), CFG, U0, U0 + bump, Field.zeros(GRID, "free_boundary"),
+                 n_paths=1)
     assert not rep.identical_inputs
     assert rep.passed
     assert rep.mean_l1[-1] <= rep.mean_l1[0] + 1e-12
@@ -175,11 +174,27 @@ def test_uniqueness_deterministic_contraction():
 
 def test_uniqueness_stochastic_mean_contraction():
     bump = sine_field(GRID, amp=0.3, mode=3)
-    rep = uniqueness_check(
-        reference_model(), CFG, U0, U0 + bump, UCTL, n_paths=60, base_seed=0
-    )
+    rep = paired(reference_model(), CFG, U0, U0 + bump, UCTL, n_paths=60)
     assert rep.passed
     assert rep.mean_l1[-1] <= rep.mean_l1[0] + 3 * (rep.se_l1[-1] + rep.se_l1[0])
+
+
+def test_uniqueness_pairs_the_first_rows_of_a_and_checks_seeds_and_config():
+    from dataclasses import replace
+
+    model = reference_model()
+    a = generate_ensemble(U0, UCTL, model, CFG, 8, base_seed=0)
+    b = generate_ensemble(U0 + sine_field(GRID, amp=0.3, mode=3), UCTL, model, CFG, 3, 0)
+    # b's rows pair with a's first three rows
+    assert asdict(uniqueness_check(a, b)) == asdict(
+        uniqueness_check(generate_ensemble(U0, UCTL, model, CFG, 3, base_seed=0), b))
+    with pytest.raises(ValueError, match="seeds"):
+        uniqueness_check(a, generate_ensemble(U0, UCTL, model, CFG, 3, base_seed=1))
+    with pytest.raises(ValueError, match="seeds"):
+        uniqueness_check(b, a)  # b has fewer rows than a
+    other = replace(CFG, newton_tol=1e-11)
+    with pytest.raises(ValueError, match="configuration"):
+        uniqueness_check(a, generate_ensemble(U0, UCTL, model, other, 3, base_seed=0))
 
 
 def test_isometry_zero_field():
@@ -231,7 +246,8 @@ def test_interp_gap_halving_factor():
 
 @pytest.mark.parametrize("measure", ["point", "invsq"])
 def test_isometry_check_matches_per_sample_loop(measure):
-    from plaplace_levy import compensated_increments, eta_sine, sample_prm
+    from plaplace_levy import compensated_increments, eta_sine
+    from plaplace_levy.levy import step_events
 
     if measure == "point":
         model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5, point_masses=((1.0, 3.0), (-0.4, 2.0)))
@@ -240,10 +256,13 @@ def test_isometry_check_matches_per_sample_loop(measure):
     u = sine_field(GRID, amp=0.8)
     dt, n = 1 / 16, 2500
     u_int = u.flat[GRID.interior_nodes]
+    # sample i is step 0 of the path of seed 11 + i, incremented one at a time
+    counts, _, marks = step_events(model, dt, range(11, 11 + n), [0])
+    first = np.concatenate([[0], np.cumsum(counts)])
     vals = []
-    for seed in range(11, 11 + n):
-        marks = sample_prm(model, dt, dt, seed).events[0][1]
-        (inc,) = compensated_increments(model, u_int, [marks], dt)
+    for i in range(n):
+        (inc,) = compensated_increments(model, u_int, counts[i : i + 1],
+                                        marks[first[i] : first[i + 1]], dt)
         vals.append(np.sum(inc**2) * GRID.cell_weight)
     rep = isometry_check(model, u, dt, n, base_seed=11)
     assert rep.mc_value == pytest.approx(np.mean(vals), rel=1e-12)
@@ -251,7 +270,7 @@ def test_isometry_check_matches_per_sample_loop(measure):
 
 
 def test_dual_norm_estimates_match_per_row_loop():
-    from plaplace_levy import dual_norm_estimate, dual_norm_estimates
+    from plaplace_levy import dual_norm_estimates
 
     rng = np.random.default_rng(41)
     for grid in (Grid(1, 16), Grid(2, 6)):
@@ -261,7 +280,7 @@ def test_dual_norm_estimates_match_per_row_loop():
         rows[5] *= 1e-3
         batched = dual_norm_estimates(grid, rows, 3.0, iters=25)
         for row, value in zip(rows, batched):
-            one = dual_norm_estimate(Field(grid, row.reshape(grid.node_shape)), 3.0, iters=25)
+            (one,) = dual_norm_estimates(grid, row[None], 3.0, iters=25)
             assert value == pytest.approx(one, rel=1e-13, abs=0.0)
         assert batched[3] == 0.0
     with pytest.raises(ValueError):
@@ -318,3 +337,22 @@ def test_row_wise_state_norms_match_per_field_norms(dim):
     }
     for key, (mean, se) in expected.items():
         assert (stats[key], rep.standard_errors[key]) == (mean, se), key
+
+
+def test_verify_study_solves_each_path_row_once(monkeypatch):
+    # the moment ensemble is side a of both uniqueness pairings: 50 rows for
+    # it, 20 for the identical data and 50 for the bumped data
+    import plaplace_levy.scheme as scheme
+    from plaplace_levy.estimates import verify_study
+
+    rows = []
+    real = scheme.simulate_controls
+
+    def spy(u0, controls, model, cfg, paths):
+        rows.append(len(controls) * len(paths))
+        return real(u0, controls, model, cfg, paths)
+
+    monkeypatch.setattr(scheme, "simulate_controls", spy)
+    results, _ = verify_study(U0, UCTL, reference_model(), CFG, 50, 0)
+    assert rows == [50, 20, 50] and sum(rows) == 120
+    assert results["uniqueness"]["identical"]["max_l1"] == 0.0

@@ -13,10 +13,14 @@ from plaplace_levy import (
     eta_sine,
     eta_zero,
     isometry_rhs,
-    sample_prm,
     sample_prms,
 )
-from plaplace_levy.levy import step_marks
+from plaplace_levy.levy import step_events
+
+
+def steps_of(flat, path):
+    """The per-step pieces of a path's flat times or marks."""
+    return np.split(flat, np.cumsum(path.counts)[:-1])
 
 
 def unit_delta_model(lam=1.0, coef=0.5, lam_star=0.5):
@@ -84,39 +88,49 @@ def test_density_without_truncation_rejected():
 
 def test_sample_prm_rate_one_mean_count():
     model = unit_delta_model(lam=1.0)
-    counts = [path.jump_count() for path in sample_prms(model, 1.0, 0.1, range(100_000))]
+    counts = [path.jump_count() for path in sample_prms(model, 0.1, 10, range(100_000))]
     assert np.mean(counts) == pytest.approx(1.0, abs=0.02)
 
 
 def test_sample_prm_zero_mass_empty():
     model = LevyModel(eta=eta_zero(), lambda_star=0.5, point_masses=())
-    path = sample_prm(model, 1.0, 0.25, seed=5)
+    (path,) = sample_prms(model, 0.25, 4, [5])
     assert path.jump_count() == 0
 
 
 def test_sample_prm_deterministic_in_seed():
     model = unit_delta_model(lam=4.0)
-    a = sample_prm(model, 1.0, 0.125, seed=99)
-    b = sample_prm(model, 1.0, 0.125, seed=99)
-    for (ta, ma), (tb, mb) in zip(a.events, b.events):
-        assert np.array_equal(ta, tb) and np.array_equal(ma, mb)
-    c = sample_prm(model, 1.0, 0.125, seed=100)
+    a, b, c = sample_prms(model, 0.125, 8, [99, 99, 100])
+    for x in ("counts", "times", "marks"):
+        assert np.array_equal(getattr(a, x), getattr(b, x))
     assert any(
         not np.array_equal(ta, tc)
-        for (ta, _), (tc, _) in zip(a.events, c.events)
+        for ta, tc in zip(steps_of(a.times, a), steps_of(c.times, c))
     )
 
 
 def test_sample_prm_times_within_step_and_increasing():
     model = unit_delta_model(lam=30.0)
-    path = sample_prm(model, 1.0, 0.25, seed=1)
-    for k, (times, marks) in enumerate(path.events):
-        assert len(times) == len(marks)
+    (path,) = sample_prms(model, 0.25, 4, [1])
+    assert len(path.times) == len(path.marks) == path.jump_count()
+    for k, times in enumerate(steps_of(path.times, path)):
         if len(times):
             assert np.all(np.diff(times) > 0)
             assert times[0] > k * 0.25 and times[-1] <= (k + 1) * 0.25 + 1e-15
     with pytest.raises(ValueError):
-        sample_prm(model, 1.0, 0.3, seed=1)  # T/dt not integral
+        sample_prms(model, 0.25, -1, [1])
+    with pytest.raises(ValueError):
+        sample_prms(model, 0.0, 4, [1])
+
+
+def test_sample_prms_zero_steps_give_empty_paths():
+    model = unit_delta_model(lam=30.0)
+    paths = sample_prms(model, 0.25, 0, [3, 4, 5])
+    assert [p.seed for p in paths] == [3, 4, 5]
+    for path in paths:
+        assert path.counts.shape == path.times.shape == path.marks.shape == (0,)
+        assert path.jump_count() == 0
+    assert sample_prms(model, 0.25, 0, []) == []
 
 
 def test_c_eta_of_huge_marks_does_not_overflow():
@@ -130,10 +144,9 @@ def test_c_eta_of_huge_marks_does_not_overflow():
 def test_compensated_increment_zero_field():
     g = Grid(1, 8)
     model = unit_delta_model(lam=20.0)
-    paths = [sample_prm(model, 0.5, 0.25, seed) for seed in range(4)]
-    marks = [p.events[0][1] for p in paths]
-    assert any(map(len, marks))
-    inc = compensated_increments(model, np.zeros(len(g.interior_nodes)), marks, 0.25)
+    counts, _, marks = step_events(model, 0.25, range(4), [0])
+    assert len(marks)
+    inc = compensated_increments(model, np.zeros(len(g.interior_nodes)), counts, marks, 0.25)
     assert inc.shape == (4, len(g.interior_nodes)) and np.all(inc == 0.0)
 
 
@@ -144,8 +157,8 @@ def test_compensated_increment_martingale_mean_zero():
     dt = 0.05
     n = 40_000
     node = list(g.interior_nodes).index(g.n_cells // 2)
-    marks = step_marks(model, dt, range(n))  # step 0 of sample_prm(model, dt, dt, seed)
-    acc = compensated_increments(model, u.flat[g.interior_nodes], marks, dt)[:, node]
+    counts, _, marks = step_events(model, dt, range(n), [0])  # step 0 of each seed's path
+    acc = compensated_increments(model, u.flat[g.interior_nodes], counts, marks, dt)[:, node]
     se = acc.std() / np.sqrt(n)
     assert abs(acc.mean()) <= 3 * se
 
@@ -156,8 +169,8 @@ def test_compensated_increment_isometry_variance():
     model = unit_delta_model(lam=1.0, coef=0.5)
     dt = 0.01
     n = 30_000
-    marks = step_marks(model, dt, range(n))  # step 0 of sample_prm(model, dt, dt, seed)
-    inc = compensated_increments(model, u.flat[g.interior_nodes], marks, dt)
+    counts, _, marks = step_events(model, dt, range(n), [0])  # step 0 of each seed's path
+    inc = compensated_increments(model, u.flat[g.interior_nodes], counts, marks, dt)
     vals = np.sum(inc**2, axis=1) * g.cell_weight
     rhs = isometry_rhs(model, u, dt)
     from plaplace_levy.grid import l2_norm
@@ -199,8 +212,8 @@ def test_compensator_matches_per_atom_loop(measure, eta):
 
 @pytest.mark.parametrize("measure", ["point", "invsq"])
 def test_step_draws_match_freshly_keyed_generators(measure):
-    # one re-keyed bit generator per sample_prm call must reproduce, draw for
-    # draw, a fresh Philox keyed by (seed, salt) with counter (step, 0, 0, 0)
+    # each step of a sampled path must reproduce, draw for draw, a fresh
+    # Philox keyed by (seed, salt) with counter (step, 0, 0, 0)
     if measure == "point":
         model = unit_delta_model(lam=9.0)
     else:
@@ -210,8 +223,9 @@ def test_step_draws_match_freshly_keyed_generators(measure):
     total = lam.sum()
     dt = 0.25
     for seed in (0, 7, 2**40 + 3, 1_000_003 * 15 + 7919):
-        path = sample_prm(model, 1.0, dt, seed)
-        for k, (times, marks) in enumerate(path.events):
+        (path,) = sample_prms(model, dt, 4, [seed])
+        for k, (times, marks) in enumerate(zip(steps_of(path.times, path),
+                                               steps_of(path.marks, path))):
             key = np.array([seed, 0x9E3779B97F4A7C15], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(
                 counter=np.array([k, 0, 0, 0], dtype=np.uint64), key=key))
@@ -224,7 +238,7 @@ def test_step_draws_match_freshly_keyed_generators(measure):
             else:
                 ref_marks = z[rng.choice(len(z), size=count, p=lam / total)]
             assert np.array_equal(times, ref_times) and np.array_equal(marks, ref_marks)
-            assert np.array_equal(step_marks(model, dt, [seed], k)[0], ref_marks)
+            assert np.array_equal(step_events(model, dt, [seed], [k])[2], ref_marks)
 
 
 def test_compensated_increments_rows_match_single_increments():
@@ -232,12 +246,14 @@ def test_compensated_increments_rows_match_single_increments():
     g = Grid(1, 10)
     rng = np.random.default_rng(5)
     fields = [Field(g, np.where(g.boundary_mask, 0.0, rng.normal(size=g.n_nodes))) for _ in range(5)]
-    paths = [sample_prm(model, 0.5, 0.25, seed) for seed in range(5)]
+    counts, _, marks = step_events(model, 0.25, range(5), [1])  # step 1 of each path
+    assert counts.any()
     rows = compensated_increments(
-        model, np.stack([f.flat[g.interior_nodes] for f in fields]),
-        [p.events[1][1] for p in paths], 0.25)
-    for f, p, row in zip(fields, paths, rows):
-        (single,) = compensated_increments(model, f.flat[g.interior_nodes], [p.events[1][1]], 0.25)
+        model, np.stack([f.flat[g.interior_nodes] for f in fields]), counts, marks, 0.25)
+    first = np.concatenate([[0], np.cumsum(counts)])
+    for i, (f, row) in enumerate(zip(fields, rows)):
+        (single,) = compensated_increments(model, f.flat[g.interior_nodes], counts[i : i + 1],
+                                           marks[first[i] : first[i + 1]], 0.25)
         assert row == pytest.approx(single, rel=1e-14, abs=1e-16)
 
 
@@ -301,10 +317,10 @@ def test_step_events_match_freshly_keyed_generators(measure, mean, monkeypatch):
     assert counts.tolist() == ref_counts
     assert np.array_equal(times, np.concatenate([t for t, _ in ref]))
     assert np.array_equal(marks, np.concatenate([m for _, m in ref]))
-    paths = sample_prms(model, n_steps * dt, dt, _SEEDS)
+    paths = sample_prms(model, dt, n_steps, _SEEDS)
     for i, path in enumerate(paths):
         assert path.seed == _SEEDS[i] and path.jump_count() == sum(ref_counts[6 * i : 6 * i + 6])
-        for k, (t, m) in enumerate(path.events):
+        for k, (t, m) in enumerate(zip(steps_of(path.times, path), steps_of(path.marks, path))):
             ref_t, ref_m = ref[n_steps * i + k]
             assert np.array_equal(t, ref_t) and np.array_equal(m, ref_m)
             assert path.jump_count(k) == len(ref_t)
@@ -318,13 +334,12 @@ def test_sample_prms_match_per_seed_sample_prm():
     model = _MEASURES["invsq"]
     seeds = [5, -1, 2**64 + 3, 0, 5, 2**40, 3]
     dt = 1.5 / model.total_mass
-    batch = sample_prms(model, 8 * dt, dt, seeds)
+    batch = sample_prms(model, dt, 8, seeds)
     assert [p.seed for p in batch] == seeds
     for seed, path in zip(seeds, batch):
-        single = sample_prm(model, 8 * dt, dt, seed)
-        assert np.array_equal(path.counts, single.counts)
-        for (t, m), (ts, ms) in zip(path.events, single.events, strict=True):
-            assert np.array_equal(t, ts) and np.array_equal(m, ms)
+        (single,) = sample_prms(model, dt, 8, [seed])
+        for x in ("counts", "times", "marks"):
+            assert np.array_equal(getattr(path, x), getattr(single, x))
 
 
 def test_lanes_past_a_one_block_pass_take_a_second_pass():
@@ -350,4 +365,4 @@ def test_negative_jump_masses_rejected():
     model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5,
                       point_masses=((1.0, 2.0), (-0.5, -1.0)))
     with pytest.raises(ValueError, match="nonnegative"):
-        sample_prm(model, 1.0, 0.25, seed=1)
+        sample_prms(model, 0.25, 4, [1])

@@ -20,11 +20,9 @@ from plaplace_levy import (
     linear_flux,
     lp_grad_norm,
     prepare_initial,
-    sample_path,
-    simulate_path,
+    sample_prms,
     simulate_paths,
     sine_flux,
-    step_solve,
     zero_flux,
 )
 from plaplace_levy.estimates import _series_at
@@ -47,7 +45,8 @@ def zero_model():
 # ---------------------------------------------------------------------------
 # independent convex-energy oracle (1D, zero convection flux): see _oracles
 
-from _oracles import grad_ops, oracle_energy, oracle_gradient, oracle_minimize, state_fields
+from _oracles import (grad_ops, oracle_energy, oracle_gradient, oracle_minimize, state_fields,
+                      step_solve)
 from plaplace_levy.scheme import _conv_residual, _smoothed, _StepSolver
 
 
@@ -146,7 +145,7 @@ def test_step_energy_identity():
     model = reference_model()
     cfg = SchemeConfig(p=3, dt=1 / 32, n_steps=8, flux=linear_flux([0.3]))
     u0 = Field.from_function(grid, lambda x: np.sin(np.pi * x))
-    ens = simulate_path(u0, Field.zeros(grid, "free_boundary"), model, cfg, seed=5)
+    ens = generate_ensemble(u0, Field.zeros(grid, "free_boundary"), model, cfg, 1, 5)
     hats = state_fields(ens)
     incs = np.diff(ens.sums[0], axis=0)
     for k in range(cfg.n_steps):
@@ -224,8 +223,8 @@ def test_initial_smoothing_monotone_for_incompatible_trace():
 def test_simulate_path_zero_data_stays_zero():
     grid = Grid(1, 8)
     cfg = SchemeConfig(p=3, dt=0.1, n_steps=10, flux=sine_flux([0.5]))
-    ens = simulate_path(
-        Field.zeros(grid), Field.zeros(grid, "free_boundary"), reference_model(), cfg, seed=3
+    ens = generate_ensemble(
+        Field.zeros(grid), Field.zeros(grid, "free_boundary"), reference_model(), cfg, 1, 3
     )
     assert np.all(ens.states == 0.0)
 
@@ -235,8 +234,8 @@ def test_simulate_path_deterministic():
     cfg = SchemeConfig(p=3, dt=0.05, n_steps=12, flux=zero_flux(1))
     u0 = Field.from_function(grid, lambda x: np.sin(np.pi * x))
     U = Field.from_function(grid, lambda x: 0.2 * np.sin(2 * np.pi * x), "free_boundary")
-    a = simulate_path(u0, U, reference_model(), cfg, seed=77)
-    b = simulate_path(u0, U, reference_model(), cfg, seed=77)
+    a = generate_ensemble(u0, U, reference_model(), cfg, 1, 77)
+    b = generate_ensemble(u0, U, reference_model(), cfg, 1, 77)
     assert np.array_equal(a.states, b.states)
 
 
@@ -247,7 +246,7 @@ def test_nonconvergence_reports_step_index():
     )
     u0 = Field.from_function(grid, lambda x: 5 * np.sin(np.pi * x))
     with pytest.raises(NonConvergence) as exc:
-        simulate_path(u0, Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=1)
+        generate_ensemble(u0, Field.zeros(grid, "free_boundary"), zero_model(), cfg, 1, 1)
     assert exc.value.step is not None
     assert exc.value.seed == 1
 
@@ -258,7 +257,8 @@ def test_interpolants_node_values_and_constant():
     grid = Grid(1, 8)
     cfg = SchemeConfig(p=3, dt=0.25, n_steps=4, flux=zero_flux(1))
     u0 = Field.from_function(grid, lambda x: np.sin(np.pi * x))
-    states = simulate_path(u0, Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=0).states[0]
+    U = Field.zeros(grid, "free_boundary")
+    states = generate_ensemble(u0, U, zero_model(), cfg, 1, 0).states[0]
     for k in range(cfg.n_steps + 1):
         assert np.allclose(_series_at(states, k * cfg.dt, cfg.dt), states[k])
     mid = 0.5 * (states[1] + states[2])
@@ -271,7 +271,7 @@ def test_interpolant_gap_inequality_pathwise():
     grid = Grid(1, 12)
     cfg = SchemeConfig(p=3, dt=1 / 16, n_steps=16, flux=zero_flux(1))
     u0 = Field.from_function(grid, lambda x: np.sin(np.pi * x))
-    ens = simulate_path(u0, Field.zeros(grid, "free_boundary"), reference_model(), cfg, seed=9)
+    ens = generate_ensemble(u0, Field.zeros(grid, "free_boundary"), reference_model(), cfg, 1, 9)
     hats = state_fields(ens)
     # independent quadrature of the space-time gap between the step
     # interpolant (hats[k + 1] on [t_k, t_k+1)) and the affine one
@@ -292,8 +292,8 @@ def test_constant_trajectory_interpolants():
     # and the gap at zero
     grid = Grid(1, 6)
     cfg = SchemeConfig(p=3, dt=0.5, n_steps=2, flux=zero_flux(1))
-    ens = simulate_path(
-        Field.zeros(grid), Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=0
+    ens = generate_ensemble(
+        Field.zeros(grid), Field.zeros(grid, "free_boundary"), zero_model(), cfg, 1, 0
     )
     assert np.all(ens.states == 0.0) and np.all(ens.sums == 0.0)
     for t in (0.0, 0.3, 0.5, 0.99, 1.0):
@@ -309,13 +309,13 @@ def test_lift_boundary_mode_keeps_control_trace():
     )
     U = Field(grid, np.full(grid.node_shape, 0.4), "free_boundary")
     u0 = Field.from_function(grid, lambda x: np.sin(np.pi * x))
-    ens = simulate_path(u0, U, zero_model(), cfg, seed=0)
+    ens = generate_ensemble(u0, U, zero_model(), cfg, 1, 0)
     for f in state_fields(ens):
         assert f.values[0] == pytest.approx(0.4)
         assert f.values[-1] == pytest.approx(0.4)
     # clamped run of the same data stays in the zero-boundary space
     cfg_clamp = SchemeConfig(p=3, dt=0.05, n_steps=6, flux=zero_flux(1))
-    ens_c = simulate_path(u0, U, zero_model(), cfg_clamp, seed=0)
+    ens_c = generate_ensemble(u0, U, zero_model(), cfg_clamp, 1, 0)
     for f in state_fields(ens_c):
         assert f.values[0] == 0.0 and f.values[-1] == 0.0
 
@@ -381,8 +381,8 @@ def pinned_u0_1d(grid):
 def test_pinned_terminal_state_1d(flux, pinned):
     grid = Grid(1, 16)
     cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=16, flux=flux)
-    ens = simulate_path(
-        pinned_u0_1d(grid), Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=0
+    ens = generate_ensemble(
+        pinned_u0_1d(grid), Field.zeros(grid, "free_boundary"), zero_model(), cfg, 1, 0
     )
     tol = 100 * cfg.newton_tol
     assert state_fields(ens)[-1].values[1:-1] == pytest.approx(pinned, abs=tol)
@@ -392,7 +392,7 @@ def test_pinned_terminal_state_2d_sine_flux():
     grid = Grid(2, 8)
     u0 = Field.from_function(grid, lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y))
     cfg = SchemeConfig(p=3.0, dt=1 / 16, n_steps=4, flux=sine_flux([0.5, -0.3]))
-    ens = simulate_path(u0, Field.zeros(grid, "free_boundary"), zero_model(), cfg, seed=0)
+    ens = generate_ensemble(u0, Field.zeros(grid, "free_boundary"), zero_model(), cfg, 1, 0)
     tol = 100 * cfg.newton_tol
     assert state_fields(ens)[-1].values[1:-1, 1:-1] == pytest.approx(np.array(PIN_2D_SINE), abs=tol)
 
@@ -402,7 +402,7 @@ def test_pinned_noisy_path_and_ensemble_statistics():
     U = Field.zeros(grid, "free_boundary")
     cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=16, flux=zero_flux(1))
     tol = 100 * cfg.newton_tol
-    ens = simulate_path(pinned_u0_1d(grid), U, reference_model(), cfg, seed=3)
+    ens = generate_ensemble(pinned_u0_1d(grid), U, reference_model(), cfg, 1, 3)
     assert state_fields(ens)[-1].values[1:-1] == pytest.approx(PIN_1D_NOISY, abs=tol)
     ens = generate_ensemble(pinned_u0_1d(grid), U, reference_model(), cfg, 20, 0)
     stats = apriori_check(ens, pinned_u0_1d(grid), U).statistics
@@ -592,9 +592,9 @@ def test_batched_paths_match_single_path_solves(case):
         cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=16, flux=flux)
     U = Field.zeros(grid, "free_boundary")
     model = reference_model()
-    batch = simulate_paths(u0, U, model, cfg, [sample_path(model, cfg, s) for s in range(37)])
+    batch = simulate_paths(u0, U, model, cfg, sample_prms(model, cfg.dt, cfg.n_steps, range(37)))
     for seed in (0, 17, 36):
-        alone = simulate_path(u0, U, model, cfg, seed)
+        alone = generate_ensemble(u0, U, model, cfg, 1, seed)
         assert np.max(np.abs(batch.states[seed] - alone.states[0])) <= 10 * cfg.newton_tol
         assert np.max(np.abs(batch.sums[seed] - alone.sums[0])) <= 10 * cfg.newton_tol
 
@@ -653,12 +653,12 @@ def test_batch_failure_reports_first_failing_path():
     expected = {}
     for seed in (9, 4, 3, 10):
         try:
-            simulate_path(u0, U, model, cfg, seed)
+            generate_ensemble(u0, U, model, cfg, 1, seed)
         except NonConvergence as err:
             expected[seed] = err
     assert sorted(expected) == [3, 9] and expected[3].step < expected[9].step
     with pytest.raises(NonConvergence) as exc:
-        simulate_paths(u0, U, model, cfg, [sample_path(model, cfg, s) for s in (9, 4, 3, 10)])
+        simulate_paths(u0, U, model, cfg, sample_prms(model, cfg.dt, cfg.n_steps, (9, 4, 3, 10)))
     assert (exc.value.seed, exc.value.step) == (9, expected[9].step)
     assert exc.value.residual == expected[9].residual
     assert str(exc.value) == str(expected[9])
@@ -674,7 +674,7 @@ def test_failing_row_stops_the_later_rows_of_its_control(monkeypatch):
     cfg = SchemeConfig(p=4.0, dt=0.1, n_steps=8, flux=zero_flux(1), newton_max_iters=5)
     u0 = Field.from_function(grid, lambda x: 2 * np.sin(np.pi * x))
     U = Field.zeros(grid, "free_boundary")
-    paths = {s: sample_path(model, cfg, s) for s in (3, 4, 9)}
+    paths = dict(zip((3, 4, 9), sample_prms(model, cfg.dt, cfg.n_steps, (3, 4, 9))))
     hat0 = prepare_initial(u0, U, cfg.effective_smoothing_dt, cfg.p).flat
     # rows (3, 9, 4) of control 0 and seed 9 of control 1: control 0's seed
     # 9 stops with its seed 3, control 1's runs on to its own failure
@@ -707,7 +707,7 @@ def test_chunked_batches_match_one_batch(monkeypatch):
     cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=8, flux=sine_flux([0.7]))
     model = reference_model()
     U = Field.zeros(grid, "free_boundary")
-    paths = [sample_path(model, cfg, s) for s in range(12)]
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(12))
     whole = simulate_paths(pinned_u0_1d(grid), U, model, cfg, paths)
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 5 * 8 * band.ldab * band.m)  # 5 paths a chunk
