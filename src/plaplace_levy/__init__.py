@@ -27,6 +27,7 @@ from .levy import (
     eta_sine,
     eta_zero,
     isometry_rhs,
+    mark_sums,
     sample_prms,
 )
 from .scheme import (

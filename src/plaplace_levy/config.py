@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .control import ControlParam, CostSpec, constant_target, psi_l2, psi_zero, sine_basis
-from .estimates import _ISOMETRY_CHUNK, _VERIFY_ISOMETRY_SAMPLES
+from .estimates import _VERIFY_ISOMETRY_SAMPLES
 from .grid import FREE_BOUNDARY, Field, Grid, l2_norm, w1p_norm
 from .levy import LevyModel, eta_linear, eta_sine, eta_zero
 from .scheme import SchemeConfig, linear_flux, sine_flux, zero_flux
@@ -28,10 +28,9 @@ class ConfigError(ValueError):
 
 
 # Bound on the float values one run holds at once (2^27, 1 GiB of float64):
-# the stacked states and martingale sums, the jump times and marks of every
-# path and of `verify`'s isometry draws, and one step's eta evaluation at
-# every jump and interior node.  validate() rejects a config above it before
-# any array is built.
+# the stacked states and martingale sums, and the jump times and marks of
+# every path and of `verify`'s isometry draws.  validate() rejects a config
+# above it before any array is built.
 MAX_RUN_VALUES = 2**27
 
 
@@ -45,8 +44,7 @@ def check_run_size(n_paths: int, n_steps: int, grid: Grid, model: LevyModel, dt:
         raise ConfigError(f"[run] n_paths, {steps_key} and [grid] n_cells give {states} "
                           f"state values, more than {MAX_RUN_VALUES}")
     rate = model.total_mass * dt  # expected jumps per step
-    jumps = rate * (2 * (n_paths * n_steps + _VERIFY_ISOMETRY_SAMPLES)
-                    + (n_paths + _ISOMETRY_CHUNK) * (grid.n_cells - 1) ** grid.dim)
+    jumps = rate * 2 * (n_paths * n_steps + _VERIFY_ISOMETRY_SAMPLES)
     if not states + jumps <= MAX_RUN_VALUES:
         raise ConfigError(f"A4 violated: {rate_key} gives total mass * dt = {rate!r} expected "
                           f"jumps per step, so the run would hold {states + jumps:.3g} values, "

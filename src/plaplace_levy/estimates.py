@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .grid import Field, Grid, _l2_norms, dual_norm_estimates, l2_norm, w1p_norm
-from .levy import LevyModel, compensated_increments, isometry_rhs, sample_prms, step_events
+from .levy import LevyModel, isometry_rhs, mark_sums, sample_prms, step_events
 from .scheme import Ensemble, SchemeConfig, project_control, simulate_paths
 
 
@@ -310,8 +310,7 @@ class IsometryReport:
     passed: bool
 
 
-# samples per vectorized pass of `isometry_check`, and those `verify` draws
-_ISOMETRY_CHUNK = 2048
+# the single-step samples of `verify`'s isometry check
 _VERIFY_ISOMETRY_SAMPLES = 10_000
 
 
@@ -319,20 +318,17 @@ def isometry_check(model: LevyModel, u: Field, dt: float, n_samples: int,
                    base_seed: int = 0) -> IsometryReport:
     """Monte Carlo second moment of single-step compensated increments with
     frozen integrand against the closed-form value
-    dt * integral ||eta(u; z)||^2 m(dz)."""
+    dt * integral ||eta(u; z)||^2 m(dz).  With eta = c f(u) (1 ^ |z|), the
+    squared norm of sample i is (S_i - dt mark_mass)^2 ||c f(u)||^2, where
+    S_i sums (1 ^ |z|) over its marks."""
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples")
     grid = u.grid
-    u_int = u.flat[grid.interior_nodes]
+    eta_u = model.eta_u(u.flat[grid.interior_nodes])
     # sample i is step 0 of the path of seed base_seed + i
     counts, _, marks = step_events(model, dt, range(base_seed, base_seed + n_samples), [0])
-    first = np.concatenate([[0], np.cumsum(counts)])
-    vals = np.empty(n_samples)
-    for start in range(0, n_samples, _ISOMETRY_CHUNK):
-        stop = min(start + _ISOMETRY_CHUNK, n_samples)
-        inc = compensated_increments(model, u_int, counts[start:stop],
-                                     marks[first[start] : first[stop]], dt)
-        vals[start:stop] = np.vecdot(inc, inc) * grid.cell_weight
+    norm_sq = eta_u @ eta_u * grid.cell_weight
+    vals = (mark_sums(counts, marks) - dt * model.mark_mass) ** 2 * norm_sq
     exact = isometry_rhs(model, u, dt)
     mc = float(vals.mean())
     if exact == 0.0:

@@ -41,7 +41,7 @@ from .grid import (
     _l2_norms,
     _lp_grad_pows,
 )
-from .levy import LevyModel, compensated_increments
+from .levy import LevyModel, compensated_increments, mark_sums
 
 CLAMP_BOUNDARY = "clamp_boundary"
 LIFT_BOUNDARY = "lift_boundary"
@@ -82,9 +82,7 @@ class FluxModel:
         for fd in self.f:
             if abs(float(np.asarray(fd(np.zeros(1))).ravel()[0])) > 1e-14:
                 raise ValueError("A2 violated: flux must satisfy f(0) = 0")
-        rng = np.random.default_rng(0)
-        u = rng.normal(0, 3, 200)
-        v = rng.normal(0, 3, 200)
+        u, v = 9.0 * np.sin(np.arange(400.0)).reshape(2, 200)  # fixed probe pairs
         gap = np.abs(u - v)
         for fd in self.f:
             if np.any(np.abs(fd(u) - fd(v)) > self.c_f * gap + 1e-10):
@@ -601,19 +599,15 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
     states[:, 0] = starts
     sums = np.zeros_like(states)
     counts = np.array([path.counts for path in paths]).reshape(len(paths), cfg.n_steps)
-    marks = np.concatenate([path.marks for path in paths])
-    first = (np.cumsum(counts) - counts.ravel()).reshape(counts.shape)  # offsets into marks
-    jumps = counts.any(axis=0).tolist()  # whether any row jumps in step k
+    jumps = mark_sums(counts, np.concatenate([path.marks for path in paths]))  # (M, n_steps)
     alive = np.arange(len(paths))
     rows = slice(None)  # the alive paths, as a slice while that is all of them
     errors = [None] * len(paths)
     for k in range(cfg.n_steps):
         prev = states[rows, k]
         inc = np.zeros_like(prev)
-        c = counts[rows, k]  # step k's jump counts of the alive rows; their marks by offset
-        at = np.repeat(first[rows, k] - np.cumsum(c) + c, c) if jumps[k] else _NO_ROWS
-        inc[:, idx] = compensated_increments(model, grid.take("interior", prev), c,
-                                             marks[at + np.arange(at.size)], cfg.dt)
+        inc[:, idx] = compensated_increments(model, grid.take("interior", prev),
+                                             jumps[rows, k], cfg.dt)
         states[rows, k + 1], failed = _newton(
             solver, prev.copy(), prev + inc, cfg.newton_tol, cfg.newton_max_iters
         )

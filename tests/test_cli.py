@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -120,17 +122,17 @@ def test_config_flux_coefs_checked():
     [
         ("sweep = time", "[converge] sweep"),
         ("probe = fast", "[converge] probe"),
-        ("sweep = eps\nvalues = 5e-3,2e-2", "[converge] values: eps = 0.02"),
+        ("sweep = eps\nvalues = 1e-3,2e-2", "[converge] values: eps = 0.02"),
         # both eps values keep the run within bounds; the reference eps
-        # 2e-3 / 1000 does not
-        ("sweep = eps\nvalues = 5e-3,2e-3\nref_refine = 1000", "A4 violated: [converge] values"),
+        # 1e-3 / 1000 (3e8 values) does not
+        ("sweep = eps\nvalues = 1.5e-3,1e-3\nref_refine = 1000", "A4 violated: [converge] values"),
     ],
     ids=["sweep", "probe", "eps_above_z_max", "reference_eps_rate"],
 )
 def test_config_validate_checks_converge_section(converge, named):
     # loading checks [converge] whatever the command, so simulate rejects it too
     text = REFERENCE.replace(
-        "measure = point:1.0@1.0", "measure = density:invsq\neps = 1e-3\nz_max = 1e-2"
+        "measure = point:1.0@1.0", "measure = density:invsq\neps = 1e-3\nz_max = 2e-3"
     ) + f"\n[converge]\n{converge}\n"
     parse_config_text(text.replace(f"\n[converge]\n{converge}\n", "")).validate()
     with pytest.raises(ConfigError, match=re.escape(named)):
@@ -166,6 +168,30 @@ def test_shipped_configs_fit_the_run_bound():
     for path in ("sample_config.ini", "perfbench/configs/sample.ini",
                  "perfbench/configs/simulate-2d.ini"):
         parse_config(os.path.join(root, path)).validate()
+
+
+def test_fine_2d_simulate_config_fits_the_run_bound(tmp_path):
+    # 127^2 interior nodes: the bound counts states, times and marks, not a
+    # per-jump evaluation of eta at every node
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "configs", "simulate-2d.ini")) as fh:
+        text = fh.read()
+    assert "n_cells = 32\n" in text
+    path = tmp_path / "simulate-2d-128.ini"
+    path.write_text(text.replace("n_cells = 32\n", "n_cells = 128\n"))
+    parse_config(str(path)).validate()
+
+
+def test_loading_a_config_does_not_import_numpy_random():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from plaplace_levy.config import parse_config; "
+            "parse_config(sys.argv[2]).validate(); "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code, os.path.join(root, "src"),
+                          os.path.join(root, "sample_config.ini")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]
 
 
 def test_nodal_csv_initial_data(tmp_path):

@@ -15,7 +15,7 @@ from plaplace_levy import (
     isometry_rhs,
     sample_prms,
 )
-from plaplace_levy.levy import step_events
+from plaplace_levy.levy import mark_sums, step_events
 
 
 def steps_of(flat, path):
@@ -38,20 +38,14 @@ def test_validate_rejects_bad_lambda_star():
         LevyModel(eta=eta_linear(0.5), lambda_star=1.5, point_masses=((1.0, 1.0),)).validate()
 
 
-def test_validate_rejects_eta_without_zero_fixpoint():
+@pytest.mark.parametrize("eta", [eta_linear, eta_sine], ids=["linear", "sine"])
+def test_validate_rejects_eta_exceeding_lipschitz(eta):
     bad = LevyModel(
-        eta=lambda u, z: u + 1.0, lambda_star=0.5, point_masses=((1.0, 1.0),)
+        eta=eta(0.9), lambda_star=0.3, point_masses=((1.0, 1.0),)
     )
     with pytest.raises(ValueError, match="A3"):
         bad.validate()
-
-
-def test_validate_rejects_eta_exceeding_lipschitz():
-    bad = LevyModel(
-        eta=eta_linear(0.9), lambda_star=0.3, point_masses=((1.0, 1.0),)
-    )
-    with pytest.raises(ValueError, match="A3"):
-        bad.validate()
+    LevyModel(eta=eta(-0.3), lambda_star=0.3, point_masses=((1.0, 1.0),)).validate()
 
 
 def test_c_eta_point_masses():
@@ -146,7 +140,8 @@ def test_compensated_increment_zero_field():
     model = unit_delta_model(lam=20.0)
     counts, _, marks = step_events(model, 0.25, range(4), [0])
     assert len(marks)
-    inc = compensated_increments(model, np.zeros(len(g.interior_nodes)), counts, marks, 0.25)
+    inc = compensated_increments(model, np.zeros(len(g.interior_nodes)),
+                                 mark_sums(counts, marks), 0.25)
     assert inc.shape == (4, len(g.interior_nodes)) and np.all(inc == 0.0)
 
 
@@ -158,7 +153,8 @@ def test_compensated_increment_martingale_mean_zero():
     n = 40_000
     node = list(g.interior_nodes).index(g.n_cells // 2)
     counts, _, marks = step_events(model, dt, range(n), [0])  # step 0 of each seed's path
-    acc = compensated_increments(model, u.flat[g.interior_nodes], counts, marks, dt)[:, node]
+    acc = compensated_increments(model, u.flat[g.interior_nodes], mark_sums(counts, marks),
+                                 dt)[:, node]
     se = acc.std() / np.sqrt(n)
     assert abs(acc.mean()) <= 3 * se
 
@@ -170,7 +166,7 @@ def test_compensated_increment_isometry_variance():
     dt = 0.01
     n = 30_000
     counts, _, marks = step_events(model, dt, range(n), [0])  # step 0 of each seed's path
-    inc = compensated_increments(model, u.flat[g.interior_nodes], counts, marks, dt)
+    inc = compensated_increments(model, u.flat[g.interior_nodes], mark_sums(counts, marks), dt)
     vals = np.sum(inc**2, axis=1) * g.cell_weight
     rhs = isometry_rhs(model, u, dt)
     from plaplace_levy.grid import l2_norm
@@ -179,22 +175,21 @@ def test_compensated_increment_isometry_variance():
     assert np.mean(vals) == pytest.approx(rhs, rel=0.05)
 
 
-def test_linear_growth_bound():
-    rng = np.random.default_rng(31)
-    model = unit_delta_model(coef=0.5, lam_star=0.5)
-    u = rng.normal(0, 3, 500)
-    for z in rng.uniform(-4, 4, 10):
-        bound = model.lambda_star * np.abs(u) * min(1.0, abs(z))
-        assert np.all(np.abs(model.eta(u, z)) <= bound + 1e-12)
+# (eta, its value at (u, z) spelled out) for each preset
+ETAS = {
+    "linear": (eta_linear(0.5), lambda u, z: 0.5 * u * min(1.0, abs(z))),
+    "sine": (eta_sine(0.4), lambda u, z: 0.4 * np.sin(u) * min(1.0, abs(z))),
+    "zero": (eta_zero(), lambda u, z: 0.0 * u),
+}
 
 
 @pytest.mark.parametrize("measure", ["point", "invsq"])
-@pytest.mark.parametrize(
-    "eta", [eta_linear(0.5), eta_sine(0.4), eta_zero()], ids=["linear", "sine", "zero"]
-)
-def test_compensator_matches_per_atom_loop(measure, eta):
-    if measure == "point":
-        model = LevyModel(eta=eta, lambda_star=0.5, point_masses=((1.0, 1.5), (-0.3, 2.0)))
+@pytest.mark.parametrize("kind", list(ETAS))
+def test_compensator_matches_per_atom_loop(measure, kind):
+    eta, eta_at = ETAS[kind]
+    if measure == "point":  # a mark beyond 1, where 1 ^ |z| clips
+        model = LevyModel(eta=eta, lambda_star=0.5,
+                          point_masses=((1.0, 1.5), (-0.3, 2.0), (-2.5, 0.5)))
     else:
         model = LevyModel(eta=eta, lambda_star=0.5, density=lambda z: abs(z) ** -2, eps=0.01)
     g = Grid(2, 6)
@@ -202,12 +197,13 @@ def test_compensator_matches_per_atom_loop(measure, eta):
     u_int = u.flat[g.interior_nodes]
     comp, comp_sq = np.zeros_like(u_int), np.zeros_like(u_int)
     for z, lam in zip(*model.atoms):
-        comp += lam * eta(u_int, float(z))
-        comp_sq += lam * eta(u_int, float(z)) ** 2
+        comp += lam * eta_at(u_int, float(z))
+        comp_sq += lam * eta_at(u_int, float(z)) ** 2
     assert model.compensator(u_int) == pytest.approx(comp, rel=1e-13, abs=0.0)
     assert model.eta_sq_compensator(u_int) == pytest.approx(comp_sq, rel=1e-13, abs=0.0)
     rhs = 0.05 * np.sum(comp_sq) * g.cell_weight
     assert isometry_rhs(model, u, 0.05) == pytest.approx(rhs, rel=1e-13, abs=0.0)
+    assert model.eta_is_zero == (kind == "zero")
 
 
 @pytest.mark.parametrize("measure", ["point", "invsq"])
@@ -248,13 +244,18 @@ def test_compensated_increments_rows_match_single_increments():
     fields = [Field(g, np.where(g.boundary_mask, 0.0, rng.normal(size=g.n_nodes))) for _ in range(5)]
     counts, _, marks = step_events(model, 0.25, range(5), [1])  # step 1 of each path
     assert counts.any()
-    rows = compensated_increments(
-        model, np.stack([f.flat[g.interior_nodes] for f in fields]), counts, marks, 0.25)
+    u_int = np.stack([f.flat[g.interior_nodes] for f in fields])
+    sums = mark_sums(counts, marks)
+    rows = compensated_increments(model, u_int, sums, 0.25)
     first = np.concatenate([[0], np.cumsum(counts)])
-    for i, (f, row) in enumerate(zip(fields, rows)):
-        (single,) = compensated_increments(model, f.flat[g.interior_nodes], counts[i : i + 1],
-                                           marks[first[i] : first[i + 1]], 0.25)
+    eta_at = lambda u, z: 0.4 * np.sin(u) * min(1.0, abs(z))  # eta_sine(0.4), spelled out
+    for i, row in enumerate(rows):
+        single = sum(eta_at(u_int[i], z) for z in marks[first[i] : first[i + 1]])
+        single = single - 0.25 * sum(lam * eta_at(u_int[i], z) for z, lam in zip(*model.atoms))
         assert row == pytest.approx(single, rel=1e-14, abs=1e-16)
+    # one row at a state (m,)
+    (one,) = compensated_increments(model, u_int[2], sums[2:3], 0.25)
+    assert np.array_equal(one, rows[2])
 
 
 _SALT = 0x9E3779B97F4A7C15

@@ -716,3 +716,42 @@ def test_chunked_batches_match_one_batch(monkeypatch):
         assert np.max(np.abs(a - b)) <= 10 * cfg.newton_tol
     assert len(whole.paths) == len(chunked.paths) == len(paths)
     assert all(a is b is path for a, b, path in zip(whole.paths, chunked.paths, paths))
+
+
+@pytest.mark.parametrize("measure", ["point", "invsq"])
+def test_march_increments_match_mark_by_mark_sums(measure, monkeypatch):
+    # each step's increment of each row is the jump sum over that row's
+    # marks of the step minus dt times the compensator, both mark by mark
+    import plaplace_levy.scheme as scheme
+    from plaplace_levy import eta_sine
+
+    if measure == "point":
+        model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5,
+                          point_masses=((1.0, 9.0), (-0.3, 12.0), (2.5, 3.0)))
+        eta_at = lambda u, z: 0.5 * u * min(1.0, abs(z))
+    else:
+        model = LevyModel(eta=eta_sine(0.5), lambda_star=0.5, density=lambda z: abs(z) ** -2,
+                          eps=0.05)
+        eta_at = lambda u, z: 0.5 * np.sin(u) * min(1.0, abs(z))
+    grid = Grid(1, 16)
+    cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=8, flux=sine_flux([0.7]))
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(6))
+    calls, real = [], scheme.compensated_increments
+
+    def spy(model, u_int, sums, dt):
+        inc = real(model, u_int, sums, dt)
+        calls.append((u_int.copy(), inc))
+        return inc
+
+    monkeypatch.setattr(scheme, "compensated_increments", spy)
+    simulate_paths(pinned_u0_1d(grid), Field.zeros(grid, "free_boundary"), model, cfg, paths)
+    assert len(calls) == cfg.n_steps
+    for k, (u_int, inc) in enumerate(calls):
+        for i, path in enumerate(paths):
+            marks = np.split(path.marks, np.cumsum(path.counts)[:-1])[k]
+            jumps = sum(eta_at(u_int[i], z) for z in marks)
+            drift = cfg.dt * sum(lam * eta_at(u_int[i], z) for z, lam in zip(*model.atoms))
+            # relative to the size of the two terms, whose difference may cancel
+            scale = np.abs(jumps) + np.abs(drift)
+            assert np.all(np.abs(inc[i] - (jumps - drift)) <= 1e-13 * scale)
+    assert sum(path.jump_count() for path in paths) > 2 * len(paths)
