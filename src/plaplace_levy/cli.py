@@ -8,9 +8,10 @@ for inf or NaN, so a number that is not finite is written as null (for
 example `fitted_C` when the data size ||u0||^2 + ||U||^p underflows to 0).
 
 Exit codes: 0 success, 1 checks failed (a `verify` check or the `converge`
-report's `passed`), 2 invalid config, 3 step-solver failure.  `simulate`
-solves all its paths as one batch before it writes any, so when a path
-fails no path CSV is written, not even those of the paths before it.
+report's `passed`), 2 invalid config or an unusable output directory, 3
+step-solver failure.  `simulate` solves all its paths as one batch before
+it writes any, so when a path fails no path CSV is written, not even those
+of the paths before it.
 
 Output schemas (all JSON objects carry ``schema_version``):
 
@@ -96,8 +97,15 @@ def _write_json(path: str, payload: dict):
 
 
 def _ensure_out(cfg: RunConfig, override: str = None) -> str:
+    """Create the output directory and write config_used.ini into it; a
+    directory that cannot be made or written is a config error."""
     out = override or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+        with open(os.path.join(out, "config_used.ini"), "w", encoding="utf-8") as fh:
+            fh.write(serialize_config(cfg))
+    except OSError as err:
+        raise ConfigError(f"output directory {out!r} is not usable: {err}")
     return out
 
 
@@ -246,10 +254,7 @@ def main(argv=None) -> int:
         if args.paths is not None:
             cfg.raw["run"]["n_paths"] = str(args.paths)
         cfg.validate()
-        out_dir = _ensure_out(cfg, args.out)
-        with open(os.path.join(out_dir, "config_used.ini"), "w", encoding="utf-8") as fh:
-            fh.write(serialize_config(cfg))
-        return args.fn(cfg, out_dir)
+        return args.fn(cfg, _ensure_out(cfg, args.out))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

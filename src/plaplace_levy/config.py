@@ -19,7 +19,7 @@ from .control import ControlParam, CostSpec, constant_target, psi_l2, psi_zero, 
 from .estimates import _VERIFY_ISOMETRY_SAMPLES
 from .grid import FREE_BOUNDARY, Field, Grid, l2_norm, w1p_norm
 from .levy import LevyModel, eta_linear, eta_sine, eta_zero
-from .scheme import SchemeConfig, linear_flux, sine_flux, zero_flux
+from .scheme import FluxModel, SchemeConfig, zero_flux
 
 
 class ConfigError(ValueError):
@@ -110,17 +110,11 @@ class RunConfig:
         kind = self.get("scheme", "flux")
         coefs = _parse_floats(self.get("scheme", "flux_coefs"), "[scheme] flux_coefs")
         if kind == "zero":
-            flux = zero_flux(dim)
-        elif kind in ("linear", "sine"):
-            if len(coefs) != dim:
-                raise ConfigError(
-                    f"[scheme] flux_coefs needs {dim} values for flux = {kind}"
-                )
-            flux = linear_flux(coefs) if kind == "linear" else sine_flux(coefs)
-        else:
-            raise ConfigError(f"unknown flux kind {kind!r}")
-        try:
-            return flux.validate()
+            return zero_flux(dim)
+        if kind in ("linear", "sine") and len(coefs) != dim:
+            raise ConfigError(f"[scheme] flux_coefs needs {dim} values for flux = {kind}")
+        try:  # FluxModel.validate rejects an unknown kind
+            return FluxModel(kind, tuple(coefs)).validate()
         except ValueError as err:
             raise ConfigError(str(err))
 
@@ -173,12 +167,7 @@ class RunConfig:
                     "at finite marks"
                 )
         elif mkind == "density":
-            if marg == "invsq":
-                density = lambda z: abs(z) ** -2 if z != 0 else 0.0
-            elif marg == "uniform":
-                density = lambda z: 1.0
-            else:
-                raise ConfigError(f"unknown density {marg!r}")
+            density = marg  # LevyModel.validate rejects an unknown density
         else:
             raise ConfigError(f"unknown measure kind {mkind!r}")
 
@@ -230,16 +219,14 @@ class RunConfig:
         psi_spec = self.get("cost", "psi")
         kind, _, arg = psi_spec.partition(":")
         if kind == "zero":
-            fn, lip = psi_zero()
+            psi = psi_zero()
         elif kind == "l2":
-            fn, lip = psi_l2()
+            psi = psi_l2()
         elif kind == "l2_clip":
-            fn, lip = psi_l2(cap=_number(arg, "[cost] psi cap") if arg else 1.0)
+            psi = psi_l2(cap=_number(arg, "[cost] psi cap") if arg else 1.0)
         else:
             raise ConfigError(f"unknown psi kind {kind!r}")
-        return CostSpec(
-            u_tar=constant_target(grid, n_steps, tar), psi=fn, psi_lipschitz=lip
-        )
+        return CostSpec(u_tar=constant_target(grid, n_steps, tar), psi=psi)
 
     # -- run section -------------------------------------------------------
 

@@ -146,8 +146,7 @@ class Grid:
         v (M, n_nodes), at a fixed node table: "corners" (2^dim,
         n_cells_total), the corner nodes of each cell, corner by corner;
         "interior" (m,); "edges" (2, n_edges), the convection edge ends of
-        `conv_edges`.  "slots" (2, n_edges) takes the edge ends from per-axis
-        stacks of nodal values (dim n_nodes,) instead."""
+        `conv_edges`."""
         return self._tables[table].take(v)
 
     def scatter_nodes(self, table: str, w: np.ndarray) -> np.ndarray:
@@ -160,28 +159,25 @@ class Grid:
 
     @cached_property
     def _tables(self) -> dict:
-        nodes, slots, _ = self.conv_edges
         n = self.n_nodes
         return {
             "corners": _RowTable(np.ascontiguousarray(self.cell_nodes.T), n),
             "interior": _RowTable(self.interior_nodes, n),
-            "edges": _RowTable(nodes, n),
-            "slots": _RowTable(slots, self.dim * n),
+            "edges": _RowTable(self.conv_edges[0], n),
         }
 
     @cached_property
     def conv_edges(self) -> tuple:
-        """Edges (nodes, slots, w) of the conservative convection form
+        """Edges (nodes, axis, w) of the conservative convection form
         sum_e w_e * q_e(u) * (phi[b]-phi[a]), axes concatenated.
 
         nodes (2, n_edges) holds the a and b ends, b one step past a along
-        the edge's axis d; slots holds the same ends as flat indices
-        d * n_nodes + node into a (dim, n_nodes) stack of per-axis nodal
-        values.  Edge weights are h^(dim-1) with trapezoidal halving on
-        transverse boundary lines; this makes the form telescope exactly
-        along grid lines, so the convection integral vanishes for
-        zero-boundary fields.  Edges with both ends on the boundary touch
-        only boundary rows and are left out.
+        the edge's axis d, and axis (n_edges,) holds d.  Edge weights are
+        h^(dim-1) with trapezoidal halving on transverse boundary lines;
+        this makes the form telescope exactly along grid lines, so the
+        convection integral vanishes for zero-boundary fields.  Edges with
+        both ends on the boundary touch only boundary rows and are left
+        out.
         """
         n, dim = self.n_cells, self.dim
         theta = np.ones(n + 1)
@@ -194,13 +190,7 @@ class Grid:
             parts.append((a, a + (n + 1) ** (dim - 1 - d), w, np.full(a.size, d)))
         a, b, w, axis = (np.concatenate(x) for x in zip(*parts))
         keep = ~(self.boundary_mask[a] & self.boundary_mask[b])
-        nodes = np.stack([a, b])[:, keep]
-        return nodes, nodes + axis[keep] * self.n_nodes, w[keep]
-
-    @cached_property
-    def edge_axis(self) -> np.ndarray:
-        """Axis d of each convection edge of `conv_edges`."""
-        return self.conv_edges[1][0] // self.n_nodes
+        return np.stack([a, b])[:, keep], axis[keep], w[keep]
 
     @cached_property
     def interior_index(self) -> np.ndarray:

@@ -2,10 +2,12 @@
 compensated increments of the noise coefficient eta.
 
 The intensity measure is either a finite list of point masses (z_j, lam_j) or
-a density with small-jump truncation |z| > eps.  Densities are discretized
-once by a composite midpoint rule (_N_QUAD = 256 nodes) on
-[-z_max, -eps] u [eps, z_max]; the same discretization drives both the
-compensator integral and the jump-mark sampler, so the two stay consistent.
+a density, |z|^-2 (`invsq`) or 1 (`uniform`), with small-jump truncation
+|z| > eps, so its truncated mass is finite by construction (assumption A4).
+Densities are discretized once by a composite midpoint rule (_N_QUAD = 256
+nodes) on [-z_max, -eps] u [eps, z_max]; the same discretization drives both
+the compensator integral and the jump-mark sampler, so the two stay
+consistent.
 
 Sampling is counter-based (Philox keyed by the path seed, counter = step), so
 paths are reproducible bitwise and a step's events depend on (seed, step)
@@ -48,7 +50,7 @@ class LevyModel:
     eta: tuple  # (kind, c)
     lambda_star: float
     point_masses: tuple = ()  # ((z, lam), ...)
-    density: callable = None
+    density: str = None  # "invsq", "uniform" or None
     eps: float = 1e-3
     z_max: float = 1.0
 
@@ -74,10 +76,11 @@ class LevyModel:
         width = (self.z_max - self.eps) / half
         pos = self.eps + (np.arange(half) + 0.5) * width
         z = np.concatenate([-pos[::-1], pos])
-        lam = np.array([self.density(zz) for zz in z], dtype=float) * width
-        if np.any(lam < 0) or not np.all(np.isfinite(lam)):
-            raise InfiniteMassError("density must be finite and nonnegative")
-        return z, lam
+        if self.density == "uniform":
+            return z, np.full(z.size, width)
+        # per atom in Python arithmetic: numpy's vectorized power may differ
+        # from pow in the last bit, which would move the atom masses
+        return z, np.array([abs(zz) ** -2 for zz in z.tolist()]) * width
 
     @property
     def total_mass(self) -> float:
@@ -119,6 +122,8 @@ class LevyModel:
     def validate(self):
         """Check the structural assumptions; raises ValueError naming the
         violated one (A3 for eta, A4 for the measure)."""
+        if self.density not in (None, "invsq", "uniform"):
+            raise ValueError(f"unknown density {self.density!r}")
         if not (0.0 < self.lambda_star < 1.0):
             raise ValueError(
                 f"A3 violated: lambda_star must lie in (0,1), got {self.lambda_star}"

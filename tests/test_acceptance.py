@@ -233,7 +233,7 @@ def test_criterion_10_control_sanity():
     c_star = np.array([0.4, -0.3])
     U_star = ControlParam(basis=basis, coeffs=c_star).build()
     planted = generate_ensemble(u0, U_star, det_model, cfg, 1, 0)
-    spec = CostSpec(u_tar=state_fields(planted), psi=psi_zero()[0], psi_lipschitz=0.0)
+    spec = CostSpec(u_tar=state_fields(planted), psi=psi_zero())
     j_star = cost_J(planted, U_star, spec, cfg.p)[0]
     res = saa_minimize(det_model, cfg, u0, spec, basis, n_paths=1, budget=250, base_seed=0)
     assert res.best_J <= j_star + 1e-6, (
@@ -242,8 +242,7 @@ def test_criterion_10_control_sanity():
     assert all(b <= a for a, b in zip(res.J_history, res.J_history[1:]))
 
     # zero-target optimum at the zero control
-    spec0 = CostSpec(u_tar=constant_target(grid, cfg.n_steps), psi=psi_zero()[0],
-                     psi_lipschitz=0.0)
+    spec0 = CostSpec(u_tar=constant_target(grid, cfg.n_steps), psi=psi_zero())
     res0 = saa_minimize(det_model, cfg, Field.zeros(grid), spec0, basis,
                         n_paths=1, budget=60, base_seed=0)
     assert abs(res0.best_J) <= 1e-8

@@ -317,13 +317,17 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
         # 2D has six modes
         (("dim = 1", "basis = sine:2"), ("dim = 2", "basis = sine:9"), "optimize",
          "[initial] basis"),
+        ("n_steps = 16", "n_steps = 16\nnewton_max_iters = 0", "simulate",
+         "[scheme] newton_max_iters"),
+        ("n_steps = 16", "n_steps = 16\nnewton_max_iters = -3", "simulate",
+         "[scheme] newton_max_iters"),
     ],
     ids=["eta", "u0_nan", "basis", "psi", "psi_simulate", "psi_verify", "psi_converge",
          "control_coeffs_nan", "ref_refine", "dt_not_dividing_T", "dt_sweep_overflow", "dt_nan",
          "dt_inf", "p_inf", "jump_rate_too_large", "control_norm_infinite", "dt_zero",
          "dt_negative", "p_below_2", "control_coeffs_inf", "flux_coefs_inf",
          "converge_values_nan", "converge_values_repeated", "basis_mode_vanishes",
-         "basis_2d_past_six_modes"],
+         "basis_2d_past_six_modes", "newton_max_iters_zero", "newton_max_iters_negative"],
 )
 def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys, old, new, command, named):
     text = REFERENCE
@@ -336,6 +340,19 @@ def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys, old, new, c
         assert run_cli([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("below_a_file", [False, True])
+def test_cli_unusable_out_dir_exits_2_without_traceback(tmp_path, capsys, below_a_file):
+    # --out naming a regular file, or a path below one
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker / "o" if below_a_file else blocker
+    cfg_path = write(tmp_path, REFERENCE)
+    assert run_cli(["simulate", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "output directory" in err and str(out) in err and "Traceback" not in err
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_cli_verify_zero_preset_passes(tmp_path):

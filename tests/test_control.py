@@ -47,11 +47,9 @@ def reference_model():
 
 
 def make_spec(psi=None, u_tar=None):
-    fn, lip = psi if psi is not None else psi_zero()
     return CostSpec(
         u_tar=u_tar if u_tar is not None else constant_target(GRID, CFG.n_steps),
-        psi=fn,
-        psi_lipschitz=lip,
+        psi=psi if psi is not None else psi_zero(),
     )
 
 
@@ -92,8 +90,7 @@ def test_cost_rejects_mismatched_time_grid():
     zeros = Field.zeros(GRID)
     ens = generate_ensemble(zeros, Field.zeros(GRID, "free_boundary"),
                             zero_noise_model(), CFG, 1, base_seed=0)
-    bad = CostSpec(u_tar=constant_target(GRID, CFG.n_steps + 2), psi=psi_zero()[0],
-                   psi_lipschitz=0.0)
+    bad = CostSpec(u_tar=constant_target(GRID, CFG.n_steps + 2), psi=psi_zero())
     with pytest.raises(ValueError):
         cost_J(ens, Field.zeros(GRID, "free_boundary"), bad, CFG.p)
 
@@ -116,8 +113,7 @@ def test_cost_terminal_rows_match_per_field_payoff_bitwise(dim, kind):
     cap = float(np.median(norms))  # binds on some paths, not on others
     psi = {"zero": psi_zero(), "l2": psi_l2(), "l2_clip": psi_l2(cap=cap)}[kind]
     tar = Field.from_function(grid, lambda *x: 0.3 * np.prod(np.sin(2 * np.pi * np.array(x)), axis=0))
-    spec = CostSpec(u_tar=constant_target(grid, cfg.n_steps, tar), psi=psi[0],
-                    psi_lipschitz=psi[1])
+    spec = CostSpec(u_tar=constant_target(grid, cfg.n_steps, tar), psi=psi)
     total, parts = cost_J(ens, U, spec, cfg.p)
     # the per-path payoff on one terminal Field at a time, added in path order
     terminal = 0.0
@@ -129,17 +125,21 @@ def test_cost_terminal_rows_match_per_field_payoff_bitwise(dim, kind):
     # the per-path loop over the rows of the stack, in its summation order
     targets = np.array([f.flat for f in spec.u_tar[1:]])
     assert (parts["tracking"], parts["terminal"]) == per_path_cost_sums(
-        ens.states, targets, psi[0], grid, cfg.dt)
+        ens.states, targets, spec.payoff, grid, cfg.dt)
     assert parts["tracking"] > 0.0
 
 
 def test_cost_spec_validation():
     spec = make_spec(psi=psi_l2())
     spec.validate(CFG.n_steps)
-    lying = CostSpec(u_tar=constant_target(GRID, CFG.n_steps), psi=psi_l2()[0],
-                     psi_lipschitz=0.0)
-    with pytest.raises(ValueError):
-        lying.validate(CFG.n_steps)
+    short = CostSpec(u_tar=constant_target(GRID, CFG.n_steps - 1), psi=psi_l2())
+    with pytest.raises(ValueError, match="target profile"):
+        short.validate(CFG.n_steps)
+
+
+def test_cost_spec_rejects_unknown_psi_kind():
+    with pytest.raises(ValueError, match="unknown psi kind 'l1'"):
+        make_spec(psi=("l1", None)).validate(CFG.n_steps)
 
 
 def test_control_param_build_and_gram_check():
@@ -229,7 +229,7 @@ def test_saa_inverse_crime_recovery():
     c_star = np.array([0.4, -0.3])
     U_star = ControlParam(basis=basis, coeffs=c_star).build()
     planted = generate_ensemble(u0, U_star, model, CFG, 1, 0)
-    spec = CostSpec(u_tar=state_fields(planted), psi=psi_zero()[0], psi_lipschitz=0.0)
+    spec = CostSpec(u_tar=state_fields(planted), psi=psi_zero())
     j_star = cost_J(planted, U_star, spec, CFG.p)[0]
     res = saa_minimize(model, CFG, u0, spec, basis, n_paths=1, budget=250, base_seed=0)
     assert res.best_J <= j_star + 1e-6
@@ -241,8 +241,7 @@ def test_saa_all_divergent_candidates_raises():
 
     hard = replace(CFG, dt=10.0, newton_tol=1e-15, newton_max_iters=1)
     u0 = Field.from_function(GRID, lambda x: 5.0 * np.sin(np.pi * x))
-    spec = CostSpec(u_tar=constant_target(GRID, hard.n_steps), psi=psi_zero()[0],
-                    psi_lipschitz=0.0)
+    spec = CostSpec(u_tar=constant_target(GRID, hard.n_steps), psi=psi_zero())
     with pytest.raises(NonConvergence):
         saa_minimize(zero_noise_model(), hard, u0, spec, sine_basis(GRID, 2),
                      n_paths=1, budget=20, base_seed=0)

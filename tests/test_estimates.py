@@ -253,7 +253,7 @@ def test_isometry_check_matches_per_sample_loop(measure):
         model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5, point_masses=((1.0, 3.0), (-0.4, 2.0)))
         eta_at = lambda u, z: 0.5 * u * min(1.0, abs(z))
     else:
-        model = LevyModel(eta=eta_sine(0.5), lambda_star=0.5, density=lambda z: abs(z) ** -2, eps=0.05)
+        model = LevyModel(eta=eta_sine(0.5), lambda_star=0.5, density="invsq", eps=0.05)
         eta_at = lambda u, z: 0.5 * np.sin(u) * min(1.0, abs(z))
     u = sine_field(GRID, amp=0.8)
     dt, n = 1 / 16, 2500

@@ -59,31 +59,37 @@ def test_c_eta_point_masses():
 
 
 def test_c_eta_density_quadrature():
-    # density 1 on [eps, 1] (one-sided mass comes out of the symmetric rule)
+    # density 1 on [-1, -eps] u [eps, 1]
     m = LevyModel(
         eta=eta_linear(0.2),
         lambda_star=0.5,
-        density=lambda z: 1.0 if z > 0 else 0.0,
+        density="uniform",
         eps=1e-3,
         z_max=1.0,
     )
-    exact = (1.0**3 - 1e-9) / 3.0  # integral of z^2 over [1e-3, 1]
+    exact = 2.0 * (1.0**3 - 1e-9) / 3.0  # integral of z^2 over both halves
     assert m.c_eta == pytest.approx(exact, rel=1e-4)
-    assert m.total_mass == pytest.approx(1.0 - 1e-3, rel=1e-6)
+    assert m.total_mass == pytest.approx(2.0 * (1.0 - 1e-3), rel=1e-6)
 
 
 def test_density_without_truncation_rejected():
     m = LevyModel(
-        eta=eta_linear(0.2), lambda_star=0.5, density=lambda z: z**-2, eps=0.0
+        eta=eta_linear(0.2), lambda_star=0.5, density="invsq", eps=0.0
     )
     with pytest.raises(InfiniteMassError):
         m.total_mass
 
 
+def test_validate_rejects_unknown_density():
+    model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5, density="cauchy")
+    with pytest.raises(ValueError, match="unknown density 'cauchy'"):
+        model.validate()
+
+
 def test_sample_prm_rate_one_mean_count():
     model = unit_delta_model(lam=1.0)
-    counts = [path.jump_count() for path in sample_prms(model, 0.1, 10, range(100_000))]
-    assert np.mean(counts) == pytest.approx(1.0, abs=0.02)
+    counts, _, _ = step_events(model, 0.1, range(100_000), range(10))
+    assert np.mean(counts.reshape(100_000, 10).sum(axis=1)) == pytest.approx(1.0, abs=0.02)
 
 
 def test_sample_prm_zero_mass_empty():
@@ -191,7 +197,7 @@ def test_compensator_matches_per_atom_loop(measure, kind):
         model = LevyModel(eta=eta, lambda_star=0.5,
                           point_masses=((1.0, 1.5), (-0.3, 2.0), (-2.5, 0.5)))
     else:
-        model = LevyModel(eta=eta, lambda_star=0.5, density=lambda z: abs(z) ** -2, eps=0.01)
+        model = LevyModel(eta=eta, lambda_star=0.5, density="invsq", eps=0.01)
     g = Grid(2, 6)
     u = Field.from_function(g, lambda x, y: 3.0 * np.sin(np.pi * x) * np.cos(2 * y))
     u_int = u.flat[g.interior_nodes]
@@ -214,7 +220,7 @@ def test_step_draws_match_freshly_keyed_generators(measure):
         model = unit_delta_model(lam=9.0)
     else:
         model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5,
-                          density=lambda z: abs(z) ** -2, eps=0.05)
+                          density="invsq", eps=0.05)
     z, lam = model.atoms
     total = lam.sum()
     dt = 0.25
@@ -294,8 +300,8 @@ _MEASURES = {
     "one_atom": LevyModel(eta=eta_linear(0.5), lambda_star=0.5, point_masses=((1.0, 0.3),)),
     "two_atoms": LevyModel(eta=eta_linear(0.5), lambda_star=0.5,
                            point_masses=((1.0, 0.2), (-0.5, 0.1))),
-    "invsq": LevyModel(eta=eta_linear(0.5), lambda_star=0.5,
-                       density=lambda z: 0.01 * abs(z) ** -2, eps=0.05),
+    # total mass 0.35, below 0.5, so that 5e-324 * mass underflows to 0
+    "invsq": LevyModel(eta=eta_linear(0.5), lambda_star=0.5, density="invsq", eps=0.85),
 }
 _SEEDS = (0, -1, 2**63 + 5, 2**64 + 3)
 

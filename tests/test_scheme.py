@@ -117,13 +117,12 @@ def test_step_solve_nonconvergence_carries_residual():
     assert exc.value.residual is not None and exc.value.residual > 0
 
 
-def test_nan_residual_is_not_converged():
+def test_nan_residual_is_not_converged(monkeypatch):
     # a NaN residual fails every `rnorm <= tol` test, so it must end in
     # NonConvergence rather than return the start iterate as the solution
     grid = Grid(1, 8)
-    nan = lambda u: np.full_like(np.asarray(u, dtype=float), np.nan)
-    flux = FluxModel(f=(nan,), F=(nan,), c_f=1.0)
-    cfg = SchemeConfig(p=3, dt=0.1, n_steps=1, flux=flux, newton_max_iters=5)
+    monkeypatch.setattr(FluxModel, "G", lambda self, u: np.full_like(u, np.nan))
+    cfg = SchemeConfig(p=3, dt=0.1, n_steps=1, flux=sine_flux([1.0]), newton_max_iters=5)
     u = Field.from_function(grid, lambda x: np.sin(np.pi * x))
     with np.errstate(invalid="ignore"), pytest.raises(NonConvergence):
         step_solve(u, Field.zeros(grid), cfg)
@@ -135,6 +134,72 @@ def test_flux_validate_rejects_non_finite_lipschitz_constant(c):
     # spot checks alone would pass such a flux
     with pytest.raises(ValueError, match="A2"):
         linear_flux([c]).validate()
+
+
+def test_flux_validate_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown flux kind 'cubic'"):
+        FluxModel("cubic", (0.5,)).validate()
+
+
+def per_axis_quotients(grid, F, f, v, slopes):
+    """Convection divided differences from per-axis callables F_d and f_d,
+    each evaluated on every node and gathered to the ends of its axis's
+    edges; near-gap edges evaluate each f_d on all near end values and pick
+    their own axis's."""
+    nodes, axis, _ = grid.conv_edges
+
+    def at_ends(fns, x):
+        vals = np.stack([fn(x) for fn in fns], axis=-2)  # (..., dim, n_nodes)
+        return vals[..., axis, nodes[0]], vals[..., axis, nodes[1]]
+
+    a, b = v[..., nodes[0]], v[..., nodes[1]]
+    gap = b - a
+    near = np.abs(gap) < 1e-6
+    Fa, Fb = at_ends(F, v)
+    q = (Fb - Fa) / np.where(near, 1.0, gap)
+    if slopes:
+        fa, fb = at_ends(f, v)
+        out = np.stack([q - fa, fb - q], axis=-2) / np.where(near, 1.0, gap)[..., None, :]
+    if near.any():
+        ax = np.broadcast_to(axis, near.shape)[near]
+        x = np.concatenate([a[near], b[near]])
+        if slopes:
+            x = np.concatenate([x, x + 1e-6, x - 1e-6])
+        f_x = np.stack([fd(x) for fd in f])[np.tile(ax, x.size // ax.size), np.arange(x.size)]
+        k = ax.size
+        q[near] = 0.5 * (f_x[:k] + f_x[k : 2 * k])
+        if slopes:
+            df = (f_x[2 * k : 4 * k] - f_x[4 * k :]) / 2e-6
+            out[..., 0, :][near] = out[..., 1, :][near] = 0.25 * (df[:k] + df[k:])
+    return out if slopes else q
+
+
+@pytest.mark.parametrize("slopes", [False, True])
+@pytest.mark.parametrize("kind", ["linear", "sine"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_edge_quotients_match_per_axis_callables_bitwise(dim, kind, slopes):
+    from plaplace_levy.scheme import _edge_quotients
+
+    coefs = [0.7, -0.45][:dim]
+    if kind == "linear":
+        F = [lambda u, a=a: 0.5 * a * np.asarray(u, dtype=float) ** 2 for a in coefs]
+        f = [lambda u, a=a: a * np.asarray(u, dtype=float) for a in coefs]
+        flux = linear_flux(coefs)
+    else:
+        F = [lambda u, a=a: a * (1.0 - np.cos(u)) for a in coefs]
+        f = [lambda u, a=a: a * np.sin(u) for a in coefs]
+        flux = sine_flux(coefs)
+    grid = Grid(dim, 9 if dim == 1 else 6)
+    rng = np.random.default_rng(dim)
+    m = grid.interior_nodes.size
+    v = np.zeros((3, grid.n_nodes))
+    v[0, grid.interior_nodes] = rng.normal(size=m)
+    v[1, grid.interior_nodes] = 0.3  # constant interior: gap 0 on interior edges
+    v[2, grid.interior_nodes] = 0.3 + 1e-7 * rng.normal(size=m)  # gaps near 1e-7
+    ref = per_axis_quotients(grid, F, f, v, slopes)
+    assert np.array_equal(_edge_quotients(grid, flux, v, slopes=slopes), ref)
+    for row, ref_row in zip(v, ref):  # one nodal vector at a time
+        assert np.array_equal(_edge_quotients(grid, flux, row, slopes=slopes), ref_row)
 
 
 def test_step_energy_identity():
@@ -730,8 +795,7 @@ def test_march_increments_match_mark_by_mark_sums(measure, monkeypatch):
                           point_masses=((1.0, 9.0), (-0.3, 12.0), (2.5, 3.0)))
         eta_at = lambda u, z: 0.5 * u * min(1.0, abs(z))
     else:
-        model = LevyModel(eta=eta_sine(0.5), lambda_star=0.5, density=lambda z: abs(z) ** -2,
-                          eps=0.05)
+        model = LevyModel(eta=eta_sine(0.5), lambda_star=0.5, density="invsq", eps=0.05)
         eta_at = lambda u, z: 0.5 * np.sin(u) * min(1.0, abs(z))
     grid = Grid(1, 16)
     cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=8, flux=sine_flux([0.7]))
