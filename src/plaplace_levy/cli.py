@@ -253,7 +253,7 @@ def main(argv=None) -> int:
             cfg.raw["run"]["seed"] = str(args.seed)
         if args.paths is not None:
             cfg.raw["run"]["n_paths"] = str(args.paths)
-        cfg.validate()
+        cfg.validate(args.command)
         return args.fn(cfg, _ensure_out(cfg, args.out))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -28,23 +28,27 @@ class ConfigError(ValueError):
 
 
 # Bound on the float values one run holds at once (2^27, 1 GiB of float64):
-# the stacked states and martingale sums, and the jump times and marks of
-# every path and of `verify`'s isometry draws.  validate() rejects a config
+# the stacked states and martingale sums, the jump times and marks of every
+# path, and what a command holds besides: `verify`'s isometry draws and
+# `optimize`'s copy of the incumbent's states.  validate() rejects a config
 # above it before any array is built.
 MAX_RUN_VALUES = 2**27
 
 
 def check_run_size(n_paths: int, n_steps: int, grid: Grid, model: LevyModel, dt: float,
-                   steps_key: str, rate_key: str) -> None:
-    """Reject a run of n_paths paths of n_steps steps of size dt that would
-    hold more than MAX_RUN_VALUES values, naming `steps_key` when its states
-    alone would, else `rate_key`, the key that sets its jump rate."""
-    states = 2 * n_paths * (n_steps + 1) * grid.n_nodes  # exact, however large
+                   steps_key: str, rate_key: str, command: str = None) -> None:
+    """Reject a run of `command` (None: of any command) on n_paths paths of
+    n_steps steps of size dt that would hold more than MAX_RUN_VALUES
+    values, naming `steps_key` when its states alone would, else `rate_key`,
+    the key that sets its jump rate."""
+    copies = 2 + (command in (None, "optimize"))  # states, sums, optimize's reference
+    states = copies * n_paths * (n_steps + 1) * grid.n_nodes  # exact, however large
     if states > MAX_RUN_VALUES:
         raise ConfigError(f"[run] n_paths, {steps_key} and [grid] n_cells give {states} "
                           f"state values, more than {MAX_RUN_VALUES}")
     rate = model.total_mass * dt  # expected jumps per step
-    jumps = rate * 2 * (n_paths * n_steps + _VERIFY_ISOMETRY_SAMPLES)
+    draws = n_paths * n_steps + (_VERIFY_ISOMETRY_SAMPLES if command in (None, "verify") else 0)
+    jumps = rate * 2 * draws
     if not states + jumps <= MAX_RUN_VALUES:
         raise ConfigError(f"A4 violated: {rate_key} gives total mass * dt = {rate!r} expected "
                           f"jumps per step, so the run would hold {states + jumps:.3g} values, "
@@ -245,14 +249,16 @@ class RunConfig:
     def converge_values(self) -> list:
         return _parse_floats(self.get("converge", "values"), "[converge] values")
 
-    def validate(self) -> "RunConfig":
+    def validate(self, command: str = None) -> "RunConfig":
+        """Check the whole config; the run-size bound counts what `command`
+        holds (None: the most any command holds)."""
         grid = self.build_grid()
         scheme = self.build_scheme(grid.dim)
         model = self.build_levy()
         if self.n_paths < 1:
             raise ConfigError("[run] n_paths must be >= 1")
         check_run_size(self.n_paths, scheme.n_steps, grid, model, scheme.dt,
-                       "[scheme] n_steps", "[levy] measure")
+                       "[scheme] n_steps", "[levy] measure", command)
         initial = {"u0": self.build_initial(grid), "control_coeffs": self.build_control(grid)}
         for key, f in initial.items():
             with np.errstate(over="ignore"):
@@ -290,11 +296,11 @@ class RunConfig:
                         f"T = {scheme.T!r}"
                     )
                 check_run_size(self.n_paths, round(n), grid, model, dt, "[converge] values",
-                               "[converge] values")
+                               "[converge] values", "converge")
             if values and probe == "self":
                 check_run_size(1, round(scheme.T / min(values)) * refine, grid, model,
                                min(values) / refine, "[converge] ref_refine",
-                               "[converge] ref_refine")
+                               "[converge] ref_refine", "converge")
         elif values:
             for eps in [*values, min(values) / refine]:
                 try:
@@ -302,7 +308,7 @@ class RunConfig:
                 except ValueError as err:
                     raise ConfigError(f"[converge] values: eps = {eps!r}: {err}")
                 check_run_size(self.n_paths, scheme.n_steps, grid, eps_model, scheme.dt,
-                               "[scheme] n_steps", "[converge] values")
+                               "[scheme] n_steps", "[converge] values", "converge")
 
 
 def _parse_floats(text: str, what: str) -> list:

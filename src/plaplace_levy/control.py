@@ -7,9 +7,11 @@ The cost of a control U on a path ensemble is
         + ||U||_{W^{1,p}}^p + mean_paths psi(u(T))
 
 (right-endpoint rectangle rule in time, matching the step interpolant).
-Candidates are compared under common random numbers: a fixed seed set makes
-the sample-average objective deterministic in the coefficients, so the
-recorded best-so-far history is monotone and runs reproduce bitwise.
+Candidates are compared under common random numbers on a fixed seed set,
+and their step solves start from the incumbent's solved trajectory, so a
+computed J is deterministic in the coefficients and the incumbent history
+(within about 1e-10 relative of a cold solve): the recorded best-so-far
+history is monotone and runs reproduce bitwise.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ class _BudgetSpent(Exception):
 
 
 def nelder_mead(evaluate, consume, simplex, maxfev: int, xatol: float,
-                fatol: float, speculate: bool) -> tuple:
+                fatol: float, speculate: bool, begin=None) -> tuple:
     """Nelder-Mead simplex search, step for step the arithmetic and control
     flow of SciPy's minimize(method="Nelder-Mead") given an initial
     simplex, maxfev and xatol/fatol (reflection 1, expansion 2, contraction
@@ -173,8 +175,11 @@ def nelder_mead(evaluate, consume, simplex, maxfev: int, xatol: float,
     which the search consumes only the values SciPy's sequence uses, in
     that order; the other rows are discarded and not counted.  Without it,
     each trial point is evaluated alone when the sequence asks for it,
-    which pays when a call's cost grows with its rows.  Returns the final
-    simplex (sim, fsim), sorted by value, and the number of values used."""
+    which pays when a call's cost grows with its rows.  begin(), if given,
+    is called before the initial simplex and before each iteration, so
+    where an evaluation follows, it comes where SciPy's callback follows
+    the initial simplex or an iteration.  Returns the final simplex (sim,
+    fsim), sorted by value, and the number of values used."""
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     sim = np.array(simplex, dtype=float)
     N = sim.shape[1]
@@ -201,6 +206,8 @@ def nelder_mead(evaluate, consume, simplex, maxfev: int, xatol: float,
         ind = np.argsort(fsim)
         return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
+    if begin is not None:
+        begin()
     evaluate(sim[: min(N + 1, maxfev)])
     try:
         for k in range(N + 1):
@@ -210,6 +217,8 @@ def nelder_mead(evaluate, consume, simplex, maxfev: int, xatol: float,
     # SciPy sorts twice here; argsort need not be stable, so keep both
     sim, fsim = order(*order(sim, fsim))
     while nfev < maxfev:
+        if begin is not None:
+            begin()
         try:
             if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
                     and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
@@ -265,6 +274,11 @@ def nelder_mead(evaluate, consume, simplex, maxfev: int, xatol: float,
 # crossovers were 8-16 paths on a 1D n=16 grid (17 nodes), 2 paths on 2D
 # n=8 (81 nodes), below 1 path on 2D n=16 (289 nodes).  So the search
 # speculates up to this many nodal values per candidate (n_paths x nodes).
+# Re-timed with warm starts (optimize on sample_config.ini, seed 0, 8 runs
+# a mode, median s speculative vs one at a time): 4 paths 0.70 vs 0.81,
+# 8 paths 0.87 vs 0.98, 12 paths 0.83 vs 0.90, 16 paths 1.22 vs 1.25.  The
+# 12-path gain is within the runs' spread and 16 paths are a tie, so the
+# crossover still lies at 12-16 paths and the limit stays.
 _SPECULATE_NODES = 200
 
 
@@ -285,6 +299,12 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     points are evaluated speculatively while a candidate has at most
     _SPECULATE_NODES nodal values (n_paths x grid nodes), one at a time
     above that.
+
+    Each candidate's step solves start from the incumbent's solved states
+    (`simulate_controls`' ref), frozen at the start of each restart and of
+    each Nelder-Mead iteration, so speculative and one-at-a-time evaluation
+    start alike.  J is deterministic in the coefficients and the incumbent
+    history, and within about 1e-10 relative of a cold solve.
     """
     dim = len(basis)
     if budget < dim + 1:
@@ -298,14 +318,20 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     speculate = n_paths * u0.grid.n_nodes <= _SPECULATE_NODES
 
     history = []
-    state = {"best": np.inf, "coeffs": None, "evals": 0, "parts": None}
+    # states: the incumbent's solved states (a copy, so no batch stays
+    # alive); ref: the states the step solves start from, set by freeze()
+    state = {"best": np.inf, "coeffs": None, "evals": 0, "parts": None, "states": None,
+             "ref": None}
     batch = {}
+
+    def freeze():
+        state["ref"] = state["states"]
 
     def evaluate(points):
         """Solve every candidate of a batch as one stack."""
         controls = [ControlParam(basis=basis, coeffs=c).build() for c in points]
         try:
-            runs = simulate_controls(u0, controls, model, cfg, paths)
+            runs = simulate_controls(u0, controls, model, cfg, paths, state["ref"])
         except NonConvergence:  # the initial smoothing, shared by every candidate
             runs = [None] * len(controls)
         batch.update(points=points, controls=controls, runs=runs)
@@ -320,6 +346,7 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
             val, parts = np.inf, None
         if val < state["best"]:
             state["best"], state["coeffs"], state["parts"] = val, np.array(batch["points"][i]), parts
+            state["states"] = run.states.copy()
         history.append(state["best"])
         return val
 
@@ -334,7 +361,7 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
             break
         simplex = np.vstack([x0] + [x0 + scale * np.eye(dim)[j] for j in range(dim)])
         nelder_mead(evaluate, consume, simplex, remaining, xatol=1e-10, fatol=1e-12,
-                    speculate=speculate)
+                    speculate=speculate, begin=freeze)
         if state["coeffs"] is None:
             raise NonConvergence(
                 "every control candidate diverged in the step solver"

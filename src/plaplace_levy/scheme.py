@@ -540,14 +540,19 @@ def simulate_paths(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
 
 
 def simulate_controls(u0: Field, controls, model: LevyModel, cfg: SchemeConfig,
-                      paths) -> list:
+                      paths, ref: np.ndarray = None) -> list:
     """`simulate_paths` for each control U in `controls` on the common jump
     paths `paths`, as one stack of (control x path) rows, control-major.
     Returns, per control, its Ensemble, or the NonConvergence of its first
     failing path in `paths` order (with step and seed).  A failing row drops
     out of the stack with the later rows of its control; the rows of the
     other controls march on.  The stack is marched in chunks, each written
-    into the call's one states array and one sums array as it finishes."""
+    into the call's one states array and one sums array as it finishes.
+
+    ref, of shape (len(paths), n_steps + 1, n_nodes), is a solved trajectory
+    per path (say, a nearby control's): each row's step solves then start
+    from its path's ref (see `_march`), and its states move by up to about
+    newton_tol against the cold start from the previous state."""
     grid = u0.grid
     hat0s = []
     for U in controls:
@@ -570,7 +575,8 @@ def simulate_controls(u0: Field, controls, model: LevyModel, cfg: SchemeConfig,
         groups = np.array(rows) // n_paths
         part = [paths[r % n_paths] for r in rows]
         states[rows], sums[rows], chunk_errors = _march(
-            grid, np.array([hat0s[c] for c in groups]), model, cfg, part, groups)
+            grid, np.array([hat0s[c] for c in groups]), model, cfg, part, groups,
+            None if ref is None else ref[np.array(rows) % n_paths])
         for c, err in zip(groups.tolist(), chunk_errors):
             if err is not None and errors[c] is None:
                 errors[c] = err
@@ -582,13 +588,18 @@ def simulate_controls(u0: Field, controls, model: LevyModel, cfg: SchemeConfig,
 
 
 def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
-           paths, groups: np.ndarray) -> tuple:
+           paths, groups: np.ndarray, ref: np.ndarray = None) -> tuple:
     """Nodal states and martingale sums (M, n_steps + 1, n_nodes) of the
     paths, row i from the nodal state starts[i], and per row None or the
     NonConvergence (with step and seed) of its step solver.  A failed row
     stops marching (its later states are undefined), and so do the rows
     after it with the same groups[i], which can no longer change the first
-    error of that group; the other rows run on."""
+    error of that group; the other rows run on.
+
+    Step k + 1's Newton solve starts from the previous state, or, given a
+    reference trajectory ref (M, n_steps + 1, n_nodes), from the predictor
+    ref[i, k + 1] + (prev - ref[i, k]) on the interior nodes, with the
+    boundary values of prev, which the solve holds fixed."""
     idx = grid.interior_nodes
     solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
     states = np.empty((len(paths), cfg.n_steps + 1, grid.n_nodes))
@@ -604,8 +615,11 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
         inc = np.zeros_like(prev)
         inc[:, idx] = compensated_increments(model, grid.take("interior", prev),
                                              jumps[rows, k], cfg.dt)
+        guess = prev.copy()
+        if ref is not None:
+            guess[:, idx] = (ref[rows, k + 1] + (prev - ref[rows, k]))[:, idx]
         states[rows, k + 1], failed = _newton(
-            solver, prev.copy(), prev + inc, cfg.newton_tol, cfg.newton_max_iters
+            solver, guess, prev + inc, cfg.newton_tol, cfg.newton_max_iters
         )
         sums[rows, k + 1] = sums[rows, k] + inc
         if failed:

@@ -87,26 +87,36 @@ def saa_minimize_scipy(model, cfg, u0, spec, basis, n_paths, budget=200, base_se
                        restarts=3, simplex_scale=0.5):
     """The control search driven by scipy.optimize.minimize(method=
     "Nelder-Mead"), one candidate per objective call, each solved alone:
-    the reference for the package's speculative batched search."""
+    the reference for the package's speculative batched search.  Each
+    candidate's step solves start from the incumbent's states, frozen at
+    the start of each restart, after the initial simplex's dim + 1 calls
+    and in SciPy's per-iteration callback."""
     import scipy.optimize
 
-    from plaplace_levy import ControlParam, NonConvergence, cost_J, sample_prms, simulate_paths
+    from plaplace_levy import ControlParam, Ensemble, cost_J, sample_prms
+    from plaplace_levy.scheme import simulate_controls
 
     dim = len(basis)
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(base_seed, base_seed + n_paths))
     history = []
-    state = {"best": np.inf, "coeffs": None, "evals": 0}
+    state = {"best": np.inf, "coeffs": None, "evals": 0, "states": None, "ref": None,
+             "calls": 0}
+
+    def freeze(*_):
+        state["ref"] = state["states"]
 
     def objective(coeffs):
         state["evals"] += 1
         U = ControlParam(basis=basis, coeffs=coeffs).build()
-        try:
-            val = cost_J(simulate_paths(u0, U, model, cfg, paths), U, spec, cfg.p)[0]
-        except NonConvergence:
-            val = np.inf
+        (run,) = simulate_controls(u0, [U], model, cfg, paths, state["ref"])
+        val = cost_J(run, U, spec, cfg.p)[0] if isinstance(run, Ensemble) else np.inf
         if val < state["best"]:
             state["best"], state["coeffs"] = val, np.array(coeffs)
+            state["states"] = run.states.copy()
         history.append(state["best"])
+        state["calls"] += 1
+        if state["calls"] == dim + 1:  # the initial simplex is done
+            freeze()
         return val
 
     x0, scale = np.zeros(dim), simplex_scale
@@ -115,7 +125,9 @@ def saa_minimize_scipy(model, cfg, u0, spec, basis, n_paths, budget=200, base_se
         if remaining < dim + 1:
             break
         simplex = np.vstack([x0] + [x0 + scale * np.eye(dim)[j] for j in range(dim)])
-        scipy.optimize.minimize(objective, x0, method="Nelder-Mead", options={
+        freeze()
+        state["calls"] = 0
+        scipy.optimize.minimize(objective, x0, method="Nelder-Mead", callback=freeze, options={
             "maxfev": remaining, "initial_simplex": simplex, "xatol": 1e-10, "fatol": 1e-12})
         x0, scale = state["coeffs"].copy(), scale * 0.3
     return history, state["evals"], state["best"], state["coeffs"]

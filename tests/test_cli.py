@@ -123,8 +123,8 @@ def test_config_flux_coefs_checked():
         ("sweep = time", "[converge] sweep"),
         ("probe = fast", "[converge] probe"),
         ("sweep = eps\nvalues = 1e-3,2e-2", "[converge] values: eps = 0.02"),
-        # both eps values keep the run within bounds; the reference eps
-        # 1e-3 / 1000 (3e8 values) does not
+        # at 1,000 paths both eps values keep the run within bounds; the
+        # reference eps 1e-3 / 1000 (5.2e8 values) does not
         ("sweep = eps\nvalues = 1.5e-3,1e-3\nref_refine = 1000", "A4 violated: [converge] values"),
     ],
     ids=["sweep", "probe", "eps_above_z_max", "reference_eps_rate"],
@@ -133,7 +133,7 @@ def test_config_validate_checks_converge_section(converge, named):
     # loading checks [converge] whatever the command, so simulate rejects it too
     text = REFERENCE.replace(
         "measure = point:1.0@1.0", "measure = density:invsq\neps = 1e-3\nz_max = 2e-3"
-    ) + f"\n[converge]\n{converge}\n"
+    ).replace("n_paths = 5", "n_paths = 1000") + f"\n[converge]\n{converge}\n"
     parse_config_text(text.replace(f"\n[converge]\n{converge}\n", "")).validate()
     with pytest.raises(ConfigError, match=re.escape(named)):
         parse_config_text(text).validate()
@@ -161,6 +161,24 @@ def test_config_rejects_runs_too_large_to_hold(old, new, named):
         text = text.replace(o, n)
     with pytest.raises(ConfigError, match=re.escape(named)):
         parse_config_text(text).validate()
+
+
+def test_run_bound_counts_what_each_command_holds(tmp_path, capsys):
+    # 1e5 expected jumps a step: the 5 x 16 path steps fit the bound, the
+    # 10,000 isometry draws of verify do not
+    text = REFERENCE.replace("measure = point:1.0@1.0", "measure = point:1.0@3.2e6")
+    for command in ("simulate", "optimize", "converge"):
+        parse_config_text(text).validate(command)
+    out = str(tmp_path / "o")
+    assert run_cli(["verify", "--config", write(tmp_path, text), "--out", out]) == 2
+    assert "A4 violated: [levy] measure" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    # 2e5 paths: states and sums fit, optimize's third copy does not
+    text = REFERENCE.replace("n_paths = 5", "n_paths = 200000")
+    for command in ("simulate", "verify", "converge"):
+        parse_config_text(text).validate(command)
+    with pytest.raises(ConfigError, match=re.escape("[scheme] n_steps")):
+        parse_config_text(text).validate("optimize")
 
 
 def test_shipped_configs_fit_the_run_bound():

@@ -26,6 +26,7 @@ from plaplace_levy import (
     sample_prms,
     simulate_paths,
     sine_basis,
+    sine_flux,
     w1p_norm,
     zero_flux,
 )
@@ -264,8 +265,9 @@ def _staircase(x):
 
 
 def _in_house_search(fun, simplex, maxfev, xatol, fatol, speculate=True):
-    """nelder_mead on fun, recording the points it uses and its batch sizes."""
-    latest, used, batches = {}, [], []
+    """nelder_mead on fun, recording the points it uses, its batch sizes and
+    the number of points used at each begin()."""
+    latest, used, batches, begins = {}, [], [], []
 
     def evaluate(points):
         batches.append((len(used), len(points)))
@@ -276,8 +278,8 @@ def _in_house_search(fun, simplex, maxfev, xatol, fatol, speculate=True):
         return latest["values"][i]
 
     sim, fsim, nfev = nelder_mead(evaluate, consume, simplex, maxfev, xatol=xatol, fatol=fatol,
-                                  speculate=speculate)
-    return sim, fsim, nfev, used, batches
+                                  speculate=speculate, begin=lambda: begins.append(len(used)))
+    return sim, fsim, nfev, used, batches, begins
 
 
 _SEARCH_CASES = {
@@ -300,24 +302,28 @@ def test_nelder_mead_matches_scipy_bitwise(case):
     xatol, fatol = 1e-10, 1e-12
     maxfev = 300
     if case == "maxfev_mid_shrink":
-        *_, batches = _in_house_search(fun, simplex, 400, xatol, fatol)
+        *_, batches, _ = _in_house_search(fun, simplex, 400, xatol, fatol)
         # run out after the first point of the first shrink (N points in one
         # batch after the initial simplex)
         shrinks = [used for used, size in batches[1:] if size == N]
         assert shrinks, "the search never shrinks on this objective"
         maxfev = shrinks[0] + 1
-    seen = []
+    seen, callbacks = [], []
 
     def objective(x):
         seen.append(x.copy())
         return float(fun(x))
 
-    ref = scipy.optimize.minimize(objective, x0, method="Nelder-Mead", options={
+    ref = scipy.optimize.minimize(objective, x0, method="Nelder-Mead",
+                                  callback=lambda *_: callbacks.append(len(seen)), options={
         "maxfev": maxfev, "initial_simplex": simplex, "xatol": xatol, "fatol": fatol})
     for speculate in (True, False):
-        sim, fsim, nfev, used, batches = _in_house_search(fun, simplex, maxfev, xatol, fatol,
-                                                          speculate)
+        sim, fsim, nfev, used, batches, begins = _in_house_search(fun, simplex, maxfev, xatol,
+                                                                  fatol, speculate)
         assert nfev == ref.nfev == len(seen) == len(used)
+        # begin() comes first, after the initial simplex and where SciPy's
+        # callback does, wherever an evaluation follows
+        assert [n for n in begins if n < nfev] == [n for n in [0, N + 1, *callbacks] if n < nfev]
         assert np.array_equal(np.array(used), np.array(seen))
         assert np.array_equal(sim, ref.final_simplex[0])
         assert np.array_equal(fsim, ref.final_simplex[1])
@@ -421,6 +427,101 @@ def test_diverged_candidate_scores_inf_and_spares_its_batch(monkeypatch):
             alone_J = np.inf
         assert val == pytest.approx(alone_J, rel=10 * cfg.newton_tol, abs=0.0)
     assert res.n_evaluations == 4 and res.best_J == min(res.J_history) < np.inf
+
+
+def _warm_start_case(dim, flux, projection):
+    """u0, two nearby controls with a nonzero trace, a third one, the
+    model, the scheme, 3 jump paths and a cost on a small grid."""
+    grid = Grid(1, 16) if dim == 1 else Grid(2, 6)
+    coefs = [0.7] if dim == 1 else [0.5, -0.3]
+    cfg = SchemeConfig(p=3.0, dt=1 / 16, n_steps=6, control_projection=projection,
+                       flux=zero_flux(dim) if flux == "zero" else sine_flux(coefs))
+    model = reference_model()
+    bump = Field.from_function(grid, lambda *x: np.prod([np.sin(np.pi * xd) for xd in x], axis=0))
+    ones = np.ones(grid.node_shape)
+    controls = [Field(grid, a * ones + b * bump.values, "free_boundary")
+                for a, b in ((0.1, 0.3), (0.1 + 1e-3, 0.3 - 2e-3), (-0.2, 0.5))]
+    u0 = Field.from_function(grid, lambda *x: 0.4 * np.prod([np.sin(np.pi * xd) for xd in x],
+                                                             axis=0))
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(3))
+    tar = Field(grid, 0.2 * bump.values)
+    spec = CostSpec(u_tar=constant_target(grid, cfg.n_steps, tar), psi=psi_l2())
+    return grid, u0, controls, model, cfg, paths, spec
+
+
+_WARM_CASES = [(dim, flux, proj) for dim in (1, 2) for flux in ("zero", "sine")
+               for proj in ("clamp_boundary", "lift_boundary")]
+
+
+@pytest.mark.parametrize("dim, flux, projection", _WARM_CASES)
+def test_warm_started_solves_match_the_cold_solve(dim, flux, projection):
+    from plaplace_levy.scheme import simulate_controls
+
+    # a nearby control and a far one, whose lifted trace -0.2 the shift
+    # 0.1 + (-0.2 - 0.1) would round to -0.20000000000000004
+    grid, u0, (U_a, *others), model, cfg, paths, spec = _warm_start_case(dim, flux, projection)
+    (ref,) = simulate_controls(u0, [U_a], model, cfg, paths)
+    colds = simulate_controls(u0, others, model, cfg, paths)
+    warms = simulate_controls(u0, others, model, cfg, paths, ref.states)
+    assert not np.array_equal(warms[0].states, colds[0].states)  # the reference is used
+    edge = grid.boundary_nodes
+    for U, cold, warm in zip(others, colds, warms):
+        J_cold = cost_J(cold, U, spec, cfg.p)[0]
+        assert cost_J(warm, U, spec, cfg.p)[0] == pytest.approx(J_cold, rel=10 * cfg.newton_tol,
+                                                                abs=0.0)
+        # the boundary values come from the previous state, not from the shift
+        assert np.array_equal(warm.states[..., edge], cold.states[..., edge])
+        if projection == "lift_boundary":
+            assert np.any(warm.states[..., edge] != 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_warm_started_row_ignores_batch_and_chunking(dim, monkeypatch):
+    import plaplace_levy.scheme as scheme
+
+    grid, u0, (U_a, U_b, U_c), model, cfg, paths, _ = _warm_start_case(dim, "sine",
+                                                                      "lift_boundary")
+    (ref,) = scheme.simulate_controls(u0, [U_a], model, cfg, paths)
+    (alone,) = scheme.simulate_controls(u0, [U_b], model, cfg, paths, ref.states)
+    mixed = scheme.simulate_controls(u0, [U_c, U_b, U_a], model, cfg, paths, ref.states)
+    band = grid.step_band
+    monkeypatch.setattr(scheme, "_BAND_BUDGET", 2 * 8 * band.ldab * band.m)  # 2 rows a chunk
+    chunked = scheme.simulate_controls(u0, [U_c, U_b], model, cfg, paths, ref.states)
+    assert np.array_equal(mixed[1].states, alone.states)
+    assert np.array_equal(chunked[1].states, alone.states)
+    # the reference's own control starts from its own solution
+    assert np.max(np.abs(mixed[2].states - ref.states)) <= 10 * cfg.newton_tol
+
+
+@pytest.mark.parametrize("seed", [0, 5000015])
+def test_warm_start_cuts_optimize_line_searches(seed, monkeypatch):
+    # line-search counts are deterministic; a scratch measurement gave
+    # 0.58 (seed 0) and 0.55 (seed 5000015) of the cold search's
+    import plaplace_levy.control as control
+    import plaplace_levy.scheme as scheme
+    from plaplace_levy.config import parse_config
+
+    cfg = parse_config(os.path.join(REPO, "perfbench", "configs", "sample.ini"))
+    grid = cfg.build_grid()
+    sch = cfg.build_scheme(grid.dim)
+    args = (cfg.build_levy(), sch, cfg.build_initial(grid), cfg.build_cost(grid, sch.n_steps),
+            cfg.build_basis(grid), 1)
+    calls = []
+    real_search, real_simulate = scheme._line_search, control.simulate_controls
+
+    def count(*a, **kw):
+        calls.append(1)
+        return real_search(*a, **kw)
+
+    monkeypatch.setattr(scheme, "_line_search", count)
+    warm = saa_minimize(*args, budget=200, base_seed=seed)
+    n_warm = len(calls)
+    calls.clear()
+    monkeypatch.setattr(control, "simulate_controls", lambda *a: real_simulate(*a[:5]))
+    cold = saa_minimize(*args, budget=200, base_seed=seed)
+    assert n_warm <= 0.65 * len(calls)
+    assert warm.n_evaluations == cold.n_evaluations == 200
+    assert warm.best_J == pytest.approx(cold.best_J, rel=1e-6, abs=0.0)
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

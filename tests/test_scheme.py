@@ -753,9 +753,9 @@ def test_failing_row_stops_the_later_rows_of_its_control(monkeypatch):
     marched = []
     real = scheme._march
 
-    def spy(grid, starts, model, cfg, part, groups):
+    def spy(grid, starts, model, cfg, part, groups, ref):
         marched.extend((int(g), p.seed) for g, p in zip(groups, part))
-        return real(grid, starts, model, cfg, part, groups)
+        return real(grid, starts, model, cfg, part, groups, ref)
 
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 8 * band.ldab * band.m)
