@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import ControlParam, CostSpec, constant_target, psi_l2, psi_zero, sine_basis
+from .control import (_SPECULATE_NODES, ControlParam, CostSpec, constant_target, psi_l2,
+                      psi_zero, sine_basis)
 from .estimates import _VERIFY_ISOMETRY_SAMPLES
 from .grid import FREE_BOUNDARY, Field, Grid, l2_norm, w1p_norm
 from .levy import LevyModel, eta_linear, eta_sine, eta_zero
@@ -28,20 +29,24 @@ class ConfigError(ValueError):
 
 
 # Bound on the float values one run holds at once (2^27, 1 GiB of float64):
-# the stacked states and martingale sums, the jump times and marks of every
-# path, and what a command holds besides: `verify`'s isometry draws and
-# `optimize`'s copy of the incumbent's states.  validate() rejects a config
-# above it before any array is built.
+# the stacked states and martingale sums of every row a solve holds, the jump
+# times and marks of every path, and what a command holds besides: `verify`'s
+# isometry draws and `optimize`'s two trajectories per path, the frozen
+# reference its step solves start from and the incumbent's copy.  validate()
+# rejects a config above it before any array is built.
 MAX_RUN_VALUES = 2**27
 
 
 def check_run_size(n_paths: int, n_steps: int, grid: Grid, model: LevyModel, dt: float,
-                   steps_key: str, rate_key: str, command: str = None) -> None:
+                   steps_key: str, rate_key: str, command: str = None,
+                   candidates: int = 1) -> None:
     """Reject a run of `command` (None: of any command) on n_paths paths of
     n_steps steps of size dt that would hold more than MAX_RUN_VALUES
     values, naming `steps_key` when its states alone would, else `rate_key`,
-    the key that sets its jump rate."""
-    copies = 2 + (command in (None, "optimize"))  # states, sums, optimize's reference
+    the key that sets its jump rate.  An optimize solve holds states and
+    sums for each of up to `candidates` controls at once."""
+    optimize = command in (None, "optimize")
+    copies = 2 * (candidates if optimize else 1) + 2 * optimize
     states = copies * n_paths * (n_steps + 1) * grid.n_nodes  # exact, however large
     if states > MAX_RUN_VALUES:
         raise ConfigError(f"[run] n_paths, {steps_key} and [grid] n_cells give {states} "
@@ -191,15 +196,21 @@ class RunConfig:
     def build_initial(self, grid: Grid) -> Field:
         return _parse_field(self.get("initial", "u0"), grid, "zero_boundary")
 
+    def basis_size(self) -> int:
+        """The number of functions in the [initial] basis, without building
+        them (0 for none and for an unknown kind, which `build_basis` rejects)."""
+        kind, _, arg = self.get("initial", "basis").partition(":")
+        if kind != "sine":
+            return 0
+        return _number(arg, "[initial] basis size", int) if arg else 2
+
     def build_basis(self, grid: Grid) -> list:
-        spec = self.get("initial", "basis")
-        kind, _, arg = spec.partition(":")
+        kind = self.get("initial", "basis").partition(":")[0]
         if kind == "none":
             return []
         if kind == "sine":
-            size = _number(arg, "[initial] basis size", int) if arg else 2
             try:
-                return sine_basis(grid, size)
+                return sine_basis(grid, self.basis_size())
             except ValueError as err:
                 raise ConfigError(f"[initial] basis: {err}")
         raise ConfigError(f"unknown control basis {kind!r}")
@@ -257,8 +268,12 @@ class RunConfig:
         model = self.build_levy()
         if self.n_paths < 1:
             raise ConfigError("[run] n_paths must be >= 1")
+        # the largest batch of the control search: the initial simplex, or
+        # the 4 trial points of a speculative iteration (see `saa_minimize`)
+        speculate = self.n_paths * grid.n_nodes <= _SPECULATE_NODES
+        candidates = max(self.basis_size() + 1, 4 if speculate else 1)
         check_run_size(self.n_paths, scheme.n_steps, grid, model, scheme.dt,
-                       "[scheme] n_steps", "[levy] measure", command)
+                       "[scheme] n_steps", "[levy] measure", command, candidates)
         initial = {"u0": self.build_initial(grid), "control_coeffs": self.build_control(grid)}
         for key, f in initial.items():
             with np.errstate(over="ignore"):

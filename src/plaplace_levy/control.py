@@ -328,7 +328,9 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
         state["ref"] = state["states"]
 
     def evaluate(points):
-        """Solve every candidate of a batch as one stack."""
+        """Solve every candidate of a batch as one stack; the previous
+        batch's solves are dropped first, so they are not held alongside."""
+        batch.clear()
         controls = [ControlParam(basis=basis, coeffs=c).build() for c in points]
         try:
             runs = simulate_controls(u0, controls, model, cfg, paths, state["ref"])

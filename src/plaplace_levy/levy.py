@@ -111,6 +111,11 @@ class LevyModel:
         kind, c = self.eta
         return c * (np.sin(u) if kind == "sine" else u)
 
+    def eta_du(self, u: np.ndarray) -> np.ndarray:
+        """c f'(u), the derivative of `eta_u` in u: 0, c or c cos u."""
+        kind, c = self.eta
+        return c * np.cos(u) if kind == "sine" else np.full(np.shape(u), c)
+
     def compensator(self, u: np.ndarray) -> np.ndarray:
         """integral eta(u; z) m(dz) over the truncated measure, per node."""
         return self.eta_u(u) * self.mark_mass

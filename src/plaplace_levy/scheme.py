@@ -19,6 +19,13 @@ Residuals are measured as the L^2 norm of their nodal Riesz representer.
 Both linearizations are assembled per iterate from per-cell and per-edge
 local blocks, scattered through the grid's fixed table straight into LAPACK
 band storage, and solved by gbsv; one code path serves 1D and 2D.
+
+Paths march step by step.  Given a solved reference trajectory per path
+and few rows, the steps of a path are instead solved all at once, as one
+Newton system over the whole trajectory (`_trajectories`): its Jacobian is
+block lower-bidiagonal, the step Newton matrices on the diagonal and the
+diagonal -d(residual_k)/d(u_{k-1}) below it, and a Newton step is one gbtrf
+of all diagonal blocks and a forward sweep of gbtrs solves.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._lapack import dgbsv
+from ._lapack import dgbsv, dgbtrf, dgbtrs
 from .grid import (
     FREE_BOUNDARY,
     ZERO_BOUNDARY,
@@ -518,8 +525,9 @@ class Ensemble:
 
 # Byte budget of the band array of one batched Newton system.  Larger path
 # stacks are marched in chunks that fit it: 1D n=16 takes up to 17,476
-# paths per chunk, 2D n=32 takes 11.  Rows are independent, so the chunking
-# does not change results.
+# paths per chunk, 2D n=32 takes 11.  A whole-trajectory chunk holds
+# n_steps band systems per row, so it takes n_steps times fewer rows.  Rows
+# are independent, so the chunking does not change results.
 _BAND_BUDGET = 8 << 20
 
 
@@ -552,7 +560,13 @@ def simulate_controls(u0: Field, controls, model: LevyModel, cfg: SchemeConfig,
     ref, of shape (len(paths), n_steps + 1, n_nodes), is a solved trajectory
     per path (say, a nearby control's): each row's step solves then start
     from its path's ref (see `_march`), and its states move by up to about
-    newton_tol against the cold start from the previous state."""
+    newton_tol against the cold start from the previous state.  With ref and
+    at most _TRAJECTORY_NODES nodal values per path set (len(paths) x grid
+    nodes), each row's steps are solved as one system (`_trajectories`)
+    instead, in chunks of whole trajectories that keep their band arrays
+    within _BAND_BUDGET; the choice depends on the paths and the grid, not
+    on the number of controls, so a row's states still do not depend on
+    which controls share the call."""
     grid = u0.grid
     hat0s = []
     for U in controls:
@@ -562,8 +576,10 @@ def simulate_controls(u0: Field, controls, model: LevyModel, cfg: SchemeConfig,
     paths = tuple(paths)
     n_paths = len(paths)
     n_rows = len(controls) * n_paths
+    whole = ref is not None and cfg.n_steps > 0 and n_paths * grid.n_nodes <= _TRAJECTORY_NODES
+    solve = _trajectories if whole else _march
     band = grid.step_band
-    chunk = max(1, _BAND_BUDGET // (8 * band.ldab * band.m))
+    chunk = max(1, _BAND_BUDGET // (8 * band.ldab * band.m * (cfg.n_steps if whole else 1)))
     states = np.empty((n_rows, cfg.n_steps + 1, grid.n_nodes))
     sums = np.empty_like(states)
     errors = [None] * len(controls)  # first failure of each control, in path order
@@ -574,7 +590,7 @@ def simulate_controls(u0: Field, controls, model: LevyModel, cfg: SchemeConfig,
             continue
         groups = np.array(rows) // n_paths
         part = [paths[r % n_paths] for r in rows]
-        states[rows], sums[rows], chunk_errors = _march(
+        states[rows], sums[rows], chunk_errors = solve(
             grid, np.array([hat0s[c] for c in groups]), model, cfg, part, groups,
             None if ref is None else ref[np.array(rows) % n_paths])
         for c, err in zip(groups.tolist(), chunk_errors):
@@ -585,6 +601,12 @@ def simulate_controls(u0: Field, controls, model: LevyModel, cfg: SchemeConfig,
                               sums[c * n_paths : (c + 1) * n_paths], paths, cfg, grid)
         for c in range(len(controls))
     ]
+
+
+def _path_mark_sums(paths, n_steps: int) -> np.ndarray:
+    """`mark_sums` of every step of every path, (len(paths), n_steps)."""
+    counts = np.array([path.counts for path in paths]).reshape(len(paths), n_steps)
+    return mark_sums(counts, np.concatenate([path.marks for path in paths]))
 
 
 def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
@@ -599,14 +621,15 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
     Step k + 1's Newton solve starts from the previous state, or, given a
     reference trajectory ref (M, n_steps + 1, n_nodes), from the predictor
     ref[i, k + 1] + (prev - ref[i, k]) on the interior nodes, with the
-    boundary values of prev, which the solve holds fixed."""
+    boundary values of prev, which the solve holds fixed.  `_trajectories`
+    solves the same steps all at once and marches the rows it cannot
+    finish with this function."""
     idx = grid.interior_nodes
     solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
     states = np.empty((len(paths), cfg.n_steps + 1, grid.n_nodes))
     states[:, 0] = starts
     sums = np.zeros_like(states)
-    counts = np.array([path.counts for path in paths]).reshape(len(paths), cfg.n_steps)
-    jumps = mark_sums(counts, np.concatenate([path.marks for path in paths]))  # (M, n_steps)
+    jumps = _path_mark_sums(paths, cfg.n_steps)
     alive = np.arange(len(paths))
     rows = slice(None)  # the alive paths, as a slice while that is all of them
     errors = [None] * len(paths)
@@ -632,4 +655,106 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
             alive = rows = alive[~drop]
             if alive.size == 0:
                 break
+    return states, sums, errors
+
+
+# Whole-trajectory Newton (`_trajectories`) takes about 3.2 iterations per
+# call on the benchmark's 1-path optimize, where marching takes about 1.7 per
+# step, so it pays only while per-call overhead, not arithmetic, sets a
+# solve's cost: simulate_controls takes it up to this many nodal values per
+# path set (n_paths x grid nodes).
+# Measured as optimize wall time, trajectory / march (medians of 4-10
+# alternating in-process runs each): 1D n=16 (17 nodes) 1 path 0.52,
+# 2 paths 0.67, 3 0.61, 4 0.77, 5 0.90, 6 0.83, 7 1.02, 8 1.01-1.09;
+# 2D n=6 (49 nodes) 1 path 0.63; 2D n=8 (81 nodes) 1 path 0.87-0.95,
+# 2 paths 1.14-1.21; 2D n=16 (289 nodes) 1 path 1.04.
+_TRAJECTORY_NODES = 100
+
+
+def _rhs_coupling(model: LevyModel, u_int: np.ndarray, sums: np.ndarray, dt: float,
+                  wc: float) -> np.ndarray:
+    """-dR/du_prev, diagonal on the interior nodes, of a step's residual R
+    with rhs = u_prev + inc(u_prev), per row of u_int (M, m) with the rows'
+    `mark_sums` sums (M,): wc (1 + c f'(u_prev) (sums - dt mark_mass))."""
+    return wc * (1.0 + model.eta_du(u_int) * (sums - dt * model.mark_mass)[:, None])
+
+
+def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
+                  paths, groups: np.ndarray, ref: np.ndarray) -> tuple:
+    """`_march` given a reference trajectory ref (M, n_steps + 1, n_nodes),
+    with every step of every row solved at once: Newton on the residuals
+    R_k(u_k; u_{k-1} + inc(u_{k-1})) of steps k = 1..n_steps, the unknowns
+    stacked step-major and started from the shift predictor
+    ref[i, k] + (starts[i] - ref[i, 0]) on the interior nodes.
+
+    The trajectory Jacobian is block lower-bidiagonal: its diagonal blocks
+    are the step Newton matrices, factored by one gbtrf call, and its
+    coupling blocks the diagonals -`_rhs_coupling`; a Newton step is the
+    block forward substitution, one gbtrs per step on that step's columns of
+    the factors.  Each row iterates under its own mask and leaves when every
+    step's residual is at most newton_tol, the march's own acceptance test.
+    A row that exhausts newton_max_iters, goes non-finite or meets a
+    singular factor is marched step by step from its start by `_march`
+    instead, which gives its NonConvergence.  Sums accumulate in step order,
+    as the march's do."""
+    n, M, idx = cfg.n_steps, len(paths), grid.interior_nodes
+    solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
+    kl, m = grid.step_band.kl, grid.step_band.m
+    jumps = _path_mark_sums(paths, n).T  # (n, M)
+    states = np.empty((M, n + 1, grid.n_nodes))
+    sums = np.zeros_like(states)
+    # cur[k, j] is state k of row live[j]; every state keeps the start's boundary
+    cur = np.repeat(starts[None], n + 1, axis=0)
+    cur[1:, :, idx] = (ref[:, 1:, idx] + (starts - ref[:, 0])[:, None, idx]).transpose(1, 0, 2)
+    live = np.arange(M)
+    marched = []  # rows left to `_march`
+    for it in range(cfg.newton_max_iters + 1):
+        A = len(live)
+        prev = cur[:-1].reshape(n * A, -1)
+        inc = np.zeros_like(prev)
+        inc[:, idx] = compensated_increments(model, prev[:, idx], jumps[:, live].ravel(), cfg.dt)
+        r, rnorm, _, comps = solver.evaluate(cur[1:].reshape(n * A, -1), prev + inc)
+        rnorm = rnorm.reshape(n, A)
+        done = (rnorm <= cfg.newton_tol).all(axis=0)
+        if done.any():
+            states[live[done]] = cur[:, done].transpose(1, 0, 2)
+            incs = np.concatenate([np.zeros((1, np.count_nonzero(done), grid.n_nodes)),
+                                   inc.reshape(n, A, -1)[:, done]])
+            sums[live[done]] = np.cumsum(incs, axis=0).transpose(1, 0, 2)
+        go = ~done & np.isfinite(rnorm).all(axis=0) & (it < cfg.newton_max_iters)
+        marched.extend(live[~done & ~go].tolist())
+        live, cur = live[go], cur[:, go]
+        r, comps = r.reshape(n, A, m)[:, go], comps.reshape(n, A, *comps.shape[1:])[:, go]
+        # a singular block sends its row to the march; the others factor again
+        while live.size:
+            ab = solver._band_matrix(cur[1:].reshape(-1, grid.n_nodes),
+                                     comps.reshape(-1, *comps.shape[2:]), newton=True)
+            lub, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=True)
+            if info <= 0:
+                break
+            ok = np.arange(len(live)) != (info - 1) // m % len(live)
+            marched.extend(live[~ok].tolist())
+            live, cur, r, comps = live[ok], cur[:, ok], r[:, ok], comps[:, ok]
+        if not live.size:
+            break
+        # block forward substitution: A_k delta_k = -r_k + coupling_k delta_{k-1}
+        cols = len(live) * m
+        coupling = _rhs_coupling(model, cur[:-1, :, idx].reshape(-1, m), jumps[:, live].ravel(),
+                                 cfg.dt, solver.wc).reshape(n, cols)
+        piv -= np.repeat(np.arange(0, n * cols, cols, dtype=piv.dtype), cols)  # per step
+        b = -r.reshape(n, cols)
+        delta = np.empty((n, cols))
+        for k in range(n):
+            if k:
+                b[k] += coupling[k] * delta[k - 1]
+            span = slice(k * cols, (k + 1) * cols)
+            delta[k] = dgbtrs(lub[:, span], kl, kl, b[k], piv[span])[0]
+        cur[1:, :, idx] += delta.reshape(n, len(live), m)
+    errors = [None] * M
+    if marched:
+        rows = np.sort(marched)
+        states[rows], sums[rows], marched_errors = _march(
+            grid, starts[rows], model, cfg, [paths[i] for i in rows], groups[rows], ref[rows])
+        for i, err in zip(rows.tolist(), marched_errors):
+            errors[i] = err
     return states, sums, errors

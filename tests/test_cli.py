@@ -181,6 +181,27 @@ def test_run_bound_counts_what_each_command_holds(tmp_path, capsys):
         parse_config_text(text).validate("optimize")
 
 
+def test_run_bound_counts_every_candidate_of_an_optimize_batch(tmp_path, capsys):
+    # 1e5 paths of 17 x 17 values: 3 copies fit the bound, but the search
+    # holds states and sums for its 3-point initial simplex (sine:2 basis)
+    # plus its reference and incumbent, 8 copies
+    from plaplace_levy.config import MAX_RUN_VALUES
+
+    n_paths, per_path = 100_000, 17 * 17
+    assert 3 * n_paths * per_path <= MAX_RUN_VALUES < 8 * n_paths * per_path
+    text = REFERENCE.replace("n_paths = 5", f"n_paths = {n_paths}")
+    for command in ("simulate", "verify", "converge"):
+        parse_config_text(text).validate(command)
+    # checked in process first, so a regression fails here instead of running
+    with pytest.raises(ConfigError, match=re.escape("[scheme] n_steps")):
+        parse_config_text(text).validate("optimize")
+    cfg = write(tmp_path, REFERENCE)
+    out = str(tmp_path / "o")
+    assert run_cli(["optimize", "--config", cfg, "--paths", str(n_paths), "--out", out]) == 2
+    assert "[scheme] n_steps" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_shipped_configs_fit_the_run_bound():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     for path in ("sample_config.ini", "perfbench/configs/sample.ini",

@@ -493,6 +493,157 @@ def test_warm_started_row_ignores_batch_and_chunking(dim, monkeypatch):
     assert np.max(np.abs(mixed[2].states - ref.states)) <= 10 * cfg.newton_tol
 
 
+def _step_residuals(grid, model, cfg, run):
+    """Residual norm (paths, n_steps) of every step of a solved ensemble,
+    recomputed from its states, and its increments (paths, n_steps, nodes)."""
+    from plaplace_levy.levy import compensated_increments, mark_sums
+    from plaplace_levy.scheme import _StepSolver
+
+    solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
+    counts = np.array([path.counts for path in run.paths])
+    jumps = mark_sums(counts, np.concatenate([path.marks for path in run.paths]))
+    norms, incs = [], []
+    for k in range(cfg.n_steps):
+        prev = run.states[:, k]
+        inc = np.zeros_like(prev)
+        inc[:, grid.interior_nodes] = compensated_increments(
+            model, prev[:, grid.interior_nodes], jumps[:, k], cfg.dt)
+        norms.append(solver.evaluate(run.states[:, k + 1], prev + inc)[1])
+        incs.append(inc)
+    return np.array(norms).T, np.stack(incs, axis=1)
+
+
+@pytest.mark.parametrize("dim, flux, projection", _WARM_CASES)
+def test_trajectory_solve_is_an_accepted_march(dim, flux, projection, monkeypatch):
+    # forced below the bound, every step of every row is solved at once
+    import plaplace_levy.scheme as scheme
+
+    grid, u0, (U_a, U_b, U_c), model, cfg, paths, _ = _warm_start_case(dim, flux, projection)
+    (ref,) = scheme.simulate_controls(u0, [U_a], model, cfg, paths)
+    monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", 0)
+    marched = scheme.simulate_controls(u0, [U_b, U_c], model, cfg, paths, ref.states)
+    taken, real = [], scheme._trajectories
+    factor, newton_iters = scheme.dgbtrf, []
+
+    def spy(*args):
+        taken.append(len(args[4]))
+        return real(*args)
+
+    monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * grid.n_nodes)
+    monkeypatch.setattr(scheme, "_trajectories", spy)
+    monkeypatch.setattr(scheme, "_march", None)  # no row falls back to the march
+    mixed = scheme.simulate_controls(u0, [U_c, U_b, U_a], model, cfg, paths, ref.states)
+    monkeypatch.setattr(scheme, "dgbtrf", lambda *a, **k: newton_iters.append(1) or factor(*a, **k))
+    (alone,) = scheme.simulate_controls(u0, [U_b], model, cfg, paths, ref.states)
+    # Newton with the exact trajectory Jacobian from the shift predictor of a
+    # control 1e-3 away: 3 iterations in every case (7 without the coupling
+    # blocks, which would still converge)
+    assert len(newton_iters) <= 4
+    band = grid.step_band
+    monkeypatch.setattr(scheme, "_BAND_BUDGET", 2 * 8 * band.ldab * band.m * cfg.n_steps)
+    chunked = scheme.simulate_controls(u0, [U_c, U_b], model, cfg, paths, ref.states)
+    assert taken == [3 * len(paths), len(paths), 2, 2, 2]  # rows per call
+    # bitwise alone, in a batch and in chunks
+    assert np.array_equal(mixed[1].states, alone.states)
+    assert np.array_equal(chunked[1].states, alone.states)
+    assert np.array_equal(mixed[1].sums, alone.sums)
+    for run, march in zip((mixed[1], mixed[0]), marched):
+        # what the march accepts: every step within newton_tol, sums in step order
+        norms, incs = _step_residuals(grid, model, cfg, run)
+        assert np.all(norms <= cfg.newton_tol)
+        assert np.array_equal(run.sums[:, 0], np.zeros_like(run.sums[:, 0]))
+        assert np.array_equal(run.sums[:, 1:], run.sums[:, :-1] + incs)
+        assert np.array_equal(run.states[..., grid.boundary_nodes],
+                              march.states[..., grid.boundary_nodes])
+        assert np.max(np.abs(run.states - march.states)) <= 10 * cfg.newton_tol
+    assert np.max(np.abs(mixed[2].states - ref.states)) <= 10 * cfg.newton_tol
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_above_the_trajectory_bound_rows_march(dim, monkeypatch):
+    import plaplace_levy.scheme as scheme
+
+    grid, u0, (U_a, U_b, _), model, cfg, paths, _ = _warm_start_case(dim, "sine",
+                                                                    "lift_boundary")
+    (ref,) = scheme.simulate_controls(u0, [U_a], model, cfg, paths)
+    hat0 = scheme.prepare_initial(u0, U_b, cfg.effective_smoothing_dt, cfg.p).flat
+    states, sums, _ = scheme._march(grid, np.array([hat0] * len(paths)), model, cfg, paths,
+                                    np.zeros(len(paths), dtype=int), ref.states)
+    monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * grid.n_nodes - 1)
+    monkeypatch.setattr(scheme, "_trajectories", None)
+    (run,) = scheme.simulate_controls(u0, [U_b], model, cfg, paths, ref.states)
+    assert np.array_equal(run.states, states) and np.array_equal(run.sums, sums)
+    # the CI workflow's repeated optimize runs (sample_config.ini, 17 nodes a
+    # path) at 4 and 8 paths lie on either side of the shipped bound
+    monkeypatch.undo()
+    assert 4 * 17 <= scheme._TRAJECTORY_NODES < 8 * 17
+
+
+def test_trajectory_rows_that_fail_march_from_their_start(monkeypatch):
+    # 6 Newton iterations are too few for a whole trajectory from a reference
+    # this far away, so each row is marched, bitwise as by the march alone;
+    # the 50-amplitude control fails in the march with the march's error
+    from dataclasses import replace
+    import plaplace_levy.scheme as scheme
+
+    cfg = replace(CFG, newton_max_iters=6)
+    model = reference_model()
+    basis = sine_basis(GRID, 2)
+    u0 = Field.from_function(GRID, lambda x: 0.4 * np.sin(np.pi * x))
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(2))
+    controls = [ControlParam(basis=basis, coeffs=c).build()
+                for c in ([0.1, -0.2], [1.0, 0.5], [50.0, -0.2])]
+    (ref,) = scheme.simulate_controls(u0, controls[:1], model, CFG, paths)
+    monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", 0)
+    marched = scheme.simulate_controls(u0, controls[1:], model, cfg, paths, ref.states)
+    assert isinstance(marched[1], scheme.NonConvergence)
+    fell_back, real = [], scheme._march
+
+    def spy(*args):
+        fell_back.append(len(args[4]))
+        return real(*args)
+
+    monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * GRID.n_nodes)
+    monkeypatch.setattr(scheme, "_march", spy)
+    runs = scheme.simulate_controls(u0, controls[1:], model, cfg, paths, ref.states)
+    assert fell_back == [2 * len(paths)]
+    assert np.array_equal(runs[0].states, marched[0].states)
+    assert np.array_equal(runs[0].sums, marched[0].sums)
+    err, expected = runs[1], marched[1]
+    assert (err.step, err.seed, err.residual, str(err)) == (
+        expected.step, expected.seed, expected.residual, str(expected))
+
+
+def test_singular_trajectory_block_sends_its_row_to_the_march(monkeypatch):
+    # a singular factor reported in row 1's block of step 3: that row is
+    # marched, the other two factor again and solve as they would without it
+    import plaplace_levy.scheme as scheme
+
+    grid, u0, (U_a, U_b, _), model, cfg, paths, _ = _warm_start_case(1, "sine",
+                                                                    "clamp_boundary")
+    (ref,) = scheme.simulate_controls(u0, [U_a], model, cfg, paths)
+    monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", 0)
+    (marched,) = scheme.simulate_controls(u0, [U_b], model, cfg, paths, ref.states)
+    monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * grid.n_nodes)
+    (whole,) = scheme.simulate_controls(u0, [U_b], model, cfg, paths, ref.states)
+    real, m = scheme.dgbtrf, grid.step_band.m
+
+    def singular_once(*args, **kwargs):
+        lub, piv, info = real(*args, **kwargs)
+        if not calls:
+            info = (3 * len(paths) + 1) * m + 2
+        calls.append(lub.shape[1] // (m * cfg.n_steps))  # rows factored
+        return lub, piv, info
+
+    calls = []
+    monkeypatch.setattr(scheme, "dgbtrf", singular_once)
+    (run,) = scheme.simulate_controls(u0, [U_b], model, cfg, paths, ref.states)
+    assert calls[:2] == [3, 2]
+    assert np.array_equal(run.states[1], marched.states[1])
+    assert np.array_equal(run.states[[0, 2]], whole.states[[0, 2]])
+    assert not np.array_equal(whole.states[1], marched.states[1])
+
+
 @pytest.mark.parametrize("seed", [0, 5000015])
 def test_warm_start_cuts_optimize_line_searches(seed, monkeypatch):
     # line-search counts are deterministic; a scratch measurement gave

@@ -189,6 +189,18 @@ ETAS = {
 }
 
 
+@pytest.mark.parametrize("kind", list(ETAS))
+def test_eta_du_matches_central_differences(kind):
+    model = LevyModel(eta=ETAS[kind][0], lambda_star=0.5, point_masses=((1.0, 1.0),))
+    u = np.linspace(-3.0, 3.0, 40).reshape(5, 8)
+    h = 1e-6
+    fd = (model.eta_u(u + h) - model.eta_u(u - h)) / (2 * h)
+    du = model.eta_du(u)
+    assert du.shape == u.shape
+    assert np.max(np.abs(du - fd)) <= 1e-9
+    assert kind != "zero" or np.all(du == 0.0)
+
+
 @pytest.mark.parametrize("measure", ["point", "invsq"])
 @pytest.mark.parametrize("kind", list(ETAS))
 def test_compensator_matches_per_atom_loop(measure, kind):

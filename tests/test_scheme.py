@@ -765,6 +765,40 @@ def test_failing_row_stops_the_later_rows_of_its_control(monkeypatch):
     assert [(r.seed, r.step) for r in runs] == [(3, 1), (3, 1)]
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("eta", ["zero", "linear", "sine"])
+def test_trajectory_coupling_matches_central_differences(dim, eta):
+    # -dR_k/du_{k-1} of a step residual whose rhs is u_{k-1} + inc(u_{k-1}):
+    # the coupling block of the whole-trajectory Jacobian, diagonal
+    from plaplace_levy import eta_sine
+    from plaplace_levy.levy import compensated_increments
+    from plaplace_levy.scheme import _rhs_coupling
+
+    coef = {"zero": eta_zero(), "linear": eta_linear(0.5), "sine": eta_sine(0.4)}[eta]
+    model = LevyModel(eta=coef, lambda_star=0.5, point_masses=((1.0, 3.0), (-0.4, 2.0)))
+    grid = Grid(1, 8) if dim == 1 else Grid(2, 4)
+    dt, idx = 1 / 16, grid.interior_nodes
+    solver = _StepSolver(grid, 3.0, dt, sine_flux([0.6] * dim))
+    rng = np.random.default_rng(dim)
+    v = zb(grid, rng).flat
+    prev = zb(grid, rng).flat[None]
+    jumps = np.array([1.4])
+
+    def residual(prev):
+        inc = np.zeros_like(prev)
+        inc[:, idx] = compensated_increments(model, prev[:, idx], jumps, dt)
+        return solver.evaluate(v[None], prev + inc)[0][0]
+
+    h = 1e-6
+    fd = np.empty((idx.size, idx.size))
+    for j, node in enumerate(idx):
+        step = np.zeros_like(prev)
+        step[0, node] = h
+        fd[:, j] = -(residual(prev + step) - residual(prev - step)) / (2 * h)
+    exact = np.diag(_rhs_coupling(model, prev[:, idx], jumps, dt, grid.cell_weight)[0])
+    assert np.max(np.abs(fd - exact)) <= 1e-8 * grid.cell_weight
+
+
 def test_chunked_batches_match_one_batch(monkeypatch):
     import plaplace_levy.scheme as scheme
 
