@@ -1,4 +1,4 @@
-"""The banded LAPACK routines the solvers call: gbsv, gbtrf and gbtrs.
+"""The banded LAPACK routines the solvers call: gbtrf and gbtrs.
 
 They come from SciPy's Fortran extension `scipy.linalg._flapack`, loaded from
 its file without running `scipy/__init__` or `scipy/linalg/__init__`, whose
@@ -36,4 +36,4 @@ try:
 except ImportError:
     from scipy.linalg import lapack as _flapack
 
-dgbsv, dgbtrf, dgbtrs = _flapack.dgbsv, _flapack.dgbtrf, _flapack.dgbtrs
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs

@@ -228,7 +228,7 @@ class Grid:
 
     @cached_property
     def step_band(self) -> "BandScatter":
-        """Scatter of the interior step matrix into LAPACK gbsv band storage."""
+        """Scatter of the interior step matrix into LAPACK gbtrf band storage."""
         tables, idx = [], self.interior_index
         for nodes in (self.cell_nodes, self.conv_edges[0].T):
             i, j = (x.ravel() for x in np.broadcast_arrays(
@@ -236,7 +236,7 @@ class Grid:
             take = np.flatnonzero((i >= 0) & (j >= 0))
             tables.append((take, i[take], j[take]))
         kl = max(int(np.abs(i - j).max(initial=0)) for _, i, j in tables)
-        # gbsv (kl = ku) keeps A[i, j] at row 2 kl + i - j of column j
+        # gbtrf (kl = ku) keeps A[i, j] at row 2 kl + i - j of column j
         pos = np.concatenate([j * (3 * kl + 1) + 2 * kl + i - j for _, i, j in tables])
         # entry (r, c) of edge e's block is -+ w_e d q_e / d(end c), rows
         # r = a, b of the form sum_e w_e q_e (phi[b] - phi[a])
@@ -278,7 +278,7 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class BandScatter:
-    """Fixed value scatter of the interior step matrix into LAPACK gbsv band
+    """Fixed value scatter of the interior step matrix into LAPACK gbtrf band
     storage, kept only for entries whose two nodes are interior.
 
     Coupled interior unknowns (C order) are at most kl apart: 1 in 1D and
@@ -308,7 +308,7 @@ class BandScatter:
         """Band array of shape (ldab, M m) holding M systems as diagonal
         blocks, one per row of `vals` (M, n): each row sums its cell entries,
         optionally followed by its edge entries, at `pos`, plus `diag` on the
-        diagonal.  Blocks share kl and nothing couples them, so gbsv's
+        diagonal.  Blocks share kl and nothing couples them, so gbtrf's
         partial pivoting never leaves a block and factors each as it would
         alone.  A 1-D `vals` is one system."""
         rows = 1 if vals.ndim == 1 else len(vals)

@@ -16,9 +16,11 @@ The solver is damped Newton with an Armijo line search on the convex step
 energy when the convection flux vanishes, a residual-norm line search
 otherwise, and a frozen-coefficient (Picard) rescue step on stagnation.
 Residuals are measured as the L^2 norm of their nodal Riesz representer.
-Both linearizations are assembled per iterate from per-cell and per-edge
-local blocks, scattered through the grid's fixed table straight into LAPACK
-band storage, and solved by gbsv; one code path serves 1D and 2D.
+Both linearizations are assembled from per-cell and per-edge local blocks,
+scattered through the grid's fixed table straight into LAPACK band storage,
+factored by gbtrf and solved by gbtrs; one code path serves 1D and 2D.  A
+2D march keeps each row's factors across rounds and steps while they
+contract (`_LAG_CUT`); 1D factors afresh every round.
 
 Paths march step by step.  Given a solved reference trajectory per path
 and few rows, the steps of a path are instead solved all at once, as one
@@ -35,7 +37,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._lapack import dgbsv, dgbtrf, dgbtrs
+from ._lapack import dgbtrf, dgbtrs
 from .grid import (
     FREE_BOUNDARY,
     ZERO_BOUNDARY,
@@ -231,9 +233,11 @@ class _StepSolver:
 
     Residual and energy come from one gradient pass per iterate, and the
     Newton matrix reuses that gradient.  The Newton and frozen-coefficient
-    matrices of all rows are assembled per iterate as the diagonal blocks of
-    one band matrix, through the grid's fixed scatter (`Grid.step_band`),
-    and solved by one gbsv call, in 1D and 2D alike.
+    matrices of the rows that need them are assembled as the diagonal
+    blocks of one band matrix, through the grid's fixed scatter
+    (`Grid.step_band`), factored by one gbtrf call and solved by one gbtrs
+    call, in 1D and 2D alike.  A row holding kept factors (2D march) solves
+    with them instead, one gbtrs call per row.
     """
 
     def __init__(self, grid: Grid, p: float, dt: float, flux: FluxModel):
@@ -266,19 +270,78 @@ class _StepSolver:
         # L^2 norm of the nodal Riesz representer r_int / wc
         return r_int, np.sqrt(np.vecdot(r_int, r_int) / wc), energy, comps
 
-    def newton_step(self, v: np.ndarray, comps: np.ndarray, r_int: np.ndarray) -> np.ndarray:
+    def newton_step(self, v: np.ndarray, comps: np.ndarray, r_int: np.ndarray,
+                    kept: list = None) -> np.ndarray:
         """Solve J(v) delta = -r row by row for the interior increments; comps
-        is the cell gradient of v from `evaluate`."""
-        return self._band_solve(self._band_matrix(v, comps, newton=True), -r_int)
+        is the cell gradient of v from `evaluate`.  A row whose Newton matrix
+        is singular gets a NaN delta.  kept, if given, holds per row None or
+        the gbtrf factors (lub, piv) of an earlier Newton matrix of that row:
+        a row holding factors solves with them (a lagged round), the others
+        factor their own, and kept[i] becomes the factors row i used."""
+        if kept is None:
+            return self._fresh_step(v, comps, r_int)[0]
+        kl, m = self.grid.step_band.kl, self.grid.step_band.m
+        delta = np.empty_like(r_int)
+        held = np.array([f is not None for f in kept])
+        for i in np.flatnonzero(held):
+            lub, piv = kept[i]
+            delta[i] = dgbtrs(lub, kl, kl, -r_int[i], piv, overwrite_b=True)[0]
+        fresh = np.flatnonzero(~held)
+        if fresh.size:
+            rows = slice(None) if fresh.size == len(v) else fresh
+            delta[rows], lub, piv, ok = self._fresh_step(v[rows], comps[rows], r_int[rows])
+            for j, i in enumerate((fresh if ok is None else fresh[ok]).tolist()):
+                cols = slice(j * m, (j + 1) * m)
+                kept[i] = (lub[:, cols], piv[cols] - j * m)  # row i's columns, own pivots
+        return delta
+
+    def _fresh_step(self, v: np.ndarray, comps: np.ndarray, r_int: np.ndarray) -> tuple:
+        """`newton_step` with fresh factors for every row: the increments
+        (NaN for a singular row), then `newton_factors`' factors and mask."""
+        kl, m = self.grid.step_band.kl, self.grid.step_band.m
+        lub, piv, ok = self.newton_factors(v, comps)
+        if ok is None:
+            delta = dgbtrs(lub, kl, kl, -r_int.ravel(), piv, overwrite_b=True)[0]
+            return delta.reshape(r_int.shape), lub, piv, ok
+        delta = np.full_like(r_int, np.nan)
+        if ok.any():
+            delta[ok] = dgbtrs(lub, kl, kl, -r_int[ok].ravel(), piv,
+                               overwrite_b=True)[0].reshape(-1, m)
+        return delta, lub, piv, ok
+
+    def newton_factors(self, v: np.ndarray, comps: np.ndarray) -> tuple:
+        """gbtrf factors (lub, piv) of the Newton matrices of rows v
+        (..., A, n_nodes), with comps from `evaluate`; the blocks are
+        step-major when a step axis leads.  Also returns None, or, if some
+        row's block is singular, the mask (A,) of the rows the factors hold:
+        a singular row, named by gbtrf's info, leaves and the others are
+        factored again."""
+        kl, m = self.grid.step_band.kl, self.grid.step_band.m
+        ok = None  # all rows
+        while True:
+            vs, cs = (v, comps) if ok is None else (v[..., ok, :], comps[..., ok, :, :])
+            ab = self._band_matrix(vs.reshape(-1, v.shape[-1]),
+                                   cs.reshape(-1, *comps.shape[-2:]), newton=True)
+            lub, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=True)
+            if info <= 0:
+                return lub, piv, ok
+            ok = np.ones(v.shape[-2], dtype=bool) if ok is None else ok
+            rows = np.flatnonzero(ok)
+            ok[rows[(info - 1) // m % rows.size]] = False
+            if not ok.any():
+                return lub, piv, ok
 
     def picard_solve(self, v: np.ndarray, comps: np.ndarray, b_int: np.ndarray) -> np.ndarray:
-        """Solve the frozen-coefficient linearizations A(v) w = b row by row."""
-        return self._band_solve(self._band_matrix(v, comps, newton=False), b_int)
+        """Solve the frozen-coefficient linearizations A(v) w = b row by row.
+        A(v) is symmetric positive definite, so gbtrf meets no zero pivot."""
+        kl = self.grid.step_band.kl
+        lub, piv, _ = dgbtrf(self._band_matrix(v, comps, newton=False), kl, kl, overwrite_ab=True)
+        return dgbtrs(lub, kl, kl, b_int.ravel(), piv)[0].reshape(b_int.shape)
 
     def _band_matrix(self, v: np.ndarray, comps: np.ndarray, newton: bool) -> np.ndarray:
         """wc I + dt sum_cells wc G^T (c0 I + c1 g g^T) G (+ dt times the
         convection derivative) on the interior unknowns of each row, as the
-        diagonal blocks of one gbsv band array (ldab, M m).
+        diagonal blocks of one gbtrf band array (ldab, M m).
         c0 = s^((p-2)/2) and c1 = (p-2) c0 / s with s = |g|^2 + _JACOBIAN_REG^2
         give the regularized Newton matrix; the frozen-coefficient matrix has
         c1 = 0 and no convection term."""
@@ -302,23 +365,34 @@ class _StepSolver:
             vals = np.concatenate([vals, (self.dt * band.edge_scale) * dq], axis=1)
         return band.assemble(vals, self.wc)
 
-    def _band_solve(self, ab: np.ndarray, b_int: np.ndarray) -> np.ndarray:
-        kl = self.grid.step_band.kl
-        *_, x, info = dgbsv(kl, kl, ab, b_int.ravel(), overwrite_ab=True)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"singular Newton system (gbsv info {info})")
-        return x.reshape(b_int.shape)
+
+# A row keeps the factors of a Newton matrix while the round taken with them
+# cuts its residual norm at least this much: the simplified Newton iteration
+# of stiff integrators (Hairer & Wanner, Solving ODEs II, IV.8).  On
+# perfbench's simulate-2d config, cuts 0.02/0.05/0.1/0.2 take 97/71/64/49 row
+# factorizations and 345/352/390/471 row residual evaluations, and 0.05 to
+# 0.2 time alike within 3%; the smaller cut keeps closer to full Newton.
+_LAG_CUT = 0.05
 
 
 def _newton(solver: _StepSolver, v: np.ndarray, rhs: np.ndarray,
-            tol: float, max_iters: int) -> tuple:
+            tol: float, max_iters: int, kept: list = None) -> tuple:
     """Damped Newton on each row of v (M, n_nodes): an Armijo line search on
     the step energy (zero flux) or on the residual norm, and a
     frozen-coefficient rescue where 40 halvings fail.  Rows run under
     active masks with their own step lengths and rescues, so a row's
     iterates do not depend on the other rows.  Returns the final rows and
     the (row, NonConvergence) pairs of the rows that failed, in row order;
-    a failed row stops iterating."""
+    a failed row stops iterating.  A row without a finite Newton step (a
+    singular Newton matrix) fails without the rescue.
+
+    kept (2D march), updated in place, holds per row None or the factors of
+    an earlier Newton matrix of that row, which a round then uses instead
+    of fresh ones.  A row keeps the factors a round used only if that round
+    cut its residual norm by _LAG_CUT; one that stalls on kept factors
+    retries with fresh ones instead of taking the rescue.  Lagged rounds
+    count against max_iters.  1D passes no kept: a tridiagonal
+    factorization costs less than a residual evaluation."""
     state = [v, *solver.evaluate(v, rhs)]  # v, r, rnorm, energy, comps
     live = np.ones(len(v), dtype=bool)
     failures = []
@@ -329,6 +403,11 @@ def _newton(solver: _StepSolver, v: np.ndarray, rhs: np.ndarray,
             failures.append((i, NonConvergence(message.format(rn), residual=rn)))
         live[rows] = False
 
+    # a non-finite residual would spill into the neighbouring rows' blocks of
+    # the batched band solves (0 * NaN), so its row fails before any solve
+    finite = np.isfinite(state[2])
+    if not finite.all():
+        fail(np.flatnonzero(~finite), "step solver met a non-finite residual {:.3e}")
     for _ in range(max_iters):
         act = ~(state[2] <= tol)  # a NaN residual is not converged
         if failures:
@@ -340,7 +419,24 @@ def _newton(solver: _StepSolver, v: np.ndarray, rhs: np.ndarray,
         rows = None if n_act == len(act) else np.flatnonzero(act)
         cur = state if rows is None else _take(state, rows)
         b = rhs if rows is None else rhs[rows]
-        cur, stuck = _line_search(solver, cur, b, tol)
+        if kept is None:
+            delta = solver.newton_step(cur[0], cur[4], cur[1])
+        else:
+            at = np.flatnonzero(act)
+            lu = [kept[i] for i in at]
+            lagged = np.array([f is not None for f in lu])
+            rn0 = cur[2].copy()
+            delta = solver.newton_step(cur[0], cur[4], cur[1], lu)
+        cur, stuck = _line_search(solver, cur, b, tol, delta)
+        if kept is not None:
+            cut = cur[2] <= _LAG_CUT * rn0  # false for a stalled row
+            for j, i in enumerate(at.tolist()):
+                kept[i] = lu[j] if cut[j] else None
+            stuck = stuck[~lagged[stuck]]
+        lost = _NO_ROWS  # rows without a finite Newton step, which always stall
+        if stuck.size:
+            nan = np.isnan(delta[stuck]).any(axis=1)
+            lost, stuck = stuck[nan], stuck[~nan]
         if stuck.size:
             # frozen-coefficient rescue: SPD approximation of the Jacobian
             # applied to the exact residual (increment form, so fixed
@@ -355,7 +451,9 @@ def _newton(solver: _StepSolver, v: np.ndarray, rhs: np.ndarray,
             state = cur
         else:
             _put(state, rows, cur, slice(None))
-            stuck = rows[stuck]
+            stuck, lost = rows[stuck], rows[lost]
+        if lost.size:
+            fail(lost, "step solver found no finite Newton step at residual {:.3e}")
         if stuck.size:
             fail(stuck, "step solver stagnated at residual {:.3e}")
     else:
@@ -365,14 +463,14 @@ def _newton(solver: _StepSolver, v: np.ndarray, rhs: np.ndarray,
     return state[0], failures
 
 
-def _line_search(solver: _StepSolver, cur: list, rhs: np.ndarray, tol: float) -> tuple:
-    """One Newton step with backtracking for the rows of cur = [v, r,
-    rnorm, energy, comps]: alpha = 1, 1/2, ... while a row's merit does not
-    drop enough.  Returns the updated rows and the indices of the rows that
-    exhausted 40 halvings."""
+def _line_search(solver: _StepSolver, cur: list, rhs: np.ndarray, tol: float,
+                 delta: np.ndarray) -> tuple:
+    """One step along the interior directions delta with backtracking for
+    the rows of cur = [v, r, rnorm, energy, comps]: alpha = 1, 1/2, ...
+    while a row's merit does not drop enough.  Returns the updated rows and
+    the indices of the rows that exhausted 40 halvings."""
     use_energy = solver.flux.is_zero
     v, r, rnorm, energy, comps = cur
-    delta = solver.newton_step(v, comps, r)
     slope = np.vecdot(r, delta) if use_energy else None
     delta = _embed_interior(solver.grid, delta)
     pend = None  # rows still backtracking; None while that is all of them
@@ -526,8 +624,10 @@ class Ensemble:
 # Byte budget of the band array of one batched Newton system.  Larger path
 # stacks are marched in chunks that fit it: 1D n=16 takes up to 17,476
 # paths per chunk, 2D n=32 takes 11.  A whole-trajectory chunk holds
-# n_steps band systems per row, so it takes n_steps times fewer rows.  Rows
-# are independent, so the chunking does not change results.
+# n_steps band systems per row, so it takes n_steps times fewer rows.  A 2D
+# march also keeps each row's factors, as views of the arrays they were
+# factored in: at most 15 MB for an 11-row chunk of 32x32 cells.  Rows are
+# independent, so the chunking does not change results.
 _BAND_BUDGET = 8 << 20
 
 
@@ -563,7 +663,8 @@ def simulate_controls(u0: Field, controls, model: LevyModel, cfg: SchemeConfig,
     newton_tol against the cold start from the previous state.  With ref and
     at most _TRAJECTORY_NODES nodal values per path set (len(paths) x grid
     nodes), each row's steps are solved as one system (`_trajectories`)
-    instead, in chunks of whole trajectories that keep their band arrays
+    instead, started from ref's own states, in chunks of whole trajectories
+    that keep their band arrays
     within _BAND_BUDGET; the choice depends on the paths and the grid, not
     on the number of controls, so a row's states still do not depend on
     which controls share the call."""
@@ -621,9 +722,10 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
     Step k + 1's Newton solve starts from the previous state, or, given a
     reference trajectory ref (M, n_steps + 1, n_nodes), from the predictor
     ref[i, k + 1] + (prev - ref[i, k]) on the interior nodes, with the
-    boundary values of prev, which the solve holds fixed.  `_trajectories`
-    solves the same steps all at once and marches the rows it cannot
-    finish with this function."""
+    boundary values of prev, which the solve holds fixed.  In 2D each row
+    keeps its Newton factors from round to round and step to step (see
+    `_newton`), in one store per call.  `_trajectories` solves the same steps
+    all at once and marches the rows it cannot finish with this function."""
     idx = grid.interior_nodes
     solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
     states = np.empty((len(paths), cfg.n_steps + 1, grid.n_nodes))
@@ -633,6 +735,7 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
     alive = np.arange(len(paths))
     rows = slice(None)  # the alive paths, as a slice while that is all of them
     errors = [None] * len(paths)
+    kept = [None] * len(paths) if grid.step_band.kl > 1 else None  # per alive row
     for k in range(cfg.n_steps):
         prev = states[rows, k]
         inc = np.zeros_like(prev)
@@ -642,7 +745,7 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
         if ref is not None:
             guess[:, idx] = (ref[rows, k + 1] + (prev - ref[rows, k]))[:, idx]
         states[rows, k + 1], failed = _newton(
-            solver, guess, prev + inc, cfg.newton_tol, cfg.newton_max_iters
+            solver, guess, prev + inc, cfg.newton_tol, cfg.newton_max_iters, kept
         )
         sums[rows, k + 1] = sums[rows, k] + inc
         if failed:
@@ -653,6 +756,8 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
                 errors[i] = err
                 drop |= (alive >= i) & (groups[alive] == groups[i])
             alive = rows = alive[~drop]
+            if kept is not None:
+                kept = [f for f, gone in zip(kept, drop) if not gone]
             if alive.size == 0:
                 break
     return states, sums, errors
@@ -684,8 +789,9 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
     """`_march` given a reference trajectory ref (M, n_steps + 1, n_nodes),
     with every step of every row solved at once: Newton on the residuals
     R_k(u_k; u_{k-1} + inc(u_{k-1})) of steps k = 1..n_steps, the unknowns
-    stacked step-major and started from the shift predictor
-    ref[i, k] + (starts[i] - ref[i, 0]) on the interior nodes.
+    stacked step-major and started from the reference's own interior values
+    ref[i, k]; the first Newton step carries the start's difference from
+    ref[i, 0] through the coupling blocks into every state.
 
     The trajectory Jacobian is block lower-bidiagonal: its diagonal blocks
     are the step Newton matrices, factored by one gbtrf call, and its
@@ -705,7 +811,7 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
     sums = np.zeros_like(states)
     # cur[k, j] is state k of row live[j]; every state keeps the start's boundary
     cur = np.repeat(starts[None], n + 1, axis=0)
-    cur[1:, :, idx] = (ref[:, 1:, idx] + (starts - ref[:, 0])[:, None, idx]).transpose(1, 0, 2)
+    cur[1:, :, idx] = ref[:, 1:, idx].transpose(1, 0, 2)
     live = np.arange(M)
     marched = []  # rows left to `_march`
     for it in range(cfg.newton_max_iters + 1):
@@ -725,16 +831,11 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
         marched.extend(live[~done & ~go].tolist())
         live, cur = live[go], cur[:, go]
         r, comps = r.reshape(n, A, m)[:, go], comps.reshape(n, A, *comps.shape[1:])[:, go]
-        # a singular block sends its row to the march; the others factor again
-        while live.size:
-            ab = solver._band_matrix(cur[1:].reshape(-1, grid.n_nodes),
-                                     comps.reshape(-1, *comps.shape[2:]), newton=True)
-            lub, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=True)
-            if info <= 0:
-                break
-            ok = np.arange(len(live)) != (info - 1) // m % len(live)
-            marched.extend(live[~ok].tolist())
-            live, cur, r, comps = live[ok], cur[:, ok], r[:, ok], comps[:, ok]
+        if live.size:
+            lub, piv, ok = solver.newton_factors(cur[1:], comps)
+            if ok is not None:  # a singular block sends its row to the march
+                marched.extend(live[~ok].tolist())
+                live, cur, r = live[ok], cur[:, ok], r[:, ok]
         if not live.size:
             break
         # block forward substitution: A_k delta_k = -r_k + coupling_k delta_{k-1}

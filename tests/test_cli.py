@@ -311,6 +311,28 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
     assert "solver failure at step 0 of path seed 0" in capsys.readouterr().err
 
 
+def test_cli_singular_step_matrix_exit_code(tmp_path, capsys, monkeypatch):
+    # gbtrf reports a zero pivot in the first path's block of the first step
+    # solve: a solver failure (exit 3) naming step and seed, not a traceback
+    import plaplace_levy.scheme as scheme
+
+    real, injected = scheme.dgbtrf, []
+
+    def singular_once(ab, kl, ku, **kwargs):
+        lub, piv, info = real(ab, kl, ku, **kwargs)
+        if ab.shape[1] == 2 * 15 and not injected:  # 2 paths of 15 unknowns
+            injected.append(info)
+            info = 3
+        return lub, piv, info
+
+    monkeypatch.setattr(scheme, "dgbtrf", singular_once)
+    code = run_cli(["simulate", "--config", write(tmp_path, REFERENCE), "--paths", "2",
+                    "--out", str(tmp_path / "o")])
+    assert injected == [0] and code == 3
+    assert "solver failure at step 0 of path seed 0: step solver found no finite Newton step" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "old, new, command, named",
     [

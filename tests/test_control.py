@@ -559,6 +559,29 @@ def test_trajectory_solve_is_an_accepted_march(dim, flux, projection, monkeypatc
     assert np.max(np.abs(mixed[2].states - ref.states)) <= 10 * cfg.newton_tol
 
 
+@pytest.mark.parametrize("flux, projection", [(f, p) for d, f, p in _WARM_CASES if d == 2])
+def test_kept_factors_match_fresh_factors_every_round(flux, projection, monkeypatch):
+    # a 2D march keeps each row's Newton factors while they contract; with
+    # fresh factors every round (no cut is enough to keep them) the steps
+    # end within solver tolerance of the same states
+    import plaplace_levy.scheme as scheme
+
+    grid, u0, controls, model, cfg, paths, _ = _warm_start_case(2, flux, projection)
+    factored, real = [], scheme.dgbtrf
+    monkeypatch.setattr(scheme, "dgbtrf", lambda ab, *a, **k: factored.append(ab.shape[1])
+                        or real(ab, *a, **k))
+    kept = scheme.simulate_controls(u0, controls, model, cfg, paths)
+    n_kept = sum(factored)
+    monkeypatch.setattr(scheme, "_LAG_CUT", -1.0)
+    factored.clear()
+    fresh = scheme.simulate_controls(u0, controls, model, cfg, paths)
+    assert n_kept < sum(factored)
+    for a, b in zip(kept, fresh):
+        assert np.max(np.abs(a.states - b.states)) <= 10 * cfg.newton_tol
+        for run in (a, b):
+            assert np.all(_step_residuals(grid, model, cfg, run)[0] <= cfg.newton_tol)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_above_the_trajectory_bound_rows_march(dim, monkeypatch):
     import plaplace_levy.scheme as scheme

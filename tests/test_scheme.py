@@ -853,3 +853,159 @@ def test_march_increments_match_mark_by_mark_sums(measure, monkeypatch):
             scale = np.abs(jumps) + np.abs(drift)
             assert np.all(np.abs(inc[i] - (jumps - drift)) <= 1e-13 * scale)
     assert sum(path.jump_count() for path in paths) > 2 * len(paths)
+
+
+# ---------------------------------------------------------------------------
+# kept Newton factors (2D march)
+
+
+def _kept_factor_case():
+    grid = Grid(2, 8)
+    u0 = Field.from_function(grid, lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y))
+    cfg = SchemeConfig(p=3.0, dt=1 / 16, n_steps=6, flux=sine_flux([0.5, -0.3]))
+    model = reference_model()
+    return grid, u0, Field.zeros(grid, "free_boundary"), model, cfg, sample_prms(
+        model, cfg.dt, cfg.n_steps, range(5))
+
+
+def test_kept_factors_row_ignores_batch_and_chunking(monkeypatch):
+    import plaplace_levy.scheme as scheme
+
+    grid, u0, U, model, cfg, paths = _kept_factor_case()
+    seen = {"rounds": 0, "lagged": 0, "factored": 0}
+    step, factors = _StepSolver.newton_step, _StepSolver.newton_factors
+
+    def spy_step(self, v, comps, r, kept=None):
+        seen["rounds"] += len(v)
+        seen["lagged"] += sum(f is not None for f in kept or ())
+        return step(self, v, comps, r, kept)
+
+    def spy_factors(self, v, comps):
+        seen["factored"] += v.shape[-2]
+        return factors(self, v, comps)
+
+    monkeypatch.setattr(_StepSolver, "newton_step", spy_step)
+    monkeypatch.setattr(_StepSolver, "newton_factors", spy_factors)
+    batch = simulate_paths(u0, U, model, cfg, paths)
+    # row rounds taken with kept factors need no factorization
+    assert seen["lagged"] > 0
+    assert seen["factored"] < seen["rounds"]
+    alone = simulate_paths(u0, U, model, cfg, paths[2:3])
+    band = grid.step_band
+    monkeypatch.setattr(scheme, "_BAND_BUDGET", 2 * 8 * band.ldab * band.m)  # 2 rows a chunk
+    chunked = simulate_paths(u0, U, model, cfg, paths)
+    for run in (batch, chunked):
+        assert np.array_equal(run.states[2], alone.states[0])
+        assert np.array_equal(run.sums[2], alone.sums[0])
+
+
+def test_corrupted_kept_factors_end_in_a_converged_step(monkeypatch):
+    # row 1's first kept factors are replaced by those of a wrong matrix (U
+    # negated), so its lagged round stalls: it must retry with fresh factors,
+    # not take the rescue or fail, and end where the clean run ends
+    import plaplace_levy.scheme as scheme
+
+    grid, u0, U, model, cfg, paths = _kept_factor_case()
+    clean = simulate_paths(u0, U, model, cfg, paths)
+    step, kl = _StepSolver.newton_step, grid.step_band.kl
+    corrupted, rescues = [], []
+
+    def corrupt(self, v, comps, r, kept=None):
+        if kept is not None and not corrupted and len(kept) > 1 and kept[1] is not None:
+            lub, piv = kept[1]
+            bad = lub.copy(order="F")
+            bad[: 2 * kl + 1] *= -1.0
+            kept[1] = (bad, piv)
+            corrupted.append(1)
+        return step(self, v, comps, r, kept)
+
+    picard = _StepSolver.picard_solve
+    monkeypatch.setattr(_StepSolver, "newton_step", corrupt)
+    monkeypatch.setattr(_StepSolver, "picard_solve",
+                        lambda self, *a: rescues.append(1) or picard(self, *a))
+    run = simulate_paths(u0, U, model, cfg, paths)
+    assert corrupted and not rescues
+    assert np.max(np.abs(run.states - clean.states)) <= 10 * cfg.newton_tol
+    solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
+    for k in range(cfg.n_steps):
+        prev, nxt = run.states[:, k], run.states[:, k + 1]
+        inc = run.sums[:, k + 1] - run.sums[:, k]
+        assert np.all(solver.evaluate(nxt, prev + inc)[1] <= cfg.newton_tol)
+
+
+def test_1d_march_never_keeps_factors(monkeypatch):
+    grid = Grid(1, 16)
+    cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=8, flux=sine_flux([0.7]))
+    model = reference_model()
+    step, kept_args = _StepSolver.newton_step, []
+
+    def spy(self, v, comps, r, kept=None):
+        kept_args.append(kept)
+        return step(self, v, comps, r, kept)
+
+    monkeypatch.setattr(_StepSolver, "newton_step", spy)
+    simulate_paths(pinned_u0_1d(grid), Field.zeros(grid, "free_boundary"), model, cfg,
+                   sample_prms(model, cfg.dt, cfg.n_steps, range(4)))
+    assert len(kept_args) >= cfg.n_steps and all(k is None for k in kept_args)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_singular_step_matrix_fails_its_row_only(dim, monkeypatch):
+    # gbtrf reports a zero pivot in row 1's block at step 2: row 1 fails
+    # with its step and seed, the other rows factor again and march on as
+    # they do without it
+    import plaplace_levy.scheme as scheme
+
+    if dim == 1:
+        grid = Grid(1, 16)
+        cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=6, flux=sine_flux([0.7]))
+        u0 = pinned_u0_1d(grid)
+        model = reference_model()
+        paths = sample_prms(model, cfg.dt, cfg.n_steps, range(3))
+    else:
+        grid, u0, _, model, cfg, paths = _kept_factor_case()
+        paths = paths[:3]
+    hat0 = prepare_initial(u0, Field.zeros(grid, "free_boundary"), cfg.dt, cfg.p).flat
+    args = (grid, np.array([hat0] * 3), model, cfg, paths, np.arange(3))
+    states, sums, errors = scheme._march(*args)
+    assert errors == [None] * 3
+    real, newton, m = scheme.dgbtrf, scheme._newton, grid.step_band.m
+    calls, steps, injected = [], [], []
+
+    def singular_at_step_2(ab, kl, ku, **kwargs):
+        lub, piv, info = real(ab, kl, ku, **kwargs)
+        calls.append(ab.shape[1] // m)  # rows factored
+        if len(steps) == 3 and not injected:  # the third _newton call is step 2
+            injected.append(len(calls))
+            info = m + 2  # row 1's block
+        return lub, piv, info
+
+    monkeypatch.setattr(scheme, "_newton", lambda *a: steps.append(1) or newton(*a))
+    monkeypatch.setattr(scheme, "dgbtrf", singular_at_step_2)
+    out_states, out_sums, out_errors = scheme._march(*args)
+    assert calls[injected[0] - 1 : injected[0] + 1] == [3, 2]
+    err = out_errors[1]
+    assert isinstance(err, NonConvergence)
+    assert (err.step, err.seed) == (2, paths[1].seed) and "no finite Newton step" in str(err)
+    assert out_errors[0] is out_errors[2] is None
+    assert np.array_equal(out_states[[0, 2]], states[[0, 2]])
+    assert np.array_equal(out_sums[[0, 2]], sums[[0, 2]])
+
+
+def test_non_finite_row_fails_without_touching_its_neighbours():
+    # a NaN in row 1's data would reach rows 0 and 2 through the batched band
+    # solves (0 * NaN across block boundaries); they must converge as alone
+    from plaplace_levy.scheme import _newton
+
+    grid = Grid(1, 12)
+    solver = _StepSolver(grid, 3.0, 0.05, sine_flux([0.4]))
+    rng = np.random.default_rng(1)
+    v = np.stack([zb(grid, rng).flat for _ in range(3)])
+    rhs = 0.8 * v
+    rhs[1, grid.interior_nodes[3]] = np.nan
+    with np.errstate(invalid="ignore"):
+        out, failures = _newton(solver, v.copy(), rhs, 1e-10, 50)
+    assert [i for i, _ in failures] == [1] and "non-finite residual" in str(failures[0][1])
+    for i in (0, 2):
+        alone, none = _newton(solver, v[i : i + 1].copy(), rhs[i : i + 1], 1e-10, 50)
+        assert none == [] and np.array_equal(out[i], alone[0])
