@@ -9,11 +9,8 @@ from .grid import (
     Field,
     Grid,
     GridMismatchError,
-    div_flux,
     dual_norm_estimates,
-    gradient,
     l1_norm,
-    l2_inner,
     l2_norm,
     lp_grad_norm,
     w1p_norm,

@@ -446,12 +446,3 @@ def serialize_config(cfg: RunConfig) -> str:
             out.write(f"{key} = {cfg.raw[section][key]}\n")
         out.write("\n")
     return out.getvalue()
-
-
-def parse_config_text(text: str) -> RunConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        parser.read_string(text)
-    except configparser.Error as err:
-        raise ConfigError(f"malformed config: {err}")
-    return config_from_parser(parser)

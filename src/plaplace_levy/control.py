@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FREE_BOUNDARY, Field, Grid, GridMismatchError, _l2_norms, w1p_norm
+from .grid import (FREE_BOUNDARY, Field, Grid, GridMismatchError, _l2_norms, _lp_grad_pows,
+                   nodal_weights)
 from .levy import LevyModel, sample_prms
 from .scheme import Ensemble, NonConvergence, SchemeConfig, simulate_controls
 
@@ -71,37 +72,71 @@ def constant_target(grid: Grid, n_steps: int, value_field: Field = None) -> list
     return [f] * (n_steps + 1)
 
 
-def cost_J(ensemble: Ensemble, U: Field, spec: CostSpec, p: float) -> tuple:
-    """Sample-average cost of U over the ensemble; returns (total, parts)
-    with parts = {tracking, control, terminal}.  Each path's tracking sum
-    runs in step order, and the paths' sums and payoffs add in path order."""
-    if not len(ensemble):
+def cost_J(ensemble, U, spec: CostSpec, p: float):
+    """Sample-average cost of a control U over its ensemble: (total, parts)
+    with parts = {tracking, control, terminal}.  Given control rows U
+    (k, n_nodes) and a list of k ensembles of one scheme configuration, one
+    per row, it returns one (total, parts) per row from one pass over their
+    stacked states; a Field is the one-row case.  Each path's tracking sum
+    runs in step order, the paths' sums and payoffs add in path order, and
+    each row's W^{1,p} norm is finished on Python floats as `w1p_norm` does."""
+    if isinstance(U, Field):
+        return cost_J([ensemble], U.flat[None], spec, p)[0]
+    if len(ensemble) != len(U):
+        raise ValueError("cost_J needs one ensemble per control row")
+    if not all(len(run) for run in ensemble):
         raise ValueError("empty ensemble")
-    cfg, grid = ensemble.config, ensemble.grid
+    cfg, grid = ensemble[0].config, ensemble[0].grid
     if len(spec.u_tar) != cfg.n_steps + 1:
         raise ValueError("target profile does not match the scheme time grid")
     if spec.u_tar[0].grid != grid:
         raise GridMismatchError("target profile lives on a different grid")
+    if p <= 1:
+        raise ValueError(f"p must be > 1, got {p}")
     targets = np.array([f.flat for f in spec.u_tar[1:]]).reshape(cfg.n_steps, grid.n_nodes)
+    states = np.concatenate([run.states for run in ensemble])
     # dt l2_norm(u(t_{k+1}) - u_tar(t_{k+1}))^2 per path and step
-    sq = cfg.dt * _l2_norms(grid, ensemble.states[:, 1:] - targets) ** 2
-    tracking = 0.0
-    for row in sq.tolist():
-        tracking += sum(row)
-    terminal = 0.0
-    for score in spec.payoff(grid, ensemble.states[:, -1]).tolist():
-        terminal += score
-    tracking /= len(ensemble)
-    terminal /= len(ensemble)
-    control = w1p_norm(U, p) ** p
-    parts = {"tracking": tracking, "control": control, "terminal": terminal}
-    return tracking + control + terminal, parts
+    sq = (cfg.dt * _l2_norms(grid, states[:, 1:] - targets) ** 2).tolist()
+    scores = spec.payoff(grid, states[:, -1]).tolist()
+    nodal = np.sum(np.abs(U) ** p * nodal_weights(grid), axis=-1).tolist()
+    out, stop = [], 0
+    for run, nodal_sum, grad in zip(ensemble, nodal, _lp_grad_pows(grid, U, p).tolist()):
+        start, stop = stop, stop + len(run)
+        tracking = terminal = 0.0
+        for row in sq[start:stop]:
+            tracking += sum(row)
+        for score in scores[start:stop]:
+            terminal += score
+        control = ((nodal_sum + (grad ** (1.0 / p)) ** p) ** (1.0 / p)) ** p
+        parts = {"tracking": tracking / len(run), "control": control,
+                 "terminal": terminal / len(run)}
+        out.append((parts["tracking"] + control + parts["terminal"], parts))
+    return out
+
+
+def check_basis(basis: list):
+    """Reject a linearly dependent control basis: its Gram matrix, scaled
+    to unit diagonal so that the test does not depend on the functions'
+    scale, must have a determinant of at least 1e-12."""
+    gram = np.array([[np.dot(a.flat, b.flat) for b in basis] for a in basis])
+    scale = np.sqrt(np.diag(gram.reshape((len(basis),) * 2)))
+    if not scale.all() or abs(np.linalg.det(gram / np.outer(scale, scale))) < 1e-12:
+        raise ValueError("control basis is linearly dependent")
+
+
+def control_rows(basis: list, points: np.ndarray) -> np.ndarray:
+    """sum_j points[i, j] * basis[j] for each row i of points, as nodal rows
+    (len(points), n_nodes), added term by term in basis order."""
+    rows = np.zeros((len(points), basis[0].grid.n_nodes))
+    for j, phi in enumerate(basis):
+        rows = rows + points[:, j, None] * phi.flat
+    return rows
 
 
 @dataclass
 class ControlParam:
     """Control U = sum_j coeffs[j] * basis[j] in a fixed free-boundary
-    basis; the basis must have a nonsingular Gram matrix."""
+    basis; the basis must pass `check_basis`."""
 
     basis: list
     coeffs: np.ndarray
@@ -110,18 +145,12 @@ class ControlParam:
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if len(self.basis) != len(self.coeffs):
             raise ValueError("coefficient count must match basis size")
-        gram = np.array(
-            [[float(np.dot(a.flat, b.flat)) for b in self.basis] for a in self.basis]
-        )
-        if len(self.basis) and abs(np.linalg.det(gram)) < 1e-12:
-            raise ValueError("control basis is linearly dependent")
+        check_basis(self.basis)
 
     def build(self) -> Field:
         grid = self.basis[0].grid
-        vals = np.zeros(grid.node_shape)
-        for c, phi in zip(self.coeffs, self.basis):
-            vals = vals + c * phi.values
-        return Field(grid, vals, FREE_BOUNDARY)
+        vals = control_rows(self.basis, self.coeffs[None])
+        return Field(grid, vals.reshape(grid.node_shape), FREE_BOUNDARY)
 
 
 _MODES_2D = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1))
@@ -300,6 +329,10 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     _SPECULATE_NODES nodal values (n_paths x grid nodes), one at a time
     above that.
 
+    A batch is handled as arrays from coefficients to J: `control_rows`
+    builds it, one `simulate_controls` call solves it and one `cost_J` call
+    costs its converged candidates; the basis is checked once per search.
+
     Each candidate's step solves start from the incumbent's solved states
     (`simulate_controls`' ref), frozen at the start of each restart and of
     each Nelder-Mead iteration, so speculative and one-at-a-time evaluation
@@ -311,6 +344,9 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
         raise ValueError("budget must cover at least one simplex (dim + 1 evaluations)")
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
+    if any(phi.grid != u0.grid for phi in basis):
+        raise GridMismatchError("control basis lives on a different grid")
+    check_basis(basis)
     seeds = [base_seed + i for i in range(n_paths)]
     spec.validate(cfg.n_steps)
     # common random numbers: each seed's jump path serves every candidate
@@ -328,27 +364,26 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
         state["ref"] = state["states"]
 
     def evaluate(points):
-        """Solve every candidate of a batch as one stack; the previous
-        batch's solves are dropped first, so they are not held alongside."""
+        """Solve and cost every candidate of a batch as one stack; the
+        previous batch's solves are dropped first, so they are not held
+        alongside."""
         batch.clear()
-        controls = [ControlParam(basis=basis, coeffs=c).build() for c in points]
+        rows = control_rows(basis, points)
         try:
-            runs = simulate_controls(u0, controls, model, cfg, paths, state["ref"])
+            runs = simulate_controls(u0, rows, model, cfg, paths, state["ref"])
         except NonConvergence:  # the initial smoothing, shared by every candidate
-            runs = [None] * len(controls)
-        batch.update(points=points, controls=controls, runs=runs)
+            runs = [None] * len(rows)
+        good = [i for i, run in enumerate(runs) if isinstance(run, Ensemble)]
+        costs = cost_J([runs[i] for i in good], rows[good], spec, cfg.p) if good else []
+        batch.update(points=points, runs=runs, costs=dict(zip(good, costs)))
 
     def consume(i) -> float:
         """J of candidate i of the batch; +inf if its path solve diverged."""
         state["evals"] += 1
-        run = batch["runs"][i]
-        if isinstance(run, Ensemble):
-            val, parts = cost_J(run, batch["controls"][i], spec, cfg.p)
-        else:
-            val, parts = np.inf, None
+        val, parts = batch["costs"].get(i, (np.inf, None))
         if val < state["best"]:
             state["best"], state["coeffs"], state["parts"] = val, np.array(batch["points"][i]), parts
-            state["states"] = run.states.copy()
+            state["states"] = batch["runs"][i].states.copy()
         history.append(state["best"])
         return val
 

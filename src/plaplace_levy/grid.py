@@ -409,30 +409,6 @@ def _check_same_grid(f: Field, g: Field):
 # differential operators and norms
 
 
-def gradient(f: Field) -> np.ndarray:
-    """Per-cell gradient, shape (n_cells_total, dim)."""
-    return f.grid.cell_gradient(f.flat).T
-
-
-def div_flux(grid: Grid, cell_flux: np.ndarray) -> Field:
-    """Discrete divergence of a per-cell vector field, defined as the
-    negative adjoint of `gradient`:
-
-        l2_inner(div_flux(G), phi) == -sum_cells G . grad(phi) * h^dim
-
-    for every zero-boundary phi, exactly.  Returns a zero-boundary Field.
-    """
-    cell_flux = np.asarray(cell_flux, dtype=float)
-    if cell_flux.shape != (grid.n_cells_total, grid.dim):
-        raise ValueError("cell_flux must have shape (n_cells_total, dim)")
-    acc = grid.cell_gradient_adjoint(cell_flux.T)
-    # acc[i] = (1/h^dim) * d/dphi_i [ sum_cells G . grad(phi) h^dim ]; negate
-    # and zero the boundary rows to land in the zero-boundary space.
-    vals = np.zeros(grid.n_nodes)
-    vals[grid.interior_nodes] = -acc[grid.interior_nodes]
-    return Field(grid, vals.reshape(grid.node_shape), ZERO_BOUNDARY)
-
-
 def lp_grad_norm(f: Field, p: float) -> float:
     """(sum_cells |grad f|^p h^dim)^(1/p); the gradient seminorm used as the
     W_0^{1,p} norm.  Rejects p <= 1."""
@@ -447,13 +423,6 @@ def _lp_grad_pows(grid: Grid, v: np.ndarray, p: float) -> np.ndarray:
     g = grid.cell_gradient(v)
     mag = np.sqrt(np.sum(g * g, axis=-2)) if grid.dim > 1 else np.abs(g[..., 0, :])
     return np.sum(mag**p, axis=-1) * grid.cell_weight
-
-
-def l2_inner(f: Field, g: Field) -> float:
-    """Nodal inner product over interior nodes, weight h^dim."""
-    _check_same_grid(f, g)
-    idx = f.grid.interior_nodes
-    return float(np.dot(f.flat[idx], g.flat[idx]) * f.grid.cell_weight)
 
 
 def l2_norm(f: Field) -> float:

@@ -514,22 +514,22 @@ def _put(state: list, rows, src: list, sel):
 # initial smoothing and path simulation
 
 
-def prepare_initial(u0: Field, U: Field, dt: float, p: float, *,
-                    newton_tol: float = 1e-12, max_iters: int = 60) -> Field:
+def prepare_initial(u0: Field, U, dt: float, p: float, *,
+                    newton_tol: float = 1e-12, max_iters: int = 60):
     """Smooth u0 into the zero-boundary space by the proximal problem
 
         minimize  1/2 ||v - u0||^2 + dt * ||grad v||_p^p
 
     and return v + U.  The minimizer satisfies
     1/2 ||v||^2 + dt ||grad v||_p^p <= 1/2 ||u0||^2 (checked, with slack for
-    the solver residual).  U must already carry the boundary handling chosen
-    by the caller.
+    the solver residual).  U, a Field or control rows (k, n_nodes), must
+    already carry the boundary handling chosen by the caller.
 
     The smoothed state is memoized on the values of (u0, dt, p, newton_tol,
     max_iters), so the paths of an ensemble and the candidates of a control
     search share one solve; failures are not cached."""
-    _check_same_grid(u0, U)
-    return _smoothed(u0.grid, u0.values.tobytes(), dt, p, newton_tol, max_iters) + U
+    v = _smoothed(u0.grid, u0.values.tobytes(), dt, p, newton_tol, max_iters)
+    return v + U if isinstance(U, Field) else v.flat + U
 
 
 @lru_cache(maxsize=16)
@@ -641,21 +641,24 @@ def simulate_paths(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
 
     Raises NonConvergence for the first failing path in `paths` order, with
     its step and seed: the error a path-by-path loop raises."""
-    (result,) = simulate_controls(u0, [U], model, cfg, paths)
+    _check_same_grid(u0, U)
+    (result,) = simulate_controls(u0, U.flat[None], model, cfg, paths)
     if isinstance(result, NonConvergence):
         raise result
     return result
 
 
-def simulate_controls(u0: Field, controls, model: LevyModel, cfg: SchemeConfig,
+def simulate_controls(u0: Field, controls: np.ndarray, model: LevyModel, cfg: SchemeConfig,
                       paths, ref: np.ndarray = None) -> list:
-    """`simulate_paths` for each control U in `controls` on the common jump
-    paths `paths`, as one stack of (control x path) rows, control-major.
-    Returns, per control, its Ensemble, or the NonConvergence of its first
-    failing path in `paths` order (with step and seed).  A failing row drops
-    out of the stack with the later rows of its control; the rows of the
-    other controls march on.  The stack is marched in chunks, each written
-    into the call's one states array and one sums array as it finishes.
+    """`simulate_paths` for each row of `controls` (k, n_nodes), the nodal
+    values of k controls on u0's grid, on the common jump paths `paths`, as
+    one stack of (control x path) rows, control-major; a non-finite control
+    raises ValueError.  Returns, per control, its Ensemble, or the
+    NonConvergence of its first failing path in `paths` order (with step and
+    seed).  A failing row drops out of the stack with the later rows of its
+    control; the rows of the other controls march on.  The stack is marched
+    in chunks, each written into the call's one states array and one sums
+    array as it finishes.
 
     ref, of shape (len(paths), n_steps + 1, n_nodes), is a solved trajectory
     per path (say, a nearby control's): each row's step solves then start
@@ -664,16 +667,17 @@ def simulate_controls(u0: Field, controls, model: LevyModel, cfg: SchemeConfig,
     at most _TRAJECTORY_NODES nodal values per path set (len(paths) x grid
     nodes), each row's steps are solved as one system (`_trajectories`)
     instead, started from ref's own states, in chunks of whole trajectories
-    that keep their band arrays
-    within _BAND_BUDGET; the choice depends on the paths and the grid, not
-    on the number of controls, so a row's states still do not depend on
-    which controls share the call."""
+    that keep their band arrays within _BAND_BUDGET; the choice depends on
+    the paths and the grid, not on the number of controls, so a row's states
+    still do not depend on which controls share the call."""
     grid = u0.grid
-    hat0s = []
-    for U in controls:
-        _check_same_grid(u0, U)
-        U_used = project_control(U, cfg.control_projection)
-        hat0s.append(prepare_initial(u0, U_used, cfg.effective_smoothing_dt, cfg.p).flat)
+    if controls.ndim != 2 or controls.shape[1] != grid.n_nodes:
+        raise ValueError(f"control rows must have shape (k, {grid.n_nodes})")
+    if not np.isfinite(controls).all():
+        raise ValueError("field values must be finite")
+    if cfg.control_projection == CLAMP_BOUNDARY:
+        controls = np.where(grid.boundary_mask, 0.0, controls)
+    starts = prepare_initial(u0, controls, cfg.effective_smoothing_dt, cfg.p)
     paths = tuple(paths)
     n_paths = len(paths)
     n_rows = len(controls) * n_paths
@@ -692,7 +696,7 @@ def simulate_controls(u0: Field, controls, model: LevyModel, cfg: SchemeConfig,
         groups = np.array(rows) // n_paths
         part = [paths[r % n_paths] for r in rows]
         states[rows], sums[rows], chunk_errors = solve(
-            grid, np.array([hat0s[c] for c in groups]), model, cfg, part, groups,
+            grid, starts[groups], model, cfg, part, groups,
             None if ref is None else ref[np.array(rows) % n_paths])
         for c, err in zip(groups.tolist(), chunk_errors):
             if err is not None and errors[c] is None:

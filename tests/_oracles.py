@@ -50,6 +50,51 @@ def oracle_minimize(rhs, h, dt, p, gtol):
     return v
 
 
+def parse_config_text(text):
+    """A RunConfig from INI text, as `config.parse_config` reads a file."""
+    import configparser
+
+    from plaplace_levy.config import ConfigError, config_from_parser
+
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    try:
+        parser.read_string(text)
+    except configparser.Error as err:
+        raise ConfigError(f"malformed config: {err}")
+    return config_from_parser(parser)
+
+
+def gradient(f):
+    """Per-cell gradient of a Field, shape (n_cells_total, dim)."""
+    return f.grid.cell_gradient(f.flat).T
+
+
+def l2_inner(f, g):
+    """Nodal inner product of two Fields over interior nodes, weight h^dim."""
+    from plaplace_levy.grid import _check_same_grid
+
+    _check_same_grid(f, g)
+    idx = f.grid.interior_nodes
+    return float(np.dot(f.flat[idx], g.flat[idx]) * f.grid.cell_weight)
+
+
+def div_flux(grid, cell_flux):
+    """Discrete divergence of a per-cell vector field (n_cells_total, dim),
+    defined as the negative adjoint of `gradient`:
+
+        l2_inner(div_flux(G), phi) == -sum_cells G . grad(phi) * h^dim
+
+    for every zero-boundary phi, exactly.  Returns a zero-boundary Field."""
+    from plaplace_levy import ZERO_BOUNDARY, Field
+
+    acc = grid.cell_gradient_adjoint(np.asarray(cell_flux, dtype=float).T)
+    # acc[i] = (1/h^dim) * d/dphi_i [ sum_cells G . grad(phi) h^dim ]; negate
+    # and zero the boundary rows to land in the zero-boundary space
+    vals = np.zeros(grid.n_nodes)
+    vals[grid.interior_nodes] = -acc[grid.interior_nodes]
+    return Field(grid, vals.reshape(grid.node_shape), ZERO_BOUNDARY)
+
+
 def grad_ops(grid):
     """Sparse matrices (one per axis) mapping nodal values to per-cell
     gradient components, built entry by entry: the reference for the
@@ -108,7 +153,7 @@ def saa_minimize_scipy(model, cfg, u0, spec, basis, n_paths, budget=200, base_se
     def objective(coeffs):
         state["evals"] += 1
         U = ControlParam(basis=basis, coeffs=coeffs).build()
-        (run,) = simulate_controls(u0, [U], model, cfg, paths, state["ref"])
+        (run,) = simulate_controls(u0, U.flat[None], model, cfg, paths, state["ref"])
         val = cost_J(run, U, spec, cfg.p)[0] if isinstance(run, Ensemble) else np.inf
         if val < state["best"]:
             state["best"], state["coeffs"] = val, np.array(coeffs)
@@ -151,6 +196,12 @@ def step_solve(u_prev, noise_inc, cfg, initial_guess=None):
         raise failures[0][1]
     tag = u_prev.space_tag if v[0, grid.boundary_nodes].any() else ZERO_BOUNDARY
     return Field(grid, v[0].reshape(grid.node_shape), tag)
+
+
+def field_rows(fields):
+    """The nodal values of Fields, one row each (len(fields), n_nodes): the
+    control rows `simulate_controls` takes."""
+    return np.array([f.flat for f in fields])
 
 
 def state_fields(ensemble, i=0):

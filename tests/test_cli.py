@@ -15,12 +15,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from plaplace_levy.cli import main
-from plaplace_levy.config import (
-    ConfigError,
-    parse_config,
-    parse_config_text,
-    serialize_config,
-)
+from plaplace_levy.config import ConfigError, parse_config, serialize_config
+
+from _oracles import parse_config_text
 
 REFERENCE = """
 [grid]

@@ -32,7 +32,7 @@ from plaplace_levy import (
 )
 from plaplace_levy.control import nelder_mead
 
-from _oracles import state_fields
+from _oracles import field_rows, state_fields
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRID = Grid(1, 12)
@@ -152,6 +152,167 @@ def test_control_param_build_and_gram_check():
         ControlParam(basis=[basis[0], basis[0]], coeffs=[1.0, 2.0])
     with pytest.raises(ValueError):
         ControlParam(basis=basis, coeffs=[1.0])
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+def test_basis_check_does_not_depend_on_scale(scale):
+    from plaplace_levy.control import check_basis
+
+    grid = Grid(1, 16)
+    basis = [scale * phi for phi in sine_basis(grid, 2)]
+    gram = np.array([[np.dot(a.flat, b.flat) for b in basis] for a in basis])
+    if scale == 1e-4:  # an unscaled determinant test would call it dependent
+        assert abs(np.linalg.det(gram)) < 1e-12
+    check_basis(basis)
+    U = ControlParam(basis=basis, coeffs=[1.0, -2.0]).build()
+    assert np.array_equal(U.values, 1.0 * basis[0].values + -2.0 * basis[1].values)
+    for dependent in ([basis[0], basis[0]], [basis[0], -3.0 * basis[0]],
+                      [basis[1], Field.zeros(grid, "free_boundary")]):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            ControlParam(basis=dependent, coeffs=[1.0, 2.0])
+
+
+def test_config_sine_bases_pass_the_basis_check_scaled_or_not():
+    # every basis `config` builds (`sine:k`) is orthogonal on the nodes: its
+    # Gram determinant is far above 1e-12 with or without the scaling
+    from plaplace_levy.control import check_basis
+
+    for grid in [Grid(1, n) for n in (2, 3, 8, 16, 64)] + [Grid(2, n) for n in (2, 3, 4, 8)]:
+        size = 1
+        while True:
+            try:
+                basis = sine_basis(grid, size)
+            except ValueError:
+                break
+            check_basis(basis)
+            gram = np.array([[np.dot(a.flat, b.flat) for b in basis] for a in basis])
+            assert abs(np.linalg.det(gram)) >= 1e-12
+            assert np.allclose(gram, np.diag(np.diag(gram)), rtol=0.0, atol=1e-12)
+            size += 1
+        assert size > 1
+
+
+_ROW_CASES = [(dim, proj, psi) for dim in (1, 2) for proj in ("clamp_boundary", "lift_boundary")
+              for psi in ("zero", "l2", "l2_clip")]
+
+
+@pytest.mark.parametrize("dim, projection, psi_kind", _ROW_CASES)
+def test_batched_rows_match_the_per_field_code(dim, projection, psi_kind, monkeypatch):
+    # control rows, starts and J of a batch, bitwise against one Field at a
+    # time: ControlParam.build, project_control + prepare_initial, and the
+    # per-path tracking and payoff sums with w1p_norm's control term
+    import plaplace_levy.scheme as scheme
+    from plaplace_levy.control import control_rows
+    from _oracles import per_path_cost_sums
+
+    grid = Grid(1, 16) if dim == 1 else Grid(2, 6)
+    cfg = SchemeConfig(p=3.0, dt=1 / 16, n_steps=5, control_projection=projection,
+                       flux=zero_flux(dim))
+    model = reference_model()
+    # a constant mode gives the controls a nonzero trace for the projection
+    basis = sine_basis(grid, 2) + [Field(grid, np.ones(grid.node_shape), "free_boundary")]
+    # enough rows that numpy's array power, which differs from the scalar
+    # power in the last bit on about 5% of inputs here, would show
+    rng = np.random.default_rng(_ROW_CASES.index((dim, projection, psi_kind)))
+    points = np.vstack([np.zeros(3), rng.normal(scale=0.3, size=(11, 3))])
+    u0 = Field.from_function(grid, lambda *x: 0.4 * np.prod(np.sin(np.pi * np.array(x)), axis=0))
+    tar = Field.from_function(grid, lambda *x: 0.2 * np.prod(np.sin(2 * np.pi * np.array(x)),
+                                                             axis=0))
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(3))
+
+    rows = control_rows(basis, points)
+    fields = [ControlParam(basis=basis, coeffs=c).build() for c in points]
+    for row, c, U in zip(rows, points, fields):
+        manual = np.zeros(grid.node_shape)
+        for cj, phi in zip(c, basis):
+            manual = manual + cj * phi.values
+        assert np.array_equal(row, U.flat) and np.array_equal(row, manual.ravel())
+    assert np.all(rows[1:, grid.boundary_nodes] != 0.0)  # the projection matters
+
+    starts, real = {}, scheme._march
+
+    def spy(grid, first, model, cfg, part, groups, ref=None):
+        starts.update(zip(groups.tolist(), first))
+        return real(grid, first, model, cfg, part, groups, ref)
+
+    monkeypatch.setattr(scheme, "_march", spy)
+    runs = scheme.simulate_controls(u0, rows, model, cfg, paths)
+    monkeypatch.undo()
+    ends = [l2_norm(state_fields(run, i)[-1]) for run in runs for i in range(3)]
+    cap = float(np.median(ends))  # binds on some paths, not on others
+    psi = {"zero": psi_zero(), "l2": psi_l2(), "l2_clip": psi_l2(cap=cap)}[psi_kind]
+    spec = CostSpec(u_tar=constant_target(grid, cfg.n_steps, tar), psi=psi)
+    costs = cost_J(runs, rows, spec, cfg.p)
+    targets = np.array([f.flat for f in spec.u_tar[1:]])
+    for i, U in enumerate(fields):
+        U_used = scheme.project_control(U, projection)
+        hat0 = scheme.prepare_initial(u0, U_used, cfg.effective_smoothing_dt, cfg.p)
+        assert np.array_equal(starts[i], hat0.flat)
+        alone = simulate_paths(u0, U, model, cfg, paths)
+        assert np.array_equal(runs[i].states, alone.states)
+        total, parts = costs[i]
+        assert (total, parts) == cost_J(alone, U, spec, cfg.p)
+        tracking, terminal = per_path_cost_sums(alone.states, targets, spec.payoff, grid, cfg.dt)
+        control = w1p_norm(U, cfg.p) ** cfg.p
+        assert parts == {"tracking": tracking, "control": control, "terminal": terminal}
+        assert total == tracking + control + terminal
+    n_terminal = len({parts["terminal"] for _, parts in costs})
+    assert n_terminal == 1 if psi_kind == "zero" else n_terminal >= 3
+
+
+def test_non_finite_coefficient_raises_the_field_error():
+    import plaplace_levy.scheme as scheme
+    from plaplace_levy.control import control_rows
+
+    basis = sine_basis(GRID, 2)
+    u0 = Field.from_function(GRID, lambda x: 0.4 * np.sin(np.pi * x))
+    model = reference_model()
+    paths = sample_prms(model, CFG.dt, CFG.n_steps, range(2))
+    for bad in ([np.inf, 0.0], [0.1, np.nan]):
+        with pytest.raises(ValueError, match="field values must be finite"):
+            ControlParam(basis=basis, coeffs=bad).build()
+        with pytest.raises(ValueError, match="field values must be finite"):
+            scheme.simulate_controls(u0, control_rows(basis, np.array([[0.1, 0.2], bad])),
+                                     model, CFG, paths)
+        with pytest.raises(ValueError, match="field values must be finite"):
+            saa_minimize(model, CFG, u0, make_spec(), basis, n_paths=1, budget=10,
+                         initial_coeffs=bad)
+
+
+def test_search_work_per_batch(monkeypatch):
+    # one simulate_controls call per evaluate, one smoothing lookup per
+    # batch, and no ControlParam built after the search's one basis check
+    import plaplace_levy.control as control
+    import plaplace_levy.scheme as scheme
+
+    counts = {"evaluate": 0, "simulate": 0, "smoothed": 0, "check": 0, "cost": 0}
+    real_nm, real_sim, real_cost = control.nelder_mead, control.simulate_controls, control.cost_J
+    real_check, real_smoothed = control.check_basis, scheme._smoothed
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def nm(evaluate, *args, **kwargs):
+        return real_nm(counted("evaluate", evaluate), *args, **kwargs)
+
+    def no_param(*args, **kwargs):
+        raise AssertionError("ControlParam built inside the search")
+
+    monkeypatch.setattr(control, "nelder_mead", nm)
+    monkeypatch.setattr(control, "simulate_controls", counted("simulate", real_sim))
+    monkeypatch.setattr(scheme, "_smoothed", counted("smoothed", real_smoothed))
+    monkeypatch.setattr(control, "check_basis", counted("check", real_check))
+    monkeypatch.setattr(control, "cost_J", counted("cost", real_cost))
+    monkeypatch.setattr(control, "ControlParam", no_param)
+    u0 = Field.from_function(GRID, lambda x: 0.4 * np.sin(np.pi * x))
+    res = saa_minimize(reference_model(), CFG, u0, make_spec(psi=psi_l2()), sine_basis(GRID, 2),
+                       n_paths=1, budget=40)
+    assert res.n_evaluations == 40 and counts["check"] == 1
+    assert counts["evaluate"] > 1
+    assert counts["simulate"] == counts["smoothed"] == counts["cost"] == counts["evaluate"]
 
 
 def test_control_norm_convexity():
@@ -383,7 +544,7 @@ def test_diverged_candidate_scores_inf_and_spares_its_batch(monkeypatch):
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(3))
     coeffs = [[0.1, -0.2], [50.0, -0.2], [0.5, -0.2], [2.0, -0.2]]
     controls = [ControlParam(basis=basis, coeffs=c).build() for c in coeffs]
-    runs = simulate_controls(u0, controls, model, cfg, paths)
+    runs = simulate_controls(u0, field_rows(controls), model, cfg, paths)
     assert isinstance(runs[1], NonConvergence)
     with pytest.raises(NonConvergence) as alone:
         simulate_paths(u0, controls[1], model, cfg, paths)
@@ -460,9 +621,9 @@ def test_warm_started_solves_match_the_cold_solve(dim, flux, projection):
     # a nearby control and a far one, whose lifted trace -0.2 the shift
     # 0.1 + (-0.2 - 0.1) would round to -0.20000000000000004
     grid, u0, (U_a, *others), model, cfg, paths, spec = _warm_start_case(dim, flux, projection)
-    (ref,) = simulate_controls(u0, [U_a], model, cfg, paths)
-    colds = simulate_controls(u0, others, model, cfg, paths)
-    warms = simulate_controls(u0, others, model, cfg, paths, ref.states)
+    (ref,) = simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
+    colds = simulate_controls(u0, field_rows(others), model, cfg, paths)
+    warms = simulate_controls(u0, field_rows(others), model, cfg, paths, ref.states)
     assert not np.array_equal(warms[0].states, colds[0].states)  # the reference is used
     edge = grid.boundary_nodes
     for U, cold, warm in zip(others, colds, warms):
@@ -481,12 +642,12 @@ def test_warm_started_row_ignores_batch_and_chunking(dim, monkeypatch):
 
     grid, u0, (U_a, U_b, U_c), model, cfg, paths, _ = _warm_start_case(dim, "sine",
                                                                       "lift_boundary")
-    (ref,) = scheme.simulate_controls(u0, [U_a], model, cfg, paths)
-    (alone,) = scheme.simulate_controls(u0, [U_b], model, cfg, paths, ref.states)
-    mixed = scheme.simulate_controls(u0, [U_c, U_b, U_a], model, cfg, paths, ref.states)
+    (ref,) = scheme.simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
+    (alone,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths, ref.states)
+    mixed = scheme.simulate_controls(u0, field_rows([U_c, U_b, U_a]), model, cfg, paths, ref.states)
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 2 * 8 * band.ldab * band.m)  # 2 rows a chunk
-    chunked = scheme.simulate_controls(u0, [U_c, U_b], model, cfg, paths, ref.states)
+    chunked = scheme.simulate_controls(u0, field_rows([U_c, U_b]), model, cfg, paths, ref.states)
     assert np.array_equal(mixed[1].states, alone.states)
     assert np.array_equal(chunked[1].states, alone.states)
     # the reference's own control starts from its own solution
@@ -519,9 +680,9 @@ def test_trajectory_solve_is_an_accepted_march(dim, flux, projection, monkeypatc
     import plaplace_levy.scheme as scheme
 
     grid, u0, (U_a, U_b, U_c), model, cfg, paths, _ = _warm_start_case(dim, flux, projection)
-    (ref,) = scheme.simulate_controls(u0, [U_a], model, cfg, paths)
+    (ref,) = scheme.simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", 0)
-    marched = scheme.simulate_controls(u0, [U_b, U_c], model, cfg, paths, ref.states)
+    marched = scheme.simulate_controls(u0, field_rows([U_b, U_c]), model, cfg, paths, ref.states)
     taken, real = [], scheme._trajectories
     factor, newton_iters = scheme.dgbtrf, []
 
@@ -532,16 +693,16 @@ def test_trajectory_solve_is_an_accepted_march(dim, flux, projection, monkeypatc
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * grid.n_nodes)
     monkeypatch.setattr(scheme, "_trajectories", spy)
     monkeypatch.setattr(scheme, "_march", None)  # no row falls back to the march
-    mixed = scheme.simulate_controls(u0, [U_c, U_b, U_a], model, cfg, paths, ref.states)
+    mixed = scheme.simulate_controls(u0, field_rows([U_c, U_b, U_a]), model, cfg, paths, ref.states)
     monkeypatch.setattr(scheme, "dgbtrf", lambda *a, **k: newton_iters.append(1) or factor(*a, **k))
-    (alone,) = scheme.simulate_controls(u0, [U_b], model, cfg, paths, ref.states)
+    (alone,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths, ref.states)
     # Newton with the exact trajectory Jacobian from the shift predictor of a
     # control 1e-3 away: 3 iterations in every case (7 without the coupling
     # blocks, which would still converge)
     assert len(newton_iters) <= 4
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 2 * 8 * band.ldab * band.m * cfg.n_steps)
-    chunked = scheme.simulate_controls(u0, [U_c, U_b], model, cfg, paths, ref.states)
+    chunked = scheme.simulate_controls(u0, field_rows([U_c, U_b]), model, cfg, paths, ref.states)
     assert taken == [3 * len(paths), len(paths), 2, 2, 2]  # rows per call
     # bitwise alone, in a batch and in chunks
     assert np.array_equal(mixed[1].states, alone.states)
@@ -570,11 +731,11 @@ def test_kept_factors_match_fresh_factors_every_round(flux, projection, monkeypa
     factored, real = [], scheme.dgbtrf
     monkeypatch.setattr(scheme, "dgbtrf", lambda ab, *a, **k: factored.append(ab.shape[1])
                         or real(ab, *a, **k))
-    kept = scheme.simulate_controls(u0, controls, model, cfg, paths)
+    kept = scheme.simulate_controls(u0, field_rows(controls), model, cfg, paths)
     n_kept = sum(factored)
     monkeypatch.setattr(scheme, "_LAG_CUT", -1.0)
     factored.clear()
-    fresh = scheme.simulate_controls(u0, controls, model, cfg, paths)
+    fresh = scheme.simulate_controls(u0, field_rows(controls), model, cfg, paths)
     assert n_kept < sum(factored)
     for a, b in zip(kept, fresh):
         assert np.max(np.abs(a.states - b.states)) <= 10 * cfg.newton_tol
@@ -588,13 +749,13 @@ def test_above_the_trajectory_bound_rows_march(dim, monkeypatch):
 
     grid, u0, (U_a, U_b, _), model, cfg, paths, _ = _warm_start_case(dim, "sine",
                                                                     "lift_boundary")
-    (ref,) = scheme.simulate_controls(u0, [U_a], model, cfg, paths)
+    (ref,) = scheme.simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
     hat0 = scheme.prepare_initial(u0, U_b, cfg.effective_smoothing_dt, cfg.p).flat
     states, sums, _ = scheme._march(grid, np.array([hat0] * len(paths)), model, cfg, paths,
                                     np.zeros(len(paths), dtype=int), ref.states)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * grid.n_nodes - 1)
     monkeypatch.setattr(scheme, "_trajectories", None)
-    (run,) = scheme.simulate_controls(u0, [U_b], model, cfg, paths, ref.states)
+    (run,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths, ref.states)
     assert np.array_equal(run.states, states) and np.array_equal(run.sums, sums)
     # the CI workflow's repeated optimize runs (sample_config.ini, 17 nodes a
     # path) at 4 and 8 paths lie on either side of the shipped bound
@@ -616,9 +777,9 @@ def test_trajectory_rows_that_fail_march_from_their_start(monkeypatch):
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(2))
     controls = [ControlParam(basis=basis, coeffs=c).build()
                 for c in ([0.1, -0.2], [1.0, 0.5], [50.0, -0.2])]
-    (ref,) = scheme.simulate_controls(u0, controls[:1], model, CFG, paths)
+    (ref,) = scheme.simulate_controls(u0, field_rows(controls[:1]), model, CFG, paths)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", 0)
-    marched = scheme.simulate_controls(u0, controls[1:], model, cfg, paths, ref.states)
+    marched = scheme.simulate_controls(u0, field_rows(controls[1:]), model, cfg, paths, ref.states)
     assert isinstance(marched[1], scheme.NonConvergence)
     fell_back, real = [], scheme._march
 
@@ -628,7 +789,7 @@ def test_trajectory_rows_that_fail_march_from_their_start(monkeypatch):
 
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * GRID.n_nodes)
     monkeypatch.setattr(scheme, "_march", spy)
-    runs = scheme.simulate_controls(u0, controls[1:], model, cfg, paths, ref.states)
+    runs = scheme.simulate_controls(u0, field_rows(controls[1:]), model, cfg, paths, ref.states)
     assert fell_back == [2 * len(paths)]
     assert np.array_equal(runs[0].states, marched[0].states)
     assert np.array_equal(runs[0].sums, marched[0].sums)
@@ -644,11 +805,11 @@ def test_singular_trajectory_block_sends_its_row_to_the_march(monkeypatch):
 
     grid, u0, (U_a, U_b, _), model, cfg, paths, _ = _warm_start_case(1, "sine",
                                                                     "clamp_boundary")
-    (ref,) = scheme.simulate_controls(u0, [U_a], model, cfg, paths)
+    (ref,) = scheme.simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", 0)
-    (marched,) = scheme.simulate_controls(u0, [U_b], model, cfg, paths, ref.states)
+    (marched,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths, ref.states)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * grid.n_nodes)
-    (whole,) = scheme.simulate_controls(u0, [U_b], model, cfg, paths, ref.states)
+    (whole,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths, ref.states)
     real, m = scheme.dgbtrf, grid.step_band.m
 
     def singular_once(*args, **kwargs):
@@ -660,7 +821,7 @@ def test_singular_trajectory_block_sends_its_row_to_the_march(monkeypatch):
 
     calls = []
     monkeypatch.setattr(scheme, "dgbtrf", singular_once)
-    (run,) = scheme.simulate_controls(u0, [U_b], model, cfg, paths, ref.states)
+    (run,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths, ref.states)
     assert calls[:2] == [3, 2]
     assert np.array_equal(run.states[1], marched.states[1])
     assert np.array_equal(run.states[[0, 2]], whole.states[[0, 2]])

@@ -7,17 +7,14 @@ from plaplace_levy import (
     Field,
     Grid,
     GridMismatchError,
-    div_flux,
     dual_norm_estimates,
-    gradient,
     l1_norm,
-    l2_inner,
     l2_norm,
     lp_grad_norm,
     w1p_norm,
 )
 from plaplace_levy.scheme import _conv_residual, linear_flux, sine_flux
-from _oracles import grad_ops
+from _oracles import div_flux, grad_ops, gradient, l2_inner
 
 
 def random_zero_boundary(grid, rng, scale=1.0):

@@ -15,7 +15,6 @@ from plaplace_levy import (
     eta_zero,
     generate_ensemble,
     initial_smoothing,
-    l2_inner,
     l2_norm,
     linear_flux,
     lp_grad_norm,
@@ -45,8 +44,8 @@ def zero_model():
 # ---------------------------------------------------------------------------
 # independent convex-energy oracle (1D, zero convection flux): see _oracles
 
-from _oracles import (grad_ops, oracle_energy, oracle_gradient, oracle_minimize, state_fields,
-                      step_solve)
+from _oracles import (field_rows, grad_ops, l2_inner, oracle_energy, oracle_gradient,
+                      oracle_minimize, state_fields, step_solve)
 from plaplace_levy.scheme import _conv_residual, _smoothed, _StepSolver
 
 
@@ -760,7 +759,7 @@ def test_failing_row_stops_the_later_rows_of_its_control(monkeypatch):
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 8 * band.ldab * band.m)
     monkeypatch.setattr(scheme, "_march", spy)
-    runs = scheme.simulate_controls(u0, [U, U], model, cfg, [paths[s] for s in (3, 9)])
+    runs = scheme.simulate_controls(u0, field_rows([U, U]), model, cfg, [paths[s] for s in (3, 9)])
     assert marched == [(0, 3), (1, 3)]
     assert [(r.seed, r.step) for r in runs] == [(3, 1), (3, 1)]
 
