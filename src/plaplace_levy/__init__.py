@@ -39,6 +39,7 @@ from .scheme import (
     prepare_initial,
     project_control,
     simulate_paths,
+    simulate_runs,
     sine_flux,
     zero_flux,
 )

@@ -637,28 +637,52 @@ def simulate_paths(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
     from the same data: one initial smoothing, then n_steps implicit steps
     (noise explicit, diffusion implicit) with the paths advancing together
     as an (M, n_nodes) stack, one batched solve per step.  A path's row
-    does not depend on which paths share the call.
+    does not depend on which paths share the call.  `simulate_runs` with
+    one run.
 
     Raises NonConvergence for the first failing path in `paths` order, with
     its step and seed: the error a path-by-path loop raises."""
-    _check_same_grid(u0, U)
-    (result,) = simulate_controls(u0, U.flat[None], model, cfg, paths)
-    if isinstance(result, NonConvergence):
-        raise result
-    return result
+    return _solved(simulate_runs([(u0, U, paths)], model, cfg)[0])
+
+
+def _solved(run):
+    """A run of `simulate_runs`: its Ensemble, or its NonConvergence raised."""
+    if isinstance(run, NonConvergence):
+        raise run
+    return run
+
+
+def simulate_runs(runs, model: LevyModel, cfg: SchemeConfig) -> list:
+    """`simulate_paths` for each run (u0, U, paths) of `runs`, all on one
+    grid, as one stack of (run x path) rows, run-major: the runs take their
+    steps in the same batched solves.  Runs may share paths or data, and a
+    row does not depend on the other rows.  Returns, per run, its Ensemble,
+    or the NonConvergence of its initial smoothing or of its first failing
+    path in its `paths` order (with step and seed): the error its own
+    `simulate_paths` call raises.  The other runs are solved all the same."""
+    runs = [(u0, U, tuple(paths)) for u0, U, paths in runs]
+    grid = runs[0][0].grid
+    starts, smoothing = np.zeros((len(runs), grid.n_nodes)), {}
+    for c, (u0, U, _) in enumerate(runs):
+        _check_same_grid(runs[0][0], u0)
+        try:
+            starts[c] = prepare_initial(u0, project_control(U, cfg.control_projection),
+                                        cfg.effective_smoothing_dt, cfg.p).flat
+        except NonConvergence as err:  # the run gets no rows
+            smoothing[c] = err
+    results = _solve(grid, starts, [() if c in smoothing else paths
+                                    for c, (*_, paths) in enumerate(runs)], model, cfg)
+    return [smoothing.get(c) or result for c, result in enumerate(results)]
 
 
 def simulate_controls(u0: Field, controls: np.ndarray, model: LevyModel, cfg: SchemeConfig,
                       paths, ref: np.ndarray = None) -> list:
-    """`simulate_paths` for each row of `controls` (k, n_nodes), the nodal
-    values of k controls on u0's grid, on the common jump paths `paths`, as
-    one stack of (control x path) rows, control-major; a non-finite control
+    """`simulate_runs` for each row of `controls` (k, n_nodes), the nodal
+    values of k controls on u0's grid, on the common jump paths `paths`: one
+    stack of (control x path) rows, control-major; a non-finite control
     raises ValueError.  Returns, per control, its Ensemble, or the
     NonConvergence of its first failing path in `paths` order (with step and
-    seed).  A failing row drops out of the stack with the later rows of its
-    control; the rows of the other controls march on.  The stack is marched
-    in chunks, each written into the call's one states array and one sums
-    array as it finishes.
+    seed).
 
     ref, of shape (len(paths), n_steps + 1, n_nodes), is a solved trajectory
     per path (say, a nearby control's): each row's step solves then start
@@ -666,9 +690,8 @@ def simulate_controls(u0: Field, controls: np.ndarray, model: LevyModel, cfg: Sc
     newton_tol against the cold start from the previous state.  With ref and
     at most _TRAJECTORY_NODES nodal values per path set (len(paths) x grid
     nodes), each row's steps are solved as one system (`_trajectories`)
-    instead, started from ref's own states, in chunks of whole trajectories
-    that keep their band arrays within _BAND_BUDGET; the choice depends on
-    the paths and the grid, not on the number of controls, so a row's states
+    instead, in chunks of whole trajectories; the choice depends on the
+    paths and the grid, not on the number of controls, so a row's states
     still do not depend on which controls share the call."""
     grid = u0.grid
     if controls.ndim != 2 or controls.shape[1] != grid.n_nodes:
@@ -678,34 +701,47 @@ def simulate_controls(u0: Field, controls: np.ndarray, model: LevyModel, cfg: Sc
     if cfg.control_projection == CLAMP_BOUNDARY:
         controls = np.where(grid.boundary_mask, 0.0, controls)
     starts = prepare_initial(u0, controls, cfg.effective_smoothing_dt, cfg.p)
-    paths = tuple(paths)
-    n_paths = len(paths)
-    n_rows = len(controls) * n_paths
-    whole = ref is not None and cfg.n_steps > 0 and n_paths * grid.n_nodes <= _TRAJECTORY_NODES
+    return _solve(grid, starts, [tuple(paths)] * len(controls), model, cfg, ref)
+
+
+def _solve(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel, cfg: SchemeConfig,
+           ref: np.ndarray = None) -> list:
+    """The row loop of every simulate entry: run c is the path tuple runs[c]
+    from the nodal state starts[c]; returns per run its Ensemble or its
+    first failure in path order.  A failing row drops out of the stack
+    with the later rows of its run, and the rows of the other runs march
+    on.  The stack is marched in chunks within _BAND_BUDGET, each written
+    into the call's one states and one sums array as it finishes.  ref
+    (every run on the same paths) is `simulate_controls`' reference."""
+    # per row: its run, its path and the path's index within the run
+    run_of = [c for c, paths in enumerate(runs) for _ in paths]
+    row_paths = [path for paths in runs for path in paths]
+    local = [i for paths in runs for i in range(len(paths))]
+    n_rows = len(run_of)
+    whole = ref is not None and cfg.n_steps > 0 and len(ref) * grid.n_nodes <= _TRAJECTORY_NODES
     solve = _trajectories if whole else _march
     band = grid.step_band
     chunk = max(1, _BAND_BUDGET // (8 * band.ldab * band.m * (cfg.n_steps if whole else 1)))
     states = np.empty((n_rows, cfg.n_steps + 1, grid.n_nodes))
     sums = np.empty_like(states)
-    errors = [None] * len(controls)  # first failure of each control, in path order
+    errors = [None] * len(runs)  # first failure of each run, in path order
     for start in range(0, n_rows, chunk):
-        rows = [r for r in range(start, min(start + chunk, n_rows))
-                if errors[r // n_paths] is None]
+        rows = [r for r in range(start, min(start + chunk, n_rows)) if errors[run_of[r]] is None]
         if not rows:
             continue
-        groups = np.array(rows) // n_paths
-        part = [paths[r % n_paths] for r in rows]
+        groups = np.array([run_of[r] for r in rows])
         states[rows], sums[rows], chunk_errors = solve(
-            grid, starts[groups], model, cfg, part, groups,
-            None if ref is None else ref[np.array(rows) % n_paths])
-        for c, err in zip(groups.tolist(), chunk_errors):
-            if err is not None and errors[c] is None:
-                errors[c] = err
-    return [
-        errors[c] or Ensemble(states[c * n_paths : (c + 1) * n_paths],
-                              sums[c * n_paths : (c + 1) * n_paths], paths, cfg, grid)
-        for c in range(len(controls))
-    ]
+            grid, starts[groups], model, cfg, [row_paths[r] for r in rows], groups,
+            None if ref is None else ref[[local[r] for r in rows]])
+        for r, err in zip(rows, chunk_errors):
+            if err is not None and errors[run_of[r]] is None:
+                errors[run_of[r]] = err
+    out, start = [], 0
+    for c, paths in enumerate(runs):
+        stop = start + len(paths)
+        out.append(errors[c] or Ensemble(states[start:stop], sums[start:stop], paths, cfg, grid))
+        start = stop
+    return out
 
 
 def _path_mark_sums(paths, n_steps: int) -> np.ndarray:

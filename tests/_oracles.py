@@ -251,3 +251,23 @@ def per_path_moments(states, grid, p, dt):
         incr_sq[i] = sum((_l2_norms(grid, np.diff(path, axis=0)) ** 2).tolist())
         gap[i] = (dt / 3.0) * incr_sq[i]
     return sq, grad_int, incr_sq, gap
+
+
+def aldous_measured(ensemble, probe, thetas, tau, iters):
+    """aldous_scaling's measured means, window by window: one
+    dual_norm_estimates ascent over each window's increments, as before the
+    windows were stacked into one ascent."""
+    from plaplace_levy.estimates import _series_at
+    from plaplace_levy.grid import dual_norm_estimates
+
+    dt = ensemble.config.dt
+    series = ensemble.sums
+    if probe == "T1":
+        series = ensemble.states - ensemble.states[:, :1] - series
+    alpha = 1.0 if probe == "T1" else 2.0
+    measured = []
+    for theta in thetas:
+        inc = _series_at(series, tau + theta, dt) - _series_at(series, tau, dt)
+        vals = dual_norm_estimates(ensemble.grid, inc, ensemble.config.p, iters=iters) ** alpha
+        measured.append(float(np.mean(vals)))
+    return measured

@@ -308,6 +308,26 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
     assert "solver failure at step 0 of path seed 0" in capsys.readouterr().err
 
 
+def test_cli_verify_solver_failure_is_the_moment_ensembles(tmp_path, capsys):
+    # verify solves its moment ensemble and both uniqueness runs as one
+    # stack; with one Newton round a step, the moment ensemble fails first,
+    # and verify reports the error simulate_paths raises on it alone
+    from plaplace_levy import NonConvergence, generate_ensemble
+
+    text = REFERENCE.replace("n_steps = 16", "n_steps = 16\nnewton_max_iters = 1")
+    cfg_path = write(tmp_path, text)
+    code = run_cli(["verify", "--config", cfg_path, "--paths", "50", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    cfg = parse_config(cfg_path)
+    grid = cfg.build_grid()
+    with pytest.raises(NonConvergence) as exc:
+        generate_ensemble(cfg.build_initial(grid), cfg.build_control(grid), cfg.build_levy(),
+                          cfg.build_scheme(grid.dim), 50, cfg.seed)
+    alone = exc.value
+    assert code == 3
+    assert err == f"solver failure at step {alone.step} of path seed {alone.seed}: {alone}\n"
+
+
 def test_cli_singular_step_matrix_exit_code(tmp_path, capsys, monkeypatch):
     # gbtrf reports a zero pivot in the first path's block of the first step
     # solve: a solver failure (exit 3) naming step and seed, not a traceback

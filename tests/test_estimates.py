@@ -342,19 +342,55 @@ def test_row_wise_state_norms_match_per_field_norms(dim):
 
 
 def test_verify_study_solves_each_path_row_once(monkeypatch):
-    # the moment ensemble is side a of both uniqueness pairings: 50 rows for
-    # it, 20 for the identical data and 50 for the bumped data
+    # the moment ensemble is side a of both uniqueness pairings: one stack of
+    # 50 rows for it, 20 for the identical data and 50 for the bumped data,
+    # marched in one chunk with one Newton solve per step; both increment
+    # scalings take one dual-norm ascent over their 4 windows of 50 rows
+    import plaplace_levy.estimates as estimates
     import plaplace_levy.scheme as scheme
-    from plaplace_levy.estimates import verify_study
 
-    rows = []
-    real = scheme.simulate_controls
+    seen = {"march": [], "newton": 0, "dual": []}
+    march, newton, dual = scheme._march, scheme._newton, estimates.dual_norm_estimates
 
-    def spy(u0, controls, model, cfg, paths):
-        rows.append(len(controls) * len(paths))
-        return real(u0, controls, model, cfg, paths)
+    def spy_march(grid, starts, model, cfg, paths, groups, ref):
+        seen["march"].append(np.bincount(groups).tolist())
+        return march(grid, starts, model, cfg, paths, groups, ref)
 
-    monkeypatch.setattr(scheme, "simulate_controls", spy)
-    results, _ = verify_study(U0, UCTL, reference_model(), CFG, 50, 0)
-    assert rows == [50, 20, 50] and sum(rows) == 120
+    def spy_newton(solver, v, rhs, tol, max_iters, kept=None):
+        seen["newton"] += 1
+        return newton(solver, v, rhs, tol, max_iters, kept)
+
+    def spy_dual(grid, g, p, iters=30):
+        seen["dual"].append(len(g))
+        return dual(grid, g, p, iters)
+
+    monkeypatch.setattr(scheme, "_march", spy_march)
+    monkeypatch.setattr(estimates, "dual_norm_estimates", spy_dual)
+    # prime the memoized smoothings of u0 and u0 + bump, then count the march
+    scheme.prepare_initial(U0, UCTL, CFG.effective_smoothing_dt, CFG.p)
+    scheme.prepare_initial(U0 + estimates.default_bump(GRID), UCTL, CFG.effective_smoothing_dt,
+                           CFG.p)
+    monkeypatch.setattr(scheme, "_newton", spy_newton)
+    results, _ = estimates.verify_study(U0, UCTL, reference_model(), CFG, 50, 0)
+    assert seen["march"] == [[50, 20, 50]]
+    assert seen["newton"] == CFG.n_steps == 16
+    assert seen["dual"] == [200, 200]
     assert results["uniqueness"]["identical"]["max_l1"] == 0.0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_aldous_scaling_matches_per_window_ascents_bitwise(dim):
+    from _oracles import aldous_measured
+
+    if dim == 1:
+        u0, U, cfg = U0, UCTL, CFG
+    else:
+        grid = Grid(2, 6)
+        u0 = Field.from_function(grid, lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y))
+        U = Field.zeros(grid, "free_boundary")
+        cfg = SchemeConfig(p=3, dt=1 / 16, n_steps=12, flux=linear_flux([0.4, -0.2]))
+    ens = generate_ensemble(u0, U, reference_model(), cfg, 7, base_seed=3)
+    thetas = [cfg.dt * 2**j for j in range(4)]
+    for probe in ("T1", "T2"):
+        rep = aldous_scaling(ens, probe, thetas, tau=cfg.dt)
+        assert rep.measured == aldous_measured(ens, probe, rep.grid, cfg.dt, iters=25)

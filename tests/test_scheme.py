@@ -816,6 +816,85 @@ def test_chunked_batches_match_one_batch(monkeypatch):
     assert all(a is b is path for a, b, path in zip(whole.paths, chunked.paths, paths))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_each_run_of_a_multi_run_solve_equals_its_own_call(dim, monkeypatch):
+    # runs on a prefix of another run's paths and from other initial data,
+    # stacked run-major over chunks of 4 rows that mix runs: every run's
+    # Ensemble equals its own simulate_paths call bitwise
+    import plaplace_levy.scheme as scheme
+    from plaplace_levy.estimates import default_bump
+
+    if dim == 1:
+        grid = Grid(1, 16)
+        u0 = pinned_u0_1d(grid)
+        U = Field.from_function(grid, lambda x: 0.2 * np.sin(2 * np.pi * x), "free_boundary")
+        cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=8, flux=sine_flux([0.7]))
+        model = reference_model()
+        paths = sample_prms(model, cfg.dt, cfg.n_steps, range(7))
+    else:
+        grid, u0, U, model, cfg, paths = _kept_factor_case()
+    runs = [(u0, U, paths), (u0, U, paths[:3]), (u0 + default_bump(grid), U, paths)]
+    alone = [simulate_paths(u, V, model, cfg, ps) for u, V, ps in runs]
+    chunks = []
+    real = scheme._march
+
+    def spy(grid, starts, model, cfg, part, groups, ref):
+        chunks.append(groups.tolist())
+        return real(grid, starts, model, cfg, part, groups, ref)
+
+    band = grid.step_band
+    monkeypatch.setattr(scheme, "_BAND_BUDGET", 4 * 8 * band.ldab * band.m)  # 4 rows a chunk
+    monkeypatch.setattr(scheme, "_march", spy)
+    stacked = scheme.simulate_runs(runs, model, cfg)
+    assert [len(c) for c in chunks] == [4] * (sum(len(ps) for *_, ps in runs) // 4) + [1]
+    assert any(len(set(c)) > 1 for c in chunks)
+    for run, own in zip(stacked, alone):
+        assert np.array_equal(run.states, own.states)
+        assert np.array_equal(run.sums, own.sums)
+        assert run.paths == own.paths
+
+
+def test_multi_run_failure_stays_in_its_run(monkeypatch):
+    # the setup of test_batch_failure_reports_first_failing_path: from
+    # 2 sin(pi x), seed 9 fails at step 3 and seed 3 at step 1, so the run
+    # (9, 4, 3, 10) fails with seed 9; smaller data converges on every seed,
+    # and a run whose initial smoothing fails gets that error and no rows
+    import plaplace_levy.scheme as scheme
+
+    grid = Grid(1, 12)
+    model = LevyModel(eta=eta_linear(0.9), lambda_star=0.95, point_masses=((1.0, 20.0),))
+    cfg = SchemeConfig(p=4.0, dt=0.1, n_steps=8, flux=zero_flux(1), newton_max_iters=5)
+    u0 = Field.from_function(grid, lambda x: 2 * np.sin(np.pi * x))
+    small = Field.from_function(grid, lambda x: 0.2 * np.sin(np.pi * x))
+    unsmoothed = Field.from_function(grid, lambda x: 0.7 * np.sin(2 * np.pi * x))
+    U = Field.zeros(grid, "free_boundary")
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, (9, 4, 3, 10))
+    with pytest.raises(NonConvergence) as exc:
+        simulate_paths(u0, U, model, cfg, paths)
+    expected = exc.value
+    assert (expected.seed, expected.step) == (9, 3)
+    real = scheme.initial_smoothing
+
+    def failing(u, *args, **kwargs):
+        if np.array_equal(u.values, unsmoothed.values):
+            raise NonConvergence("smoothing failed")
+        return real(u, *args, **kwargs)
+
+    monkeypatch.setattr(scheme, "initial_smoothing", failing)
+    scheme._smoothed.cache_clear()  # so the patched smoothing runs
+    runs = [(small, U, paths), (unsmoothed, U, paths), (u0, U, paths), (small, U, paths[:2])]
+    band = grid.step_band
+    monkeypatch.setattr(scheme, "_BAND_BUDGET", 3 * 8 * band.ldab * band.m)  # 3 rows a chunk
+    first, smoothing, failed, last = scheme.simulate_runs(runs, model, cfg)
+    assert str(smoothing) == "smoothing failed"
+    assert isinstance(failed, NonConvergence)
+    assert (failed.seed, failed.step, failed.residual, str(failed)) == (
+        expected.seed, expected.step, expected.residual, str(expected))
+    for run, (u, V, ps) in ((first, runs[0]), (last, runs[3])):
+        own = simulate_paths(u, V, model, cfg, ps)
+        assert np.array_equal(run.states, own.states) and np.array_equal(run.sums, own.sums)
+
+
 @pytest.mark.parametrize("measure", ["point", "invsq"])
 def test_march_increments_match_mark_by_mark_sums(measure, monkeypatch):
     # each step's increment of each row is the jump sum over that row's
