@@ -31,22 +31,27 @@ class ConfigError(ValueError):
 # Bound on the float values one run holds at once (2^27, 1 GiB of float64):
 # the stacked states and martingale sums of every row a solve holds, the jump
 # times and marks of every path, and what a command holds besides: `verify`'s
-# isometry draws and `optimize`'s two trajectories per path, the frozen
-# reference its step solves start from and the incumbent's copy.  validate()
-# rejects a config above it before any array is built.
+# isometry draws, and `optimize`'s predicted starts and kept trajectories
+# (see `check_run_size`).  validate() rejects a config above it before any
+# array is built.
 MAX_RUN_VALUES = 2**27
 
 
 def check_run_size(n_paths: int, n_steps: int, grid: Grid, model: LevyModel, dt: float,
                    steps_key: str, rate_key: str, command: str = None,
-                   candidates: int = 1) -> None:
+                   candidates: int = 1, kept: int = 1) -> None:
     """Reject a run of `command` (None: of any command) on n_paths paths of
     n_steps steps of size dt that would hold more than MAX_RUN_VALUES
     values, naming `steps_key` when its states alone would, else `rate_key`,
-    the key that sets its jump rate.  An optimize solve holds states and
-    sums for each of up to `candidates` controls at once."""
+    the key that sets its jump rate.
+
+    An optimize solve holds states, sums and a predicted start (ref) for
+    each of up to `candidates` controls at once.  The search also keeps the
+    states of up to basis size + 1 = `kept` candidates, and its frozen
+    start predictor up to as many more that have since left that set, plus
+    the incumbent's, which can date from an earlier restart."""
     optimize = command in (None, "optimize")
-    copies = 2 * (candidates if optimize else 1) + 2 * optimize
+    copies = (3 * candidates + 2 * kept + 1) if optimize else 2
     states = copies * n_paths * (n_steps + 1) * grid.n_nodes  # exact, however large
     if states > MAX_RUN_VALUES:
         raise ConfigError(f"[run] n_paths, {steps_key} and [grid] n_cells give {states} "
@@ -273,7 +278,8 @@ class RunConfig:
         speculate = self.n_paths * grid.n_nodes <= _SPECULATE_NODES
         candidates = max(self.basis_size() + 1, 4 if speculate else 1)
         check_run_size(self.n_paths, scheme.n_steps, grid, model, scheme.dt,
-                       "[scheme] n_steps", "[levy] measure", command, candidates)
+                       "[scheme] n_steps", "[levy] measure", command, candidates,
+                       self.basis_size() + 1)
         initial = {"u0": self.build_initial(grid), "control_coeffs": self.build_control(grid)}
         for key, f in initial.items():
             with np.errstate(over="ignore"):

@@ -8,10 +8,11 @@ The cost of a control U on a path ensemble is
 
 (right-endpoint rectangle rule in time, matching the step interpolant).
 Candidates are compared under common random numbers on a fixed seed set,
-and their step solves start from the incumbent's solved trajectory, so a
-computed J is deterministic in the coefficients and the incumbent history
-(within about 1e-10 relative of a cold solve): the recorded best-so-far
-history is monotone and runs reproduce bitwise.
+and their step solves start from trajectories predicted from the search's
+best solved candidates, so a computed J is deterministic in the
+coefficients and the search history (within about 1e-10 relative of a cold
+solve): the recorded best-so-far history is monotone and runs reproduce
+bitwise.
 """
 
 from __future__ import annotations
@@ -310,6 +311,51 @@ def nelder_mead(evaluate, consume, simplex, maxfev: int, xatol: float,
 # crossover still lies at 12-16 paths and the limit stays.
 _SPECULATE_NODES = 200
 
+# The start predictor (`affine_predictor`) takes barycentric coordinates
+# against its dim + 1 solved candidates only while their affine matrix
+# [1 ... 1; x_0 ... x_dim] has a 1-norm condition number of at most this;
+# a flatter or smaller set (a simplex shrunk to near the rounding of its
+# coefficients) falls back to the incumbent's states.
+_PREDICT_COND = 1e8
+
+
+def affine_predictor(kept: list, dim: int, incumbent: np.ndarray = None):
+    """The starts of a batch of candidates, fixed from solved candidates.
+
+    kept holds (coefficients, states) pairs of solved candidates, with
+    states (n_paths, n_steps + 1, n_nodes).  Given dim + 1 of them whose
+    affine matrix passes _PREDICT_COND, the returned predict(points) gives,
+    for each row x of points (k, dim), sum_i lam_i states_i, where lam are
+    x's barycentric coordinates against the kept coefficients
+    (sum_i lam_i = 1, sum_i lam_i x_i = x): exact where the states are
+    affine in the coefficients, as a candidate's start is, and computed
+    row by row, so a row's start does not depend on the other rows.
+    Otherwise every row gets the incumbent's states (`np.broadcast_to`), or
+    None without an incumbent.  The result is `simulate_controls`' ref."""
+    if len(kept) == dim + 1:
+        affine = np.vstack([np.ones(dim + 1), np.array([x for x, _ in kept]).T])
+        try:
+            inv = np.linalg.inv(affine)
+        except np.linalg.LinAlgError:  # exactly singular
+            inv = np.full_like(affine, np.inf)
+        cond = np.abs(affine).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
+        if cond <= _PREDICT_COND:  # false for NaN
+            states = [s for _, s in kept]
+
+            def predict(points):
+                lam = np.broadcast_to(inv[:, 0], (len(points), dim + 1))
+                for j in range(dim):
+                    lam = lam + points[:, j, None] * inv[:, j + 1]
+                ref = lam[:, 0, None, None, None] * states[0]
+                for i in range(1, dim + 1):
+                    ref = ref + lam[:, i, None, None, None] * states[i]
+                return ref
+
+            return predict
+    if incumbent is None:
+        return lambda points: None
+    return lambda points: np.broadcast_to(incumbent, (len(points), *incumbent.shape))
+
 
 def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
                  basis: list, n_paths: int, budget: int = 200, base_seed: int = 0,
@@ -333,11 +379,16 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     builds it, one `simulate_controls` call solves it and one `cost_J` call
     costs its converged candidates; the basis is checked once per search.
 
-    Each candidate's step solves start from the incumbent's solved states
-    (`simulate_controls`' ref), frozen at the start of each restart and of
-    each Nelder-Mead iteration, so speculative and one-at-a-time evaluation
-    start alike.  J is deterministic in the coefficients and the incumbent
-    history, and within about 1e-10 relative of a cold solve.
+    Each candidate's step solves start from a predicted trajectory set
+    (`simulate_controls`' ref).  The search keeps copies of the states of
+    the dim + 1 lowest-J converged candidates consumed so far in the
+    current restart (ties in consumption order); at the start of each
+    restart and of each Nelder-Mead iteration it fixes `affine_predictor`
+    from them, which falls back to the incumbent's states while fewer are
+    kept or they are too flat.  The rule reads only the consumed history,
+    so speculative and one-at-a-time evaluation start alike.  J is
+    deterministic in the coefficients and the search history, and within
+    about 1e-10 relative of a cold solve.
     """
     dim = len(basis)
     if budget < dim + 1:
@@ -354,14 +405,17 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     speculate = n_paths * u0.grid.n_nodes <= _SPECULATE_NODES
 
     history = []
-    # states: the incumbent's solved states (a copy, so no batch stays
-    # alive); ref: the states the step solves start from, set by freeze()
+    # states: the incumbent's solved states; kept: (J, coefficients, states)
+    # of the restart's dim + 1 best converged candidates, lowest J first (the
+    # states are copies, so no batch stays alive); predict: the starts of a
+    # batch, fixed by freeze()
     state = {"best": np.inf, "coeffs": None, "evals": 0, "parts": None, "states": None,
-             "ref": None}
+             "kept": [], "predict": affine_predictor([], dim)}
     batch = {}
 
     def freeze():
-        state["ref"] = state["states"]
+        kept = [(x, states) for _, x, states in state["kept"]]
+        state["predict"] = affine_predictor(kept, dim, state["states"])
 
     def evaluate(points):
         """Solve and cost every candidate of a batch as one stack; the
@@ -370,7 +424,7 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
         batch.clear()
         rows = control_rows(basis, points)
         try:
-            runs = simulate_controls(u0, rows, model, cfg, paths, state["ref"])
+            runs = simulate_controls(u0, rows, model, cfg, paths, state["predict"](points))
         except NonConvergence:  # the initial smoothing, shared by every candidate
             runs = [None] * len(rows)
         good = [i for i, run in enumerate(runs) if isinstance(run, Ensemble)]
@@ -381,9 +435,15 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
         """J of candidate i of the batch; +inf if its path solve diverged."""
         state["evals"] += 1
         val, parts = batch["costs"].get(i, (np.inf, None))
+        kept = state["kept"]
+        if math.isfinite(val) and (len(kept) <= dim or val < kept[-1][0]):
+            states = batch["runs"][i].states.copy()
+            at = next((j for j, (v, *_) in enumerate(kept) if val < v), len(kept))
+            kept.insert(at, (val, np.array(batch["points"][i]), states))
+            del kept[dim + 1 :]
         if val < state["best"]:
             state["best"], state["coeffs"], state["parts"] = val, np.array(batch["points"][i]), parts
-            state["states"] = batch["runs"][i].states.copy()
+            state["states"] = kept[0][2]  # the restart's lowest J is the best
         history.append(state["best"])
         return val
 
@@ -396,6 +456,7 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
         remaining = budget - state["evals"]
         if remaining < dim + 1:
             break
+        state["kept"] = []
         simplex = np.vstack([x0] + [x0 + scale * np.eye(dim)[j] for j in range(dim)])
         nelder_mead(evaluate, consume, simplex, remaining, xatol=1e-10, fatol=1e-12,
                     speculate=speculate, begin=freeze)

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._lapack import dgbtrf, dgbtrs
+from ._lapack import BandLU
 
 ZERO_BOUNDARY = "zero_boundary"
 FREE_BOUNDARY = "free_boundary"
@@ -256,23 +256,20 @@ class Grid:
         )
 
     @cached_property
-    def _laplacian_lu(self) -> tuple:
-        """gbtrf factors of the interior discrete Laplacian sum_cells wc G^T G
-        (for Poisson seeds), assembled through `step_band`."""
+    def _laplacian_lu(self) -> BandLU:
+        """Factors of the interior discrete Laplacian sum_cells wc G^T G (for
+        Poisson seeds), assembled through `step_band`."""
         band = self.step_band
         blocks = np.tile(self.cell_weight * self.local_block_basis[0], self.n_cells_total)
-        lub, piv, _ = dgbtrf(band.assemble(band.cell_take.take(blocks)), band.kl, band.kl)
-        return lub, piv
+        return BandLU(band.assemble(band.cell_take.take(blocks)), band.kl)
 
     def poisson_solve(self, rhs_interior: np.ndarray) -> np.ndarray:
         """Solve the interior nodal system -div(grad(phi)) = rhs, phi = 0 on
         the boundary, for each row of rhs_interior (..., m); returns the full
-        nodal vectors (..., n_nodes) from one gbtrs call."""
-        kl = self.step_band.kl
-        lub, piv = self._laplacian_lu
+        nodal vectors (..., n_nodes) from one band solve."""
         rhs = rhs_interior.reshape(-1, self.step_band.m)
         out = np.zeros((rhs.shape[0], self.n_nodes))
-        out[:, self.interior_nodes] = dgbtrs(lub, kl, kl, rhs.T * self.cell_weight, piv)[0].T
+        out[:, self.interior_nodes] = self._laplacian_lu.solve(rhs.T * self.cell_weight).T
         return out.reshape(*rhs_interior.shape[:-1], self.n_nodes)
 
 
@@ -308,9 +305,10 @@ class BandScatter:
         """Band array of shape (ldab, M m) holding M systems as diagonal
         blocks, one per row of `vals` (M, n): each row sums its cell entries,
         optionally followed by its edge entries, at `pos`, plus `diag` on the
-        diagonal.  Blocks share kl and nothing couples them, so gbtrf's
-        partial pivoting never leaves a block and factors each as it would
-        alone.  A 1-D `vals` is one system."""
+        diagonal.  Blocks share kl and nothing couples them, so the partial
+        pivoting of `BandLU` (gbtrf, or gttrf for kl = 1) never leaves a
+        block and factors each as it would alone.  A 1-D `vals` is one
+        system."""
         rows = 1 if vals.ndim == 1 else len(vals)
         pos = self.cell_pos if vals.size == rows * self.cell_pos.index.size else self.pos
         ab = pos.scatter(vals, rows)

@@ -82,18 +82,20 @@ class LevyModel:
         # from pow in the last bit, which would move the atom masses
         return z, np.array([abs(zz) ** -2 for zz in z.tolist()]) * width
 
-    @property
+    # the masses below are read in every Newton iteration of a march or a
+    # trajectory solve, so each is computed once per model, like `atoms`
+    @cached_property
     def total_mass(self) -> float:
         _, lam = self.atoms
         return float(lam.sum())
 
-    @property
+    @cached_property
     def mark_mass(self) -> float:
         """Quadrature of (1 ^ |z|) against the truncated measure."""
         z, lam = self.atoms
         return float(np.minimum(1.0, np.abs(z)) @ lam)
 
-    @property
+    @cached_property
     def c_eta(self) -> float:
         """Quadrature of (1 ^ z^2) against the truncated measure."""
         z, lam = self.atoms

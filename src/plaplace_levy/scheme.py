@@ -17,17 +17,18 @@ energy when the convection flux vanishes, a residual-norm line search
 otherwise, and a frozen-coefficient (Picard) rescue step on stagnation.
 Residuals are measured as the L^2 norm of their nodal Riesz representer.
 Both linearizations are assembled from per-cell and per-edge local blocks,
-scattered through the grid's fixed table straight into LAPACK band storage,
-factored by gbtrf and solved by gbtrs; one code path serves 1D and 2D.  A
-2D march keeps each row's factors across rounds and steps while they
+scattered through the grid's fixed table straight into LAPACK band storage
+and factored and solved by `BandLU`: LAPACK's tridiagonal gttrf and gttrs
+in 1D, its general band gbtrf and gbtrs in 2D; one code path serves both.
+A 2D march keeps each row's factors across rounds and steps while they
 contract (`_LAG_CUT`); 1D factors afresh every round.
 
-Paths march step by step.  Given a solved reference trajectory per path
-and few rows, the steps of a path are instead solved all at once, as one
-Newton system over the whole trajectory (`_trajectories`): its Jacobian is
-block lower-bidiagonal, the step Newton matrices on the diagonal and the
-diagonal -d(residual_k)/d(u_{k-1}) below it, and a Newton step is one gbtrf
-of all diagonal blocks and a forward sweep of gbtrs solves.
+Paths march step by step.  Given a reference trajectory per row and few
+rows, the steps of a path are instead solved all at once, as one Newton
+system over the whole trajectory (`_trajectories`): its Jacobian is block
+lower-bidiagonal, the step Newton matrices on the diagonal and the
+diagonal -d(residual_k)/d(u_{k-1}) below it, and a Newton step is one
+factorization of all diagonal blocks and a forward sweep of block solves.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from ._lapack import dgbtrf, dgbtrs
+from ._lapack import BandLU
 from .grid import (
     FREE_BOUNDARY,
     ZERO_BOUNDARY,
@@ -235,9 +236,10 @@ class _StepSolver:
     Newton matrix reuses that gradient.  The Newton and frozen-coefficient
     matrices of the rows that need them are assembled as the diagonal
     blocks of one band matrix, through the grid's fixed scatter
-    (`Grid.step_band`), factored by one gbtrf call and solved by one gbtrs
-    call, in 1D and 2D alike.  A row holding kept factors (2D march) solves
-    with them instead, one gbtrs call per row.
+    (`Grid.step_band`), factored by one `BandLU` (gttrf for the tridiagonal
+    1D blocks, gbtrf for 2D) and solved by one call of its kernel's solve,
+    in 1D and 2D alike.  A row holding kept factors (2D march) solves with
+    them instead, one gbtrs call per row.
     """
 
     def __init__(self, grid: Grid, p: float, dt: float, flux: FluxModel):
@@ -275,46 +277,41 @@ class _StepSolver:
         """Solve J(v) delta = -r row by row for the interior increments; comps
         is the cell gradient of v from `evaluate`.  A row whose Newton matrix
         is singular gets a NaN delta.  kept, if given, holds per row None or
-        the gbtrf factors (lub, piv) of an earlier Newton matrix of that row:
+        the `BandLU` factors of an earlier Newton matrix of that row:
         a row holding factors solves with them (a lagged round), the others
         factor their own, and kept[i] becomes the factors row i used."""
         if kept is None:
             return self._fresh_step(v, comps, r_int)[0]
-        kl, m = self.grid.step_band.kl, self.grid.step_band.m
+        m = self.grid.step_band.m
         delta = np.empty_like(r_int)
         held = np.array([f is not None for f in kept])
         for i in np.flatnonzero(held):
-            lub, piv = kept[i]
-            delta[i] = dgbtrs(lub, kl, kl, -r_int[i], piv, overwrite_b=True)[0]
+            delta[i] = kept[i].solve(-r_int[i], overwrite=True)
         fresh = np.flatnonzero(~held)
         if fresh.size:
             rows = slice(None) if fresh.size == len(v) else fresh
-            delta[rows], lub, piv, ok = self._fresh_step(v[rows], comps[rows], r_int[rows])
+            delta[rows], lu, ok = self._fresh_step(v[rows], comps[rows], r_int[rows])
             for j, i in enumerate((fresh if ok is None else fresh[ok]).tolist()):
-                cols = slice(j * m, (j + 1) * m)
-                kept[i] = (lub[:, cols], piv[cols] - j * m)  # row i's columns, own pivots
+                kept[i] = lu.cols(j * m, (j + 1) * m)  # row i's columns, own pivots
         return delta
 
     def _fresh_step(self, v: np.ndarray, comps: np.ndarray, r_int: np.ndarray) -> tuple:
         """`newton_step` with fresh factors for every row: the increments
         (NaN for a singular row), then `newton_factors`' factors and mask."""
-        kl, m = self.grid.step_band.kl, self.grid.step_band.m
-        lub, piv, ok = self.newton_factors(v, comps)
+        lu, ok = self.newton_factors(v, comps)
         if ok is None:
-            delta = dgbtrs(lub, kl, kl, -r_int.ravel(), piv, overwrite_b=True)[0]
-            return delta.reshape(r_int.shape), lub, piv, ok
+            return lu.solve(-r_int.ravel(), overwrite=True).reshape(r_int.shape), lu, ok
         delta = np.full_like(r_int, np.nan)
         if ok.any():
-            delta[ok] = dgbtrs(lub, kl, kl, -r_int[ok].ravel(), piv,
-                               overwrite_b=True)[0].reshape(-1, m)
-        return delta, lub, piv, ok
+            delta[ok] = lu.solve(-r_int[ok].ravel(), overwrite=True).reshape(-1, r_int.shape[1])
+        return delta, lu, ok
 
     def newton_factors(self, v: np.ndarray, comps: np.ndarray) -> tuple:
-        """gbtrf factors (lub, piv) of the Newton matrices of rows v
-        (..., A, n_nodes), with comps from `evaluate`; the blocks are
-        step-major when a step axis leads.  Also returns None, or, if some
-        row's block is singular, the mask (A,) of the rows the factors hold:
-        a singular row, named by gbtrf's info, leaves and the others are
+        """`BandLU` factors of the Newton matrices of rows v (..., A,
+        n_nodes), with comps from `evaluate`; the blocks are step-major when
+        a step axis leads.  Also returns None, or, if some row's block is
+        singular, the mask (A,) of the rows the factors hold: a singular
+        row, named by the factorization's info, leaves and the others are
         factored again."""
         kl, m = self.grid.step_band.kl, self.grid.step_band.m
         ok = None  # all rows
@@ -322,26 +319,26 @@ class _StepSolver:
             vs, cs = (v, comps) if ok is None else (v[..., ok, :], comps[..., ok, :, :])
             ab = self._band_matrix(vs.reshape(-1, v.shape[-1]),
                                    cs.reshape(-1, *comps.shape[-2:]), newton=True)
-            lub, piv, info = dgbtrf(ab, kl, kl, overwrite_ab=True)
-            if info <= 0:
-                return lub, piv, ok
+            lu = BandLU(ab, kl, overwrite=True)
+            if lu.info <= 0:
+                return lu, ok
             ok = np.ones(v.shape[-2], dtype=bool) if ok is None else ok
             rows = np.flatnonzero(ok)
-            ok[rows[(info - 1) // m % rows.size]] = False
+            ok[rows[(lu.info - 1) // m % rows.size]] = False
             if not ok.any():
-                return lub, piv, ok
+                return lu, ok
 
     def picard_solve(self, v: np.ndarray, comps: np.ndarray, b_int: np.ndarray) -> np.ndarray:
         """Solve the frozen-coefficient linearizations A(v) w = b row by row.
-        A(v) is symmetric positive definite, so gbtrf meets no zero pivot."""
-        kl = self.grid.step_band.kl
-        lub, piv, _ = dgbtrf(self._band_matrix(v, comps, newton=False), kl, kl, overwrite_ab=True)
-        return dgbtrs(lub, kl, kl, b_int.ravel(), piv)[0].reshape(b_int.shape)
+        A(v) is symmetric positive definite, so it meets no zero pivot."""
+        lu = BandLU(self._band_matrix(v, comps, newton=False), self.grid.step_band.kl,
+                    overwrite=True)
+        return lu.solve(b_int.ravel()).reshape(b_int.shape)
 
     def _band_matrix(self, v: np.ndarray, comps: np.ndarray, newton: bool) -> np.ndarray:
         """wc I + dt sum_cells wc G^T (c0 I + c1 g g^T) G (+ dt times the
         convection derivative) on the interior unknowns of each row, as the
-        diagonal blocks of one gbtrf band array (ldab, M m).
+        diagonal blocks of one band array (ldab, M m) in gbtrf storage.
         c0 = s^((p-2)/2) and c1 = (p-2) c0 / s with s = |g|^2 + _JACOBIAN_REG^2
         give the regularized Newton matrix; the frozen-coefficient matrix has
         c1 = 0 and no convection term."""
@@ -684,24 +681,30 @@ def simulate_controls(u0: Field, controls: np.ndarray, model: LevyModel, cfg: Sc
     NonConvergence of its first failing path in `paths` order (with step and
     seed).
 
-    ref, of shape (len(paths), n_steps + 1, n_nodes), is a solved trajectory
-    per path (say, a nearby control's): each row's step solves then start
-    from its path's ref (see `_march`), and its states move by up to about
-    newton_tol against the cold start from the previous state.  With ref and
-    at most _TRAJECTORY_NODES nodal values per path set (len(paths) x grid
-    nodes), each row's steps are solved as one system (`_trajectories`)
-    instead, in chunks of whole trajectories; the choice depends on the
-    paths and the grid, not on the number of controls, so a row's states
-    still do not depend on which controls share the call."""
-    grid = u0.grid
+    ref, of shape (k, len(paths), n_steps + 1, n_nodes), holds one
+    trajectory set per control row: a solved or predicted trajectory per
+    path (the control search passes each candidate's prediction, or
+    `np.broadcast_to` of one solved set).  Each (control, path) row's step
+    solves then start from its own ref[control, path] (see `_march`), and
+    its states move by up to about newton_tol against the cold start from
+    the previous state.  With ref and at most _TRAJECTORY_NODES nodal values
+    per path set (len(paths) x grid nodes), each row's steps are solved as
+    one system (`_trajectories`) instead, in chunks of whole trajectories;
+    the choice depends on the paths and the grid, not on the number of
+    controls, so a row's states still do not depend on which controls share
+    the call."""
+    grid, paths = u0.grid, tuple(paths)
     if controls.ndim != 2 or controls.shape[1] != grid.n_nodes:
         raise ValueError(f"control rows must have shape (k, {grid.n_nodes})")
     if not np.isfinite(controls).all():
         raise ValueError("field values must be finite")
+    if ref is not None and ref.shape != (len(controls), len(paths), cfg.n_steps + 1,
+                                         grid.n_nodes):
+        raise ValueError("ref must hold one trajectory set per control row")
     if cfg.control_projection == CLAMP_BOUNDARY:
         controls = np.where(grid.boundary_mask, 0.0, controls)
     starts = prepare_initial(u0, controls, cfg.effective_smoothing_dt, cfg.p)
-    return _solve(grid, starts, [tuple(paths)] * len(controls), model, cfg, ref)
+    return _solve(grid, starts, [paths] * len(controls), model, cfg, ref)
 
 
 def _solve(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel, cfg: SchemeConfig,
@@ -712,13 +715,14 @@ def _solve(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel, cfg: Sc
     with the later rows of its run, and the rows of the other runs march
     on.  The stack is marched in chunks within _BAND_BUDGET, each written
     into the call's one states and one sums array as it finishes.  ref
-    (every run on the same paths) is `simulate_controls`' reference."""
+    (every run on the same paths) is `simulate_controls`' reference, one
+    trajectory set per run, indexed by (run, path)."""
     # per row: its run, its path and the path's index within the run
     run_of = [c for c, paths in enumerate(runs) for _ in paths]
     row_paths = [path for paths in runs for path in paths]
     local = [i for paths in runs for i in range(len(paths))]
     n_rows = len(run_of)
-    whole = ref is not None and cfg.n_steps > 0 and len(ref) * grid.n_nodes <= _TRAJECTORY_NODES
+    whole = ref is not None and cfg.n_steps > 0 and ref.shape[1] * grid.n_nodes <= _TRAJECTORY_NODES
     solve = _trajectories if whole else _march
     band = grid.step_band
     chunk = max(1, _BAND_BUDGET // (8 * band.ldab * band.m * (cfg.n_steps if whole else 1)))
@@ -732,7 +736,7 @@ def _solve(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel, cfg: Sc
         groups = np.array([run_of[r] for r in rows])
         states[rows], sums[rows], chunk_errors = solve(
             grid, starts[groups], model, cfg, [row_paths[r] for r in rows], groups,
-            None if ref is None else ref[[local[r] for r in rows]])
+            None if ref is None else ref[groups, [local[r] for r in rows]])
         for r, err in zip(rows, chunk_errors):
             if err is not None and errors[run_of[r]] is None:
                 errors[run_of[r]] = err
@@ -827,25 +831,27 @@ def _rhs_coupling(model: LevyModel, u_int: np.ndarray, sums: np.ndarray, dt: flo
 def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
                   paths, groups: np.ndarray, ref: np.ndarray) -> tuple:
     """`_march` given a reference trajectory ref (M, n_steps + 1, n_nodes),
-    with every step of every row solved at once: Newton on the residuals
+    one per row (solved, or predicted by the control search), with every
+    step of every row solved at once: Newton on the residuals
     R_k(u_k; u_{k-1} + inc(u_{k-1})) of steps k = 1..n_steps, the unknowns
     stacked step-major and started from the reference's own interior values
     ref[i, k]; the first Newton step carries the start's difference from
-    ref[i, 0] through the coupling blocks into every state.
+    ref[i, 0] through the coupling blocks into every state (a predicted ref
+    has ref[i, 0] equal to the start up to rounding).
 
     The trajectory Jacobian is block lower-bidiagonal: its diagonal blocks
-    are the step Newton matrices, factored by one gbtrf call, and its
-    coupling blocks the diagonals -`_rhs_coupling`; a Newton step is the
-    block forward substitution, one gbtrs per step on that step's columns of
-    the factors.  Each row iterates under its own mask and leaves when every
-    step's residual is at most newton_tol, the march's own acceptance test.
-    A row that exhausts newton_max_iters, goes non-finite or meets a
-    singular factor is marched step by step from its start by `_march`
-    instead, which gives its NonConvergence.  Sums accumulate in step order,
-    as the march's do."""
+    are the step Newton matrices, factored by one `BandLU` (gttrf in 1D),
+    and its coupling blocks the diagonals -`_rhs_coupling`; a Newton step is
+    the block forward substitution (`BandLU.forward_solve`), one solve per
+    step on that step's columns of the factors.  Each row iterates under
+    its own mask and leaves when every step's residual is at most
+    newton_tol, the march's own acceptance test.  A row that exhausts
+    newton_max_iters, goes non-finite or meets a singular factor is marched
+    step by step from its start by `_march` instead, which gives its
+    NonConvergence.  Sums accumulate in step order, as the march's do."""
     n, M, idx = cfg.n_steps, len(paths), grid.interior_nodes
     solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
-    kl, m = grid.step_band.kl, grid.step_band.m
+    m = grid.step_band.m
     jumps = _path_mark_sums(paths, n).T  # (n, M)
     states = np.empty((M, n + 1, grid.n_nodes))
     sums = np.zeros_like(states)
@@ -872,7 +878,7 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
         live, cur = live[go], cur[:, go]
         r, comps = r.reshape(n, A, m)[:, go], comps.reshape(n, A, *comps.shape[1:])[:, go]
         if live.size:
-            lub, piv, ok = solver.newton_factors(cur[1:], comps)
+            lu, ok = solver.newton_factors(cur[1:], comps)
             if ok is not None:  # a singular block sends its row to the march
                 marched.extend(live[~ok].tolist())
                 live, cur, r = live[ok], cur[:, ok], r[:, ok]
@@ -882,14 +888,7 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
         cols = len(live) * m
         coupling = _rhs_coupling(model, cur[:-1, :, idx].reshape(-1, m), jumps[:, live].ravel(),
                                  cfg.dt, solver.wc).reshape(n, cols)
-        piv -= np.repeat(np.arange(0, n * cols, cols, dtype=piv.dtype), cols)  # per step
-        b = -r.reshape(n, cols)
-        delta = np.empty((n, cols))
-        for k in range(n):
-            if k:
-                b[k] += coupling[k] * delta[k - 1]
-            span = slice(k * cols, (k + 1) * cols)
-            delta[k] = dgbtrs(lub[:, span], kl, kl, b[k], piv[span])[0]
+        delta = lu.forward_solve(-r.reshape(n, cols), coupling)
         cur[1:, :, idx] += delta.reshape(n, len(live), m)
     errors = [None] * M
     if marched:

@@ -133,28 +133,38 @@ def saa_minimize_scipy(model, cfg, u0, spec, basis, n_paths, budget=200, base_se
     """The control search driven by scipy.optimize.minimize(method=
     "Nelder-Mead"), one candidate per objective call, each solved alone:
     the reference for the package's speculative batched search.  Each
-    candidate's step solves start from the incumbent's states, frozen at
-    the start of each restart, after the initial simplex's dim + 1 calls
-    and in SciPy's per-iteration callback."""
+    candidate's step solves start from the package's `affine_predictor`
+    over the restart's dim + 1 lowest-J converged candidates so far (ties
+    in call order), else from the incumbent's states, fixed at the start
+    of each restart, after the initial simplex's dim + 1 calls and in
+    SciPy's per-iteration callback."""
     import scipy.optimize
 
     from plaplace_levy import ControlParam, Ensemble, cost_J, sample_prms
+    from plaplace_levy.control import affine_predictor
     from plaplace_levy.scheme import simulate_controls
 
     dim = len(basis)
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(base_seed, base_seed + n_paths))
     history = []
-    state = {"best": np.inf, "coeffs": None, "evals": 0, "states": None, "ref": None,
-             "calls": 0}
+    state = {"best": np.inf, "coeffs": None, "evals": 0, "states": None, "kept": [],
+             "predict": None, "calls": 0}
 
     def freeze(*_):
-        state["ref"] = state["states"]
+        state["predict"] = affine_predictor([(x, s) for _, x, s in state["kept"]], dim,
+                                            state["states"])
 
     def objective(coeffs):
         state["evals"] += 1
         U = ControlParam(basis=basis, coeffs=coeffs).build()
-        (run,) = simulate_controls(u0, U.flat[None], model, cfg, paths, state["ref"])
+        (run,) = simulate_controls(u0, U.flat[None], model, cfg, paths,
+                                   state["predict"](np.array(coeffs)[None]))
         val = cost_J(run, U, spec, cfg.p)[0] if isinstance(run, Ensemble) else np.inf
+        if np.isfinite(val):
+            # the restart's dim + 1 lowest values, earlier calls first on ties
+            state["kept"].append((val, np.array(coeffs), run.states.copy()))
+            state["kept"].sort(key=lambda item: item[0])
+            del state["kept"][dim + 1 :]
         if val < state["best"]:
             state["best"], state["coeffs"] = val, np.array(coeffs)
             state["states"] = run.states.copy()
@@ -170,6 +180,7 @@ def saa_minimize_scipy(model, cfg, u0, spec, basis, n_paths, budget=200, base_se
         if remaining < dim + 1:
             break
         simplex = np.vstack([x0] + [x0 + scale * np.eye(dim)[j] for j in range(dim)])
+        state["kept"] = []
         freeze()
         state["calls"] = 0
         scipy.optimize.minimize(objective, x0, method="Nelder-Mead", callback=freeze, options={
@@ -202,6 +213,12 @@ def field_rows(fields):
     """The nodal values of Fields, one row each (len(fields), n_nodes): the
     control rows `simulate_controls` takes."""
     return np.array([f.flat for f in fields])
+
+
+def shared_ref(states, k):
+    """One trajectory set (n_paths, n_steps + 1, n_nodes) as the ref of k
+    control rows of `simulate_controls`, which takes one set per row."""
+    return np.broadcast_to(states, (k, *states.shape))
 
 
 def state_fields(ensemble, i=0):

@@ -179,13 +179,15 @@ def test_run_bound_counts_what_each_command_holds(tmp_path, capsys):
 
 
 def test_run_bound_counts_every_candidate_of_an_optimize_batch(tmp_path, capsys):
-    # 1e5 paths of 17 x 17 values: 3 copies fit the bound, but the search
-    # holds states and sums for its 3-point initial simplex (sine:2 basis)
-    # plus its reference and incumbent, 8 copies
+    # 5e4 paths of 17 x 17 values: 8 copies fit the bound, but the search
+    # holds states, sums and a predicted start for each candidate of its
+    # 3-point initial simplex (sine:2 basis), the 3 kept trajectories of its
+    # start predictor, up to 3 more the frozen predictor still holds, and
+    # the incumbent's, 16 copies
     from plaplace_levy.config import MAX_RUN_VALUES
 
-    n_paths, per_path = 100_000, 17 * 17
-    assert 3 * n_paths * per_path <= MAX_RUN_VALUES < 8 * n_paths * per_path
+    n_paths, per_path = 50_000, 17 * 17
+    assert 8 * n_paths * per_path <= MAX_RUN_VALUES < 16 * n_paths * per_path
     text = REFERENCE.replace("n_paths = 5", f"n_paths = {n_paths}")
     for command in ("simulate", "verify", "converge"):
         parse_config_text(text).validate(command)
@@ -329,20 +331,21 @@ def test_cli_verify_solver_failure_is_the_moment_ensembles(tmp_path, capsys):
 
 
 def test_cli_singular_step_matrix_exit_code(tmp_path, capsys, monkeypatch):
-    # gbtrf reports a zero pivot in the first path's block of the first step
-    # solve: a solver failure (exit 3) naming step and seed, not a traceback
-    import plaplace_levy.scheme as scheme
+    # gttrf, the 1D band kernel, reports a zero pivot in the first path's
+    # block of the first step solve: a solver failure (exit 3) naming step
+    # and seed, not a traceback
+    import plaplace_levy._lapack as lapack
 
-    real, injected = scheme.dgbtrf, []
+    real, injected = lapack.dgttrf, []
 
-    def singular_once(ab, kl, ku, **kwargs):
-        lub, piv, info = real(ab, kl, ku, **kwargs)
-        if ab.shape[1] == 2 * 15 and not injected:  # 2 paths of 15 unknowns
+    def singular_once(dl, d, du, **kwargs):
+        *factors, info = real(dl, d, du, **kwargs)
+        if d.size == 2 * 15 and not injected:  # 2 paths of 15 unknowns
             injected.append(info)
             info = 3
-        return lub, piv, info
+        return (*factors, info)
 
-    monkeypatch.setattr(scheme, "dgbtrf", singular_once)
+    monkeypatch.setattr(lapack, "dgttrf", singular_once)
     code = run_cli(["simulate", "--config", write(tmp_path, REFERENCE), "--paths", "2",
                     "--out", str(tmp_path / "o")])
     assert injected == [0] and code == 3

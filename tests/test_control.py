@@ -32,7 +32,7 @@ from plaplace_levy import (
 )
 from plaplace_levy.control import nelder_mead
 
-from _oracles import field_rows, state_fields
+from _oracles import field_rows, shared_ref, state_fields
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRID = Grid(1, 12)
@@ -623,7 +623,8 @@ def test_warm_started_solves_match_the_cold_solve(dim, flux, projection):
     grid, u0, (U_a, *others), model, cfg, paths, spec = _warm_start_case(dim, flux, projection)
     (ref,) = simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
     colds = simulate_controls(u0, field_rows(others), model, cfg, paths)
-    warms = simulate_controls(u0, field_rows(others), model, cfg, paths, ref.states)
+    warms = simulate_controls(u0, field_rows(others), model, cfg, paths,
+                              shared_ref(ref.states, len(others)))
     assert not np.array_equal(warms[0].states, colds[0].states)  # the reference is used
     edge = grid.boundary_nodes
     for U, cold, warm in zip(others, colds, warms):
@@ -643,11 +644,14 @@ def test_warm_started_row_ignores_batch_and_chunking(dim, monkeypatch):
     grid, u0, (U_a, U_b, U_c), model, cfg, paths, _ = _warm_start_case(dim, "sine",
                                                                       "lift_boundary")
     (ref,) = scheme.simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
-    (alone,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths, ref.states)
-    mixed = scheme.simulate_controls(u0, field_rows([U_c, U_b, U_a]), model, cfg, paths, ref.states)
+    (alone,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
+                                        shared_ref(ref.states, 1))
+    mixed = scheme.simulate_controls(u0, field_rows([U_c, U_b, U_a]), model, cfg, paths,
+                                     shared_ref(ref.states, 3))
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 2 * 8 * band.ldab * band.m)  # 2 rows a chunk
-    chunked = scheme.simulate_controls(u0, field_rows([U_c, U_b]), model, cfg, paths, ref.states)
+    chunked = scheme.simulate_controls(u0, field_rows([U_c, U_b]), model, cfg, paths,
+                                       shared_ref(ref.states, 2))
     assert np.array_equal(mixed[1].states, alone.states)
     assert np.array_equal(chunked[1].states, alone.states)
     # the reference's own control starts from its own solution
@@ -677,14 +681,17 @@ def _step_residuals(grid, model, cfg, run):
 @pytest.mark.parametrize("dim, flux, projection", _WARM_CASES)
 def test_trajectory_solve_is_an_accepted_march(dim, flux, projection, monkeypatch):
     # forced below the bound, every step of every row is solved at once
+    import plaplace_levy._lapack as lapack
     import plaplace_levy.scheme as scheme
 
     grid, u0, (U_a, U_b, U_c), model, cfg, paths, _ = _warm_start_case(dim, flux, projection)
     (ref,) = scheme.simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", 0)
-    marched = scheme.simulate_controls(u0, field_rows([U_b, U_c]), model, cfg, paths, ref.states)
+    marched = scheme.simulate_controls(u0, field_rows([U_b, U_c]), model, cfg, paths,
+                                       shared_ref(ref.states, 2))
     taken, real = [], scheme._trajectories
-    factor, newton_iters = scheme.dgbtrf, []
+    kernel = "dgttrf" if dim == 1 else "dgbtrf"  # the band kernel that factors
+    factor, newton_iters = getattr(lapack, kernel), []
 
     def spy(*args):
         taken.append(len(args[4]))
@@ -693,16 +700,19 @@ def test_trajectory_solve_is_an_accepted_march(dim, flux, projection, monkeypatc
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * grid.n_nodes)
     monkeypatch.setattr(scheme, "_trajectories", spy)
     monkeypatch.setattr(scheme, "_march", None)  # no row falls back to the march
-    mixed = scheme.simulate_controls(u0, field_rows([U_c, U_b, U_a]), model, cfg, paths, ref.states)
-    monkeypatch.setattr(scheme, "dgbtrf", lambda *a, **k: newton_iters.append(1) or factor(*a, **k))
-    (alone,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths, ref.states)
+    mixed = scheme.simulate_controls(u0, field_rows([U_c, U_b, U_a]), model, cfg, paths,
+                                     shared_ref(ref.states, 3))
+    monkeypatch.setattr(lapack, kernel, lambda *a, **k: newton_iters.append(1) or factor(*a, **k))
+    (alone,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
+                                        shared_ref(ref.states, 1))
     # Newton with the exact trajectory Jacobian from the shift predictor of a
     # control 1e-3 away: 3 iterations in every case (7 without the coupling
     # blocks, which would still converge)
     assert len(newton_iters) <= 4
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 2 * 8 * band.ldab * band.m * cfg.n_steps)
-    chunked = scheme.simulate_controls(u0, field_rows([U_c, U_b]), model, cfg, paths, ref.states)
+    chunked = scheme.simulate_controls(u0, field_rows([U_c, U_b]), model, cfg, paths,
+                                       shared_ref(ref.states, 2))
     assert taken == [3 * len(paths), len(paths), 2, 2, 2]  # rows per call
     # bitwise alone, in a batch and in chunks
     assert np.array_equal(mixed[1].states, alone.states)
@@ -725,11 +735,12 @@ def test_kept_factors_match_fresh_factors_every_round(flux, projection, monkeypa
     # a 2D march keeps each row's Newton factors while they contract; with
     # fresh factors every round (no cut is enough to keep them) the steps
     # end within solver tolerance of the same states
+    import plaplace_levy._lapack as lapack
     import plaplace_levy.scheme as scheme
 
     grid, u0, controls, model, cfg, paths, _ = _warm_start_case(2, flux, projection)
-    factored, real = [], scheme.dgbtrf
-    monkeypatch.setattr(scheme, "dgbtrf", lambda ab, *a, **k: factored.append(ab.shape[1])
+    factored, real = [], lapack.dgbtrf
+    monkeypatch.setattr(lapack, "dgbtrf", lambda ab, *a, **k: factored.append(ab.shape[1])
                         or real(ab, *a, **k))
     kept = scheme.simulate_controls(u0, field_rows(controls), model, cfg, paths)
     n_kept = sum(factored)
@@ -755,7 +766,8 @@ def test_above_the_trajectory_bound_rows_march(dim, monkeypatch):
                                     np.zeros(len(paths), dtype=int), ref.states)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * grid.n_nodes - 1)
     monkeypatch.setattr(scheme, "_trajectories", None)
-    (run,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths, ref.states)
+    (run,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
+                                      shared_ref(ref.states, 1))
     assert np.array_equal(run.states, states) and np.array_equal(run.sums, sums)
     # the CI workflow's repeated optimize runs (sample_config.ini, 17 nodes a
     # path) at 4 and 8 paths lie on either side of the shipped bound
@@ -779,7 +791,8 @@ def test_trajectory_rows_that_fail_march_from_their_start(monkeypatch):
                 for c in ([0.1, -0.2], [1.0, 0.5], [50.0, -0.2])]
     (ref,) = scheme.simulate_controls(u0, field_rows(controls[:1]), model, CFG, paths)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", 0)
-    marched = scheme.simulate_controls(u0, field_rows(controls[1:]), model, cfg, paths, ref.states)
+    marched = scheme.simulate_controls(u0, field_rows(controls[1:]), model, cfg, paths,
+                                       shared_ref(ref.states, 2))
     assert isinstance(marched[1], scheme.NonConvergence)
     fell_back, real = [], scheme._march
 
@@ -789,7 +802,8 @@ def test_trajectory_rows_that_fail_march_from_their_start(monkeypatch):
 
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * GRID.n_nodes)
     monkeypatch.setattr(scheme, "_march", spy)
-    runs = scheme.simulate_controls(u0, field_rows(controls[1:]), model, cfg, paths, ref.states)
+    runs = scheme.simulate_controls(u0, field_rows(controls[1:]), model, cfg, paths,
+                                    shared_ref(ref.states, 2))
     assert fell_back == [2 * len(paths)]
     assert np.array_equal(runs[0].states, marched[0].states)
     assert np.array_equal(runs[0].sums, marched[0].sums)
@@ -801,27 +815,31 @@ def test_trajectory_rows_that_fail_march_from_their_start(monkeypatch):
 def test_singular_trajectory_block_sends_its_row_to_the_march(monkeypatch):
     # a singular factor reported in row 1's block of step 3: that row is
     # marched, the other two factor again and solve as they would without it
+    import plaplace_levy._lapack as lapack
     import plaplace_levy.scheme as scheme
 
     grid, u0, (U_a, U_b, _), model, cfg, paths, _ = _warm_start_case(1, "sine",
                                                                     "clamp_boundary")
     (ref,) = scheme.simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", 0)
-    (marched,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths, ref.states)
+    (marched,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
+                                          shared_ref(ref.states, 1))
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * grid.n_nodes)
-    (whole,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths, ref.states)
-    real, m = scheme.dgbtrf, grid.step_band.m
+    (whole,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
+                                        shared_ref(ref.states, 1))
+    real, m = lapack.dgttrf, grid.step_band.m  # the 1D band kernel
 
     def singular_once(*args, **kwargs):
-        lub, piv, info = real(*args, **kwargs)
+        dl, d, *factors, info = real(*args, **kwargs)
         if not calls:
             info = (3 * len(paths) + 1) * m + 2
-        calls.append(lub.shape[1] // (m * cfg.n_steps))  # rows factored
-        return lub, piv, info
+        calls.append(d.size // (m * cfg.n_steps))  # rows factored
+        return (dl, d, *factors, info)
 
     calls = []
-    monkeypatch.setattr(scheme, "dgbtrf", singular_once)
-    (run,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths, ref.states)
+    monkeypatch.setattr(lapack, "dgttrf", singular_once)
+    (run,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
+                                      shared_ref(ref.states, 1))
     assert calls[:2] == [3, 2]
     assert np.array_equal(run.states[1], marched.states[1])
     assert np.array_equal(run.states[[0, 2]], whole.states[[0, 2]])
@@ -869,3 +887,140 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-I", "-c", code, os.path.join(REPO, "src")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the start predictor of the control search
+
+
+def test_affine_trajectories_are_predicted_exactly():
+    from plaplace_levy.control import affine_predictor
+
+    rng = np.random.default_rng(3)
+    base, slopes = rng.normal(size=(2, 5, 17)), rng.normal(size=(3, 2, 5, 17))
+    points = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.1], [0.0, 0.4, -0.2], [0.1, 0.2, 0.3]])
+    kept = [(x, base + np.tensordot(x, slopes, axes=1)) for x in points]
+    predict = affine_predictor(kept, 3, incumbent=kept[0][1])
+    new = np.array([[0.2, -0.3, 0.05], [1.5, 2.0, -1.0], [0.0, 0.0, 0.0]])
+    ref = predict(new)
+    assert ref.shape == (3, 2, 5, 17)
+    for x, row in zip(new, ref):
+        assert np.allclose(row, base + np.tensordot(x, slopes, axes=1), rtol=0.0, atol=1e-13)
+    # each kept point predicts its own states
+    assert np.allclose(predict(points), [s for _, s in kept], rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("projection", ["clamp_boundary", "lift_boundary"])
+def test_predicted_state_0_is_each_candidates_start(projection):
+    from plaplace_levy.control import affine_predictor, control_rows
+    from plaplace_levy.scheme import prepare_initial, simulate_controls
+
+    grid, u0, _, model, cfg, paths, _ = _warm_start_case(1, "sine", projection)
+    basis = sine_basis(grid, 2)
+    points = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5]])
+    runs = simulate_controls(u0, control_rows(basis, points), model, cfg, paths)
+    predict = affine_predictor([(x, run.states) for x, run in zip(points, runs)], 2)
+    new = np.array([[0.3, -0.2], [1.2, 0.7], [-0.4, 0.05]])
+    rows = control_rows(basis, new)
+    if projection == "clamp_boundary":
+        rows[:, grid.boundary_nodes] = 0.0
+    starts = prepare_initial(u0, rows, cfg.effective_smoothing_dt, cfg.p)
+    ref = predict(new)
+    for start, row_ref in zip(starts, ref):
+        assert np.allclose(row_ref[:, 0], start, rtol=0.0, atol=1e-14)
+
+
+def test_too_few_or_flat_candidates_start_from_the_incumbent_bitwise(monkeypatch):
+    import plaplace_levy.control as control
+    from plaplace_levy.config import parse_config
+
+    rng = np.random.default_rng(5)
+    incumbent = rng.normal(size=(2, 9, 13))
+    states = [rng.normal(size=(2, 9, 13)) for _ in range(3)]
+    points = np.array([[0.1, 0.2], [0.4, -0.3]])
+    for kept in ([], [(np.zeros(2), states[0])],  # too few
+                 # the three points on one line: a singular affine matrix
+                 [(np.array([t, 2 * t]), s) for t, s in zip((0.0, 1.0, 2.0), states)],
+                 # a simplex 1e-9 wide: condition number about 1e9
+                 [(np.array(x), s) for x, s in zip(([0, 0], [1e-9, 0], [0, 1e-9]), states)]):
+        ref = control.affine_predictor(kept, 2, incumbent)(points)
+        assert ref.shape == (2, *incumbent.shape)
+        assert all(np.array_equal(row, incumbent) for row in ref)
+        assert control.affine_predictor(kept, 2)(points) is None
+    # the same simplex 1e-3 wide predicts
+    kept = [(np.array(x), s) for x, s in zip(([0, 0], [1e-3, 0], [0, 1e-3]), states)]
+    assert not np.array_equal(control.affine_predictor(kept, 2, incumbent)(points)[0], incumbent)
+
+    # a search whose predictor always falls back starts every candidate from
+    # the incumbent's states, as the rule before the predictor did
+    cfg = parse_config(os.path.join(REPO, "perfbench", "configs", "sample.ini"))
+    grid = cfg.build_grid()
+    sch = cfg.build_scheme(grid.dim)
+    args = (cfg.build_levy(), sch, cfg.build_initial(grid), cfg.build_cost(grid, sch.n_steps),
+            cfg.build_basis(grid), 1)
+    monkeypatch.setattr(control, "_PREDICT_COND", 0.0)
+    fallback = saa_minimize(*args, budget=60, base_seed=3)
+
+    def incumbent_only(kept, dim, incumbent=None):
+        if incumbent is None:
+            return lambda points: None
+        return lambda points: np.broadcast_to(incumbent, (len(points), *incumbent.shape))
+
+    monkeypatch.setattr(control, "affine_predictor", incumbent_only)
+    before = saa_minimize(*args, budget=60, base_seed=3)
+    assert fallback.J_history == before.J_history
+    assert np.array_equal(fallback.best_coeffs, before.best_coeffs)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("whole", [True, False])
+def test_row_with_its_own_ref_ignores_batch_and_chunking(dim, whole, monkeypatch):
+    # per-row predicted refs: a row's states depend only on its control and
+    # its own ref, alone, in a batch and in _BAND_BUDGET chunks, for
+    # whole-trajectory solves and for the march
+    import plaplace_levy.scheme as scheme
+    from plaplace_levy.control import affine_predictor, control_rows
+
+    grid, u0, _, model, cfg, paths, _ = _warm_start_case(dim, "sine", "lift_boundary")
+    basis = sine_basis(grid, 2)
+    monkeypatch.setattr(scheme, "_TRAJECTORY_NODES",
+                        len(paths) * grid.n_nodes if whole else 0)
+    anchors = np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.2]])
+    runs = scheme.simulate_controls(u0, control_rows(basis, anchors), model, cfg, paths)
+    predict = affine_predictor([(x, run.states) for x, run in zip(anchors, runs)], 2)
+    points = np.array([[0.1, 0.05], [0.25, -0.1], [-0.05, 0.15]])
+    rows, ref = control_rows(basis, points), predict(points)
+    alone = [scheme.simulate_controls(u0, rows[i : i + 1], model, cfg, paths, ref[i : i + 1])[0]
+             for i in range(3)]
+    batch = scheme.simulate_controls(u0, rows, model, cfg, paths, ref)
+    band = grid.step_band
+    per_row = band.ldab * band.m * (cfg.n_steps if whole else 1)
+    monkeypatch.setattr(scheme, "_BAND_BUDGET", 2 * 8 * per_row)  # 2 rows a chunk
+    chunked = scheme.simulate_controls(u0, rows[::-1], model, cfg, paths, ref[::-1])[::-1]
+    for one, a, b in zip(alone, batch, chunked):
+        for run in (a, b):
+            assert np.array_equal(run.states, one.states)
+            assert np.array_equal(run.sums, one.sums)
+
+
+@pytest.mark.parametrize("n_cells", [2, 3])
+def test_one_row_of_a_tiny_1d_grid_solves_as_in_a_batch(n_cells):
+    # 1 or 2 unknowns a step: one row alone goes below the size SciPy's
+    # tridiagonal wrappers accept, in the march and in each step of a
+    # whole-trajectory solve; it must still solve, as it does in a batch
+    import plaplace_levy.scheme as scheme
+
+    grid = Grid(1, n_cells)
+    cfg = SchemeConfig(p=3.0, dt=1 / 16, n_steps=6, flux=sine_flux([0.7]))
+    model = reference_model()
+    u0 = Field.from_function(grid, lambda x: 0.4 * np.sin(np.pi * x))
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(1))
+    rows = np.array([0.1, 0.3, -0.2])[:, None] * np.ones(grid.n_nodes)
+    (ref,) = scheme.simulate_controls(u0, rows[:1], model, cfg, paths)
+    for refs in (None, shared_ref(ref.states, 3)):  # march, whole trajectories
+        batch = scheme.simulate_controls(u0, rows, model, cfg, paths, refs)
+        for i, run in enumerate(batch):
+            (alone,) = scheme.simulate_controls(u0, rows[i : i + 1], model, cfg, paths,
+                                                None if refs is None else refs[i : i + 1])
+            assert np.array_equal(alone.states, run.states)
+            assert np.array_equal(alone.sums, run.sums)

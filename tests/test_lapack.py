@@ -1,4 +1,5 @@
-"""The banded LAPACK routines loaded without scipy.linalg are SciPy's own."""
+"""The banded LAPACK routines loaded without scipy.linalg are SciPy's own,
+and `BandLU` solves with them, by the tridiagonal kernels in 1D."""
 
 import os
 import subprocess
@@ -15,7 +16,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_shim_routines_are_scipy_lapack_routines():
     assert _lapack._flapack is lapack._flapack
-    for name in ("dgbtrf", "dgbtrs"):
+    for name in ("dgbtrf", "dgbtrs", "dgttrf", "dgttrs"):
         assert getattr(_lapack, name) is getattr(lapack, name)
 
 
@@ -53,6 +54,7 @@ def test_failed_extension_load_falls_back_to_scipy_linalg_lapack():
         "import scipy.linalg.lapack as lapack\n"
         "assert _lapack._flapack is lapack, _lapack._flapack\n"
         "assert _lapack.dgbtrs is lapack.dgbtrs and _lapack.dgbtrf is lapack.dgbtrf\n"
+        "assert _lapack.dgttrs is lapack.dgttrs and _lapack.dgttrf is lapack.dgttrf\n"
         "import numpy as np\n"
         "phi = Grid(dim=1, n_cells=8).poisson_solve(np.ones(7))\n"
         "assert phi[0] == phi[-1] == 0.0 and (phi[1:-1] > 0).all(), phi\n"
@@ -60,3 +62,68 @@ def test_failed_extension_load_falls_back_to_scipy_linalg_lapack():
     proc = subprocess.run([sys.executable, "-I", "-c", code, os.path.join(REPO, "src")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _dense(ab, kl):
+    n = ab.shape[1]
+    i, j = np.indices((n, n))
+    inside = np.abs(i - j) <= kl
+    return np.where(inside, ab[np.where(inside, 2 * kl + i - j, 0), j], 0.0)
+
+
+@pytest.mark.parametrize("n", [16, 4, 3])
+def test_tridiagonal_kernel_is_scipys_gttrf_and_gttrs(n):
+    # a 1D step matrix of 2 rows: BandLU factors it with gttrf from the
+    # band array's three diagonals, and its solve is gttrs, bit for bit
+    band = Grid(1, n).step_band
+    rng = np.random.default_rng(n)
+    ab = band.assemble(rng.normal(size=(2, band.pos.index.size)), 3.0)
+    b = rng.normal(size=ab.shape[1])
+    lu = _lapack.BandLU(ab.copy(), band.kl)
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(ab[3, :-1], ab[2], ab[1, 1:])
+    assert lu.kl == 1 and lu.info == info == 0
+    for got, want in zip(lu.factors, (dl, d, du, du2, ipiv)):
+        assert np.array_equal(got, want)
+    x = lu.solve(b.copy())
+    assert np.array_equal(x, lapack.dgttrs(dl, d, du, du2, ipiv, b)[0])
+    assert np.allclose(_dense(ab, 1) @ x, b, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_cells", [2, 3, 4])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_band_systems_of_one_to_three_unknowns_solve(n_cells, rows):
+    # gttrf's wrapper rejects n <= 2: such systems solve with unit rows
+    # appended, to the same factors and solution as in a larger batch
+    band = Grid(1, n_cells).step_band
+    rng = np.random.default_rng(n_cells)
+    ab = band.assemble(rng.normal(size=(3, band.pos.index.size)), 3.0)
+    b = rng.normal(size=(ab.shape[1], 2))
+    m, kl = band.m, band.kl
+    batch = _lapack.BandLU(ab.copy(), kl)
+    lu = _lapack.BandLU(ab[:, : rows * m].copy(), kl)
+    assert lu.info == 0 and lu.n == rows * m
+    x = lu.solve(b[: rows * m].copy())
+    assert np.allclose(_dense(ab[:, : rows * m], kl) @ x, b[: rows * m], rtol=0.0, atol=1e-12)
+    assert np.array_equal(x[:, 0], lu.solve(b[: rows * m, 0].copy()))
+    for i in range(rows):
+        block = slice(i * m, (i + 1) * m)
+        alone = _lapack.BandLU(ab[:, block].copy(), kl).solve(b[block].copy())
+        assert np.array_equal(x[block], alone)
+        assert np.array_equal(batch.cols(i * m, (i + 1) * m).solve(b[block].copy()), alone)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_singular_block_names_its_row_and_spares_the_others(dim):
+    band = Grid(dim, 8).step_band
+    m, kl = band.m, band.kl
+    rng = np.random.default_rng(dim)
+    vals = rng.normal(size=(3, band.pos.index.size))
+    ab = band.assemble(vals, 4.0 * dim**2 * (2 * kl + 1))
+    ab[:, m : 2 * m] = 0.0  # row 1's block is the zero matrix
+    b = rng.normal(size=3 * m)
+    lu = _lapack.BandLU(ab.copy(), kl)
+    assert (lu.info - 1) // m == 1
+    for i in (0, 2):
+        block = slice(i * m, (i + 1) * m)
+        alone = _lapack.BandLU(ab[:, block].copy(), kl).solve(b[block].copy())
+        assert np.array_equal(lu.cols(i * m, (i + 1) * m).solve(b[block].copy()), alone)

@@ -385,3 +385,16 @@ def test_negative_jump_masses_rejected():
                       point_masses=((1.0, 2.0), (-0.5, -1.0)))
     with pytest.raises(ValueError, match="nonnegative"):
         sample_prms(model, 0.25, 4, [1])
+
+
+def test_measure_masses_are_computed_once_per_model():
+    # the Newton iterations read mark_mass; it and its siblings are cached
+    # like `atoms`, with the values the quadrature gives
+    model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5, density="invsq", eps=0.01)
+    z, lam = model.atoms
+    expected = {"total_mass": float(lam.sum()),
+                "mark_mass": float(np.minimum(1.0, np.abs(z)) @ lam),
+                "c_eta": float(np.sum(np.minimum(1.0, np.abs(z)) ** 2 * lam))}
+    for name, value in expected.items():
+        assert getattr(model, name) == value and name in vars(model)
+        assert getattr(model, name) is getattr(model, name)

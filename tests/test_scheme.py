@@ -990,10 +990,12 @@ def test_corrupted_kept_factors_end_in_a_converged_step(monkeypatch):
 
     def corrupt(self, v, comps, r, kept=None):
         if kept is not None and not corrupted and len(kept) > 1 and kept[1] is not None:
-            lub, piv = kept[1]
+            lu = kept[1].cols(0, kept[1].n)  # a new handle on row 1's factors
+            lub, piv = lu.factors
             bad = lub.copy(order="F")
             bad[: 2 * kl + 1] *= -1.0
-            kept[1] = (bad, piv)
+            lu.factors = [bad, piv]
+            kept[1] = lu
             corrupted.append(1)
         return step(self, v, comps, r, kept)
 
@@ -1029,9 +1031,10 @@ def test_1d_march_never_keeps_factors(monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_singular_step_matrix_fails_its_row_only(dim, monkeypatch):
-    # gbtrf reports a zero pivot in row 1's block at step 2: row 1 fails
-    # with its step and seed, the other rows factor again and march on as
-    # they do without it
+    # the band kernel (gttrf in 1D, gbtrf in 2D) reports a zero pivot in
+    # row 1's block at step 2: row 1 fails with its step and seed, the other
+    # rows factor again and march on as they do without it
+    import plaplace_levy._lapack as lapack
     import plaplace_levy.scheme as scheme
 
     if dim == 1:
@@ -1047,19 +1050,20 @@ def test_singular_step_matrix_fails_its_row_only(dim, monkeypatch):
     args = (grid, np.array([hat0] * 3), model, cfg, paths, np.arange(3))
     states, sums, errors = scheme._march(*args)
     assert errors == [None] * 3
-    real, newton, m = scheme.dgbtrf, scheme._newton, grid.step_band.m
+    kernel = "dgttrf" if dim == 1 else "dgbtrf"
+    real, newton, m = getattr(lapack, kernel), scheme._newton, grid.step_band.m
     calls, steps, injected = [], [], []
 
-    def singular_at_step_2(ab, kl, ku, **kwargs):
-        lub, piv, info = real(ab, kl, ku, **kwargs)
-        calls.append(ab.shape[1] // m)  # rows factored
+    def singular_at_step_2(*args, **kwargs):
+        *factors, info = real(*args, **kwargs)
+        calls.append(factors[1 if dim == 1 else 0].shape[-1] // m)  # rows factored
         if len(steps) == 3 and not injected:  # the third _newton call is step 2
             injected.append(len(calls))
             info = m + 2  # row 1's block
-        return lub, piv, info
+        return (*factors, info)
 
     monkeypatch.setattr(scheme, "_newton", lambda *a: steps.append(1) or newton(*a))
-    monkeypatch.setattr(scheme, "dgbtrf", singular_at_step_2)
+    monkeypatch.setattr(lapack, kernel, singular_at_step_2)
     out_states, out_sums, out_errors = scheme._march(*args)
     assert calls[injected[0] - 1 : injected[0] + 1] == [3, 2]
     err = out_errors[1]
