@@ -57,7 +57,8 @@ class BandLU:
     1-based index of the first exactly zero pivot (the factors are complete
     either way).  Where nothing couples the columns start:stop to the others
     (the diagonal blocks `Grid.step_band` assembles), `cols` gives that
-    block's own factors, as views."""
+    block's own factors (a copy for a general band, views for a tridiagonal
+    one)."""
 
     __slots__ = ("kl", "n", "factors", "info")
 
@@ -77,7 +78,9 @@ class BandLU:
         if self.kl == 1:
             return _of(1, stop - start, _tri_cols(self.factors, start, stop))
         lub, piv = self.factors
-        return _of(self.kl, stop - start, [lub[:, start:stop], piv[start:stop] - start])
+        # a copy, so kept factors do not hold the whole batch's array alive
+        return _of(self.kl, stop - start, [lub[:, start:stop].copy(order="F"),
+                                           piv[start:stop] - start])
 
     def forward_solve(self, b: np.ndarray, lower: np.ndarray) -> np.ndarray:
         """The solution x (n_blocks, size) of the block lower-bidiagonal

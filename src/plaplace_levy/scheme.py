@@ -140,18 +140,17 @@ class SchemeConfig:
     def __post_init__(self):
         if not self.p > 2:
             raise ValueError(f"p must satisfy p > 2, got {self.p!r}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        # an unset smoothing_dt falls back to dt, checked first
+        for name, value in (("dt", self.dt), ("newton_tol", self.newton_tol),
+                            ("smoothing_dt", self.effective_smoothing_dt)):
+            if not 0 < value < np.inf:  # false for NaN
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be nonnegative, got {self.n_steps!r}")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
         if self.newton_max_iters < 1:
             raise ValueError(f"newton_max_iters must be >= 1, got {self.newton_max_iters!r}")
         if self.control_projection not in (CLAMP_BOUNDARY, LIFT_BOUNDARY):
             raise ValueError(f"unknown control_projection {self.control_projection!r}")
-        if self.smoothing_dt is not None and self.smoothing_dt <= 0:
-            raise ValueError("smoothing_dt must be positive when given")
 
     @property
     def T(self) -> float:
@@ -622,8 +621,8 @@ class Ensemble:
 # stacks are marched in chunks that fit it: 1D n=16 takes up to 17,476
 # paths per chunk, 2D n=32 takes 11.  A whole-trajectory chunk holds
 # n_steps band systems per row, so it takes n_steps times fewer rows.  A 2D
-# march also keeps each row's factors, as views of the arrays they were
-# factored in: at most 15 MB for an 11-row chunk of 32x32 cells.  Rows are
+# march also keeps each row's factors, copied out of the batch's array: at
+# most 8 MB (11 x 0.72 MB) for an 11-row chunk of 32x32 cells.  Rows are
 # independent, so the chunking does not change results.
 _BAND_BUDGET = 8 << 20
 

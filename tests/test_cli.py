@@ -353,6 +353,41 @@ def test_cli_singular_step_matrix_exit_code(tmp_path, capsys, monkeypatch):
         in capsys.readouterr().err
 
 
+STALL = """
+[grid]
+dim = 2
+n_cells = 16
+
+[scheme]
+p = 2.1
+dt = 0.25
+n_steps = 1
+flux = sine
+flux_coefs = 50,50
+
+[levy]
+measure = point:1.0@1.0
+eta = sine:0.95
+lambda_star = 0.96
+
+[initial]
+u0 = sine:amplitude=50,mode=1
+"""
+
+
+def test_cli_stalled_line_search_exit_code(tmp_path, capsys):
+    # a strong sine flux at p = 2.1 stalls the first step's line search of
+    # path seed 0, and its frozen-coefficient rescue fails too, with nothing
+    # forced: a solver failure (exit 3) naming step and seed on one stderr
+    # line, not a traceback
+    code = run_cli(["simulate", "--config", write(tmp_path, STALL), "--paths", "2",
+                    "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.fullmatch(r"solver failure at step 0 of path seed 0: step solver stagnated "
+                        r"at residual \S+\n", err), err
+
+
 @pytest.mark.parametrize(
     "old, new, command, named",
     [

@@ -12,6 +12,7 @@ from plaplace_levy import (
     SchemeConfig,
     apriori_check,
     eta_linear,
+    eta_sine,
     eta_zero,
     generate_ensemble,
     initial_smoothing,
@@ -133,6 +134,14 @@ def test_flux_validate_rejects_non_finite_lipschitz_constant(c):
     # spot checks alone would pass such a flux
     with pytest.raises(ValueError, match="A2"):
         linear_flux([c]).validate()
+
+
+@pytest.mark.parametrize("name", ["dt", "newton_tol", "smoothing_dt"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_scheme_config_rejects_non_finite_steps_and_tolerance(name, value):
+    # an infinite newton_tol would accept every Newton start as converged
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        SchemeConfig(**{"p": 3.0, "dt": 0.05, "n_steps": 1, "flux": zero_flux(1), name: value})
 
 
 def test_flux_validate_rejects_unknown_kind():
@@ -705,6 +714,79 @@ def test_batch_mixes_a_picard_rescue_with_plain_newton_rows(monkeypatch):
         assert np.max(np.abs(batch[i] - alone[0])) <= 10 * cfg.newton_tol
 
 
+def test_a_stalled_row_fails_alone_in_its_batch(monkeypatch):
+    # row 1 of the first Newton round is sent uphill, so its 40 halvings
+    # fail, and its frozen-coefficient rescue makes no progress: it alone
+    # fails as stagnated, and the other rows end where they end when solved
+    # alone (to solver tolerance)
+    import plaplace_levy.scheme as scheme
+
+    grid = Grid(1, 12)
+    rng = np.random.default_rng(29)
+    cfg = SchemeConfig(p=3.0, dt=0.05, n_steps=1, flux=zero_flux(1))
+    v0 = np.stack([zb(grid, rng).flat for _ in range(3)])
+    solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
+    newton_step, rounds, rescued = _StepSolver.newton_step, [], []
+
+    def uphill_first(self, v, comps, r):
+        delta = newton_step(self, v, comps, r)
+        if not rounds:
+            delta[1] *= -1.0
+        rounds.append(len(v))
+        return delta
+
+    def no_progress(self, v, comps, b):
+        rescued.append(len(v))
+        return np.zeros_like(b)
+
+    monkeypatch.setattr(_StepSolver, "newton_step", uphill_first)
+    monkeypatch.setattr(_StepSolver, "picard_solve", no_progress)
+    batch, failures = scheme._newton(solver, v0.copy(), v0.copy(), cfg.newton_tol,
+                                     cfg.newton_max_iters)
+    monkeypatch.undo()
+    assert rescued == [1]
+    assert [i for i, _ in failures] == [1]
+    assert str(failures[0][1]).startswith("step solver stagnated at residual ")
+    assert rounds[0] == 3 and max(rounds[1:]) <= 2  # row 1 stops iterating
+    for i in (0, 2):
+        alone, fails = scheme._newton(solver, v0[i : i + 1].copy(), v0[i : i + 1].copy(),
+                                      cfg.newton_tol, cfg.newton_max_iters)
+        assert fails == []
+        assert np.max(np.abs(batch[i] - alone[0])) <= 10 * cfg.newton_tol
+    assert np.all(solver.evaluate(batch[[0, 2]], v0[[0, 2]])[1] <= cfg.newton_tol)
+
+
+def test_rescue_saves_rows_whose_line_search_stalls(monkeypatch):
+    # on this config (strong sine flux, p = 2.1, mode-3 data of amplitude
+    # 50) both paths' first step stalls in the residual line search, and the
+    # frozen-coefficient rescue takes each row to a converged step; a rescue
+    # that makes no progress leaves path seed 0 stagnated at step 0
+    grid = Grid(1, 16)
+    u0 = Field.from_function(grid, lambda x: 50.0 * np.sin(3 * np.pi * x))
+    U = Field.zeros(grid, "free_boundary")
+    model = LevyModel(eta=eta_sine(0.95), lambda_star=0.96, point_masses=((1.0, 1.0),))
+    cfg = SchemeConfig(p=2.1, dt=1 / 32, n_steps=2, flux=sine_flux([50.0]))
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(2))
+    picard, rescued = _StepSolver.picard_solve, []
+
+    def spy(self, v, comps, b):
+        rescued.append(len(v))
+        return picard(self, v, comps, b)
+
+    monkeypatch.setattr(_StepSolver, "picard_solve", spy)
+    run = simulate_paths(u0, U, model, cfg, paths)
+    assert sum(rescued) >= 2
+    solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
+    for k in range(cfg.n_steps):
+        inc = run.sums[:, k + 1] - run.sums[:, k]
+        assert np.all(solver.evaluate(run.states[:, k + 1], run.states[:, k] + inc)[1]
+                      <= cfg.newton_tol)
+    monkeypatch.setattr(_StepSolver, "picard_solve", lambda self, v, comps, b: np.zeros_like(b))
+    with pytest.raises(NonConvergence, match="^step solver stagnated") as exc:
+        simulate_paths(u0, U, model, cfg, paths)
+    assert (exc.value.step, exc.value.seed) == (0, 0)
+
+
 def test_batch_failure_reports_first_failing_path():
     # alone, seed 9 fails at step 3 and seed 3 at step 1: the batch
     # (9, 4, 3, 10) must report seed 9, the error a path-by-path loop meets
@@ -1011,6 +1093,26 @@ def test_corrupted_kept_factors_end_in_a_converged_step(monkeypatch):
         prev, nxt = run.states[:, k], run.states[:, k + 1]
         inc = run.sums[:, k + 1] - run.sums[:, k]
         assert np.all(solver.evaluate(nxt, prev + inc)[1] <= cfg.newton_tol)
+
+
+def test_kept_factors_own_their_memory(monkeypatch):
+    # a row's kept factors are copied out of its batch's factors, so a kept
+    # row does not hold the whole batch's array alive
+    grid = Grid(2, 8)
+    rng = np.random.default_rng(31)
+    solver = _StepSolver(grid, 3.0, 1 / 16, sine_flux([0.5, -0.3]))
+    v = np.stack([zb(grid, rng).flat for _ in range(3)])
+    r, _, _, comps = solver.evaluate(v, np.zeros_like(v))
+    factors, batches = _StepSolver.newton_factors, []
+    monkeypatch.setattr(_StepSolver, "newton_factors",
+                        lambda self, *a: batches.append(factors(self, *a)) or batches[-1])
+    kept = [None] * 3
+    delta = solver.newton_step(v, comps, r, kept)
+    (lu, ok), = batches
+    assert ok is None and all(f is not None for f in kept)
+    for i, f in enumerate(kept):
+        assert not np.shares_memory(f.factors[0], lu.factors[0])
+        assert np.array_equal(f.solve(-r[i]), delta[i])
 
 
 def test_1d_march_never_keeps_factors(monkeypatch):
