@@ -46,41 +46,46 @@ dgttrf, dgttrs = _flapack.dgttrf, _flapack.dgttrs
 class BandLU:
     """LU factors, with partial pivoting, of an n x n band matrix with kl
     sub- and kl superdiagonals given in gbtrf storage ab (3 kl + 1, n):
-    A[i, j] at row 2 kl + i - j of column j.
+    A[i, j] at row 2 kl + i - j of column j, possibly made of uncoupled
+    diagonal blocks of `block` unknowns (default n), which factor as alone.
 
-    A tridiagonal matrix (kl = 1) is factored by gttrf from the diagonals
-    dl = ab[3, :-1], d = ab[2] and du = ab[1, 1:], about twice as fast as
-    gbtrf, and solved by gttrs; any other band by gbtrf and gbtrs.  SciPy's
-    gttrf and gttrs wrappers reject n <= 2, so a smaller tridiagonal system
-    is factored and solved with decoupled unit rows appended, which leave its
-    own factors and solution as they are.  `info` is LAPACK's: 0, or the
-    1-based index of the first exactly zero pivot (the factors are complete
-    either way).  Where nothing couples the columns start:stop to the others
-    (the diagonal blocks `Grid.step_band` assembles), `cols` gives that
-    block's own factors (a copy for a general band, views for a tridiagonal
-    one)."""
+    Tridiagonal blocks (kl = 1) of at least 3 unknowns are factored by gttrf
+    from the diagonals dl = ab[3, :-1], d = ab[2] and du = ab[1, 1:], about
+    twice as fast as gbtrf, and solved by gttrs (whose SciPy wrapper rejects
+    n <= 2); any other band by gbtrf and gbtrs.  `info` is LAPACK's: 0, or
+    the 1-based index of the first exactly zero pivot (the factors are
+    complete either way)."""
 
-    __slots__ = ("kl", "n", "factors", "info")
+    __slots__ = ("kl", "n", "tridiagonal", "factors", "info")
 
-    def __init__(self, ab: np.ndarray, kl: int, overwrite: bool = False):
+    def __init__(self, ab: np.ndarray, kl: int, block: int = None, overwrite: bool = False):
         self.kl, self.n = kl, ab.shape[1]
-        if kl != 1:
-            *self.factors, self.info = dgbtrf(ab, kl, kl, overwrite_ab=overwrite)
-        elif self.n >= 3:
+        self.tridiagonal = kl == 1 and (block or self.n) >= 3
+        if self.tridiagonal:
             # the wrapper copies the strided diagonals into its own arrays
             *self.factors, self.info = dgttrf(ab[3, :-1], ab[2], ab[1, 1:])
         else:
-            *factors, self.info = dgttrf(*_unit_rows([ab[3, :-1], ab[2], ab[1, 1:]], self.n))
-            self.factors = _tri_cols(factors, 0, self.n)
+            *self.factors, self.info = dgbtrf(ab, kl, kl, overwrite_ab=overwrite)
+
+    def singular_blocks(self, size: int) -> np.ndarray:
+        """Per diagonal block of `size` unknowns, whether it has an exactly
+        zero pivot on U's diagonal (gttrf's d, row 2 kl of gbtrf's lub), as a
+        singular block does.  Those pivots are set to 1, so that solves stay
+        finite: a zero right-hand side on a singular block solves to zero."""
+        diag = self.factors[1] if self.tridiagonal else self.factors[0][2 * self.kl]
+        zero = diag == 0.0
+        diag[zero] = 1.0
+        return zero.reshape(-1, size).any(axis=1)
 
     def cols(self, start: int, stop: int) -> "BandLU":
-        """The factors of the diagonal block start:stop, with its own pivots."""
-        if self.kl == 1:
-            return _of(1, stop - start, _tri_cols(self.factors, start, stop))
+        """A general band's factors of the diagonal block start:stop, which
+        nothing couples to the other columns, with its own pivots: a copy, so
+        kept factors do not hold the whole batch's array alive."""
         lub, piv = self.factors
-        # a copy, so kept factors do not hold the whole batch's array alive
-        return _of(self.kl, stop - start, [lub[:, start:stop].copy(order="F"),
-                                           piv[start:stop] - start])
+        out = BandLU.__new__(BandLU)
+        out.kl, out.n, out.tridiagonal, out.info = self.kl, stop - start, False, 0
+        out.factors = [lub[:, start:stop].copy(order="F"), piv[start:stop] - start]
+        return out
 
     def forward_solve(self, b: np.ndarray, lower: np.ndarray) -> np.ndarray:
         """The solution x (n_blocks, size) of the block lower-bidiagonal
@@ -88,59 +93,28 @@ class BandLU:
         A_k, the diagonal block of columns k size:(k + 1) size, is factored
         here and lower (n_blocks, size) holds the diagonal below it
         (lower[0] is not read): one solve per block, in block order.  The
-        blocks must tile the matrix."""
+        blocks must tile the matrix and be those it was factored with."""
         n_blocks, size = b.shape
         *factors, piv = self.factors
         piv = (piv.reshape(n_blocks, size)  # every block's pivots made local at once
                - np.arange(0, self.n, size, dtype=piv.dtype)[:, None])
-        if self.kl == 1:
+        tri = self.tridiagonal
+        if tri:
             # each factor as one row per block, cut to the block's length
             dl, d, du, du2 = (np.concatenate([x, np.zeros(cut)]).reshape(n_blocks, size)
-                              [:, : max(size - cut, 0)]
-                              for x, cut in zip(factors, (1, 0, 1, 2)))
-            parts = zip(dl, d, du, du2, piv)
-        else:
-            lub = factors[0]
-            parts = ((lub[:, k * size : (k + 1) * size], p) for k, p in enumerate(piv))
-        fast = self.kl == 1 and size >= 3  # gttrs straight on the rows
+                              [:, : size - cut] for x, cut in zip(factors, (1, 0, 1, 2)))
         x, rhs = np.empty_like(b), b.copy()
-        for k, part in enumerate(parts):
+        for k in range(n_blocks):
             if k:
                 rhs[k] += lower[k] * x[k - 1]
-            x[k] = (dgttrs(*part, rhs[k], overwrite_b=True)[0] if fast
-                    else _of(self.kl, size, part).solve(rhs[k], overwrite=True))
+            x[k] = (dgttrs(dl[k], d[k], du[k], du2[k], piv[k], rhs[k], overwrite_b=True)[0]
+                    if tri else dgbtrs(factors[0][:, k * size : (k + 1) * size], self.kl,
+                                       self.kl, rhs[k], piv[k], overwrite_b=True)[0])
         return x
 
     def solve(self, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """x with A x = b, for b of shape (n,) or (n, nrhs)."""
-        if self.kl != 1:
-            lub, piv = self.factors
-            return dgbtrs(lub, self.kl, self.kl, b, piv, overwrite_b=overwrite)[0]
-        if self.n >= 3:
+        if self.tridiagonal:
             return dgttrs(*self.factors, b, overwrite_b=overwrite)[0]
-        ipiv = self.factors[4]
-        ipiv = np.concatenate([ipiv, np.arange(self.n + 1, 4, dtype=ipiv.dtype)])
-        pad = np.zeros((3 - self.n, *b.shape[1:]))
-        return dgttrs(*_unit_rows(self.factors[:3], self.n), np.zeros(1), ipiv,
-                      np.concatenate([b, pad]))[0][: self.n]
-
-
-def _of(kl: int, n: int, factors) -> BandLU:
-    """A `BandLU` holding given factors of a nonsingular n x n matrix."""
-    out = BandLU.__new__(BandLU)
-    out.kl, out.n, out.factors, out.info = kl, n, factors, 0
-    return out
-
-
-def _unit_rows(diags: list, n: int) -> list:
-    """The diagonals (dl, d, du) of a tridiagonal system of n < 3 unknowns,
-    extended by decoupled unit rows to 3."""
-    return [np.concatenate([x, np.full(3 - n, fill)]) for x, fill in zip(diags, (0.0, 1.0, 0.0))]
-
-
-def _tri_cols(factors: list, start: int, stop: int) -> list:
-    """gttrf's factors (dl, d, du, du2, ipiv) of the diagonal block
-    start:stop, with 1-based pivots local to the block."""
-    dl, d, du, du2, ipiv = factors
-    return [dl[start : stop - 1], d[start:stop], du[start : stop - 1],
-            du2[start : max(start, stop - 2)], ipiv[start:stop] - start]
+        lub, piv = self.factors
+        return dgbtrs(lub, self.kl, self.kl, b, piv, overwrite_b=overwrite)[0]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import (_SPECULATE_NODES, ControlParam, CostSpec, constant_target, psi_l2,
-                      psi_zero, sine_basis)
+from .control import (ControlParam, CostSpec, constant_target, psi_l2, psi_zero, search_batches,
+                      sine_basis)
 from .estimates import _VERIFY_ISOMETRY_SAMPLES
 from .grid import FREE_BOUNDARY, Field, Grid, l2_norm, w1p_norm
 from .levy import LevyModel, eta_linear, eta_sine, eta_zero
@@ -273,10 +273,7 @@ class RunConfig:
         model = self.build_levy()
         if self.n_paths < 1:
             raise ConfigError("[run] n_paths must be >= 1")
-        # the largest batch of the control search: the initial simplex, or
-        # the 4 trial points of a speculative iteration (see `saa_minimize`)
-        speculate = self.n_paths * grid.n_nodes <= _SPECULATE_NODES
-        candidates = max(self.basis_size() + 1, 4 if speculate else 1)
+        candidates = search_batches(self.n_paths, grid.n_nodes, self.basis_size())[1]
         check_run_size(self.n_paths, scheme.n_steps, grid, model, scheme.dt,
                        "[scheme] n_steps", "[levy] measure", command, candidates,
                        self.basis_size() + 1)

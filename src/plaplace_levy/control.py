@@ -300,16 +300,19 @@ def nelder_mead(evaluate, consume, simplex, maxfev: int, xatol: float,
 
 # Speculative trial evaluation (see `nelder_mead`) solves about twice the
 # rows the search uses, in about half the calls.  It pays while a call's
-# fixed cost dominates, that is while a candidate has few rows: measured
-# crossovers were 8-16 paths on a 1D n=16 grid (17 nodes), 2 paths on 2D
-# n=8 (81 nodes), below 1 path on 2D n=16 (289 nodes).  So the search
-# speculates up to this many nodal values per candidate (n_paths x nodes).
-# Re-timed with warm starts (optimize on sample_config.ini, seed 0, 8 runs
-# a mode, median s speculative vs one at a time): 4 paths 0.70 vs 0.81,
-# 8 paths 0.87 vs 0.98, 12 paths 0.83 vs 0.90, 16 paths 1.22 vs 1.25.  The
-# 12-path gain is within the runs' spread and 16 paths are a tie, so the
-# crossover still lies at 12-16 paths and the limit stays.
+# fixed cost dominates, that is while a candidate has few rows, so the
+# search speculates up to this many nodal values per candidate
+# (n_paths x nodes).  Measurements: ROADMAP item 11.
 _SPECULATE_NODES = 200
+
+
+def search_batches(n_paths: int, n_nodes: int, dim: int) -> tuple:
+    """Whether `saa_minimize` speculates on n_paths paths of n_nodes grid
+    nodes with dim basis functions, and the most candidates one batch then
+    holds: the initial simplex, or a speculative iteration's 4 trials."""
+    speculate = n_paths * n_nodes <= _SPECULATE_NODES
+    return speculate, max(dim + 1, 4 if speculate else 1)
+
 
 # The start predictor (`affine_predictor`) takes barycentric coordinates
 # against its dim + 1 solved candidates only while their affine matrix
@@ -402,7 +405,7 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     spec.validate(cfg.n_steps)
     # common random numbers: each seed's jump path serves every candidate
     paths = sample_prms(model, cfg.dt, cfg.n_steps, seeds)
-    speculate = n_paths * u0.grid.n_nodes <= _SPECULATE_NODES
+    speculate = search_batches(n_paths, u0.grid.n_nodes, dim)[0]
 
     history = []
     # states: the incumbent's solved states; kept: (J, coefficients, states)

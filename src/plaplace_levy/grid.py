@@ -306,9 +306,9 @@ class BandScatter:
         blocks, one per row of `vals` (M, n): each row sums its cell entries,
         optionally followed by its edge entries, at `pos`, plus `diag` on the
         diagonal.  Blocks share kl and nothing couples them, so the partial
-        pivoting of `BandLU` (gbtrf, or gttrf for kl = 1) never leaves a
-        block and factors each as it would alone.  A 1-D `vals` is one
-        system."""
+        pivoting of `BandLU` (gbtrf, or gttrf for kl = 1 and m >= 3) never
+        leaves a block and factors each as it would alone.  A 1-D `vals` is
+        one system."""
         rows = 1 if vals.ndim == 1 else len(vals)
         pos = self.cell_pos if vals.size == rows * self.cell_pos.index.size else self.pos
         ab = pos.scatter(vals, rows)

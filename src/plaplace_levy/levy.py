@@ -118,10 +118,6 @@ class LevyModel:
         kind, c = self.eta
         return c * np.cos(u) if kind == "sine" else np.full(np.shape(u), c)
 
-    def compensator(self, u: np.ndarray) -> np.ndarray:
-        """integral eta(u; z) m(dz) over the truncated measure, per node."""
-        return self.eta_u(u) * self.mark_mass
-
     def eta_sq_compensator(self, u: np.ndarray) -> np.ndarray:
         """integral eta(u; z)^2 m(dz), per node (isometry right-hand side)."""
         return self.eta_u(u) ** 2 * self.c_eta

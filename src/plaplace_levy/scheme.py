@@ -19,7 +19,8 @@ Residuals are measured as the L^2 norm of their nodal Riesz representer.
 Both linearizations are assembled from per-cell and per-edge local blocks,
 scattered through the grid's fixed table straight into LAPACK band storage
 and factored and solved by `BandLU`: LAPACK's tridiagonal gttrf and gttrs
-in 1D, its general band gbtrf and gbtrs in 2D; one code path serves both.
+in 1D, its general band gbtrf and gbtrs in 2D and on 1D grids of 2-3 cells;
+one code path serves both, and reads a singular row from its zero pivots.
 A 2D march keeps each row's factors across rounds and steps while they
 contract (`_LAG_CUT`); 1D factors afresh every round.
 
@@ -236,9 +237,9 @@ class _StepSolver:
     matrices of the rows that need them are assembled as the diagonal
     blocks of one band matrix, through the grid's fixed scatter
     (`Grid.step_band`), factored by one `BandLU` (gttrf for the tridiagonal
-    1D blocks, gbtrf for 2D) and solved by one call of its kernel's solve,
-    in 1D and 2D alike.  A row holding kept factors (2D march) solves with
-    them instead, one gbtrs call per row.
+    1D blocks of at least 3 unknowns, gbtrf otherwise) and solved by one
+    call of its kernel's solve, in 1D and 2D alike.  A row holding kept
+    factors (2D march) solves with them instead, one gbtrs call per row.
     """
 
     def __init__(self, grid: Grid, p: float, dt: float, flux: FluxModel):
@@ -279,59 +280,47 @@ class _StepSolver:
         the `BandLU` factors of an earlier Newton matrix of that row:
         a row holding factors solves with them (a lagged round), the others
         factor their own, and kept[i] becomes the factors row i used."""
-        if kept is None:
-            return self._fresh_step(v, comps, r_int)[0]
-        m = self.grid.step_band.m
-        delta = np.empty_like(r_int)
-        held = np.array([f is not None for f in kept])
-        for i in np.flatnonzero(held):
-            delta[i] = kept[i].solve(-r_int[i], overwrite=True)
-        fresh = np.flatnonzero(~held)
+        delta, fresh = -r_int, np.arange(len(v))
+        if kept is not None:
+            held = np.array([f is not None for f in kept], dtype=bool)
+            for i in fresh[held].tolist():
+                delta[i] = kept[i].solve(delta[i], overwrite=True)
+            fresh = fresh[~held]
         if fresh.size:
+            # all rows fresh: work on the full arrays, no gather or scatter
             rows = slice(None) if fresh.size == len(v) else fresh
-            delta[rows], lu, ok = self._fresh_step(v[rows], comps[rows], r_int[rows])
-            for j, i in enumerate((fresh if ok is None else fresh[ok]).tolist()):
-                kept[i] = lu.cols(j * m, (j + 1) * m)  # row i's columns, own pivots
+            lu, ok = self.newton_factors(v[rows], comps[rows])
+            b = delta[rows]
+            if ok is not None:
+                b[~ok] = 0.0  # a singular row solves to zeros, which reach no other row
+            delta[rows] = lu.solve(b.ravel(), overwrite=True).reshape(b.shape)
+            if ok is not None:
+                delta[fresh[~ok]] = np.nan
+            m = self.grid.step_band.m
+            for j, i in enumerate(fresh.tolist() if kept is not None else ()):
+                if ok is None or ok[j]:
+                    kept[i] = lu.cols(j * m, (j + 1) * m)  # row i's columns, own pivots
         return delta
-
-    def _fresh_step(self, v: np.ndarray, comps: np.ndarray, r_int: np.ndarray) -> tuple:
-        """`newton_step` with fresh factors for every row: the increments
-        (NaN for a singular row), then `newton_factors`' factors and mask."""
-        lu, ok = self.newton_factors(v, comps)
-        if ok is None:
-            return lu.solve(-r_int.ravel(), overwrite=True).reshape(r_int.shape), lu, ok
-        delta = np.full_like(r_int, np.nan)
-        if ok.any():
-            delta[ok] = lu.solve(-r_int[ok].ravel(), overwrite=True).reshape(-1, r_int.shape[1])
-        return delta, lu, ok
 
     def newton_factors(self, v: np.ndarray, comps: np.ndarray) -> tuple:
         """`BandLU` factors of the Newton matrices of rows v (..., A,
         n_nodes), with comps from `evaluate`; the blocks are step-major when
         a step axis leads.  Also returns None, or, if some row's block is
-        singular, the mask (A,) of the rows the factors hold: a singular
-        row, named by the factorization's info, leaves and the others are
-        factored again."""
-        kl, m = self.grid.step_band.kl, self.grid.step_band.m
-        ok = None  # all rows
-        while True:
-            vs, cs = (v, comps) if ok is None else (v[..., ok, :], comps[..., ok, :, :])
-            ab = self._band_matrix(vs.reshape(-1, v.shape[-1]),
-                                   cs.reshape(-1, *comps.shape[-2:]), newton=True)
-            lu = BandLU(ab, kl, overwrite=True)
-            if lu.info <= 0:
-                return lu, ok
-            ok = np.ones(v.shape[-2], dtype=bool) if ok is None else ok
-            rows = np.flatnonzero(ok)
-            ok[rows[(lu.info - 1) // m % rows.size]] = False
-            if not ok.any():
-                return lu, ok
+        singular, the mask (A,) of the other rows, read from the zero pivots
+        of the one factorization by `BandLU.singular_blocks`."""
+        band = self.grid.step_band
+        ab = self._band_matrix(v.reshape(-1, v.shape[-1]), comps.reshape(-1, *comps.shape[-2:]),
+                               newton=True)
+        lu = BandLU(ab, band.kl, band.m, overwrite=True)
+        if lu.info <= 0:
+            return lu, None
+        return lu, ~lu.singular_blocks(band.m).reshape(-1, v.shape[-2]).any(axis=0)
 
     def picard_solve(self, v: np.ndarray, comps: np.ndarray, b_int: np.ndarray) -> np.ndarray:
         """Solve the frozen-coefficient linearizations A(v) w = b row by row.
         A(v) is symmetric positive definite, so it meets no zero pivot."""
-        lu = BandLU(self._band_matrix(v, comps, newton=False), self.grid.step_band.kl,
-                    overwrite=True)
+        band = self.grid.step_band
+        lu = BandLU(self._band_matrix(v, comps, newton=False), band.kl, band.m, overwrite=True)
         return lu.solve(b_int.ravel()).reshape(b_int.shape)
 
     def _band_matrix(self, v: np.ndarray, comps: np.ndarray, newton: bool) -> np.ndarray:
@@ -551,7 +540,8 @@ def initial_smoothing(u0: Field, dt: float, p: float, *,
     rhs[grid.boundary_nodes] = 0.0
     v, failures = _newton(solver, np.zeros((1, grid.n_nodes)), rhs[None], newton_tol, max_iters)
     if failures:
-        raise failures[0][1]
+        err = failures[0][1]
+        raise NonConvergence(f"initial smoothing: {err}", residual=err.residual)
     smoothed = Field(grid, v[0].reshape(grid.node_shape), ZERO_BOUNDARY)
     lhs = 0.5 * l2_norm(smoothed) ** 2 + dt * lp_grad_norm(smoothed, p) ** p
     rhs_val = 0.5 * l2_norm(u0) ** 2
@@ -806,16 +796,11 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
     return states, sums, errors
 
 
-# Whole-trajectory Newton (`_trajectories`) takes about 3.2 iterations per
-# call on the benchmark's 1-path optimize, where marching takes about 1.7 per
-# step, so it pays only while per-call overhead, not arithmetic, sets a
-# solve's cost: simulate_controls takes it up to this many nodal values per
-# path set (n_paths x grid nodes).
-# Measured as optimize wall time, trajectory / march (medians of 4-10
-# alternating in-process runs each): 1D n=16 (17 nodes) 1 path 0.52,
-# 2 paths 0.67, 3 0.61, 4 0.77, 5 0.90, 6 0.83, 7 1.02, 8 1.01-1.09;
-# 2D n=6 (49 nodes) 1 path 0.63; 2D n=8 (81 nodes) 1 path 0.87-0.95,
-# 2 paths 1.14-1.21; 2D n=16 (289 nodes) 1 path 1.04.
+# Whole-trajectory Newton (`_trajectories`) takes more iterations per call
+# than the march takes per step, so it pays only while per-call overhead,
+# not arithmetic, sets a solve's cost: simulate_controls takes it up to this
+# many nodal values per path set (n_paths x grid nodes).  Measurements:
+# ROADMAP item 11.
 _TRAJECTORY_NODES = 100
 
 
@@ -839,14 +824,14 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
     has ref[i, 0] equal to the start up to rounding).
 
     The trajectory Jacobian is block lower-bidiagonal: its diagonal blocks
-    are the step Newton matrices, factored by one `BandLU` (gttrf in 1D),
-    and its coupling blocks the diagonals -`_rhs_coupling`; a Newton step is
-    the block forward substitution (`BandLU.forward_solve`), one solve per
-    step on that step's columns of the factors.  Each row iterates under
-    its own mask and leaves when every step's residual is at most
-    newton_tol, the march's own acceptance test.  A row that exhausts
-    newton_max_iters, goes non-finite or meets a singular factor is marched
-    step by step from its start by `_march` instead, which gives its
+    are the step Newton matrices, factored by one `BandLU`, and its coupling
+    blocks the diagonals -`_rhs_coupling`; a Newton step is the block
+    forward substitution (`BandLU.forward_solve`), one solve per step on
+    that step's columns of the factors.  Each row iterates under its own
+    mask and leaves when every step's residual is at most newton_tol, the
+    march's own acceptance test.  A row that exhausts newton_max_iters, goes
+    non-finite or has a singular block in a round's factors is marched step
+    by step from its start by `_march` instead, which gives its
     NonConvergence.  Sums accumulate in step order, as the march's do."""
     n, M, idx = cfg.n_steps, len(paths), grid.interior_nodes
     solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
@@ -875,20 +860,23 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
         go = ~done & np.isfinite(rnorm).all(axis=0) & (it < cfg.newton_max_iters)
         marched.extend(live[~done & ~go].tolist())
         live, cur = live[go], cur[:, go]
-        r, comps = r.reshape(n, A, m)[:, go], comps.reshape(n, A, *comps.shape[1:])[:, go]
-        if live.size:
-            lu, ok = solver.newton_factors(cur[1:], comps)
-            if ok is not None:  # a singular block sends its row to the march
-                marched.extend(live[~ok].tolist())
-                live, cur, r = live[ok], cur[:, ok], r[:, ok]
         if not live.size:
             break
+        r, comps = r.reshape(n, A, m)[:, go], comps.reshape(n, A, *comps.shape[1:])[:, go]
+        lu, ok = solver.newton_factors(cur[1:], comps)
+        if ok is not None:
+            r[:, ~ok] = 0.0  # a singular row solves to zeros, which reach no other row
         # block forward substitution: A_k delta_k = -r_k + coupling_k delta_{k-1}
         cols = len(live) * m
         coupling = _rhs_coupling(model, cur[:-1, :, idx].reshape(-1, m), jumps[:, live].ravel(),
                                  cfg.dt, solver.wc).reshape(n, cols)
-        delta = lu.forward_solve(-r.reshape(n, cols), coupling)
-        cur[1:, :, idx] += delta.reshape(n, len(live), m)
+        delta = lu.forward_solve(-r.reshape(n, cols), coupling).reshape(n, len(live), m)
+        if ok is not None:  # a singular block sends its row to the march
+            marched.extend(live[~ok].tolist())
+            live, cur, delta = live[ok], cur[:, ok], delta[:, ok]
+            if not live.size:
+                break
+        cur[1:, :, idx] += delta
     errors = [None] * M
     if marched:
         rows = np.sort(marched)

@@ -331,9 +331,9 @@ def test_cli_verify_solver_failure_is_the_moment_ensembles(tmp_path, capsys):
 
 
 def test_cli_singular_step_matrix_exit_code(tmp_path, capsys, monkeypatch):
-    # gttrf, the 1D band kernel, reports a zero pivot in the first path's
-    # block of the first step solve: a solver failure (exit 3) naming step
-    # and seed, not a traceback
+    # gttrf, the 1D band kernel, returns an exactly zero pivot in the first
+    # path's block of the first step solve: a solver failure (exit 3) naming
+    # step and seed, not a traceback
     import plaplace_levy._lapack as lapack
 
     real, injected = lapack.dgttrf, []
@@ -342,6 +342,7 @@ def test_cli_singular_step_matrix_exit_code(tmp_path, capsys, monkeypatch):
         *factors, info = real(dl, d, du, **kwargs)
         if d.size == 2 * 15 and not injected:  # 2 paths of 15 unknowns
             injected.append(info)
+            factors[1][2] = 0.0  # U's diagonal
             info = 3
         return (*factors, info)
 
@@ -386,6 +387,37 @@ def test_cli_stalled_line_search_exit_code(tmp_path, capsys):
     assert code == 3
     assert re.fullmatch(r"solver failure at step 0 of path seed 0: step solver stagnated "
                         r"at residual \S+\n", err), err
+
+
+SMOOTHING_FLOOR = """
+[grid]
+dim = 1
+n_cells = 64
+
+[scheme]
+p = 3
+dt = 1
+n_steps = 2
+
+[levy]
+measure = point:1.0@1.0
+eta = linear:0.5
+lambda_star = 0.5
+
+[initial]
+u0 = sine:amplitude=50,mode=1
+"""
+
+
+def test_cli_initial_smoothing_failure_names_itself(tmp_path, capsys):
+    # data of amplitude 50 on 64 cells put the smoothing's residual floor
+    # above its fixed 1e-12 tolerance: a solver failure (exit 3) on one
+    # stderr line that names the initial smoothing, not a step
+    code = run_cli(["simulate", "--config", write(tmp_path, SMOOTHING_FLOOR), "--paths", "2",
+                    "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.fullmatch(r"solver failure: initial smoothing: step solver \S.*\n", err), err
 
 
 @pytest.mark.parametrize(

@@ -813,8 +813,9 @@ def test_trajectory_rows_that_fail_march_from_their_start(monkeypatch):
 
 
 def test_singular_trajectory_block_sends_its_row_to_the_march(monkeypatch):
-    # a singular factor reported in row 1's block of step 3: that row is
-    # marched, the other two factor again and solve as they would without it
+    # an exactly zero pivot returned in row 1's block of step 3: that row is
+    # marched, the other two solve with the same factors as they would
+    # without it
     import plaplace_levy._lapack as lapack
     import plaplace_levy.scheme as scheme
 
@@ -833,14 +834,20 @@ def test_singular_trajectory_block_sends_its_row_to_the_march(monkeypatch):
         dl, d, *factors, info = real(*args, **kwargs)
         if not calls:
             info = (3 * len(paths) + 1) * m + 2
+            d[info - 1] = 0.0  # U's diagonal, in row 1's block of step 3
         calls.append(d.size // (m * cfg.n_steps))  # rows factored
         return (dl, d, *factors, info)
 
-    calls = []
+    calls, solves = [], []  # solves: the kernel calls made before each forward sweep
+    forward_solve = lapack.BandLU.forward_solve
+    monkeypatch.setattr(lapack.BandLU, "forward_solve",
+                        lambda lu, *a: solves.append(len(calls)) or forward_solve(lu, *a))
     monkeypatch.setattr(lapack, "dgttrf", singular_once)
     (run,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
                                       shared_ref(ref.states, 1))
     assert calls[:2] == [3, 2]
+    # one factorization per Newton round, the singular one included
+    assert solves == list(range(1, len(solves) + 1))
     assert np.array_equal(run.states[1], marched.states[1])
     assert np.array_equal(run.states[[0, 2]], whole.states[[0, 2]])
     assert not np.array_equal(whole.states[1], marched.states[1])

@@ -92,38 +92,51 @@ def test_tridiagonal_kernel_is_scipys_gttrf_and_gttrs(n):
 @pytest.mark.parametrize("n_cells", [2, 3, 4])
 @pytest.mark.parametrize("rows", [1, 2])
 def test_band_systems_of_one_to_three_unknowns_solve(n_cells, rows):
-    # gttrf's wrapper rejects n <= 2: such systems solve with unit rows
-    # appended, to the same factors and solution as in a larger batch
+    # gttrf's wrapper rejects n <= 2, so blocks of fewer than 3 unknowns
+    # factor with gbtrf: to the same factors and solution as in a larger batch
     band = Grid(1, n_cells).step_band
     rng = np.random.default_rng(n_cells)
     ab = band.assemble(rng.normal(size=(3, band.pos.index.size)), 3.0)
     b = rng.normal(size=(ab.shape[1], 2))
     m, kl = band.m, band.kl
-    batch = _lapack.BandLU(ab.copy(), kl)
-    lu = _lapack.BandLU(ab[:, : rows * m].copy(), kl)
+    batch = _lapack.BandLU(ab.copy(), kl, m)
+    assert batch.tridiagonal == (m >= 3)
+    whole = batch.solve(b.copy())
+    lu = _lapack.BandLU(ab[:, : rows * m].copy(), kl, m)
     assert lu.info == 0 and lu.n == rows * m
     x = lu.solve(b[: rows * m].copy())
     assert np.allclose(_dense(ab[:, : rows * m], kl) @ x, b[: rows * m], rtol=0.0, atol=1e-12)
     assert np.array_equal(x[:, 0], lu.solve(b[: rows * m, 0].copy()))
     for i in range(rows):
         block = slice(i * m, (i + 1) * m)
-        alone = _lapack.BandLU(ab[:, block].copy(), kl).solve(b[block].copy())
+        alone = _lapack.BandLU(ab[:, block].copy(), kl, m).solve(b[block].copy())
         assert np.array_equal(x[block], alone)
-        assert np.array_equal(batch.cols(i * m, (i + 1) * m).solve(b[block].copy()), alone)
+        assert np.array_equal(whole[block], alone)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_singular_block_names_its_row_and_spares_the_others(dim):
+    # rows 1 and 3 of 4 are zero blocks: one factorization (gttrf in 1D,
+    # gbtrf in 2D) shows exact zero pivots in exactly those blocks, and with
+    # them set to 1 the other rows solve as they do alone
     band = Grid(dim, 8).step_band
     m, kl = band.m, band.kl
     rng = np.random.default_rng(dim)
-    vals = rng.normal(size=(3, band.pos.index.size))
+    vals = rng.normal(size=(4, band.pos.index.size))
     ab = band.assemble(vals, 4.0 * dim**2 * (2 * kl + 1))
-    ab[:, m : 2 * m] = 0.0  # row 1's block is the zero matrix
-    b = rng.normal(size=3 * m)
-    lu = _lapack.BandLU(ab.copy(), kl)
+    ab[:, m : 2 * m] = ab[:, 3 * m :] = 0.0  # rows 1 and 3's blocks are zero matrices
+    b = rng.normal(size=4 * m)
+    lu = _lapack.BandLU(ab.copy(), kl, m)
+    assert lu.tridiagonal == (dim == 1)
     assert (lu.info - 1) // m == 1
+    assert lu.singular_blocks(m).tolist() == [False, True, False, True]
+    assert not lu.singular_blocks(m).any()  # the zero pivots are now 1
+    singular = np.repeat([False, True, False, True], m)
+    x = lu.solve(np.where(singular, 0.0, b))
+    assert np.all(x[singular] == 0.0)
     for i in (0, 2):
         block = slice(i * m, (i + 1) * m)
-        alone = _lapack.BandLU(ab[:, block].copy(), kl).solve(b[block].copy())
-        assert np.array_equal(lu.cols(i * m, (i + 1) * m).solve(b[block].copy()), alone)
+        alone = _lapack.BandLU(ab[:, block].copy(), kl, m).solve(b[block].copy())
+        assert np.array_equal(x[block], alone)
+        if dim == 2:  # kept factors exist only in 2D
+            assert np.array_equal(lu.cols(i * m, (i + 1) * m).solve(b[block].copy()), alone)

@@ -217,7 +217,10 @@ def test_compensator_matches_per_atom_loop(measure, kind):
     for z, lam in zip(*model.atoms):
         comp += lam * eta_at(u_int, float(z))
         comp_sq += lam * eta_at(u_int, float(z)) ** 2
-    assert model.compensator(u_int) == pytest.approx(comp, rel=1e-13, abs=0.0)
+    # with no marks, the compensated increment is -dt times the compensator
+    dt = 0.05
+    (inc,) = compensated_increments(model, u_int, np.zeros(1), dt)
+    assert inc == pytest.approx(-dt * comp, rel=1e-13, abs=0.0)
     assert model.eta_sq_compensator(u_int) == pytest.approx(comp_sq, rel=1e-13, abs=0.0)
     rhs = 0.05 * np.sum(comp_sq) * g.cell_weight
     assert isometry_rhs(model, u, 0.05) == pytest.approx(rhs, rel=1e-13, abs=0.0)

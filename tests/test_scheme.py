@@ -1133,9 +1133,10 @@ def test_1d_march_never_keeps_factors(monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_singular_step_matrix_fails_its_row_only(dim, monkeypatch):
-    # the band kernel (gttrf in 1D, gbtrf in 2D) reports a zero pivot in
-    # row 1's block at step 2: row 1 fails with its step and seed, the other
-    # rows factor again and march on as they do without it
+    # the band kernel (gttrf in 1D, gbtrf in 2D) returns an exactly zero
+    # pivot in row 1's block at step 2: row 1 fails with its step and seed,
+    # the other rows solve with the same factors and march on as they do
+    # without it
     import plaplace_levy._lapack as lapack
     import plaplace_levy.scheme as scheme
 
@@ -1161,7 +1162,11 @@ def test_singular_step_matrix_fails_its_row_only(dim, monkeypatch):
         calls.append(factors[1 if dim == 1 else 0].shape[-1] // m)  # rows factored
         if len(steps) == 3 and not injected:  # the third _newton call is step 2
             injected.append(len(calls))
-            info = m + 2  # row 1's block
+            if dim == 1:
+                factors[1][m + 1] = 0.0  # U's diagonal, in row 1's block
+            else:
+                factors[0][2 * grid.step_band.kl, m + 1] = 0.0
+            info = m + 2
         return (*factors, info)
 
     monkeypatch.setattr(scheme, "_newton", lambda *a: steps.append(1) or newton(*a))
@@ -1174,6 +1179,66 @@ def test_singular_step_matrix_fails_its_row_only(dim, monkeypatch):
     assert out_errors[0] is out_errors[2] is None
     assert np.array_equal(out_states[[0, 2]], states[[0, 2]])
     assert np.array_equal(out_sums[[0, 2]], sums[[0, 2]])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_two_singular_rows_fail_in_one_round_with_one_kernel_call(dim, monkeypatch):
+    # the first factorization of 4 rows returns exactly zero pivots in rows
+    # 1 and 3: both fail in that round, which makes no further kernel call,
+    # and rows 0 and 2 (with their kept factors in 2D) end as they do alone
+    import plaplace_levy._lapack as lapack
+    from plaplace_levy.scheme import _newton
+
+    grid = Grid(dim, 12 if dim == 1 else 6)
+    solver = _StepSolver(grid, 3.0, 0.05, sine_flux([0.4, -0.3][:dim]))
+    rng = np.random.default_rng(5)
+    v = np.stack([zb(grid, rng).flat for _ in range(4)])
+    rhs = 0.8 * v
+    kernel = "dgttrf" if dim == 1 else "dgbtrf"
+    real, (m, kl) = getattr(lapack, kernel), (grid.step_band.m, grid.step_band.kl)
+    calls, per_round = [], []
+
+    def singular_rows_1_and_3(*args, **kwargs):
+        *factors, info = real(*args, **kwargs)
+        if not calls:
+            diag = factors[1] if dim == 1 else factors[0][2 * kl]  # U's diagonal
+            diag[[m + 2, 3 * m + 1]] = 0.0
+            info = m + 3
+        calls.append(factors[1 if dim == 1 else 0].shape[-1] // m)  # rows factored
+        return (*factors, info)
+
+    step = _StepSolver.newton_step
+
+    def count_calls(self, *args):
+        before = len(calls)
+        delta = step(self, *args)
+        per_round.append(len(calls) - before)
+        return delta
+
+    monkeypatch.setattr(lapack, kernel, singular_rows_1_and_3)
+    # one step: NaN for rows 1 and 3, and in 2D rows 0 and 2 keep their own
+    # columns of the one factorization
+    r, _, _, comps = solver.evaluate(v, rhs)
+    kept = None if dim == 1 else [None] * 4
+    delta = solver.newton_step(v, comps, r, kept)
+    assert calls == [4]
+    assert np.isnan(delta[[1, 3]]).all() and np.isfinite(delta[[0, 2]]).all()
+    if dim == 2:
+        assert kept[1] is kept[3] is None
+        for i in (0, 2):
+            assert np.array_equal(kept[i].solve(-r[i]), delta[i])
+    calls.clear()
+    monkeypatch.setattr(_StepSolver, "newton_step", count_calls)
+    kept = None if dim == 1 else [None] * 4
+    out, failures = _newton(solver, v.copy(), rhs, 1e-10, 50, kept)
+    assert calls[0] == 4 and per_round[0] == 1 and max(per_round) == 1
+    assert [i for i, _ in failures] == [1, 3]
+    assert all("no finite Newton step" in str(err) for _, err in failures)
+    monkeypatch.setattr(lapack, kernel, real)
+    for i in (0, 2):
+        alone, none = _newton(solver, v[i : i + 1].copy(), rhs[i : i + 1], 1e-10, 50,
+                              None if dim == 1 else [None])
+        assert none == [] and np.array_equal(out[i], alone[0])
 
 
 def test_non_finite_row_fails_without_touching_its_neighbours():
