@@ -79,12 +79,14 @@ class BandLU:
 
     def cols(self, start: int, stop: int) -> "BandLU":
         """A general band's factors of the diagonal block start:stop, which
-        nothing couples to the other columns, with its own pivots: a copy, so
-        kept factors do not hold the whole batch's array alive."""
+        nothing couples to the other columns, with its own pivots: a view if
+        it spans the batch, else a copy, so that kept factors do not hold the
+        batch's other rows alive."""
         lub, piv = self.factors
         out = BandLU.__new__(BandLU)
         out.kl, out.n, out.tridiagonal, out.info = self.kl, stop - start, False, 0
-        out.factors = [lub[:, start:stop].copy(order="F"), piv[start:stop] - start]
+        lub = lub[:, start:stop]
+        out.factors = [lub if out.n == self.n else lub.copy(order="F"), piv[start:stop] - start]
         return out
 
     def forward_solve(self, b: np.ndarray, lower: np.ndarray) -> np.ndarray:

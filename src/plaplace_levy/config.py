@@ -29,8 +29,8 @@ class ConfigError(ValueError):
 
 
 # Bound on the float values one run holds at once (2^27, 1 GiB of float64):
-# the stacked states and martingale sums of every row a solve holds, the jump
-# times and marks of every path, and what a command holds besides: `verify`'s
+# the stacked states of every row a solve holds, the jump marks of every
+# path, and what a command holds besides: `verify`'s martingale sums and
 # isometry draws, and `optimize`'s predicted starts and kept trajectories
 # (see `check_run_size`).  validate() rejects a config above it before any
 # array is built.
@@ -45,14 +45,16 @@ def check_run_size(n_paths: int, n_steps: int, grid: Grid, model: LevyModel, dt:
     values, naming `steps_key` when its states alone would, else `rate_key`,
     the key that sets its jump rate.
 
-    An optimize solve holds states, sums and a predicted start (ref) for
-    each of up to `candidates` controls at once.  The search also keeps the
-    states of up to basis size + 1 = `kept` candidates, and its frozen
-    start predictor up to as many more that have since left that set, plus
-    the incumbent's, which can date from an earlier restart."""
-    optimize = command in (None, "optimize")
-    copies = (3 * candidates + 2 * kept + 1) if optimize else 2
-    states = copies * n_paths * (n_steps + 1) * grid.n_nodes  # exact, however large
+    verify holds its stack of 2 n_paths + min(n_paths, 20) rows and the
+    martingale sums of its n_paths moment-ensemble rows.  optimize (and
+    None: the largest count) counts 3 copies for each of up to `candidates`
+    controls solved at once, which hold states and a predicted start, the
+    states of up to basis size + 1 = `kept` candidates, as many more that
+    its frozen start predictor still holds, and the incumbent's.  Other
+    commands count 2 rows a path, and every command 2 values a jump."""
+    rows = ((3 * candidates + 2 * kept + 1) * n_paths if command in (None, "optimize")
+            else 3 * n_paths + min(n_paths, 20) if command == "verify" else 2 * n_paths)
+    states = rows * (n_steps + 1) * grid.n_nodes  # exact, however large
     if states > MAX_RUN_VALUES:
         raise ConfigError(f"[run] n_paths, {steps_key} and [grid] n_cells give {states} "
                           f"state values, more than {MAX_RUN_VALUES}")

@@ -127,7 +127,10 @@ def check_basis(basis: list):
 
 def control_rows(basis: list, points: np.ndarray) -> np.ndarray:
     """sum_j points[i, j] * basis[j] for each row i of points, as nodal rows
-    (len(points), n_nodes), added term by term in basis order."""
+    (len(points), n_nodes), added term by term in basis order; a non-finite
+    point raises ValueError before any arithmetic."""
+    if not np.isfinite(points).all():
+        raise ValueError("field values must be finite")
     rows = np.zeros((len(points), basis[0].grid.n_nodes))
     for j, phi in enumerate(basis):
         rows = rows + points[:, j, None] * phi.flat

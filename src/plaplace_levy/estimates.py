@@ -329,7 +329,7 @@ def isometry_check(model: LevyModel, u: Field, dt: float, n_samples: int,
     grid = u.grid
     eta_u = model.eta_u(u.flat[grid.interior_nodes])
     # sample i is step 0 of the path of seed base_seed + i
-    counts, _, marks = step_events(model, dt, range(base_seed, base_seed + n_samples), [0])
+    counts, marks = step_events(model, dt, range(base_seed, base_seed + n_samples), [0])
     norm_sq = eta_u @ eta_u * grid.cell_weight
     vals = (mark_sums(counts, marks) - dt * model.mark_mass) ** 2 * norm_sq
     exact = isometry_rhs(model, u, dt)

@@ -158,15 +158,13 @@ def eta_sine(coef: float) -> tuple:
 class PrmPath:
     """Sampled jump events of one noise path on a uniform step grid.
 
-    counts[k] is the number of jumps in step k; times and marks hold the
-    jumps of every step, step by step, with t in (t_k, t_{k+1}] and times
-    strictly increasing within a step.  Sampling the same (model, dt, seed)
-    again reproduces the path bitwise.
+    counts[k] is the number of jumps in step k; marks holds the marks of
+    every step's jumps, step by step, in draw order.  Sampling the same
+    (model, dt, seed) again reproduces the path bitwise.
     """
 
     seed: int
     counts: np.ndarray = field(repr=False)
-    times: np.ndarray = field(repr=False)
     marks: np.ndarray = field(repr=False)
 
     def jump_count(self, k: int = None) -> int:
@@ -225,15 +223,16 @@ def _uniforms(keys: np.ndarray, steps: np.ndarray, n_blocks: int) -> np.ndarray:
 _PASS_BLOCKS = 1 << 14
 
 
-def _decoded_events(keys: np.ndarray, steps: np.ndarray, lam: float, dt: float,
-                    cdf: np.ndarray, z: np.ndarray, per_jump: int, n_blocks: int) -> tuple:
-    """(counts, times, marks) of the lanes (keys[i], steps[i]) for a Poisson
-    mean lam < 10, decoded from numpy's draw order: the count by the
+def _decoded_events(keys: np.ndarray, steps: np.ndarray, lam: float, cdf: np.ndarray,
+                    z: np.ndarray, per_jump: int, n_blocks: int) -> tuple:
+    """(counts, marks) of the lanes (keys[i], steps[i]) for a Poisson mean
+    lam < 10, decoded from numpy's draw order: the count by the
     multiplication method (the first index at which the running product of
     the doubles is <= exp(-lam)), then one double per jump for its time,
-    then, with more than one atom, one per jump for its mark (the inverse of
-    cdf); per_jump doubles per jump in all.  Lanes whose draws run past
-    n_blocks blocks take another pass."""
+    stepped over, then one per jump for its mark (the inverse of cdf):
+    per_jump = 3 doubles read per jump, or 1 for a single atom, whose marks
+    are drawn from nothing.  Lanes whose draws run past n_blocks blocks take
+    another pass."""
     enlam = math.exp(-lam)
     counts = np.zeros(len(keys), dtype=np.int64)
     passes = []
@@ -248,33 +247,26 @@ def _decoded_events(keys: np.ndarray, steps: np.ndarray, lam: float, dt: float,
         passes.append((todo[done], u[done]))
         todo = todo[~done]
         n_blocks = max(2 * n_blocks, -(-int(need.max()) // 4))
+    if per_jump == 1:
+        return counts, np.full(int(counts.sum()), z[0])
     first = np.cumsum(counts) - counts
-    lane = np.repeat(np.arange(len(keys)), counts)
-    spans = np.empty(len(lane))  # 1 - U of each jump time, U in [0, 1)
-    draws = np.empty(len(lane))  # U of each mark
+    draws = np.empty(int(counts.sum()))  # U of each mark
     for lanes, u in passes:
         c = counts[lanes]
         row = np.repeat(np.arange(len(lanes)), c)
         j = np.arange(len(row)) - np.repeat(np.cumsum(c) - c, c)
-        at = first[lanes][row] + j
-        spans[at] = 1.0 - u[row, c[row] + 1 + j]
-        if per_jump == 3:
-            draws[at] = u[row, 2 * c[row] + 1 + j]
-    times = steps[lane] * dt + dt * spans[np.lexsort((spans, lane))]
-    if per_jump == 2:
-        return counts, times, np.full(len(lane), z[0])
-    return counts, times, z[cdf.searchsorted(draws, side="right")]
+        draws[first[lanes][row] + j] = u[row, 2 * c[row] + 1 + j]
+    return counts, z[cdf.searchsorted(draws, side="right")]
 
 
-def _generated_events(keys: np.ndarray, steps: np.ndarray, lam: float, dt: float,
-                      probs: np.ndarray, z: np.ndarray) -> tuple:
-    """(counts, times, marks) of the lanes from numpy's Generator, one
-    re-keyed Philox per lane: for a Poisson mean lam >= 10, where numpy
-    draws the count by rejection (PTRS) and `_decoded_events` does not
-    apply."""
+def _generated_events(keys: np.ndarray, steps: np.ndarray, lam: float, probs: np.ndarray,
+                      z: np.ndarray) -> tuple:
+    """(counts, marks) of the lanes from numpy's Generator, one re-keyed
+    Philox per lane: for a Poisson mean lam >= 10, where numpy draws the
+    count by rejection (PTRS) and `_decoded_events` does not apply."""
     bits = np.random.Philox()
     rng = np.random.Generator(bits)
-    counts, times, marks = [], [np.empty(0)], [np.empty(0)]
+    counts, marks = [], [np.empty(0)]
     for key, k in zip(keys.tolist(), steps.tolist()):
         bits.state = {
             "bit_generator": "Philox",
@@ -285,22 +277,22 @@ def _generated_events(keys: np.ndarray, steps: np.ndarray, lam: float, dt: float
         }
         count = int(rng.poisson(lam))
         counts.append(count)
-        times.append(k * dt + dt * np.sort(1.0 - rng.random(count)))
+        rng.random(count)  # the jump times, drawn to reach the marks
         marks.append(z[rng.choice(len(z), size=count, p=probs)] if len(z) > 1
-                      else np.full(count, z[0]))
-    return np.array(counts, dtype=np.int64), np.concatenate(times), np.concatenate(marks)
+                     else np.full(count, z[0]))
+    return np.array(counts, dtype=np.int64), np.concatenate(marks)
 
 
 def step_events(model: LevyModel, dt: float, seeds, steps) -> tuple:
     """Jump events of the steps `steps` of each seed's path.  Lane (s, k)
     is step k of seed s; lanes run seed by seed, and by `steps` within a
-    seed.  Returns the per-lane counts and the lanes' times and marks, flat
-    in lane order.
+    seed.  Returns the per-lane counts and the lanes' marks, flat in lane
+    order.
 
     Lane (s, k) draws what numpy's Generator draws from the Philox keyed by
     (s mod 2^64, _KEY_SALT) with counter (k, 0, 0, 0), bitwise: a
-    Poisson(total_mass dt) count, then sorted uniform times in
-    (t_k, t_{k+1}], then marks drawn i.i.d. proportional to the
+    Poisson(total_mass dt) count, then uniform jump times in (t_k, t_{k+1}],
+    which nothing reads, then marks drawn i.i.d. proportional to the
     (discretized) measure.  Its events depend on (s, k) alone."""
     z, lam = model.atoms
     total = float(lam.sum()) if len(lam) else 0.0
@@ -312,19 +304,19 @@ def step_events(model: LevyModel, dt: float, seeds, steps) -> tuple:
     keys = np.array([s & _MASK64 for s in seeds], dtype=np.uint64)
     keys, steps = np.repeat(keys, len(steps)), np.tile(steps, len(keys))
     if total == 0.0 or len(keys) == 0:
-        return np.zeros(len(keys), dtype=np.int64), np.empty(0), np.empty(0)
+        return np.zeros(len(keys), dtype=np.int64), np.empty(0)
     mean = total * dt
     probs = lam / total
     if mean >= 10.0:
-        return _generated_events(keys, steps, mean, dt, probs, z)
+        return _generated_events(keys, steps, mean, probs, z)
     cdf = probs.cumsum()  # as Generator.choice forms it
     cdf /= cdf[-1]
-    per_jump = 3 if len(z) > 1 else 2  # doubles per jump: Poisson, time, mark
+    per_jump = 3 if len(z) > 1 else 1  # doubles read per jump: Poisson, time, mark; or Poisson
     # the first pass holds a count up to mean + 3 sqrt(mean) + 1, which a
     # lane exceeds with a chance below 0.5% (about mean^2 / 2 if small)
     n_blocks = -(-(1 + per_jump * int(mean + 3.0 * math.sqrt(mean) + 1.0)) // 4)
     chunk = max(1, _PASS_BLOCKS // n_blocks)
-    parts = [_decoded_events(keys[i : i + chunk], steps[i : i + chunk], mean, dt, cdf, z,
+    parts = [_decoded_events(keys[i : i + chunk], steps[i : i + chunk], mean, cdf, z,
                              per_jump, n_blocks) for i in range(0, len(keys), chunk)]
     return tuple(np.concatenate(a) for a in zip(*parts))
 
@@ -332,21 +324,17 @@ def step_events(model: LevyModel, dt: float, seeds, steps) -> tuple:
 def sample_prms(model: LevyModel, dt: float, n_steps: int, seeds) -> list:
     """Sample the truncated jump measure on n_steps steps of size dt, one
     path per seed, every step of every path from one `step_events` call
-    (no events when n_steps = 0).
-
-    Per step the jump count is Poisson(total_mass * dt) and marks are drawn
-    i.i.d. proportional to the (discretized) measure.
-    """
+    (no events when n_steps = 0)."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     seeds = list(seeds)
-    counts, times, marks = step_events(model, dt, seeds, range(n_steps))
+    counts, marks = step_events(model, dt, seeds, range(n_steps))
     counts = counts.reshape(len(seeds), n_steps)
     ends = np.cumsum(counts.sum(axis=1))[:-1]
-    return [PrmPath(seed=s, counts=c, times=t, marks=m)
-            for s, c, t, m in zip(seeds, counts, np.split(times, ends), np.split(marks, ends))]
+    return [PrmPath(seed=s, counts=c, marks=m)
+            for s, c, m in zip(seeds, counts, np.split(marks, ends))]
 
 
 def mark_sums(counts: np.ndarray, marks: np.ndarray) -> np.ndarray:

@@ -565,16 +565,15 @@ def project_control(U: Field, mode: str) -> Field:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Simulated paths of one scheme configuration, stacked: the nodal
-    states and the running martingale sums B(t_k), both of shape
-    (paths, n_steps + 1, n_nodes), with states[:, 0] the initial state, and
-    the jump paths that drove them, in row order."""
+    """Simulated paths of one scheme configuration: the nodal states
+    (paths, n_steps + 1, n_nodes), with states[:, 0] the initial state, the
+    jump paths that drove them, in row order, and the jump model."""
 
     states: np.ndarray
-    sums: np.ndarray
     paths: tuple
     config: SchemeConfig
     grid: Grid
+    model: LevyModel
 
     def __post_init__(self):
         if self.states.shape[1] != self.config.n_steps + 1:
@@ -591,6 +590,19 @@ class Ensemble:
         rows = self.states.reshape(-1, self.grid.n_nodes)
         return (_l2_norms(self.grid, self.states),
                 _lp_grad_pows(self.grid, rows, self.config.p).reshape(self.states.shape[:2]))
+
+    @cached_property
+    def sums(self) -> np.ndarray:
+        """The running martingale sums B(t_k), shaped like `states`: the
+        compensated increments the step solves add to their right-hand
+        sides, summed in step order; computed once per ensemble."""
+        cfg, idx = self.config, self.grid.interior_nodes
+        prev = self.states[:, :-1, idx].reshape(-1, len(idx))
+        incs = np.zeros_like(self.states)
+        incs[:, 1:, idx] = compensated_increments(
+            self.model, prev, _path_mark_sums(self.paths, cfg.n_steps).ravel(), cfg.dt
+        ).reshape(len(self), cfg.n_steps, len(idx))
+        return np.cumsum(incs, axis=1)
 
     @cached_property
     def increments_sq_sums(self) -> np.ndarray:
@@ -703,9 +715,9 @@ def _solve(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel, cfg: Sc
     first failure in path order.  A failing row drops out of the stack
     with the later rows of its run, and the rows of the other runs march
     on.  The stack is marched in chunks within _BAND_BUDGET, each written
-    into the call's one states and one sums array as it finishes.  ref
-    (every run on the same paths) is `simulate_controls`' reference, one
-    trajectory set per run, indexed by (run, path)."""
+    into the call's one states array as it finishes.  ref (every run on the
+    same paths) is `simulate_controls`' reference, one trajectory set per
+    run, indexed by (run, path)."""
     # per row: its run, its path and the path's index within the run
     run_of = [c for c, paths in enumerate(runs) for _ in paths]
     row_paths = [path for paths in runs for path in paths]
@@ -716,14 +728,13 @@ def _solve(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel, cfg: Sc
     band = grid.step_band
     chunk = max(1, _BAND_BUDGET // (8 * band.ldab * band.m * (cfg.n_steps if whole else 1)))
     states = np.empty((n_rows, cfg.n_steps + 1, grid.n_nodes))
-    sums = np.empty_like(states)
     errors = [None] * len(runs)  # first failure of each run, in path order
     for start in range(0, n_rows, chunk):
         rows = [r for r in range(start, min(start + chunk, n_rows)) if errors[run_of[r]] is None]
         if not rows:
             continue
         groups = np.array([run_of[r] for r in rows])
-        states[rows], sums[rows], chunk_errors = solve(
+        states[rows], chunk_errors = solve(
             grid, starts[groups], model, cfg, [row_paths[r] for r in rows], groups,
             None if ref is None else ref[groups, [local[r] for r in rows]])
         for r, err in zip(rows, chunk_errors):
@@ -732,7 +743,7 @@ def _solve(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel, cfg: Sc
     out, start = [], 0
     for c, paths in enumerate(runs):
         stop = start + len(paths)
-        out.append(errors[c] or Ensemble(states[start:stop], sums[start:stop], paths, cfg, grid))
+        out.append(errors[c] or Ensemble(states[start:stop], paths, cfg, grid, model))
         start = stop
     return out
 
@@ -745,12 +756,12 @@ def _path_mark_sums(paths, n_steps: int) -> np.ndarray:
 
 def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
            paths, groups: np.ndarray, ref: np.ndarray = None) -> tuple:
-    """Nodal states and martingale sums (M, n_steps + 1, n_nodes) of the
-    paths, row i from the nodal state starts[i], and per row None or the
-    NonConvergence (with step and seed) of its step solver.  A failed row
-    stops marching (its later states are undefined), and so do the rows
-    after it with the same groups[i], which can no longer change the first
-    error of that group; the other rows run on.
+    """Nodal states (M, n_steps + 1, n_nodes) of the paths, row i from the
+    nodal state starts[i], and per row None or the NonConvergence (with step
+    and seed) of its step solver.  A failed row stops marching (its later
+    states are undefined), and so do the rows after it with the same
+    groups[i], which can no longer change the first error of that group;
+    the other rows run on.
 
     Step k + 1's Newton solve starts from the previous state, or, given a
     reference trajectory ref (M, n_steps + 1, n_nodes), from the predictor
@@ -763,7 +774,6 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
     solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
     states = np.empty((len(paths), cfg.n_steps + 1, grid.n_nodes))
     states[:, 0] = starts
-    sums = np.zeros_like(states)
     jumps = _path_mark_sums(paths, cfg.n_steps)
     alive = np.arange(len(paths))
     rows = slice(None)  # the alive paths, as a slice while that is all of them
@@ -780,7 +790,6 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
         states[rows, k + 1], failed = _newton(
             solver, guess, prev + inc, cfg.newton_tol, cfg.newton_max_iters, kept
         )
-        sums[rows, k + 1] = sums[rows, k] + inc
         if failed:
             drop = np.zeros(len(alive), dtype=bool)
             for row, err in failed:
@@ -793,7 +802,7 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
                 kept = [f for f, gone in zip(kept, drop) if not gone]
             if alive.size == 0:
                 break
-    return states, sums, errors
+    return states, errors
 
 
 # Whole-trajectory Newton (`_trajectories`) takes more iterations per call
@@ -832,13 +841,12 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
     march's own acceptance test.  A row that exhausts newton_max_iters, goes
     non-finite or has a singular block in a round's factors is marched step
     by step from its start by `_march` instead, which gives its
-    NonConvergence.  Sums accumulate in step order, as the march's do."""
+    NonConvergence."""
     n, M, idx = cfg.n_steps, len(paths), grid.interior_nodes
     solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
     m = grid.step_band.m
     jumps = _path_mark_sums(paths, n).T  # (n, M)
     states = np.empty((M, n + 1, grid.n_nodes))
-    sums = np.zeros_like(states)
     # cur[k, j] is state k of row live[j]; every state keeps the start's boundary
     cur = np.repeat(starts[None], n + 1, axis=0)
     cur[1:, :, idx] = ref[:, 1:, idx].transpose(1, 0, 2)
@@ -852,11 +860,7 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
         r, rnorm, _, comps = solver.evaluate(cur[1:].reshape(n * A, -1), prev + inc)
         rnorm = rnorm.reshape(n, A)
         done = (rnorm <= cfg.newton_tol).all(axis=0)
-        if done.any():
-            states[live[done]] = cur[:, done].transpose(1, 0, 2)
-            incs = np.concatenate([np.zeros((1, np.count_nonzero(done), grid.n_nodes)),
-                                   inc.reshape(n, A, -1)[:, done]])
-            sums[live[done]] = np.cumsum(incs, axis=0).transpose(1, 0, 2)
+        states[live[done]] = cur[:, done].transpose(1, 0, 2)
         go = ~done & np.isfinite(rnorm).all(axis=0) & (it < cfg.newton_max_iters)
         marched.extend(live[~done & ~go].tolist())
         live, cur = live[go], cur[:, go]
@@ -880,8 +884,8 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
     errors = [None] * M
     if marched:
         rows = np.sort(marched)
-        states[rows], sums[rows], marched_errors = _march(
+        states[rows], marched_errors = _march(
             grid, starts[rows], model, cfg, [paths[i] for i in rows], groups[rows], ref[rows])
         for i, err in zip(rows.tolist(), marched_errors):
             errors[i] = err
-    return states, sums, errors
+    return states, errors

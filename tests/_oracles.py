@@ -288,3 +288,26 @@ def aldous_measured(ensemble, probe, thetas, tau, iters):
         vals = dual_norm_estimates(ensemble.grid, inc, ensemble.config.p, iters=iters) ** alpha
         measured.append(float(np.mean(vals)))
     return measured
+
+
+def martingale_sums(ensemble):
+    """The running martingale sums of each path of an Ensemble, accumulated
+    step by step: B(t_0) = 0 and, on the interior nodes,
+    B(t_{k+1}) = B(t_k) + c f(u_k) (S_k - dt mark_mass), with u_k the path's
+    state k and S_k the sum of 1 ^ |z| over step k's marks, added mark by
+    mark."""
+    model, cfg, grid = ensemble.model, ensemble.config, ensemble.grid
+    kind, c = model.eta
+    idx = grid.interior_nodes
+    out = np.zeros_like(ensemble.states)
+    for i, path in enumerate(ensemble.paths):
+        marks = np.split(path.marks, np.cumsum(path.counts)[:-1])
+        for k in range(cfg.n_steps):
+            s = 0.0
+            for z in marks[k].tolist():
+                s += min(1.0, abs(z))
+            u = ensemble.states[i, k, idx]
+            f = np.sin(u) if kind == "sine" else u
+            out[i, k + 1] = out[i, k]
+            out[i, k + 1, idx] += c * f * (s - cfg.dt * model.mark_mass)
+    return out

@@ -170,20 +170,32 @@ def test_run_bound_counts_what_each_command_holds(tmp_path, capsys):
     assert run_cli(["verify", "--config", write(tmp_path, text), "--out", out]) == 2
     assert "A4 violated: [levy] measure" in capsys.readouterr().err
     assert not os.path.exists(out)
-    # 2e5 paths: states and sums fit, optimize's third copy does not
-    text = REFERENCE.replace("n_paths = 5", "n_paths = 200000")
-    for command in ("simulate", "verify", "converge"):
+    # 2e5 paths of 17 x 17 values: two copies fit; verify's stack of
+    # 2 n_paths + 20 rows and the sums of its n_paths moment-ensemble rows
+    # do not, nor do optimize's copies
+    from plaplace_levy.config import MAX_RUN_VALUES
+
+    n_paths, per_path = 200_000, 17 * 17
+    assert 2 * n_paths * per_path <= MAX_RUN_VALUES < (3 * n_paths + 20) * per_path
+    text = REFERENCE.replace("n_paths = 5", f"n_paths = {n_paths}")
+    for command in ("simulate", "converge"):
         parse_config_text(text).validate(command)
-    with pytest.raises(ConfigError, match=re.escape("[scheme] n_steps")):
-        parse_config_text(text).validate("optimize")
+    for command in ("verify", "optimize"):
+        with pytest.raises(ConfigError, match=re.escape("[scheme] n_steps")):
+            parse_config_text(text).validate(command)
+    out = str(tmp_path / "v")
+    cfg = write(tmp_path, REFERENCE)
+    assert run_cli(["verify", "--config", cfg, "--paths", str(n_paths), "--out", out]) == 2
+    assert "[scheme] n_steps" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_run_bound_counts_every_candidate_of_an_optimize_batch(tmp_path, capsys):
     # 5e4 paths of 17 x 17 values: 8 copies fit the bound, but the search
-    # holds states, sums and a predicted start for each candidate of its
-    # 3-point initial simplex (sine:2 basis), the 3 kept trajectories of its
-    # start predictor, up to 3 more the frozen predictor still holds, and
-    # the incumbent's, 16 copies
+    # counts three copies (states and a predicted start) for each candidate
+    # of its 3-point initial simplex (sine:2 basis), the 3 kept trajectories
+    # of its start predictor, up to 3 more the frozen predictor still holds,
+    # and the incumbent's, 16 copies
     from plaplace_levy.config import MAX_RUN_VALUES
 
     n_paths, per_path = 50_000, 17 * 17

@@ -260,7 +260,7 @@ def test_isometry_check_matches_per_sample_loop(measure):
     u_int = u.flat[GRID.interior_nodes]
     drift = dt * sum(lam * eta_at(u_int, z) for z, lam in zip(*model.atoms))
     # sample i is step 0 of the path of seed 11 + i, incremented one at a time
-    counts, _, marks = step_events(model, dt, range(11, 11 + n), [0])
+    counts, marks = step_events(model, dt, range(11, 11 + n), [0])
     first = np.concatenate([[0], np.cumsum(counts)])
     vals = []
     for i in range(n):

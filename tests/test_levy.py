@@ -19,7 +19,7 @@ from plaplace_levy.levy import mark_sums, step_events
 
 
 def steps_of(flat, path):
-    """The per-step pieces of a path's flat times or marks."""
+    """The per-step pieces of a path's flat marks."""
     return np.split(flat, np.cumsum(path.counts)[:-1])
 
 
@@ -88,7 +88,7 @@ def test_validate_rejects_unknown_density():
 
 def test_sample_prm_rate_one_mean_count():
     model = unit_delta_model(lam=1.0)
-    counts, _, _ = step_events(model, 0.1, range(100_000), range(10))
+    counts, _ = step_events(model, 0.1, range(100_000), range(10))
     assert np.mean(counts.reshape(100_000, 10).sum(axis=1)) == pytest.approx(1.0, abs=0.02)
 
 
@@ -101,22 +101,15 @@ def test_sample_prm_zero_mass_empty():
 def test_sample_prm_deterministic_in_seed():
     model = unit_delta_model(lam=4.0)
     a, b, c = sample_prms(model, 0.125, 8, [99, 99, 100])
-    for x in ("counts", "times", "marks"):
+    for x in ("counts", "marks"):
         assert np.array_equal(getattr(a, x), getattr(b, x))
-    assert any(
-        not np.array_equal(ta, tc)
-        for ta, tc in zip(steps_of(a.times, a), steps_of(c.times, c))
-    )
+    assert not np.array_equal(a.counts, c.counts)
 
 
-def test_sample_prm_times_within_step_and_increasing():
+def test_sample_prm_one_mark_per_jump_and_bad_steps_rejected():
     model = unit_delta_model(lam=30.0)
     (path,) = sample_prms(model, 0.25, 4, [1])
-    assert len(path.times) == len(path.marks) == path.jump_count()
-    for k, times in enumerate(steps_of(path.times, path)):
-        if len(times):
-            assert np.all(np.diff(times) > 0)
-            assert times[0] > k * 0.25 and times[-1] <= (k + 1) * 0.25 + 1e-15
+    assert path.counts.shape == (4,) and len(path.marks) == path.jump_count()
     with pytest.raises(ValueError):
         sample_prms(model, 0.25, -1, [1])
     with pytest.raises(ValueError):
@@ -128,7 +121,7 @@ def test_sample_prms_zero_steps_give_empty_paths():
     paths = sample_prms(model, 0.25, 0, [3, 4, 5])
     assert [p.seed for p in paths] == [3, 4, 5]
     for path in paths:
-        assert path.counts.shape == path.times.shape == path.marks.shape == (0,)
+        assert path.counts.shape == path.marks.shape == (0,)
         assert path.jump_count() == 0
     assert sample_prms(model, 0.25, 0, []) == []
 
@@ -144,7 +137,7 @@ def test_c_eta_of_huge_marks_does_not_overflow():
 def test_compensated_increment_zero_field():
     g = Grid(1, 8)
     model = unit_delta_model(lam=20.0)
-    counts, _, marks = step_events(model, 0.25, range(4), [0])
+    counts, marks = step_events(model, 0.25, range(4), [0])
     assert len(marks)
     inc = compensated_increments(model, np.zeros(len(g.interior_nodes)),
                                  mark_sums(counts, marks), 0.25)
@@ -158,7 +151,7 @@ def test_compensated_increment_martingale_mean_zero():
     dt = 0.05
     n = 40_000
     node = list(g.interior_nodes).index(g.n_cells // 2)
-    counts, _, marks = step_events(model, dt, range(n), [0])  # step 0 of each seed's path
+    counts, marks = step_events(model, dt, range(n), [0])  # step 0 of each seed's path
     acc = compensated_increments(model, u.flat[g.interior_nodes], mark_sums(counts, marks),
                                  dt)[:, node]
     se = acc.std() / np.sqrt(n)
@@ -171,7 +164,7 @@ def test_compensated_increment_isometry_variance():
     model = unit_delta_model(lam=1.0, coef=0.5)
     dt = 0.01
     n = 30_000
-    counts, _, marks = step_events(model, dt, range(n), [0])  # step 0 of each seed's path
+    counts, marks = step_events(model, dt, range(n), [0])  # step 0 of each seed's path
     inc = compensated_increments(model, u.flat[g.interior_nodes], mark_sums(counts, marks), dt)
     vals = np.sum(inc**2, axis=1) * g.cell_weight
     rhs = isometry_rhs(model, u, dt)
@@ -241,21 +234,20 @@ def test_step_draws_match_freshly_keyed_generators(measure):
     dt = 0.25
     for seed in (0, 7, 2**40 + 3, 1_000_003 * 15 + 7919):
         (path,) = sample_prms(model, dt, 4, [seed])
-        for k, (times, marks) in enumerate(zip(steps_of(path.times, path),
-                                               steps_of(path.marks, path))):
+        for k, marks in enumerate(steps_of(path.marks, path)):
             key = np.array([seed, 0x9E3779B97F4A7C15], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(
                 counter=np.array([k, 0, 0, 0], dtype=np.uint64), key=key))
             count = int(rng.poisson(total * dt))
-            ref_times = k * dt + dt * np.sort(1.0 - rng.random(count))
+            rng.random(count)  # the jump times, which nothing reads
             if count == 0:
                 ref_marks = np.array([])
             elif len(z) == 1:
                 ref_marks = np.full(count, z[0])
             else:
                 ref_marks = z[rng.choice(len(z), size=count, p=lam / total)]
-            assert np.array_equal(times, ref_times) and np.array_equal(marks, ref_marks)
-            assert np.array_equal(step_events(model, dt, [seed], [k])[2], ref_marks)
+            assert path.jump_count(k) == count and np.array_equal(marks, ref_marks)
+            assert np.array_equal(step_events(model, dt, [seed], [k])[1], ref_marks)
 
 
 def test_compensated_increments_rows_match_single_increments():
@@ -263,7 +255,7 @@ def test_compensated_increments_rows_match_single_increments():
     g = Grid(1, 10)
     rng = np.random.default_rng(5)
     fields = [Field(g, np.where(g.boundary_mask, 0.0, rng.normal(size=g.n_nodes))) for _ in range(5)]
-    counts, _, marks = step_events(model, 0.25, range(5), [1])  # step 1 of each path
+    counts, marks = step_events(model, 0.25, range(5), [1])  # step 1 of each path
     assert counts.any()
     u_int = np.stack([f.flat[g.interior_nodes] for f in fields])
     sums = mark_sums(counts, marks)
@@ -296,19 +288,19 @@ def test_philox_blocks_match_random_raw():
 
 
 def _fresh_events(model, dt, seed, k):
-    """Step k of seed's path from a freshly keyed Generator."""
+    """The marks of step k of seed's path from a freshly keyed Generator."""
     z, lam = model.atoms
     total = lam.sum()
     rng = np.random.Generator(np.random.Philox(
         counter=np.array([k, 0, 0, 0], dtype=np.uint64),
         key=np.array([seed & (2**64 - 1), _SALT], dtype=np.uint64)))
     count = int(rng.poisson(total * dt))
-    times = k * dt + dt * np.sort(1.0 - rng.random(count))
+    rng.random(count)  # the jump times, which nothing reads
     if count == 0:
-        return times, np.array([])
+        return np.array([])
     if len(z) == 1:
-        return times, np.full(count, z[0])
-    return times, z[rng.choice(len(z), size=count, p=lam / total)]
+        return np.full(count, z[0])
+    return z[rng.choice(len(z), size=count, p=lam / total)]
 
 
 _MEASURES = {
@@ -334,22 +326,20 @@ def test_step_events_match_freshly_keyed_generators(measure, mean, monkeypatch):
     assert (total * dt == 0.0) == (mean == "underflow")
     n_steps = 6
     ref = [_fresh_events(model, dt, s, k) for s in _SEEDS for k in range(n_steps)]
-    ref_counts = [len(t) for t, _ in ref]
-    counts, times, marks = levy.step_events(model, dt, _SEEDS, range(n_steps))
+    ref_counts = [len(m) for m in ref]
+    counts, marks = levy.step_events(model, dt, _SEEDS, range(n_steps))
     assert counts.tolist() == ref_counts
-    assert np.array_equal(times, np.concatenate([t for t, _ in ref]))
-    assert np.array_equal(marks, np.concatenate([m for _, m in ref]))
+    assert np.array_equal(marks, np.concatenate(ref))
     paths = sample_prms(model, dt, n_steps, _SEEDS)
     for i, path in enumerate(paths):
         assert path.seed == _SEEDS[i] and path.jump_count() == sum(ref_counts[6 * i : 6 * i + 6])
-        for k, (t, m) in enumerate(zip(steps_of(path.times, path), steps_of(path.marks, path))):
-            ref_t, ref_m = ref[n_steps * i + k]
-            assert np.array_equal(t, ref_t) and np.array_equal(m, ref_m)
-            assert path.jump_count(k) == len(ref_t)
+        for k, m in enumerate(steps_of(path.marks, path)):
+            ref_m = ref[n_steps * i + k]
+            assert np.array_equal(m, ref_m) and path.jump_count(k) == len(ref_m)
     # decoded in chunks of a few lanes: the same draws
     monkeypatch.setattr(levy, "_PASS_BLOCKS", 3)
     chunked = levy.step_events(model, dt, _SEEDS, range(n_steps))
-    assert all(np.array_equal(a, b) for a, b in zip(chunked, (counts, times, marks)))
+    assert all(np.array_equal(a, b) for a, b in zip(chunked, (counts, marks)))
 
 
 def test_sample_prms_match_per_seed_sample_prm():
@@ -360,7 +350,7 @@ def test_sample_prms_match_per_seed_sample_prm():
     assert [p.seed for p in batch] == seeds
     for seed, path in zip(seeds, batch):
         (single,) = sample_prms(model, dt, 8, [seed])
-        for x in ("counts", "times", "marks"):
+        for x in ("counts", "marks"):
             assert np.array_equal(getattr(path, x), getattr(single, x))
 
 
@@ -374,13 +364,12 @@ def test_lanes_past_a_one_block_pass_take_a_second_pass():
     dt = 2.25 / model.total_mass
     keys = np.repeat(np.array([s & (2**64 - 1) for s in _SEEDS], dtype=np.uint64), 5)
     steps = np.tile(np.arange(5, dtype=np.uint64), len(_SEEDS))
-    counts, times, marks = _decoded_events(keys, steps, 2.25, dt, cdf, z, 3, 1)
+    counts, marks = _decoded_events(keys, steps, 2.25, cdf, z, 3, 1)
     # one block holds 4 doubles: only counts 0 and 1 fit
     assert counts.max() >= 2
     ref = [_fresh_events(model, dt, s, k) for s in _SEEDS for k in range(5)]
-    assert counts.tolist() == [len(t) for t, _ in ref]
-    assert np.array_equal(times, np.concatenate([t for t, _ in ref]))
-    assert np.array_equal(marks, np.concatenate([m for _, m in ref]))
+    assert counts.tolist() == [len(m) for m in ref]
+    assert np.array_equal(marks, np.concatenate(ref))
 
 
 def test_negative_jump_masses_rejected():

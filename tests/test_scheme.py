@@ -825,8 +825,8 @@ def test_failing_row_stops_the_later_rows_of_its_control(monkeypatch):
     # rows (3, 9, 4) of control 0 and seed 9 of control 1: control 0's seed
     # 9 stops with its seed 3, control 1's runs on to its own failure
     rows = [paths[s] for s in (3, 9, 4, 9)]
-    _, _, errors = scheme._march(grid, np.array([hat0] * 4), model, cfg, rows,
-                                 np.array([0, 0, 0, 1]))
+    _, errors = scheme._march(grid, np.array([hat0] * 4), model, cfg, rows,
+                              np.array([0, 0, 0, 1]))
     assert [e is not None for e in errors] == [True, False, False, True]
     assert (errors[0].seed, errors[0].step, errors[3].seed, errors[3].step) == (3, 1, 9, 3)
 
@@ -1019,6 +1019,41 @@ def test_march_increments_match_mark_by_mark_sums(measure, monkeypatch):
 # kept Newton factors (2D march)
 
 
+@pytest.mark.parametrize("case", ["march_1d", "trajectory_1d", "march_2d_sine"])
+def test_ensemble_sums_equal_a_step_by_step_accumulation(case, monkeypatch):
+    # Ensemble.sums, formed from the solved states and the jump paths, is
+    # bitwise the step-by-step sum of each step's compensated increment at
+    # its previous state
+    import plaplace_levy.scheme as scheme
+    from _oracles import martingale_sums, shared_ref
+    from plaplace_levy.scheme import simulate_controls
+
+    if case == "march_2d_sine":
+        grid = Grid(2, 6)
+        u0 = Field.from_function(grid, lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y))
+        cfg = SchemeConfig(p=3.0, dt=1 / 16, n_steps=6, flux=sine_flux([0.5, -0.3]))
+        model = LevyModel(eta=eta_sine(0.5), lambda_star=0.5, density="invsq", eps=0.05)
+    else:
+        grid = Grid(1, 16)
+        u0 = pinned_u0_1d(grid)
+        cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=8, flux=sine_flux([0.7]))
+        model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5,
+                          point_masses=((1.0, 9.0), (-0.3, 12.0), (2.5, 3.0)))
+    U = Field.zeros(grid, "free_boundary")
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(4))
+    ens = simulate_paths(u0, U, model, cfg, paths)
+    if case == "trajectory_1d":
+        solves = []
+        real = scheme._trajectories
+        monkeypatch.setattr(scheme, "_trajectories", lambda *a: solves.append(1) or real(*a))
+        (ens,) = simulate_controls(u0, np.array([0.1 * u0.flat]), model, cfg, paths,
+                                   shared_ref(ens.states, 1))
+        assert solves
+    assert any(path.jump_count() for path in paths)
+    assert np.array_equal(ens.sums, martingale_sums(ens))
+    assert ens.sums is ens.sums  # formed once
+
+
 def _kept_factor_case():
     grid = Grid(2, 8)
     u0 = Field.from_function(grid, lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y))
@@ -1096,23 +1131,25 @@ def test_corrupted_kept_factors_end_in_a_converged_step(monkeypatch):
 
 
 def test_kept_factors_own_their_memory(monkeypatch):
-    # a row's kept factors are copied out of its batch's factors, so a kept
-    # row does not hold the whole batch's array alive
+    # a row's kept factors are copied out of a batch that holds other rows,
+    # so a kept row does not hold the whole batch's array alive; the one row
+    # of a one-row batch keeps a view, since a copy would free nothing
     grid = Grid(2, 8)
     rng = np.random.default_rng(31)
     solver = _StepSolver(grid, 3.0, 1 / 16, sine_flux([0.5, -0.3]))
-    v = np.stack([zb(grid, rng).flat for _ in range(3)])
-    r, _, _, comps = solver.evaluate(v, np.zeros_like(v))
     factors, batches = _StepSolver.newton_factors, []
     monkeypatch.setattr(_StepSolver, "newton_factors",
                         lambda self, *a: batches.append(factors(self, *a)) or batches[-1])
-    kept = [None] * 3
-    delta = solver.newton_step(v, comps, r, kept)
-    (lu, ok), = batches
-    assert ok is None and all(f is not None for f in kept)
-    for i, f in enumerate(kept):
-        assert not np.shares_memory(f.factors[0], lu.factors[0])
-        assert np.array_equal(f.solve(-r[i]), delta[i])
+    for n_rows in (3, 1):
+        v = np.stack([zb(grid, rng).flat for _ in range(n_rows)])
+        r, _, _, comps = solver.evaluate(v, np.zeros_like(v))
+        kept = [None] * n_rows
+        delta = solver.newton_step(v, comps, r, kept)
+        lu, ok = batches.pop()
+        assert ok is None and all(f is not None for f in kept)
+        for i, f in enumerate(kept):
+            assert np.shares_memory(f.factors[0], lu.factors[0]) == (n_rows == 1)
+            assert np.array_equal(f.solve(-r[i]), delta[i])
 
 
 def test_1d_march_never_keeps_factors(monkeypatch):
@@ -1151,7 +1188,7 @@ def test_singular_step_matrix_fails_its_row_only(dim, monkeypatch):
         paths = paths[:3]
     hat0 = prepare_initial(u0, Field.zeros(grid, "free_boundary"), cfg.dt, cfg.p).flat
     args = (grid, np.array([hat0] * 3), model, cfg, paths, np.arange(3))
-    states, sums, errors = scheme._march(*args)
+    states, errors = scheme._march(*args)
     assert errors == [None] * 3
     kernel = "dgttrf" if dim == 1 else "dgbtrf"
     real, newton, m = getattr(lapack, kernel), scheme._newton, grid.step_band.m
@@ -1171,14 +1208,13 @@ def test_singular_step_matrix_fails_its_row_only(dim, monkeypatch):
 
     monkeypatch.setattr(scheme, "_newton", lambda *a: steps.append(1) or newton(*a))
     monkeypatch.setattr(lapack, kernel, singular_at_step_2)
-    out_states, out_sums, out_errors = scheme._march(*args)
+    out_states, out_errors = scheme._march(*args)
     assert calls[injected[0] - 1 : injected[0] + 1] == [3, 2]
     err = out_errors[1]
     assert isinstance(err, NonConvergence)
     assert (err.step, err.seed) == (2, paths[1].seed) and "no finite Newton step" in str(err)
     assert out_errors[0] is out_errors[2] is None
     assert np.array_equal(out_states[[0, 2]], states[[0, 2]])
-    assert np.array_equal(out_sums[[0, 2]], sums[[0, 2]])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
