@@ -20,7 +20,7 @@ from .control import (ControlParam, CostSpec, constant_target, psi_l2, psi_zero,
 from .estimates import _VERIFY_ISOMETRY_SAMPLES
 from .grid import FREE_BOUNDARY, Field, Grid, l2_norm, w1p_norm
 from .levy import LevyModel, eta_linear, eta_sine, eta_zero
-from .scheme import FluxModel, SchemeConfig, zero_flux
+from .scheme import _BAND_BUDGET, FluxModel, SchemeConfig, zero_flux
 
 
 class ConfigError(ValueError):
@@ -29,12 +29,39 @@ class ConfigError(ValueError):
 
 
 # Bound on the float values one run holds at once (2^27, 1 GiB of float64):
-# the stacked states of every row a solve holds, the jump marks of every
-# path, and what a command holds besides: `verify`'s martingale sums and
-# isometry draws, and `optimize`'s predicted starts and kept trajectories
-# (see `check_run_size`).  validate() rejects a config above it before any
-# array is built.
+# what `run_values` counts, and the jump marks of every path and of
+# `verify`'s isometry draws (see `check_run_size`).  validate() rejects a
+# config above it before any array is built.
 MAX_RUN_VALUES = 2**27
+
+# State rows of n_steps + 1 states a path that verify and the ensemble
+# commands (simulate, converge) hold at their peak, from tracemalloc peaks of
+# whole CLI runs on 1D grids of 3-16 cells and 2D grids of 3-32 cells at
+# 200-3,000 paths: verify held up to 12.0 rows a path in 1D and 14.4 in 2D
+# (its peak is the one dual-norm ascent over both probes' windows of every
+# path), simulate up to 7.1 and 11.2 (its peak is the norms of every
+# state), and converge holds one such ensemble at a time.  optimize held
+# 15.0 (1D, 400 paths) and 19.5 (2D, 6 cells) of the 22 that `run_values`
+# counts for its sine:2 basis.
+_VERIFY_ROWS = 15
+_ENSEMBLE_ROWS = 12
+
+
+def run_values(n_paths: int, n_steps: int, grid: Grid, command: str = None,
+               candidates: int = 1, kept: int = 1) -> int:
+    """The float values a run of `command` (None: the largest count) on
+    n_paths paths of n_steps steps holds besides its jumps: per path,
+    _VERIFY_ROWS or _ENSEMBLE_ROWS state rows, or, for optimize, 5 for each
+    of up to `candidates` controls solved at once (states, a predicted
+    start and the stacked states and target differences of its cost pass),
+    the states of up to basis size + 1 = `kept` candidates, as many more
+    that its frozen start predictor still holds, and the incumbent's; and,
+    for any run, 3 arrays of _BAND_BUDGET bytes (a chunk's band systems,
+    their factors and, in 2D, the factors its rows keep).  Exact, however
+    large."""
+    rows = {"verify": _VERIFY_ROWS, "optimize": 5 * candidates + 2 * kept + 1}
+    per_path = max(rows.values()) if command is None else rows.get(command, _ENSEMBLE_ROWS)
+    return per_path * n_paths * (n_steps + 1) * grid.n_nodes + 3 * _BAND_BUDGET // 8
 
 
 def check_run_size(n_paths: int, n_steps: int, grid: Grid, model: LevyModel, dt: float,
@@ -42,19 +69,10 @@ def check_run_size(n_paths: int, n_steps: int, grid: Grid, model: LevyModel, dt:
                    candidates: int = 1, kept: int = 1) -> None:
     """Reject a run of `command` (None: of any command) on n_paths paths of
     n_steps steps of size dt that would hold more than MAX_RUN_VALUES
-    values, naming `steps_key` when its states alone would, else `rate_key`,
-    the key that sets its jump rate.
-
-    verify holds its stack of 2 n_paths + min(n_paths, 20) rows and the
-    martingale sums of its n_paths moment-ensemble rows.  optimize (and
-    None: the largest count) counts 3 copies for each of up to `candidates`
-    controls solved at once, which hold states and a predicted start, the
-    states of up to basis size + 1 = `kept` candidates, as many more that
-    its frozen start predictor still holds, and the incumbent's.  Other
-    commands count 2 rows a path, and every command 2 values a jump."""
-    rows = ((3 * candidates + 2 * kept + 1) * n_paths if command in (None, "optimize")
-            else 3 * n_paths + min(n_paths, 20) if command == "verify" else 2 * n_paths)
-    states = rows * (n_steps + 1) * grid.n_nodes  # exact, however large
+    values, naming `steps_key` when its `run_values` alone would, else
+    `rate_key`, the key that sets its jump rate; every command holds 2
+    values a jump."""
+    states = run_values(n_paths, n_steps, grid, command, candidates, kept)
     if states > MAX_RUN_VALUES:
         raise ConfigError(f"[run] n_paths, {steps_key} and [grid] n_cells give {states} "
                           f"state values, more than {MAX_RUN_VALUES}")

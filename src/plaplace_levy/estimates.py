@@ -170,47 +170,56 @@ def aldous_scaling(ensemble: Ensemble, probe: str, theta_grid,
     at least theta^(1/2).  probe "T2": mean squared dual norm of the
     martingale increment; target decay at least theta^1 (reported slope must
     stay within a band around 1 for nontrivial noise).  Slopes are log-log
-    fits; the pass rule is slope >= target - 0.25.  Dual norms are
+    fits; the pass rule is slope >= target - 0.25.  `aldous_scalings` with
+    one probe."""
+    return aldous_scalings(ensemble, (probe,), theta_grid, tau)[0]
+
+
+def aldous_scalings(ensemble: Ensemble, probes, theta_grid, tau: float = 0.0) -> list:
+    """`aldous_scaling` of each probe of `probes`, in order.  Dual norms are
     `dual_norm_estimates` with 25 ascent iterations, one call over the
-    increments of every window stacked window-major; its rows are
-    independent, so each window's mean is the one a call per window gives.
-    """
-    if probe not in ("T1", "T2"):
-        raise ValueError(f"unknown probe {probe!r}")
+    increments of every probe and window stacked probe-major, then
+    window-major; its rows are independent, so each window's mean is the
+    one a call per probe and window gives."""
+    for probe in probes:
+        if probe not in ("T1", "T2"):
+            raise ValueError(f"unknown probe {probe!r}")
     theta_grid = sorted((float(t) for t in theta_grid), reverse=True)
     if len(theta_grid) < 4 or len(set(theta_grid)) != len(theta_grid):
         raise ValueError("theta_grid needs at least four distinct values")
     if theta_grid[-1] <= 0:
         raise ValueError("theta values must be positive")
     cfg = ensemble.config
-    p = cfg.p
     if tau < 0 or tau + theta_grid[0] > cfg.T + 1e-12:
         raise ValueError("tau + max(theta) must stay within [0, T]")
 
-    alpha = 1.0 if probe == "T1" else 2.0
-    zeta = 0.5 if probe == "T1" else 1.0
-    # (paths, times, nodes) stack of the probed series
-    series = ensemble.sums
-    if probe == "T1":
-        series = ensemble.states - ensemble.states[:, :1] - series
-    start = _series_at(series, tau, cfg.dt)
-    incs = np.concatenate([_series_at(series, tau + theta, cfg.dt) - start
-                           for theta in theta_grid])
-    vals = dual_norm_estimates(ensemble.grid, incs, p, iters=25) ** alpha
-    measured = [float(np.mean(v)) for v in vals.reshape(len(theta_grid), len(ensemble))]
-
-    if max(measured) == 0.0:
-        return ScalingReport(
-            probe=probe, grid=theta_grid, measured=measured, fitted_slope=0.0,
-            r_squared=1.0, target_slope=zeta, passed=True, trivial=True,
-        )
-    slope, r2 = _loglog_fit(theta_grid, measured)
-    passed = slope >= zeta - 0.25
-    return ScalingReport(
-        probe=probe, grid=theta_grid, measured=measured, fitted_slope=slope,
-        r_squared=r2, target_slope=zeta, passed=passed,
-        extra={"alpha": alpha, "tau": tau},
-    )
+    incs = []
+    for probe in probes:
+        # (paths, times, nodes) stack of the probed series
+        series = ensemble.sums
+        if probe == "T1":
+            series = ensemble.states - ensemble.states[:, :1] - series
+        start = _series_at(series, tau, cfg.dt)
+        incs += [_series_at(series, tau + theta, cfg.dt) - start for theta in theta_grid]
+    norms = dual_norm_estimates(ensemble.grid, np.concatenate(incs), cfg.p, iters=25)
+    reports = []
+    for probe, vals in zip(probes, norms.reshape(len(probes), len(theta_grid), len(ensemble))):
+        alpha = 1.0 if probe == "T1" else 2.0
+        zeta = 0.5 if probe == "T1" else 1.0
+        measured = [float(np.mean(v ** alpha)) for v in vals]
+        if max(measured) == 0.0:
+            reports.append(ScalingReport(
+                probe=probe, grid=theta_grid, measured=measured, fitted_slope=0.0,
+                r_squared=1.0, target_slope=zeta, passed=True, trivial=True,
+            ))
+            continue
+        slope, r2 = _loglog_fit(theta_grid, measured)
+        reports.append(ScalingReport(
+            probe=probe, grid=theta_grid, measured=measured, fitted_slope=slope,
+            r_squared=r2, target_slope=zeta, passed=slope >= zeta - 0.25,
+            extra={"alpha": alpha, "tau": tau},
+        ))
+    return reports
 
 
 def interp_gap_scaling(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
@@ -388,9 +397,8 @@ def verify_study(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
     ensemble = _solved(ensemble)
     results = {"apriori": asdict(apriori_check(ensemble, u0, U))}
     results["apriori"]["passed"] = not results["apriori"]["violation"]
-    for probe in ("T1", "T2"):
-        rep = aldous_scaling(ensemble, probe, theta_ladder(cfg), tau=cfg.T / 4.0)
-        results[f"aldous_{probe.lower()}"] = asdict(rep)
+    for rep in aldous_scalings(ensemble, ("T1", "T2"), theta_ladder(cfg), tau=cfg.T / 4.0):
+        results[f"aldous_{rep.probe.lower()}"] = asdict(rep)
     iso_u = u0 if np.any(u0.values) else bump
     results["isometry"] = asdict(isometry_check(
         model, iso_u, cfg.dt, _VERIFY_ISOMETRY_SAMPLES, base_seed=base_seed + 7919))

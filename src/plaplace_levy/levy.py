@@ -182,28 +182,38 @@ _LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
 _M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _32
 
 
-def _mulhilo(x: np.ndarray) -> tuple:
-    """High and low words of the 128-bit products _PHILOX_M * x, from 32-bit
-    halves."""
-    x_lo, x_hi = x & _LO32, x >> _32
-    t = x_lo * _M_LO
-    u = x_hi * _M_LO + (t >> _32)
-    v = x_lo * _M_HI + (u & _LO32)
-    return x_hi * _M_HI + (u >> _32) + (v >> _32), x * _PHILOX_M
-
-
 def _philox(ctr: tuple, key: tuple) -> np.ndarray:
     """The Philox4x64-10 blocks at the counters ctr = (c0, c1, c2, c3) under
     the keys key = (k0, k1), words that broadcast, as uint64 (..., 4):
-    numpy's Philox(counter=c, key=k).random_raw(4) for the counter c + 1."""
+    numpy's Philox(counter=c, key=k).random_raw(4) for the counter c + 1.
+    Each round runs in place on (2, lanes) work arrays allocated once."""
     words = np.broadcast_arrays(*(np.asarray(w, dtype=np.uint64) for w in (*ctr, *key)))
     c0, c1, c2, c3, k0, k1 = (w.ravel() for w in words)
     even, odd, key = np.stack([c0, c2]), np.stack([c1, c3]), np.stack([k0, k1])
+    hi, lo, x_lo, x_hi, t, u = (np.empty_like(even) for _ in range(6))
     for r in range(10):
         if r:
-            key = key + _PHILOX_W
-        hi, lo = _mulhilo(even)
-        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+            key += _PHILOX_W
+        # the 128-bit products hi:lo = _PHILOX_M * even, from 32-bit halves
+        np.multiply(even, _PHILOX_M, out=lo)
+        np.bitwise_and(even, _LO32, out=x_lo)
+        np.right_shift(even, _32, out=x_hi)
+        np.multiply(x_lo, _M_LO, out=t)
+        t >>= _32
+        np.multiply(x_hi, _M_LO, out=u)
+        u += t
+        np.bitwise_and(u, _LO32, out=t)
+        x_lo *= _M_HI
+        x_lo += t  # the middle product with carry
+        np.multiply(x_hi, _M_HI, out=hi)
+        u >>= _32
+        hi += u
+        x_lo >>= _32
+        hi += x_lo
+        # even, odd = swapped hi ^ odd ^ key, swapped lo
+        np.bitwise_xor(hi[::-1], odd, out=even)
+        even ^= key
+        np.copyto(odd, lo[::-1])
     return np.stack([even[0], odd[0], even[1], odd[1]], axis=-1).reshape(*words[0].shape, 4)
 
 
@@ -301,7 +311,11 @@ def step_events(model: LevyModel, dt: float, seeds, steps) -> tuple:
     if np.any(lam < 0):
         raise ValueError("jump masses must be nonnegative")
     steps = np.asarray(steps, dtype=np.uint64)
-    keys = np.array([s & _MASK64 for s in seeds], dtype=np.uint64)
+    if isinstance(seeds, range):  # s mod 2^64 by wrapping uint64 arithmetic, no Python loop
+        keys = (np.uint64(seeds.start & _MASK64)
+                + np.uint64(seeds.step & _MASK64) * np.arange(len(seeds), dtype=np.uint64))
+    else:
+        keys = np.array([s & _MASK64 for s in seeds], dtype=np.uint64)
     keys, steps = np.repeat(keys, len(steps)), np.tile(steps, len(keys))
     if total == 0.0 or len(keys) == 0:
         return np.zeros(len(keys), dtype=np.int64), np.empty(0)

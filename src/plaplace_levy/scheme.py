@@ -35,13 +35,12 @@ factorization of all diagonal blocks and a forward sweep of block solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from ._lapack import BandLU
 from .grid import (
-    FREE_BOUNDARY,
     ZERO_BOUNDARY,
     Field,
     Grid,
@@ -369,15 +368,16 @@ def _newton(solver: _StepSolver, v: np.ndarray, rhs: np.ndarray,
     iterates do not depend on the other rows.  Returns the final rows and
     the (row, NonConvergence) pairs of the rows that failed, in row order;
     a failed row stops iterating.  A row without a finite Newton step (a
-    singular Newton matrix) fails without the rescue.
+    singular Newton matrix) fails at once, before the line search.
 
     kept (2D march), updated in place, holds per row None or the factors of
     an earlier Newton matrix of that row, which a round then uses instead
     of fresh ones.  A row keeps the factors a round used only if that round
-    cut its residual norm by _LAG_CUT; one that stalls on kept factors
-    retries with fresh ones instead of taking the rescue.  Lagged rounds
-    count against max_iters.  1D passes no kept: a tridiagonal
-    factorization costs less than a residual evaluation."""
+    cut its residual norm by _LAG_CUT; one that stalls on kept factors, or
+    gets no finite step from them, retries with fresh ones instead of
+    taking the rescue.  Lagged rounds count against max_iters.  1D passes
+    no kept: a tridiagonal factorization costs less than a residual
+    evaluation."""
     state = [v, *solver.evaluate(v, rhs)]  # v, r, rnorm, energy, comps
     live = np.ones(len(v), dtype=bool)
     failures = []
@@ -401,27 +401,38 @@ def _newton(solver: _StepSolver, v: np.ndarray, rhs: np.ndarray,
         if n_act == 0:
             break
         # all rows active: work on the full arrays, no gather or scatter
-        rows = None if n_act == len(act) else np.flatnonzero(act)
+        at = np.flatnonzero(act)
+        rows = None if n_act == len(act) else at
         cur = state if rows is None else _take(state, rows)
         b = rhs if rows is None else rhs[rows]
         if kept is None:
             delta = solver.newton_step(cur[0], cur[4], cur[1])
         else:
-            at = np.flatnonzero(act)
             lu = [kept[i] for i in at]
             lagged = np.array([f is not None for f in lu])
-            rn0 = cur[2].copy()
             delta = solver.newton_step(cur[0], cur[4], cur[1], lu)
+        finite = np.isfinite(delta).all(axis=1)
+        if not finite.all():
+            # a row without a finite Newton step would stall through every
+            # halving: it fails now, or, on kept factors, refactors next round
+            fail(at[~finite if kept is None else ~finite & ~lagged],
+                 "step solver found no finite Newton step at residual {:.3e}")
+            if kept is not None:
+                for i in at[~finite].tolist():
+                    kept[i] = None
+                lu, lagged = [f for f, ok in zip(lu, finite) if ok], lagged[finite]
+            at = rows = at[finite]
+            if not at.size:
+                continue
+            cur, b, delta = _take(cur, finite), b[finite], delta[finite]
+        if kept is not None:
+            rn0 = cur[2].copy()
         cur, stuck = _line_search(solver, cur, b, tol, delta)
         if kept is not None:
             cut = cur[2] <= _LAG_CUT * rn0  # false for a stalled row
             for j, i in enumerate(at.tolist()):
                 kept[i] = lu[j] if cut[j] else None
             stuck = stuck[~lagged[stuck]]
-        lost = _NO_ROWS  # rows without a finite Newton step, which always stall
-        if stuck.size:
-            nan = np.isnan(delta[stuck]).any(axis=1)
-            lost, stuck = stuck[nan], stuck[~nan]
         if stuck.size:
             # frozen-coefficient rescue: SPD approximation of the Jacobian
             # applied to the exact residual (increment form, so fixed
@@ -436,9 +447,7 @@ def _newton(solver: _StepSolver, v: np.ndarray, rhs: np.ndarray,
             state = cur
         else:
             _put(state, rows, cur, slice(None))
-            stuck, lost = rows[stuck], rows[lost]
-        if lost.size:
-            fail(lost, "step solver found no finite Newton step at residual {:.3e}")
+            stuck = rows[stuck]
         if stuck.size:
             fail(stuck, "step solver stagnated at residual {:.3e}")
     else:
@@ -499,8 +508,14 @@ def _put(state: list, rows, src: list, sel):
 # initial smoothing and path simulation
 
 
+# The smoothing's Newton tolerance and iteration budget: `prepare_initial`'s
+# defaults, which `simulate_runs` uses too.
+_SMOOTHING_TOL = 1e-12
+_SMOOTHING_ITERS = 60
+
+
 def prepare_initial(u0: Field, U, dt: float, p: float, *,
-                    newton_tol: float = 1e-12, max_iters: int = 60):
+                    newton_tol: float = _SMOOTHING_TOL, max_iters: int = _SMOOTHING_ITERS):
     """Smooth u0 into the zero-boundary space by the proximal problem
 
         minimize  1/2 ||v - u0||^2 + dt * ||grad v||_p^p
@@ -513,46 +528,83 @@ def prepare_initial(u0: Field, U, dt: float, p: float, *,
     The smoothed state is memoized on the values of (u0, dt, p, newton_tol,
     max_iters), so the paths of an ensemble and the candidates of a control
     search share one solve; failures are not cached."""
-    v = _smoothed(u0.grid, u0.values.tobytes(), dt, p, newton_tol, max_iters)
+    v = _smoothed([u0], dt, p, newton_tol, max_iters)[0]
+    if isinstance(v, NonConvergence):
+        raise v
     return v + U if isinstance(U, Field) else v.flat + U
 
 
-@lru_cache(maxsize=16)
-def _smoothed(grid: Grid, u0_bytes: bytes, dt: float, p: float, newton_tol: float,
-              max_iters: int) -> Field:
-    u0 = Field(grid, np.frombuffer(u0_bytes).reshape(grid.node_shape), FREE_BOUNDARY)
-    report = initial_smoothing(u0, dt, p, newton_tol=newton_tol, max_iters=max_iters)
-    if not report["satisfied"]:
-        raise NonConvergence(
-            "initial smoothing violated its energy estimate: "
-            f"lhs={report['lhs']:.6e} > rhs={report['rhs']:.6e}"
-        )
-    return report["smoothed"]
+# The memo of `_smoothed`: the smoothed states of the last _SMOOTHED_SIZE
+# distinct keys, least recently used first.
+_SMOOTHED = {}
+_SMOOTHED_SIZE = 16
 
 
-def initial_smoothing(u0: Field, dt: float, p: float, *,
-                      newton_tol: float = 1e-12, max_iters: int = 60) -> dict:
+def _smoothed(data: list, dt: float, p: float, newton_tol: float, max_iters: int) -> list:
+    """The smoothed state, or the NonConvergence of its smoothing, of each
+    Field of `data` (all on one grid).  Memoized data are read from
+    _SMOOTHED; the others, each distinct value once, are smoothed in one
+    batch of `_smoothings` and each checked against its energy estimate.
+    Successes are memoized, failures not."""
+    keys = [(u0.grid, u0.values.tobytes(), dt, p, newton_tol, max_iters) for u0 in data]
+    out = {}
+    for key in keys:
+        if key in _SMOOTHED:
+            out[key] = _SMOOTHED[key] = _SMOOTHED.pop(key)  # now the most recent
+    todo = {key: u0 for key, u0 in zip(keys, data) if key not in out}  # equal data, one key
+    reports = _smoothings(list(todo.values()), dt, p, newton_tol, max_iters) if todo else ()
+    for key, report in zip(todo, reports):
+        if isinstance(report, NonConvergence):
+            out[key] = report
+        elif not report["satisfied"]:
+            out[key] = NonConvergence(
+                "initial smoothing violated its energy estimate: "
+                f"lhs={report['lhs']:.6e} > rhs={report['rhs']:.6e}"
+            )
+        else:
+            out[key] = _SMOOTHED[key] = report["smoothed"]
+            if len(_SMOOTHED) > _SMOOTHED_SIZE:
+                del _SMOOTHED[next(iter(_SMOOTHED))]  # the least recently used
+    return [out[key] for key in keys]
+
+
+def initial_smoothing(u0: Field, dt: float, p: float, *, newton_tol: float = _SMOOTHING_TOL,
+                      max_iters: int = _SMOOTHING_ITERS) -> dict:
     """Run the proximal smoothing solve and report both sides of its energy
     estimate (lhs = 1/2||v||^2 + dt||grad v||_p^p, rhs = 1/2||u0||^2)."""
-    grid = u0.grid
+    report = _smoothings([u0], dt, p, newton_tol, max_iters)[0]
+    if isinstance(report, NonConvergence):
+        raise report
+    return report
+
+
+def _smoothings(data: list, dt: float, p: float, newton_tol: float, max_iters: int) -> list:
+    """`initial_smoothing` of each Field of `data` (all on one grid), as one
+    batched `_newton` solve whose rows are independent: per datum its
+    report, or the NonConvergence of its own row."""
+    grid = data[0].grid
     solver = _StepSolver(grid, p, p * dt, zero_flux(grid.dim))
-    rhs = u0.flat.copy()
-    rhs[grid.boundary_nodes] = 0.0
-    v, failures = _newton(solver, np.zeros((1, grid.n_nodes)), rhs[None], newton_tol, max_iters)
-    if failures:
-        err = failures[0][1]
-        raise NonConvergence(f"initial smoothing: {err}", residual=err.residual)
-    smoothed = Field(grid, v[0].reshape(grid.node_shape), ZERO_BOUNDARY)
-    lhs = 0.5 * l2_norm(smoothed) ** 2 + dt * lp_grad_norm(smoothed, p) ** p
-    rhs_val = 0.5 * l2_norm(u0) ** 2
-    slack = 10.0 * newton_tol * max(1.0, l2_norm(smoothed))
-    return {
-        "smoothed": smoothed,
-        "lhs": lhs,
-        "rhs": rhs_val,
-        "slack": slack,
-        "satisfied": lhs <= rhs_val + slack,
-    }
+    rhs = np.array([u0.flat for u0 in data])
+    rhs[:, grid.boundary_nodes] = 0.0
+    v, failures = _newton(solver, np.zeros_like(rhs), rhs, newton_tol, max_iters)
+    out = [None] * len(data)
+    for i, err in failures:
+        out[i] = NonConvergence(f"initial smoothing: {err}", residual=err.residual)
+    for i, u0 in enumerate(data):
+        if out[i] is not None:
+            continue
+        smoothed = Field(grid, v[i].reshape(grid.node_shape), ZERO_BOUNDARY)
+        lhs = 0.5 * l2_norm(smoothed) ** 2 + dt * lp_grad_norm(smoothed, p) ** p
+        rhs_val = 0.5 * l2_norm(u0) ** 2
+        slack = 10.0 * newton_tol * max(1.0, l2_norm(smoothed))
+        out[i] = {
+            "smoothed": smoothed,
+            "lhs": lhs,
+            "rhs": rhs_val,
+            "slack": slack,
+            "satisfied": lhs <= rhs_val + slack,
+        }
+    return out
 
 
 def project_control(U: Field, mode: str) -> Field:
@@ -653,24 +705,27 @@ def _solved(run):
 def simulate_runs(runs, model: LevyModel, cfg: SchemeConfig) -> list:
     """`simulate_paths` for each run (u0, U, paths) of `runs`, all on one
     grid, as one stack of (run x path) rows, run-major: the runs take their
-    steps in the same batched solves.  Runs may share paths or data, and a
-    row does not depend on the other rows.  Returns, per run, its Ensemble,
-    or the NonConvergence of its initial smoothing or of its first failing
-    path in its `paths` order (with step and seed): the error its own
-    `simulate_paths` call raises.  The other runs are solved all the same."""
+    steps in the same batched solves, and every distinct initial datum not
+    yet memoized is smoothed in one batch (`_smoothed`).  Runs may share
+    paths or data, and a row does not depend on the other rows.  Returns,
+    per run, its Ensemble, or the NonConvergence of its initial smoothing
+    or of its first failing path in its `paths` order (with step and
+    seed): the error its own `simulate_paths` call raises.  The other runs
+    are solved all the same."""
     runs = [(u0, U, tuple(paths)) for u0, U, paths in runs]
     grid = runs[0][0].grid
-    starts, smoothing = np.zeros((len(runs), grid.n_nodes)), {}
-    for c, (u0, U, _) in enumerate(runs):
+    for u0, *_ in runs:
         _check_same_grid(runs[0][0], u0)
-        try:
-            starts[c] = prepare_initial(u0, project_control(U, cfg.control_projection),
-                                        cfg.effective_smoothing_dt, cfg.p).flat
-        except NonConvergence as err:  # the run gets no rows
-            smoothing[c] = err
-    results = _solve(grid, starts, [() if c in smoothing else paths
-                                    for c, (*_, paths) in enumerate(runs)], model, cfg)
-    return [smoothing.get(c) or result for c, result in enumerate(results)]
+    smoothed = _smoothed([u0 for u0, *_ in runs], cfg.effective_smoothing_dt, cfg.p,
+                         _SMOOTHING_TOL, _SMOOTHING_ITERS)
+    failed = [isinstance(v, NonConvergence) for v in smoothed]  # such a run gets no rows
+    starts = np.zeros((len(runs), grid.n_nodes))
+    for c, ((_, U, _), v) in enumerate(zip(runs, smoothed)):
+        if not failed[c]:
+            starts[c] = (v + project_control(U, cfg.control_projection)).flat
+    results = _solve(grid, starts, [() if bad else paths
+                                    for bad, (*_, paths) in zip(failed, runs)], model, cfg)
+    return [v if bad else result for bad, v, result in zip(failed, smoothed, results)]
 
 
 def simulate_controls(u0: Field, controls: np.ndarray, model: LevyModel, cfg: SchemeConfig,
@@ -715,7 +770,8 @@ def _solve(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel, cfg: Sc
     first failure in path order.  A failing row drops out of the stack
     with the later rows of its run, and the rows of the other runs march
     on.  The stack is marched in chunks within _BAND_BUDGET, each written
-    into the call's one states array as it finishes.  ref (every run on the
+    into the call's one states array as it finishes (a stack of one chunk
+    is that array).  ref (every run on the
     same paths) is `simulate_controls`' reference, one trajectory set per
     run, indexed by (run, path)."""
     # per row: its run, its path and the path's index within the run
@@ -727,16 +783,21 @@ def _solve(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel, cfg: Sc
     solve = _trajectories if whole else _march
     band = grid.step_band
     chunk = max(1, _BAND_BUDGET // (8 * band.ldab * band.m * (cfg.n_steps if whole else 1)))
-    states = np.empty((n_rows, cfg.n_steps + 1, grid.n_nodes))
+    # a stack of one chunk keeps the chunk's own array, not a copy of it
+    states = None if 0 < n_rows <= chunk else np.empty((n_rows, cfg.n_steps + 1, grid.n_nodes))
     errors = [None] * len(runs)  # first failure of each run, in path order
     for start in range(0, n_rows, chunk):
         rows = [r for r in range(start, min(start + chunk, n_rows)) if errors[run_of[r]] is None]
         if not rows:
             continue
         groups = np.array([run_of[r] for r in rows])
-        states[rows], chunk_errors = solve(
+        part, chunk_errors = solve(
             grid, starts[groups], model, cfg, [row_paths[r] for r in rows], groups,
             None if ref is None else ref[groups, [local[r] for r in rows]])
+        if states is None:
+            states = part
+        else:
+            states[rows] = part
         for r, err in zip(rows, chunk_errors):
             if err is not None and errors[run_of[r]] is None:
                 errors[run_of[r]] = err

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from plaplace_levy import Grid
 from plaplace_levy.cli import main
 from plaplace_levy.config import ConfigError, parse_config, serialize_config
 
@@ -170,13 +171,14 @@ def test_run_bound_counts_what_each_command_holds(tmp_path, capsys):
     assert run_cli(["verify", "--config", write(tmp_path, text), "--out", out]) == 2
     assert "A4 violated: [levy] measure" in capsys.readouterr().err
     assert not os.path.exists(out)
-    # 2e5 paths of 17 x 17 values: two copies fit; verify's stack of
-    # 2 n_paths + 20 rows and the sums of its n_paths moment-ensemble rows
-    # do not, nor do optimize's copies
-    from plaplace_levy.config import MAX_RUN_VALUES
+    # 35,000 paths of 17 x 17 values: the 12 state rows a path that simulate
+    # and converge count fit; the 15 of verify (its stack, the martingale
+    # sums and the joined dual-norm ascent) do not, nor do optimize's copies
+    from plaplace_levy.config import MAX_RUN_VALUES, run_values
 
-    n_paths, per_path = 200_000, 17 * 17
-    assert 2 * n_paths * per_path <= MAX_RUN_VALUES < (3 * n_paths + 20) * per_path
+    n_paths, grid = 35_000, Grid(1, 16)
+    assert (run_values(n_paths, 16, grid, "simulate") <= MAX_RUN_VALUES
+            < run_values(n_paths, 16, grid, "verify"))
     text = REFERENCE.replace("n_paths = 5", f"n_paths = {n_paths}")
     for command in ("simulate", "converge"):
         parse_config_text(text).validate(command)
@@ -191,15 +193,16 @@ def test_run_bound_counts_what_each_command_holds(tmp_path, capsys):
 
 
 def test_run_bound_counts_every_candidate_of_an_optimize_batch(tmp_path, capsys):
-    # 5e4 paths of 17 x 17 values: 8 copies fit the bound, but the search
-    # counts three copies (states and a predicted start) for each candidate
-    # of its 3-point initial simplex (sine:2 basis), the 3 kept trajectories
-    # of its start predictor, up to 3 more the frozen predictor still holds,
-    # and the incumbent's, 16 copies
-    from plaplace_levy.config import MAX_RUN_VALUES
+    # 25,000 paths of 17 x 17 values: verify's 15 rows a path fit the bound,
+    # but the search counts five copies (states, a predicted start and its
+    # cost pass's two) for each candidate of its 3-point initial simplex
+    # (sine:2 basis), the 3 kept trajectories of its start predictor, up to
+    # 3 more the frozen predictor still holds, and the incumbent's, 22 copies
+    from plaplace_levy.config import MAX_RUN_VALUES, run_values
 
-    n_paths, per_path = 50_000, 17 * 17
-    assert 8 * n_paths * per_path <= MAX_RUN_VALUES < 16 * n_paths * per_path
+    n_paths, grid = 25_000, Grid(1, 16)
+    assert (run_values(n_paths, 16, grid, "verify") <= MAX_RUN_VALUES
+            < run_values(n_paths, 16, grid, "optimize", 3, 3))
     text = REFERENCE.replace("n_paths = 5", f"n_paths = {n_paths}")
     for command in ("simulate", "verify", "converge"):
         parse_config_text(text).validate(command)
@@ -211,6 +214,38 @@ def test_run_bound_counts_every_candidate_of_an_optimize_batch(tmp_path, capsys)
     assert run_cli(["optimize", "--config", cfg, "--paths", str(n_paths), "--out", out]) == 2
     assert "[scheme] n_steps" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("grid_lines, n_paths", [("dim = 1\nn_cells = 16", 300),
+                                                 ("dim = 2\nn_cells = 3", 200)],
+                         ids=["1d", "2d"])
+def test_traced_peak_of_a_run_stays_within_its_counted_values(command, grid_lines, n_paths,
+                                                              tmp_path):
+    # a whole CLI run in a fresh interpreter, traced by tracemalloc: its peak
+    # stays within the state rows a path that `run_values` counts and the 2
+    # values a jump, even without the fixed _BAND_BUDGET allowance
+    from plaplace_levy.config import run_values
+    from plaplace_levy.estimates import _VERIFY_ISOMETRY_SAMPLES
+
+    cfg_path = write(tmp_path, REFERENCE.replace("dim = 1\nn_cells = 16", grid_lines))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import contextlib, io, sys, tracemalloc; sys.path.insert(0, sys.argv[1]); "
+            "from plaplace_levy.cli import main; tracemalloc.start(); "
+            "quiet = contextlib.redirect_stdout(io.StringIO()); quiet.__enter__(); "
+            "main(sys.argv[2:]); quiet.__exit__(None, None, None); "
+            "print(tracemalloc.get_traced_memory()[1])")
+    peak = int(subprocess.run(
+        [sys.executable, "-I", "-c", code, os.path.join(root, "src"), command, "--config",
+         cfg_path, "--paths", str(n_paths), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, check=True).stdout)
+    cfg = parse_config(cfg_path)
+    grid = cfg.build_grid()
+    scheme = cfg.build_scheme(grid.dim)
+    rows = run_values(n_paths, scheme.n_steps, grid, command) - run_values(0, 0, grid, command)
+    draws = n_paths * scheme.n_steps + (_VERIFY_ISOMETRY_SAMPLES if command == "verify" else 0)
+    jumps = 2 * cfg.build_levy().total_mass * scheme.dt * draws
+    assert peak <= 8 * (rows + jumps)
 
 
 def test_shipped_configs_fit_the_run_bound():

@@ -26,6 +26,7 @@ from plaplace_levy import (
 )
 
 from _oracles import per_path_moments, state_fields
+from plaplace_levy.estimates import aldous_scalings
 
 
 def reference_model(coef=0.5):
@@ -344,12 +345,13 @@ def test_row_wise_state_norms_match_per_field_norms(dim):
 def test_verify_study_solves_each_path_row_once(monkeypatch):
     # the moment ensemble is side a of both uniqueness pairings: one stack of
     # 50 rows for it, 20 for the identical data and 50 for the bumped data,
-    # marched in one chunk with one Newton solve per step; both increment
-    # scalings take one dual-norm ascent over their 4 windows of 50 rows
+    # marched in one chunk with one Newton solve per step, after one
+    # smoothing solve of the 2 distinct data u0 and u0 + bump; both increment
+    # scalings take one dual-norm ascent over their 2 x 4 windows of 50 rows
     import plaplace_levy.estimates as estimates
     import plaplace_levy.scheme as scheme
 
-    seen = {"march": [], "newton": 0, "dual": []}
+    seen = {"march": [], "newton": [], "dual": []}
     march, newton, dual = scheme._march, scheme._newton, estimates.dual_norm_estimates
 
     def spy_march(grid, starts, model, cfg, paths, groups, ref):
@@ -357,7 +359,7 @@ def test_verify_study_solves_each_path_row_once(monkeypatch):
         return march(grid, starts, model, cfg, paths, groups, ref)
 
     def spy_newton(solver, v, rhs, tol, max_iters, kept=None):
-        seen["newton"] += 1
+        seen["newton"].append(len(v))
         return newton(solver, v, rhs, tol, max_iters, kept)
 
     def spy_dual(grid, g, p, iters=30):
@@ -366,15 +368,12 @@ def test_verify_study_solves_each_path_row_once(monkeypatch):
 
     monkeypatch.setattr(scheme, "_march", spy_march)
     monkeypatch.setattr(estimates, "dual_norm_estimates", spy_dual)
-    # prime the memoized smoothings of u0 and u0 + bump, then count the march
-    scheme.prepare_initial(U0, UCTL, CFG.effective_smoothing_dt, CFG.p)
-    scheme.prepare_initial(U0 + estimates.default_bump(GRID), UCTL, CFG.effective_smoothing_dt,
-                           CFG.p)
     monkeypatch.setattr(scheme, "_newton", spy_newton)
+    monkeypatch.setattr(scheme, "_SMOOTHED", {})  # so both data are smoothed here
     results, _ = estimates.verify_study(U0, UCTL, reference_model(), CFG, 50, 0)
     assert seen["march"] == [[50, 20, 50]]
-    assert seen["newton"] == CFG.n_steps == 16
-    assert seen["dual"] == [200, 200]
+    assert seen["newton"] == [2] + [120] * CFG.n_steps and CFG.n_steps == 16
+    assert seen["dual"] == [400]
     assert results["uniqueness"]["identical"]["max_l1"] == 0.0
 
 
@@ -391,6 +390,9 @@ def test_aldous_scaling_matches_per_window_ascents_bitwise(dim):
         cfg = SchemeConfig(p=3, dt=1 / 16, n_steps=12, flux=linear_flux([0.4, -0.2]))
     ens = generate_ensemble(u0, U, reference_model(), cfg, 7, base_seed=3)
     thetas = [cfg.dt * 2**j for j in range(4)]
-    for probe in ("T1", "T2"):
+    # both probes in one ascent (as verify runs them), and each alone
+    both = aldous_scalings(ens, ("T1", "T2"), thetas, tau=cfg.dt)
+    for probe, joined in zip(("T1", "T2"), both):
         rep = aldous_scaling(ens, probe, thetas, tau=cfg.dt)
         assert rep.measured == aldous_measured(ens, probe, rep.grid, cfg.dt, iters=25)
+        assert asdict(joined) == asdict(rep)

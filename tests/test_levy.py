@@ -250,6 +250,17 @@ def test_step_draws_match_freshly_keyed_generators(measure):
             assert np.array_equal(step_events(model, dt, [seed], [k])[1], ref_marks)
 
 
+@pytest.mark.parametrize("seeds", [range(3, 40), range(-6, 6, 4), range(2**64 - 3, 2**64 + 3),
+                                   range(2**70, 2**70 + 9, 2**63 + 1), range(5, 5)])
+def test_range_seeds_key_the_lanes_their_values_do(seeds):
+    # a range of seeds is keyed by wrapping uint64 arithmetic, not seed by
+    # seed: negative, 2^64-crossing and empty ranges key as their values
+    model = unit_delta_model(lam=9.0)
+    counts, marks = step_events(model, 0.25, seeds, [0, 2])
+    want_counts, want_marks = step_events(model, 0.25, list(seeds), [0, 2])
+    assert np.array_equal(counts, want_counts) and np.array_equal(marks, want_marks)
+
+
 def test_compensated_increments_rows_match_single_increments():
     model = LevyModel(eta=eta_sine(0.4), lambda_star=0.5, point_masses=((1.0, 6.0), (-0.5, 3.0)))
     g = Grid(1, 10)

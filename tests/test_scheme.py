@@ -47,7 +47,7 @@ def zero_model():
 
 from _oracles import (field_rows, grad_ops, l2_inner, oracle_energy, oracle_gradient,
                       oracle_minimize, state_fields, step_solve)
-from plaplace_levy.scheme import _conv_residual, _smoothed, _StepSolver
+from plaplace_levy.scheme import _conv_residual, _StepSolver
 
 
 def test_oracle_gradient_matches_finite_differences():
@@ -619,15 +619,20 @@ def test_single_interior_unknown_steps(dim, flux_kind):
 # memoized initial smoothing
 
 
-def test_prepare_initial_memo_is_bitwise_fresh_solve():
+def test_prepare_initial_memo_is_bitwise_fresh_solve(monkeypatch):
+    import plaplace_levy.scheme as scheme
+
     grid = Grid(1, 16)
     u0 = pinned_u0_1d(grid)
     U = Field.from_function(grid, lambda x: 0.2 * np.sin(2 * np.pi * x), "free_boundary")
     fresh = initial_smoothing(u0, 0.03, 3.0)["smoothed"] + U
     first = prepare_initial(u0, U, 0.03, 3.0)
-    misses = _smoothed.cache_info().misses
+    solves = []
+    smoothings = scheme._smoothings
+    monkeypatch.setattr(scheme, "_smoothings", lambda data, *a: solves.append(len(data))
+                        or smoothings(data, *a))
     again = prepare_initial(u0.copy(), U, 0.03, 3.0)
-    assert _smoothed.cache_info().misses == misses
+    assert solves == []
     assert np.array_equal(first.values, fresh.values)
     assert np.array_equal(again.values, fresh.values)
     assert again.space_tag == fresh.space_tag
@@ -636,7 +641,7 @@ def test_prepare_initial_memo_is_bitwise_fresh_solve():
     changed[5] += 1e-3
     u1 = Field(grid, changed)
     out = prepare_initial(u1, U, 0.03, 3.0)
-    assert _smoothed.cache_info().misses == misses + 1
+    assert solves == [1]
     assert np.array_equal(out.values, (initial_smoothing(u1, 0.03, 3.0)["smoothed"] + U).values)
 
 
@@ -940,7 +945,8 @@ def test_multi_run_failure_stays_in_its_run(monkeypatch):
     # the setup of test_batch_failure_reports_first_failing_path: from
     # 2 sin(pi x), seed 9 fails at step 3 and seed 3 at step 1, so the run
     # (9, 4, 3, 10) fails with seed 9; smaller data converges on every seed,
-    # and a run whose initial smoothing fails gets that error and no rows
+    # and a run whose initial smoothing fails (amplitude 1e6 leaves its
+    # residual far above 1e-12 after 60 iterations) gets that error and no rows
     import plaplace_levy.scheme as scheme
 
     grid = Grid(1, 12)
@@ -948,33 +954,88 @@ def test_multi_run_failure_stays_in_its_run(monkeypatch):
     cfg = SchemeConfig(p=4.0, dt=0.1, n_steps=8, flux=zero_flux(1), newton_max_iters=5)
     u0 = Field.from_function(grid, lambda x: 2 * np.sin(np.pi * x))
     small = Field.from_function(grid, lambda x: 0.2 * np.sin(np.pi * x))
-    unsmoothed = Field.from_function(grid, lambda x: 0.7 * np.sin(2 * np.pi * x))
+    unsmoothed = Field.from_function(grid, lambda x: 1e6 * np.sin(2 * np.pi * x))
     U = Field.zeros(grid, "free_boundary")
     paths = sample_prms(model, cfg.dt, cfg.n_steps, (9, 4, 3, 10))
     with pytest.raises(NonConvergence) as exc:
         simulate_paths(u0, U, model, cfg, paths)
     expected = exc.value
     assert (expected.seed, expected.step) == (9, 3)
-    real = scheme.initial_smoothing
-
-    def failing(u, *args, **kwargs):
-        if np.array_equal(u.values, unsmoothed.values):
-            raise NonConvergence("smoothing failed")
-        return real(u, *args, **kwargs)
-
-    monkeypatch.setattr(scheme, "initial_smoothing", failing)
-    scheme._smoothed.cache_clear()  # so the patched smoothing runs
     runs = [(small, U, paths), (unsmoothed, U, paths), (u0, U, paths), (small, U, paths[:2])]
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 3 * 8 * band.ldab * band.m)  # 3 rows a chunk
     first, smoothing, failed, last = scheme.simulate_runs(runs, model, cfg)
-    assert str(smoothing) == "smoothing failed"
+    assert isinstance(smoothing, NonConvergence)
+    assert str(smoothing).startswith("initial smoothing: step solver exhausted 60 iterations")
     assert isinstance(failed, NonConvergence)
     assert (failed.seed, failed.step, failed.residual, str(failed)) == (
         expected.seed, expected.step, expected.residual, str(expected))
     for run, (u, V, ps) in ((first, runs[0]), (last, runs[3])):
         own = simulate_paths(u, V, model, cfg, ps)
         assert np.array_equal(run.states, own.states) and np.array_equal(run.sums, own.sums)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_smoothing_is_bitwise_each_datum_and_fills_the_memo(dim, monkeypatch):
+    # simulate_runs smooths its distinct data in one _newton call of one row
+    # each; every row equals that datum's own initial_smoothing bitwise, and
+    # later prepare_initial calls read the memo without another solve
+    import plaplace_levy.scheme as scheme
+
+    grid = Grid(dim, 16 if dim == 1 else 6)
+    rng = np.random.default_rng(11)
+    data = [zb(grid, rng, scale) for scale in (0.2, 1.0, 3.0)]
+    cfg = SchemeConfig(p=3.0, dt=1 / 16, n_steps=2, flux=zero_flux(dim))
+    model = reference_model()
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(2))
+    U = Field.zeros(grid, "free_boundary")
+    calls = []
+    newton = scheme._newton
+    monkeypatch.setattr(scheme, "_SMOOTHED", {})
+    monkeypatch.setattr(scheme, "_newton", lambda solver, v, *a: calls.append(
+        (solver.dt, len(v))) or newton(solver, v, *a))
+    runs = scheme.simulate_runs([(u, U, paths) for u in (*data, data[1])], model, cfg)
+    smoothing_calls = [c for c in calls if c[0] == cfg.p * cfg.dt]
+    assert smoothing_calls == [(cfg.p * cfg.dt, 3)]
+    calls.clear()
+    for u, run in zip(data, runs):
+        own = initial_smoothing(u, cfg.dt, cfg.p)["smoothed"]
+        assert np.array_equal(run.states[0, 0], own.flat)
+        assert np.array_equal(prepare_initial(u, U, cfg.dt, cfg.p).values, (own + U).values)
+    assert len(calls) == len(data)  # the initial_smoothing oracles only
+    assert np.array_equal(runs[3].states, runs[1].states)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_failed_smoothing_stays_in_its_run(dim, monkeypatch):
+    # data of amplitude 1e6 exhaust the smoothing's 60 iterations: that run
+    # alone gets the NonConvergence of `initial_smoothing`, the batch's
+    # other data are smoothed and marched as alone, and only the
+    # successes are memoized
+    import plaplace_levy.scheme as scheme
+
+    grid = Grid(dim, 12 if dim == 1 else 6)
+    shape = (lambda x: np.sin(2 * np.pi * x)) if dim == 1 else (
+        lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y))
+    good = Field.from_function(grid, lambda *x: 0.5 * shape(*x))
+    bad = Field.from_function(grid, lambda *x: 1e6 * shape(*x))
+    cfg = SchemeConfig(p=3.0, dt=1 / 16, n_steps=3, flux=sine_flux([0.4, -0.2][:dim]))
+    model = reference_model()
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(3))
+    U = Field.zeros(grid, "free_boundary")
+    with pytest.raises(NonConvergence) as exc:
+        initial_smoothing(bad, cfg.dt, cfg.p)
+    monkeypatch.setattr(scheme, "_SMOOTHED", {})
+    first, failed, last = scheme.simulate_runs(
+        [(good, U, paths), (bad, U, paths), (0.5 * good, U, paths[:1])], model, cfg)
+    assert isinstance(failed, NonConvergence)
+    assert (str(failed), failed.residual) == (str(exc.value), exc.value.residual)
+    assert str(failed).startswith("initial smoothing: step solver exhausted 60 iterations")
+    assert len(scheme._SMOOTHED) == 2
+    for run, (u, ps) in ((first, (good, paths)), (last, (0.5 * good, paths[:1]))):
+        assert np.array_equal(run.states, simulate_paths(u, U, model, cfg, ps).states)
+    with pytest.raises(NonConvergence):
+        simulate_paths(bad, U, model, cfg, paths)
 
 
 @pytest.mark.parametrize("measure", ["point", "invsq"])
@@ -1275,6 +1336,47 @@ def test_two_singular_rows_fail_in_one_round_with_one_kernel_call(dim, monkeypat
         alone, none = _newton(solver, v[i : i + 1].copy(), rhs[i : i + 1], 1e-10, 50,
                               None if dim == 1 else [None])
         assert none == [] and np.array_equal(out[i], alone[0])
+
+
+def test_rows_without_a_finite_newton_step_fail_before_the_line_search(monkeypatch):
+    # exact zero pivots in rows 1 and 3 of the first factorization: both rows
+    # fail in that round with the singular-row message and take no line
+    # search, so the batch makes the residual evaluations rows 0 and 2 make
+    # without them (the start and 11 trials), not 40 halvings more
+    import plaplace_levy._lapack as lapack
+    from plaplace_levy.scheme import _newton
+
+    grid = Grid(1, 12)
+    solver = _StepSolver(grid, 3.0, 0.05, sine_flux([0.4]))
+    rng = np.random.default_rng(5)
+    v = np.stack([zb(grid, rng).flat for _ in range(4)])
+    rhs = 0.8 * v
+    real, m = lapack.dgttrf, grid.step_band.m
+    injected = []
+
+    def singular_rows_1_and_3(*args, **kwargs):
+        *factors, info = real(*args, **kwargs)
+        if not injected:
+            injected.append(1)
+            factors[1][[m + 2, 3 * m + 1]] = 0.0  # U's diagonal in rows 1 and 3
+            info = m + 3
+        return (*factors, info)
+
+    evaluate, evaluations = _StepSolver.evaluate, []
+    monkeypatch.setattr(_StepSolver, "evaluate", lambda self, x, b: evaluations.append(len(x))
+                        or evaluate(self, x, b))
+    alone, none = _newton(solver, v[[0, 2]].copy(), rhs[[0, 2]], 1e-10, 50)
+    assert none == []
+    n_alone = len(evaluations)
+    evaluations.clear()
+    monkeypatch.setattr(lapack, "dgttrf", singular_rows_1_and_3)
+    out, failures = _newton(solver, v.copy(), rhs, 1e-10, 50)
+    assert len(evaluations) == n_alone == 12
+    assert [i for i, _ in failures] == [1, 3]
+    for i, err in failures:
+        residual = float(solver.evaluate(v[i : i + 1], rhs[i : i + 1])[1][0])
+        assert str(err) == f"step solver found no finite Newton step at residual {residual:.3e}"
+    assert np.array_equal(out[[0, 2]], alone)
 
 
 def test_non_finite_row_fails_without_touching_its_neighbours():
