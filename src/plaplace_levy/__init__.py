@@ -34,7 +34,7 @@ from .scheme import (
     FluxModel,
     NonConvergence,
     SchemeConfig,
-    initial_smoothing,
+    initial_smoothings,
     linear_flux,
     prepare_initial,
     project_control,

@@ -25,7 +25,8 @@ import numpy as np
 from .grid import (FREE_BOUNDARY, Field, Grid, GridMismatchError, _l2_norms, _lp_grad_pows,
                    nodal_weights)
 from .levy import LevyModel, sample_prms
-from .scheme import Ensemble, NonConvergence, SchemeConfig, simulate_controls
+from .scheme import (CLAMP_BOUNDARY, Ensemble, NonConvergence, SchemeConfig, prepare_initial,
+                     simulate_runs)
 
 
 def psi_zero() -> tuple:
@@ -253,8 +254,10 @@ def nelder_mead(evaluate, consume, simplex, maxfev: int, xatol: float,
         if begin is not None:
             begin()
         try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            with np.errstate(invalid="ignore"):  # inf - inf where candidates diverged
+                done = (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                        and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol)
+            if done:
                 break
             xbar = np.add.reduce(sim[:-1], 0) / N
             trial = [
@@ -337,7 +340,7 @@ def affine_predictor(kept: list, dim: int, incumbent: np.ndarray = None):
     affine in the coefficients, as a candidate's start is, and computed
     row by row, so a row's start does not depend on the other rows.
     Otherwise every row gets the incumbent's states (`np.broadcast_to`), or
-    None without an incumbent.  The result is `simulate_controls`' ref."""
+    None without an incumbent.  The result is `simulate_runs`' ref."""
     if len(kept) == dim + 1:
         affine = np.vstack([np.ones(dim + 1), np.array([x for x, _ in kept]).T])
         try:
@@ -381,12 +384,15 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     _SPECULATE_NODES nodal values (n_paths x grid nodes), one at a time
     above that.
 
-    A batch is handled as arrays from coefficients to J: `control_rows`
-    builds it, one `simulate_controls` call solves it and one `cost_J` call
-    costs its converged candidates; the basis is checked once per search.
+    u0 is smoothed once per search (`prepare_initial`), which raises its
+    NonConvergence before any candidate is solved.  A batch is handled as
+    arrays from coefficients to J: `control_rows` builds it, the smoothed
+    u0 plus its projected rows are its starts, one `simulate_runs` call
+    solves it and one `cost_J` call costs its converged candidates; the
+    basis is checked once per search.
 
     Each candidate's step solves start from a predicted trajectory set
-    (`simulate_controls`' ref).  The search keeps copies of the states of
+    (`simulate_runs`' ref).  The search keeps copies of the states of
     the dim + 1 lowest-J converged candidates consumed so far in the
     current restart (ties in consumption order); at the start of each
     restart and of each Nelder-Mead iteration it fixes `affine_predictor`
@@ -409,6 +415,8 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     # common random numbers: each seed's jump path serves every candidate
     paths = sample_prms(model, cfg.dt, cfg.n_steps, seeds)
     speculate = search_batches(n_paths, u0.grid.n_nodes, dim)[0]
+    smoothed = prepare_initial(u0, 0.0, cfg.effective_smoothing_dt, cfg.p)  # nodal values
+    clamp = u0.grid.boundary_mask if cfg.control_projection == CLAMP_BOUNDARY else None
 
     history = []
     # states: the incumbent's solved states; kept: (J, coefficients, states)
@@ -429,10 +437,9 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
         alongside."""
         batch.clear()
         rows = control_rows(basis, points)
-        try:
-            runs = simulate_controls(u0, rows, model, cfg, paths, state["predict"](points))
-        except NonConvergence:  # the initial smoothing, shared by every candidate
-            runs = [None] * len(rows)
+        starts = smoothed + (rows if clamp is None else np.where(clamp, 0.0, rows))
+        runs = simulate_runs(u0.grid, starts, [paths] * len(rows), model, cfg,
+                             state["predict"](points))
         good = [i for i, run in enumerate(runs) if isinstance(run, Ensemble)]
         costs = cost_J([runs[i] for i in good], rows[good], spec, cfg.p) if good else []
         batch.update(points=points, runs=runs, costs=dict(zip(good, costs)))

@@ -18,8 +18,8 @@ import numpy as np
 
 from .grid import Field, Grid, _l2_norms, dual_norm_estimates, l2_norm, w1p_norm
 from .levy import LevyModel, isometry_rhs, mark_sums, sample_prms, step_events
-from .scheme import (Ensemble, SchemeConfig, _solved, project_control, simulate_paths,
-                     simulate_runs)
+from .scheme import (Ensemble, SchemeConfig, _solved, initial_smoothings, prepare_initial,
+                     project_control, simulate_paths, simulate_runs)
 
 
 class DegenerateRegressionError(ValueError):
@@ -133,6 +133,14 @@ def generate_ensemble(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
     solved as one batch."""
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(base_seed, base_seed + n_paths))
     return simulate_paths(u0, U, model, cfg, paths)
+
+
+def _ensemble_from(start: Field, model: LevyModel, cfg: SchemeConfig, n_paths: int,
+                   base_seed: int) -> Ensemble:
+    """`generate_ensemble` from the start `prepare_initial` gives, for a
+    study that solves several ensembles from the same data."""
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(base_seed, base_seed + n_paths))
+    return _solved(simulate_runs(start.grid, start.flat[None], [paths], model, cfg)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +395,18 @@ def verify_study(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
     `theta_ladder` at tau = T / 4, the isometry on 10,000 single-step draws,
     and L^1 uniqueness of identical (first min(n_paths, 20) seeds) and of
     bumped data against the moment ensemble, all three runs one
-    `simulate_runs` stack of 2 n_paths + min(n_paths, 20) rows.  A failing
-    run raises its NonConvergence where its checks start.  Returns ({check
-    name: report dict with a `passed` flag}, whether all passed)."""
+    `simulate_runs` stack of 2 n_paths + min(n_paths, 20) rows from the
+    starts of one smoothing solve of u0 and u0 + bump.  A failed smoothing
+    raises its NonConvergence before any step, a failing run where its
+    checks start.  Returns ({check name: report dict with a `passed` flag},
+    whether all passed)."""
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(base_seed, base_seed + n_paths))
     bump = default_bump(u0.grid)
+    V = project_control(U, cfg.control_projection)
+    starts = [(_solved(report)["smoothed"] + V).flat
+              for report in initial_smoothings([u0, u0 + bump], cfg.effective_smoothing_dt, cfg.p)]
     ensemble, same, bumped = simulate_runs(
-        [(u0, U, paths), (u0, U, paths[: min(n_paths, 20)]), (u0 + bump, U, paths)], model, cfg)
+        u0.grid, np.array(starts)[[0, 0, 1]], [paths, paths[: min(n_paths, 20)], paths], model, cfg)
     ensemble = _solved(ensemble)
     results = {"apriori": asdict(apriori_check(ensemble, u0, U))}
     results["apriori"]["passed"] = not results["apriori"]["violation"]
@@ -433,13 +446,15 @@ def self_convergence(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
     min(dt_values) / refine, all on path `seed`; only meaningful without
     noise (jump paths are not coupled across dt).  The smoothing weight is
     pinned to min(dt_values), so the sweep measures the order of the time
-    march; pass rule |slope - 1| <= 0.2."""
+    march, and every run starts from its one solve; pass rule
+    |slope - 1| <= 0.2."""
     dt_values = sorted((float(v) for v in dt_values), reverse=True)
     smooth = min(dt_values)
+    start = prepare_initial(u0, project_control(U, cfg.control_projection), smooth, cfg.p)
 
     def terminal(dt: float) -> np.ndarray:
         run = replace(cfg, dt=dt, n_steps=int(round(cfg.T / dt)), smoothing_dt=smooth)
-        return generate_ensemble(u0, U, model, run, 1, seed).states[0, -1]
+        return _ensemble_from(start, model, run, 1, seed).states[0, -1]
 
     ref = terminal(min(dt_values) / refine)
     errors = [float(_l2_norms(u0.grid, terminal(dt) - ref)) for dt in dt_values]
@@ -455,13 +470,15 @@ def eps_sweep(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig, eps_valu
     """Weak-error proxy for the small-jump truncation of a density measure:
     per eps, the distance of the mean terminal second moment E||u(T)||^2
     from its value at eps = min(eps_values) / refine, each over the path
-    seeds base_seed .. base_seed + n_paths - 1.  Informational: no rate is
-    asserted."""
+    seeds base_seed .. base_seed + n_paths - 1, all from one smoothing of
+    u0.  Informational: no rate is asserted."""
     eps_values = sorted((float(v) for v in eps_values), reverse=True)
+    start = prepare_initial(u0, project_control(U, cfg.control_projection),
+                            cfg.effective_smoothing_dt, cfg.p)
 
     def mean_sq(eps: float) -> float:
-        ensemble = generate_ensemble(u0, U, replace(model, eps=eps).validate(), cfg,
-                                     n_paths, base_seed)
+        ensemble = _ensemble_from(start, replace(model, eps=eps).validate(), cfg, n_paths,
+                                  base_seed)
         norms = _l2_norms(ensemble.grid, ensemble.states[:, -1]).tolist()
         return float(np.mean([v**2 for v in norms]))
 

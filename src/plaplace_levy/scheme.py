@@ -46,7 +46,6 @@ from .grid import (
     Grid,
     l2_norm,
     lp_grad_norm,
-    _check_same_grid,
     _embed_interior,
     _l2_norms,
     _lp_grad_pows,
@@ -248,12 +247,15 @@ class _StepSolver:
         self.flux = flux
         self.wc = grid.cell_weight
 
+    @np.errstate(over="ignore", invalid="ignore")
     def evaluate(self, v: np.ndarray, rhs: np.ndarray) -> tuple:
         """Per row of v, rhs (M, n_nodes), which agree on the boundary: the
         interior residual (M, m), its norm (M,), the convex step energy (M,)
         (None unless the convection flux is zero, where it is the descent
         merit), and the cell gradient of v (M, dim, n_cells_total) for the
-        Newton matrix at the same iterate."""
+        Newton matrix at the same iterate.  A row that overflows (a trial far
+        out, a large p) gets an inf or NaN norm, which every caller takes as
+        not converged, so numpy does not warn of it."""
         grid, p, dt, wc = self.grid, self.p, self.dt, self.wc
         comps = grid.cell_gradient(v)
         sq = (comps * comps).sum(axis=-2)
@@ -508,85 +510,28 @@ def _put(state: list, rows, src: list, sel):
 # initial smoothing and path simulation
 
 
-# The smoothing's Newton tolerance and iteration budget: `prepare_initial`'s
-# defaults, which `simulate_runs` uses too.
+# The smoothing's Newton tolerance and iteration budget.
 _SMOOTHING_TOL = 1e-12
 _SMOOTHING_ITERS = 60
 
 
-def prepare_initial(u0: Field, U, dt: float, p: float, *,
-                    newton_tol: float = _SMOOTHING_TOL, max_iters: int = _SMOOTHING_ITERS):
-    """Smooth u0 into the zero-boundary space by the proximal problem
+def initial_smoothings(data: list, dt: float, p: float) -> list:
+    """Smooth each Field u0 of `data` (all on one grid) into the
+    zero-boundary space by the proximal problem
 
-        minimize  1/2 ||v - u0||^2 + dt * ||grad v||_p^p
+        minimize  1/2 ||v - u0||^2 + dt * ||grad v||_p^p,
 
-    and return v + U.  The minimizer satisfies
-    1/2 ||v||^2 + dt ||grad v||_p^p <= 1/2 ||u0||^2 (checked, with slack for
-    the solver residual).  U, a Field or control rows (k, n_nodes), must
-    already carry the boundary handling chosen by the caller.
-
-    The smoothed state is memoized on the values of (u0, dt, p, newton_tol,
-    max_iters), so the paths of an ensemble and the candidates of a control
-    search share one solve; failures are not cached."""
-    v = _smoothed([u0], dt, p, newton_tol, max_iters)[0]
-    if isinstance(v, NonConvergence):
-        raise v
-    return v + U if isinstance(U, Field) else v.flat + U
-
-
-# The memo of `_smoothed`: the smoothed states of the last _SMOOTHED_SIZE
-# distinct keys, least recently used first.
-_SMOOTHED = {}
-_SMOOTHED_SIZE = 16
-
-
-def _smoothed(data: list, dt: float, p: float, newton_tol: float, max_iters: int) -> list:
-    """The smoothed state, or the NonConvergence of its smoothing, of each
-    Field of `data` (all on one grid).  Memoized data are read from
-    _SMOOTHED; the others, each distinct value once, are smoothed in one
-    batch of `_smoothings` and each checked against its energy estimate.
-    Successes are memoized, failures not."""
-    keys = [(u0.grid, u0.values.tobytes(), dt, p, newton_tol, max_iters) for u0 in data]
-    out = {}
-    for key in keys:
-        if key in _SMOOTHED:
-            out[key] = _SMOOTHED[key] = _SMOOTHED.pop(key)  # now the most recent
-    todo = {key: u0 for key, u0 in zip(keys, data) if key not in out}  # equal data, one key
-    reports = _smoothings(list(todo.values()), dt, p, newton_tol, max_iters) if todo else ()
-    for key, report in zip(todo, reports):
-        if isinstance(report, NonConvergence):
-            out[key] = report
-        elif not report["satisfied"]:
-            out[key] = NonConvergence(
-                "initial smoothing violated its energy estimate: "
-                f"lhs={report['lhs']:.6e} > rhs={report['rhs']:.6e}"
-            )
-        else:
-            out[key] = _SMOOTHED[key] = report["smoothed"]
-            if len(_SMOOTHED) > _SMOOTHED_SIZE:
-                del _SMOOTHED[next(iter(_SMOOTHED))]  # the least recently used
-    return [out[key] for key in keys]
-
-
-def initial_smoothing(u0: Field, dt: float, p: float, *, newton_tol: float = _SMOOTHING_TOL,
-                      max_iters: int = _SMOOTHING_ITERS) -> dict:
-    """Run the proximal smoothing solve and report both sides of its energy
-    estimate (lhs = 1/2||v||^2 + dt||grad v||_p^p, rhs = 1/2||u0||^2)."""
-    report = _smoothings([u0], dt, p, newton_tol, max_iters)[0]
-    if isinstance(report, NonConvergence):
-        raise report
-    return report
-
-
-def _smoothings(data: list, dt: float, p: float, newton_tol: float, max_iters: int) -> list:
-    """`initial_smoothing` of each Field of `data` (all on one grid), as one
-    batched `_newton` solve whose rows are independent: per datum its
-    report, or the NonConvergence of its own row."""
+    every datum a row of one batched `_newton` solve; the rows are
+    independent.  Returns per datum its report {smoothed, lhs, rhs, slack}:
+    the minimizer v and both sides of its energy estimate
+    lhs = 1/2 ||v||^2 + dt ||grad v||_p^p <= rhs = 1/2 ||u0||^2, which holds
+    up to slack for the solver residual; or, if its row fails or its
+    estimate does not hold, its NonConvergence."""
     grid = data[0].grid
     solver = _StepSolver(grid, p, p * dt, zero_flux(grid.dim))
     rhs = np.array([u0.flat for u0 in data])
     rhs[:, grid.boundary_nodes] = 0.0
-    v, failures = _newton(solver, np.zeros_like(rhs), rhs, newton_tol, max_iters)
+    v, failures = _newton(solver, np.zeros_like(rhs), rhs, _SMOOTHING_TOL, _SMOOTHING_ITERS)
     out = [None] * len(data)
     for i, err in failures:
         out[i] = NonConvergence(f"initial smoothing: {err}", residual=err.residual)
@@ -596,15 +541,21 @@ def _smoothings(data: list, dt: float, p: float, newton_tol: float, max_iters: i
         smoothed = Field(grid, v[i].reshape(grid.node_shape), ZERO_BOUNDARY)
         lhs = 0.5 * l2_norm(smoothed) ** 2 + dt * lp_grad_norm(smoothed, p) ** p
         rhs_val = 0.5 * l2_norm(u0) ** 2
-        slack = 10.0 * newton_tol * max(1.0, l2_norm(smoothed))
-        out[i] = {
-            "smoothed": smoothed,
-            "lhs": lhs,
-            "rhs": rhs_val,
-            "slack": slack,
-            "satisfied": lhs <= rhs_val + slack,
-        }
+        slack = 10.0 * _SMOOTHING_TOL * max(1.0, l2_norm(smoothed))
+        out[i] = {"smoothed": smoothed, "lhs": lhs, "rhs": rhs_val, "slack": slack}
+        if not lhs <= rhs_val + slack:  # true for NaN
+            out[i] = NonConvergence("initial smoothing violated its energy estimate: "
+                                    f"lhs={lhs:.6e} > rhs={rhs_val:.6e}")
     return out
+
+
+def prepare_initial(u0: Field, U, dt: float, p: float):
+    """v + U for the smoothed state v of u0 alone (`initial_smoothings`);
+    raises its NonConvergence.  U, a Field or nodal values (control rows
+    (k, n_nodes), say), must already carry the boundary handling chosen by
+    the caller."""
+    v = _solved(initial_smoothings([u0], dt, p)[0])["smoothed"]
+    return v + U if isinstance(U, Field) else v.flat + U
 
 
 def project_control(U: Field, mode: str) -> Field:
@@ -684,96 +635,59 @@ _BAND_BUDGET = 8 << 20
 def simulate_paths(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
                    paths) -> Ensemble:
     """The scheme on each jump path in `paths` (from `sample_prms`), all
-    from the same data: one initial smoothing, then n_steps implicit steps
-    (noise explicit, diffusion implicit) with the paths advancing together
-    as an (M, n_nodes) stack, one batched solve per step.  A path's row
-    does not depend on which paths share the call.  `simulate_runs` with
-    one run.
+    from the same data: one initial smoothing of u0 plus the projected
+    control U (`prepare_initial`), then n_steps implicit steps (noise
+    explicit, diffusion implicit), `simulate_runs` with one run.
 
-    Raises NonConvergence for the first failing path in `paths` order, with
-    its step and seed: the error a path-by-path loop raises."""
-    return _solved(simulate_runs([(u0, U, paths)], model, cfg)[0])
-
-
-def _solved(run):
-    """A run of `simulate_runs`: its Ensemble, or its NonConvergence raised."""
-    if isinstance(run, NonConvergence):
-        raise run
-    return run
+    Raises the NonConvergence of the smoothing, or of the first failing
+    path in `paths` order with its step and seed: the error a path-by-path
+    loop raises."""
+    start = prepare_initial(u0, project_control(U, cfg.control_projection),
+                            cfg.effective_smoothing_dt, cfg.p)
+    return _solved(simulate_runs(u0.grid, start.flat[None], [paths], model, cfg)[0])
 
 
-def simulate_runs(runs, model: LevyModel, cfg: SchemeConfig) -> list:
-    """`simulate_paths` for each run (u0, U, paths) of `runs`, all on one
-    grid, as one stack of (run x path) rows, run-major: the runs take their
-    steps in the same batched solves, and every distinct initial datum not
-    yet memoized is smoothed in one batch (`_smoothed`).  Runs may share
-    paths or data, and a row does not depend on the other rows.  Returns,
-    per run, its Ensemble, or the NonConvergence of its initial smoothing
-    or of its first failing path in its `paths` order (with step and
-    seed): the error its own `simulate_paths` call raises.  The other runs
-    are solved all the same."""
-    runs = [(u0, U, tuple(paths)) for u0, U, paths in runs]
-    grid = runs[0][0].grid
-    for u0, *_ in runs:
-        _check_same_grid(runs[0][0], u0)
-    smoothed = _smoothed([u0 for u0, *_ in runs], cfg.effective_smoothing_dt, cfg.p,
-                         _SMOOTHING_TOL, _SMOOTHING_ITERS)
-    failed = [isinstance(v, NonConvergence) for v in smoothed]  # such a run gets no rows
-    starts = np.zeros((len(runs), grid.n_nodes))
-    for c, ((_, U, _), v) in enumerate(zip(runs, smoothed)):
-        if not failed[c]:
-            starts[c] = (v + project_control(U, cfg.control_projection)).flat
-    results = _solve(grid, starts, [() if bad else paths
-                                    for bad, (*_, paths) in zip(failed, runs)], model, cfg)
-    return [v if bad else result for bad, v, result in zip(failed, smoothed, results)]
+def _solved(result):
+    """A result of `simulate_runs` or `initial_smoothings`, or, if it is
+    a NonConvergence, that error raised."""
+    if isinstance(result, NonConvergence):
+        raise result
+    return result
 
 
-def simulate_controls(u0: Field, controls: np.ndarray, model: LevyModel, cfg: SchemeConfig,
-                      paths, ref: np.ndarray = None) -> list:
-    """`simulate_runs` for each row of `controls` (k, n_nodes), the nodal
-    values of k controls on u0's grid, on the common jump paths `paths`: one
-    stack of (control x path) rows, control-major; a non-finite control
-    raises ValueError.  Returns, per control, its Ensemble, or the
-    NonConvergence of its first failing path in `paths` order (with step and
-    seed).
+def simulate_runs(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel,
+                  cfg: SchemeConfig, ref: np.ndarray = None) -> list:
+    """The solve entry of every simulation: run c is the jump paths runs[c]
+    (from `sample_prms`), each marched from the finite nodal start state
+    starts[c] (len(runs), n_nodes), a smoothed initial datum plus its
+    control.  All runs' rows form one stack, run-major, with the paths
+    advancing together, one batched solve per step; runs may share paths or
+    starts, and a row does not depend on the other rows.  Returns per run
+    its Ensemble, or the NonConvergence of its first failing path in its
+    path order (with step and seed), the error a path-by-path loop raises:
+    a failing row drops out of the stack with the later rows of its run,
+    and the other runs march on.  The stack is marched in chunks within
+    _BAND_BUDGET, each written into the call's one states array as it
+    finishes (a stack of one chunk is that array).
 
-    ref, of shape (k, len(paths), n_steps + 1, n_nodes), holds one
-    trajectory set per control row: a solved or predicted trajectory per
-    path (the control search passes each candidate's prediction, or
-    `np.broadcast_to` of one solved set).  Each (control, path) row's step
-    solves then start from its own ref[control, path] (see `_march`), and
-    its states move by up to about newton_tol against the cold start from
-    the previous state.  With ref and at most _TRAJECTORY_NODES nodal values
-    per path set (len(paths) x grid nodes), each row's steps are solved as
-    one system (`_trajectories`) instead, in chunks of whole trajectories;
-    the choice depends on the paths and the grid, not on the number of
-    controls, so a row's states still do not depend on which controls share
-    the call."""
-    grid, paths = u0.grid, tuple(paths)
-    if controls.ndim != 2 or controls.shape[1] != grid.n_nodes:
-        raise ValueError(f"control rows must have shape (k, {grid.n_nodes})")
-    if not np.isfinite(controls).all():
+    ref, with every run on the same paths, holds one trajectory set
+    (len(paths), n_steps + 1, n_nodes) per run: a solved or predicted
+    trajectory per path (the control search passes each candidate's
+    prediction, or `np.broadcast_to` of one solved set).  Each row's step
+    solves then start from its own ref[run, path] (see `_march`), and its
+    states move by up to about newton_tol against the cold start from the
+    previous state.  With ref and at most _TRAJECTORY_NODES nodal values per
+    path set (len(paths) x grid nodes), each row's steps are solved as one
+    system (`_trajectories`) instead, in chunks of whole trajectories; the
+    choice depends on the paths and the grid, not on the number of runs, so
+    a row's states still do not depend on which runs share the call."""
+    runs = [tuple(paths) for paths in runs]
+    if not np.isfinite(starts).all():
         raise ValueError("field values must be finite")
-    if ref is not None and ref.shape != (len(controls), len(paths), cfg.n_steps + 1,
-                                         grid.n_nodes):
-        raise ValueError("ref must hold one trajectory set per control row")
-    if cfg.control_projection == CLAMP_BOUNDARY:
-        controls = np.where(grid.boundary_mask, 0.0, controls)
-    starts = prepare_initial(u0, controls, cfg.effective_smoothing_dt, cfg.p)
-    return _solve(grid, starts, [paths] * len(controls), model, cfg, ref)
-
-
-def _solve(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel, cfg: SchemeConfig,
-           ref: np.ndarray = None) -> list:
-    """The row loop of every simulate entry: run c is the path tuple runs[c]
-    from the nodal state starts[c]; returns per run its Ensemble or its
-    first failure in path order.  A failing row drops out of the stack
-    with the later rows of its run, and the rows of the other runs march
-    on.  The stack is marched in chunks within _BAND_BUDGET, each written
-    into the call's one states array as it finishes (a stack of one chunk
-    is that array).  ref (every run on the
-    same paths) is `simulate_controls`' reference, one trajectory set per
-    run, indexed by (run, path)."""
+    # runs of unequal lengths give a set of several lengths, so no ref fits
+    if ref is not None and ref.shape != (len(runs), *{len(paths) for paths in runs},
+                                         cfg.n_steps + 1, grid.n_nodes):
+        raise ValueError("ref must hold one trajectory set per run")
     # per row: its run, its path and the path's index within the run
     run_of = [c for c, paths in enumerate(runs) for _ in paths]
     row_paths = [path for paths in runs for path in paths]
@@ -868,7 +782,7 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
 
 # Whole-trajectory Newton (`_trajectories`) takes more iterations per call
 # than the march takes per step, so it pays only while per-call overhead,
-# not arithmetic, sets a solve's cost: simulate_controls takes it up to this
+# not arithmetic, sets a solve's cost: simulate_runs takes it up to this
 # many nodal values per path set (n_paths x grid nodes).  Measurements:
 # ROADMAP item 11.
 _TRAJECTORY_NODES = 100
@@ -918,7 +832,9 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
         prev = cur[:-1].reshape(n * A, -1)
         inc = np.zeros_like(prev)
         inc[:, idx] = compensated_increments(model, prev[:, idx], jumps[:, live].ravel(), cfg.dt)
-        r, rnorm, _, comps = solver.evaluate(cur[1:].reshape(n * A, -1), prev + inc)
+        with np.errstate(invalid="ignore"):  # a diverged row, marched below, gives inf - inf
+            rhs = prev + inc
+        r, rnorm, _, comps = solver.evaluate(cur[1:].reshape(n * A, -1), rhs)
         rnorm = rnorm.reshape(n, A)
         done = (rnorm <= cfg.newton_tol).all(axis=0)
         states[live[done]] = cur[:, done].transpose(1, 0, 2)

@@ -142,7 +142,6 @@ def saa_minimize_scipy(model, cfg, u0, spec, basis, n_paths, budget=200, base_se
 
     from plaplace_levy import ControlParam, Ensemble, cost_J, sample_prms
     from plaplace_levy.control import affine_predictor
-    from plaplace_levy.scheme import simulate_controls
 
     dim = len(basis)
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(base_seed, base_seed + n_paths))
@@ -207,6 +206,29 @@ def step_solve(u_prev, noise_inc, cfg, initial_guess=None):
         raise failures[0][1]
     tag = u_prev.space_tag if v[0, grid.boundary_nodes].any() else ZERO_BOUNDARY
     return Field(grid, v[0].reshape(grid.node_shape), tag)
+
+
+def control_starts(u0, controls, cfg):
+    """The starts (k, n_nodes) of the control rows `controls` on u0's grid,
+    as the control search forms them: the smoothed u0 plus each row,
+    clamped to a zero trace under the clamp projection."""
+    from plaplace_levy.scheme import CLAMP_BOUNDARY, prepare_initial
+
+    if cfg.control_projection == CLAMP_BOUNDARY:
+        controls = np.where(u0.grid.boundary_mask, 0.0, controls)
+    return prepare_initial(u0, controls, cfg.effective_smoothing_dt, cfg.p)
+
+
+def simulate_controls(u0, controls, model, cfg, paths, ref=None):
+    """The runs of the control rows `controls` (k, n_nodes) on u0's grid,
+    on the common jump paths `paths`, as the control search solves a batch:
+    one `simulate_runs` call from their `control_starts`; ref as
+    `simulate_runs` takes it.  Returns per control its Ensemble or its
+    NonConvergence."""
+    from plaplace_levy.scheme import simulate_runs
+
+    return simulate_runs(u0.grid, control_starts(u0, controls, cfg), [paths] * len(controls),
+                         model, cfg, ref)
 
 
 def field_rows(fields):

@@ -23,6 +23,7 @@ from plaplace_levy import (
     Field,
     Grid,
     LevyModel,
+    NonConvergence,
     SchemeConfig,
     aldous_scaling,
     apriori_check,
@@ -31,7 +32,7 @@ from plaplace_levy import (
     eta_linear,
     eta_zero,
     generate_ensemble,
-    initial_smoothing,
+    initial_smoothings,
     isometry_check,
     l2_norm,
     psi_zero,
@@ -106,7 +107,8 @@ def test_criterion_02_initial_approximation_inequality():
     for _ in range(100):
         u0 = Field(grid, rng.normal(size=grid.node_shape), "free_boundary")
         for p in (3.0, 4.0):
-            rep = initial_smoothing(u0, dt=0.05, p=p)
+            (rep,) = initial_smoothings([u0], dt=0.05, p=p)
+            assert not isinstance(rep, NonConvergence), rep
             assert rep["lhs"] <= rep["rhs"] + rep["slack"], (
                 f"energy estimate violated beyond solver slack: "
                 f"lhs={rep['lhs']:.12e} rhs={rep['rhs']:.12e}"

@@ -456,15 +456,92 @@ u0 = sine:amplitude=50,mode=1
 """
 
 
-def test_cli_initial_smoothing_failure_names_itself(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_cli_initial_smoothing_failure_names_itself(command, tmp_path, capsys, monkeypatch):
     # data of amplitude 50 on 64 cells put the smoothing's residual floor
     # above its fixed 1e-12 tolerance: a solver failure (exit 3) on one
-    # stderr line that names the initial smoothing, not a step
-    code = run_cli(["simulate", "--config", write(tmp_path, SMOOTHING_FLOOR), "--paths", "2",
+    # stderr line that names the initial smoothing, not a step, before any
+    # step is solved (optimize smooths once, before its search)
+    import plaplace_levy.control as control
+    import plaplace_levy.estimates as estimates
+    import plaplace_levy.scheme as scheme
+
+    for module in (scheme, estimates, control):
+        monkeypatch.setattr(module, "simulate_runs", None)
+    code = run_cli([command, "--config", write(tmp_path, SMOOTHING_FLOOR), "--paths", "2",
                     "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 3
     assert re.fullmatch(r"solver failure: initial smoothing: step solver \S.*\n", err), err
+
+
+def sample_config_text():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "sample_config.ini"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("old, new, expected", [
+    # |grad u|^38 overflows on the search's far trial points: rows that the
+    # step solver fails, backtracks or marches, so the run still succeeds
+    ("p = 3.0", "p = 40", 0),
+    # no candidate meets the tolerance in one iteration, so every value the
+    # simplex compares is +inf
+    ("flux = zero", "flux = zero\nnewton_tol = 1e-15\nnewton_max_iters = 1", 3),
+], ids=["p40", "one_iteration"])
+def test_cli_optimize_handles_non_finite_values_without_warnings(old, new, expected, tmp_path,
+                                                                  capsys):
+    # the package turns its own RuntimeWarnings into errors under pytest
+    # (pyproject.toml), so a warning from a handled overflow fails the run
+    text = sample_config_text()
+    assert old in text
+    code = run_cli(["optimize", "--config", write(tmp_path, text.replace(old, new)), "--paths",
+                    "1", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == expected, err
+    assert "RuntimeWarning" not in err
+
+
+_CONVERGE = {
+    "gap": "[converge]\nsweep = dt\nvalues = 0.0625,0.03125,0.015625\nprobe = gap\n",
+    "self": "[converge]\nsweep = dt\nvalues = 0.0625,0.03125,0.015625\nprobe = self\n"
+            "ref_refine = 2\n",
+    "eps": "[converge]\nsweep = eps\nvalues = 0.2,0.1,0.05\nref_refine = 2\n",
+}
+
+
+@pytest.mark.parametrize("command, study, solves", [
+    ("simulate", None, [1]),
+    ("verify", None, [2]),  # u0 and u0 + bump, one solve of 2 rows
+    ("optimize", None, [1]),  # once per search, not per batch
+    ("converge", "self", [1]),  # every dt from the one pinned smoothing
+    ("converge", "eps", [1]),
+    ("converge", "gap", [1, 1, 1]),  # the smoothing weight is each dt
+], ids=["simulate", "verify", "optimize", "converge_self", "converge_eps", "converge_gap"])
+def test_each_command_smooths_each_datum_once(command, study, solves, tmp_path, monkeypatch):
+    # the rows of every smoothing solve a command makes, one entry per solve
+    import plaplace_levy.estimates as estimates
+    import plaplace_levy.scheme as scheme
+
+    text = REFERENCE
+    if study == "self":
+        text = text.replace("eta = linear:0.5", "eta = zero")
+    if study == "eps":
+        text = text.replace("measure = point:1.0@1.0", "measure = density:invsq\neps = 0.01")
+    if study is not None:
+        text += _CONVERGE[study]
+    rows, real = [], scheme.initial_smoothings
+
+    def counted(data, dt, p):
+        rows.append(len(data))
+        return real(data, dt, p)
+
+    for module in (scheme, estimates):
+        monkeypatch.setattr(module, "initial_smoothings", counted)
+    code = run_cli([command, "--config", write(tmp_path, text), "--paths", "3",
+                    "--out", str(tmp_path / "o")])
+    assert code in (0, 1)
+    assert rows == solves
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from plaplace_levy import (
 )
 from plaplace_levy.control import nelder_mead
 
-from _oracles import field_rows, shared_ref, state_fields
+from _oracles import control_starts, field_rows, shared_ref, simulate_controls, state_fields
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRID = Grid(1, 12)
@@ -236,7 +236,7 @@ def test_batched_rows_match_the_per_field_code(dim, projection, psi_kind, monkey
         return real(grid, first, model, cfg, part, groups, ref)
 
     monkeypatch.setattr(scheme, "_march", spy)
-    runs = scheme.simulate_controls(u0, rows, model, cfg, paths)
+    runs = simulate_controls(u0, rows, model, cfg, paths)
     monkeypatch.undo()
     ends = [l2_norm(state_fields(run, i)[-1]) for run in runs for i in range(3)]
     cap = float(np.median(ends))  # binds on some paths, not on others
@@ -273,25 +273,25 @@ def test_non_finite_coefficient_raises_the_field_error():
             ControlParam(basis=basis, coeffs=bad).build()
         with pytest.raises(ValueError, match="field values must be finite"):
             control_rows(basis, np.array([[0.1, 0.2], bad]))
-        # bad nodal rows reach simulate_controls' own check
+        # bad nodal rows make bad starts, which reach simulate_runs' own check
         rows = control_rows(basis, np.array([[0.1, 0.2], [0.3, 0.4]]))
         rows[1, GRID.n_nodes // 2] = bad_value
         with pytest.raises(ValueError, match="field values must be finite"):
-            scheme.simulate_controls(u0, rows, model, CFG, paths)
+            simulate_controls(u0, rows, model, CFG, paths)
         with pytest.raises(ValueError, match="field values must be finite"):
             saa_minimize(model, CFG, u0, make_spec(), basis, n_paths=1, budget=10,
                          initial_coeffs=bad)
 
 
 def test_search_work_per_batch(monkeypatch):
-    # one simulate_controls call per evaluate, one smoothing lookup per
-    # batch, and no ControlParam built after the search's one basis check
+    # one simulate_runs call per evaluate, one smoothing per search, and no
+    # ControlParam built after the search's one basis check
     import plaplace_levy.control as control
     import plaplace_levy.scheme as scheme
 
-    counts = {"evaluate": 0, "simulate": 0, "smoothed": 0, "check": 0, "cost": 0}
-    real_nm, real_sim, real_cost = control.nelder_mead, control.simulate_controls, control.cost_J
-    real_check, real_smoothed = control.check_basis, scheme._smoothed
+    counts = {"evaluate": 0, "simulate": 0, "smoothing": 0, "check": 0, "cost": 0}
+    real_nm, real_sim, real_cost = control.nelder_mead, control.simulate_runs, control.cost_J
+    real_check, real_smoothing = control.check_basis, scheme.initial_smoothings
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -306,8 +306,8 @@ def test_search_work_per_batch(monkeypatch):
         raise AssertionError("ControlParam built inside the search")
 
     monkeypatch.setattr(control, "nelder_mead", nm)
-    monkeypatch.setattr(control, "simulate_controls", counted("simulate", real_sim))
-    monkeypatch.setattr(scheme, "_smoothed", counted("smoothed", real_smoothed))
+    monkeypatch.setattr(control, "simulate_runs", counted("simulate", real_sim))
+    monkeypatch.setattr(scheme, "initial_smoothings", counted("smoothing", real_smoothing))
     monkeypatch.setattr(control, "check_basis", counted("check", real_check))
     monkeypatch.setattr(control, "cost_J", counted("cost", real_cost))
     monkeypatch.setattr(control, "ControlParam", no_param)
@@ -316,7 +316,8 @@ def test_search_work_per_batch(monkeypatch):
                        n_paths=1, budget=40)
     assert res.n_evaluations == 40 and counts["check"] == 1
     assert counts["evaluate"] > 1
-    assert counts["simulate"] == counts["smoothed"] == counts["cost"] == counts["evaluate"]
+    assert counts["simulate"] == counts["cost"] == counts["evaluate"]
+    assert counts["smoothing"] == 1
 
 
 def test_control_norm_convexity():
@@ -539,7 +540,6 @@ def test_diverged_candidate_scores_inf_and_spares_its_batch(monkeypatch):
     import plaplace_levy.control as control
     from dataclasses import replace
     from plaplace_levy import NonConvergence
-    from plaplace_levy.scheme import simulate_controls
 
     cfg = replace(CFG, newton_max_iters=6)
     model = reference_model()
@@ -620,7 +620,6 @@ _WARM_CASES = [(dim, flux, proj) for dim in (1, 2) for flux in ("zero", "sine")
 
 @pytest.mark.parametrize("dim, flux, projection", _WARM_CASES)
 def test_warm_started_solves_match_the_cold_solve(dim, flux, projection):
-    from plaplace_levy.scheme import simulate_controls
 
     # a nearby control and a far one, whose lifted trace -0.2 the shift
     # 0.1 + (-0.2 - 0.1) would round to -0.20000000000000004
@@ -647,15 +646,15 @@ def test_warm_started_row_ignores_batch_and_chunking(dim, monkeypatch):
 
     grid, u0, (U_a, U_b, U_c), model, cfg, paths, _ = _warm_start_case(dim, "sine",
                                                                       "lift_boundary")
-    (ref,) = scheme.simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
-    (alone,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
-                                        shared_ref(ref.states, 1))
-    mixed = scheme.simulate_controls(u0, field_rows([U_c, U_b, U_a]), model, cfg, paths,
-                                     shared_ref(ref.states, 3))
+    (ref,) = simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
+    (alone,) = simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
+                                 shared_ref(ref.states, 1))
+    mixed = simulate_controls(u0, field_rows([U_c, U_b, U_a]), model, cfg, paths,
+                              shared_ref(ref.states, 3))
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 2 * 8 * band.ldab * band.m)  # 2 rows a chunk
-    chunked = scheme.simulate_controls(u0, field_rows([U_c, U_b]), model, cfg, paths,
-                                       shared_ref(ref.states, 2))
+    chunked = simulate_controls(u0, field_rows([U_c, U_b]), model, cfg, paths,
+                                shared_ref(ref.states, 2))
     assert np.array_equal(mixed[1].states, alone.states)
     assert np.array_equal(chunked[1].states, alone.states)
     # the reference's own control starts from its own solution
@@ -689,10 +688,10 @@ def test_trajectory_solve_is_an_accepted_march(dim, flux, projection, monkeypatc
     import plaplace_levy.scheme as scheme
 
     grid, u0, (U_a, U_b, U_c), model, cfg, paths, _ = _warm_start_case(dim, flux, projection)
-    (ref,) = scheme.simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
+    (ref,) = simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", 0)
-    marched = scheme.simulate_controls(u0, field_rows([U_b, U_c]), model, cfg, paths,
-                                       shared_ref(ref.states, 2))
+    marched = simulate_controls(u0, field_rows([U_b, U_c]), model, cfg, paths,
+                                shared_ref(ref.states, 2))
     taken, real = [], scheme._trajectories
     kernel = "dgttrf" if dim == 1 else "dgbtrf"  # the band kernel that factors
     factor, newton_iters = getattr(lapack, kernel), []
@@ -704,19 +703,19 @@ def test_trajectory_solve_is_an_accepted_march(dim, flux, projection, monkeypatc
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * grid.n_nodes)
     monkeypatch.setattr(scheme, "_trajectories", spy)
     monkeypatch.setattr(scheme, "_march", None)  # no row falls back to the march
-    mixed = scheme.simulate_controls(u0, field_rows([U_c, U_b, U_a]), model, cfg, paths,
-                                     shared_ref(ref.states, 3))
+    mixed = simulate_controls(u0, field_rows([U_c, U_b, U_a]), model, cfg, paths,
+                              shared_ref(ref.states, 3))
+    starts = control_starts(u0, field_rows([U_b]), cfg)  # the smoothing factors here
     monkeypatch.setattr(lapack, kernel, lambda *a, **k: newton_iters.append(1) or factor(*a, **k))
-    (alone,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
-                                        shared_ref(ref.states, 1))
+    (alone,) = scheme.simulate_runs(grid, starts, [paths], model, cfg, shared_ref(ref.states, 1))
     # Newton with the exact trajectory Jacobian from the shift predictor of a
     # control 1e-3 away: 3 iterations in every case (7 without the coupling
     # blocks, which would still converge)
     assert len(newton_iters) <= 4
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 2 * 8 * band.ldab * band.m * cfg.n_steps)
-    chunked = scheme.simulate_controls(u0, field_rows([U_c, U_b]), model, cfg, paths,
-                                       shared_ref(ref.states, 2))
+    chunked = simulate_controls(u0, field_rows([U_c, U_b]), model, cfg, paths,
+                                shared_ref(ref.states, 2))
     assert taken == [3 * len(paths), len(paths), 2, 2, 2]  # rows per call
     # bitwise alone, in a batch and in chunks
     assert np.array_equal(mixed[1].states, alone.states)
@@ -746,11 +745,11 @@ def test_kept_factors_match_fresh_factors_every_round(flux, projection, monkeypa
     factored, real = [], lapack.dgbtrf
     monkeypatch.setattr(lapack, "dgbtrf", lambda ab, *a, **k: factored.append(ab.shape[1])
                         or real(ab, *a, **k))
-    kept = scheme.simulate_controls(u0, field_rows(controls), model, cfg, paths)
+    kept = simulate_controls(u0, field_rows(controls), model, cfg, paths)
     n_kept = sum(factored)
     monkeypatch.setattr(scheme, "_LAG_CUT", -1.0)
     factored.clear()
-    fresh = scheme.simulate_controls(u0, field_rows(controls), model, cfg, paths)
+    fresh = simulate_controls(u0, field_rows(controls), model, cfg, paths)
     assert n_kept < sum(factored)
     for a, b in zip(kept, fresh):
         assert np.max(np.abs(a.states - b.states)) <= 10 * cfg.newton_tol
@@ -764,14 +763,14 @@ def test_above_the_trajectory_bound_rows_march(dim, monkeypatch):
 
     grid, u0, (U_a, U_b, _), model, cfg, paths, _ = _warm_start_case(dim, "sine",
                                                                     "lift_boundary")
-    (ref,) = scheme.simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
+    (ref,) = simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
     hat0 = scheme.prepare_initial(u0, U_b, cfg.effective_smoothing_dt, cfg.p).flat
     states, _ = scheme._march(grid, np.array([hat0] * len(paths)), model, cfg, paths,
                               np.zeros(len(paths), dtype=int), ref.states)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * grid.n_nodes - 1)
     monkeypatch.setattr(scheme, "_trajectories", None)
-    (run,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
-                                      shared_ref(ref.states, 1))
+    (run,) = simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
+                               shared_ref(ref.states, 1))
     assert np.array_equal(run.states, states)
     # the CI workflow's repeated optimize runs (sample_config.ini, 17 nodes a
     # path) at 4 and 8 paths lie on either side of the shipped bound
@@ -793,10 +792,10 @@ def test_trajectory_rows_that_fail_march_from_their_start(monkeypatch):
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(2))
     controls = [ControlParam(basis=basis, coeffs=c).build()
                 for c in ([0.1, -0.2], [1.0, 0.5], [50.0, -0.2])]
-    (ref,) = scheme.simulate_controls(u0, field_rows(controls[:1]), model, CFG, paths)
+    (ref,) = simulate_controls(u0, field_rows(controls[:1]), model, CFG, paths)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", 0)
-    marched = scheme.simulate_controls(u0, field_rows(controls[1:]), model, cfg, paths,
-                                       shared_ref(ref.states, 2))
+    marched = simulate_controls(u0, field_rows(controls[1:]), model, cfg, paths,
+                                shared_ref(ref.states, 2))
     assert isinstance(marched[1], scheme.NonConvergence)
     fell_back, real = [], scheme._march
 
@@ -806,8 +805,8 @@ def test_trajectory_rows_that_fail_march_from_their_start(monkeypatch):
 
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * GRID.n_nodes)
     monkeypatch.setattr(scheme, "_march", spy)
-    runs = scheme.simulate_controls(u0, field_rows(controls[1:]), model, cfg, paths,
-                                    shared_ref(ref.states, 2))
+    runs = simulate_controls(u0, field_rows(controls[1:]), model, cfg, paths,
+                             shared_ref(ref.states, 2))
     assert fell_back == [2 * len(paths)]
     assert np.array_equal(runs[0].states, marched[0].states)
     assert np.array_equal(runs[0].sums, marched[0].sums)
@@ -825,13 +824,13 @@ def test_singular_trajectory_block_sends_its_row_to_the_march(monkeypatch):
 
     grid, u0, (U_a, U_b, _), model, cfg, paths, _ = _warm_start_case(1, "sine",
                                                                     "clamp_boundary")
-    (ref,) = scheme.simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
+    (ref,) = simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", 0)
-    (marched,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
-                                          shared_ref(ref.states, 1))
+    (marched,) = simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
+                                   shared_ref(ref.states, 1))
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * grid.n_nodes)
-    (whole,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
-                                        shared_ref(ref.states, 1))
+    (whole,) = simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
+                                 shared_ref(ref.states, 1))
     real, m = lapack.dgttrf, grid.step_band.m  # the 1D band kernel
 
     def singular_once(*args, **kwargs):
@@ -846,9 +845,9 @@ def test_singular_trajectory_block_sends_its_row_to_the_march(monkeypatch):
     forward_solve = lapack.BandLU.forward_solve
     monkeypatch.setattr(lapack.BandLU, "forward_solve",
                         lambda lu, *a: solves.append(len(calls)) or forward_solve(lu, *a))
+    starts = control_starts(u0, field_rows([U_b]), cfg)  # the smoothing factors here
     monkeypatch.setattr(lapack, "dgttrf", singular_once)
-    (run,) = scheme.simulate_controls(u0, field_rows([U_b]), model, cfg, paths,
-                                      shared_ref(ref.states, 1))
+    (run,) = scheme.simulate_runs(grid, starts, [paths], model, cfg, shared_ref(ref.states, 1))
     assert calls[:2] == [3, 2]
     # one factorization per Newton round, the singular one included
     assert solves == list(range(1, len(solves) + 1))
@@ -871,7 +870,7 @@ def test_warm_start_cuts_optimize_line_searches(seed, monkeypatch):
     args = (cfg.build_levy(), sch, cfg.build_initial(grid), cfg.build_cost(grid, sch.n_steps),
             cfg.build_basis(grid), 1)
     calls = []
-    real_search, real_simulate = scheme._line_search, control.simulate_controls
+    real_search, real_simulate = scheme._line_search, control.simulate_runs
 
     def count(*a, **kw):
         calls.append(1)
@@ -881,7 +880,7 @@ def test_warm_start_cuts_optimize_line_searches(seed, monkeypatch):
     warm = saa_minimize(*args, budget=200, base_seed=seed)
     n_warm = len(calls)
     calls.clear()
-    monkeypatch.setattr(control, "simulate_controls", lambda *a: real_simulate(*a[:5]))
+    monkeypatch.setattr(control, "simulate_runs", lambda *a: real_simulate(*a[:5]))
     cold = saa_minimize(*args, budget=200, base_seed=seed)
     assert n_warm <= 0.65 * len(calls)
     assert warm.n_evaluations == cold.n_evaluations == 200
@@ -924,7 +923,7 @@ def test_affine_trajectories_are_predicted_exactly():
 @pytest.mark.parametrize("projection", ["clamp_boundary", "lift_boundary"])
 def test_predicted_state_0_is_each_candidates_start(projection):
     from plaplace_levy.control import affine_predictor, control_rows
-    from plaplace_levy.scheme import prepare_initial, simulate_controls
+    from plaplace_levy.scheme import prepare_initial
 
     grid, u0, _, model, cfg, paths, _ = _warm_start_case(1, "sine", projection)
     basis = sine_basis(grid, 2)
@@ -997,17 +996,17 @@ def test_row_with_its_own_ref_ignores_batch_and_chunking(dim, whole, monkeypatch
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES",
                         len(paths) * grid.n_nodes if whole else 0)
     anchors = np.array([[0.0, 0.0], [0.2, 0.0], [0.0, 0.2]])
-    runs = scheme.simulate_controls(u0, control_rows(basis, anchors), model, cfg, paths)
+    runs = simulate_controls(u0, control_rows(basis, anchors), model, cfg, paths)
     predict = affine_predictor([(x, run.states) for x, run in zip(anchors, runs)], 2)
     points = np.array([[0.1, 0.05], [0.25, -0.1], [-0.05, 0.15]])
     rows, ref = control_rows(basis, points), predict(points)
-    alone = [scheme.simulate_controls(u0, rows[i : i + 1], model, cfg, paths, ref[i : i + 1])[0]
+    alone = [simulate_controls(u0, rows[i : i + 1], model, cfg, paths, ref[i : i + 1])[0]
              for i in range(3)]
-    batch = scheme.simulate_controls(u0, rows, model, cfg, paths, ref)
+    batch = simulate_controls(u0, rows, model, cfg, paths, ref)
     band = grid.step_band
     per_row = band.ldab * band.m * (cfg.n_steps if whole else 1)
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 2 * 8 * per_row)  # 2 rows a chunk
-    chunked = scheme.simulate_controls(u0, rows[::-1], model, cfg, paths, ref[::-1])[::-1]
+    chunked = simulate_controls(u0, rows[::-1], model, cfg, paths, ref[::-1])[::-1]
     for one, a, b in zip(alone, batch, chunked):
         for run in (a, b):
             assert np.array_equal(run.states, one.states)
@@ -1027,11 +1026,11 @@ def test_one_row_of_a_tiny_1d_grid_solves_as_in_a_batch(n_cells):
     u0 = Field.from_function(grid, lambda x: 0.4 * np.sin(np.pi * x))
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(1))
     rows = np.array([0.1, 0.3, -0.2])[:, None] * np.ones(grid.n_nodes)
-    (ref,) = scheme.simulate_controls(u0, rows[:1], model, cfg, paths)
+    (ref,) = simulate_controls(u0, rows[:1], model, cfg, paths)
     for refs in (None, shared_ref(ref.states, 3)):  # march, whole trajectories
-        batch = scheme.simulate_controls(u0, rows, model, cfg, paths, refs)
+        batch = simulate_controls(u0, rows, model, cfg, paths, refs)
         for i, run in enumerate(batch):
-            (alone,) = scheme.simulate_controls(u0, rows[i : i + 1], model, cfg, paths,
-                                                None if refs is None else refs[i : i + 1])
+            (alone,) = simulate_controls(u0, rows[i : i + 1], model, cfg, paths,
+                                         None if refs is None else refs[i : i + 1])
             assert np.array_equal(alone.states, run.states)
             assert np.array_equal(alone.sums, run.sums)

@@ -369,7 +369,6 @@ def test_verify_study_solves_each_path_row_once(monkeypatch):
     monkeypatch.setattr(scheme, "_march", spy_march)
     monkeypatch.setattr(estimates, "dual_norm_estimates", spy_dual)
     monkeypatch.setattr(scheme, "_newton", spy_newton)
-    monkeypatch.setattr(scheme, "_SMOOTHED", {})  # so both data are smoothed here
     results, _ = estimates.verify_study(U0, UCTL, reference_model(), CFG, 50, 0)
     assert seen["march"] == [[50, 20, 50]]
     assert seen["newton"] == [2] + [120] * CFG.n_steps and CFG.n_steps == 16

@@ -15,11 +15,12 @@ from plaplace_levy import (
     eta_sine,
     eta_zero,
     generate_ensemble,
-    initial_smoothing,
+    initial_smoothings,
     l2_norm,
     linear_flux,
     lp_grad_norm,
     prepare_initial,
+    project_control,
     sample_prms,
     simulate_paths,
     sine_flux,
@@ -46,7 +47,7 @@ def zero_model():
 # independent convex-energy oracle (1D, zero convection flux): see _oracles
 
 from _oracles import (field_rows, grad_ops, l2_inner, oracle_energy, oracle_gradient,
-                      oracle_minimize, state_fields, step_solve)
+                      oracle_minimize, simulate_controls, state_fields, step_solve)
 from plaplace_levy.scheme import _conv_residual, _StepSolver
 
 
@@ -252,7 +253,7 @@ def test_prepare_initial_zero():
     grid = Grid(1, 8)
     out = prepare_initial(Field.zeros(grid), Field.zeros(grid), 0.1, 3)
     assert np.all(out.values == 0.0)
-    rep = initial_smoothing(Field.zeros(grid), 0.1, 3)
+    (rep,) = initial_smoothings([Field.zeros(grid)], 0.1, 3)
     assert rep["lhs"] == 0.0 and rep["rhs"] == 0.0
 
 
@@ -260,10 +261,10 @@ def test_initial_estimate_random_fields():
     rng = np.random.default_rng(23)
     grid = Grid(1, 16)
     for p in (3.0, 4.0):
-        for _ in range(15):
-            u0 = Field(grid, rng.normal(size=grid.node_shape), "free_boundary")
-            rep = initial_smoothing(u0, 0.05, p)
-            assert rep["satisfied"], (rep["lhs"], rep["rhs"])
+        data = [Field(grid, rng.normal(size=grid.node_shape), "free_boundary") for _ in range(15)]
+        for rep in initial_smoothings(data, 0.05, p):
+            assert not isinstance(rep, NonConvergence), rep
+            assert rep["lhs"] <= rep["rhs"] + rep["slack"], (rep["lhs"], rep["rhs"])
 
 
 def test_initial_smoothing_converges_as_dt_shrinks():
@@ -271,7 +272,7 @@ def test_initial_smoothing_converges_as_dt_shrinks():
     u0 = Field.from_function(grid, lambda x: np.sin(np.pi * x) + 0.4 * np.sin(2 * np.pi * x))
     errs = []
     for dt in (1e-1, 1e-2, 1e-3, 1e-4):
-        rep = initial_smoothing(u0, dt, 3)
+        (rep,) = initial_smoothings([u0], dt, 3)
         errs.append(l2_norm(rep["smoothed"] - u0.clamp_boundary()))
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 0.05 * errs[0] + 1e-12
@@ -284,7 +285,7 @@ def test_initial_smoothing_monotone_for_incompatible_trace():
     u0 = Field(grid, np.full(grid.node_shape, 0.5), "free_boundary")
     errs = []
     for dt in (1e-1, 1e-2, 1e-3, 1e-4):
-        rep = initial_smoothing(u0, dt, 3)
+        (rep,) = initial_smoothings([u0], dt, 3)
         errs.append(l2_norm(rep["smoothed"] - u0.clamp_boundary()))
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
@@ -616,41 +617,23 @@ def test_single_interior_unknown_steps(dim, flux_kind):
 
 
 # ---------------------------------------------------------------------------
-# memoized initial smoothing
+# smoothing failures
 
 
-def test_prepare_initial_memo_is_bitwise_fresh_solve(monkeypatch):
-    import plaplace_levy.scheme as scheme
-
+def test_prepare_initial_raises_its_smoothing_failure():
+    # amplitude 1e6 leaves the smoothing's residual far above its 1e-12
+    # tolerance after 60 iterations; simulate_paths raises the same error
     grid = Grid(1, 16)
-    u0 = pinned_u0_1d(grid)
-    U = Field.from_function(grid, lambda x: 0.2 * np.sin(2 * np.pi * x), "free_boundary")
-    fresh = initial_smoothing(u0, 0.03, 3.0)["smoothed"] + U
-    first = prepare_initial(u0, U, 0.03, 3.0)
-    solves = []
-    smoothings = scheme._smoothings
-    monkeypatch.setattr(scheme, "_smoothings", lambda data, *a: solves.append(len(data))
-                        or smoothings(data, *a))
-    again = prepare_initial(u0.copy(), U, 0.03, 3.0)
-    assert solves == []
-    assert np.array_equal(first.values, fresh.values)
-    assert np.array_equal(again.values, fresh.values)
-    assert again.space_tag == fresh.space_tag
-
-    changed = u0.values.copy()
-    changed[5] += 1e-3
-    u1 = Field(grid, changed)
-    out = prepare_initial(u1, U, 0.03, 3.0)
-    assert solves == [1]
-    assert np.array_equal(out.values, (initial_smoothing(u1, 0.03, 3.0)["smoothed"] + U).values)
-
-
-def test_prepare_initial_failures_are_not_cached():
-    grid = Grid(1, 16)
-    u0 = pinned_u0_1d(grid)
-    for _ in range(2):
-        with pytest.raises(NonConvergence):
-            prepare_initial(u0, Field.zeros(grid), 0.03, 3.0, max_iters=1)
+    u0 = Field.from_function(grid, lambda x: 1e6 * np.sin(2 * np.pi * x))
+    with pytest.raises(NonConvergence) as exc:
+        prepare_initial(u0, Field.zeros(grid), 0.03, 3.0)
+    assert str(exc.value).startswith("initial smoothing: step solver exhausted 60 iterations")
+    assert (exc.value.step, exc.value.seed) == (None, None)
+    cfg = SchemeConfig(p=3.0, dt=0.03, n_steps=2, flux=zero_flux(1))
+    model = reference_model()
+    with pytest.raises(NonConvergence) as run:
+        simulate_paths(u0, Field.zeros(grid), model, cfg, sample_prms(model, cfg.dt, 2, [0]))
+    assert str(run.value) == str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -846,7 +829,7 @@ def test_failing_row_stops_the_later_rows_of_its_control(monkeypatch):
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 8 * band.ldab * band.m)
     monkeypatch.setattr(scheme, "_march", spy)
-    runs = scheme.simulate_controls(u0, field_rows([U, U]), model, cfg, [paths[s] for s in (3, 9)])
+    runs = simulate_controls(u0, field_rows([U, U]), model, cfg, [paths[s] for s in (3, 9)])
     assert marched == [(0, 3), (1, 3)]
     assert [(r.seed, r.step) for r in runs] == [(3, 1), (3, 1)]
 
@@ -932,7 +915,7 @@ def test_each_run_of_a_multi_run_solve_equals_its_own_call(dim, monkeypatch):
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 4 * 8 * band.ldab * band.m)  # 4 rows a chunk
     monkeypatch.setattr(scheme, "_march", spy)
-    stacked = scheme.simulate_runs(runs, model, cfg)
+    stacked = scheme.simulate_runs(grid, run_starts(runs, cfg), [ps for *_, ps in runs], model, cfg)
     assert [len(c) for c in chunks] == [4] * (sum(len(ps) for *_, ps in runs) // 4) + [1]
     assert any(len(set(c)) > 1 for c in chunks)
     for run, own in zip(stacked, alone):
@@ -941,12 +924,18 @@ def test_each_run_of_a_multi_run_solve_equals_its_own_call(dim, monkeypatch):
         assert run.paths == own.paths
 
 
+def run_starts(runs, cfg):
+    """The `simulate_runs` starts of runs (u0, U, paths): each datum's own
+    `prepare_initial` plus its projected control, as `simulate_paths` forms
+    its start."""
+    return np.array([prepare_initial(u, project_control(V, cfg.control_projection),
+                                     cfg.effective_smoothing_dt, cfg.p).flat for u, V, _ in runs])
+
+
 def test_multi_run_failure_stays_in_its_run(monkeypatch):
     # the setup of test_batch_failure_reports_first_failing_path: from
     # 2 sin(pi x), seed 9 fails at step 3 and seed 3 at step 1, so the run
-    # (9, 4, 3, 10) fails with seed 9; smaller data converges on every seed,
-    # and a run whose initial smoothing fails (amplitude 1e6 leaves its
-    # residual far above 1e-12 after 60 iterations) gets that error and no rows
+    # (9, 4, 3, 10) fails with seed 9; smaller data converges on every seed
     import plaplace_levy.scheme as scheme
 
     grid = Grid(1, 12)
@@ -954,88 +943,87 @@ def test_multi_run_failure_stays_in_its_run(monkeypatch):
     cfg = SchemeConfig(p=4.0, dt=0.1, n_steps=8, flux=zero_flux(1), newton_max_iters=5)
     u0 = Field.from_function(grid, lambda x: 2 * np.sin(np.pi * x))
     small = Field.from_function(grid, lambda x: 0.2 * np.sin(np.pi * x))
-    unsmoothed = Field.from_function(grid, lambda x: 1e6 * np.sin(2 * np.pi * x))
     U = Field.zeros(grid, "free_boundary")
     paths = sample_prms(model, cfg.dt, cfg.n_steps, (9, 4, 3, 10))
     with pytest.raises(NonConvergence) as exc:
         simulate_paths(u0, U, model, cfg, paths)
     expected = exc.value
     assert (expected.seed, expected.step) == (9, 3)
-    runs = [(small, U, paths), (unsmoothed, U, paths), (u0, U, paths), (small, U, paths[:2])]
+    runs = [(small, U, paths), (u0, U, paths), (small, U, paths[:2])]
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 3 * 8 * band.ldab * band.m)  # 3 rows a chunk
-    first, smoothing, failed, last = scheme.simulate_runs(runs, model, cfg)
-    assert isinstance(smoothing, NonConvergence)
-    assert str(smoothing).startswith("initial smoothing: step solver exhausted 60 iterations")
+    first, failed, last = scheme.simulate_runs(grid, run_starts(runs, cfg),
+                                               [ps for *_, ps in runs], model, cfg)
     assert isinstance(failed, NonConvergence)
     assert (failed.seed, failed.step, failed.residual, str(failed)) == (
         expected.seed, expected.step, expected.residual, str(expected))
-    for run, (u, V, ps) in ((first, runs[0]), (last, runs[3])):
+    for run, (u, V, ps) in ((first, runs[0]), (last, runs[2])):
         own = simulate_paths(u, V, model, cfg, ps)
         assert np.array_equal(run.states, own.states) and np.array_equal(run.sums, own.sums)
 
 
+def test_simulate_runs_rejects_bad_starts_and_refs():
+    import plaplace_levy.scheme as scheme
+
+    grid = Grid(1, 8)
+    cfg = SchemeConfig(p=3.0, dt=1 / 16, n_steps=2, flux=zero_flux(1))
+    model = reference_model()
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(2))
+    starts = np.zeros((2, grid.n_nodes))
+    starts[1, 3] = np.nan
+    with pytest.raises(ValueError, match="field values must be finite"):
+        scheme.simulate_runs(grid, starts, [paths, paths], model, cfg)
+    starts[1, 3] = 0.0
+    ref = np.zeros((2, 2, cfg.n_steps + 1, grid.n_nodes))
+    with pytest.raises(ValueError, match="one trajectory set per run"):
+        scheme.simulate_runs(grid, starts, [paths, paths[:1]], model, cfg, ref[:, :1])
+    with pytest.raises(ValueError, match="one trajectory set per run"):
+        scheme.simulate_runs(grid, starts, [paths, paths], model, cfg, ref[:1])
+    assert len(scheme.simulate_runs(grid, starts, [paths, paths], model, cfg, ref)) == 2
+
+
 @pytest.mark.parametrize("dim", [1, 2])
-def test_batched_smoothing_is_bitwise_each_datum_and_fills_the_memo(dim, monkeypatch):
-    # simulate_runs smooths its distinct data in one _newton call of one row
-    # each; every row equals that datum's own initial_smoothing bitwise, and
-    # later prepare_initial calls read the memo without another solve
+def test_batched_smoothing_is_bitwise_each_datum(dim, monkeypatch):
+    # initial_smoothings solves its data in one _newton call of one row
+    # each, and every row equals that datum's own smoothing bitwise
     import plaplace_levy.scheme as scheme
 
     grid = Grid(dim, 16 if dim == 1 else 6)
     rng = np.random.default_rng(11)
     data = [zb(grid, rng, scale) for scale in (0.2, 1.0, 3.0)]
-    cfg = SchemeConfig(p=3.0, dt=1 / 16, n_steps=2, flux=zero_flux(dim))
-    model = reference_model()
-    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(2))
-    U = Field.zeros(grid, "free_boundary")
     calls = []
     newton = scheme._newton
-    monkeypatch.setattr(scheme, "_SMOOTHED", {})
-    monkeypatch.setattr(scheme, "_newton", lambda solver, v, *a: calls.append(
-        (solver.dt, len(v))) or newton(solver, v, *a))
-    runs = scheme.simulate_runs([(u, U, paths) for u in (*data, data[1])], model, cfg)
-    smoothing_calls = [c for c in calls if c[0] == cfg.p * cfg.dt]
-    assert smoothing_calls == [(cfg.p * cfg.dt, 3)]
-    calls.clear()
-    for u, run in zip(data, runs):
-        own = initial_smoothing(u, cfg.dt, cfg.p)["smoothed"]
-        assert np.array_equal(run.states[0, 0], own.flat)
-        assert np.array_equal(prepare_initial(u, U, cfg.dt, cfg.p).values, (own + U).values)
-    assert len(calls) == len(data)  # the initial_smoothing oracles only
-    assert np.array_equal(runs[3].states, runs[1].states)
+    monkeypatch.setattr(scheme, "_newton", lambda solver, v, *a: calls.append(len(v))
+                        or newton(solver, v, *a))
+    reports = initial_smoothings(data, 1 / 16, 3.0)
+    assert calls == [3]
+    U = Field.zeros(grid, "free_boundary")
+    for u, rep in zip(data, reports):
+        (own,) = initial_smoothings([u], 1 / 16, 3.0)
+        assert np.array_equal(rep["smoothed"].values, own["smoothed"].values)
+        assert (rep["lhs"], rep["rhs"], rep["slack"]) == (own["lhs"], own["rhs"], own["slack"])
+        assert np.array_equal(prepare_initial(u, U, 1 / 16, 3.0).values, (own["smoothed"] + U).values)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_failed_smoothing_stays_in_its_run(dim, monkeypatch):
-    # data of amplitude 1e6 exhaust the smoothing's 60 iterations: that run
-    # alone gets the NonConvergence of `initial_smoothing`, the batch's
-    # other data are smoothed and marched as alone, and only the
-    # successes are memoized
-    import plaplace_levy.scheme as scheme
-
+def test_failed_smoothing_stays_in_its_datum(dim):
+    # data of amplitude 1e6 exhaust the smoothing's 60 iterations: that
+    # datum alone gets the NonConvergence its own smoothing gives, and the
+    # batch's other data are smoothed as alone
     grid = Grid(dim, 12 if dim == 1 else 6)
     shape = (lambda x: np.sin(2 * np.pi * x)) if dim == 1 else (
         lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y))
     good = Field.from_function(grid, lambda *x: 0.5 * shape(*x))
     bad = Field.from_function(grid, lambda *x: 1e6 * shape(*x))
-    cfg = SchemeConfig(p=3.0, dt=1 / 16, n_steps=3, flux=sine_flux([0.4, -0.2][:dim]))
-    model = reference_model()
-    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(3))
-    U = Field.zeros(grid, "free_boundary")
     with pytest.raises(NonConvergence) as exc:
-        initial_smoothing(bad, cfg.dt, cfg.p)
-    monkeypatch.setattr(scheme, "_SMOOTHED", {})
-    first, failed, last = scheme.simulate_runs(
-        [(good, U, paths), (bad, U, paths), (0.5 * good, U, paths[:1])], model, cfg)
+        prepare_initial(bad, Field.zeros(grid), 1 / 16, 3.0)
+    first, failed, last = initial_smoothings([good, bad, 0.5 * good], 1 / 16, 3.0)
     assert isinstance(failed, NonConvergence)
     assert (str(failed), failed.residual) == (str(exc.value), exc.value.residual)
     assert str(failed).startswith("initial smoothing: step solver exhausted 60 iterations")
-    assert len(scheme._SMOOTHED) == 2
-    for run, (u, ps) in ((first, (good, paths)), (last, (0.5 * good, paths[:1]))):
-        assert np.array_equal(run.states, simulate_paths(u, U, model, cfg, ps).states)
-    with pytest.raises(NonConvergence):
-        simulate_paths(bad, U, model, cfg, paths)
+    for rep, u in ((first, good), (last, 0.5 * good)):
+        (own,) = initial_smoothings([u], 1 / 16, 3.0)
+        assert np.array_equal(rep["smoothed"].values, own["smoothed"].values)
 
 
 @pytest.mark.parametrize("measure", ["point", "invsq"])
@@ -1087,7 +1075,6 @@ def test_ensemble_sums_equal_a_step_by_step_accumulation(case, monkeypatch):
     # its previous state
     import plaplace_levy.scheme as scheme
     from _oracles import martingale_sums, shared_ref
-    from plaplace_levy.scheme import simulate_controls
 
     if case == "march_2d_sine":
         grid = Grid(2, 6)
