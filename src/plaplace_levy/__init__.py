@@ -10,7 +10,6 @@ from .grid import (
     Grid,
     GridMismatchError,
     dual_norm_estimates,
-    l1_norm,
     l2_norm,
     lp_grad_norm,
     w1p_norm,
@@ -49,7 +48,7 @@ from .estimates import (
     IsometryReport,
     ScalingReport,
     UniquenessReport,
-    aldous_scaling,
+    aldous_scalings,
     apriori_check,
     generate_ensemble,
     interp_gap_scaling,
@@ -57,7 +56,6 @@ from .estimates import (
     uniqueness_check,
 )
 from .control import (
-    ControlParam,
     CostSpec,
     SAAResult,
     constant_target,

@@ -9,9 +9,11 @@ example `fitted_C` when the data size ||u0||^2 + ||U||^p underflows to 0).
 
 Exit codes: 0 success, 1 checks failed (a `verify` check or the `converge`
 report's `passed`), 2 invalid config or an unusable output directory, 3
-step-solver failure.  `simulate` solves all its paths as one batch before
-it writes any, so when a path fails no path CSV is written, not even those
-of the paths before it.
+step-solver failure.  The config, with what the command needs of it, is
+checked before the output directory is made, so a config error leaves no
+directory.  `simulate` solves all its paths as one batch before it writes
+any, so when a path fails no path CSV is written, not even those of the
+paths before it.
 
 Output schemas (all JSON objects carry ``schema_version``):
 
@@ -66,7 +68,6 @@ from .estimates import (
     apriori_check,
     converge_study,
     generate_ensemble,
-    theta_ladder,
     verify_study,
 )
 from .scheme import NonConvergence
@@ -114,8 +115,6 @@ def _ensure_out(cfg: RunConfig, override: str = None) -> str:
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
-    if cfg.n_paths < 2:
-        raise ConfigError("simulate needs [run] n_paths >= 2 for ensemble statistics")
     grid = cfg.build_grid()
     scheme = cfg.build_scheme(grid.dim)
     u0 = cfg.build_initial(grid)
@@ -149,12 +148,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str) -> int:
-    if cfg.n_paths < 2:
-        raise ConfigError("verify needs [run] n_paths >= 2 for ensemble statistics")
     grid = cfg.build_grid()
     scheme = cfg.build_scheme(grid.dim)
-    if len(theta_ladder(scheme)) < 4:
-        raise ConfigError("scheme too short for increment scaling (needs n_steps >= 6)")
     results, all_passed = verify_study(
         cfg.build_initial(grid), cfg.build_control(grid), cfg.build_levy(), scheme,
         cfg.n_paths, cfg.seed,
@@ -175,12 +170,9 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
     scheme = cfg.build_scheme(grid.dim)
     model = cfg.build_levy()
     u0 = cfg.build_initial(grid)
-    basis = cfg.build_basis(grid)
-    if not basis:
-        raise ConfigError("optimize needs a nonempty control basis")
     spec = cfg.build_cost(grid, scheme.n_steps)
     result = saa_minimize(
-        model, scheme, u0, spec, basis, n_paths=cfg.n_paths, budget=200,
+        model, scheme, u0, spec, cfg.build_basis(grid), n_paths=cfg.n_paths, budget=200,
         base_seed=cfg.seed,
     )
     payload = {"command": "optimize", **asdict(result)}
@@ -195,20 +187,10 @@ def cmd_optimize(cfg: RunConfig, out_dir: str) -> int:
 def cmd_converge(cfg: RunConfig, out_dir: str) -> int:
     grid = cfg.build_grid()
     scheme = cfg.build_scheme(grid.dim)
-    model = cfg.build_levy()
-    sweep = cfg.get("converge", "sweep")
-    probe = cfg.get("converge", "probe")
-    values = cfg.converge_values()
-    # RunConfig.validate has checked each value; these needs are converge's own
-    if len(values) < 2 or len(set(values)) < len(values):
-        raise ConfigError("[converge] values needs at least two distinct sweep points")
-    if sweep == "eps" and model.density is None:
-        raise ConfigError("eps sweep needs a density measure")
-    if sweep == "dt" and probe == "self" and model.total_mass > 0 and not model.eta_is_zero:
-        raise ConfigError("converge probe 'self' requires eta = zero")
+    sweep, probe, values, refine = cfg.converge_spec()
     rep = converge_study(
-        cfg.build_initial(grid), cfg.build_control(grid), model, scheme, sweep, probe,
-        values, cfg._int("converge", "ref_refine"), cfg.n_paths, cfg.seed,
+        cfg.build_initial(grid), cfg.build_control(grid), cfg.build_levy(), scheme, sweep,
+        probe, values, refine, cfg.n_paths, cfg.seed,
     )
     payload = {"command": "converge", "sweep": sweep, **asdict(rep)}
     _write_json(os.path.join(out_dir, "converge_report.json"), payload)

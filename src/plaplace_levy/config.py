@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .control import (ControlParam, CostSpec, constant_target, psi_l2, psi_zero, search_batches,
+from .control import (CostSpec, constant_target, control_rows, psi_l2, psi_zero, search_batches,
                       sine_basis)
-from .estimates import _VERIFY_ISOMETRY_SAMPLES
+from .estimates import _VERIFY_ISOMETRY_SAMPLES, theta_ladder
 from .grid import FREE_BOUNDARY, Field, Grid, l2_norm, w1p_norm
 from .levy import LevyModel, eta_linear, eta_sine, eta_zero
 from .scheme import _BAND_BUDGET, FluxModel, SchemeConfig, zero_flux
@@ -221,21 +221,14 @@ class RunConfig:
     def build_initial(self, grid: Grid) -> Field:
         return _parse_field(self.get("initial", "u0"), grid, "zero_boundary")
 
-    def basis_size(self) -> int:
-        """The number of functions in the [initial] basis, without building
-        them (0 for none and for an unknown kind, which `build_basis` rejects)."""
-        kind, _, arg = self.get("initial", "basis").partition(":")
-        if kind != "sine":
-            return 0
-        return _number(arg, "[initial] basis size", int) if arg else 2
-
     def build_basis(self, grid: Grid) -> list:
-        kind = self.get("initial", "basis").partition(":")[0]
+        kind, _, arg = self.get("initial", "basis").partition(":")
         if kind == "none":
             return []
         if kind == "sine":
+            size = _number(arg, "[initial] basis size", int) if arg else 2
             try:
-                return sine_basis(grid, self.basis_size())
+                return sine_basis(grid, size)
             except ValueError as err:
                 raise ConfigError(f"[initial] basis: {err}")
         raise ConfigError(f"unknown control basis {kind!r}")
@@ -249,10 +242,9 @@ class RunConfig:
             raise ConfigError(
                 f"control_coeffs has {len(coefs)} entries, basis has {len(basis)}"
             )
-        try:
-            return ControlParam(basis, coefs).build()
-        except ValueError as err:
-            raise ConfigError(f"[initial] control_coeffs: {err}")
+        # a sine basis is orthogonal, so it passes `check_basis`
+        return Field(grid, control_rows(basis, np.array([coefs]))[0].reshape(grid.node_shape),
+                     FREE_BOUNDARY)
 
     def build_cost(self, grid: Grid, n_steps: int) -> CostSpec:
         tar = _parse_field(self.get("cost", "u_tar"), grid, "zero_boundary")
@@ -282,21 +274,29 @@ class RunConfig:
     def out_dir(self) -> str:
         return self.get("run", "out_dir")
 
-    def converge_values(self) -> list:
-        return _parse_floats(self.get("converge", "values"), "[converge] values")
+    def converge_spec(self) -> tuple:
+        """(sweep, probe, values, ref_refine) of [converge]."""
+        return (self.get("converge", "sweep"), self.get("converge", "probe"),
+                _parse_floats(self.get("converge", "values"), "[converge] values"),
+                self._int("converge", "ref_refine"))
 
     def validate(self, command: str = None) -> "RunConfig":
-        """Check the whole config; the run-size bound counts what `command`
-        holds (None: the most any command holds)."""
+        """Check the whole config and what `command` (None: any command)
+        needs of it; the run-size bound counts what `command` holds (None:
+        the most any command holds)."""
         grid = self.build_grid()
         scheme = self.build_scheme(grid.dim)
         model = self.build_levy()
         if self.n_paths < 1:
             raise ConfigError("[run] n_paths must be >= 1")
-        candidates = search_batches(self.n_paths, grid.n_nodes, self.basis_size())[1]
-        check_run_size(self.n_paths, scheme.n_steps, grid, model, scheme.dt,
-                       "[scheme] n_steps", "[levy] measure", command, candidates,
-                       self.basis_size() + 1)
+        size = (self.n_paths, scheme.n_steps, grid, model, scheme.dt, "[scheme] n_steps",
+                "[levy] measure", command)
+        # the bound of the smallest basis, which rejects a run too large to
+        # hold before the basis is built, then that of the basis
+        check_run_size(*size)
+        basis = self.build_basis(grid)
+        check_run_size(*size, search_batches(self.n_paths, grid.n_nodes, len(basis))[1],
+                       len(basis) + 1)
         initial = {"u0": self.build_initial(grid), "control_coeffs": self.build_control(grid)}
         for key, f in initial.items():
             with np.errstate(over="ignore"):
@@ -306,25 +306,32 @@ class RunConfig:
                     f"A1 violated: [initial] {key} gives data whose L2 or W^1,p norm is not finite"
                 )
         self.build_cost(grid, scheme.n_steps)
-        self._validate_converge(grid, scheme, model)
+        self._validate_converge(grid, scheme, model, command)
+        if command in ("simulate", "verify") and self.n_paths < 2:
+            raise ConfigError(f"{command} needs [run] n_paths >= 2 for ensemble statistics")
+        if command == "verify" and len(theta_ladder(scheme)) < 4:
+            raise ConfigError("scheme too short for increment scaling (needs n_steps >= 6)")
+        if command == "optimize" and not basis:
+            raise ConfigError("optimize needs a nonempty control basis")
         return self
 
-    def _validate_converge(self, grid: Grid, scheme: SchemeConfig, model: LevyModel) -> None:
+    def _validate_converge(self, grid: Grid, scheme: SchemeConfig, model: LevyModel,
+                           command: str) -> None:
         """Each given [converge] value must make a runnable study: a dt must
         divide T (the sweep runs round(T / dt) steps, so the horizons must
         agree), and each run of the study must fit MAX_RUN_VALUES: at each dt
         and the self probe's reference dt, or at each eps and the reference
-        eps (min(values) / ref_refine)."""
-        sweep, probe = self.get("converge", "sweep"), self.get("converge", "probe")
+        eps (min(values) / ref_refine).  The converge command also needs two
+        distinct values, a density measure to sweep eps, and eta = zero for
+        the self probe."""
+        sweep, probe, values, refine = self.converge_spec()
         if sweep not in ("dt", "eps"):
             raise ConfigError(f"[converge] sweep must be dt or eps, got {sweep!r}")
         if probe not in ("gap", "self"):
             raise ConfigError(f"[converge] probe must be gap or self, got {probe!r}")
-        refine = self._int("converge", "ref_refine")
         if refine < 2:
             # the reference run must be strictly finer than every sweep point
             raise ConfigError(f"[converge] ref_refine must be >= 2, got {refine}")
-        values = self.converge_values()
         if sweep == "dt":
             for dt in values:
                 n = scheme.T / dt if dt > 0 else 0.0
@@ -347,6 +354,14 @@ class RunConfig:
                     raise ConfigError(f"[converge] values: eps = {eps!r}: {err}")
                 check_run_size(self.n_paths, scheme.n_steps, grid, eps_model, scheme.dt,
                                "[scheme] n_steps", "[converge] values", "converge")
+        if command != "converge":
+            return
+        if len(values) < 2 or len(set(values)) < len(values):
+            raise ConfigError("[converge] values needs at least two distinct sweep points")
+        if sweep == "eps" and model.density is None:
+            raise ConfigError("eps sweep needs a density measure")
+        if sweep == "dt" and probe == "self" and model.total_mass > 0 and not model.eta_is_zero:
+            raise ConfigError("converge probe 'self' requires eta = zero")
 
 
 def _parse_floats(text: str, what: str) -> list:

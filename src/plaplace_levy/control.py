@@ -25,8 +25,7 @@ import numpy as np
 from .grid import (FREE_BOUNDARY, Field, Grid, GridMismatchError, _l2_norms, _lp_grad_pows,
                    nodal_weights)
 from .levy import LevyModel, sample_prms
-from .scheme import (CLAMP_BOUNDARY, Ensemble, NonConvergence, SchemeConfig, prepare_initial,
-                     simulate_runs)
+from .scheme import CLAMP_BOUNDARY, Ensemble, SchemeConfig, prepare_initial, simulate_runs
 
 
 def psi_zero() -> tuple:
@@ -74,21 +73,18 @@ def constant_target(grid: Grid, n_steps: int, value_field: Field = None) -> list
     return [f] * (n_steps + 1)
 
 
-def cost_J(ensemble, U, spec: CostSpec, p: float):
-    """Sample-average cost of a control U over its ensemble: (total, parts)
-    with parts = {tracking, control, terminal}.  Given control rows U
-    (k, n_nodes) and a list of k ensembles of one scheme configuration, one
-    per row, it returns one (total, parts) per row from one pass over their
-    stacked states; a Field is the one-row case.  Each path's tracking sum
-    runs in step order, the paths' sums and payoffs add in path order, and
-    each row's W^{1,p} norm is finished on Python floats as `w1p_norm` does."""
-    if isinstance(U, Field):
-        return cost_J([ensemble], U.flat[None], spec, p)[0]
-    if len(ensemble) != len(U):
+def cost_J(ensembles: list, U: np.ndarray, spec: CostSpec, p: float) -> list:
+    """Sample-average cost of each control row of U (k, n_nodes) over its
+    ensemble of `ensembles`, k ensembles of one scheme configuration: one
+    (total, parts) per row, parts = {tracking, control, terminal}, from one
+    pass over their stacked states.  Each path's tracking sum runs in step
+    order, the paths' sums and payoffs add in path order, and each row's
+    W^{1,p} norm is finished on Python floats as `w1p_norm` does."""
+    if len(ensembles) != len(U):
         raise ValueError("cost_J needs one ensemble per control row")
-    if not all(len(run) for run in ensemble):
+    if not all(len(run) for run in ensembles):
         raise ValueError("empty ensemble")
-    cfg, grid = ensemble[0].config, ensemble[0].grid
+    cfg, grid = ensembles[0].config, ensembles[0].grid
     if len(spec.u_tar) != cfg.n_steps + 1:
         raise ValueError("target profile does not match the scheme time grid")
     if spec.u_tar[0].grid != grid:
@@ -96,13 +92,13 @@ def cost_J(ensemble, U, spec: CostSpec, p: float):
     if p <= 1:
         raise ValueError(f"p must be > 1, got {p}")
     targets = np.array([f.flat for f in spec.u_tar[1:]]).reshape(cfg.n_steps, grid.n_nodes)
-    states = np.concatenate([run.states for run in ensemble])
+    states = np.concatenate([run.states for run in ensembles])
     # dt l2_norm(u(t_{k+1}) - u_tar(t_{k+1}))^2 per path and step
     sq = (cfg.dt * _l2_norms(grid, states[:, 1:] - targets) ** 2).tolist()
     scores = spec.payoff(grid, states[:, -1]).tolist()
     nodal = np.sum(np.abs(U) ** p * nodal_weights(grid), axis=-1).tolist()
     out, stop = [], 0
-    for run, nodal_sum, grad in zip(ensemble, nodal, _lp_grad_pows(grid, U, p).tolist()):
+    for run, nodal_sum, grad in zip(ensembles, nodal, _lp_grad_pows(grid, U, p).tolist()):
         start, stop = stop, stop + len(run)
         tracking = terminal = 0.0
         for row in sq[start:stop]:
@@ -136,26 +132,6 @@ def control_rows(basis: list, points: np.ndarray) -> np.ndarray:
     for j, phi in enumerate(basis):
         rows = rows + points[:, j, None] * phi.flat
     return rows
-
-
-@dataclass
-class ControlParam:
-    """Control U = sum_j coeffs[j] * basis[j] in a fixed free-boundary
-    basis; the basis must pass `check_basis`."""
-
-    basis: list
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if len(self.basis) != len(self.coeffs):
-            raise ValueError("coefficient count must match basis size")
-        check_basis(self.basis)
-
-    def build(self) -> Field:
-        grid = self.basis[0].grid
-        vals = control_rows(self.basis, self.coeffs[None])
-        return Field(grid, vals.reshape(grid.node_shape), FREE_BOUNDARY)
 
 
 _MODES_2D = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1))
@@ -374,7 +350,9 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     random numbers and restarts from the incumbent with a shrinking simplex.
 
     The zero control is always evaluated, so best_J <= J(0).  A candidate
-    whose path solve diverges scores +inf and the search continues.
+    whose path solve diverges scores +inf and the search continues, unless
+    no candidate of the search's first solve call converges: then the
+    NonConvergence of its first candidate, U = 0, is raised.
 
     The search is `nelder_mead`: it visits the candidates scipy's
     Nelder-Mead would, and solves each batch of candidates (x common seed)
@@ -415,7 +393,7 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     # common random numbers: each seed's jump path serves every candidate
     paths = sample_prms(model, cfg.dt, cfg.n_steps, seeds)
     speculate = search_batches(n_paths, u0.grid.n_nodes, dim)[0]
-    smoothed = prepare_initial(u0, 0.0, cfg.effective_smoothing_dt, cfg.p)  # nodal values
+    smoothed = prepare_initial(u0, 0.0, cfg.dt, cfg.p)  # nodal values
     clamp = u0.grid.boundary_mask if cfg.control_projection == CLAMP_BOUNDARY else None
 
     history = []
@@ -441,6 +419,8 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
         runs = simulate_runs(u0.grid, starts, [paths] * len(rows), model, cfg,
                              state["predict"](points))
         good = [i for i, run in enumerate(runs) if isinstance(run, Ensemble)]
+        if not good and not history:  # the search's first call, whose first candidate is U = 0
+            raise runs[0]
         costs = cost_J([runs[i] for i in good], rows[good], spec, cfg.p) if good else []
         batch.update(points=points, runs=runs, costs=dict(zip(good, costs)))
 
@@ -473,10 +453,6 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
         simplex = np.vstack([x0] + [x0 + scale * np.eye(dim)[j] for j in range(dim)])
         nelder_mead(evaluate, consume, simplex, remaining, xatol=1e-10, fatol=1e-12,
                     speculate=speculate, begin=freeze)
-        if state["coeffs"] is None:
-            raise NonConvergence(
-                "every control candidate diverged in the step solver"
-            )
         x0 = state["coeffs"].copy()
         scale *= 0.3
     return SAAResult(

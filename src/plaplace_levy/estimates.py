@@ -129,18 +129,12 @@ def apriori_check(ensemble: Ensemble, u0: Field, U: Field) -> EnsembleReport:
 
 def generate_ensemble(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
                       n_paths: int, base_seed: int) -> Ensemble:
-    """The ensemble of the path seeds base_seed .. base_seed + n_paths - 1,
-    solved as one batch."""
+    """The ensemble of the path seeds base_seed .. base_seed + n_paths - 1
+    from u0 plus the projected control U: one initial smoothing of u0 at
+    weight dt (`prepare_initial`), then `simulate_paths` on those paths."""
+    start = prepare_initial(u0, project_control(U, cfg.control_projection), cfg.dt, cfg.p)
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(base_seed, base_seed + n_paths))
-    return simulate_paths(u0, U, model, cfg, paths)
-
-
-def _ensemble_from(start: Field, model: LevyModel, cfg: SchemeConfig, n_paths: int,
-                   base_seed: int) -> Ensemble:
-    """`generate_ensemble` from the start `prepare_initial` gives, for a
-    study that solves several ensembles from the same data."""
-    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(base_seed, base_seed + n_paths))
-    return _solved(simulate_runs(start.grid, start.flat[None], [paths], model, cfg)[0])
+    return simulate_paths(start, model, cfg, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -170,21 +164,15 @@ def _series_at(series_values: np.ndarray, t: float, dt: float) -> np.ndarray:
     return (1 - lam) * series_values[..., k, :] + lam * series_values[..., k + 1, :]
 
 
-def aldous_scaling(ensemble: Ensemble, probe: str, theta_grid,
-                   tau: float = 0.0) -> ScalingReport:
-    """Scaling in theta of process increments at deterministic times.
+def aldous_scalings(ensemble: Ensemble, probes, theta_grid, tau: float = 0.0) -> list:
+    """Scaling in theta of process increments at deterministic times, one
+    report per probe of `probes`, in order.
 
     probe "T1": mean dual norm of the drift-integral increment; target decay
     at least theta^(1/2).  probe "T2": mean squared dual norm of the
     martingale increment; target decay at least theta^1 (reported slope must
     stay within a band around 1 for nontrivial noise).  Slopes are log-log
-    fits; the pass rule is slope >= target - 0.25.  `aldous_scalings` with
-    one probe."""
-    return aldous_scalings(ensemble, (probe,), theta_grid, tau)[0]
-
-
-def aldous_scalings(ensemble: Ensemble, probes, theta_grid, tau: float = 0.0) -> list:
-    """`aldous_scaling` of each probe of `probes`, in order.  Dual norms are
+    fits; the pass rule is slope >= target - 0.25.  Dual norms are
     `dual_norm_estimates` with 25 ascent iterations, one call over the
     increments of every probe and window stacked probe-major, then
     window-major; its rows are independent, so each window's mean is the
@@ -287,7 +275,7 @@ def uniqueness_check(a: Ensemble, b: Ensemble) -> UniquenessReport:
     cfg, grid, states_a = a.config, a.grid, a.states[:n_paths]
     identical = np.array_equal(states_a[:, 0], b.states[:, 0])
     n_times = cfg.n_steps + 1
-    # l1_norm of each paired difference
+    # L^1 norm (interior nodes, weight h^dim) of each paired difference
     diff = grid.take("interior", (states_a - b.states).reshape(-1, grid.n_nodes))
     dists = (np.sum(np.abs(diff), axis=-1) * grid.cell_weight).reshape(n_paths, n_times)
     mean = dists.mean(axis=0)
@@ -404,7 +392,7 @@ def verify_study(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
     bump = default_bump(u0.grid)
     V = project_control(U, cfg.control_projection)
     starts = [(_solved(report)["smoothed"] + V).flat
-              for report in initial_smoothings([u0, u0 + bump], cfg.effective_smoothing_dt, cfg.p)]
+              for report in initial_smoothings([u0, u0 + bump], cfg.dt, cfg.p)]
     ensemble, same, bumped = simulate_runs(
         u0.grid, np.array(starts)[[0, 0, 1]], [paths, paths[: min(n_paths, 20)], paths], model, cfg)
     ensemble = _solved(ensemble)
@@ -453,8 +441,9 @@ def self_convergence(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
     start = prepare_initial(u0, project_control(U, cfg.control_projection), smooth, cfg.p)
 
     def terminal(dt: float) -> np.ndarray:
-        run = replace(cfg, dt=dt, n_steps=int(round(cfg.T / dt)), smoothing_dt=smooth)
-        return _ensemble_from(start, model, run, 1, seed).states[0, -1]
+        run = replace(cfg, dt=dt, n_steps=int(round(cfg.T / dt)))
+        return simulate_paths(start, model, run,
+                              sample_prms(model, dt, run.n_steps, [seed])).states[0, -1]
 
     ref = terminal(min(dt_values) / refine)
     errors = [float(_l2_norms(u0.grid, terminal(dt) - ref)) for dt in dt_values]
@@ -473,12 +462,13 @@ def eps_sweep(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig, eps_valu
     seeds base_seed .. base_seed + n_paths - 1, all from one smoothing of
     u0.  Informational: no rate is asserted."""
     eps_values = sorted((float(v) for v in eps_values), reverse=True)
-    start = prepare_initial(u0, project_control(U, cfg.control_projection),
-                            cfg.effective_smoothing_dt, cfg.p)
+    start = prepare_initial(u0, project_control(U, cfg.control_projection), cfg.dt, cfg.p)
+    seeds = range(base_seed, base_seed + n_paths)
 
     def mean_sq(eps: float) -> float:
-        ensemble = _ensemble_from(start, replace(model, eps=eps).validate(), cfg, n_paths,
-                                  base_seed)
+        eps_model = replace(model, eps=eps).validate()
+        paths = sample_prms(eps_model, cfg.dt, cfg.n_steps, seeds)
+        ensemble = simulate_paths(start, eps_model, cfg, paths)
         norms = _l2_norms(ensemble.grid, ensemble.states[:, -1]).tolist()
         return float(np.mean([v**2 for v in norms]))
 

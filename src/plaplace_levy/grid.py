@@ -434,11 +434,6 @@ def _l2_norms(grid: Grid, v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x) * grid.cell_weight)
 
 
-def l1_norm(f: Field) -> float:
-    idx = f.grid.interior_nodes
-    return float(np.sum(np.abs(f.flat[idx])) * f.grid.cell_weight)
-
-
 def nodal_weights(grid: Grid) -> np.ndarray:
     """Trapezoidal quadrature weights over all nodes (flattened)."""
     n = grid.n_cells

@@ -118,14 +118,7 @@ def sine_flux(coefs) -> FluxModel:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Time discretization: p > 2, step dt, horizon T = n_steps * dt.
-
-    smoothing_dt overrides the weight of the initial proximal smoothing
-    (defaults to dt).  Decoupling it matters for dt-convergence studies:
-    the smoothing error is itself O(dt) with a much larger constant than
-    the march error, so sweeps that vary dt hold the smoothing weight
-    fixed to isolate the order of the time march.
-    """
+    """Time discretization: p > 2, step dt, horizon T = n_steps * dt."""
 
     p: float
     dt: float
@@ -134,14 +127,11 @@ class SchemeConfig:
     newton_tol: float = 1e-10
     newton_max_iters: int = 50
     control_projection: str = CLAMP_BOUNDARY
-    smoothing_dt: float = None
 
     def __post_init__(self):
         if not self.p > 2:
             raise ValueError(f"p must satisfy p > 2, got {self.p!r}")
-        # an unset smoothing_dt falls back to dt, checked first
-        for name, value in (("dt", self.dt), ("newton_tol", self.newton_tol),
-                            ("smoothing_dt", self.effective_smoothing_dt)):
+        for name, value in (("dt", self.dt), ("newton_tol", self.newton_tol)):
             if not 0 < value < np.inf:  # false for NaN
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.n_steps < 0:
@@ -154,10 +144,6 @@ class SchemeConfig:
     @property
     def T(self) -> float:
         return self.dt * self.n_steps
-
-    @property
-    def effective_smoothing_dt(self) -> float:
-        return self.dt if self.smoothing_dt is None else self.smoothing_dt
 
 
 # ---------------------------------------------------------------------------
@@ -632,19 +618,14 @@ class Ensemble:
 _BAND_BUDGET = 8 << 20
 
 
-def simulate_paths(u0: Field, U: Field, model: LevyModel, cfg: SchemeConfig,
-                   paths) -> Ensemble:
-    """The scheme on each jump path in `paths` (from `sample_prms`), all
-    from the same data: one initial smoothing of u0 plus the projected
-    control U (`prepare_initial`), then n_steps implicit steps (noise
-    explicit, diffusion implicit), `simulate_runs` with one run.
-
-    Raises the NonConvergence of the smoothing, or of the first failing
+def simulate_paths(start: Field, model: LevyModel, cfg: SchemeConfig, paths) -> Ensemble:
+    """The one-run form of `simulate_runs`: the scheme on each jump path in
+    `paths` (from `sample_prms`), marched from the smoothed nodal start
+    `start` (`prepare_initial`) by n_steps implicit steps (noise explicit,
+    diffusion implicit).  Raises the NonConvergence of the first failing
     path in `paths` order with its step and seed: the error a path-by-path
     loop raises."""
-    start = prepare_initial(u0, project_control(U, cfg.control_projection),
-                            cfg.effective_smoothing_dt, cfg.p)
-    return _solved(simulate_runs(u0.grid, start.flat[None], [paths], model, cfg)[0])
+    return _solved(simulate_runs(start.grid, start.flat[None], [paths], model, cfg)[0])
 
 
 def _solved(result):

@@ -140,7 +140,7 @@ def saa_minimize_scipy(model, cfg, u0, spec, basis, n_paths, budget=200, base_se
     SciPy's per-iteration callback."""
     import scipy.optimize
 
-    from plaplace_levy import ControlParam, Ensemble, cost_J, sample_prms
+    from plaplace_levy import Ensemble, sample_prms
     from plaplace_levy.control import affine_predictor
 
     dim = len(basis)
@@ -155,10 +155,10 @@ def saa_minimize_scipy(model, cfg, u0, spec, basis, n_paths, budget=200, base_se
 
     def objective(coeffs):
         state["evals"] += 1
-        U = ControlParam(basis=basis, coeffs=coeffs).build()
+        U = control_field(basis, coeffs)
         (run,) = simulate_controls(u0, U.flat[None], model, cfg, paths,
                                    state["predict"](np.array(coeffs)[None]))
-        val = cost_J(run, U, spec, cfg.p)[0] if isinstance(run, Ensemble) else np.inf
+        val = field_cost(run, U, spec, cfg.p)[0] if isinstance(run, Ensemble) else np.inf
         if np.isfinite(val):
             # the restart's dim + 1 lowest values, earlier calls first on ties
             state["kept"].append((val, np.array(coeffs), run.states.copy()))
@@ -208,6 +208,32 @@ def step_solve(u_prev, noise_inc, cfg, initial_guess=None):
     return Field(grid, v[0].reshape(grid.node_shape), tag)
 
 
+def smoothed_start(u0, U, cfg):
+    """The start `generate_ensemble` marches from: u0 smoothed at weight
+    cfg.dt (`prepare_initial`) plus the control Field U, projected."""
+    from plaplace_levy import prepare_initial, project_control
+
+    return prepare_initial(u0, project_control(U, cfg.control_projection), cfg.dt, cfg.p)
+
+
+def control_field(basis, coeffs):
+    """The control sum_j coeffs[j] * basis[j] as a free-boundary Field: the
+    one row of `control_rows` at the point coeffs."""
+    from plaplace_levy import FREE_BOUNDARY, Field
+    from plaplace_levy.control import control_rows
+
+    grid = basis[0].grid
+    row = control_rows(basis, np.array([coeffs], dtype=float))[0]
+    return Field(grid, row.reshape(grid.node_shape), FREE_BOUNDARY)
+
+
+def field_cost(ensemble, U, spec, p):
+    """`cost_J` of one control Field U over its ensemble: (total, parts)."""
+    from plaplace_levy import cost_J
+
+    return cost_J([ensemble], U.flat[None], spec, p)[0]
+
+
 def control_starts(u0, controls, cfg):
     """The starts (k, n_nodes) of the control rows `controls` on u0's grid,
     as the control search forms them: the smoothed u0 plus each row,
@@ -216,7 +242,7 @@ def control_starts(u0, controls, cfg):
 
     if cfg.control_projection == CLAMP_BOUNDARY:
         controls = np.where(u0.grid.boundary_mask, 0.0, controls)
-    return prepare_initial(u0, controls, cfg.effective_smoothing_dt, cfg.p)
+    return prepare_initial(u0, controls, cfg.dt, cfg.p)
 
 
 def simulate_controls(u0, controls, model, cfg, paths, ref=None):
@@ -293,7 +319,7 @@ def per_path_moments(states, grid, p, dt):
 
 
 def aldous_measured(ensemble, probe, thetas, tau, iters):
-    """aldous_scaling's measured means, window by window: one
+    """aldous_scalings' measured means of one probe, window by window: one
     dual_norm_estimates ascent over each window's increments, as before the
     windows were stacked into one ascent."""
     from plaplace_levy.estimates import _series_at

@@ -18,25 +18,25 @@ import numpy as np
 import pytest
 
 from plaplace_levy import (
-    ControlParam,
     CostSpec,
     Field,
     Grid,
     LevyModel,
     NonConvergence,
     SchemeConfig,
-    aldous_scaling,
+    aldous_scalings,
     apriori_check,
     constant_target,
-    cost_J,
     eta_linear,
     eta_zero,
     generate_ensemble,
     initial_smoothings,
     isometry_check,
     l2_norm,
+    prepare_initial,
     psi_zero,
     saa_minimize,
+    sample_prms,
     simulate_paths,
     sine_basis,
     uniqueness_check,
@@ -44,7 +44,8 @@ from plaplace_levy import (
 )
 from plaplace_levy.cli import main as cli_main
 
-from _oracles import oracle_minimize, state_fields, step_solve
+from _oracles import (control_field, field_cost, oracle_minimize, smoothed_start, state_fields,
+                      step_solve)
 
 
 def report(number, name, t0, budget, detail=""):
@@ -142,14 +143,14 @@ def test_criterion_04_deterministic_self_convergence():
     U = Field.zeros(grid, "free_boundary")
     model = LevyModel(eta=eta_zero(), lambda_star=0.5, point_masses=())
     dts = [1 / 16, 1 / 32, 1 / 64, 1 / 128, 1 / 256]
-    smooth = dts[0]
+    # every run starts from one smoothing at the coarsest dt, so the sweep
+    # measures the order of the time march
+    start = prepare_initial(u0, U.clamp_boundary(), dts[0], 3)
 
     def run(dt):
-        cfg = SchemeConfig(
-            p=3, dt=dt, n_steps=int(round(0.5 / dt)), flux=zero_flux(1),
-            smoothing_dt=smooth,
-        )
-        return state_fields(generate_ensemble(u0, U, model, cfg, 1, 0))[-1]
+        cfg = SchemeConfig(p=3, dt=dt, n_steps=int(round(0.5 / dt)), flux=zero_flux(1))
+        paths = sample_prms(model, dt, cfg.n_steps, [0])
+        return state_fields(simulate_paths(start, model, cfg, paths))[-1]
 
     ref = run(dts[-1] / 32)
     errs = [l2_norm(run(dt) - ref) for dt in dts]
@@ -198,10 +199,10 @@ def test_criterion_08_increment_scalings(reference_ensembles):
     ens = reference_ensembles[dt]
     tau = T / 4.0
     thetas = [dt * 2**j for j in range(5)]
-    t2 = aldous_scaling(ens, "T2", thetas, tau=tau)
+    t2 = aldous_scalings(ens, ("T2",), thetas, tau=tau)[0]
     assert not t2.trivial
     assert 0.75 <= t2.fitted_slope <= 1.5, f"T2 slope {t2.fitted_slope:.3f} outside [0.75, 1.5]"
-    t1 = aldous_scaling(ens, "T1", thetas, tau=tau)
+    t1 = aldous_scalings(ens, ("T1",), thetas, tau=tau)[0]
     assert t1.fitted_slope >= 0.5, f"T1 slope {t1.fitted_slope:.3f} below 0.5"
     report(8, "increment scalings", t0, 300.0,
            f"(T1 {t1.fitted_slope:.2f}, T2 {t2.fitted_slope:.2f})")
@@ -213,10 +214,12 @@ def test_criterion_09_pathwise_uniqueness_and_l1_stability():
     cfg = reference_config(1 / 32)
     # one 500-path ensemble is side a of both pairings
     base = generate_ensemble(U0, UCTL, model, cfg, 500, base_seed=0)
-    same = uniqueness_check(base, simulate_paths(U0.copy(), UCTL, model, cfg, base.paths[:50]))
+    same = uniqueness_check(base, simulate_paths(smoothed_start(U0.copy(), UCTL, cfg), model, cfg,
+                                                 base.paths[:50]))
     assert same.passed, f"identical-input L1 distance {same.max_l1:.2e} > {same.threshold:.2e}"
     bump = Field.from_function(GRID, lambda x: 0.3 * np.sin(3 * np.pi * x))
-    diff = uniqueness_check(base, simulate_paths(U0 + bump, UCTL, model, cfg, base.paths))
+    diff = uniqueness_check(base, simulate_paths(smoothed_start(U0 + bump, UCTL, cfg), model, cfg,
+                                                 base.paths))
     assert diff.passed, "mean L1 distance increased beyond 3 standard errors"
     report(9, "pathwise uniqueness / L1 stability", t0, 300.0,
            f"(max identical {same.max_l1:.1e}, D(0)->D(T) "
@@ -233,10 +236,10 @@ def test_criterion_10_control_sanity():
     # inverse-crime recovery in the deterministic case
     u0 = Field.from_function(grid, lambda x: 0.3 * np.sin(np.pi * x))
     c_star = np.array([0.4, -0.3])
-    U_star = ControlParam(basis=basis, coeffs=c_star).build()
+    U_star = control_field(basis, c_star)
     planted = generate_ensemble(u0, U_star, det_model, cfg, 1, 0)
     spec = CostSpec(u_tar=state_fields(planted), psi=psi_zero())
-    j_star = cost_J(planted, U_star, spec, cfg.p)[0]
+    j_star = field_cost(planted, U_star, spec, cfg.p)[0]
     res = saa_minimize(det_model, cfg, u0, spec, basis, n_paths=1, budget=250, base_seed=0)
     assert res.best_J <= j_star + 1e-6, (
         f"recovered J {res.best_J:.8f} exceeds planted J {j_star:.8f} + 1e-6"

@@ -46,6 +46,9 @@ seed = 0
 out_dir = out
 """
 
+# a sweep `converge` can run on REFERENCE: two dt values, the gap probe
+GAP_SWEEP = "\n[converge]\nvalues = 0.0625,0.03125\nprobe = gap\n"
+
 ZERO = """
 [grid]
 dim = 1
@@ -164,7 +167,7 @@ def test_config_rejects_runs_too_large_to_hold(old, new, named):
 def test_run_bound_counts_what_each_command_holds(tmp_path, capsys):
     # 1e5 expected jumps a step: the 5 x 16 path steps fit the bound, the
     # 10,000 isometry draws of verify do not
-    text = REFERENCE.replace("measure = point:1.0@1.0", "measure = point:1.0@3.2e6")
+    text = REFERENCE.replace("measure = point:1.0@1.0", "measure = point:1.0@3.2e6") + GAP_SWEEP
     for command in ("simulate", "optimize", "converge"):
         parse_config_text(text).validate(command)
     out = str(tmp_path / "o")
@@ -179,7 +182,7 @@ def test_run_bound_counts_what_each_command_holds(tmp_path, capsys):
     n_paths, grid = 35_000, Grid(1, 16)
     assert (run_values(n_paths, 16, grid, "simulate") <= MAX_RUN_VALUES
             < run_values(n_paths, 16, grid, "verify"))
-    text = REFERENCE.replace("n_paths = 5", f"n_paths = {n_paths}")
+    text = REFERENCE.replace("n_paths = 5", f"n_paths = {n_paths}") + GAP_SWEEP
     for command in ("simulate", "converge"):
         parse_config_text(text).validate(command)
     for command in ("verify", "optimize"):
@@ -203,7 +206,7 @@ def test_run_bound_counts_every_candidate_of_an_optimize_batch(tmp_path, capsys)
     n_paths, grid = 25_000, Grid(1, 16)
     assert (run_values(n_paths, 16, grid, "verify") <= MAX_RUN_VALUES
             < run_values(n_paths, 16, grid, "optimize", 3, 3))
-    text = REFERENCE.replace("n_paths = 5", f"n_paths = {n_paths}")
+    text = REFERENCE.replace("n_paths = 5", f"n_paths = {n_paths}") + GAP_SWEEP
     for command in ("simulate", "verify", "converge"):
         parse_config_text(text).validate(command)
     # checked in process first, so a regression fails here instead of running
@@ -485,8 +488,8 @@ def sample_config_text():
     # |grad u|^38 overflows on the search's far trial points: rows that the
     # step solver fails, backtracks or marches, so the run still succeeds
     ("p = 3.0", "p = 40", 0),
-    # no candidate meets the tolerance in one iteration, so every value the
-    # simplex compares is +inf
+    # no candidate meets the tolerance in one iteration, so the search stops
+    # at its first solve call
     ("flux = zero", "flux = zero\nnewton_tol = 1e-15\nnewton_max_iters = 1", 3),
 ], ids=["p40", "one_iteration"])
 def test_cli_optimize_handles_non_finite_values_without_warnings(old, new, expected, tmp_path,
@@ -500,6 +503,61 @@ def test_cli_optimize_handles_non_finite_values_without_warnings(old, new, expec
     err = capsys.readouterr().err
     assert code == expected, err
     assert "RuntimeWarning" not in err
+
+
+def test_cli_optimize_names_where_the_uncontrolled_solve_fails(tmp_path, capsys, monkeypatch):
+    # no candidate of the initial simplex converges in one iteration: one
+    # solve call, then the solver failure of the zero control on one stderr
+    # line with its step and path seed
+    import plaplace_levy.control as control
+
+    calls, real = [], control.simulate_runs
+
+    def counted(grid, starts, *args):
+        calls.append(len(starts))
+        return real(grid, starts, *args)
+
+    monkeypatch.setattr(control, "simulate_runs", counted)
+    text = sample_config_text().replace(
+        "flux = zero", "flux = zero\nnewton_tol = 1e-15\nnewton_max_iters = 1")
+    code = run_cli(["optimize", "--config", write(tmp_path, text), "--paths", "1", "--out",
+                    str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.fullmatch(r"solver failure at step 0 of path seed 0: step solver exhausted 1 "
+                        r"iterations at residual \S+\n", err), err
+    assert calls == [3]  # the initial simplex of the sine:2 basis
+
+
+@pytest.mark.parametrize("command, old, new, message", [
+    ("simulate", "n_paths = 5", "n_paths = 1",
+     "simulate needs [run] n_paths >= 2 for ensemble statistics"),
+    ("verify", "n_paths = 5", "n_paths = 1",
+     "verify needs [run] n_paths >= 2 for ensemble statistics"),
+    ("verify", "n_steps = 16", "n_steps = 5",
+     "scheme too short for increment scaling (needs n_steps >= 6)"),
+    ("optimize", "basis = sine:2\ncontrol_coeffs = 0.25,0.0", "basis = none\ncontrol_coeffs =",
+     "optimize needs a nonempty control basis"),
+    ("converge", "out_dir = out", "out_dir = out\n[converge]\nvalues = 0.0625\nprobe = gap",
+     "[converge] values needs at least two distinct sweep points"),
+    ("converge", "out_dir = out", "out_dir = out\n[converge]\nsweep = eps\nvalues = 0.2,0.1",
+     "eps sweep needs a density measure"),
+    ("converge", "out_dir = out",
+     "out_dir = out\n[converge]\nvalues = 0.0625,0.03125\nprobe = self",
+     "converge probe 'self' requires eta = zero"),
+], ids=["simulate_one_path", "verify_one_path", "verify_short", "optimize_no_basis",
+        "converge_one_value", "converge_eps_no_density", "converge_self_with_noise"])
+def test_command_config_errors_leave_no_output_directory(command, old, new, message, tmp_path,
+                                                         capsys):
+    # what a command needs of its config is checked with the config, before
+    # the output directory is made; without a command none of it is checked
+    assert old in REFERENCE
+    text = REFERENCE.replace(old, new)
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", write(tmp_path, text), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+    parse_config_text(text).validate()
 
 
 _CONVERGE = {

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from plaplace_levy import (
-    ControlParam,
     CostSpec,
     Field,
     Grid,
@@ -32,7 +31,8 @@ from plaplace_levy import (
 )
 from plaplace_levy.control import nelder_mead
 
-from _oracles import control_starts, field_rows, shared_ref, simulate_controls, state_fields
+from _oracles import (control_field, control_starts, field_cost, field_rows, shared_ref,
+                      simulate_controls, smoothed_start, state_fields)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GRID = Grid(1, 12)
@@ -58,7 +58,7 @@ def test_cost_zero_on_perfectly_tracked_target():
     zeros = Field.zeros(GRID)
     zfree = Field.zeros(GRID, "free_boundary")
     ens = generate_ensemble(zeros, zfree, reference_model(), CFG, 3, base_seed=0)
-    total, parts = cost_J(ens, zfree, make_spec(), CFG.p)
+    total, parts = field_cost(ens, zfree, make_spec(), CFG.p)
     assert total == 0.0
     assert parts == {"tracking": 0.0, "control": 0.0, "terminal": 0.0}
 
@@ -71,7 +71,7 @@ def test_cost_control_term_only():
     U = (1.0 / w1p_norm(U, CFG.p)) * U  # unit W^{1,p} norm
     # evaluate the cost of U against the zero-control ensemble: only the
     # control term contributes because the trajectory and target vanish
-    total, parts = cost_J(ens, U, make_spec(), CFG.p)
+    total, parts = field_cost(ens, U, make_spec(), CFG.p)
     assert parts["control"] == pytest.approx(1.0, rel=1e-12)
     assert total == pytest.approx(1.0, rel=1e-12)
 
@@ -82,7 +82,7 @@ def test_cost_tracking_closed_form():
     tar = Field.from_function(GRID, lambda x: 0.7 * np.sin(np.pi * x))
     ens = generate_ensemble(zeros, Field.zeros(GRID, "free_boundary"),
                             zero_noise_model(), CFG, 1, base_seed=0)
-    total, parts = cost_J(ens, Field.zeros(GRID, "free_boundary"),
+    total, parts = field_cost(ens, Field.zeros(GRID, "free_boundary"),
                           make_spec(u_tar=constant_target(GRID, CFG.n_steps, tar)), CFG.p)
     assert parts["tracking"] == pytest.approx(CFG.T * l2_norm(tar) ** 2, rel=1e-12)
 
@@ -93,7 +93,7 @@ def test_cost_rejects_mismatched_time_grid():
                             zero_noise_model(), CFG, 1, base_seed=0)
     bad = CostSpec(u_tar=constant_target(GRID, CFG.n_steps + 2), psi=psi_zero())
     with pytest.raises(ValueError):
-        cost_J(ens, Field.zeros(GRID, "free_boundary"), bad, CFG.p)
+        field_cost(ens, Field.zeros(GRID, "free_boundary"), bad, CFG.p)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -115,7 +115,7 @@ def test_cost_terminal_rows_match_per_field_payoff_bitwise(dim, kind):
     psi = {"zero": psi_zero(), "l2": psi_l2(), "l2_clip": psi_l2(cap=cap)}[kind]
     tar = Field.from_function(grid, lambda *x: 0.3 * np.prod(np.sin(2 * np.pi * np.array(x)), axis=0))
     spec = CostSpec(u_tar=constant_target(grid, cfg.n_steps, tar), psi=psi)
-    total, parts = cost_J(ens, U, spec, cfg.p)
+    total, parts = field_cost(ens, U, spec, cfg.p)
     # the per-path payoff on one terminal Field at a time, added in path order
     terminal = 0.0
     for v in norms:
@@ -143,15 +143,15 @@ def test_cost_spec_rejects_unknown_psi_kind():
         make_spec(psi=("l1", None)).validate(CFG.n_steps)
 
 
-def test_control_param_build_and_gram_check():
+def test_control_rows_build_and_gram_check():
+    from plaplace_levy.control import check_basis
+
     basis = sine_basis(GRID, 3)
-    U = ControlParam(basis=basis, coeffs=[0.5, -0.25, 0.1]).build()
+    U = control_field(basis, [0.5, -0.25, 0.1])
     manual = 0.5 * basis[0].values - 0.25 * basis[1].values + 0.1 * basis[2].values
     assert np.allclose(U.values, manual)
     with pytest.raises(ValueError):
-        ControlParam(basis=[basis[0], basis[0]], coeffs=[1.0, 2.0])
-    with pytest.raises(ValueError):
-        ControlParam(basis=basis, coeffs=[1.0])
+        check_basis([basis[0], basis[0]])
 
 
 @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
@@ -164,12 +164,12 @@ def test_basis_check_does_not_depend_on_scale(scale):
     if scale == 1e-4:  # an unscaled determinant test would call it dependent
         assert abs(np.linalg.det(gram)) < 1e-12
     check_basis(basis)
-    U = ControlParam(basis=basis, coeffs=[1.0, -2.0]).build()
+    U = control_field(basis, [1.0, -2.0])
     assert np.array_equal(U.values, 1.0 * basis[0].values + -2.0 * basis[1].values)
     for dependent in ([basis[0], basis[0]], [basis[0], -3.0 * basis[0]],
                       [basis[1], Field.zeros(grid, "free_boundary")]):
         with pytest.raises(ValueError, match="linearly dependent"):
-            ControlParam(basis=dependent, coeffs=[1.0, 2.0])
+            check_basis(dependent)
 
 
 def test_config_sine_bases_pass_the_basis_check_scaled_or_not():
@@ -199,7 +199,7 @@ _ROW_CASES = [(dim, proj, psi) for dim in (1, 2) for proj in ("clamp_boundary", 
 @pytest.mark.parametrize("dim, projection, psi_kind", _ROW_CASES)
 def test_batched_rows_match_the_per_field_code(dim, projection, psi_kind, monkeypatch):
     # control rows, starts and J of a batch, bitwise against one Field at a
-    # time: ControlParam.build, project_control + prepare_initial, and the
+    # time: the Field of its coefficients, project_control + prepare_initial, and the
     # per-path tracking and payoff sums with w1p_norm's control term
     import plaplace_levy.scheme as scheme
     from plaplace_levy.control import control_rows
@@ -221,7 +221,7 @@ def test_batched_rows_match_the_per_field_code(dim, projection, psi_kind, monkey
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(3))
 
     rows = control_rows(basis, points)
-    fields = [ControlParam(basis=basis, coeffs=c).build() for c in points]
+    fields = [control_field(basis, c) for c in points]
     for row, c, U in zip(rows, points, fields):
         manual = np.zeros(grid.node_shape)
         for cj, phi in zip(c, basis):
@@ -246,12 +246,12 @@ def test_batched_rows_match_the_per_field_code(dim, projection, psi_kind, monkey
     targets = np.array([f.flat for f in spec.u_tar[1:]])
     for i, U in enumerate(fields):
         U_used = scheme.project_control(U, projection)
-        hat0 = scheme.prepare_initial(u0, U_used, cfg.effective_smoothing_dt, cfg.p)
+        hat0 = scheme.prepare_initial(u0, U_used, cfg.dt, cfg.p)
         assert np.array_equal(starts[i], hat0.flat)
-        alone = simulate_paths(u0, U, model, cfg, paths)
+        alone = simulate_paths(smoothed_start(u0, U, cfg), model, cfg, paths)
         assert np.array_equal(runs[i].states, alone.states)
         total, parts = costs[i]
-        assert (total, parts) == cost_J(alone, U, spec, cfg.p)
+        assert (total, parts) == field_cost(alone, U, spec, cfg.p)
         tracking, terminal = per_path_cost_sums(alone.states, targets, spec.payoff, grid, cfg.dt)
         control = w1p_norm(U, cfg.p) ** cfg.p
         assert parts == {"tracking": tracking, "control": control, "terminal": terminal}
@@ -270,7 +270,7 @@ def test_non_finite_coefficient_raises_the_field_error():
     paths = sample_prms(model, CFG.dt, CFG.n_steps, range(2))
     for bad, bad_value in (([np.inf, 0.0], np.inf), ([0.1, np.nan], np.nan)):
         with pytest.raises(ValueError, match="field values must be finite"):
-            ControlParam(basis=basis, coeffs=bad).build()
+            control_field(basis, bad)
         with pytest.raises(ValueError, match="field values must be finite"):
             control_rows(basis, np.array([[0.1, 0.2], bad]))
         # bad nodal rows make bad starts, which reach simulate_runs' own check
@@ -284,8 +284,8 @@ def test_non_finite_coefficient_raises_the_field_error():
 
 
 def test_search_work_per_batch(monkeypatch):
-    # one simulate_runs call per evaluate, one smoothing per search, and no
-    # ControlParam built after the search's one basis check
+    # one simulate_runs call per evaluate, one smoothing per search, and one
+    # basis check
     import plaplace_levy.control as control
     import plaplace_levy.scheme as scheme
 
@@ -302,15 +302,11 @@ def test_search_work_per_batch(monkeypatch):
     def nm(evaluate, *args, **kwargs):
         return real_nm(counted("evaluate", evaluate), *args, **kwargs)
 
-    def no_param(*args, **kwargs):
-        raise AssertionError("ControlParam built inside the search")
-
     monkeypatch.setattr(control, "nelder_mead", nm)
     monkeypatch.setattr(control, "simulate_runs", counted("simulate", real_sim))
     monkeypatch.setattr(scheme, "initial_smoothings", counted("smoothing", real_smoothing))
     monkeypatch.setattr(control, "check_basis", counted("check", real_check))
     monkeypatch.setattr(control, "cost_J", counted("cost", real_cost))
-    monkeypatch.setattr(control, "ControlParam", no_param)
     u0 = Field.from_function(GRID, lambda x: 0.4 * np.sin(np.pi * x))
     res = saa_minimize(reference_model(), CFG, u0, make_spec(psi=psi_l2()), sine_basis(GRID, 2),
                        n_paths=1, budget=40)
@@ -327,9 +323,9 @@ def test_control_norm_convexity():
     for _ in range(30):
         c1, c2 = rng.normal(size=3), rng.normal(size=3)
         lam = rng.uniform()
-        mix = ControlParam(basis=basis, coeffs=lam * c1 + (1 - lam) * c2).build()
-        u1 = ControlParam(basis=basis, coeffs=c1).build()
-        u2 = ControlParam(basis=basis, coeffs=c2).build()
+        mix = control_field(basis, lam * c1 + (1 - lam) * c2)
+        u1 = control_field(basis, c1)
+        u2 = control_field(basis, c2)
         lhs = w1p_norm(mix, p) ** p
         rhs = lam * w1p_norm(u1, p) ** p + (1 - lam) * w1p_norm(u2, p) ** p
         assert lhs <= rhs + 1e-10
@@ -344,8 +340,9 @@ def test_objective_continuity_surrogate():
     paths = sample_prms(model, CFG.dt, CFG.n_steps, (11, 12, 13))
 
     def J(coeffs):
-        U = ControlParam(basis=basis, coeffs=coeffs).build()
-        return cost_J(simulate_paths(u0, U, model, CFG, paths), U, spec, CFG.p)[0]
+        U = control_field(basis, coeffs)
+        run = simulate_paths(smoothed_start(u0, U, CFG), model, CFG, paths)
+        return field_cost(run, U, spec, CFG.p)[0]
 
     c_star = np.array([0.3, -0.2])
     j_star = J(c_star)
@@ -394,10 +391,10 @@ def test_saa_inverse_crime_recovery():
     u0 = Field.from_function(GRID, lambda x: 0.3 * np.sin(np.pi * x))
     model = zero_noise_model()
     c_star = np.array([0.4, -0.3])
-    U_star = ControlParam(basis=basis, coeffs=c_star).build()
+    U_star = control_field(basis, c_star)
     planted = generate_ensemble(u0, U_star, model, CFG, 1, 0)
     spec = CostSpec(u_tar=state_fields(planted), psi=psi_zero())
-    j_star = cost_J(planted, U_star, spec, CFG.p)[0]
+    j_star = field_cost(planted, U_star, spec, CFG.p)[0]
     res = saa_minimize(model, CFG, u0, spec, basis, n_paths=1, budget=250, base_seed=0)
     assert res.best_J <= j_star + 1e-6
 
@@ -412,6 +409,39 @@ def test_saa_all_divergent_candidates_raises():
     with pytest.raises(NonConvergence):
         saa_minimize(zero_noise_model(), hard, u0, spec, sine_basis(GRID, 2),
                      n_paths=1, budget=20, base_seed=0)
+
+
+@pytest.mark.parametrize("initial_coeffs", [None, [0.5, -0.5]], ids=["simplex", "anchor"])
+def test_saa_first_call_without_a_converged_candidate_raises_the_zero_control_failure(
+        initial_coeffs, monkeypatch):
+    # no candidate of the first solve call (the initial simplex, or the zero
+    # control that anchors a search from other coefficients) converges in one
+    # Newton iteration: the search stops there and raises the error of its
+    # first candidate, U = 0, with its step and seed
+    import plaplace_levy.control as control
+    from plaplace_levy import NonConvergence
+    from dataclasses import replace
+
+    hard = replace(CFG, newton_tol=1e-15, newton_max_iters=1)
+    model = reference_model()
+    u0 = Field.from_function(GRID, lambda x: 0.4 * np.sin(np.pi * x))
+    calls, real = [], control.simulate_runs
+
+    def counted(grid, starts, *args):
+        calls.append(len(starts))
+        return real(grid, starts, *args)
+
+    monkeypatch.setattr(control, "simulate_runs", counted)
+    with pytest.raises(NonConvergence) as raised:
+        saa_minimize(model, hard, u0, make_spec(), sine_basis(GRID, 2), n_paths=2, budget=20,
+                     base_seed=5, initial_coeffs=initial_coeffs)
+    assert calls == ([3] if initial_coeffs is None else [1])
+    paths = sample_prms(model, hard.dt, hard.n_steps, [5, 6])
+    with pytest.raises(NonConvergence) as alone:
+        simulate_paths(smoothed_start(u0, Field.zeros(GRID, "free_boundary"), hard), model, hard,
+                       paths)
+    assert (raised.value.step, raised.value.seed) == (alone.value.step, alone.value.seed) == (0, 5)
+    assert str(raised.value) == str(alone.value)
 
 
 def _rosenbrock(x):
@@ -547,16 +577,17 @@ def test_diverged_candidate_scores_inf_and_spares_its_batch(monkeypatch):
     u0 = Field.from_function(GRID, lambda x: 0.4 * np.sin(np.pi * x))
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(3))
     coeffs = [[0.1, -0.2], [50.0, -0.2], [0.5, -0.2], [2.0, -0.2]]
-    controls = [ControlParam(basis=basis, coeffs=c).build() for c in coeffs]
+    controls = [control_field(basis, c) for c in coeffs]
     runs = simulate_controls(u0, field_rows(controls), model, cfg, paths)
     assert isinstance(runs[1], NonConvergence)
     with pytest.raises(NonConvergence) as alone:
-        simulate_paths(u0, controls[1], model, cfg, paths)
+        simulate_paths(smoothed_start(u0, controls[1], cfg), model, cfg, paths)
     assert (runs[1].step, runs[1].seed, str(runs[1])) == (
         alone.value.step, alone.value.seed, str(alone.value))
     for c in (0, 2, 3):
         for row, path in zip(runs[c].states, paths):
-            single = simulate_paths(u0, controls[c], model, cfg, [path]).states[0]
+            single = simulate_paths(smoothed_start(u0, controls[c], cfg), model, cfg,
+                                    [path]).states[0]
             assert np.max(np.abs(row - single)) <= 10 * cfg.newton_tol
 
     # the search scores it +inf and keeps its batch-mates' values
@@ -585,9 +616,10 @@ def test_diverged_candidate_scores_inf_and_spares_its_batch(monkeypatch):
     assert len(scored) == 3 and np.allclose([x for x, _ in scored[:2]], coeffs[:2], atol=1e-12)
     assert scored[1][1] == np.inf and np.isfinite(scored[0][1])
     for x, val in scored:
-        U = ControlParam(basis=basis, coeffs=x).build()
+        U = control_field(basis, x)
         try:
-            alone_J = cost_J(simulate_paths(u0, U, model, cfg, paths), U, spec, cfg.p)[0]
+            alone = simulate_paths(smoothed_start(u0, U, cfg), model, cfg, paths)
+            alone_J = field_cost(alone, U, spec, cfg.p)[0]
         except NonConvergence:
             alone_J = np.inf
         assert val == pytest.approx(alone_J, rel=10 * cfg.newton_tol, abs=0.0)
@@ -631,8 +663,8 @@ def test_warm_started_solves_match_the_cold_solve(dim, flux, projection):
     assert not np.array_equal(warms[0].states, colds[0].states)  # the reference is used
     edge = grid.boundary_nodes
     for U, cold, warm in zip(others, colds, warms):
-        J_cold = cost_J(cold, U, spec, cfg.p)[0]
-        assert cost_J(warm, U, spec, cfg.p)[0] == pytest.approx(J_cold, rel=10 * cfg.newton_tol,
+        J_cold = field_cost(cold, U, spec, cfg.p)[0]
+        assert field_cost(warm, U, spec, cfg.p)[0] == pytest.approx(J_cold, rel=10 * cfg.newton_tol,
                                                                 abs=0.0)
         # the boundary values come from the previous state, not from the shift
         assert np.array_equal(warm.states[..., edge], cold.states[..., edge])
@@ -764,7 +796,7 @@ def test_above_the_trajectory_bound_rows_march(dim, monkeypatch):
     grid, u0, (U_a, U_b, _), model, cfg, paths, _ = _warm_start_case(dim, "sine",
                                                                     "lift_boundary")
     (ref,) = simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
-    hat0 = scheme.prepare_initial(u0, U_b, cfg.effective_smoothing_dt, cfg.p).flat
+    hat0 = scheme.prepare_initial(u0, U_b, cfg.dt, cfg.p).flat
     states, _ = scheme._march(grid, np.array([hat0] * len(paths)), model, cfg, paths,
                               np.zeros(len(paths), dtype=int), ref.states)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * grid.n_nodes - 1)
@@ -790,7 +822,7 @@ def test_trajectory_rows_that_fail_march_from_their_start(monkeypatch):
     basis = sine_basis(GRID, 2)
     u0 = Field.from_function(GRID, lambda x: 0.4 * np.sin(np.pi * x))
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(2))
-    controls = [ControlParam(basis=basis, coeffs=c).build()
+    controls = [control_field(basis, c)
                 for c in ([0.1, -0.2], [1.0, 0.5], [50.0, -0.2])]
     (ref,) = simulate_controls(u0, field_rows(controls[:1]), model, CFG, paths)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", 0)
@@ -934,7 +966,7 @@ def test_predicted_state_0_is_each_candidates_start(projection):
     rows = control_rows(basis, new)
     if projection == "clamp_boundary":
         rows[:, grid.boundary_nodes] = 0.0
-    starts = prepare_initial(u0, rows, cfg.effective_smoothing_dt, cfg.p)
+    starts = prepare_initial(u0, rows, cfg.dt, cfg.p)
     ref = predict(new)
     for start, row_ref in zip(starts, ref):
         assert np.allclose(row_ref[:, 0], start, rtol=0.0, atol=1e-14)

@@ -1,7 +1,7 @@
 """Verification-harness tests: moment bounds, increment scalings, isometry,
 and L^1 stability."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from plaplace_levy import (
     Grid,
     LevyModel,
     SchemeConfig,
-    aldous_scaling,
+    aldous_scalings,
     apriori_check,
     eta_linear,
     eta_zero,
@@ -21,12 +21,15 @@ from plaplace_levy import (
     isometry_check,
     l2_norm,
     linear_flux,
+    prepare_initial,
+    project_control,
+    sample_prms,
+    simulate_paths,
     uniqueness_check,
     zero_flux,
 )
 
 from _oracles import per_path_moments, state_fields
-from plaplace_levy.estimates import aldous_scalings
 
 
 def reference_model(coef=0.5):
@@ -47,6 +50,29 @@ GRID = Grid(1, 16)
 CFG = SchemeConfig(p=3, dt=1 / 32, n_steps=16, flux=zero_flux(1))
 U0 = sine_field(GRID, amp=0.5)
 UCTL = sine_field(GRID, amp=0.25, mode=2, tag="free_boundary")
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("projection", ["clamp_boundary", "lift_boundary"])
+def test_generate_ensemble_marches_its_one_smoothed_start(dim, projection):
+    # the (u0, U) convenience is one smoothing at weight dt of u0 plus the
+    # projected control, then simulate_paths on the seeds' jump paths, bitwise
+    if dim == 1:
+        grid, cfg = GRID, replace(CFG, control_projection=projection)
+    else:
+        grid = Grid(2, 5)
+        cfg = SchemeConfig(p=3, dt=1 / 16, n_steps=6, flux=linear_flux([0.4, -0.2]),
+                           control_projection=projection)
+    u0 = Field.from_function(grid, lambda *x: 0.5 * np.prod(np.sin(np.pi * np.array(x)), axis=0))
+    # a nonzero trace, so the projection matters
+    U = Field(grid, 0.1 + 0.25 * u0.values, "free_boundary")
+    model = reference_model()
+    ens = generate_ensemble(u0, U, model, cfg, 5, base_seed=3)
+    start = prepare_initial(u0, project_control(U, projection), cfg.dt, cfg.p)
+    alone = simulate_paths(start, model, cfg, sample_prms(model, cfg.dt, cfg.n_steps, range(3, 8)))
+    assert np.array_equal(ens.states, alone.states)
+    assert np.array_equal(ens.states[:, 0], np.broadcast_to(start.flat, (5, grid.n_nodes)))
+    assert [path.seed for path in ens.paths] == [path.seed for path in alone.paths]
 
 
 def test_apriori_zero_data():
@@ -95,13 +121,13 @@ def test_aldous_trivial_on_zero_trajectories():
     zfree = Field.zeros(GRID, "free_boundary")
     ens = generate_ensemble(zeros, zfree, reference_model(), CFG, 3, base_seed=0)
     for probe in ("T1", "T2"):
-        rep = aldous_scaling(ens, probe, [CFG.dt * 2**j for j in range(4)])
+        rep = aldous_scalings(ens, (probe,), [CFG.dt * 2**j for j in range(4)])[0]
         assert rep.trivial and rep.passed
 
 
 def test_aldous_t2_trivial_without_noise():
     ens = generate_ensemble(U0, UCTL, zero_noise_model(), CFG, 3, base_seed=0)
-    rep = aldous_scaling(ens, "T2", [CFG.dt * 2**j for j in range(4)])
+    rep = aldous_scalings(ens, ("T2",), [CFG.dt * 2**j for j in range(4)])[0]
     assert rep.trivial and rep.passed
 
 
@@ -110,7 +136,7 @@ def test_aldous_t1_smooth_path_slope_about_one():
     # slowly; the increment then scales nearly linearly in the window size
     ens = generate_ensemble(U0, UCTL, zero_noise_model(), CFG, 2, base_seed=0)
     thetas = [CFG.dt * 2**j for j in range(4)]
-    rep = aldous_scaling(ens, "T1", thetas, tau=0.25)
+    rep = aldous_scalings(ens, ("T1",), thetas, tau=0.25)[0]
     assert rep.passed and rep.fitted_slope >= 0.5
     assert 0.7 <= rep.fitted_slope <= 1.2
 
@@ -118,13 +144,13 @@ def test_aldous_t1_smooth_path_slope_about_one():
 def test_aldous_input_validation():
     ens = generate_ensemble(U0, UCTL, reference_model(), CFG, 2, base_seed=0)
     with pytest.raises(ValueError):
-        aldous_scaling(ens, "T3", [0.1, 0.2, 0.3, 0.4])
+        aldous_scalings(ens, ("T3",), [0.1, 0.2, 0.3, 0.4])
     with pytest.raises(ValueError):
-        aldous_scaling(ens, "T1", [0.1, 0.2, 0.3])
+        aldous_scalings(ens, ("T1",), [0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
-        aldous_scaling(ens, "T1", [CFG.T * k for k in (1, 2, 3, 4)])
+        aldous_scalings(ens, ("T1",), [CFG.T * k for k in (1, 2, 3, 4)])
     with pytest.raises(ValueError):
-        aldous_scaling(ens, "T1", [0.0, CFG.dt, 2 * CFG.dt, 3 * CFG.dt])
+        aldous_scalings(ens, ("T1",), [0.0, CFG.dt, 2 * CFG.dt, 3 * CFG.dt])
 
 
 def test_degenerate_regression_raises():
@@ -225,13 +251,13 @@ def test_reports_deterministic_given_seeds():
 
 def test_scaling_report_grid_strictly_decreasing():
     ens = generate_ensemble(U0, UCTL, reference_model(), CFG, 3, base_seed=0)
-    rep = aldous_scaling(ens, "T1", [CFG.dt, 4 * CFG.dt, 2 * CFG.dt, 8 * CFG.dt])
+    rep = aldous_scalings(ens, ("T1",), [CFG.dt, 4 * CFG.dt, 2 * CFG.dt, 8 * CFG.dt])[0]
     assert all(a > b for a, b in zip(rep.grid, rep.grid[1:]))
     gap = interp_gap_scaling(U0, UCTL, reference_model(), CFG, [1 / 32, 1 / 16],
                              n_paths=3, base_seed=0)
     assert all(a > b for a, b in zip(gap.grid, gap.grid[1:]))
     with pytest.raises(ValueError):
-        aldous_scaling(ens, "T1", [CFG.dt, CFG.dt])
+        aldous_scalings(ens, ("T1",), [CFG.dt, CFG.dt])
 
 
 def test_interp_gap_halving_factor():
@@ -392,6 +418,6 @@ def test_aldous_scaling_matches_per_window_ascents_bitwise(dim):
     # both probes in one ascent (as verify runs them), and each alone
     both = aldous_scalings(ens, ("T1", "T2"), thetas, tau=cfg.dt)
     for probe, joined in zip(("T1", "T2"), both):
-        rep = aldous_scaling(ens, probe, thetas, tau=cfg.dt)
+        rep = aldous_scalings(ens, (probe,), thetas, tau=cfg.dt)[0]
         assert rep.measured == aldous_measured(ens, probe, rep.grid, cfg.dt, iters=25)
         assert asdict(joined) == asdict(rep)

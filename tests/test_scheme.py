@@ -20,7 +20,6 @@ from plaplace_levy import (
     linear_flux,
     lp_grad_norm,
     prepare_initial,
-    project_control,
     sample_prms,
     simulate_paths,
     sine_flux,
@@ -47,7 +46,8 @@ def zero_model():
 # independent convex-energy oracle (1D, zero convection flux): see _oracles
 
 from _oracles import (field_rows, grad_ops, l2_inner, oracle_energy, oracle_gradient,
-                      oracle_minimize, simulate_controls, state_fields, step_solve)
+                      oracle_minimize, simulate_controls, smoothed_start, state_fields,
+                      step_solve)
 from plaplace_levy.scheme import _conv_residual, _StepSolver
 
 
@@ -137,7 +137,7 @@ def test_flux_validate_rejects_non_finite_lipschitz_constant(c):
         linear_flux([c]).validate()
 
 
-@pytest.mark.parametrize("name", ["dt", "newton_tol", "smoothing_dt"])
+@pytest.mark.parametrize("name", ["dt", "newton_tol"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_scheme_config_rejects_non_finite_steps_and_tolerance(name, value):
     # an infinite newton_tol would accept every Newton start as converged
@@ -622,7 +622,8 @@ def test_single_interior_unknown_steps(dim, flux_kind):
 
 def test_prepare_initial_raises_its_smoothing_failure():
     # amplitude 1e6 leaves the smoothing's residual far above its 1e-12
-    # tolerance after 60 iterations; simulate_paths raises the same error
+    # tolerance after 60 iterations; generate_ensemble, which smooths u0
+    # before it solves a step, raises the same error
     grid = Grid(1, 16)
     u0 = Field.from_function(grid, lambda x: 1e6 * np.sin(2 * np.pi * x))
     with pytest.raises(NonConvergence) as exc:
@@ -632,7 +633,7 @@ def test_prepare_initial_raises_its_smoothing_failure():
     cfg = SchemeConfig(p=3.0, dt=0.03, n_steps=2, flux=zero_flux(1))
     model = reference_model()
     with pytest.raises(NonConvergence) as run:
-        simulate_paths(u0, Field.zeros(grid), model, cfg, sample_prms(model, cfg.dt, 2, [0]))
+        generate_ensemble(u0, Field.zeros(grid), model, cfg, 1, 0)
     assert str(run.value) == str(exc.value)
 
 
@@ -653,7 +654,8 @@ def test_batched_paths_match_single_path_solves(case):
         cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=16, flux=flux)
     U = Field.zeros(grid, "free_boundary")
     model = reference_model()
-    batch = simulate_paths(u0, U, model, cfg, sample_prms(model, cfg.dt, cfg.n_steps, range(37)))
+    batch = simulate_paths(smoothed_start(u0, U, cfg), model, cfg,
+                           sample_prms(model, cfg.dt, cfg.n_steps, range(37)))
     for seed in (0, 17, 36):
         alone = generate_ensemble(u0, U, model, cfg, 1, seed)
         assert np.max(np.abs(batch.states[seed] - alone.states[0])) <= 10 * cfg.newton_tol
@@ -762,7 +764,7 @@ def test_rescue_saves_rows_whose_line_search_stalls(monkeypatch):
         return picard(self, v, comps, b)
 
     monkeypatch.setattr(_StepSolver, "picard_solve", spy)
-    run = simulate_paths(u0, U, model, cfg, paths)
+    run = simulate_paths(smoothed_start(u0, U, cfg), model, cfg, paths)
     assert sum(rescued) >= 2
     solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
     for k in range(cfg.n_steps):
@@ -771,7 +773,7 @@ def test_rescue_saves_rows_whose_line_search_stalls(monkeypatch):
                       <= cfg.newton_tol)
     monkeypatch.setattr(_StepSolver, "picard_solve", lambda self, v, comps, b: np.zeros_like(b))
     with pytest.raises(NonConvergence, match="^step solver stagnated") as exc:
-        simulate_paths(u0, U, model, cfg, paths)
+        simulate_paths(smoothed_start(u0, U, cfg), model, cfg, paths)
     assert (exc.value.step, exc.value.seed) == (0, 0)
 
 
@@ -792,7 +794,8 @@ def test_batch_failure_reports_first_failing_path():
             expected[seed] = err
     assert sorted(expected) == [3, 9] and expected[3].step < expected[9].step
     with pytest.raises(NonConvergence) as exc:
-        simulate_paths(u0, U, model, cfg, sample_prms(model, cfg.dt, cfg.n_steps, (9, 4, 3, 10)))
+        simulate_paths(smoothed_start(u0, U, cfg), model, cfg,
+                       sample_prms(model, cfg.dt, cfg.n_steps, (9, 4, 3, 10)))
     assert (exc.value.seed, exc.value.step) == (9, expected[9].step)
     assert exc.value.residual == expected[9].residual
     assert str(exc.value) == str(expected[9])
@@ -809,7 +812,7 @@ def test_failing_row_stops_the_later_rows_of_its_control(monkeypatch):
     u0 = Field.from_function(grid, lambda x: 2 * np.sin(np.pi * x))
     U = Field.zeros(grid, "free_boundary")
     paths = dict(zip((3, 4, 9), sample_prms(model, cfg.dt, cfg.n_steps, (3, 4, 9))))
-    hat0 = prepare_initial(u0, U, cfg.effective_smoothing_dt, cfg.p).flat
+    hat0 = prepare_initial(u0, U, cfg.dt, cfg.p).flat
     # rows (3, 9, 4) of control 0 and seed 9 of control 1: control 0's seed
     # 9 stops with its seed 3, control 1's runs on to its own failure
     rows = [paths[s] for s in (3, 9, 4, 9)]
@@ -876,10 +879,10 @@ def test_chunked_batches_match_one_batch(monkeypatch):
     model = reference_model()
     U = Field.zeros(grid, "free_boundary")
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(12))
-    whole = simulate_paths(pinned_u0_1d(grid), U, model, cfg, paths)
+    whole = simulate_paths(smoothed_start(pinned_u0_1d(grid), U, cfg), model, cfg, paths)
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 5 * 8 * band.ldab * band.m)  # 5 paths a chunk
-    chunked = simulate_paths(pinned_u0_1d(grid), U, model, cfg, paths)
+    chunked = simulate_paths(smoothed_start(pinned_u0_1d(grid), U, cfg), model, cfg, paths)
     for a, b in zip(whole.states, chunked.states):
         assert np.max(np.abs(a - b)) <= 10 * cfg.newton_tol
     assert len(whole.paths) == len(chunked.paths) == len(paths)
@@ -904,7 +907,7 @@ def test_each_run_of_a_multi_run_solve_equals_its_own_call(dim, monkeypatch):
     else:
         grid, u0, U, model, cfg, paths = _kept_factor_case()
     runs = [(u0, U, paths), (u0, U, paths[:3]), (u0 + default_bump(grid), U, paths)]
-    alone = [simulate_paths(u, V, model, cfg, ps) for u, V, ps in runs]
+    alone = [simulate_paths(smoothed_start(u, V, cfg), model, cfg, ps) for u, V, ps in runs]
     chunks = []
     real = scheme._march
 
@@ -926,10 +929,8 @@ def test_each_run_of_a_multi_run_solve_equals_its_own_call(dim, monkeypatch):
 
 def run_starts(runs, cfg):
     """The `simulate_runs` starts of runs (u0, U, paths): each datum's own
-    `prepare_initial` plus its projected control, as `simulate_paths` forms
-    its start."""
-    return np.array([prepare_initial(u, project_control(V, cfg.control_projection),
-                                     cfg.effective_smoothing_dt, cfg.p).flat for u, V, _ in runs])
+    `smoothed_start`."""
+    return np.array([smoothed_start(u, V, cfg).flat for u, V, _ in runs])
 
 
 def test_multi_run_failure_stays_in_its_run(monkeypatch):
@@ -946,7 +947,7 @@ def test_multi_run_failure_stays_in_its_run(monkeypatch):
     U = Field.zeros(grid, "free_boundary")
     paths = sample_prms(model, cfg.dt, cfg.n_steps, (9, 4, 3, 10))
     with pytest.raises(NonConvergence) as exc:
-        simulate_paths(u0, U, model, cfg, paths)
+        simulate_paths(smoothed_start(u0, U, cfg), model, cfg, paths)
     expected = exc.value
     assert (expected.seed, expected.step) == (9, 3)
     runs = [(small, U, paths), (u0, U, paths), (small, U, paths[:2])]
@@ -958,7 +959,7 @@ def test_multi_run_failure_stays_in_its_run(monkeypatch):
     assert (failed.seed, failed.step, failed.residual, str(failed)) == (
         expected.seed, expected.step, expected.residual, str(expected))
     for run, (u, V, ps) in ((first, runs[0]), (last, runs[2])):
-        own = simulate_paths(u, V, model, cfg, ps)
+        own = simulate_paths(smoothed_start(u, V, cfg), model, cfg, ps)
         assert np.array_equal(run.states, own.states) and np.array_equal(run.sums, own.sums)
 
 
@@ -1051,7 +1052,8 @@ def test_march_increments_match_mark_by_mark_sums(measure, monkeypatch):
         return inc
 
     monkeypatch.setattr(scheme, "compensated_increments", spy)
-    simulate_paths(pinned_u0_1d(grid), Field.zeros(grid, "free_boundary"), model, cfg, paths)
+    simulate_paths(smoothed_start(pinned_u0_1d(grid), Field.zeros(grid, "free_boundary"), cfg),
+                   model, cfg, paths)
     assert len(calls) == cfg.n_steps
     for k, (u_int, inc) in enumerate(calls):
         for i, path in enumerate(paths):
@@ -1089,7 +1091,7 @@ def test_ensemble_sums_equal_a_step_by_step_accumulation(case, monkeypatch):
                           point_masses=((1.0, 9.0), (-0.3, 12.0), (2.5, 3.0)))
     U = Field.zeros(grid, "free_boundary")
     paths = sample_prms(model, cfg.dt, cfg.n_steps, range(4))
-    ens = simulate_paths(u0, U, model, cfg, paths)
+    ens = simulate_paths(smoothed_start(u0, U, cfg), model, cfg, paths)
     if case == "trajectory_1d":
         solves = []
         real = scheme._trajectories
@@ -1129,14 +1131,14 @@ def test_kept_factors_row_ignores_batch_and_chunking(monkeypatch):
 
     monkeypatch.setattr(_StepSolver, "newton_step", spy_step)
     monkeypatch.setattr(_StepSolver, "newton_factors", spy_factors)
-    batch = simulate_paths(u0, U, model, cfg, paths)
+    batch = simulate_paths(smoothed_start(u0, U, cfg), model, cfg, paths)
     # row rounds taken with kept factors need no factorization
     assert seen["lagged"] > 0
     assert seen["factored"] < seen["rounds"]
-    alone = simulate_paths(u0, U, model, cfg, paths[2:3])
+    alone = simulate_paths(smoothed_start(u0, U, cfg), model, cfg, paths[2:3])
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 2 * 8 * band.ldab * band.m)  # 2 rows a chunk
-    chunked = simulate_paths(u0, U, model, cfg, paths)
+    chunked = simulate_paths(smoothed_start(u0, U, cfg), model, cfg, paths)
     for run in (batch, chunked):
         assert np.array_equal(run.states[2], alone.states[0])
         assert np.array_equal(run.sums[2], alone.sums[0])
@@ -1149,7 +1151,7 @@ def test_corrupted_kept_factors_end_in_a_converged_step(monkeypatch):
     import plaplace_levy.scheme as scheme
 
     grid, u0, U, model, cfg, paths = _kept_factor_case()
-    clean = simulate_paths(u0, U, model, cfg, paths)
+    clean = simulate_paths(smoothed_start(u0, U, cfg), model, cfg, paths)
     step, kl = _StepSolver.newton_step, grid.step_band.kl
     corrupted, rescues = [], []
 
@@ -1168,7 +1170,7 @@ def test_corrupted_kept_factors_end_in_a_converged_step(monkeypatch):
     monkeypatch.setattr(_StepSolver, "newton_step", corrupt)
     monkeypatch.setattr(_StepSolver, "picard_solve",
                         lambda self, *a: rescues.append(1) or picard(self, *a))
-    run = simulate_paths(u0, U, model, cfg, paths)
+    run = simulate_paths(smoothed_start(u0, U, cfg), model, cfg, paths)
     assert corrupted and not rescues
     assert np.max(np.abs(run.states - clean.states)) <= 10 * cfg.newton_tol
     solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
@@ -1211,8 +1213,8 @@ def test_1d_march_never_keeps_factors(monkeypatch):
         return step(self, v, comps, r, kept)
 
     monkeypatch.setattr(_StepSolver, "newton_step", spy)
-    simulate_paths(pinned_u0_1d(grid), Field.zeros(grid, "free_boundary"), model, cfg,
-                   sample_prms(model, cfg.dt, cfg.n_steps, range(4)))
+    simulate_paths(smoothed_start(pinned_u0_1d(grid), Field.zeros(grid, "free_boundary"), cfg),
+                   model, cfg, sample_prms(model, cfg.dt, cfg.n_steps, range(4)))
     assert len(kept_args) >= cfg.n_steps and all(k is None for k in kept_args)
 
 
