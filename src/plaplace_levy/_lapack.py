@@ -105,13 +105,13 @@ class BandLU:
             # each factor as one row per block, cut to the block's length
             dl, d, du, du2 = (np.concatenate([x, np.zeros(cut)]).reshape(n_blocks, size)
                               [:, : size - cut] for x, cut in zip(factors, (1, 0, 1, 2)))
-        x, rhs = np.empty_like(b), b.copy()
+        x = b.copy()  # each block's right-hand side, then its solution
         for k in range(n_blocks):
             if k:
-                rhs[k] += lower[k] * x[k - 1]
-            x[k] = (dgttrs(dl[k], d[k], du[k], du2[k], piv[k], rhs[k], overwrite_b=True)[0]
+                x[k] += lower[k] * x[k - 1]
+            x[k] = (dgttrs(dl[k], d[k], du[k], du2[k], piv[k], x[k], overwrite_b=True)[0]
                     if tri else dgbtrs(factors[0][:, k * size : (k + 1) * size], self.kl,
-                                       self.kl, rhs[k], piv[k], overwrite_b=True)[0])
+                                       self.kl, x[k], piv[k], overwrite_b=True)[0])
         return x
 
     def solve(self, b: np.ndarray, overwrite: bool = False) -> np.ndarray:

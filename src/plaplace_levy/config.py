@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .control import (CostSpec, constant_target, control_rows, psi_l2, psi_zero, search_batches,
-                      sine_basis)
+                      sine_basis, sine_modes)
 from .estimates import _VERIFY_ISOMETRY_SAMPLES, theta_ladder
 from .grid import FREE_BOUNDARY, Field, Grid, l2_norm, w1p_norm
 from .levy import LevyModel, eta_linear, eta_sine, eta_zero
@@ -221,17 +221,22 @@ class RunConfig:
     def build_initial(self, grid: Grid) -> Field:
         return _parse_field(self.get("initial", "u0"), grid, "zero_boundary")
 
-    def build_basis(self, grid: Grid) -> list:
+    def basis_size(self, grid: Grid) -> int:
+        """The number of [initial] basis functions on grid, checked without
+        building them."""
         kind, _, arg = self.get("initial", "basis").partition(":")
         if kind == "none":
-            return []
-        if kind == "sine":
-            size = _number(arg, "[initial] basis size", int) if arg else 2
-            try:
-                return sine_basis(grid, size)
-            except ValueError as err:
-                raise ConfigError(f"[initial] basis: {err}")
-        raise ConfigError(f"unknown control basis {kind!r}")
+            return 0
+        if kind != "sine":
+            raise ConfigError(f"unknown control basis {kind!r}")
+        try:
+            return len(sine_modes(grid, _number(arg, "[initial] basis size", int) if arg else 2))
+        except ValueError as err:
+            raise ConfigError(f"[initial] basis: {err}")
+
+    def build_basis(self, grid: Grid) -> list:
+        size = self.basis_size(grid)
+        return sine_basis(grid, size) if size else []
 
     def build_control(self, grid: Grid) -> Field:
         basis = self.build_basis(grid)
@@ -289,14 +294,12 @@ class RunConfig:
         model = self.build_levy()
         if self.n_paths < 1:
             raise ConfigError("[run] n_paths must be >= 1")
-        size = (self.n_paths, scheme.n_steps, grid, model, scheme.dt, "[scheme] n_steps",
-                "[levy] measure", command)
-        # the bound of the smallest basis, which rejects a run too large to
-        # hold before the basis is built, then that of the basis
-        check_run_size(*size)
-        basis = self.build_basis(grid)
-        check_run_size(*size, search_batches(self.n_paths, grid.n_nodes, len(basis))[1],
-                       len(basis) + 1)
+        # the basis size from its spec, so that a run too large to hold is
+        # rejected with its own count before any field is built
+        n_basis = self.basis_size(grid)
+        check_run_size(self.n_paths, scheme.n_steps, grid, model, scheme.dt, "[scheme] n_steps",
+                       "[levy] measure", command,
+                       search_batches(self.n_paths, grid.n_nodes, n_basis)[1], n_basis + 1)
         initial = {"u0": self.build_initial(grid), "control_coeffs": self.build_control(grid)}
         for key, f in initial.items():
             with np.errstate(over="ignore"):
@@ -311,7 +314,7 @@ class RunConfig:
             raise ConfigError(f"{command} needs [run] n_paths >= 2 for ensemble statistics")
         if command == "verify" and len(theta_ladder(scheme)) < 4:
             raise ConfigError("scheme too short for increment scaling (needs n_steps >= 6)")
-        if command == "optimize" and not basis:
+        if command == "optimize" and not n_basis:
             raise ConfigError("optimize needs a nonempty control basis")
         return self
 

@@ -10,7 +10,7 @@ The cost of a control U on a path ensemble is
 Candidates are compared under common random numbers on a fixed seed set,
 and their step solves start from trajectories predicted from the search's
 best solved candidates, so a computed J is deterministic in the
-coefficients and the search history (within about 1e-10 relative of a cold
+coefficients and the search history (within about 1e-9 relative of a cold
 solve): the recorded best-so-far history is monotone and runs reproduce
 bitwise.
 """
@@ -137,21 +137,26 @@ def control_rows(basis: list, points: np.ndarray) -> np.ndarray:
 _MODES_2D = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1))
 
 
-def sine_basis(grid: Grid, size: int) -> list:
-    """The `size` lowest sine modes (in 2D the first of six tensorized
-    ones); smooth elements of the control space with zero trace, so
-    boundary projection never distorts them.  A mode of index n_cells
-    vanishes at every node, so the indices stay below n_cells, where the
-    modes are linearly independent."""
+def sine_modes(grid: Grid, size: int) -> list:
+    """The mode indices of `sine_basis(grid, size)`, checked without
+    building a field.  A mode of index n_cells vanishes at every node, so
+    the indices stay below n_cells, where the modes are linearly
+    independent."""
     n_modes = (grid.n_cells - 1 if grid.dim == 1
                else sum(max(mode) < grid.n_cells for mode in _MODES_2D))
     if not 1 <= size <= n_modes:
         raise ValueError(f"a sine basis on {grid.n_cells} cells in {grid.dim}D has 1 to "
                          f"{n_modes} modes, got {size}")
-    modes = [(j,) for j in range(1, size + 1)] if grid.dim == 1 else _MODES_2D[:size]
+    return [(j,) for j in range(1, size + 1)] if grid.dim == 1 else _MODES_2D[:size]
+
+
+def sine_basis(grid: Grid, size: int) -> list:
+    """The `size` lowest sine modes (in 2D the first of six tensorized
+    ones); smooth elements of the control space with zero trace, so
+    boundary projection never distorts them."""
     return [Field.from_function(grid, lambda *x, m=m: math.prod(
                 np.sin(j * np.pi * xd) for j, xd in zip(m, x)), FREE_BOUNDARY)
-            for m in modes]
+            for m in sine_modes(grid, size)]
 
 
 @dataclass
@@ -296,11 +301,12 @@ def search_batches(n_paths: int, n_nodes: int, dim: int) -> tuple:
     return speculate, max(dim + 1, 4 if speculate else 1)
 
 
-# The start predictor (`affine_predictor`) takes barycentric coordinates
-# against its dim + 1 solved candidates only while their affine matrix
-# [1 ... 1; x_0 ... x_dim] has a 1-norm condition number of at most this;
-# a flatter or smaller set (a simplex shrunk to near the rounding of its
-# coefficients) falls back to the incumbent's states.
+# The start predictor (`affine_predictor`) takes coordinates against its
+# dim + 1 solved candidates only while their edge matrix
+# [x_1 - x_0 ... x_dim - x_0] has a 1-norm condition number of at most this.
+# That number measures the simplex's shape, not its width, so a simplex
+# shrunk by the search still predicts; a nearly flat one falls back to the
+# incumbent's states.
 _PREDICT_COND = 1e8
 
 
@@ -308,33 +314,25 @@ def affine_predictor(kept: list, dim: int, incumbent: np.ndarray = None):
     """The starts of a batch of candidates, fixed from solved candidates.
 
     kept holds (coefficients, states) pairs of solved candidates, with
-    states (n_paths, n_steps + 1, n_nodes).  Given dim + 1 of them whose
-    affine matrix passes _PREDICT_COND, the returned predict(points) gives,
-    for each row x of points (k, dim), sum_i lam_i states_i, where lam are
-    x's barycentric coordinates against the kept coefficients
-    (sum_i lam_i = 1, sum_i lam_i x_i = x): exact where the states are
-    affine in the coefficients, as a candidate's start is, and computed
-    row by row, so a row's start does not depend on the other rows.
-    Otherwise every row gets the incumbent's states (`np.broadcast_to`), or
-    None without an incumbent.  The result is `simulate_runs`' ref."""
+    states (n_paths, n_steps + 1, n_nodes).  Given dim + 1 of them, (x_0,
+    s_0) first, whose edge matrix E = [x_1 - x_0 ... x_dim - x_0] passes
+    _PREDICT_COND, the returned predict(points) gives, for each row x of
+    points (k, dim), s_0 + sum_i mu_i (s_i - s_0) with E mu = x - x_0:
+    exact where the states are affine in the coefficients, as a candidate's
+    start is, however narrow the simplex, and computed row by row, so a
+    row's start does not depend on the other rows.  Otherwise every row
+    gets the incumbent's states (`np.broadcast_to`), or None without an
+    incumbent.  The result is `simulate_runs`' ref."""
     if len(kept) == dim + 1:
-        affine = np.vstack([np.ones(dim + 1), np.array([x for x, _ in kept]).T])
-        try:
-            inv = np.linalg.inv(affine)
-        except np.linalg.LinAlgError:  # exactly singular
-            inv = np.full_like(affine, np.inf)
-        cond = np.abs(affine).sum(axis=0).max() * np.abs(inv).sum(axis=0).max()
-        if cond <= _PREDICT_COND:  # false for NaN
-            states = [s for _, s in kept]
+        (x0, s0), rest = kept[0], kept[1:]
+        edges = np.array([x - x0 for x, _ in rest]).T
+        if np.linalg.cond(edges, 1) <= _PREDICT_COND:  # inf if singular, false for NaN
+            inv, slopes = np.linalg.inv(edges), [s - s0 for _, s in rest]
 
             def predict(points):
-                lam = np.broadcast_to(inv[:, 0], (len(points), dim + 1))
-                for j in range(dim):
-                    lam = lam + points[:, j, None] * inv[:, j + 1]
-                ref = lam[:, 0, None, None, None] * states[0]
-                for i in range(1, dim + 1):
-                    ref = ref + lam[:, i, None, None, None] * states[i]
-                return ref
+                d = points - x0
+                mu = sum(d[:, j, None] * inv[:, j] for j in range(dim))
+                return sum((mu[:, i, None, None, None] * slopes[i] for i in range(dim)), s0)
 
             return predict
     if incumbent is None:
@@ -373,12 +371,16 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     (`simulate_runs`' ref).  The search keeps copies of the states of
     the dim + 1 lowest-J converged candidates consumed so far in the
     current restart (ties in consumption order); at the start of each
-    restart and of each Nelder-Mead iteration it fixes `affine_predictor`
-    from them, which falls back to the incumbent's states while fewer are
-    kept or they are too flat.  The rule reads only the consumed history,
-    so speculative and one-at-a-time evaluation start alike.  J is
-    deterministic in the coefficients and the search history, and within
-    about 1e-10 relative of a cold solve.
+    restart and of each Nelder-Mead iteration where that set has changed
+    it fixes `affine_predictor` from them, which falls back to the
+    incumbent's states while fewer are kept or their simplex is nearly
+    flat, however narrow it is.  Until a candidate is solved, each one's
+    ref is its start held over the n_steps + 1 times, so the first batch
+    too is solved as whole trajectories where `simulate_runs` takes them.
+    The rule reads only the consumed history, so speculative and
+    one-at-a-time evaluation start alike.  J is deterministic in the
+    coefficients and the search history, and within about 1e-9 relative of
+    a cold solve.
     """
     dim = len(basis)
     if budget < dim + 1:
@@ -400,14 +402,16 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
     # states: the incumbent's solved states; kept: (J, coefficients, states)
     # of the restart's dim + 1 best converged candidates, lowest J first (the
     # states are copies, so no batch stays alive); predict: the starts of a
-    # batch, fixed by freeze()
+    # batch, fixed by freeze(), which rebuilds it only when stale, that is
+    # when kept, and with it the incumbent, has changed
     state = {"best": np.inf, "coeffs": None, "evals": 0, "parts": None, "states": None,
-             "kept": [], "predict": affine_predictor([], dim)}
+             "kept": [], "predict": affine_predictor([], dim), "stale": False}
     batch = {}
 
     def freeze():
-        kept = [(x, states) for _, x, states in state["kept"]]
-        state["predict"] = affine_predictor(kept, dim, state["states"])
+        if state["stale"]:
+            kept = [(x, states) for _, x, states in state["kept"]]
+            state["predict"], state["stale"] = affine_predictor(kept, dim, state["states"]), False
 
     def evaluate(points):
         """Solve and cost every candidate of a batch as one stack; the
@@ -416,8 +420,11 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
         batch.clear()
         rows = control_rows(basis, points)
         starts = smoothed + (rows if clamp is None else np.where(clamp, 0.0, rows))
-        runs = simulate_runs(u0.grid, starts, [paths] * len(rows), model, cfg,
-                             state["predict"](points))
+        ref = state["predict"](points)
+        if ref is None:  # nothing solved yet: each candidate's start, held constant
+            ref = np.broadcast_to(starts[:, None, None], (len(rows), n_paths, cfg.n_steps + 1,
+                                                          starts.shape[1]))
+        runs = simulate_runs(u0.grid, starts, [paths] * len(rows), model, cfg, ref)
         good = [i for i, run in enumerate(runs) if isinstance(run, Ensemble)]
         if not good and not history:  # the search's first call, whose first candidate is U = 0
             raise runs[0]
@@ -434,6 +441,7 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
             at = next((j for j, (v, *_) in enumerate(kept) if val < v), len(kept))
             kept.insert(at, (val, np.array(batch["points"][i]), states))
             del kept[dim + 1 :]
+            state["stale"] = True
         if val < state["best"]:
             state["best"], state["coeffs"], state["parts"] = val, np.array(batch["points"][i]), parts
             state["states"] = kept[0][2]  # the restart's lowest J is the best
@@ -449,7 +457,7 @@ def saa_minimize(model: LevyModel, cfg: SchemeConfig, u0: Field, spec: CostSpec,
         remaining = budget - state["evals"]
         if remaining < dim + 1:
             break
-        state["kept"] = []
+        state["kept"], state["stale"] = [], True
         simplex = np.vstack([x0] + [x0 + scale * np.eye(dim)[j] for j in range(dim)])
         nelder_mead(evaluate, consume, simplex, remaining, xatol=1e-10, fatol=1e-12,
                     speculate=speculate, begin=freeze)

@@ -654,14 +654,16 @@ def simulate_runs(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel,
     ref, with every run on the same paths, holds one trajectory set
     (len(paths), n_steps + 1, n_nodes) per run: a solved or predicted
     trajectory per path (the control search passes each candidate's
-    prediction, or `np.broadcast_to` of one solved set).  Each row's step
-    solves then start from its own ref[run, path] (see `_march`), and its
-    states move by up to about newton_tol against the cold start from the
-    previous state.  With ref and at most _TRAJECTORY_NODES nodal values per
-    path set (len(paths) x grid nodes), each row's steps are solved as one
-    system (`_trajectories`) instead, in chunks of whole trajectories; the
-    choice depends on the paths and the grid, not on the number of runs, so
-    a row's states still do not depend on which runs share the call."""
+    prediction, `np.broadcast_to` of one solved set, or, before any
+    candidate is solved, each candidate's start held constant).  Each
+    row's step solves then start from its own ref[run, path] (see
+    `_march`), and its states move by up to about newton_tol against the
+    cold start from the previous state.  With ref and at most
+    _TRAJECTORY_NODES nodal values per path set (len(paths) x grid nodes),
+    each row's steps are solved as one system (`_trajectories`) instead, in
+    chunks of whole trajectories; the choice depends on the paths and the
+    grid, not on the number of runs, so a row's states still do not depend
+    on which runs share the call."""
     runs = [tuple(paths) for paths in runs]
     if not np.isfinite(starts).all():
         raise ValueError("field values must be finite")
@@ -780,7 +782,7 @@ def _rhs_coupling(model: LevyModel, u_int: np.ndarray, sums: np.ndarray, dt: flo
 def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
                   paths, groups: np.ndarray, ref: np.ndarray) -> tuple:
     """`_march` given a reference trajectory ref (M, n_steps + 1, n_nodes),
-    one per row (solved, or predicted by the control search), with every
+    one per row (solved, predicted, or a start held constant), with every
     step of every row solved at once: Newton on the residuals
     R_k(u_k; u_{k-1} + inc(u_{k-1})) of steps k = 1..n_steps, the unknowns
     stacked step-major and started from the reference's own interior values
@@ -801,7 +803,7 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
     n, M, idx = cfg.n_steps, len(paths), grid.interior_nodes
     solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
     m = grid.step_band.m
-    jumps = _path_mark_sums(paths, n).T  # (n, M)
+    sums = _path_mark_sums(paths, n).T  # (n, live rows), column j for row live[j]
     states = np.empty((M, n + 1, grid.n_nodes))
     # cur[k, j] is state k of row live[j]; every state keeps the start's boundary
     cur = np.repeat(starts[None], n + 1, axis=0)
@@ -811,31 +813,33 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
     for it in range(cfg.newton_max_iters + 1):
         A = len(live)
         prev = cur[:-1].reshape(n * A, -1)
-        inc = np.zeros_like(prev)
-        inc[:, idx] = compensated_increments(model, prev[:, idx], jumps[:, live].ravel(), cfg.dt)
+        u_int = prev[:, idx]  # read by the increments and the coupling
+        rhs = prev.copy()
         with np.errstate(invalid="ignore"):  # a diverged row, marched below, gives inf - inf
-            rhs = prev + inc
+            rhs[:, idx] = u_int + compensated_increments(model, u_int, sums.ravel(), cfg.dt)
         r, rnorm, _, comps = solver.evaluate(cur[1:].reshape(n * A, -1), rhs)
         rnorm = rnorm.reshape(n, A)
         done = (rnorm <= cfg.newton_tol).all(axis=0)
         states[live[done]] = cur[:, done].transpose(1, 0, 2)
         go = ~done & np.isfinite(rnorm).all(axis=0) & (it < cfg.newton_max_iters)
         marched.extend(live[~done & ~go].tolist())
-        live, cur = live[go], cur[:, go]
+        r, comps, u_int = (x.reshape(n, A, *x.shape[1:]) for x in (r, comps, u_int))
+        if not go.all():  # while every row stays live, no row is copied out
+            live, sums, cur = live[go], sums[:, go], cur[:, go]
+            r, comps, u_int = r[:, go], comps[:, go], u_int[:, go]
         if not live.size:
             break
-        r, comps = r.reshape(n, A, m)[:, go], comps.reshape(n, A, *comps.shape[1:])[:, go]
         lu, ok = solver.newton_factors(cur[1:], comps)
         if ok is not None:
             r[:, ~ok] = 0.0  # a singular row solves to zeros, which reach no other row
         # block forward substitution: A_k delta_k = -r_k + coupling_k delta_{k-1}
         cols = len(live) * m
-        coupling = _rhs_coupling(model, cur[:-1, :, idx].reshape(-1, m), jumps[:, live].ravel(),
-                                 cfg.dt, solver.wc).reshape(n, cols)
+        coupling = _rhs_coupling(model, u_int.reshape(-1, m), sums.ravel(), cfg.dt,
+                                 solver.wc).reshape(n, cols)
         delta = lu.forward_solve(-r.reshape(n, cols), coupling).reshape(n, len(live), m)
         if ok is not None:  # a singular block sends its row to the march
             marched.extend(live[~ok].tolist())
-            live, cur, delta = live[ok], cur[:, ok], delta[:, ok]
+            live, sums, cur, delta = live[ok], sums[:, ok], cur[:, ok], delta[:, ok]
             if not live.size:
                 break
         cur[1:, :, idx] += delta

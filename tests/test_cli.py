@@ -219,6 +219,21 @@ def test_run_bound_counts_every_candidate_of_an_optimize_batch(tmp_path, capsys)
     assert not os.path.exists(out)
 
 
+def test_optimize_too_large_is_named_with_its_basis_count(tmp_path, capsys):
+    # sample_config.ini's sine:2 basis at 100,000 paths: 22 state rows a path
+    # (5 for each of the 3 simplex candidates, 2 for each of the 3 kept ones
+    # and the incumbent's) of 17 x 17 values, and 3 arrays of _BAND_BUDGET
+    # bytes, counted from the basis spec before any field is built
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = str(tmp_path / "o")
+    assert run_cli(["optimize", "--config", os.path.join(root, "sample_config.ini"),
+                    "--paths", "100000", "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "config error: [run] n_paths, [scheme] n_steps and [grid] n_cells give 638945728 state "
+        "values, more than 134217728\n")
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 @pytest.mark.parametrize("grid_lines, n_paths", [("dim = 1\nn_cells = 16", 300),
                                                  ("dim = 2\nn_cells = 3", 200)],

@@ -919,6 +919,34 @@ def test_warm_start_cuts_optimize_line_searches(seed, monkeypatch):
     assert warm.best_J == pytest.approx(cold.best_J, rel=1e-6, abs=0.0)
 
 
+def test_search_solver_work(monkeypatch):
+    # optimize-1d's search at base seed 4,000,012: its first batch starts
+    # from each candidate's start held constant, and the predictor holds
+    # however narrow the simplex gets, so every batch is solved as whole
+    # trajectories, none falls back to the march, and the search makes at
+    # most 210 LU factorizations (273 with a cold first batch and a
+    # predictor that fell back on narrow simplices)
+    import plaplace_levy._lapack as lapack
+    import plaplace_levy.scheme as scheme
+    from plaplace_levy.config import parse_config
+
+    cfg = parse_config(os.path.join(REPO, "perfbench", "configs", "sample.ini"))
+    grid = cfg.build_grid()
+    sch = cfg.build_scheme(grid.dim)
+    args = (cfg.build_levy(), sch, cfg.build_initial(grid), cfg.build_cost(grid, sch.n_steps),
+            cfg.build_basis(grid), 1)
+    factored, marched = [], []
+    for kernel in ("dgttrf", "dgbtrf"):
+        real = getattr(lapack, kernel)
+        monkeypatch.setattr(lapack, kernel,
+                            lambda *a, real=real, **k: factored.append(1) or real(*a, **k))
+    real_march = scheme._march
+    monkeypatch.setattr(scheme, "_march", lambda *a: marched.append(1) or real_march(*a))
+    res = saa_minimize(*args, budget=200, base_seed=4_000_012)
+    assert res.n_evaluations == 200
+    assert not marched and len(factored) <= 210
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded():
     # the package's own search replaced scipy.optimize, and its LAPACK routines
     # load without scipy/__init__ or scipy.linalg: importing any of these
@@ -952,6 +980,29 @@ def test_affine_trajectories_are_predicted_exactly():
     assert np.allclose(predict(points), [s for _, s in kept], rtol=0.0, atol=1e-14)
 
 
+def test_predictor_is_exact_however_narrow_the_simplex():
+    # a right simplex 1e-9 wide, away from the origin, predicts affine states
+    # as exactly as one of width 1; a nearly collinear simplex of that width
+    # and a kept set smaller than dim + 1 fall back to the incumbent
+    from plaplace_levy.control import affine_predictor
+
+    rng = np.random.default_rng(4)
+    base, slopes = rng.normal(size=(2, 5, 17)), rng.normal(size=(3, 2, 5, 17))
+    center, width = np.array([0.3, -0.2, 0.1]), 1e-9
+    points = center + width * np.vstack([np.zeros(3), np.eye(3)])
+    kept = [(x, base + np.tensordot(x, slopes, axes=1)) for x in points]
+    incumbent = kept[0][1]
+    new = center + width * np.array([[0.2, -0.3, 0.05], [1.5, 2.0, -1.0], [0.0, 0.0, 0.0]])
+    for x, row in zip(new, affine_predictor(kept, 3, incumbent)(new)):
+        assert np.allclose(row, base + np.tensordot(x, slopes, axes=1), rtol=0.0, atol=1e-13)
+    flat = center + width * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 1e-9]])
+    for few in ([(x, s) for x, (_, s) in zip(flat, kept)], kept[:3]):
+        ref = affine_predictor(few, 3, incumbent)(new)
+        assert ref.shape == (3, *incumbent.shape)
+        assert all(np.array_equal(row, incumbent) for row in ref)
+        assert affine_predictor(few, 3)(new) is None
+
+
 @pytest.mark.parametrize("projection", ["clamp_boundary", "lift_boundary"])
 def test_predicted_state_0_is_each_candidates_start(projection):
     from plaplace_levy.control import affine_predictor, control_rows
@@ -981,16 +1032,16 @@ def test_too_few_or_flat_candidates_start_from_the_incumbent_bitwise(monkeypatch
     states = [rng.normal(size=(2, 9, 13)) for _ in range(3)]
     points = np.array([[0.1, 0.2], [0.4, -0.3]])
     for kept in ([], [(np.zeros(2), states[0])],  # too few
-                 # the three points on one line: a singular affine matrix
+                 # the three points on one line: a singular edge matrix
                  [(np.array([t, 2 * t]), s) for t, s in zip((0.0, 1.0, 2.0), states)],
-                 # a simplex 1e-9 wide: condition number about 1e9
-                 [(np.array(x), s) for x, s in zip(([0, 0], [1e-9, 0], [0, 1e-9]), states)]):
+                 # nearly on one line: condition number about 2e9
+                 [(np.array(x), s) for x, s in zip(([0, 0], [1, 0], [1, 1e-9]), states)]):
         ref = control.affine_predictor(kept, 2, incumbent)(points)
         assert ref.shape == (2, *incumbent.shape)
         assert all(np.array_equal(row, incumbent) for row in ref)
         assert control.affine_predictor(kept, 2)(points) is None
-    # the same simplex 1e-3 wide predicts
-    kept = [(np.array(x), s) for x, s in zip(([0, 0], [1e-3, 0], [0, 1e-3]), states)]
+    # a right simplex 1e-9 wide predicts: the test reads its shape, not its width
+    kept = [(np.array(x), s) for x, s in zip(([0, 0], [1e-9, 0], [0, 1e-9]), states)]
     assert not np.array_equal(control.affine_predictor(kept, 2, incumbent)(points)[0], incumbent)
 
     # a search whose predictor always falls back starts every candidate from
