@@ -94,24 +94,28 @@ class BandLU:
         system A_k x_k - lower_k x_{k-1} = b_k, k = 0 .. n_blocks - 1, where
         A_k, the diagonal block of columns k size:(k + 1) size, is factored
         here and lower (n_blocks, size) holds the diagonal below it
-        (lower[0] is not read): one solve per block, in block order.  The
-        blocks must tile the matrix and be those it was factored with."""
+        (lower[0] is not read): one solve per block, in block order, on
+        views of the block's slices of the factors.  The blocks must tile
+        the matrix and be those it was factored with."""
         n_blocks, size = b.shape
         *factors, piv = self.factors
         piv = (piv.reshape(n_blocks, size)  # every block's pivots made local at once
                - np.arange(0, self.n, size, dtype=piv.dtype)[:, None])
-        tri = self.tridiagonal
-        if tri:
-            # each factor as one row per block, cut to the block's length
-            dl, d, du, du2 = (np.concatenate([x, np.zeros(cut)]).reshape(n_blocks, size)
-                              [:, : size - cut] for x, cut in zip(factors, (1, 0, 1, 2)))
         x = b.copy()  # each block's right-hand side, then its solution
-        for k in range(n_blocks):
-            if k:
-                x[k] += lower[k] * x[k - 1]
-            x[k] = (dgttrs(dl[k], d[k], du[k], du2[k], piv[k], x[k], overwrite_b=True)[0]
-                    if tri else dgbtrs(factors[0][:, k * size : (k + 1) * size], self.kl,
-                                       self.kl, x[k], piv[k], overwrite_b=True)[0])
+        prev, a = None, 0  # the previous block's solution; the block's first column
+        for xk, lk, pk in zip(x, lower, piv):
+            if a:
+                xk += lk * prev
+            z = a + size
+            if self.tridiagonal:  # gttrf's dl, du and du2 are 1 and 2 shorter
+                dl, d, du, du2 = factors
+                out = dgttrs(dl[a : z - 1], d[a:z], du[a : z - 1], du2[a : z - 2], pk, xk,
+                             overwrite_b=True)[0]
+            else:
+                out = dgbtrs(factors[0][:, a:z], self.kl, self.kl, xk, pk, overwrite_b=True)[0]
+            if out is not xk:  # the wrappers solve a contiguous row in place
+                xk[:] = out
+            prev, a = xk, z
         return x
 
     def solve(self, b: np.ndarray, overwrite: bool = False) -> np.ndarray:

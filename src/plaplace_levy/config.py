@@ -53,7 +53,8 @@ def run_values(n_paths: int, n_steps: int, grid: Grid, command: str = None,
     n_paths paths of n_steps steps holds besides its jumps: per path,
     _VERIFY_ROWS or _ENSEMBLE_ROWS state rows, or, for optimize, 5 for each
     of up to `candidates` controls solved at once (states, a predicted
-    start and the stacked states and target differences of its cost pass),
+    start, and the target differences of its cost pass and their interior
+    values),
     the states of up to basis size + 1 = `kept` candidates, as many more
     that its frozen start predictor still holds, and the incumbent's; and,
     for any run, 3 arrays of _BAND_BUDGET bytes (a chunk's band systems,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,13 @@ class CostSpec:
     u_tar: list
     psi: tuple  # (kind, cap)
 
+    @cached_property
+    def target_rows(self) -> np.ndarray:
+        """The nodal values of u_tar at t_1 .. t_n_steps, (n_steps,
+        n_nodes), which every cost reads: stacked once per spec."""
+        return np.array([f.flat for f in self.u_tar[1:]]).reshape(
+            len(self.u_tar) - 1, self.u_tar[0].grid.n_nodes)
+
     def payoff(self, grid: Grid, rows: np.ndarray) -> np.ndarray:
         """psi of each row of a stack of nodal vectors (M, n_nodes) on grid."""
         kind, cap = self.psi
@@ -77,9 +85,10 @@ def cost_J(ensembles: list, U: np.ndarray, spec: CostSpec, p: float) -> list:
     """Sample-average cost of each control row of U (k, n_nodes) over its
     ensemble of `ensembles`, k ensembles of one scheme configuration: one
     (total, parts) per row, parts = {tracking, control, terminal}, from one
-    pass over their stacked states.  Each path's tracking sum runs in step
-    order, the paths' sums and payoffs add in path order, and each row's
-    W^{1,p} norm is finished on Python floats as `w1p_norm` does."""
+    pass over their states, read where each ensemble holds them (no stacked
+    copy).  Each path's tracking sum runs in step order, the paths' sums and
+    payoffs add in path order, and each row's W^{1,p} norm is finished on
+    Python floats as `w1p_norm` does."""
     if len(ensembles) != len(U):
         raise ValueError("cost_J needs one ensemble per control row")
     if not all(len(run) for run in ensembles):
@@ -91,23 +100,29 @@ def cost_J(ensembles: list, U: np.ndarray, spec: CostSpec, p: float) -> list:
         raise GridMismatchError("target profile lives on a different grid")
     if p <= 1:
         raise ValueError(f"p must be > 1, got {p}")
-    targets = np.array([f.flat for f in spec.u_tar[1:]]).reshape(cfg.n_steps, grid.n_nodes)
-    states = np.concatenate([run.states for run in ensembles])
+    # u(t_{k+1}) - u_tar(t_{k+1}) of every path, each ensemble's block
+    # subtracted where its states lie
+    sizes = [len(run) for run in ensembles]
+    diff = np.empty((sum(sizes), cfg.n_steps, grid.n_nodes))
+    stop = 0
+    for run, size in zip(ensembles, sizes):
+        start, stop = stop, stop + size
+        np.subtract(run.states[:, 1:], spec.target_rows, out=diff[start:stop])
     # dt l2_norm(u(t_{k+1}) - u_tar(t_{k+1}))^2 per path and step
-    sq = (cfg.dt * _l2_norms(grid, states[:, 1:] - targets) ** 2).tolist()
-    scores = spec.payoff(grid, states[:, -1]).tolist()
-    nodal = np.sum(np.abs(U) ** p * nodal_weights(grid), axis=-1).tolist()
+    sq = (cfg.dt * _l2_norms(grid, diff) ** 2).tolist()
+    scores = spec.payoff(grid, np.concatenate([run.states[:, -1] for run in ensembles])).tolist()
+    nodal = (np.abs(U) ** p * nodal_weights(grid)).sum(axis=-1).tolist()
     out, stop = [], 0
-    for run, nodal_sum, grad in zip(ensembles, nodal, _lp_grad_pows(grid, U, p).tolist()):
-        start, stop = stop, stop + len(run)
+    for size, nodal_sum, grad in zip(sizes, nodal, _lp_grad_pows(grid, U, p).tolist()):
+        start, stop = stop, stop + size
         tracking = terminal = 0.0
         for row in sq[start:stop]:
             tracking += sum(row)
         for score in scores[start:stop]:
             terminal += score
         control = ((nodal_sum + (grad ** (1.0 / p)) ** p) ** (1.0 / p)) ** p
-        parts = {"tracking": tracking / len(run), "control": control,
-                 "terminal": terminal / len(run)}
+        parts = {"tracking": tracking / size, "control": control,
+                 "terminal": terminal / size}
         out.append((parts["tracking"] + control + parts["terminal"], parts))
     return out
 
@@ -310,6 +325,19 @@ def search_batches(n_paths: int, n_nodes: int, dim: int) -> tuple:
 _PREDICT_COND = 1e8
 
 
+def _inverse_cond(edges: np.ndarray) -> tuple:
+    """The inverse of the square matrix edges and its 1-norm condition
+    number ||edges||_1 ||inverse||_1, the value np.linalg.cond(edges, 1)
+    takes from the same inverse, in one inversion; (None, inf) where the
+    inversion finds edges singular."""
+    try:
+        inv = np.linalg.inv(edges)
+    except np.linalg.LinAlgError:
+        return None, math.inf
+    # on Python floats, so a product past the float range is inf without a warning
+    return inv, float(np.linalg.norm(edges, 1)) * float(np.linalg.norm(inv, 1))
+
+
 def affine_predictor(kept: list, dim: int, incumbent: np.ndarray = None):
     """The starts of a batch of candidates, fixed from solved candidates.
 
@@ -325,9 +353,9 @@ def affine_predictor(kept: list, dim: int, incumbent: np.ndarray = None):
     incumbent.  The result is `simulate_runs`' ref."""
     if len(kept) == dim + 1:
         (x0, s0), rest = kept[0], kept[1:]
-        edges = np.array([x - x0 for x, _ in rest]).T
-        if np.linalg.cond(edges, 1) <= _PREDICT_COND:  # inf if singular, false for NaN
-            inv, slopes = np.linalg.inv(edges), [s - s0 for _, s in rest]
+        inv, cond = _inverse_cond(np.array([x - x0 for x, _ in rest]).T)
+        if cond <= _PREDICT_COND:  # inf if singular, false for NaN
+            slopes = [s - s0 for _, s in rest]
 
             def predict(points):
                 d = points - x0

@@ -170,6 +170,14 @@ class PrmPath:
     def jump_count(self, k: int = None) -> int:
         return int(self.counts.sum() if k is None else self.counts[k])
 
+    @cached_property
+    def step_sums(self) -> np.ndarray:
+        """`mark_sums` of each step, (n_steps,), read-only: what every solve
+        on this path adds to its right-hand sides, computed once per path."""
+        sums = mark_sums(self.counts, self.marks)
+        sums.flags.writeable = False
+        return sums
+
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 # 3", SC 2011) with numpy's multipliers and key increments, as (2, 1)

@@ -50,7 +50,7 @@ from .grid import (
     _l2_norms,
     _lp_grad_pows,
 )
-from .levy import LevyModel, compensated_increments, mark_sums
+from .levy import LevyModel, compensated_increments
 
 CLAMP_BOUNDARY = "clamp_boundary"
 LIFT_BOUNDARY = "lift_boundary"
@@ -671,10 +671,9 @@ def simulate_runs(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel,
     if ref is not None and ref.shape != (len(runs), *{len(paths) for paths in runs},
                                          cfg.n_steps + 1, grid.n_nodes):
         raise ValueError("ref must hold one trajectory set per run")
-    # per row: its run, its path and the path's index within the run
+    # per row: its run and its path
     run_of = [c for c, paths in enumerate(runs) for _ in paths]
     row_paths = [path for paths in runs for path in paths]
-    local = [i for paths in runs for i in range(len(paths))]
     n_rows = len(run_of)
     whole = ref is not None and cfg.n_steps > 0 and ref.shape[1] * grid.n_nodes <= _TRAJECTORY_NODES
     solve = _trajectories if whole else _march
@@ -687,10 +686,17 @@ def simulate_runs(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel,
         rows = [r for r in range(start, min(start + chunk, n_rows)) if errors[run_of[r]] is None]
         if not rows:
             continue
+        every = len(rows) == n_rows  # the whole stack, whose paths need no gather
         groups = np.array([run_of[r] for r in rows])
+        if ref is None:
+            chunk_ref = None
+        elif every:  # a view where ref is one array, as a predictor's is
+            chunk_ref = ref.reshape(n_rows, *ref.shape[2:])
+        else:  # row r is path r % len(paths) of its run
+            chunk_ref = ref[groups, np.array(rows) % ref.shape[1]]
         part, chunk_errors = solve(
-            grid, starts[groups], model, cfg, [row_paths[r] for r in rows], groups,
-            None if ref is None else ref[groups, [local[r] for r in rows]])
+            grid, starts[groups], model, cfg, row_paths if every else [row_paths[r] for r in rows],
+            groups, chunk_ref)
         if states is None:
             states = part
         else:
@@ -707,9 +713,9 @@ def simulate_runs(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel,
 
 
 def _path_mark_sums(paths, n_steps: int) -> np.ndarray:
-    """`mark_sums` of every step of every path, (len(paths), n_steps)."""
-    counts = np.array([path.counts for path in paths]).reshape(len(paths), n_steps)
-    return mark_sums(counts, np.concatenate([path.marks for path in paths]))
+    """`mark_sums` of every step of every path, (len(paths), n_steps), from
+    each path's own `PrmPath.step_sums`."""
+    return np.array([path.step_sums for path in paths]).reshape(len(paths), n_steps)
 
 
 def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
@@ -771,12 +777,18 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
 _TRAJECTORY_NODES = 100
 
 
-def _rhs_coupling(model: LevyModel, u_int: np.ndarray, sums: np.ndarray, dt: float,
+def _rhs_coupling(model: LevyModel, u_int: np.ndarray, noise: np.ndarray,
                   wc: float) -> np.ndarray:
     """-dR/du_prev, diagonal on the interior nodes, of a step's residual R
     with rhs = u_prev + inc(u_prev), per row of u_int (M, m) with the rows'
-    `mark_sums` sums (M,): wc (1 + c f'(u_prev) (sums - dt mark_mass))."""
-    return wc * (1.0 + model.eta_du(u_int) * (sums - dt * model.mark_mass)[:, None])
+    noise factors noise (M,), their `mark_sums` minus dt mark_mass:
+    wc (1 + c f'(u_prev) noise)."""
+    return wc * (1.0 + model.eta_du(u_int) * noise[:, None])
+
+
+def _live_steps(x: np.ndarray, n: int, go: np.ndarray) -> np.ndarray:
+    """The rows go (A,) of every step of x (n * A, ...), flat and step-major."""
+    return x.reshape(n, len(go), *x.shape[1:])[:, go].reshape(-1, *x.shape[1:])
 
 
 def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
@@ -801,9 +813,13 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
     by step from its start by `_march` instead, which gives its
     NonConvergence."""
     n, M, idx = cfg.n_steps, len(paths), grid.interior_nodes
+    if idx[-1] - idx[0] + 1 == idx.size:  # contiguous (1D): read and update them as views
+        idx = slice(int(idx[0]), int(idx[-1]) + 1)
     solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
     m = grid.step_band.m
-    sums = _path_mark_sums(paths, n).T  # (n, live rows), column j for row live[j]
+    # S_k - dt K of every row's every step, the factor of both the increments
+    # and the coupling: (n, live rows), column j for row live[j]
+    noise = np.ascontiguousarray(_path_mark_sums(paths, n).T) - cfg.dt * model.mark_mass
     states = np.empty((M, n + 1, grid.n_nodes))
     # cur[k, j] is state k of row live[j]; every state keeps the start's boundary
     cur = np.repeat(starts[None], n + 1, axis=0)
@@ -811,35 +827,35 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
     live = np.arange(M)
     marched = []  # rows left to `_march`
     for it in range(cfg.newton_max_iters + 1):
+        # every row-step flat, step-major: r, comps and u_int are (n * A, ...)
         A = len(live)
         prev = cur[:-1].reshape(n * A, -1)
         u_int = prev[:, idx]  # read by the increments and the coupling
         rhs = prev.copy()
         with np.errstate(invalid="ignore"):  # a diverged row, marched below, gives inf - inf
-            rhs[:, idx] = u_int + compensated_increments(model, u_int, sums.ravel(), cfg.dt)
+            rhs[:, idx] = u_int + (0.0 if model.eta_is_zero
+                                   else model.eta_u(u_int) * noise.reshape(-1, 1))
         r, rnorm, _, comps = solver.evaluate(cur[1:].reshape(n * A, -1), rhs)
         rnorm = rnorm.reshape(n, A)
         done = (rnorm <= cfg.newton_tol).all(axis=0)
-        states[live[done]] = cur[:, done].transpose(1, 0, 2)
+        if done.any():
+            states[live[done]] = cur[:, done].transpose(1, 0, 2)
         go = ~done & np.isfinite(rnorm).all(axis=0) & (it < cfg.newton_max_iters)
-        marched.extend(live[~done & ~go].tolist())
-        r, comps, u_int = (x.reshape(n, A, *x.shape[1:]) for x in (r, comps, u_int))
         if not go.all():  # while every row stays live, no row is copied out
-            live, sums, cur = live[go], sums[:, go], cur[:, go]
-            r, comps, u_int = r[:, go], comps[:, go], u_int[:, go]
-        if not live.size:
-            break
+            marched.extend(live[~done & ~go].tolist())
+            if not go.any():
+                break
+            live, noise, cur = live[go], noise[:, go], cur[:, go]
+            r, comps, u_int = (_live_steps(x, n, go) for x in (r, comps, u_int))
         lu, ok = solver.newton_factors(cur[1:], comps)
-        if ok is not None:
-            r[:, ~ok] = 0.0  # a singular row solves to zeros, which reach no other row
+        if ok is not None:  # a singular row solves to zeros, which reach no other row
+            r.reshape(n, -1, m)[:, ~ok] = 0.0
         # block forward substitution: A_k delta_k = -r_k + coupling_k delta_{k-1}
-        cols = len(live) * m
-        coupling = _rhs_coupling(model, u_int.reshape(-1, m), sums.ravel(), cfg.dt,
-                                 solver.wc).reshape(n, cols)
-        delta = lu.forward_solve(-r.reshape(n, cols), coupling).reshape(n, len(live), m)
+        coupling = _rhs_coupling(model, u_int, noise.ravel(), solver.wc)
+        delta = lu.forward_solve(-r.reshape(n, -1), coupling.reshape(n, -1)).reshape(n, -1, m)
         if ok is not None:  # a singular block sends its row to the march
             marched.extend(live[~ok].tolist())
-            live, sums, cur, delta = live[ok], sums[:, ok], cur[:, ok], delta[:, ok]
+            live, noise, cur, delta = live[ok], noise[:, ok], cur[:, ok], delta[:, ok]
             if not live.size:
                 break
         cur[1:, :, idx] += delta

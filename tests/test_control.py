@@ -1003,6 +1003,54 @@ def test_predictor_is_exact_however_narrow_the_simplex():
         assert affine_predictor(few, 3)(new) is None
 
 
+def test_predictor_condition_number_is_numpys_from_one_inverse():
+    # one inversion gives both the inverse and the 1-norm condition number,
+    # bit for bit what np.linalg.cond(edges, 1) returns, including on
+    # matrices near the _PREDICT_COND cut
+    from plaplace_levy.control import _inverse_cond
+
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3, 5):
+        for scale in (1.0, 1e-9, 1e6):
+            edges = scale * rng.normal(size=(dim, dim))
+            inv, cond = _inverse_cond(edges)
+            assert cond == np.linalg.cond(edges, 1)
+            assert np.array_equal(inv, np.linalg.inv(edges))
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-8]])
+    assert _inverse_cond(near)[1] == np.linalg.cond(near, 1) > 1e8
+    for singular in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]])):
+        assert _inverse_cond(singular) == (None, np.inf) and np.linalg.cond(singular, 1) == np.inf
+
+
+def test_predictor_falls_back_on_singular_and_nan_simplices_and_keeps_its_formula():
+    # a singular or NaN edge matrix gives every candidate the incumbent's
+    # states; a well-shaped one predicts bit for bit by the formula
+    # s_0 + sum_i mu_i (s_i - s_0) with mu = inv(E) (x - x_0), added term by term
+    from plaplace_levy.control import affine_predictor
+
+    rng = np.random.default_rng(12)
+    dim = 2
+    base, slopes = rng.normal(size=(2, 5, 17)), rng.normal(size=(dim, 2, 5, 17))
+    new = rng.normal(size=(4, dim))
+    incumbent = base
+
+    def kept_at(points):
+        return [(x, base + np.tensordot(x, slopes, axes=1)) for x in points]
+
+    for points in ([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],  # collinear: singular
+                   [[0.0, 0.0], [0.0, 0.0], [0.0, 1.0]],  # a repeated point
+                   [[0.0, 0.0], [np.nan, 0.0], [0.0, 1.0]]):
+        ref = affine_predictor(kept_at(np.array(points)), dim, incumbent)(new)
+        assert all(np.array_equal(row, incumbent) for row in ref)
+    kept = kept_at(rng.normal(size=(dim + 1, dim)))
+    (x0, s0), rest = kept[0], kept[1:]
+    inv = np.linalg.inv(np.array([x - x0 for x, _ in rest]).T)
+    d = new - x0
+    mu = sum(d[:, j, None] * inv[:, j] for j in range(dim))
+    want = sum((mu[:, i, None, None, None] * (rest[i][1] - s0) for i in range(dim)), s0)
+    assert np.array_equal(affine_predictor(kept, dim, incumbent)(new), want)
+
+
 @pytest.mark.parametrize("projection", ["clamp_boundary", "lift_boundary"])
 def test_predicted_state_0_is_each_candidates_start(projection):
     from plaplace_levy.control import affine_predictor, control_rows

@@ -140,3 +140,35 @@ def test_singular_block_names_its_row_and_spares_the_others(dim):
         assert np.array_equal(x[block], alone)
         if dim == 2:  # kept factors exist only in 2D
             assert np.array_equal(lu.cols(i * m, (i + 1) * m).solve(b[block].copy()), alone)
+
+
+@pytest.mark.parametrize("dim, n_cells", [(1, 4), (1, 5), (1, 16), (1, 3), (2, 4)],
+                         ids=["tri3", "tri4", "tri15", "band2", "band2d"])
+def test_forward_solve_is_the_block_lower_bidiagonal_solve(dim, n_cells):
+    # A_k x_k - lower_k x_{k-1} = b_k over 6 blocks: tridiagonal blocks of 3,
+    # 4 and 15 unknowns (gttrf/gttrs), and general bands (gbtrf/gbtrs) of 2
+    # unknowns in 1D and of a 2D step matrix
+    band = Grid(dim, n_cells).step_band
+    m, kl, n_blocks = band.m, band.kl, 6
+    rng = np.random.default_rng(n_cells)
+    ab = band.assemble(rng.normal(size=(n_blocks, band.pos.index.size)),
+                       4.0 * dim**2 * (2 * kl + 1))
+    b, lower = rng.normal(size=(n_blocks, m)), 0.5 * rng.normal(size=(n_blocks, m))
+    lu = _lapack.BandLU(ab.copy(), kl, m)
+    assert lu.tridiagonal == (dim == 1 and m >= 3)
+    b_in = b.copy()
+    x = lu.forward_solve(b, lower)
+    assert x.shape == (n_blocks, m) and np.array_equal(b, b_in)  # b is not overwritten
+    # the dense matrix: the factored diagonal blocks, -diag(lower_k) below them
+    dense = _dense(ab, kl)
+    for k in range(1, n_blocks):
+        dense[k * m : (k + 1) * m, (k - 1) * m : k * m] = -np.diag(lower[k])
+    want = np.linalg.solve(dense, b.ravel()).reshape(n_blocks, m)
+    assert np.max(np.abs(x - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+    # bit for bit a loop of solves of each block factored alone
+    loop = np.empty_like(b)
+    for k in range(n_blocks):
+        rhs = b[k] + lower[k] * loop[k - 1] if k else b[k].copy()
+        block = _lapack.BandLU(ab[:, k * m : (k + 1) * m].copy(), kl, m)
+        loop[k] = block.solve(rhs)
+    assert np.array_equal(x, loop)

@@ -867,7 +867,8 @@ def test_trajectory_coupling_matches_central_differences(dim, eta):
         step = np.zeros_like(prev)
         step[0, node] = h
         fd[:, j] = -(residual(prev + step) - residual(prev - step)) / (2 * h)
-    exact = np.diag(_rhs_coupling(model, prev[:, idx], jumps, dt, grid.cell_weight)[0])
+    noise = jumps - dt * model.mark_mass
+    exact = np.diag(_rhs_coupling(model, prev[:, idx], noise, grid.cell_weight)[0])
     assert np.max(np.abs(fd - exact)) <= 1e-8 * grid.cell_weight
 
 
@@ -1102,6 +1103,41 @@ def test_ensemble_sums_equal_a_step_by_step_accumulation(case, monkeypatch):
     assert any(path.jump_count() for path in paths)
     assert np.array_equal(ens.sums, martingale_sums(ens))
     assert ens.sums is ens.sums  # formed once
+
+
+def test_path_step_sums_are_mark_sums_once_per_path():
+    # PrmPath.step_sums, which every solve on a path reads, is mark_sums of
+    # its counts and marks bit for bit: for a path without jumps, for steps
+    # of several marks and for sampled paths; computed once and read-only.
+    # Ensemble.sums, formed from them, is the stack-wide mark_sums formula
+    from plaplace_levy.levy import PrmPath, compensated_increments, mark_sums
+    from plaplace_levy.scheme import _path_mark_sums
+
+    quiet = PrmPath(seed=0, counts=np.zeros(4, dtype=np.int64), marks=np.empty(0))
+    several = PrmPath(seed=1, counts=np.array([0, 3, 1, 0]),
+                      marks=np.array([0.5, -2.0, 0.3, 1.5]))
+    assert np.array_equal(quiet.step_sums, np.zeros(4))
+    assert several.step_sums.tolist() == [0.0, 0.5 + 1.0 + 0.3, 1.0, 0.0]
+    model = LevyModel(eta=eta_linear(0.5), lambda_star=0.5,
+                      point_masses=((1.0, 9.0), (-0.3, 12.0), (2.5, 3.0)))
+    cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=8, flux=sine_flux([0.7]))
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(5))
+    assert max(path.counts.max() for path in paths) > 1
+    for path in (quiet, several, *paths):
+        assert np.array_equal(path.step_sums, mark_sums(path.counts, path.marks))
+        assert path.step_sums is path.step_sums and not path.step_sums.flags.writeable
+    counts = np.array([path.counts for path in paths])
+    stacked = mark_sums(counts, np.concatenate([path.marks for path in paths]))
+    assert np.array_equal(_path_mark_sums(paths, cfg.n_steps), stacked)
+    grid = Grid(1, 16)
+    ens = simulate_paths(smoothed_start(pinned_u0_1d(grid), Field.zeros(grid, "free_boundary"),
+                                        cfg), model, cfg, paths)
+    idx = grid.interior_nodes
+    incs = np.zeros_like(ens.states)
+    incs[:, 1:, idx] = compensated_increments(
+        model, ens.states[:, :-1, idx].reshape(-1, idx.size), stacked.ravel(), cfg.dt
+    ).reshape(len(paths), cfg.n_steps, idx.size)
+    assert np.array_equal(ens.sums, np.cumsum(incs, axis=1))
 
 
 def _kept_factor_case():
