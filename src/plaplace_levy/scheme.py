@@ -646,10 +646,10 @@ def simulate_runs(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel,
     starts, and a row does not depend on the other rows.  Returns per run
     its Ensemble, or the NonConvergence of its first failing path in its
     path order (with step and seed), the error a path-by-path loop raises:
-    a failing row drops out of the stack with the later rows of its run,
-    and the other runs march on.  The stack is marched in chunks within
-    _BAND_BUDGET, each written into the call's one states array as it
-    finishes (a stack of one chunk is that array).
+    a failing row stops alone, and every other row, of its run too, is
+    solved to its end.  The stack is solved once, in contiguous chunks of
+    rows within _BAND_BUDGET, each written into the call's one states array
+    as it finishes (a stack of one chunk is that array).
 
     ref, with every run on the same paths, holds one trajectory set
     (len(paths), n_steps + 1, n_nodes) per run: a solved or predicted
@@ -672,43 +672,33 @@ def simulate_runs(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel,
                                          cfg.n_steps + 1, grid.n_nodes):
         raise ValueError("ref must hold one trajectory set per run")
     # per row: its run and its path
-    run_of = [c for c, paths in enumerate(runs) for _ in paths]
+    run_of = np.repeat(np.arange(len(runs)), [len(paths) for paths in runs])
     row_paths = [path for paths in runs for path in paths]
-    n_rows = len(run_of)
+    n_rows = len(row_paths)
     whole = ref is not None and cfg.n_steps > 0 and ref.shape[1] * grid.n_nodes <= _TRAJECTORY_NODES
+    if ref is not None:  # a view where ref is one array, as a predictor's is
+        ref = ref.reshape(n_rows, *ref.shape[2:])
     solve = _trajectories if whole else _march
     band = grid.step_band
     chunk = max(1, _BAND_BUDGET // (8 * band.ldab * band.m * (cfg.n_steps if whole else 1)))
     # a stack of one chunk keeps the chunk's own array, not a copy of it
     states = None if 0 < n_rows <= chunk else np.empty((n_rows, cfg.n_steps + 1, grid.n_nodes))
-    errors = [None] * len(runs)  # first failure of each run, in path order
-    for start in range(0, n_rows, chunk):
-        rows = [r for r in range(start, min(start + chunk, n_rows)) if errors[run_of[r]] is None]
-        if not rows:
-            continue
-        every = len(rows) == n_rows  # the whole stack, whose paths need no gather
-        groups = np.array([run_of[r] for r in rows])
-        if ref is None:
-            chunk_ref = None
-        elif every:  # a view where ref is one array, as a predictor's is
-            chunk_ref = ref.reshape(n_rows, *ref.shape[2:])
-        else:  # row r is path r % len(paths) of its run
-            chunk_ref = ref[groups, np.array(rows) % ref.shape[1]]
-        part, chunk_errors = solve(
-            grid, starts[groups], model, cfg, row_paths if every else [row_paths[r] for r in rows],
-            groups, chunk_ref)
+    errors = []  # per row
+    for lo in range(0, n_rows, chunk):
+        rows = slice(lo, lo + chunk)
+        part, chunk_errors = solve(grid, starts[run_of[rows]], model, cfg, row_paths[rows],
+                                   None if ref is None else ref[rows])
         if states is None:
             states = part
         else:
             states[rows] = part
-        for r, err in zip(rows, chunk_errors):
-            if err is not None and errors[run_of[r]] is None:
-                errors[run_of[r]] = err
-    out, start = [], 0
-    for c, paths in enumerate(runs):
-        stop = start + len(paths)
-        out.append(errors[c] or Ensemble(states[start:stop], paths, cfg, grid, model))
-        start = stop
+        errors += chunk_errors
+    out, lo = [], 0
+    for paths in runs:
+        hi = lo + len(paths)
+        failed = next((err for err in errors[lo:hi] if err is not None), None)
+        out.append(failed or Ensemble(states[lo:hi], paths, cfg, grid, model))
+        lo = hi
     return out
 
 
@@ -719,13 +709,11 @@ def _path_mark_sums(paths, n_steps: int) -> np.ndarray:
 
 
 def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
-           paths, groups: np.ndarray, ref: np.ndarray = None) -> tuple:
+           paths, ref: np.ndarray = None) -> tuple:
     """Nodal states (M, n_steps + 1, n_nodes) of the paths, row i from the
     nodal state starts[i], and per row None or the NonConvergence (with step
     and seed) of its step solver.  A failed row stops marching (its later
-    states are undefined), and so do the rows after it with the same
-    groups[i], which can no longer change the first error of that group;
-    the other rows run on.
+    states are undefined); the other rows run on.
 
     Step k + 1's Newton solve starts from the previous state, or, given a
     reference trajectory ref (M, n_steps + 1, n_nodes), from the predictor
@@ -760,7 +748,7 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
                 i = alive[row]
                 err.step, err.seed = k, paths[i].seed
                 errors[i] = err
-                drop |= (alive >= i) & (groups[alive] == groups[i])
+                drop[row] = True
             alive = rows = alive[~drop]
             if kept is not None:
                 kept = [f for f, gone in zip(kept, drop) if not gone]
@@ -792,7 +780,7 @@ def _live_steps(x: np.ndarray, n: int, go: np.ndarray) -> np.ndarray:
 
 
 def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
-                  paths, groups: np.ndarray, ref: np.ndarray) -> tuple:
+                  paths, ref: np.ndarray) -> tuple:
     """`_march` given a reference trajectory ref (M, n_steps + 1, n_nodes),
     one per row (solved, predicted, or a start held constant), with every
     step of every row solved at once: Newton on the residuals
@@ -811,7 +799,8 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
     march's own acceptance test.  A row that exhausts newton_max_iters, goes
     non-finite or has a singular block in a round's factors is marched step
     by step from its start by `_march` instead, which gives its
-    NonConvergence."""
+    NonConvergence; only those rows go to `_march`, and a row that fails
+    there stops alone."""
     n, M, idx = cfg.n_steps, len(paths), grid.interior_nodes
     if idx[-1] - idx[0] + 1 == idx.size:  # contiguous (1D): read and update them as views
         idx = slice(int(idx[0]), int(idx[-1]) + 1)
@@ -863,7 +852,7 @@ def _trajectories(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeC
     if marched:
         rows = np.sort(marched)
         states[rows], marched_errors = _march(
-            grid, starts[rows], model, cfg, [paths[i] for i in rows], groups[rows], ref[rows])
+            grid, starts[rows], model, cfg, [paths[i] for i in rows], ref[rows])
         for i, err in zip(rows.tolist(), marched_errors):
             errors[i] = err
     return states, errors

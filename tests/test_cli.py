@@ -758,6 +758,19 @@ def test_cli_converge_self_and_validation(tmp_path):
     assert run_cli(["converge", "--config", cfg2, "--out", out]) == 2
 
 
+def test_cli_converge_self_probe_on_zero_data_is_trivial(tmp_path, capsys):
+    # without noise, zero data stays 0 at every dt, so no slope can be
+    # fitted: the report is trivially passed, as the gap probe's is
+    text = (ZERO.replace("[initial]", "[levy]\neta = zero\n\n[initial]")
+            + "\n[converge]\nsweep = dt\nvalues = 0.0625,0.03125,0.015625\nprobe = self\n")
+    cfg_path, out = write(tmp_path, text), str(tmp_path / "out")
+    assert run_cli(["converge", "--config", cfg_path, "--out", out, "--paths", "2"]) == 0
+    assert capsys.readouterr().err == ""
+    rep = json.load(open(os.path.join(out, "converge_report.json")))
+    assert (rep["probe"], rep["trivial"], rep["passed"]) == ("self", True, True)
+    assert rep["measured"] == [0.0, 0.0, 0.0] and rep["fitted_slope"] == 0.0
+
+
 def test_cli_converge_gap_probe(tmp_path):
     text = REFERENCE + "\n[converge]\nsweep = dt\nvalues = 0.0625,0.03125\nprobe = gap\n"
     cfg_path = write(tmp_path, text)
@@ -854,20 +867,28 @@ _FLOAT_KEYS = {
     # that most drawn configs are valid
     odd=st.one_of(st.none(), st.none(),
                   st.tuples(st.sampled_from(sorted(_FLOAT_KEYS)), st.sampled_from(_ODD))),
+    # the drawn configs sweep the gap probe; the self probe is an example's
+    probe=st.just("gap"),
 )
 # a valid config with T = 0, which the derandomized draws do not reach for
 # optimize: its tracking term is the empty sum
 @example(command="optimize", n_cells=4, n_steps=0, dt=0.125, p=3.0, lambda_star=0.5,
          eta=("sine", 0.3), measure="density:invsq", atoms=[(1.0, 1.0)],
-         u0=("constant", 0.7), coeffs=[0.2, -0.1], flux="sine", flux_coef=0.4, odd=None)
+         u0=("constant", 0.7), coeffs=[0.2, -0.1], flux="sine", flux_coef=0.4, odd=None,
+         probe="gap")
 # ||U||^p underflows to 0 while ||U||^2 does not: the moment-bound constant
 # is then not finite, and strict JSON writes it as null
 @example(command="simulate", n_cells=3, n_steps=0, dt=0.125, p=3.0, lambda_star=0.5,
          eta=("linear", 0.0), measure="point", atoms=[(0.0, 0.0)], u0=("zero", 0.0),
-         coeffs=[0.0, 5.723423712571871e-140], flux="zero", flux_coef=0.0, odd=None)
+         coeffs=[0.0, 5.723423712571871e-140], flux="zero", flux_coef=0.0, odd=None,
+         probe="gap")
+# the self probe on zero data without noise: every terminal error is 0
+@example(command="converge", n_cells=4, n_steps=8, dt=0.125, p=3.0, lambda_star=0.5,
+         eta=("linear", 0.0), measure="point", atoms=[(1.0, 1.0)], u0=("zero", 0.0),
+         coeffs=[0.0, 0.0], flux="zero", flux_coef=0.0, odd=None, probe="self")
 def test_cli_config_values_fuzz_end_in_documented_exit_codes(
         command, n_cells, n_steps, dt, p, lambda_star, eta, measure, atoms, u0, coeffs, flux,
-        flux_coef, odd):
+        flux_coef, odd, probe):
     value = dict(dt=dt, p=p, lambda_star=lambda_star, eta=eta[1], atom_z=atoms[0][0],
                  atom_mass=atoms[0][1], u0=u0[1], coeff_0=coeffs[0], coeff_1=coeffs[1],
                  flux_coef=flux_coef)
@@ -916,7 +937,7 @@ seed = 0
 [converge]
 sweep = dt
 values = {values}
-probe = gap
+probe = {probe}
 """
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = os.path.join(tmp, "run.ini")

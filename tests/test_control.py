@@ -229,13 +229,13 @@ def test_batched_rows_match_the_per_field_code(dim, projection, psi_kind, monkey
         assert np.array_equal(row, U.flat) and np.array_equal(row, manual.ravel())
     assert np.all(rows[1:, grid.boundary_nodes] != 0.0)  # the projection matters
 
-    starts, real = {}, scheme._march
+    starts, real = [], scheme.simulate_runs
 
-    def spy(grid, first, model, cfg, part, groups, ref=None):
-        starts.update(zip(groups.tolist(), first))
-        return real(grid, first, model, cfg, part, groups, ref)
+    def spy(grid, first, *args):
+        starts.extend(first)
+        return real(grid, first, *args)
 
-    monkeypatch.setattr(scheme, "_march", spy)
+    monkeypatch.setattr(scheme, "simulate_runs", spy)
     runs = simulate_controls(u0, rows, model, cfg, paths)
     monkeypatch.undo()
     ends = [l2_norm(state_fields(run, i)[-1]) for run in runs for i in range(3)]
@@ -797,8 +797,7 @@ def test_above_the_trajectory_bound_rows_march(dim, monkeypatch):
                                                                     "lift_boundary")
     (ref,) = simulate_controls(u0, field_rows([U_a]), model, cfg, paths)
     hat0 = scheme.prepare_initial(u0, U_b, cfg.dt, cfg.p).flat
-    states, _ = scheme._march(grid, np.array([hat0] * len(paths)), model, cfg, paths,
-                              np.zeros(len(paths), dtype=int), ref.states)
+    states, _ = scheme._march(grid, np.array([hat0] * len(paths)), model, cfg, paths, ref.states)
     monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(paths) * grid.n_nodes - 1)
     monkeypatch.setattr(scheme, "_trajectories", None)
     (run,) = simulate_controls(u0, field_rows([U_b]), model, cfg, paths,

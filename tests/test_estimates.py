@@ -377,12 +377,17 @@ def test_verify_study_solves_each_path_row_once(monkeypatch):
     import plaplace_levy.estimates as estimates
     import plaplace_levy.scheme as scheme
 
-    seen = {"march": [], "newton": [], "dual": []}
+    seen = {"runs": [], "march": [], "newton": [], "dual": []}
     march, newton, dual = scheme._march, scheme._newton, estimates.dual_norm_estimates
+    simulate = estimates.simulate_runs
 
-    def spy_march(grid, starts, model, cfg, paths, groups, ref):
-        seen["march"].append(np.bincount(groups).tolist())
-        return march(grid, starts, model, cfg, paths, groups, ref)
+    def spy_runs(grid, starts, runs, *args):
+        seen["runs"].append([len(paths) for paths in runs])
+        return simulate(grid, starts, runs, *args)
+
+    def spy_march(grid, starts, model, cfg, paths, ref):
+        seen["march"].append(len(paths))
+        return march(grid, starts, model, cfg, paths, ref)
 
     def spy_newton(solver, v, rhs, tol, max_iters, kept=None):
         seen["newton"].append(len(v))
@@ -392,11 +397,12 @@ def test_verify_study_solves_each_path_row_once(monkeypatch):
         seen["dual"].append(len(g))
         return dual(grid, g, p, iters)
 
+    monkeypatch.setattr(estimates, "simulate_runs", spy_runs)
     monkeypatch.setattr(scheme, "_march", spy_march)
     monkeypatch.setattr(estimates, "dual_norm_estimates", spy_dual)
     monkeypatch.setattr(scheme, "_newton", spy_newton)
     results, _ = estimates.verify_study(U0, UCTL, reference_model(), CFG, 50, 0)
-    assert seen["march"] == [[50, 20, 50]]
+    assert seen["runs"] == [[50, 20, 50]] and seen["march"] == [120]
     assert seen["newton"] == [2] + [120] * CFG.n_steps and CFG.n_steps == 16
     assert seen["dual"] == [400]
     assert results["uniqueness"]["identical"]["max_l1"] == 0.0

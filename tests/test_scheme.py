@@ -801,7 +801,7 @@ def test_batch_failure_reports_first_failing_path():
     assert str(exc.value) == str(expected[9])
 
 
-def test_failing_row_stops_the_later_rows_of_its_control(monkeypatch):
+def test_failing_row_stops_alone_and_its_run_reports_its_first(monkeypatch):
     # the setup of the test above: alone, seed 3 fails at step 1 and seed 9
     # at step 3
     import plaplace_levy.scheme as scheme
@@ -813,27 +813,30 @@ def test_failing_row_stops_the_later_rows_of_its_control(monkeypatch):
     U = Field.zeros(grid, "free_boundary")
     paths = dict(zip((3, 4, 9), sample_prms(model, cfg.dt, cfg.n_steps, (3, 4, 9))))
     hat0 = prepare_initial(u0, U, cfg.dt, cfg.p).flat
-    # rows (3, 9, 4) of control 0 and seed 9 of control 1: control 0's seed
-    # 9 stops with its seed 3, control 1's runs on to its own failure
+    # rows (3, 9, 4, 9): seed 3's failure at step 1 stops no other row, so
+    # both rows of seed 9 march on to their own failure at step 3
     rows = [paths[s] for s in (3, 9, 4, 9)]
-    _, errors = scheme._march(grid, np.array([hat0] * 4), model, cfg, rows,
-                              np.array([0, 0, 0, 1]))
-    assert [e is not None for e in errors] == [True, False, False, True]
-    assert (errors[0].seed, errors[0].step, errors[3].seed, errors[3].step) == (3, 1, 9, 3)
+    states, errors = scheme._march(grid, np.array([hat0] * 4), model, cfg, rows)
+    assert [e is not None for e in errors] == [True, True, False, True]
+    assert [(e.seed, e.step) for e in errors if e is not None] == [(3, 1), (9, 3), (9, 3)]
+    assert str(errors[1]) == str(errors[3]) and errors[1].residual == errors[3].residual
+    (alone,), _ = scheme._march(grid, hat0[None], model, cfg, [paths[4]])
+    assert np.array_equal(states[2], alone)
 
-    # one row a chunk: a control's rows after its failed one are not marched
+    # one row a chunk: the rows after a run's failed one are solved too, and
+    # each run reports its first failing path
     marched = []
     real = scheme._march
 
-    def spy(grid, starts, model, cfg, part, groups, ref):
-        marched.extend((int(g), p.seed) for g, p in zip(groups, part))
-        return real(grid, starts, model, cfg, part, groups, ref)
+    def spy(grid, starts, model, cfg, part, ref):
+        marched.extend(p.seed for p in part)
+        return real(grid, starts, model, cfg, part, ref)
 
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 8 * band.ldab * band.m)
     monkeypatch.setattr(scheme, "_march", spy)
     runs = simulate_controls(u0, field_rows([U, U]), model, cfg, [paths[s] for s in (3, 9)])
-    assert marched == [(0, 3), (1, 3)]
+    assert marched == [3, 9, 3, 9]
     assert [(r.seed, r.step) for r in runs] == [(3, 1), (3, 1)]
 
 
@@ -912,16 +915,22 @@ def test_each_run_of_a_multi_run_solve_equals_its_own_call(dim, monkeypatch):
     chunks = []
     real = scheme._march
 
-    def spy(grid, starts, model, cfg, part, groups, ref):
-        chunks.append(groups.tolist())
-        return real(grid, starts, model, cfg, part, groups, ref)
+    def spy(grid, starts, model, cfg, part, ref):
+        chunks.append((starts, part))
+        return real(grid, starts, model, cfg, part, ref)
 
     band = grid.step_band
     monkeypatch.setattr(scheme, "_BAND_BUDGET", 4 * 8 * band.ldab * band.m)  # 4 rows a chunk
     monkeypatch.setattr(scheme, "_march", spy)
-    stacked = scheme.simulate_runs(grid, run_starts(runs, cfg), [ps for *_, ps in runs], model, cfg)
-    assert [len(c) for c in chunks] == [4] * (sum(len(ps) for *_, ps in runs) // 4) + [1]
-    assert any(len(set(c)) > 1 for c in chunks)
+    starts = run_starts(runs, cfg)
+    stacked = scheme.simulate_runs(grid, starts, [ps for *_, ps in runs], model, cfg)
+    # the chunks are contiguous slices of the run-major stack, some across
+    # two runs
+    run_of = [c for c, (*_, ps) in enumerate(runs) for _ in ps]
+    assert [len(part) for _, part in chunks] == [4] * (len(run_of) // 4) + [1]
+    assert [path for _, part in chunks for path in part] == [path for *_, ps in runs for path in ps]
+    assert np.array_equal(np.concatenate([first for first, _ in chunks]), starts[run_of])
+    assert any(len(set(run_of[lo : lo + 4])) > 1 for lo in range(0, len(run_of), 4))
     for run, own in zip(stacked, alone):
         assert np.array_equal(run.states, own.states)
         assert np.array_equal(run.sums, own.sums)
@@ -962,6 +971,88 @@ def test_multi_run_failure_stays_in_its_run(monkeypatch):
     for run, (u, V, ps) in ((first, runs[0]), (last, runs[2])):
         own = simulate_paths(smoothed_start(u, V, cfg), model, cfg, ps)
         assert np.array_equal(run.states, own.states) and np.array_equal(run.sums, own.sums)
+
+
+def _failing_stack(case):
+    """Runs (starts, path lists, ref or None) whose failing runs sit before
+    and after converging ones, and per run what it gives alone: None (an
+    Ensemble) or the seed and step of its error."""
+    if case == "march-2d":  # a 2D march, which keeps each row's factors
+        grid = Grid(2, 8)
+        model = LevyModel(eta=eta_linear(0.9), lambda_star=0.95, point_masses=((1.0, 20.0),))
+        cfg = SchemeConfig(p=3.0, dt=0.1, n_steps=6, flux=sine_flux([0.5, -0.3]),
+                           newton_max_iters=8)
+        data = lambda a: Field.from_function(
+            grid, lambda x, y: a * np.sin(np.pi * x) * np.sin(2 * np.pi * y))
+        paths = sample_prms(model, cfg.dt, cfg.n_steps, range(8))
+        runs = [(0.5, [paths[s] for s in (2, 7, 3)]), (0.5, paths[:3]),
+                (2.0, [paths[s] for s in (0, 1, 7)])]
+        verdicts = [(7, 1), None, (1, 0)]
+    else:  # the setup of test_batch_failure_reports_first_failing_path
+        grid = Grid(1, 12)
+        model = LevyModel(eta=eta_linear(0.9), lambda_star=0.95, point_masses=((1.0, 20.0),))
+        cfg = SchemeConfig(p=4.0, dt=0.1, n_steps=8, flux=zero_flux(1), newton_max_iters=5)
+        data = lambda a: Field.from_function(grid, lambda x: a * np.sin(np.pi * x))
+        paths = sample_prms(model, cfg.dt, cfg.n_steps, (9, 4, 3, 10))
+        # on the first run, seed 9 fails at step 3 and seed 3 at step 1
+        if case == "march-1d":
+            runs = [(2.0, paths), (0.2, paths), (2.0, paths[1:3])]
+            verdicts = [(9, 3), None, (3, 1)]
+        else:  # as whole trajectories, which send 11 rows to the march
+            runs = [(2.0, paths), (0.2, paths), (0.2, paths), (1.0, paths)]
+            verdicts = [(9, 3), None, None, (9, 3)]
+    U = Field.zeros(grid, "free_boundary")
+    starts = np.array([smoothed_start(data(a), U, cfg).flat for a, _ in runs])
+    ref = None
+    if case == "trajectory":
+        # each start held constant, but run 1's ref is its own solved states
+        ref = np.repeat(starts[:, None, None], cfg.n_steps + 1, axis=2).repeat(len(paths), axis=1)
+        ref[1] = simulate_paths(smoothed_start(data(0.2), U, cfg), model, cfg, paths).states
+    return grid, model, cfg, starts, [ps for _, ps in runs], ref, verdicts
+
+
+@pytest.mark.parametrize("case", ["march-1d", "march-2d", "trajectory"])
+def test_every_row_of_a_failing_stack_is_solved_and_runs_match_their_own_calls(case,
+                                                                               monkeypatch):
+    # in one chunk and at one row a chunk, the rows after a run's failed
+    # one are solved too, and every run equals its own simulate_runs call:
+    # an Ensemble bitwise, an error with its seed, step, residual and message
+    import plaplace_levy.scheme as scheme
+
+    grid, model, cfg, starts, runs, ref, verdicts = _failing_stack(case)
+    n_rows = sum(len(paths) for paths in runs)
+    if ref is not None:
+        monkeypatch.setattr(scheme, "_TRAJECTORY_NODES", len(runs[0]) * grid.n_nodes)
+    alone = [scheme.simulate_runs(grid, starts[c : c + 1], runs[c : c + 1], model, cfg,
+                                  None if ref is None else ref[c : c + 1])[0]
+             for c in range(len(runs))]
+    assert [(run.seed, run.step) if isinstance(run, NonConvergence) else None
+            for run in alone] == verdicts
+    solved = []
+    for name in ("_march", "_trajectories"):
+        real = getattr(scheme, name)
+        monkeypatch.setattr(scheme, name, lambda *a, name=name, real=real:
+                            solved.append((name, len(a[4]))) or real(*a))
+    whole = ref is not None
+    band = grid.step_band
+    one_row = 8 * band.ldab * band.m * (cfg.n_steps if whole else 1)
+    for budget, chunks in ((scheme._BAND_BUDGET, [n_rows]), (one_row, [1] * n_rows)):
+        monkeypatch.setattr(scheme, "_BAND_BUDGET", budget)
+        solved.clear()
+        stacked = scheme.simulate_runs(grid, starts, runs, model, cfg, ref)
+        assert [rows for name, rows in solved
+                if name == ("_trajectories" if whole else "_march")] == chunks
+        if whole:  # all rows of runs 0 and 3, and all but seed 3's of run 2
+            assert sum(rows for name, rows in solved if name == "_march") == 11
+        for run, own in zip(stacked, alone):
+            if isinstance(own, NonConvergence):
+                assert type(run) is NonConvergence
+                assert (run.seed, run.step, run.residual, str(run)) == (
+                    own.seed, own.step, own.residual, str(own))
+            else:
+                assert np.array_equal(run.states, own.states)
+                assert np.array_equal(run.sums, own.sums)
+                assert run.paths == own.paths
 
 
 def test_simulate_runs_rejects_bad_starts_and_refs():
@@ -1273,7 +1364,7 @@ def test_singular_step_matrix_fails_its_row_only(dim, monkeypatch):
         grid, u0, _, model, cfg, paths = _kept_factor_case()
         paths = paths[:3]
     hat0 = prepare_initial(u0, Field.zeros(grid, "free_boundary"), cfg.dt, cfg.p).flat
-    args = (grid, np.array([hat0] * 3), model, cfg, paths, np.arange(3))
+    args = (grid, np.array([hat0] * 3), model, cfg, paths)
     states, errors = scheme._march(*args)
     assert errors == [None] * 3
     kernel = "dgttrf" if dim == 1 else "dgbtrf"
