@@ -138,8 +138,8 @@ class RunConfig:
     def build_grid(self) -> Grid:
         try:
             return Grid(self._int("grid", "dim"), self._int("grid", "n_cells"))
-        except ValueError as err:
-            raise ConfigError(str(err))
+        except ValueError as err:  # Grid names the field
+            raise ConfigError(f"[grid] {err}")
 
     def build_flux(self, dim: int):
         kind = self.get("scheme", "flux")
@@ -261,7 +261,10 @@ class RunConfig:
         elif kind == "l2":
             psi = psi_l2()
         elif kind == "l2_clip":
-            psi = psi_l2(cap=_number(arg, "[cost] psi cap") if arg else 1.0)
+            cap = _number(arg, "[cost] psi cap") if arg else 1.0
+            if cap < 0:  # psi would be the constant cap, blind to u(T)
+                raise ConfigError(f"[cost] psi cap must be >= 0, got {arg!r}")
+            psi = psi_l2(cap=cap)
         else:
             raise ConfigError(f"unknown psi kind {kind!r}")
         return CostSpec(u_tar=constant_target(grid, n_steps, tar), psi=psi)
@@ -398,7 +401,7 @@ def _parse_field(preset: str, grid: Grid, tag: str) -> Field:
     if kind == "zero":
         return Field.zeros(grid, tag)
     if kind == "sine":
-        params = _parse_kv(arg)
+        params = _parse_kv(arg, preset, ("amplitude", "mode"))
         amp = _field_number(params.get("amplitude", "1.0"), preset)
         mode = _field_number(params.get("mode", "1"), preset, int)
         if grid.dim == 1:
@@ -418,15 +421,21 @@ def _parse_field(preset: str, grid: Grid, tag: str) -> Field:
     raise ConfigError(f"unknown field preset {preset!r}")
 
 
-def _parse_kv(arg: str) -> dict:
+def _parse_kv(arg: str, preset: str, keys: tuple) -> dict:
+    """The key=value pairs of field preset `preset`'s argument `arg`, each
+    key one of `keys` and given at most once."""
     out = {}
     if not arg:
         return out
     for tok in arg.split(","):
         k, _, v = tok.partition("=")
+        k = k.strip()
         if not v:
             raise ConfigError(f"expected key=value, got {tok!r}")
-        out[k.strip()] = v.strip()
+        if k not in keys or k in out:
+            problem = "repeats key" if k in out else "has unknown key"
+            raise ConfigError(f"field preset {preset!r} {problem} {k!r}")
+        out[k] = v.strip()
     return out
 
 
@@ -439,11 +448,10 @@ def _load_nodal_csv(path: str, grid: Grid, tag: str) -> Field:
     except (OSError, KeyError, ValueError) as err:
         raise ConfigError(f"cannot read nodal CSV {path!r}: {err}")
     if vals.size != grid.n_nodes:
-        raise ConfigError(
-            f"A1 violated: nodal file has {vals.size} values, grid has {grid.n_nodes} nodes"
-        )
+        raise ConfigError(f"A1 violated: nodal CSV {path!r} has {vals.size} values, grid has "
+                          f"{grid.n_nodes} nodes")
     if not np.all(np.isfinite(vals)):
-        raise ConfigError("A1 violated: initial data must be finite")
+        raise ConfigError(f"A1 violated: nodal CSV {path!r} has values that are not finite")
     if tag == "zero_boundary":
         vals[grid.boundary_nodes] = 0.0
     return Field(grid, vals.reshape(grid.node_shape), tag)
@@ -460,8 +468,8 @@ def parse_config(path: str) -> RunConfig:
             parser.read_file(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config {path!r}: {err}")
-    except configparser.Error as err:
-        raise ConfigError(f"malformed config: {err}")
+    except configparser.Error as err:  # its message may span lines; stderr gets one
+        raise ConfigError(f"malformed config: {err}".replace("\n", " "))
     return config_from_parser(parser)
 
 

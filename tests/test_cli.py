@@ -666,25 +666,81 @@ def test_each_command_smooths_each_datum_once(command, study, solves, tmp_path, 
          "[scheme] newton_max_iters"),
         ("n_steps = 16", "n_steps = 16\nnewton_max_iters = -3", "simulate",
          "[scheme] newton_max_iters"),
+        ("eta = linear:0.5", "eta = cubic:0.5", "simulate", "unknown eta kind 'cubic'"),
+        ("measure = point:1.0@1.0", "measure = gauss:1.0", "simulate",
+         "unknown measure kind 'gauss'"),
+        ("measure = point:1.0@1.0", "measure = point:1.0", "simulate",
+         "point measure must look like point:z@mass"),
+        ("basis = sine:2", "basis = cosine:2", "simulate", "unknown control basis 'cosine'"),
+        ("out_dir = out", "out_dir = out\n[cost]\npsi = huber", "optimize",
+         "unknown psi kind 'huber'"),
+        ("out_dir = out", "out_dir = out\n[cost]\npsi = l2_clip:-1", "optimize",
+         "[cost] psi cap must be >= 0, got '-1'"),
+        ("u0 = sine:amplitude=0.5,mode=1", "u0 = gauss:1", "simulate",
+         "unknown field preset 'gauss:1'"),
+        ("u0 = sine:amplitude=0.5,mode=1", "u0 = sine:amplitude", "simulate",
+         "expected key=value, got 'amplitude'"),
+        ("u0 = sine:amplitude=0.5,mode=1", "u0 = sine:amp=1", "simulate",
+         "field preset 'sine:amp=1' has unknown key 'amp'"),
+        ("u0 = sine:amplitude=0.5,mode=1", "u0 = sine:amplitude=1,amplitude=2", "simulate",
+         "field preset 'sine:amplitude=1,amplitude=2' repeats key 'amplitude'"),
+        ("out_dir = out", "out_dir = out\n[cost]\nu_tar = sine:mode=1,phase=2", "optimize",
+         "field preset 'sine:mode=1,phase=2' has unknown key 'phase'"),
+        ("control_coeffs = 0.25,0.0", "control_coeffs = 0.25,0.0,0.1", "simulate",
+         "control_coeffs has 3 entries, basis has 2"),
+        ("dim = 1", "dim = 3", "simulate", "[grid] dim must be 1 or 2, got 3"),
+        ("n_steps = 16", "n_steps = 16\nflux = cubic\nflux_coefs = 1", "simulate",
+         "unknown flux kind 'cubic'"),
+        ("n_paths = 5", "n_paths = 0", "simulate", "[run] n_paths must be >= 1"),
+        ("u0 = sine:amplitude=0.5,mode=1", "u0 = file:{tmp}/short.csv", "simulate",
+         "short.csv' has 3 values, grid has 17 nodes"),
+        ("u0 = sine:amplitude=0.5,mode=1", "u0 = file:{tmp}/nan.csv", "simulate",
+         "nan.csv' has values that are not finite"),
+        ("[grid]\n", "", "simulate", "malformed config: File contains no section headers."),
+        ("[run]", "[grid]", "simulate", "malformed config: While reading from"),
     ],
     ids=["eta", "u0_nan", "basis", "psi", "psi_simulate", "psi_verify", "psi_converge",
          "control_coeffs_nan", "ref_refine", "dt_not_dividing_T", "dt_sweep_overflow", "dt_nan",
          "dt_inf", "p_inf", "jump_rate_too_large", "control_norm_infinite", "dt_zero",
          "dt_negative", "p_below_2", "control_coeffs_inf", "flux_coefs_inf",
          "converge_values_nan", "converge_values_repeated", "basis_mode_vanishes",
-         "basis_2d_past_six_modes", "newton_max_iters_zero", "newton_max_iters_negative"],
+         "basis_2d_past_six_modes", "newton_max_iters_zero", "newton_max_iters_negative",
+         "eta_kind", "measure_kind", "point_measure_malformed", "basis_kind", "psi_kind",
+         "psi_cap_negative", "field_preset_kind", "key_value_malformed", "sine_unknown_key",
+         "sine_repeated_key", "u_tar_unknown_key", "control_coeffs_count", "dim_3", "flux_kind",
+         "n_paths_zero", "nodal_csv_size", "nodal_csv_not_finite", "no_section_header",
+         "duplicate_section"],
 )
 def test_cli_parse_errors_exit_2_without_traceback(tmp_path, capsys, old, new, command, named):
+    # the nodal CSVs the cases name as {tmp}/short.csv and {tmp}/nan.csv
+    (tmp_path / "short.csv").write_text("value\n0\n1\n0\n")
+    (tmp_path / "nan.csv").write_text("value\n" + "0\n" * 8 + "nan\n" + "0\n" * 8)
     text = REFERENCE
     for o, n in zip(*((old, new) if isinstance(old, tuple) else ((old,), (new,)))):
         assert o in text
-        text = text.replace(o, n)
-    cfg_path = write(tmp_path, text)
+        text = text.replace(o, n.replace("{tmp}", str(tmp_path)))
+    cfg_path, out = write(tmp_path, text), tmp_path / "o"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert run_cli([command, "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+        assert run_cli([command, "--config", cfg_path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+    # one line, and the config is rejected before the output directory is made
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_cli_missing_config_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(["simulate", "--config", str(tmp_path / "none.ini"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_config_psi_cap_of_zero_is_allowed():
+    cfg = parse_config_text(REFERENCE + "\n[cost]\npsi = l2_clip:0\n").validate("optimize")
+    assert cfg.build_cost(cfg.build_grid(), 16).psi == ("l2_clip", 0.0)
 
 
 @pytest.mark.parametrize("below_a_file", [False, True])
@@ -768,6 +824,19 @@ def test_cli_converge_self_probe_on_zero_data_is_trivial(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     rep = json.load(open(os.path.join(out, "converge_report.json")))
     assert (rep["probe"], rep["trivial"], rep["passed"]) == ("self", True, True)
+    assert rep["measured"] == [0.0, 0.0, 0.0] and rep["fitted_slope"] == 0.0
+
+
+def test_cli_converge_eps_sweep_on_zero_data_is_trivial(tmp_path, capsys):
+    # zero data stay 0 under every jump measure, so every distance of the
+    # eps sweep is 0: its report is trivial as every other probe's is
+    text = (ZERO.replace("[initial]", "[levy]\nmeasure = density:invsq\neps = 0.01\n\n[initial]")
+            + "\n" + _CONVERGE["eps"])
+    cfg_path, out = write(tmp_path, text), str(tmp_path / "out")
+    assert run_cli(["converge", "--config", cfg_path, "--out", out, "--paths", "2"]) == 0
+    assert capsys.readouterr().err == ""
+    rep = json.load(open(os.path.join(out, "converge_report.json")))
+    assert (rep["probe"], rep["trivial"], rep["passed"], rep["extra"]) == ("eps", True, True, {})
     assert rep["measured"] == [0.0, 0.0, 0.0] and rep["fitted_slope"] == 0.0
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from plaplace_levy import (
     DegenerateRegressionError,
+    Ensemble,
     Field,
     Grid,
     LevyModel,
@@ -222,6 +223,26 @@ def test_uniqueness_pairs_the_first_rows_of_a_and_checks_seeds_and_config():
     other = replace(CFG, newton_tol=1e-11)
     with pytest.raises(ValueError, match="configuration"):
         uniqueness_check(a, generate_ensemble(U0, UCTL, model, other, 3, base_seed=0))
+
+
+@pytest.mark.parametrize("grows", [False, True])
+def test_uniqueness_fails_where_the_distance_of_distinct_data_grows(grows):
+    # hand-built ensembles from distinct starts: path i of b lies
+    # (1 + 0.1 i) c_k above a's zero states at every interior node at step
+    # k, so its L^1 distance is proportional to c_k; a growing c_k fails the
+    # check, a shrinking one passes it
+    model = reference_model()
+    paths = tuple(sample_prms(model, CFG.dt, CFG.n_steps, range(3)))
+    c = 0.01 * np.arange(1.0, CFG.n_steps + 2)
+    if not grows:
+        c = c[::-1]
+    zeros = np.zeros((3, CFG.n_steps + 1, GRID.n_nodes))
+    above = zeros.copy()
+    above[:, :, GRID.interior_nodes] = (np.outer(1.0 + 0.1 * np.arange(3), c))[:, :, None]
+    a, b = (Ensemble(states, paths, CFG, GRID, model) for states in (zeros, above))
+    rep = uniqueness_check(a, b)
+    assert not rep.identical_inputs and rep.threshold == 0.0
+    assert rep.passed is not grows
 
 
 def test_isometry_zero_field():

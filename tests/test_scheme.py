@@ -290,6 +290,23 @@ def test_initial_smoothing_monotone_for_incompatible_trace():
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
 
+def test_smoothing_that_breaks_its_energy_estimate_fails_its_datum(monkeypatch):
+    # a mutant solve returning 2 u0 breaks lhs <= rhs for nonzero data: that
+    # datum's report is the violation, and the zero datum, whose 2 u0 = 0
+    # holds its estimate, is smoothed
+    import plaplace_levy.scheme as scheme
+
+    grid = Grid(1, 16)
+    u0 = Field.from_function(grid, lambda x: 0.5 * np.sin(np.pi * x))
+    monkeypatch.setattr(scheme, "_newton", lambda solver, v, rhs, *a: (2.0 * rhs, []))
+    zero, doubled = initial_smoothings([Field.zeros(grid), u0], 0.05, 3.0)
+    assert zero["lhs"] == zero["rhs"] == 0.0
+    assert isinstance(doubled, NonConvergence)
+    assert str(doubled).startswith("initial smoothing violated its energy estimate: lhs=")
+    with pytest.raises(NonConvergence, match="violated its energy estimate"):
+        prepare_initial(u0, Field.zeros(grid), 0.05, 3.0)
+
+
 # ---------------------------------------------------------------------------
 # full paths and their time interpolation
 
@@ -1392,6 +1409,24 @@ def test_singular_step_matrix_fails_its_row_only(dim, monkeypatch):
     assert (err.step, err.seed) == (2, paths[1].seed) and "no finite Newton step" in str(err)
     assert out_errors[0] is out_errors[2] is None
     assert np.array_equal(out_states[[0, 2]], states[[0, 2]])
+
+    # every row's block singular in every factorization: the march fails
+    # every row in its first round at step 0, and _trajectories, whose first
+    # factorization leaves no row live, sends all three to that march
+    def singular_everywhere(*args, **kwargs):
+        *factors, info = real(*args, **kwargs)
+        (factors[1] if dim == 1 else factors[0][2 * grid.step_band.kl])[::m] = 0.0
+        return (*factors, 1)
+
+    march, marched = scheme._march, []
+    monkeypatch.setattr(lapack, kernel, singular_everywhere)
+    monkeypatch.setattr(scheme, "_march", lambda *a: marched.append(len(a[1])) or march(*a))
+    held = np.repeat(args[1][:, None], cfg.n_steps + 1, axis=1)  # each start held constant
+    for solve in (march, lambda *a: scheme._trajectories(*a, held)):
+        _, errs = solve(*args)
+        assert [(e.step, e.seed) for e in errs] == [(0, path.seed) for path in paths]
+        assert all("no finite Newton step" in str(e) for e in errs)
+    assert marched == [3]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
