@@ -35,14 +35,14 @@ class ConfigError(ValueError):
 MAX_RUN_VALUES = 2**27
 
 # State rows of n_steps + 1 states a path that verify and the ensemble
-# commands (simulate, converge) hold at their peak, from tracemalloc peaks of
-# whole CLI runs on 1D grids of 3-16 cells and 2D grids of 3-32 cells at
-# 200-3,000 paths: verify held up to 12.0 rows a path in 1D and 14.4 in 2D
-# (its peak is the one dual-norm ascent over both probes' windows of every
-# path), simulate up to 7.1 and 11.2 (its peak is the norms of every
-# state), and converge holds one such ensemble at a time.  optimize held
-# 15.0 (1D, 400 paths) and 19.5 (2D, 6 cells) of the 22 that `run_values`
-# counts for its sine:2 basis.
+# commands (simulate, converge) hold at their peak, bounding tracemalloc
+# peaks of whole CLI runs on 1D grids of 3-16 cells and 2D grids of 3-32
+# cells at 200-3,000 paths: verify held up to 10.5 rows a path in 1D and
+# 10.6 in 2D (its peak is the one dual-norm ascent over both probes'
+# windows of every path, or in 2D the step solve), simulate up to 5.8 and
+# 6.8 (its peak is the norms of every state), and converge holds one such
+# ensemble at a time.  optimize held 15.0 (1D, 400 paths) and 19.5 (2D, 6
+# cells) of the 22 that `run_values` counts for its sine:2 basis.
 _VERIFY_ROWS = 15
 _ENSEMBLE_ROWS = 12
 

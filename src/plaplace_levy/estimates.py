@@ -249,8 +249,8 @@ def uniqueness_check(a: Ensemble, b: Ensemble) -> UniquenessReport:
     identical = np.array_equal(states_a[:, 0], b.states[:, 0])
     n_times = cfg.n_steps + 1
     # L^1 norm (interior nodes, weight h^dim) of each paired difference
-    diff = grid.take("interior", (states_a - b.states).reshape(-1, grid.n_nodes))
-    dists = (np.sum(np.abs(diff), axis=-1) * grid.cell_weight).reshape(n_paths, n_times)
+    diff = grid.take("interior", states_a - b.states)
+    dists = np.sum(np.abs(diff), axis=-1) * grid.cell_weight
     mean = dists.mean(axis=0)
     se = dists.std(ddof=1, axis=0) / np.sqrt(n_paths) if n_paths > 1 else np.zeros(n_times)
     if identical:

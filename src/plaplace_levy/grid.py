@@ -9,7 +9,6 @@ discrete integration by parts holds to round-off.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,41 +25,26 @@ class GridMismatchError(ValueError):
 
 
 class _RowTable:
-    """A fixed index table applied to each row of a stack whose rows lie
-    `stride` apart in memory: gathers and bincount scatters of every row go
-    through one 1-D index, the table repeated with offsets r * stride, which
-    costs far less than 2-D fancy indexing on short rows.  The repeated
-    index for r rows is a prefix of the one for more rows; its capacity
-    doubles as stacks grow, and each row count keeps its prefix."""
+    """A fixed index table scattered into each row of a stack whose rows lie
+    `stride` apart in memory: one bincount for all rows, through the table
+    repeated with offsets r * stride.  The repeated index for r rows is a
+    prefix of the one for more rows, so one array serves every row count;
+    its capacity doubles as stacks grow.  Gathers need no such table: they
+    take along the last axis with the plain index."""
 
     def __init__(self, index: np.ndarray, stride: int):
         self.index = index
         self.stride = stride
         self._full = index.ravel()
-        self._rows = {}  # row count -> (repeated index, stacked shape)
 
-    def _for(self, rows: int) -> tuple:
-        entry = self._rows.get(rows)
-        if entry is None:
-            if self._full.size < rows * self.index.size:
-                capacity = max(rows, 2 * self._full.size // self.index.size)
-                offsets = self.stride * np.arange(capacity)[:, None]
-                self._full = (offsets + self.index.ravel()).ravel()
-            entry = (self._full[: rows * self.index.size], (rows, *self.index.shape))
-            self._rows[rows] = entry
-        return entry
-
-    def take(self, x: np.ndarray) -> np.ndarray:
-        """x[..., index] for x of shape (stride,) or (M, stride)."""
-        if x.ndim == 1:
-            return x[self.index]
-        flat, shape = self._for(len(x))
-        return x.take(flat).reshape(shape)
-
-    def scatter(self, w: np.ndarray, rows: int) -> np.ndarray:
-        """Per-row sums of w (rows * index.size values, row by row) at the
+    def scatter(self, w: np.ndarray) -> np.ndarray:
+        """Per-row sums of w (rows of index.size values, row by row) at the
         table's positions: flat array of rows * stride values."""
-        return np.bincount(self._for(rows)[0], w.ravel(), rows * self.stride)
+        size, full, k = w.size, self._full, self.index.size
+        if full.size < size:
+            offsets = self.stride * np.arange(max(size, 2 * full.size) // k)[:, None]
+            full = self._full = (offsets + self.index.ravel()).ravel()
+        return np.bincount(full[:size], w.ravel(), size // k * self.stride)
 
 
 @dataclass(frozen=True)
@@ -68,8 +52,9 @@ class Grid:
     """Uniform tensor grid on (0,1)^dim.
 
     Nodes carry the unknowns; cells carry gradient values.  Operators act on
-    the flattened (C-order) nodal vector; their index tables are cached on
-    first use, so a Grid can be shared read-only between concurrent runs.
+    the flattened (C-order) nodal vector or on each row of a stack of them;
+    their index tables are cached on first use, so a Grid can be shared
+    read-only between concurrent runs.
     """
 
     dim: int
@@ -129,7 +114,7 @@ class Grid:
     def cell_gradient(self, v: np.ndarray) -> np.ndarray:
         """Per-cell gradient components of a flattened nodal vector v
         (n_nodes,), shape (dim, n_cells_total), or of each row of a stack
-        v (M, n_nodes), shape (M, dim, n_cells_total).  In 1D the cell value
+        v (..., n_nodes), shape (..., dim, n_cells_total).  In 1D the cell value
         is the forward difference (v[i+1]-v[i])/h; in 2D it is the gradient
         of the bilinear interpolant at the cell center, the mean of the two
         forward differences across the cell."""
@@ -143,19 +128,18 @@ class Grid:
 
     def take(self, table: str, v: np.ndarray) -> np.ndarray:
         """Values of a nodal vector v (n_nodes,), or of each row of a stack
-        v (M, n_nodes), at a fixed node table: "corners" (2^dim,
-        n_cells_total), the corner nodes of each cell, corner by corner;
-        "interior" (m,); "edges" (2, n_edges), the convection edge ends of
-        `conv_edges`."""
-        return self._tables[table].take(v)
+        v (..., n_nodes), at a fixed node table, taken along the last axis:
+        "corners" (2^dim, n_cells_total), the corner nodes of each cell,
+        corner by corner; "interior" (m,); "edges" (2, n_edges), the
+        convection edge ends of `conv_edges`."""
+        return v.take(self._tables[table].index, axis=-1)
 
     def scatter_nodes(self, table: str, w: np.ndarray) -> np.ndarray:
         """Nodal sums of weights w at the nodes of a `take` table ("corners"
         or "edges"; w of the table's shape, or a stack of them), one bincount
         for all rows: shape (n_nodes,) or (M, n_nodes)."""
         nodes = self._tables[table]
-        lead = w.shape[: w.ndim - nodes.index.ndim]
-        return nodes.scatter(w, math.prod(lead)).reshape(*lead, self.n_nodes)
+        return nodes.scatter(w).reshape(*w.shape[: w.ndim - nodes.index.ndim], self.n_nodes)
 
     @cached_property
     def _tables(self) -> dict:
@@ -248,8 +232,8 @@ class Grid:
         return BandScatter(
             kl=kl,
             m=m,
-            cell_take=_RowTable(tables[0][0], self.cell_nodes.size * 2**self.dim),
-            edge_take=_RowTable(c * n_edges + e, 2 * n_edges),
+            cell_take=tables[0][0],
+            edge_take=c * n_edges + e,
             edge_scale=(2.0 * r - 1.0) * self.conv_edges[2][e],
             cell_pos=_RowTable(pos[:n_cell], (3 * kl + 1) * m),
             pos=_RowTable(pos, (3 * kl + 1) * m),
@@ -261,7 +245,7 @@ class Grid:
         Poisson seeds), assembled through `step_band`."""
         band = self.step_band
         blocks = np.tile(self.cell_weight * self.local_block_basis[0], self.n_cells_total)
-        return BandLU(band.assemble(band.cell_take.take(blocks)), band.kl)
+        return BandLU(band.assemble(blocks.take(band.cell_take)), band.kl)
 
     def poisson_solve(self, rhs_interior: np.ndarray) -> np.ndarray:
         """Solve the interior nodal system -div(grad(phi)) = rhs, phi = 0 on
@@ -291,8 +275,8 @@ class BandScatter:
 
     kl: int
     m: int
-    cell_take: _RowTable
-    edge_take: _RowTable
+    cell_take: np.ndarray
+    edge_take: np.ndarray
     edge_scale: np.ndarray
     cell_pos: _RowTable
     pos: _RowTable
@@ -309,11 +293,10 @@ class BandScatter:
         pivoting of `BandLU` (gbtrf, or gttrf for kl = 1 and m >= 3) never
         leaves a block and factors each as it would alone.  A 1-D `vals` is
         one system."""
-        rows = 1 if vals.ndim == 1 else len(vals)
-        pos = self.cell_pos if vals.size == rows * self.cell_pos.index.size else self.pos
-        ab = pos.scatter(vals, rows)
+        pos = self.cell_pos if vals.shape[-1] == self.cell_pos.index.size else self.pos
+        ab = pos.scatter(vals)
         ab[2 * self.kl :: self.ldab] += diag
-        return ab.reshape(rows * self.m, self.ldab).T
+        return ab.reshape(-1, self.ldab).T
 
 
 class Field:
@@ -430,7 +413,7 @@ def l2_norm(f: Field) -> float:
 def _l2_norms(grid: Grid, v: np.ndarray) -> np.ndarray:
     """`l2_norm` of each row of the nodal vectors v (..., n_nodes): interior
     nodes, weight h^dim."""
-    x = v.take(grid.interior_nodes, axis=-1)
+    x = grid.take("interior", v)
     return np.sqrt(np.vecdot(x, x) * grid.cell_weight)
 
 

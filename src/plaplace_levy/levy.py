@@ -131,10 +131,14 @@ class LevyModel:
             raise ValueError(
                 f"A3 violated: lambda_star must lie in (0,1), got {self.lambda_star}"
             )
-        if not abs(self.eta[1]) <= self.lambda_star:
+        kind, c = self.eta
+        if kind not in ("zero", "linear", "sine"):
+            raise ValueError(f"unknown eta kind {kind!r}")
+        if kind == "zero" and c != 0:
+            raise ValueError(f"eta kind 'zero' takes coefficient 0, got {c!r}")
+        if not abs(c) <= self.lambda_star:
             raise ValueError("A3 violated: eta is not lambda_star-Lipschitz in u")
-        c = self.c_eta
-        if not np.isfinite(c):
+        if not np.isfinite(self.c_eta):
             raise ValueError("A4 violated: c_eta is not finite")
         return self
 
@@ -371,15 +375,15 @@ def mark_sums(counts: np.ndarray, marks: np.ndarray) -> np.ndarray:
 def compensated_increments(model: LevyModel, u_int: np.ndarray, sums: np.ndarray,
                            dt: float) -> np.ndarray:
     """Interior increments of the compensated jump integral over one step,
-    one row per entry of `sums` (the rows' `mark_sums` of the step), with
-    the integrand frozen at the rows of u_int (M, m) (or at u_int (m,) for
-    every row):
+    one row per entry of `sums` (any shape; the rows' `mark_sums` of the
+    step), with the integrand frozen at the rows of u_int (*sums.shape, m)
+    (or at u_int (m,) for every row):
 
         sum_{z in marks of row i} eta(u_int[i]; z)  -  dt * integral eta(u_int[i]; z) m(dz)
             = c f(u_int[i]) (sums[i] - dt * mark_mass)"""
     if model.eta_is_zero:
-        return np.zeros((len(sums), u_int.shape[-1]))
-    return model.eta_u(u_int) * (sums - dt * model.mark_mass)[:, None]
+        return np.zeros((*np.shape(sums), u_int.shape[-1]))
+    return model.eta_u(u_int) * (sums - dt * model.mark_mass)[..., None]
 
 
 def isometry_rhs(model: LevyModel, u: Field, dt: float) -> float:

@@ -34,6 +34,7 @@ factorization of all diagonal blocks and a forward sweep of block solves.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -134,6 +135,9 @@ class SchemeConfig:
         for name, value in (("dt", self.dt), ("newton_tol", self.newton_tol)):
             if not 0 < value < np.inf:  # false for NaN
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name, value in (("n_steps", self.n_steps), ("newton_max_iters", self.newton_max_iters)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_steps < 0:
             raise ValueError(f"n_steps must be nonnegative, got {self.n_steps!r}")
         if self.newton_max_iters < 1:
@@ -330,10 +334,10 @@ class _StepSolver:
         else:
             coef[1:] = 0.0
         blocks = (coef.T @ grid.local_block_basis).reshape(len(v), -1)
-        vals = (self.dt * self.wc) * band.cell_take.take(blocks)
+        vals = (self.dt * self.wc) * blocks.take(band.cell_take, axis=-1)
         if newton and not self.flux.is_zero:
             slopes = _edge_quotients(grid, self.flux, v, slopes=True)
-            dq = band.edge_take.take(slopes.reshape(len(v), -1))
+            dq = slopes.reshape(len(v), -1).take(band.edge_take, axis=-1)
             vals = np.concatenate([vals, (self.dt * band.edge_scale) * dq], axis=1)
         return band.assemble(vals, self.wc)
 
@@ -576,21 +580,19 @@ class Ensemble:
         """`l2_norm` and `lp_grad_norm` ** config.p of every state, (paths,
         n_steps + 1) each, in one row-wise pass over `states`; computed once
         per ensemble."""
-        rows = self.states.reshape(-1, self.grid.n_nodes)
         return (_l2_norms(self.grid, self.states),
-                _lp_grad_pows(self.grid, rows, self.config.p).reshape(self.states.shape[:2]))
+                _lp_grad_pows(self.grid, self.states, self.config.p))
 
     @cached_property
     def sums(self) -> np.ndarray:
         """The running martingale sums B(t_k), shaped like `states`: the
         compensated increments the step solves add to their right-hand
         sides, summed in step order; computed once per ensemble."""
-        cfg, idx = self.config, self.grid.interior_nodes
-        prev = self.states[:, :-1, idx].reshape(-1, len(idx))
+        cfg, grid = self.config, self.grid
         incs = np.zeros_like(self.states)
-        incs[:, 1:, idx] = compensated_increments(
-            self.model, prev, _path_mark_sums(self.paths, cfg.n_steps).ravel(), cfg.dt
-        ).reshape(len(self), cfg.n_steps, len(idx))
+        incs[:, 1:, grid.interior_nodes] = compensated_increments(
+            self.model, grid.take("interior", self.states[:, :-1]),
+            _path_mark_sums(self.paths, cfg.n_steps), cfg.dt)
         return np.cumsum(incs, axis=1)
 
     @cached_property

@@ -39,6 +39,28 @@ def test_grid_rejects_bad_args():
         Grid(1, 0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_take_and_scatter_act_on_the_last_axis_of_any_stack(dim):
+    grid = Grid(dim, 5)
+    tables = {"corners": grid.cell_nodes.T, "interior": grid.interior_nodes,
+              "edges": grid.conv_edges[0]}
+    rng = np.random.default_rng(11)
+    # 1-D, 2-D and 3-D stacks, a strided view, and row counts that grow and
+    # shrink, so the scatters' repeated index is sliced below its capacity
+    stacks = [rng.normal(size=(*lead, grid.n_nodes)) for lead in ((), (4,), (3, 2), (1,), (9,))]
+    stacks.append(rng.normal(size=(3, 4, grid.n_nodes))[:, ::2])
+    for v in stacks:
+        for name, index in tables.items():
+            assert np.array_equal(grid.take(name, v), v[..., index]), name
+            if name == "interior":
+                continue
+            w = rng.normal(size=(*v.shape[:-1], *index.shape))
+            expected = np.zeros(v.shape)
+            for row in np.ndindex(v.shape[:-1]):
+                np.add.at(expected[row], index.ravel(), w[row].ravel())
+            assert np.allclose(grid.scatter_nodes(name, w), expected, rtol=1e-14, atol=1e-14)
+
+
 def test_field_validation():
     g = Grid(1, 4)
     with pytest.raises(ValueError):

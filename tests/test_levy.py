@@ -48,6 +48,18 @@ def test_validate_rejects_eta_exceeding_lipschitz(eta):
     LevyModel(eta=eta(-0.3), lambda_star=0.3, point_masses=((1.0, 1.0),)).validate()
 
 
+@pytest.mark.parametrize("eta, message", [
+    (("bogus", 0.3), "unknown eta kind 'bogus'"),
+    (("zero", 0.3), "eta kind 'zero' takes coefficient 0, got 0.3"),
+], ids=["unknown", "zero_with_coefficient"])
+def test_validate_rejects_an_eta_kind_it_cannot_evaluate(eta, message):
+    # eta_u would treat either as linear, and eta_is_zero reads only the
+    # coefficient
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LevyModel(eta=eta, lambda_star=0.5, point_masses=((1.0, 1.0),)).validate()
+    LevyModel(eta=eta_zero(), lambda_star=0.5, point_masses=((1.0, 1.0),)).validate()
+
+
 def test_c_eta_point_masses():
     m = LevyModel(
         eta=eta_linear(0.2),

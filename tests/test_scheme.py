@@ -145,6 +145,14 @@ def test_scheme_config_rejects_non_finite_steps_and_tolerance(name, value):
         SchemeConfig(**{"p": 3.0, "dt": 0.05, "n_steps": 1, "flux": zero_flux(1), name: value})
 
 
+@pytest.mark.parametrize("name", ["n_steps", "newton_max_iters"])
+def test_scheme_config_rejects_non_integral_counts(name):
+    # a float count would reach range() deep inside the solve as a TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5"):
+        SchemeConfig(**{"p": 3.0, "dt": 0.1, "n_steps": 2, "flux": zero_flux(1), name: 2.5})
+    SchemeConfig(**{"p": 3.0, "dt": 0.1, "n_steps": 2, "flux": zero_flux(1), name: np.int64(2)})
+
+
 def test_flux_validate_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown flux kind 'cubic'"):
         FluxModel("cubic", (0.5,)).validate()
