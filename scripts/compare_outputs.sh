@@ -13,6 +13,13 @@
 #             (optimize-1d)
 #   optimize  sample_config.ini, 3 paths
 #   converge  sample_config.ini
+#   simulate  sample_config.ini, 2,000 paths
+#   verify    sample_config.ini, 2,000 paths
+#
+# At sample_config.ini's low jump rate most of 2,000 paths share their jump
+# history with another path, so the march solves each distinct history once
+# and hands its states to every path that shares it (scheme._march); the two
+# 2,000-path runs are where that sharing is widest.
 #
 #   usage: scripts/compare_outputs.sh REV
 #
@@ -57,6 +64,8 @@ for side in base head; do
     run $side optimize-1d optimize --config "$configs/sample.ini" --paths 1 --seed 4000012
     run $side optimize-sample optimize --config "$root/sample_config.ini" --paths 3
     run $side converge-sample converge --config "$root/sample_config.ini"
+    run $side simulate-sample-2000 simulate --config "$root/sample_config.ini" --paths 2000
+    run $side verify-sample-2000 verify --config "$root/sample_config.ini" --paths 2000
 done
 
 runs=$(ls "$tmp/head/runs/log" | grep -c '\.code$')

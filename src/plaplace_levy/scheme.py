@@ -24,12 +24,16 @@ one code path serves both, and reads a singular row from its zero pivots.
 A 2D march keeps each row's factors across rounds and steps while they
 contract (`_LAG_CUT`); 1D factors afresh every round.
 
-Paths march step by step.  Given a reference trajectory per row and few
-rows, the steps of a path are instead solved all at once, as one Newton
-system over the whole trajectory (`_trajectories`): its Jacobian is block
-lower-bidiagonal, the step Newton matrices on the diagonal and the
-diagonal -d(residual_k)/d(u_{k-1}) below it, and a Newton step is one
-factorization of all diagonal blocks and a forward sweep of block solves.
+Paths march step by step, each step solving one row per distinct jump
+history: a step sees a path only through its start and its step sums, so
+paths that share both through step k share their states bitwise, and at low
+jump rates most paths of a batch do (`_march`).  Given a reference
+trajectory per row and few rows, the steps of a path are instead solved all
+at once, as one Newton system over the whole trajectory (`_trajectories`):
+its Jacobian is block lower-bidiagonal, the step Newton matrices on the
+diagonal and the diagonal -d(residual_k)/d(u_{k-1}) below it, and a Newton
+step is one factorization of all diagonal blocks and a forward sweep of
+block solves.
 """
 
 from __future__ import annotations
@@ -644,8 +648,10 @@ def simulate_runs(grid: Grid, starts: np.ndarray, runs: list, model: LevyModel,
     (from `sample_prms`), each marched from the finite nodal start state
     starts[c] (len(runs), n_nodes), a smoothed initial datum plus its
     control.  All runs' rows form one stack, run-major, with the paths
-    advancing together, one batched solve per step; runs may share paths or
-    starts, and a row does not depend on the other rows.  Returns per run
+    advancing together, one batched solve per step of the step's distinct
+    histories (`_march`); runs may share paths or starts, and a row does not
+    depend on the other rows, so a run that repeats another's start and
+    paths (verify's identical-data run) costs no solve.  Returns per run
     its Ensemble, or the NonConvergence of its first failing path in its
     path order (with step and seed), the error a path-by-path loop raises:
     a failing row stops alone, and every other row, of its run too, is
@@ -710,6 +716,42 @@ def _path_mark_sums(paths, n_steps: int) -> np.ndarray:
     return np.array([path.step_sums for path in paths]).reshape(len(paths), n_steps)
 
 
+def _history_reps(keys: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Per row and step k, the lowest row with the same history through step
+    k, (M, n_steps): rows whose keys (M, width) hold the same bytes (the
+    start, and the ref row if given) and whose sums (M, n_steps) hold the
+    same bits in steps 0..k.  Rows start grouped by their keys, and each
+    step splits every group by that step's sums, one stable lexsort per step
+    over (group, sum bits), so ties keep row order and each group's first
+    row is its lowest; once every row stands alone, the later steps are not
+    sorted."""
+    M, n = sums.shape
+    reps = np.empty((M, n), dtype=np.intp)
+    every = np.arange(M)
+    bits = np.ascontiguousarray(keys).view(np.int64)
+    # equal neighbours first (a run's rows share its start), then the byte
+    # strings of the distinct neighbours, each one opaque void item
+    head = np.ones(M, dtype=bool)
+    head[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    heads = np.flatnonzero(head)
+    _, first, inv = np.unique(bits[heads].view(np.dtype((np.void, bits.shape[1] * 8))).ravel(),
+                              return_index=True, return_inverse=True)
+    rep = heads[first][inv.ravel()][np.cumsum(head) - 1]
+    sum_bits = np.ascontiguousarray(sums).view(np.int64)
+    for k in range(n):
+        if np.array_equal(rep, every):  # every row alone: no later step groups
+            reps[:, k:] = every[:, None]
+            break
+        order = np.lexsort((sum_bits[:, k], rep))
+        group, step = rep[order], sum_bits[order, k]
+        new = np.ones(M, dtype=bool)
+        new[1:] = (group[1:] != group[:-1]) | (step[1:] != step[:-1])
+        rep = np.empty_like(rep)
+        rep[order] = order[new][np.cumsum(new) - 1]
+        reps[:, k] = rep
+    return reps
+
+
 def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
            paths, ref: np.ndarray = None) -> tuple:
     """Nodal states (M, n_steps + 1, n_nodes) of the paths, row i from the
@@ -723,17 +765,38 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
     boundary values of prev, which the solve holds fixed.  In 2D each row
     keeps its Newton factors from round to round and step to step (see
     `_newton`), in one store per call.  `_trajectories` solves the same steps
-    all at once and marches the rows it cannot finish with this function."""
+    all at once and marches the rows it cannot finish with this function.
+
+    Each step solves one row per distinct history (`_history_reps`): a step
+    sees a row only through its start, its ref row and its path's step sums
+    (`PrmPath.step_sums`), and a row's iterates do not depend on the other
+    rows of its batch, so rows with the same bytes of those through step k
+    hold bitwise-equal states through step k.  The lowest row of each live
+    group is solved and its state taken by every member, whose kept factors
+    (2D) it shares; a child group starts from its parent's.  If the group's
+    row fails, each member gets its own NonConvergence with its own seed and
+    stops.  This pays at low jump rates, where most paths of a batch jump
+    rarely and share their history step after step; a dense measure makes
+    every row distinct from the first step, and then every row is solved as
+    alone, with no gather or scatter."""
     idx = grid.interior_nodes
     solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
-    states = np.empty((len(paths), cfg.n_steps + 1, grid.n_nodes))
+    M = len(paths)
+    states = np.empty((M, cfg.n_steps + 1, grid.n_nodes))
     states[:, 0] = starts
     jumps = _path_mark_sums(paths, cfg.n_steps)
-    alive = np.arange(len(paths))
-    rows = slice(None)  # the alive paths, as a slice while that is all of them
-    errors = [None] * len(paths)
-    kept = [None] * len(paths) if grid.step_band.kl > 1 else None  # per alive row
+    reps = _history_reps(states[:, 0] if ref is None else
+                         np.concatenate([states[:, 0], ref.reshape(M, -1)], axis=1), jumps)
+    every = np.arange(M)
+    alive = np.ones(M, dtype=bool)
+    errors = [None] * M
+    kept = [None] * M if grid.step_band.kl > 1 else None  # per row, held by groups' rows
     for k in range(cfg.n_steps):
+        rep = reps[:, k]
+        at = np.flatnonzero((rep == every) & alive)  # one row per live group
+        if not at.size:
+            break
+        rows = slice(None) if at.size == M else at  # a slice while every row solves
         prev = states[rows, k]
         inc = np.zeros_like(prev)
         inc[:, idx] = compensated_increments(model, grid.take("interior", prev),
@@ -741,21 +804,36 @@ def _march(grid: Grid, starts: np.ndarray, model: LevyModel, cfg: SchemeConfig,
         guess = prev.copy()
         if ref is not None:
             guess[:, idx] = (ref[rows, k + 1] + (prev - ref[rows, k]))[:, idx]
-        states[rows, k + 1], failed = _newton(
-            solver, guess, prev + inc, cfg.newton_tol, cfg.newton_max_iters, kept
-        )
+        lu = None
+        if kept is not None:
+            if k:  # a child group starts from its parent's factors
+                for i in at[reps[at, k - 1] != at].tolist():
+                    kept[i] = kept[reps[i, k - 1]]
+            lu = [kept[i] for i in at]
+            for i in at.tolist():  # the solve holds them alone: what it replaces is freed
+                kept[i] = None
+        solved, failed = _newton(solver, guess, prev + inc, cfg.newton_tol,
+                                 cfg.newton_max_iters, lu)
+        if lu is not None:
+            for j, i in enumerate(at.tolist()):  # no name left holding a factor
+                kept[i] = lu[j]
+        if at.size == M:
+            states[:, k + 1] = solved
+        else:  # every row takes its group's state (a failed row's, undefined)
+            at_pos = np.zeros(M, dtype=np.intp)
+            at_pos[at] = np.arange(at.size)
+            states[:, k + 1] = solved.take(at_pos[rep], axis=0)
         if failed:
-            drop = np.zeros(len(alive), dtype=bool)
-            for row, err in failed:
-                i = alive[row]
+            group_errors = {int(at[j]): err for j, err in failed}
+            for i in np.flatnonzero(alive & np.isin(rep, list(group_errors))).tolist():
+                err = group_errors[int(rep[i])]
+                if i != rep[i]:
+                    err = NonConvergence(str(err), residual=err.residual)
                 err.step, err.seed = k, paths[i].seed
                 errors[i] = err
-                drop[row] = True
-            alive = rows = alive[~drop]
-            if kept is not None:
-                kept = [f for f, gone in zip(kept, drop) if not gone]
-            if alive.size == 0:
-                break
+                alive[i] = False
+                if kept is not None:
+                    kept[i] = None
     return states, errors
 
 

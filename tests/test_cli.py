@@ -397,24 +397,27 @@ def test_cli_verify_solver_failure_is_the_moment_ensembles(tmp_path, capsys):
 
 def test_cli_singular_step_matrix_exit_code(tmp_path, capsys, monkeypatch):
     # gttrf, the 1D band kernel, returns an exactly zero pivot in the first
-    # path's block of the first step solve: a solver failure (exit 3) naming
-    # step and seed, not a traceback
+    # block of the first step solve, the row of path seed 0's history (the
+    # march solves one row per distinct history, 15 unknowns each): a solver
+    # failure (exit 3) naming step and seed, not a traceback
     import plaplace_levy._lapack as lapack
+    import plaplace_levy.scheme as scheme
 
-    real, injected = lapack.dgttrf, []
+    real, march, marching, injected = lapack.dgttrf, scheme._march, [], []
 
     def singular_once(dl, d, du, **kwargs):
         *factors, info = real(dl, d, du, **kwargs)
-        if d.size == 2 * 15 and not injected:  # 2 paths of 15 unknowns
-            injected.append(info)
+        if marching and not injected:  # after the smoothing solve
+            injected.append((info, d.size % 15))
             factors[1][2] = 0.0  # U's diagonal
             info = 3
         return (*factors, info)
 
     monkeypatch.setattr(lapack, "dgttrf", singular_once)
+    monkeypatch.setattr(scheme, "_march", lambda *a: marching.append(1) or march(*a))
     code = run_cli(["simulate", "--config", write(tmp_path, REFERENCE), "--paths", "2",
                     "--out", str(tmp_path / "o")])
-    assert injected == [0] and code == 3
+    assert marching == [1] and injected == [(0, 0)] and code == 3
     assert "solver failure at step 0 of path seed 0: step solver found no finite Newton step" \
         in capsys.readouterr().err
 

@@ -415,18 +415,22 @@ def test_state_norms_hold_little_beyond_the_norms(dim, n_cells, n_paths):
 def test_verify_study_solves_each_path_row_once(monkeypatch):
     # the moment ensemble is side a of both uniqueness pairings: one stack of
     # 50 rows for it, 20 for the identical data and 50 for the bumped data,
-    # marched in one chunk with one Newton solve per step, after one
-    # smoothing solve of the 2 distinct data u0 and u0 + bump; both increment
+    # marched in one chunk with one Newton solve per step of that step's
+    # distinct (start, step-sum prefix) rows, after one smoothing solve of
+    # the 2 distinct data u0 and u0 + bump; the identical-data rows repeat
+    # the ensemble's histories and add no row to any solve.  Both increment
     # scalings take one dual-norm ascent over their 2 x 4 windows of 50 rows
     import plaplace_levy.estimates as estimates
     import plaplace_levy.scheme as scheme
 
-    seen = {"runs": [], "march": [], "newton": [], "dual": []}
+    seen = {"runs": [], "rows": [], "march": [], "newton": [], "dual": []}
     march, newton, dual = scheme._march, scheme._newton, estimates.dual_norm_estimates
     simulate = estimates.simulate_runs
 
     def spy_runs(grid, starts, runs, *args):
         seen["runs"].append([len(paths) for paths in runs])
+        seen["rows"] += [(start.tobytes(), path) for start, paths in zip(starts, runs)
+                         for path in paths]
         return simulate(grid, starts, runs, *args)
 
     def spy_march(grid, starts, model, cfg, paths, ref):
@@ -441,13 +445,21 @@ def test_verify_study_solves_each_path_row_once(monkeypatch):
         seen["dual"].append(len(g))
         return dual(grid, g, p, iters)
 
+    def distinct(rows, k):
+        return len({(start, path.step_sums[: k + 1].tobytes()) for start, path in rows})
+
     monkeypatch.setattr(estimates, "simulate_runs", spy_runs)
     monkeypatch.setattr(scheme, "_march", spy_march)
     monkeypatch.setattr(estimates, "dual_norm_estimates", spy_dual)
     monkeypatch.setattr(scheme, "_newton", spy_newton)
     results, _ = estimates.verify_study(U0, UCTL, reference_model(), CFG, 50, 0)
     assert seen["runs"] == [[50, 20, 50]] and seen["march"] == [120]
-    assert seen["newton"] == [2] + [120] * CFG.n_steps and CFG.n_steps == 16
+    rows = seen["rows"]
+    per_step = [distinct(rows, k) for k in range(CFG.n_steps)]
+    assert seen["newton"] == [2] + per_step and CFG.n_steps == 16
+    # the identical-data run: the ensemble's start and first 20 paths
+    assert all(row == rows[i] for i, row in enumerate(rows[50:70]))
+    assert per_step == [distinct(rows[:50] + rows[70:], k) for k in range(CFG.n_steps)]
     assert seen["dual"] == [400]
     assert results["uniqueness"]["identical"]["max_l1"] == 0.0
 

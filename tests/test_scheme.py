@@ -773,9 +773,10 @@ def test_a_stalled_row_fails_alone_in_its_batch(monkeypatch):
 
 def test_rescue_saves_rows_whose_line_search_stalls(monkeypatch):
     # on this config (strong sine flux, p = 2.1, mode-3 data of amplitude
-    # 50) both paths' first step stalls in the residual line search, and the
-    # frozen-coefficient rescue takes each row to a converged step; a rescue
-    # that makes no progress leaves path seed 0 stagnated at step 0
+    # 50) the first step of each distinct history (one solved row) stalls in
+    # the residual line search, and the frozen-coefficient rescue takes each
+    # row to a converged step; a rescue that makes no progress leaves path
+    # seed 0 stagnated at step 0
     grid = Grid(1, 16)
     u0 = Field.from_function(grid, lambda x: 50.0 * np.sin(3 * np.pi * x))
     U = Field.zeros(grid, "free_boundary")
@@ -790,7 +791,7 @@ def test_rescue_saves_rows_whose_line_search_stalls(monkeypatch):
 
     monkeypatch.setattr(_StepSolver, "picard_solve", spy)
     run = simulate_paths(smoothed_start(u0, U, cfg), model, cfg, paths)
-    assert sum(rescued) >= 2
+    assert sum(rescued) >= len({path.step_sums[0] for path in paths})
     solver = _StepSolver(grid, cfg.p, cfg.dt, cfg.flux)
     for k in range(cfg.n_steps):
         inc = run.sums[:, k + 1] - run.sums[:, k]
@@ -1173,13 +1174,18 @@ def test_march_increments_match_mark_by_mark_sums(measure, monkeypatch):
                    model, cfg, paths)
     assert len(calls) == cfg.n_steps
     for k, (u_int, inc) in enumerate(calls):
-        for i, path in enumerate(paths):
-            marks = np.split(path.marks, np.cumsum(path.counts)[:-1])[k]
-            jumps = sum(eta_at(u_int[i], z) for z in marks)
-            drift = cfg.dt * sum(lam * eta_at(u_int[i], z) for z, lam in zip(*model.atoms))
-            # relative to the size of the two terms, whose difference may cancel
-            scale = np.abs(jumps) + np.abs(drift)
-            assert np.all(np.abs(inc[i] - (jumps - drift)) <= 1e-13 * scale)
+        # a step's rows are its distinct step-sum prefixes (one start), each
+        # in the order of its first path: every path of a row checks it
+        groups = history_groups(np.zeros((len(paths), 1)), paths, None, k)
+        assert len(u_int) == len(groups)
+        for j, group in enumerate(groups):
+            for path in (paths[i] for i in group):
+                marks = np.split(path.marks, np.cumsum(path.counts)[:-1])[k]
+                jumps = sum(eta_at(u_int[j], z) for z in marks)
+                drift = cfg.dt * sum(lam * eta_at(u_int[j], z) for z, lam in zip(*model.atoms))
+                # relative to the size of the two terms, whose difference may cancel
+                scale = np.abs(jumps) + np.abs(drift)
+                assert np.all(np.abs(inc[j] - (jumps - drift)) <= 1e-13 * scale)
     assert sum(path.jump_count() for path in paths) > 2 * len(paths)
 
 
@@ -1375,7 +1381,8 @@ def test_singular_step_matrix_fails_its_row_only(dim, monkeypatch):
     # the band kernel (gttrf in 1D, gbtrf in 2D) returns an exactly zero
     # pivot in row 1's block at step 2: row 1 fails with its step and seed,
     # the other rows solve with the same factors and march on as they do
-    # without it
+    # without it.  The rows start from distinct multiples of one datum, so
+    # no two share a history and each is a row of every solve
     import plaplace_levy._lapack as lapack
     import plaplace_levy.scheme as scheme
 
@@ -1389,7 +1396,7 @@ def test_singular_step_matrix_fails_its_row_only(dim, monkeypatch):
         grid, u0, _, model, cfg, paths = _kept_factor_case()
         paths = paths[:3]
     hat0 = prepare_initial(u0, Field.zeros(grid, "free_boundary"), cfg.dt, cfg.p).flat
-    args = (grid, np.array([hat0] * 3), model, cfg, paths)
+    args = (grid, np.array([1.0, 0.9, 0.8])[:, None] * hat0, model, cfg, paths)
     states, errors = scheme._march(*args)
     assert errors == [None] * 3
     kernel = "dgttrf" if dim == 1 else "dgbtrf"
@@ -1411,7 +1418,11 @@ def test_singular_step_matrix_fails_its_row_only(dim, monkeypatch):
     monkeypatch.setattr(scheme, "_newton", lambda *a: steps.append(1) or newton(*a))
     monkeypatch.setattr(lapack, kernel, singular_at_step_2)
     out_states, out_errors = scheme._march(*args)
-    assert calls[injected[0] - 1 : injected[0] + 1] == [3, 2]
+    # row 1's block shares the singular factorization with row 0's; 1D
+    # factors all three rows and then the two left, while in 2D row 2 still
+    # solves with its kept factors in that round and refactors alone in the
+    # next
+    assert calls[injected[0] - 1 : injected[0] + 1] == ([3, 2] if dim == 1 else [2, 1])
     err = out_errors[1]
     assert isinstance(err, NonConvergence)
     assert (err.step, err.seed) == (2, paths[1].seed) and "no finite Newton step" in str(err)
@@ -1555,3 +1566,133 @@ def test_non_finite_row_fails_without_touching_its_neighbours():
     for i in (0, 2):
         alone, none = _newton(solver, v[i : i + 1].copy(), rhs[i : i + 1], 1e-10, 50)
         assert none == [] and np.array_equal(out[i], alone[0])
+
+
+# ---------------------------------------------------------------------------
+# repeated jump histories (one solve per distinct history and step)
+
+
+def history_groups(starts, paths, ref, k):
+    """The groups of rows with the same bytes of start, ref row and step
+    sums 0..k, each a list of rows, ordered by their first row."""
+    groups = {}
+    for i, path in enumerate(paths):
+        key = (starts[i].tobytes(), None if ref is None else ref[i].tobytes(),
+               path.step_sums[: k + 1].tobytes())
+        groups.setdefault(key, []).append(i)
+    return sorted(groups.values())
+
+
+def _history_stack(case):
+    """(grid, model, cfg, starts, paths, ref) of a march stack; every case
+    but `dense` repeats jump histories."""
+    if case == "kept-2d":  # a 2D march, which keeps each row's factors
+        grid, u0, U, model, cfg, _ = _kept_factor_case()
+        paths = sample_prms(model, cfg.dt, cfg.n_steps, range(12))
+        return grid, model, cfg, np.array([smoothed_start(u0, U, cfg).flat] * 12), paths, None
+    grid = Grid(1, 16)
+    cfg = SchemeConfig(p=3.0, dt=1 / 32, n_steps=16, flux=sine_flux([0.7]))
+    model = reference_model()
+    if case == "dense":
+        # simulate-2d's measure: about 6 jumps a step, of continuous marks
+        model = LevyModel(eta=eta_sine(0.5), lambda_star=0.5, density="invsq", eps=0.01)
+    paths = sample_prms(model, cfg.dt, cfg.n_steps, range(30))
+    u0, U = pinned_u0_1d(grid), Field.zeros(grid, "free_boundary")
+    start = smoothed_start(u0, U, cfg)
+    starts, ref = np.array([start.flat] * len(paths)), None
+    if case == "two-runs":
+        # verify's stack: a run, a run on its first 10 paths from the same
+        # start, and a run from bumped data
+        from plaplace_levy.estimates import default_bump
+
+        bumped = smoothed_start(u0 + default_bump(grid), U, cfg).flat
+        starts = np.array([start.flat] * 40 + [bumped] * 30)
+        paths = paths + paths[:10] + paths
+    elif case == "ref":
+        # each row's own solved trajectory, one row's shifted: equal histories
+        # with equal ref rows share their solves, that row solves alone
+        ref = simulate_paths(start, model, cfg, paths).states.copy()
+        ref[3, :, grid.interior_nodes] += 1e-3
+    return grid, model, cfg, starts, paths, ref
+
+
+@pytest.mark.parametrize("case", ["point-1d", "kept-2d", "fail-1d", "two-runs", "ref",
+                                  "dense"])
+def test_repeated_histories_solve_once_and_match_one_row_solves(case, monkeypatch):
+    # a stack solves each step's distinct (start, ref row, step-sum prefix)
+    # once, and every row's states and error (message, step, seed and
+    # residual) equal its own one-row march bitwise.  In `fail-1d` the group
+    # of the rows without a jump through step 8 meets an exactly zero pivot
+    # at step 8, in the stack and in each of its rows' own marches: each
+    # member fails with its own seed, and the rows that jumped earlier march
+    # on
+    import plaplace_levy._lapack as lapack
+    import plaplace_levy.scheme as scheme
+
+    grid, model, cfg, starts, paths, ref = _history_stack(
+        "point-1d" if case == "fail-1d" else case)
+    M, m = len(paths), grid.step_band.m
+    groups = [history_groups(starts, paths, ref, k) for k in range(cfg.n_steps)]
+    if case == "dense":
+        assert len(groups[0]) == M
+    else:  # a group stays shared to the end
+        assert len(groups[-1]) < M
+    if case == "ref":  # a ref row is keyed whole, so the groups never split
+        assert [3] in groups[0] and groups[0] == groups[-1]
+    elif case != "dense":  # a group splits after step 0
+        assert len(groups[0]) < len(groups[-1])
+    if case == "two-runs":  # the second run adds no history
+        others = [*range(30), *range(40, 70)]
+        assert all(len(history_groups(starts[others], [paths[i] for i in others], None, k))
+                   == len(g) for k, g in enumerate(groups))
+    fail_step, failing = 8, None
+    if case == "fail-1d":
+        still = [g for g in groups[fail_step] if not any(paths[g[0]].counts[: fail_step + 1])]
+        failing = still[0]
+        assert len(failing) > 1 and len(groups[fail_step - 1]) > 1
+
+    newton, real = scheme._newton, lapack.dgttrf
+    seen, target = [], {}  # rows per _newton call; the block to make singular
+
+    def spy_newton(*args):
+        seen.append(len(args[1]))
+        return newton(*args)
+
+    def singular_once(*args, **kwargs):
+        *factors, info = real(*args, **kwargs)
+        if len(seen) == fail_step + 1 and "block" in target:
+            factors[1][target.pop("block") * m + 1] = 0.0  # U's diagonal
+            info = 2
+        return (*factors, info)
+
+    monkeypatch.setattr(scheme, "_newton", spy_newton)
+    monkeypatch.setattr(lapack, "dgttrf", singular_once)
+    if failing is not None:
+        target["block"] = groups[fail_step].index(failing)
+    states, errors = scheme._march(grid, starts, model, cfg, paths, ref)
+    assert "block" not in target
+    live = [len(g) for g in groups]
+    if failing is not None:
+        live[fail_step + 1 :] = [sum(not set(g) <= set(failing) for g in groups[k])
+                                 for k in range(fail_step + 1, cfg.n_steps)]
+    assert seen == live
+    assert [i for i, err in enumerate(errors) if err is not None] == (failing or [])
+
+    for i in range(M):
+        seen.clear()
+        if failing is not None and i in failing:
+            target["block"] = 0
+        alone, (own,) = scheme._march(grid, starts[i : i + 1], model, cfg, paths[i : i + 1],
+                                      None if ref is None else ref[i : i + 1])
+        err = errors[i]
+        if own is None:
+            assert err is None and states[i].tobytes() == alone[0].tobytes()
+            continue
+        assert type(err) is NonConvergence and err is not own
+        assert (str(err), err.step, err.seed, err.residual) == (
+            str(own), own.step, own.seed, own.residual)
+        assert (err.step, err.seed) == (fail_step, paths[i].seed)
+        assert "no finite Newton step" in str(err)
+        assert states[i, : fail_step + 1].tobytes() == alone[0, : fail_step + 1].tobytes()
+    if failing is not None:
+        assert len({id(errors[i]) for i in failing}) == len(failing)
